@@ -26,11 +26,14 @@ appends to the ``runs`` history so regressions are visible in the diff.
 Usage::
 
     PYTHONPATH=src python benchmarks/host_perf.py [--suite] [--label TEXT]
-        [--quick] [--fail-below REGS_PER_S]
+        [--quick] [--fail-below REGS_PER_S] [--gate NAME=PERCENT ...]
 
 ``--quick`` shrinks the batches to CI-smoke scale and skips the history
 file (so smoke runs never pollute the committed numbers); ``--fail-below``
-turns the registrations/s measurement into a regression gate.
+turns the raw registrations/s measurement into a floor (host-dependent:
+``benchmarks/hostbench`` is the calibrated end-to-end judge); each
+``--gate`` bounds the paired overhead of one quiescent subsystem from
+``OVERHEAD_GATES``.
 """
 
 from __future__ import annotations
@@ -248,7 +251,7 @@ OVERHEAD_REGISTRATIONS = 150
 _TRIM_FRACTION = 0.10
 
 
-def _paired_overhead(arm, registrations: int) -> dict:
+def _paired_overhead(arm, registrations: int = OVERHEAD_REGISTRATIONS) -> dict:
     """Percent host-time overhead of ``arm(testbed)`` vs an untouched twin."""
     import gc
 
@@ -293,139 +296,81 @@ def _paired_overhead(arm, registrations: int) -> dict:
     }
 
 
-def measure_tracer_overhead(registrations: int = OVERHEAD_REGISTRATIONS) -> dict:
-    """Host-time cost of the *disabled* instrumentation hooks.
+# What each overhead gate arms on the second testbed.  Every arm is the
+# *quiescent* form of a subsystem — installed, consulted on every hook,
+# doing no work — so the gates are how CI sees that the observation seam
+# on ``PhysicalHost`` and the admission hook are free when nothing is
+# happening.
 
-    Compares registrations with ``host.tracer = None`` (the default)
-    against an attached-but-disabled ``Tracer`` — the worst case for the
-    always-on guard checks (~1 080 OCALL hooks per registration).
-    """
+
+def _arm_tracer(tb) -> None:
+    """Attached-but-disabled ``Tracer``: every seam hook resolves it."""
     from repro.obs.trace import Tracer
 
-    result = _paired_overhead(
-        lambda tb: setattr(tb.host, "tracer", Tracer(tb.host.clock, enabled=False)),
-        registrations,
+    tb.host.tracer = Tracer(tb.host.clock, enabled=False)
+
+
+def _arm_traces(tb) -> None:
+    """Disabled tracer provisioned for distributed tracing (trace seed +
+    ``TraceStore``): the heavier state behind the same seam."""
+    from repro.obs.trace import TraceStore, Tracer
+
+    tb.host.tracer = Tracer(
+        tb.host.clock,
+        enabled=False,
+        trace_seed=7,
+        store=TraceStore(cap=512, sample_every=8),
     )
-    return {
-        "registrations": result["registrations"],
-        "trimmed_pairs": result["trimmed_pairs"],
-        "tracer_none_wall_s": result["base_wall_s"],
-        "tracer_disabled_wall_s": result["armed_wall_s"],
-        "disabled_overhead_percent": result["overhead_percent"],
-    }
 
 
-def measure_monitor_overhead(registrations: int = OVERHEAD_REGISTRATIONS) -> dict:
-    """Host-time cost of an *armed* continuous-monitoring scraper.
-
-    Compares registrations with ``host.monitor = None`` (the default)
-    against a fully installed :class:`~repro.obs.scrape.Scraper` on the
-    standard 1 s simulated-time cadence — hook checks on every
-    registration plus whatever scrapes actually land on the timeline.
-    """
+def _arm_monitor(tb) -> None:
+    """Installed 1 s-cadence ``Scraper``: ticks on every registration
+    plus whatever scrapes land on the timeline."""
     from repro.obs.scrape import Scraper
 
-    result = _paired_overhead(
-        lambda tb: Scraper.for_testbed(tb, cadence_s=1.0).install(tb.host),
-        registrations,
-    )
-    return {
-        "registrations": result["registrations"],
-        "trimmed_pairs": result["trimmed_pairs"],
-        "monitor_none_wall_s": result["base_wall_s"],
-        "monitor_armed_wall_s": result["armed_wall_s"],
-        "armed_overhead_percent": result["overhead_percent"],
-    }
+    Scraper.for_testbed(tb, cadence_s=1.0).install(tb.host)
 
 
-def measure_attack_overhead(registrations: int = OVERHEAD_REGISTRATIONS) -> dict:
-    """Host-time cost of the quiescent attack plane on legit traffic.
+def _arm_detect(tb) -> None:
+    """Scraper + subscribed ``AdmissionGovernor`` classifying every
+    scrape over quiet traffic (never arms): the price of watching."""
+    from repro.obs.detect import AdmissionGovernor, AttackClassifier
 
-    Compares registrations on an untouched testbed against one carrying
-    the whole adversarial apparatus at rest: an armed-but-permissive
-    :class:`~repro.fivegc.admission.AdmissionController` (every arrival
-    checked, none shed — strictly more work than the disarmed ``None``
-    fast path) plus a provisioned :class:`~repro.security.attacks
-    .AttackPlane` executing no events.  Gates the admission hook added
-    to the AMF's NAS dispatch.
-    """
+    _arm_monitor(tb)
+    tb.host.monitor.subscribe(AdmissionGovernor(tb.amf, AttackClassifier()))
+
+
+def _arm_attack(tb) -> None:
+    """Permissive ``AdmissionController`` (every arrival checked, none
+    shed) plus a provisioned ``AttackPlane`` executing no events."""
     from repro.fivegc.admission import AdmissionConfig, AdmissionController
     from repro.security.attacks import AttackPlane
 
-    def arm(tb) -> None:
-        tb.amf.admission = AdmissionController(AdmissionConfig())
-        AttackPlane(tb)
-
-    result = _paired_overhead(arm, registrations)
-    return {
-        "registrations": result["registrations"],
-        "trimmed_pairs": result["trimmed_pairs"],
-        "plane_none_wall_s": result["base_wall_s"],
-        "plane_quiescent_wall_s": result["armed_wall_s"],
-        "quiescent_overhead_percent": result["overhead_percent"],
-    }
+    tb.amf.admission = AdmissionController(AdmissionConfig())
+    AttackPlane(tb)
 
 
-def measure_traces_overhead(registrations: int = OVERHEAD_REGISTRATIONS) -> dict:
-    """Host-time cost of the quiescent distributed-tracing apparatus.
+OVERHEAD_GATES = {
+    "tracer": _arm_tracer,
+    "monitor": _arm_monitor,
+    "attack": _arm_attack,
+    "detect": _arm_detect,
+    "traces": _arm_traces,
+}
 
-    Compares registrations on an untouched testbed against one carrying
-    a disabled :class:`~repro.obs.trace.Tracer` that is provisioned for
-    distributed tracing — ``trace_seed`` set and a
-    :class:`~repro.obs.trace.TraceStore` attached.  Every hook sees a
-    non-``None`` tracer and must consult ``enabled`` to skip it (the
-    worst case for the guard checks, now with the heavier distributed
-    -tracing state behind them); no spans open and nothing is stored.
-    This gates the price the trace-context machinery adds to *untraced*
-    runs, which must stay within the same budget as the original
-    disabled-tracer hooks.
-    """
-    from repro.obs.trace import TraceStore, Tracer
 
-    def arm(tb) -> None:
-        tb.host.tracer = Tracer(
-            tb.host.clock,
-            enabled=False,
-            trace_seed=7,
-            store=TraceStore(cap=512, sample_every=8),
+def _parse_gate(text: str):
+    """``name=pct`` -> (name, pct) for one ``--gate`` occurrence."""
+    name, sep, pct = text.partition("=")
+    if not sep or name not in OVERHEAD_GATES:
+        raise argparse.ArgumentTypeError(
+            f"expected NAME=PERCENT with NAME in {sorted(OVERHEAD_GATES)}, "
+            f"got {text!r}"
         )
-
-    result = _paired_overhead(arm, registrations)
-    return {
-        "registrations": result["registrations"],
-        "trimmed_pairs": result["trimmed_pairs"],
-        "traces_none_wall_s": result["base_wall_s"],
-        "traces_quiescent_wall_s": result["armed_wall_s"],
-        "quiescent_overhead_percent": result["overhead_percent"],
-    }
-
-
-def measure_detect_overhead(registrations: int = OVERHEAD_REGISTRATIONS) -> dict:
-    """Host-time cost of the full armed-but-quiet detection loop.
-
-    Compares registrations on an untouched testbed against one carrying
-    the whole PR 9 closed loop at rest: an installed 1 s-cadence
-    :class:`~repro.obs.scrape.Scraper` with a subscribed
-    :class:`~repro.obs.detect.AdmissionGovernor` classifying every
-    scrape over quiet legitimate traffic.  The governor never arms (no
-    storm, no burn), so this gates the price of *watching*: scrape hooks
-    plus per-scrape verdicts on the live Tsdb.
-    """
-    from repro.obs.detect import AdmissionGovernor, AttackClassifier
-    from repro.obs.scrape import Scraper
-
-    def arm(tb) -> None:
-        scraper = Scraper.for_testbed(tb, cadence_s=1.0).install(tb.host)
-        scraper.subscribe(AdmissionGovernor(tb.amf, AttackClassifier()))
-
-    result = _paired_overhead(arm, registrations)
-    return {
-        "registrations": result["registrations"],
-        "trimmed_pairs": result["trimmed_pairs"],
-        "detect_none_wall_s": result["base_wall_s"],
-        "detect_armed_wall_s": result["armed_wall_s"],
-        "armed_quiet_overhead_percent": result["overhead_percent"],
-    }
+    try:
+        return name, float(pct)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad percentage in {text!r}")
 
 
 def measure_suite() -> dict:
@@ -516,47 +461,18 @@ def main(argv=None) -> int:
         "bites where the hardware can actually deliver it",
     )
     parser.add_argument(
-        "--tracer-gate",
-        type=float,
-        default=None,
-        metavar="PERCENT",
-        help="measure disabled-tracer hook overhead and exit non-zero if "
-        "it exceeds this percentage (ISSUE 4 budget: 3)",
-    )
-    parser.add_argument(
-        "--monitor-gate",
-        type=float,
-        default=None,
-        metavar="PERCENT",
-        help="measure armed-scraper monitoring overhead and exit non-zero "
-        "if it exceeds this percentage (ISSUE 5 budget: 3)",
-    )
-    parser.add_argument(
-        "--attack-gate",
-        type=float,
-        default=None,
-        metavar="PERCENT",
-        help="measure quiescent attack-plane/admission overhead on legit "
-        "registrations and exit non-zero if it exceeds this percentage "
-        "(ISSUE 8 budget: 2)",
-    )
-    parser.add_argument(
-        "--traces-gate",
-        type=float,
-        default=None,
-        metavar="PERCENT",
-        help="measure the quiescent distributed-tracing apparatus "
-        "(disabled tracer with trace seed + store attached) and exit "
-        "non-zero if it exceeds this percentage (ISSUE 10 budget: 3)",
-    )
-    parser.add_argument(
-        "--detect-gate",
-        type=float,
-        default=None,
-        metavar="PERCENT",
-        help="measure the armed-but-quiet detection loop (scraper + "
-        "classifying governor, no storm) and exit non-zero if it exceeds "
-        "this percentage (ISSUE 9 budget: 2)",
+        "--gate",
+        action="append",
+        type=_parse_gate,
+        default=[],
+        metavar="NAME=PERCENT",
+        help="measure the host-time overhead of a quiescent subsystem on "
+        "legitimate registrations and exit non-zero if it exceeds PERCENT; "
+        "repeatable.  "
+        + "  ".join(
+            f"{name}: {' '.join(arm.__doc__.split())}"
+            for name, arm in OVERHEAD_GATES.items()
+        ),
     )
     args = parser.parse_args(argv)
 
@@ -582,16 +498,8 @@ def main(argv=None) -> int:
     # Gate measurements always use the full paired-sample count: the
     # estimator needs ~150 pairs for a stable trimmed mean, and --quick
     # shrinking them would just make the gate flaky.
-    if args.tracer_gate is not None:
-        run["tracer_overhead"] = measure_tracer_overhead()
-    if args.monitor_gate is not None:
-        run["monitor_overhead"] = measure_monitor_overhead()
-    if args.attack_gate is not None:
-        run["attack_overhead"] = measure_attack_overhead()
-    if args.traces_gate is not None:
-        run["traces_overhead"] = measure_traces_overhead()
-    if args.detect_gate is not None:
-        run["detect_overhead"] = measure_detect_overhead()
+    for name, _ in args.gate:
+        run[f"{name}_overhead"] = _paired_overhead(OVERHEAD_GATES[name])
     if args.suite:
         run.update(measure_suite())
 
@@ -650,48 +558,12 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
-    if args.tracer_gate is not None:
-        overhead = run["tracer_overhead"]["disabled_overhead_percent"]
-        if overhead > args.tracer_gate:
+    for name, budget in args.gate:
+        overhead = run[f"{name}_overhead"]["overhead_percent"]
+        if overhead > budget:
             print(
-                f"FAIL: disabled-tracer hook overhead {overhead}% exceeds "
-                f"the --tracer-gate budget of {args.tracer_gate}%",
-                file=sys.stderr,
-            )
-            return 1
-    if args.monitor_gate is not None:
-        overhead = run["monitor_overhead"]["armed_overhead_percent"]
-        if overhead > args.monitor_gate:
-            print(
-                f"FAIL: armed-scraper monitoring overhead {overhead}% exceeds "
-                f"the --monitor-gate budget of {args.monitor_gate}%",
-                file=sys.stderr,
-            )
-            return 1
-    if args.attack_gate is not None:
-        overhead = run["attack_overhead"]["quiescent_overhead_percent"]
-        if overhead > args.attack_gate:
-            print(
-                f"FAIL: quiescent attack-plane overhead {overhead}% exceeds "
-                f"the --attack-gate budget of {args.attack_gate}%",
-                file=sys.stderr,
-            )
-            return 1
-    if args.traces_gate is not None:
-        overhead = run["traces_overhead"]["quiescent_overhead_percent"]
-        if overhead > args.traces_gate:
-            print(
-                f"FAIL: quiescent distributed-tracing overhead {overhead}% "
-                f"exceeds the --traces-gate budget of {args.traces_gate}%",
-                file=sys.stderr,
-            )
-            return 1
-    if args.detect_gate is not None:
-        overhead = run["detect_overhead"]["armed_quiet_overhead_percent"]
-        if overhead > args.detect_gate:
-            print(
-                f"FAIL: armed-but-quiet detection overhead {overhead}% "
-                f"exceeds the --detect-gate budget of {args.detect_gate}%",
+                f"FAIL: quiescent {name} overhead {overhead}% exceeds the "
+                f"--gate {name}={budget:g} budget",
                 file=sys.stderr,
             )
             return 1

@@ -154,11 +154,8 @@ class Amf(NetworkFunction):
         """
         # N1 is direct dispatch (no SBI hop opens a span here), so leave
         # this AMF's identity on the covering span — the NAS round the
-        # gNB opened — for cross-NF trace assembly.  No new span, no
-        # clock read; a disarmed tracer costs two comparisons.
-        tracer = self.host.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.annotate(amf=self.name)
+        # gNB opened — for cross-NF trace assembly.
+        self.host.annotate(amf=self.name)
         try:
             return self._dispatch_nas(ue_id, message, via)
         except AmfError:

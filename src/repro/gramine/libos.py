@@ -308,14 +308,13 @@ class GramineEnclaveRuntime(Runtime):
         cost = self._spec_costs.get(spec)
         if cost is None:
             cost = self._spec_cost(spec)
-        # Span tracing (repro.obs): one span per OCALL tagged with the
-        # paper's cost taxonomy.  The untraced hot path pays only the
-        # attribute read and None check (~1080 OCALLs per registration).
-        tracer = self.host.tracer
-        if tracer is not None and not tracer.enabled:
-            tracer = None
+        # One span per OCALL (~1080 per traced registration), closed
+        # below with the paper's cost taxonomy as tags — the components
+        # are only known per branch, so this hook keeps begin/end.
+        host = self.host
         span = None
-        if tracer is not None:
+        if host.tracing:
+            tracer = host.tracer
             components = self._trace_component_ns.get(spec)
             if components is None:
                 self._spec_cost(spec)
@@ -327,7 +326,7 @@ class GramineEnclaveRuntime(Runtime):
         self._epc_pressure()
         enclave = self.enclave
         stats = enclave.stats
-        cpu = self.host.cpu
+        cpu = host.cpu
         if self.exitless:
             # No transition: the helper performs the syscall; the enclave
             # thread spins on shared memory.  Stats record the OCALL
@@ -361,7 +360,6 @@ class GramineEnclaveRuntime(Runtime):
             by_syscall[name] = by_syscall.get(name, 0) + 1
             stats.bytes_copied_out += bytes_out
             stats.bytes_copied_in += bytes_in
-            host = self.host
             host.events.emit(
                 host.clock.now_ns, "sgx.ocall",
                 enclave=enclave.build.name, syscall=name,
@@ -374,124 +372,13 @@ class GramineEnclaveRuntime(Runtime):
                     transition_ns=enter_cost[1] + exit_cost[1],
                 )
 
-    def syscall_batch(self, specs: Iterable[Tuple[str, int, int]]) -> None:
-        """Fused accounting for a fixed syscall sequence.
-
-        The HTTP layer replays the same ~90-spec profiles for every
-        request, so the per-call fixed costs of :meth:`syscall` (context
-        checks, pressure probes, per-component rounding, one clock update
-        and one stats/event round-trip per call) dominate host time.  This
-        override hoists everything loop-invariant, draws the per-call
-        (EENTER, EEXIT) pairs from the same stream in the same order,
-        accumulates the pre-rounded cycle/ns charges, and applies them in
-        one ``spend_preconverted`` — every RNG draw, event timestamp, stat
-        total and the final clock value are bit-identical to the unfused
-        per-call sequence.
-
-        The fusion is only valid while ``_epc_pressure`` is inert (no
-        global EPC contention, not degraded, resident set at or under the
-        baseline — the state in which it draws nothing and charges
-        nothing) and no tracer is armed; otherwise this falls back to the
-        exact per-call path.
-        """
-        tracer = self.host.tracer
-        if tracer is not None and tracer.enabled:
-            for name, bytes_out, bytes_in in specs:
-                self.syscall(name, bytes_out, bytes_in)
-            return
-        context = self._app_context
-        context._check_open()
-        enclave = self.enclave
-        manager = enclave.epc_manager
-        if (
-            manager.resident_pages
-            >= self._GLOBAL_CONTENTION_THRESHOLD * manager.capacity_pages
-            or self.degraded
-            or enclave.epc_region.resident_pages > _BASELINE_RESIDENT_PAGES
-        ):
-            # Pressure draws RNG / charges cycles per call: stay unfused.
-            for name, bytes_out, bytes_in in specs:
-                self.syscall(name, bytes_out, bytes_in)
-            return
-
-        spec_costs = self._spec_costs
-        stats = enclave.stats
-        by_syscall = stats.ocalls_by_syscall
-        cpu = self.host.cpu
-        acc_cycles = 0
-        acc_ns = 0
-        count = 0
-
-        if self.exitless:
-            # No transitions, no per-call RNG, no events: pure accumulation.
-            for spec in specs:
-                cost = spec_costs.get(spec)
-                if cost is None:
-                    cost = self._spec_cost(spec)
-                acc_cycles += cost[2]
-                acc_ns += cost[3]
-                count += 1
-                name = spec[0]
-                by_syscall[name] = by_syscall.get(name, 0) + 1
-            cpu.spend_preconverted(acc_cycles, acc_ns)
-            stats.ocalls += count
-            return
-
-        model = enclave.cost_model
-        uniform = self._transition_stream.uniform
-        pair_min = model.transition_pair_min_cycles
-        pair_max = model.transition_pair_max_cycles
-        hz = cpu.spec.frequency_hz
-        host = self.host
-        emit_shared = host.events.emit_shared
-        base_ns = host.clock.now_ns
-        event_details = self._event_details
-        enclave_name = enclave.build.name
-        bytes_out_total = 0
-        bytes_in_total = 0
-
-        for spec in specs:
-            cost = spec_costs.get(spec)
-            if cost is None:
-                cost = self._spec_cost(spec)
-            # Inlined draw_transition_pair_from + round_cycle_cost: same
-            # stream, same draw, same truncation/rounding expressions.
-            total = uniform(pair_min, pair_max)
-            eenter = int(total * 0.55)
-            eexit = int(total * 0.45)
-            acc_cycles += cost[0] + eenter + eexit
-            acc_ns += (
-                cost[1]
-                + int(round(eenter * NS_PER_S / hz))
-                + int(round(eexit * NS_PER_S / hz))
-            )
-            count += 1
-            name = spec[0]
-            by_syscall[name] = by_syscall.get(name, 0) + 1
-            bytes_out_total += spec[1]
-            bytes_in_total += spec[2]
-            detail = event_details.get(name)
-            if detail is None:
-                detail = event_details[name] = {
-                    "enclave": enclave_name, "syscall": name,
-                }
-            # The unfused path emits after spending, so the event carries
-            # the post-charge clock: base + everything accumulated so far.
-            emit_shared(base_ns + acc_ns, "sgx.ocall", detail)
-
-        cpu.spend_preconverted(acc_cycles, acc_ns)
-        stats.eexits += count
-        stats.eenters += count
-        stats.ocalls += count
-        stats.bytes_copied_out += bytes_out_total
-        stats.bytes_copied_in += bytes_in_total
-
     def compile_syscalls(self, specs: Iterable[Tuple[str, int, int]]) -> object:
         """Precompile a syscall profile for :meth:`syscall_profile`.
 
-        Everything :meth:`syscall_batch` looks up per spec — the rounded
+        The HTTP layer replays the same ~90-spec profiles for every
+        request, so everything loop-invariant per spec — the rounded
         cost components, the shared event-detail dict, the per-name stat
-        buckets, the byte totals — is resolved once here, so replay only
+        buckets, the byte totals — is resolved once here; replay only
         pays for what genuinely varies per call: the (EENTER, EEXIT)
         RNG draw and the running event timestamp.
         """
@@ -532,22 +419,27 @@ class GramineEnclaveRuntime(Runtime):
         )
 
     def syscall_profile(self, handle: object) -> None:
-        """Replay a compiled profile, bit-identical to the uncompiled batch.
+        """Replay a compiled profile as one fused charge.
 
-        Falls back to the exact per-call path under an armed tracer or
-        non-inert EPC pressure, exactly like :meth:`syscall_batch`.
+        Draws the per-call (EENTER, EEXIT) pairs from the same stream in
+        the same order as :meth:`syscall`, accumulates the pre-rounded
+        cycle/ns charges and applies them in one ``spend_preconverted``
+        — every RNG draw, event timestamp, stat total and the final
+        clock value are bit-identical to the per-call sequence.
+
+        The fusion is only valid while nobody wants a span per OCALL
+        and ``_epc_pressure`` is inert (no global EPC contention, not
+        degraded, resident set at or under the baseline — the state in
+        which it draws nothing and charges nothing); otherwise this is
+        the exact per-call path.
         """
         profile: _CompiledProfile = handle  # type: ignore[assignment]
-        tracer = self.host.tracer
-        if tracer is not None and tracer.enabled:
-            for name, bytes_out, bytes_in in profile.specs:
-                self.syscall(name, bytes_out, bytes_in)
-            return
-        self._app_context._check_open()
+        host = self.host
         enclave = self.enclave
         manager = enclave.epc_manager
         if (
-            manager.resident_pages
+            host.tracing
+            or manager.resident_pages
             >= self._GLOBAL_CONTENTION_THRESHOLD * manager.capacity_pages
             or self.degraded
             or enclave.epc_region.resident_pages > _BASELINE_RESIDENT_PAGES
@@ -555,10 +447,11 @@ class GramineEnclaveRuntime(Runtime):
             for name, bytes_out, bytes_in in profile.specs:
                 self.syscall(name, bytes_out, bytes_in)
             return
+        self._app_context._check_open()
 
         stats = enclave.stats
         by_syscall = stats.ocalls_by_syscall
-        cpu = self.host.cpu
+        cpu = host.cpu
         count = profile.count
 
         if self.exitless:
@@ -576,7 +469,6 @@ class GramineEnclaveRuntime(Runtime):
         pair_min = model.transition_pair_min_cycles
         pair_span = model.transition_pair_max_cycles - pair_min
         hz = cpu.spec.frequency_hz
-        host = self.host
         events = host.events
         base_ns = host.clock.now_ns
         acc_cycles = 0

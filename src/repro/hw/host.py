@@ -9,7 +9,7 @@ to be co-located with its parent VNF on the same host.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.hw.cpu import Cpu, CpuSpec, XEON_SILVER_4314
 from repro.hw.memory import Ram
@@ -22,9 +22,42 @@ if TYPE_CHECKING:  # avoid a runtime import cycle with repro.obs
     from repro.obs.trace import Tracer
 
 
+class _NullSpan:
+    """What the observation seam hands out while nothing is recording.
+
+    Stands in for both a :class:`~repro.obs.trace.Span` and a
+    :class:`~repro.obs.trace.RootTrace`: entering, leaving, tagging and
+    recording all do nothing, and it carries no trace identity.
+    """
+
+    __slots__ = ()
+    traceparent = None
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        pass
+
+    def tag(self, **tags: Any) -> None:
+        pass
+
+    def record(self, success: bool, sojourn_ns: int, exemplars: Dict) -> None:
+        pass
+
+
+NULL_SPAN = _NullSpan()
+
+
 @dataclass
 class PhysicalHost:
-    """A COTS server in the NFV infrastructure."""
+    """A COTS server in the NFV infrastructure.
+
+    The host is also the **observation seam** (docs/ARCHITECTURE.md):
+    protocol code opens windows with :meth:`span` / :meth:`trace`, tags
+    the covering span with :meth:`annotate` and yields to the scraper
+    with :meth:`tick`, and never learns whether anyone is watching.
+    """
 
     name: str
     clock: SimClock
@@ -32,16 +65,51 @@ class PhysicalHost:
     events: EventLog
     cpus: List[Cpu] = field(default_factory=list)
     ram: Optional[Ram] = None
-    # Registration-scoped span tracing (repro.obs).  None (the default)
-    # disables tracing at the cost of one attribute read per hook; an
-    # installed tracer records span trees without advancing the clock,
-    # so traced runs stay bit-identical in simulated time.
+    # Installed by whoever wants to watch (``host.tracer = Tracer(...)``,
+    # ``Scraper.install(host)``); both only read the clock, so an
+    # observed run spends identical simulated nanoseconds.
     tracer: Optional["Tracer"] = field(default=None, repr=False)
-    # Continuous monitoring (repro.obs.scrape).  Same contract as the
-    # tracer: None costs one attribute read per hook, and an installed
-    # scraper only *reads* — registries, counters and the clock — so a
-    # monitored run spends identical simulated nanoseconds.
     monitor: Optional["Scraper"] = field(default=None, repr=False)
+
+    # --------------------------------------------------- observation seam
+
+    @property
+    def tracing(self) -> bool:
+        """True while an installed tracer is recording — the one place
+        that tells no tracer, a disabled tracer and an armed one apart."""
+        tracer = self.tracer
+        return tracer is not None and tracer.enabled
+
+    def span(self, name: str, kind: str = "", **tags: Any):
+        """Open a span over the ``with`` block (no-op unless tracing)."""
+        if self.tracing:
+            return self.tracer.begin(name, kind, **tags)
+        return NULL_SPAN
+
+    def trace(
+        self,
+        name: str,
+        kind: str,
+        supi: Optional[str] = None,
+        closing_tags: Callable[[], Dict[str, Any]] = dict,
+        **tags: Any,
+    ):
+        """Open a root span with its whole lifecycle (see
+        :meth:`repro.obs.trace.Tracer.trace`); no-op unless tracing."""
+        if self.tracing:
+            return self.tracer.trace(name, kind, supi, closing_tags, **tags)
+        return NULL_SPAN
+
+    def annotate(self, **tags: Any) -> None:
+        """Tag the innermost open span (no new span, no clock read)."""
+        if self.tracing:
+            self.tracer.annotate(**tags)
+
+    def tick(self) -> None:
+        """Let an installed scraper sample if its cadence is due."""
+        monitor = self.monitor
+        if monitor is not None:
+            monitor.tick()
 
     @property
     def cpu(self) -> Cpu:

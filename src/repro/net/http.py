@@ -370,9 +370,6 @@ class HttpServer:
 
     # ------------------------------------------------------------- serving
 
-    def _run_profile(self, specs: List[SyscallSpec]) -> None:
-        self.runtime.syscall_batch(specs)
-
     def accept_connection(self, connection: "HttpConnection") -> None:
         if not self.started:
             raise HttpError(f"server {self.name!r} not started")
@@ -394,82 +391,47 @@ class HttpServer:
         runtime = self.runtime
         host = runtime.host
         clock = host.clock
-        # Span tracing (repro.obs): spans open/close at the same clock
-        # reads the measure() windows use, so traced L_F/L_T values are
-        # bit-identical to the metric series below.  ``tracer is None``
-        # (the default) keeps this a two-comparison hot path.
-        tracer = host.tracer
-        if tracer is not None and not tracer.enabled:
-            tracer = None
 
         # First-request lazy initialization (Fig 10b's initial response).
         warmup = getattr(runtime, "lazy_warmup", None)
         if warmup is not None:
             warmup()
 
-        # Pop the in-flight trace context before any handling; it is
-        # re-attached to the parsed request below so the header exists
+        # The in-flight trace context (see HttpConnection.traceparent) is
+        # attached to the parsed request below, so the header exists
         # exactly where a real server would see it.
         traceparent = connection.traceparent
-        if traceparent is not None:
-            connection.traceparent = None
-        srv_trace = (
-            tracer.begin(self.name, kind="sbi.server", server=self.name)
-            if tracer is not None else None
-        )
-        try:
-            # The busy window wraps L_T plus the reactor chatter after it;
-            # nesting the with-blocks keeps spans closed LIFO even when a
-            # handler raises (the error path must not leak an open span).
-            with clock.measure() as busy_span:
-                lt_trace = (
-                    tracer.begin("window", kind="L_T")
-                    if tracer is not None else None
+        # The busy window wraps L_T plus the reactor chatter after it.
+        with host.span(
+            self.name, kind="sbi.server", server=self.name
+        ) as srv_span, clock.measure() as busy_span:
+            with host.span("window", kind="L_T"), clock.measure() as lt_span:
+                runtime.syscall_profile(self._in_window_pre)
+                runtime.compute(self.tls_cost.record_cycles(len(protected_request)))
+                raw = connection.server_tls.unprotect(protected_request)
+                request = HttpRequest.from_wire(raw)
+                if traceparent is not None:
+                    request.headers["traceparent"] = traceparent
+                runtime.compute(
+                    self.profile.parse_fixed_cycles
+                    + self.profile.parse_per_byte_cycles * len(raw)
                 )
-                try:
-                    with clock.measure() as lt_span:
-                        runtime.syscall_profile(self._in_window_pre)
-                        runtime.compute(
-                            self.tls_cost.record_cycles(len(protected_request))
-                        )
-                        raw = connection.server_tls.unprotect(protected_request)
-                        request = HttpRequest.from_wire(raw)
-                        if traceparent is not None:
-                            request.headers["traceparent"] = traceparent
-                        runtime.compute(
-                            self.profile.parse_fixed_cycles
-                            + self.profile.parse_per_byte_cycles * len(raw)
-                        )
-                        handler = self._resolve(request.method, request.path)
-                        context = self._handler_context
-                        lf_trace = (
-                            tracer.begin(request.path, kind="L_F", path=request.path)
-                            if tracer is not None else None
-                        )
-                        try:
-                            with clock.measure() as lf_span:
-                                response = handler(request, context)
-                        finally:
-                            if lf_trace is not None:
-                                tracer.end(lf_trace)
-                        response_raw = response.wire_bytes()
-                        runtime.compute(self.tls_cost.record_cycles(len(response_raw)))
-                        protected_response = connection.server_tls.protect(response_raw)
-                        runtime.syscall_profile(self._in_window_post)
-                finally:
-                    if lt_trace is not None:
-                        tracer.end(lt_trace)
+                handler = self._resolve(request.method, request.path)
+                with host.span(
+                    request.path, kind="L_F", path=request.path
+                ), clock.measure() as lf_span:
+                    response = handler(request, self._handler_context)
+                response_raw = response.wire_bytes()
+                runtime.compute(self.tls_cost.record_cycles(len(response_raw)))
+                protected_response = connection.server_tls.protect(response_raw)
+                runtime.syscall_profile(self._in_window_post)
 
-                # Reactor chatter around the request (outside the L_T window
-                # but inside the client's response-time window).
-                runtime.syscall_profile(self._out_of_window)
-        finally:
-            if srv_trace is not None:
-                tracer.end(srv_trace)
-        if srv_trace is not None:
-            srv_trace.tags.update(path=request.path, status=response.status)
-            if traceparent is not None:
-                srv_trace.tags["traceparent"] = traceparent
+            # Reactor chatter around the request (outside the L_T window
+            # but inside the client's response-time window).
+            runtime.syscall_profile(self._out_of_window)
+        srv_span.tag(path=request.path, status=response.status)
+        if traceparent is not None:
+            srv_span.tag(traceparent=traceparent)
 
         self.busy_us.append(busy_span.us)
         self.lf_us.append(lf_span.us)
@@ -536,8 +498,10 @@ class HttpConnection:
     cost in the model is length-dependent (TLS record cycles, bridge
     transmit, per-byte parse), so carrying the header in ``raw`` would
     make a traced run spend different simulated time than an untraced
-    one.  The server pops it and materialises the real header on the
+    one.  The server reads it and materialises the real header on the
     parsed request, which is where handlers (and tests) observe it.
+    The client sets it for the duration of one attempt and clears it on
+    every way out, so a gated or lost request leaves nothing behind.
     """
 
     client_name: str
@@ -679,47 +643,14 @@ class HttpClient:
             method=method, path=path,
         )
         raw = request.wire_bytes()
-        tracer = host.tracer
-        if tracer is not None and not tracer.enabled:
-            tracer = None
-        # The span opens at the same clock read the R measure() window
-        # uses and closes with no advance in between, so the traced
-        # ``r_us`` tag is bit-identical to ``response_times_us``.
-        req_trace = (
-            tracer.begin(
-                path, kind="sbi.request",
-                src=self.name, dst=connection.server.name,
-                method=method, path=path,
-            )
-            if tracer is not None else None
-        )
-        if req_trace is not None and req_trace.trace_id is not None:
-            # W3C traceparent (version 00, sampled) minted from the open
-            # sbi.request span; propagated out-of-band — see
-            # HttpConnection.traceparent for why it stays off the wire.
-            connection.traceparent = (
-                f"00-{req_trace.trace_id}-{req_trace.span_id}-01"
-            )
-        try:
-            return self._attempt_traced(
-                connection, request, raw, timeout_us, req_trace
-            )
-        finally:
-            if req_trace is not None:
-                tracer.end(req_trace)
-
-    def _attempt_traced(
-        self,
-        connection: HttpConnection,
-        request: HttpRequest,
-        raw: bytes,
-        timeout_us: Optional[float],
-        req_trace: Optional[object],
-    ) -> HttpResponse:
-        clock = self.runtime.host.clock
-        method, path = request.method, request.path
-        start_ns = clock.now_ns
-        with clock.measure() as r_span:
+        with host.span(
+            path, kind="sbi.request",
+            src=self.name, dst=connection.server.name, method=method, path=path,
+        ) as req_span, clock.measure() as r_span:
+            # W3C traceparent naming the open sbi.request span as parent;
+            # propagated out-of-band — see HttpConnection.traceparent for
+            # why it stays off the wire.
+            connection.traceparent = req_span.traceparent
             try:
                 self.runtime.compute(self.tls_cost.record_cycles(len(raw)))
                 protected = connection.client_tls.protect(raw)
@@ -737,11 +668,10 @@ class HttpClient:
                 response_raw = connection.client_tls.unprotect(protected_response)
             except (UnresponsiveError, FrameLost) as exc:
                 # No response will ever arrive; the client blocks until
-                # its deadline.  The measure() context pops the span on
-                # the way out, so the error path leaks no open span.
+                # its deadline.
                 if timeout_us is None:
                     raise
-                elapsed_us = (clock.now_ns - start_ns) / 1_000.0
+                elapsed_us = (clock.now_ns - r_span.start_ns) / 1_000.0
                 if timeout_us > elapsed_us:
                     clock.advance_us(timeout_us - elapsed_us)
                 self.timeouts += 1
@@ -749,6 +679,11 @@ class HttpClient:
                     f"{self.name}->{connection.server.name} {method} {path}: "
                     f"no response within {timeout_us:.0f}us"
                 ) from exc
+            finally:
+                # The header belongs to this request: whether it was
+                # served, gated or lost, it never outlives the exchange
+                # (``_reconnect`` re-establishes the connection in place).
+                connection.traceparent = None
         if timeout_us is not None and r_span.us > timeout_us:
             # The response arrived after the client already gave up
             # (e.g. an injected latency spike): it is discarded.
@@ -764,8 +699,7 @@ class HttpClient:
                 connection.server.name
             ] = BoundedSeries()
         by_server.append(r_span.us)
-        if req_trace is not None:
-            req_trace.tags["r_us"] = r_span.us
+        req_span.tag(r_us=r_span.us)
         return HttpResponse.from_wire(response_raw)
 
     def _reconnect(self, connection: HttpConnection) -> None:

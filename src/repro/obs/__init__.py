@@ -38,8 +38,10 @@ every span, the HTTP client/server pair propagates the W3C
 
 Tracing and monitoring are **zero-cost in simulated time** (spans and
 scrapes only read the clock, never advance it) and near-zero in host
-time when disabled: every hook is a single ``host.tracer is None`` /
-``host.monitor is None`` check.
+time when disabled.  Protocol code reaches both only through the
+observation seam on :class:`~repro.hw.host.PhysicalHost`
+(``host.span`` / ``host.trace`` / ``host.annotate`` / ``host.tick``);
+docs/ARCHITECTURE.md describes what it hides and what it costs.
 """
 
 from repro.obs.export import (

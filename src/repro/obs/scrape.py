@@ -4,18 +4,17 @@ A :class:`Scraper` owns a *collect* callable that snapshots any
 ``MetricsRegistry`` producer — the usual one wraps
 :func:`repro.obs.collect.collect_testbed_metrics`, which reaches the
 HTTP servers/clients, NF circuit breakers, enclave ``SgxStats`` and the
-fault injector in one pull.  The scraper is driven by ``tick()`` calls
-from the simulation (end of each registration, each ``Testbed.idle``
-slice); it samples whenever simulated time has crossed the next
-cadence-grid deadline.
+fault injector in one pull.  The scraper is driven by ``host.tick()``
+calls from the simulation (end of each registration, storm event and
+``Testbed.idle`` slice); it samples whenever simulated time has crossed
+the next cadence-grid deadline.
 
 Scrapes are pull-only: they never advance the simulated clock and never
 draw randomness, so an armed scraper leaves golden clocks byte-identical.
 The testbed scraper reuses one persistent registry across scrapes
 (metrics allocated once, re-``set`` per snapshot); counter reset banking
 and histogram series re-adoption keep restarted producers monotone.
-When no scraper is installed the hook cost is one attribute read
-(``host.monitor is None``), mirroring the tracer contract.
+When no scraper is installed ``host.tick()`` does nothing.
 """
 
 from __future__ import annotations

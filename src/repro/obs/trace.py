@@ -4,9 +4,10 @@ A :class:`Span` is an interval of *simulated* time with a name, a kind
 from the paper's cost taxonomy, free-form tags and children.  The
 :class:`Tracer` maintains the open-span stack; instrumentation points
 (the gNB registration loop, the HTTP client/server, the Gramine OCALL
-path) call :meth:`Tracer.begin`/:meth:`Tracer.end` around the clock
-reads they already make, so span boundaries are **bit-identical** to the
-``clock.measure()`` windows the experiment series record.
+path) open spans — through the observation seam on
+:class:`~repro.hw.host.PhysicalHost` — in the same ``with`` statement
+as the ``clock.measure()`` windows they already keep, so span boundaries
+are **bit-identical** to the windows the experiment series record.
 
 Span kinds (the taxonomy):
 
@@ -45,9 +46,8 @@ simulated nanoseconds as an untraced one.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from hashlib import blake2b
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.sim.clock import NS_PER_US, SimClock
 
@@ -59,11 +59,15 @@ class SpanNestingError(RuntimeError):
 
 
 class Span:
-    """One interval of simulated time in a registration's span tree."""
+    """One interval of simulated time in a registration's span tree.
+
+    A span begun by a :class:`Tracer` is its own context manager:
+    leaving the ``with`` block ends it (LIFO-checked) on every path.
+    """
 
     __slots__ = (
         "name", "kind", "start_ns", "end_ns", "tags", "children",
-        "trace_id", "span_id", "parent_id",
+        "trace_id", "span_id", "parent_id", "tracer",
     )
 
     def __init__(self, name: str, kind: str, start_ns: int, **tags: Any) -> None:
@@ -76,6 +80,24 @@ class Span:
         self.trace_id: Optional[str] = None
         self.span_id: Optional[str] = None
         self.parent_id: Optional[str] = None
+        self.tracer: Optional["Tracer"] = None
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.tracer.end(self)
+
+    def tag(self, **tags: Any) -> None:
+        self.tags.update(tags)
+
+    @property
+    def traceparent(self) -> Optional[str]:
+        """W3C header naming this span as the parent, or None when the
+        tracer mints no distributed identity."""
+        if self.trace_id is None:
+            return None
+        return traceparent_of(self.trace_id, self.span_id)
 
     @property
     def ns(self) -> int:
@@ -144,16 +166,16 @@ _SPAN_POOL_CAP = 8192
 class Tracer:
     """Builds span trees from begin/end calls against one clock.
 
-    Hot paths guard with ``tracer is not None and tracer.enabled`` — a
-    disabled tracer (or the default ``host.tracer = None``) costs one
-    attribute read and one comparison per instrumentation point.
+    Protocol code never holds a tracer: it goes through the observation
+    seam on :class:`~repro.hw.host.PhysicalHost`, which resolves whether
+    this tracer is installed and ``enabled`` (docs/ARCHITECTURE.md).
 
     With ``trace_seed`` set, :meth:`start_trace` opens a deterministic
     trace context for one registration: every span begun until
     :meth:`end_trace` is stamped with the context's ``trace_id`` and a
     sequence-derived ``span_id`` (parent = the enclosing open span).  A
     ``store`` gives finished trees somewhere to go (see
-    :class:`TraceStore`); offering and recycling is the caller's job.
+    :class:`TraceStore`); :meth:`trace` runs that whole lifecycle.
     """
 
     def __init__(
@@ -194,6 +216,7 @@ class Tracer:
             span.tags = tags
         else:
             span = Span(name, kind, self.clock.now_ns, **tags)
+        span.tracer = self
         trace_id = self._trace_id
         if trace_id is not None:
             seq = self._span_seq
@@ -283,13 +306,29 @@ class Tracer:
             span.tags.update(tags)
         return span
 
-    @contextmanager
-    def span(self, name: str, kind: str = "", **tags: Any) -> Iterator[Span]:
-        opened = self.begin(name, kind, **tags)
-        try:
-            yield opened
-        finally:
-            self.end(opened)
+    def span(self, name: str, kind: str = "", **tags: Any) -> Span:
+        """``with tracer.span(...) as span:`` — begin now, end on exit."""
+        return self.begin(name, kind, **tags)
+
+    def trace(
+        self,
+        name: str,
+        kind: str,
+        supi: Optional[str] = None,
+        closing_tags: Callable[[], Dict[str, Any]] = dict,
+        **tags: Any,
+    ) -> "RootTrace":
+        """``with tracer.trace(...) as trace:`` — one root span's life.
+
+        With ``supi`` the root is a registration: a trace context is
+        minted first (when armed with a ``trace_seed``) so every span,
+        root included, carries the same ``trace_id``, and the finished
+        tree is filed by :meth:`RootTrace.record`.  Without ``supi``
+        there is nowhere to file the tree — it only contains the spans
+        opened beneath it and is recycled the moment it closes.
+        ``closing_tags()`` is called as the root ends, on every path.
+        """
+        return RootTrace(self, name, kind, supi, closing_tags, tags)
 
     # --------------------------------------------------------- lifecycle
 
@@ -309,6 +348,83 @@ class Tracer:
             for root in self.roots:
                 _recycle_tree(root)
         self.roots.clear()
+
+
+# Exemplar bucket bounds for registration sojourn, as OpenMetrics ``le``
+# label strings paired with their numeric bound (ms).  One exemplar — the
+# most recent (value, trace_id, observed_at_ns) — is retained per bucket,
+# which is exactly the OpenMetrics exemplar model.
+SOJOURN_EXEMPLAR_BUCKETS_MS: Tuple[Tuple[float, str], ...] = (
+    (50.0, "50"), (100.0, "100"), (250.0, "250"), (500.0, "500"),
+    (1000.0, "1000"), (2500.0, "2500"), (float("inf"), "+Inf"),
+)
+
+
+class RootTrace:
+    """A root span from open to hand-off (see :meth:`Tracer.trace`)."""
+
+    __slots__ = ("tracer", "span", "trace_id", "supi", "attempt", "closing_tags")
+
+    def __init__(
+        self,
+        tracer: Tracer,
+        name: str,
+        kind: str,
+        supi: Optional[str],
+        closing_tags: Callable[[], Dict[str, Any]],
+        tags: Dict[str, Any],
+    ) -> None:
+        self.tracer = tracer
+        self.supi = supi
+        self.attempt = 0
+        self.closing_tags = closing_tags
+        self.trace_id = tracer.start_trace(supi) if supi is not None else None
+        self.span = tracer.begin(name, kind, **tags)
+
+    def __enter__(self) -> "RootTrace":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        tracer = self.tracer
+        tracer.end(self.span, **self.closing_tags())
+        if self.trace_id is not None:
+            # Closed on exception paths too, so a stale trace_id can
+            # never bleed onto unrelated spans.
+            self.attempt = tracer.end_trace()[2]
+        if self.supi is None:
+            tracer.recycle(self.span)
+
+    def record(
+        self,
+        success: bool,
+        sojourn_ns: int,
+        exemplars: Dict[str, Tuple[float, str, int]],
+    ) -> None:
+        """File a finished registration once its sojourn is known.
+
+        Leaves the per-bucket exemplar (last trace to land in each
+        bucket) in ``exemplars`` and offers the tree to the tracer's
+        store.  A stored tree is snapshotted to dicts, so the spans are
+        recycled immediately — campaign memory stays bounded by the
+        store cap, not the horizon.  Without trace identity the root
+        just stays in ``tracer.roots``.
+        """
+        trace_id = self.trace_id
+        if trace_id is None:
+            return
+        tracer = self.tracer
+        value_ms = sojourn_ns / 1e6
+        for bound, le in SOJOURN_EXEMPLAR_BUCKETS_MS:
+            if value_ms <= bound:
+                exemplars[le] = (value_ms, trace_id, tracer.clock.now_ns)
+                break
+        store = tracer.store
+        if store is not None:
+            store.offer(
+                self.span, trace_id, supi=self.supi, attempt=self.attempt,
+                success=success, sojourn_ns=sojourn_ns,
+            )
+            tracer.recycle(self.span)
 
 
 def _recycle_tree(span: Span) -> None:

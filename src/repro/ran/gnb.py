@@ -23,15 +23,6 @@ from repro.hw.host import PhysicalHost
 from repro.ran.ue import CommercialUE, UserEquipment
 from repro.sim.metrics import BoundedSeries
 
-# Exemplar bucket bounds for the sojourn histogram, as OpenMetrics ``le``
-# label strings paired with their numeric bound (ms).  One exemplar — the
-# most recent (value, trace_id, observed_at_ns) — is retained per bucket,
-# which is exactly the OpenMetrics exemplar model.
-SOJOURN_EXEMPLAR_BUCKETS_MS: Tuple[Tuple[float, str], ...] = (
-    (50.0, "50"), (100.0, "100"), (250.0, "250"), (500.0, "500"),
-    (1000.0, "1000"), (2500.0, "2500"), (float("inf"), "+Inf"),
-)
-
 
 @dataclass(frozen=True)
 class AirLinkModel:
@@ -99,41 +90,6 @@ class Gnb:
             self.host.rng.jitter(f"gnb.{self.name}.n2", self._N2_LATENCY_US, 0.05)
         )
 
-    # ------------------------------------------------------------- tracing
-
-    def _record_trace(
-        self,
-        tracer: object,
-        root: object,
-        trace_id: str,
-        supi: Optional[str],
-        attempt: int,
-        success: bool,
-        sojourn_ns: int,
-    ) -> None:
-        """Exemplar + TraceStore bookkeeping for one traced registration.
-
-        Runs after the root span closed and the sojourn is known: records
-        the per-bucket exemplar (last trace to land in each bucket) and
-        offers the finished tree to the tracer's store.  A stored tree is
-        snapshotted to dicts, so the spans are recycled immediately —
-        campaign memory stays bounded by the store cap, not the horizon.
-        """
-        value_ms = sojourn_ns / 1e6
-        for bound, le in SOJOURN_EXEMPLAR_BUCKETS_MS:
-            if value_ms <= bound:
-                self.sojourn_exemplars[le] = (
-                    value_ms, trace_id, self.host.clock.now_ns
-                )
-                break
-        store = tracer.store
-        if store is not None:
-            store.offer(
-                root, trace_id, supi=supi, attempt=attempt,
-                success=success, sojourn_ns=sojourn_ns,
-            )
-            tracer.recycle(root)
-
     # -------------------------------------------------------- registration
 
     def register(
@@ -176,113 +132,68 @@ class Gnb:
         # N2 routing: a sharded deployment pins the UE to its slice's AMF
         # (ring pick on the SUPI, same hash every layer applies); the
         # unsharded path keeps the static binding.
-        amf = (
-            self.router.amf_for(str(ue.usim.supi))
-            if self.router is not None
-            else self.amf
-        )
-        clock = self.host.clock
-        # Span tracing (repro.obs): the registration root wraps the same
-        # measure() window as session_setup_ms, so the traced duration is
-        # bit-identical; each NAS round gets a child span.
-        tracer = self.host.tracer
-        if tracer is not None and not tracer.enabled:
-            tracer = None
-        # Deterministic trace context: minted from (seed, SUPI, attempt)
-        # before the root span opens so every span in this registration
-        # carries the same trace_id.  No-op (returns None) unless the
-        # installed tracer was armed with a trace_seed.
-        trace_id = (
-            tracer.start_trace(str(ue.usim.supi))
-            if tracer is not None else None
-        )
-        trace_ctx = (None, None, 0)
-        root = (
-            tracer.begin("registration", kind="registration", ue=ue.name)
-            if tracer is not None else None
-        )
+        supi = str(ue.usim.supi)
+        amf = self.router.amf_for(supi) if self.router is not None else self.amf
+        host = self.host
+        clock = host.clock
         exchanges = 0
-        try:
-            with clock.measure() as setup_span:
-                clock.advance_ms(
-                    self.host.rng.jitter(
-                        f"gnb.{self.name}.rrc", self.airlink.rrc_setup_ms, 0.06
-                    )
+        # The registration root span and session_setup_ms bracket the
+        # same window; each NAS round gets a child span.
+        with host.trace(
+            "registration", "registration", supi, ue=ue.name,
+            closing_tags=lambda: {
+                "success": ue.registered, "nas_exchanges": exchanges,
+            },
+        ) as trace, clock.measure() as setup_span:
+            clock.advance_ms(
+                host.rng.jitter(
+                    f"gnb.{self.name}.rrc", self.airlink.rrc_setup_ms, 0.06
                 )
-                uplink: Optional[NasMessage] = (
-                    ue.build_registration_request()
-                    if initial
-                    else ue.build_guti_registration_request()
-                )
-                while uplink is not None and exchanges < self._MAX_NAS_ROUNDS:
-                    nas_trace = (
-                        tracer.begin(
-                            type(uplink).__name__, kind="nas", round=exchanges + 1
-                        )
-                        if tracer is not None else None
-                    )
-                    try:
-                        self._air(uplink)
-                        self._n2()
-                        downlink = amf.handle_nas(ue.name, uplink, via=self.name)
-                        exchanges += 1
-                        self._n2()
-                        self._air(downlink)
-                    finally:
-                        if nas_trace is not None:
-                            tracer.end(nas_trace)
-                    if isinstance(downlink, AuthenticationReject):
-                        ue.failure_cause = downlink.cause
-                        break
-                    uplink = ue.handle_nas(downlink)
+            )
+            uplink: Optional[NasMessage] = (
+                ue.build_registration_request()
+                if initial
+                else ue.build_guti_registration_request()
+            )
+            while uplink is not None and exchanges < self._MAX_NAS_ROUNDS:
+                with host.span(
+                    type(uplink).__name__, kind="nas", round=exchanges + 1
+                ):
+                    self._air(uplink)
+                    self._n2()
+                    downlink = amf.handle_nas(ue.name, uplink, via=self.name)
+                    exchanges += 1
+                    self._n2()
+                    self._air(downlink)
+                if isinstance(downlink, AuthenticationReject):
+                    ue.failure_cause = downlink.cause
+                    break
+                uplink = ue.handle_nas(downlink)
 
-                if ue.registered and establish_session:
-                    # The PDU session exchange travels ciphered (128-NEA2)
-                    # over the freshly established NAS security context.
-                    pdu_trace = (
-                        tracer.begin("PduSessionRequest", kind="nas")
-                        if tracer is not None else None
-                    )
-                    try:
-                        pdu_request = ue.build_pdu_session_request()
-                        self._air(pdu_request)
-                        self._n2()
-                        accept = amf.handle_nas(ue.name, pdu_request, via=self.name)
-                        exchanges += 1
-                        self._n2()
-                        self._air(accept)
-                        ue.handle_nas(accept)
-                    finally:
-                        if pdu_trace is not None:
-                            tracer.end(pdu_trace)
-        finally:
-            if root is not None:
-                tracer.end(
-                    root, success=ue.registered, nas_exchanges=exchanges
-                )
-            if trace_id is not None:
-                # Close the trace context even on exception paths so a
-                # stale trace_id can never bleed onto unrelated spans.
-                trace_ctx = tracer.end_trace()
+            if ue.registered and establish_session:
+                # The PDU session exchange travels ciphered (128-NEA2)
+                # over the freshly established NAS security context.
+                with host.span("PduSessionRequest", kind="nas"):
+                    pdu_request = ue.build_pdu_session_request()
+                    self._air(pdu_request)
+                    self._n2()
+                    accept = amf.handle_nas(ue.name, pdu_request, via=self.name)
+                    exchanges += 1
+                    self._n2()
+                    self._air(accept)
+                    ue.handle_nas(accept)
 
         if ue.registered:
             self.registrations_succeeded += 1
         sojourn_ns = clock.now_ns - arrival_ns
         self.sojourn_ms.append(sojourn_ns / 1e6)
-        if trace_id is not None and root is not None:
-            self._record_trace(
-                tracer, root, trace_id, trace_ctx[1], trace_ctx[2],
-                ue.registered, sojourn_ns,
-            )
-        # Continuous monitoring: let an installed scraper sample at the
-        # registration boundary (pull-only; after the measure window and
-        # all spans closed, so clocks and traces are unaffected).
-        monitor = self.host.monitor
-        if monitor is not None:
-            monitor.tick()
+        trace.record(ue.registered, sojourn_ns, self.sojourn_exemplars)
+        # Registration boundary: the window and every span are closed,
+        # so a due scrape cannot perturb clocks or traces.
+        host.tick()
         return RegistrationOutcome(
             success=ue.registered,
-            supi=str(ue.usim.supi) if ue.registered else None,
+            supi=supi if ue.registered else None,
             guti=ue.guti,
             failure_cause=ue.failure_cause,
             session_setup_ms=setup_span.ms,

@@ -100,12 +100,12 @@ class Runtime(ABC):
     def syscall_batch(self, specs: Iterable[Tuple[str, int, int]]) -> None:
         """Issue a sequence of ``(name, bytes_out, bytes_in)`` syscalls.
 
-        Semantically identical to calling :meth:`syscall` per spec; runtimes
-        override this to amortise per-call accounting over the fixed syscall
-        profiles the HTTP layer replays for every request.
+        Semantically identical to calling :meth:`syscall` per spec.
+        Start-up footprints come through here once; sequences replayed
+        per request are compiled once and replayed with
+        :meth:`syscall_profile`.
         """
-        for name, bytes_out, bytes_in in specs:
-            self.syscall(name, bytes_out, bytes_in)
+        self.syscall_profile(self.compile_syscalls(specs))
 
     def compile_syscalls(self, specs: Iterable[Tuple[str, int, int]]) -> object:
         """Precompile a fixed syscall sequence for repeated replay.
@@ -114,17 +114,19 @@ class Runtime(ABC):
         every request; compiling them once lets runtimes hoist per-spec
         cost lookups out of the hot loop entirely.  Returns an opaque
         handle for :meth:`syscall_profile`.  The handle is only valid on
-        the runtime that compiled it.
+        the runtime that compiled it.  This default is the per-call
+        reference: the handle is the spec list itself.
         """
         return list(specs)
 
     def syscall_profile(self, handle: object) -> None:
         """Replay a profile compiled by :meth:`compile_syscalls`.
 
-        Semantically identical to :meth:`syscall_batch` over the original
-        spec sequence.
+        Runtimes that override the pair must leave clock, counters,
+        RNG streams and events exactly as this per-call loop would.
         """
-        self.syscall_batch(handle)  # type: ignore[arg-type]
+        for name, bytes_out, bytes_in in handle:  # type: ignore[attr-defined]
+            self.syscall(name, bytes_out, bytes_in)
 
     @abstractmethod
     def touch_pages(self, cold: int = 0, new: int = 0) -> None:

@@ -11,7 +11,7 @@ privileged actors, which is exactly what the attack suite exploits.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.hw.host import PhysicalHost
 from repro.runtime.base import Runtime, syscall_host_cycles
@@ -41,9 +41,6 @@ class NativeRuntime(Runtime):
         super().__init__(name, host)
         self._secrets: Dict[str, bytes] = {}
         self._running = True
-        # spec -> (cycles_spent, clock_ns) for one syscall(spec), rounded
-        # exactly as spend_cycles would round it.
-        self._spec_costs: Dict[Tuple[str, int, int], Tuple[int, int]] = {}
 
     @property
     def shielded(self) -> bool:
@@ -66,31 +63,6 @@ class NativeRuntime(Runtime):
         self.host.cpu.spend_cycles(
             _SYSCALL_TRAP_CYCLES + syscall_host_cycles(name, bytes_out + bytes_in)
         )
-
-    def syscall_batch(self, specs: Iterable[Tuple[str, int, int]]) -> None:
-        """Charge a whole syscall profile with one clock update.
-
-        Each spec's cost is rounded to (cycles, ns) exactly as an
-        individual :meth:`syscall` would, so the accumulated charge leaves
-        the clock and cycle counters bit-identical to the per-call loop.
-        """
-        self._check_running()
-        costs = self._spec_costs
-        total_cycles = 0
-        total_ns = 0
-        cpu = self.host.cpu
-        for spec in specs:
-            cost = costs.get(spec)
-            if cost is None:
-                name, bytes_out, bytes_in = spec
-                cost = cpu.round_cycle_cost(
-                    _SYSCALL_TRAP_CYCLES
-                    + syscall_host_cycles(name, bytes_out + bytes_in)
-                )
-                costs[spec] = cost
-            total_cycles += cost[0]
-            total_ns += cost[1]
-        cpu.spend_preconverted(total_cycles, total_ns)
 
     def compile_syscalls(self, specs) -> object:
         """Native profiles compile down to one pre-summed (cycles, ns) pair.

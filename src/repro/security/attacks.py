@@ -521,27 +521,14 @@ class AttackPlane:
         }[event.kind]
         # Storm events enter at the AMF directly (no gNB registration
         # root), so under an armed campaign tracer their SBI spans would
-        # pile up as orphan roots for the whole horizon.  Wrap each event
-        # in a throwaway root and recycle it: bounded memory, no clock
-        # reads beyond the span boundaries, untraced runs untouched.
-        tracer = self.host.tracer
-        if tracer is not None and not tracer.enabled:
-            tracer = None
-        atk_root = (
-            tracer.begin(event.kind.value, kind="attack", gnb=event.gnb)
-            if tracer is not None else None
-        )
-        try:
+        # pile up as orphan roots for the whole horizon.  Each event runs
+        # under a root with no subscriber identity, which is recycled as
+        # it closes: bounded memory, untraced runs untouched.
+        with self.host.trace(event.kind.value, "attack", gnb=event.gnb):
             outcome = handler(event)
-        finally:
-            if atk_root is not None:
-                tracer.end(atk_root)
-                tracer.recycle(atk_root)
         self.events_executed += 1
         self._count(event.kind, outcome)
-        monitor = self.host.monitor
-        if monitor is not None:
-            monitor.tick()
+        self.host.tick()
         return outcome
 
     def _run_suci_replay(self, event: AttackEvent) -> str:

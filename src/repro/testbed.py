@@ -271,9 +271,7 @@ class Testbed:
             for module in self.paka.modules.values():
                 module.runtime.idle(duration_s, advance_clock=False)
         self.host.clock.advance_s(duration_s)
-        monitor = self.host.monitor
-        if monitor is not None:
-            monitor.tick()
+        self.host.tick()
 
     def teardown(self) -> None:
         if self.paka is not None:

@@ -159,3 +159,36 @@ def test_degraded_runtime_thrashes():
         degraded.syscall("epoll_wait")
     delta = degraded.enclave.stats.delta(before)
     assert delta.page_evictions > 20  # evict/reload churn under thrash
+
+
+def _syscall_fingerprint(runtime):
+    host = runtime.host
+    stats = runtime.enclave.stats
+    return (
+        host.clock.now_ns,
+        host.cpu.cycles_spent,
+        stats.eenters, stats.eexits, stats.ocalls,
+        stats.bytes_copied_out, stats.bytes_copied_in,
+        dict(stats.ocalls_by_syscall),
+        host.events.select("sgx.ocall"),
+    )
+
+
+@pytest.mark.parametrize("exitless", [False, True])
+def test_syscall_batch_is_the_per_call_sequence(exitless):
+    """``syscall_batch`` = compile + fused replay; clock, counters, RNG
+    draws and events must equal a loop over :meth:`syscall`."""
+    specs = [
+        ("epoll_wait", 0, 0), ("recvmsg", 0, 512), ("sendmsg", 256, 0),
+        ("read", 0, 16384), ("epoll_wait", 0, 0), ("futex", 0, 0),
+    ] * 7
+    batched = make_runtime(seed=9, exitless=exitless)
+    looped = make_runtime(seed=9, exitless=exitless)
+    batched.syscall_batch(iter(specs))
+    for name, bytes_out, bytes_in in specs:
+        looped.syscall(name, bytes_out, bytes_in)
+    assert _syscall_fingerprint(batched) == _syscall_fingerprint(looped)
+    # The next draw from the transition stream is the same too.
+    assert (
+        batched._transition_stream.random() == looped._transition_stream.random()
+    )

@@ -88,3 +88,15 @@ def test_shutdown_scrubs_secrets(runtime):
     runtime.store_secret("k", b"x")
     runtime.shutdown()
     assert runtime._secrets == {}
+
+
+def test_syscall_batch_is_the_per_call_sequence(host):
+    specs = [("epoll_wait", 0, 0), ("recvmsg", 0, 512), ("sendmsg", 256, 0)] * 5
+    batched = NativeRuntime("batched", host)
+    t0, c0 = host.clock.now_ns, host.cpu.cycles_spent
+    batched.syscall_batch(iter(specs))
+    batch_cost = (host.clock.now_ns - t0, host.cpu.cycles_spent - c0)
+    t0, c0 = host.clock.now_ns, host.cpu.cycles_spent
+    for name, bytes_out, bytes_in in specs:
+        batched.syscall(name, bytes_out, bytes_in)
+    assert (host.clock.now_ns - t0, host.cpu.cycles_spent - c0) == batch_cost

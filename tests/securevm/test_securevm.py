@@ -59,6 +59,22 @@ class TestRuntime:
         with_exit = host.clock.now_ns - t0
         assert with_exit > in_guest + 1_500  # ~5.2k extra cycles
 
+    def test_batch_and_profile_run_through_the_base_per_call_reference(
+        self, runtime, host
+    ):
+        specs = [("clock_gettime", 0, 0), ("sendmsg", 256, 0), ("recvmsg", 0, 512)]
+        t0 = host.clock.now_ns
+        for name, bytes_out, bytes_in in specs:
+            runtime.syscall(name, bytes_out, bytes_in)
+        per_call = host.clock.now_ns - t0
+        t0 = host.clock.now_ns
+        runtime.syscall_batch(iter(specs))
+        assert host.clock.now_ns - t0 == per_call
+        handle = runtime.compile_syscalls(specs)
+        t0 = host.clock.now_ns
+        runtime.syscall_profile(handle)
+        assert host.clock.now_ns - t0 == per_call
+
     def test_syscalls_cheaper_than_sgx_ocalls(self, host):
         """The headline §IV-C point: no enclave transition per syscall."""
         from tests.gramine.test_libos import make_runtime
