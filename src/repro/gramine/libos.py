@@ -19,7 +19,7 @@ analysis):
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.sim.clock import NS_PER_S
 from repro.sim.events import Event
@@ -54,13 +54,32 @@ class GramineError(Exception):
     """LibOS start-up or runtime failure."""
 
 
+class _SpecCost(NamedTuple):
+    """Everything deterministic about one syscall spec, derived once.
+
+    The pre-rounded charge of both flavours plus the matching
+    ``sgx.ocall`` span template ``(name, fixed_ns, tags)`` — the leaf's
+    name, the deterministic part of its duration and its tags short of
+    the per-call ``transition_ns`` — built from the same roundings, so
+    traced components always sum to the charged deterministic ns.
+    """
+
+    ocall_cycles: int
+    ocall_ns: int
+    exitless_cycles: int
+    exitless_ns: int
+    ocall_span: Tuple[str, int, Dict[str, Any]]
+    exitless_span: Tuple[str, int, Dict[str, Any]]
+
+
 class _CompiledProfile:
     """A syscall profile precompiled by ``compile_syscalls``.
 
     Holds the original specs (for the per-call fallback paths) plus every
     loop-invariant the fused replay needs: per-spec rounded OCALL cost
     components with their shared event-detail dicts, aggregate exitless
-    charges, byte totals and per-name stat increments.
+    charges, byte totals, per-name stat increments and the per-spec span
+    templates of both flavours.
     """
 
     __slots__ = (
@@ -72,6 +91,8 @@ class _CompiledProfile:
         "exitless_ns",
         "bytes_out_total",
         "bytes_in_total",
+        "ocall_spans",
+        "exitless_spans",
     )
 
     def __init__(
@@ -83,6 +104,8 @@ class _CompiledProfile:
         exitless_ns: int,
         bytes_out_total: int,
         bytes_in_total: int,
+        ocall_spans: List[Tuple[str, int, Dict[str, Any]]],
+        exitless_spans: List[Tuple[str, int, Dict[str, Any]]],
     ) -> None:
         self.specs = specs
         self.per_spec = per_spec
@@ -92,6 +115,8 @@ class _CompiledProfile:
         self.exitless_ns = exitless_ns
         self.bytes_out_total = bytes_out_total
         self.bytes_in_total = bytes_in_total
+        self.ocall_spans = ocall_spans
+        self.exitless_spans = exitless_spans
 
 
 class GramineEnclaveRuntime(Runtime):
@@ -125,16 +150,11 @@ class GramineEnclaveRuntime(Runtime):
         self.started = False
         self._contexts: List[EcallContext] = []
         self._warmed_up = False
-        # Fused-accounting caches: per-spec deterministic costs, pre-rounded
+        # Fused-accounting cache: per-spec deterministic costs, pre-rounded
         # to (cycles_spent, clock_ns) pairs exactly as the unfused
         # spend_cycles sequence would round them (see Cpu.round_cycle_cost),
         # plus the hot RNG streams resolved once instead of per syscall.
-        self._spec_costs: Dict[Tuple[str, int, int], Tuple[int, int, int, int]] = {}
-        # Per-spec (shield_ns, copy_ns, host_ns, exitless_ns) decomposition
-        # for span tags — only populated when a tracer is installed.
-        self._trace_component_ns: Dict[
-            Tuple[str, int, int], Tuple[int, int, int, int]
-        ] = {}
+        self._spec_costs: Dict[Tuple[str, int, int], _SpecCost] = {}
         self._transition_stream = host.rng.stream(f"{enclave.build.name}.transition")
         # Shared event-detail dicts (one per syscall name) for the fused
         # batch path: every sgx.ocall event of a spec carries the same
@@ -202,7 +222,7 @@ class GramineEnclaveRuntime(Runtime):
     def degraded(self) -> bool:
         """True when the enclave is smaller than the working set — the
         paper's "inconsistent behaviour" regime below 512 MB."""
-        return self.enclave.epc_region.total_pages < _WORKING_SET_PAGES
+        return self._pressure_regimes()[1]
 
     # When the host's physical EPC is (nearly) fully committed across all
     # enclaves, neighbours keep evicting each other's hot pages: a
@@ -210,36 +230,36 @@ class GramineEnclaveRuntime(Runtime):
     _GLOBAL_CONTENTION_THRESHOLD = 0.98
     _GLOBAL_CONTENTION_THRASH_P = 0.22
 
-    def _epc_pressure(self) -> None:
-        """Per-syscall pager cost scaled by how the enclave is sized."""
+    def _pressure_regimes(self) -> Tuple[bool, bool, bool]:
+        """``(contended, degraded, oversized)``: which of the Fig 8 pager
+        regimes :meth:`_epc_pressure` is in.  All false is the *inert*
+        state — it draws nothing and charges nothing — and the only one
+        in which :meth:`syscall_profile` may fuse a replay."""
         region = self.enclave.epc_region
         manager = self.enclave.epc_manager
-        resident = max(region.resident_pages, 1)
-        if (
+        return (
             manager.resident_pages
-            >= self._GLOBAL_CONTENTION_THRESHOLD * manager.capacity_pages
-        ):
+            >= self._GLOBAL_CONTENTION_THRESHOLD * manager.capacity_pages,
+            region.total_pages < _WORKING_SET_PAGES,
+            region.resident_pages > _BASELINE_RESIDENT_PAGES,
+        )
+
+    def _epc_pressure(self) -> None:
+        """Per-syscall pager cost scaled by how the enclave is sized."""
+        contended, degraded, oversized = self._pressure_regimes()
+        if contended:
             stream = self.host.rng.stream(f"{self.name}.contention")
             if stream.random() < self._GLOBAL_CONTENTION_THRASH_P:
-                model = self.enclave.cost_model
-                self.host.cpu.spend_cycles(
-                    model.page_evict_cycles + model.page_fault_cycles
-                )
-                self.enclave.stats.page_evictions += 1
-                self.enclave.stats.page_faults += 1
-        if self.degraded:
+                self._charge_reload_pair()
+        if degraded:
             # Thrash: some syscalls force an evict + reload pair.
             stream = self.host.rng.stream(f"{self.name}.thrash")
             if stream.random() < _THRASH_PROBABILITY:
-                model = self.enclave.cost_model
-                self.host.cpu.spend_cycles(
-                    model.page_evict_cycles + model.page_fault_cycles
-                )
-                self.enclave.stats.page_evictions += 1
-                self.enclave.stats.page_faults += 1
-            return
-        excess = math.log2(resident / _BASELINE_RESIDENT_PAGES)
-        if excess > 0:
+                self._charge_reload_pair()
+        elif oversized:
+            excess = math.log2(
+                self.enclave.epc_region.resident_pages / _BASELINE_RESIDENT_PAGES
+            )
             mean = _PRESSURE_CYCLES_PER_LOG2 * excess
             self.host.cpu.spend_cycles(
                 self.host.rng.jitter(f"{self.name}.pressure", mean, 0.80)
@@ -254,15 +274,21 @@ class GramineEnclaveRuntime(Runtime):
                     model.page_evict_cycles + model.page_fault_cycles
                 )
 
-    def _spec_cost(self, spec: Tuple[str, int, int]) -> Tuple[int, int, int, int]:
+    def _charge_reload_pair(self) -> None:
+        model = self.enclave.cost_model
+        self.host.cpu.spend_cycles(model.page_evict_cycles + model.page_fault_cycles)
+        self.enclave.stats.page_evictions += 1
+        self.enclave.stats.page_faults += 1
+
+    def _spec_cost(self, spec: Tuple[str, int, int]) -> _SpecCost:
         """The deterministic cost of one syscall spec, pre-rounded.
 
-        Returns ``(ocall_cycles, ocall_ns, exitless_cycles, exitless_ns)``:
-        the sums of the per-component ``(cycles_spent, clock_ns)``
-        conversions the unfused path applies (shielding compute, boundary
-        copies and host work for the OCALL flavour; shielding compute and
-        the shared-memory RPC + host work for exitless), excluding the
-        per-call random transition pair and EPC-pressure draws.
+        The charges are the sums of the per-component ``(cycles_spent,
+        clock_ns)`` conversions the unfused path applies (shielding
+        compute, boundary copies and host work for the OCALL flavour;
+        shielding compute and the shared-memory RPC + host work for
+        exitless), excluding the per-call random transition pair and
+        EPC-pressure draws.
         """
         name, bytes_out, bytes_in = spec
         nbytes = bytes_out + bytes_in
@@ -279,17 +305,22 @@ class GramineEnclaveRuntime(Runtime):
         # Exitless spends RPC + host work as one spend_cycles call, so the
         # pair is rounded over the sum, not per component.
         exitless = round_cost(_EXITLESS_RPC_CYCLES + host_cycles)
-        cost = (
+        ocall_ns = shield[1] + copy_out[1] + host[1] + copy_in[1]
+        exitless_ns = shield[1] + exitless[1]
+        identity = {"runtime": self.name, "enclave": self.enclave.build.name}
+        cost = self._spec_costs[spec] = _SpecCost(
             shield[0] + copy_out[0] + host[0] + copy_in[0],
-            shield[1] + copy_out[1] + host[1] + copy_in[1],
+            ocall_ns,
             shield[0] + exitless[0],
-            shield[1] + exitless[1],
-        )
-        self._spec_costs[spec] = cost
-        # Keep the span-tag decomposition in lockstep with the fused cost
-        # so traced components always sum to the charged deterministic ns.
-        self._trace_component_ns[spec] = (
-            shield[1], copy_out[1] + copy_in[1], host[1], exitless[1]
+            exitless_ns,
+            (name, ocall_ns, {
+                **identity, "shield_ns": shield[1],
+                "copy_ns": copy_out[1] + copy_in[1], "host_ns": host[1],
+            }),
+            (name, exitless_ns, {
+                **identity, "exitless": True,
+                "shield_ns": shield[1], "host_ns": exitless[1],
+            }),
         )
         return cost
 
@@ -308,21 +339,16 @@ class GramineEnclaveRuntime(Runtime):
         cost = self._spec_costs.get(spec)
         if cost is None:
             cost = self._spec_cost(spec)
-        # One span per OCALL (~1080 per traced registration), closed
-        # below with the paper's cost taxonomy as tags — the components
-        # are only known per branch, so this hook keeps begin/end.
+        # One ``sgx.ocall`` span per call, tagged with the paper's cost
+        # taxonomy: the template carries everything but the drawn
+        # transition pair.  Steady-state replays never come through here
+        # (``syscall_profile`` hands the tracer one burst instead).
         host = self.host
         span = None
         if host.tracing:
             tracer = host.tracer
-            components = self._trace_component_ns.get(spec)
-            if components is None:
-                self._spec_cost(spec)
-                components = self._trace_component_ns[spec]
-            span = tracer.begin(
-                name, kind="sgx.ocall",
-                runtime=self.name, enclave=self.enclave.build.name,
-            )
+            template = cost.exitless_span if self.exitless else cost.ocall_span
+            span = tracer.begin(name, kind="sgx.ocall", **template[2])
         self._epc_pressure()
         enclave = self.enclave
         stats = enclave.stats
@@ -331,15 +357,12 @@ class GramineEnclaveRuntime(Runtime):
             # No transition: the helper performs the syscall; the enclave
             # thread spins on shared memory.  Stats record the OCALL
             # logically but no EENTER/EEXIT occurs.
-            cpu.spend_preconverted(cost[2], cost[3])
+            cpu.spend_preconverted(cost.exitless_cycles, cost.exitless_ns)
             stats.ocalls += 1
             by_syscall = stats.ocalls_by_syscall
             by_syscall[name] = by_syscall.get(name, 0) + 1
             if span is not None:
-                tracer.end(
-                    span, exitless=True,
-                    shield_ns=components[0], host_ns=components[3],
-                )
+                tracer.end(span)
         else:
             # EEXIT + boundary copy-out + host work + EENTER + copy-in,
             # with the (EENTER, EEXIT) pair drawn per call as always.
@@ -350,8 +373,8 @@ class GramineEnclaveRuntime(Runtime):
             enter_cost = round_cost(eenter)
             exit_cost = round_cost(eexit)
             cpu.spend_preconverted(
-                cost[0] + enter_cost[0] + exit_cost[0],
-                cost[1] + enter_cost[1] + exit_cost[1],
+                cost.ocall_cycles + enter_cost[0] + exit_cost[0],
+                cost.ocall_ns + enter_cost[1] + exit_cost[1],
             )
             stats.eexits += 1
             stats.eenters += 1
@@ -365,12 +388,7 @@ class GramineEnclaveRuntime(Runtime):
                 enclave=enclave.build.name, syscall=name,
             )
             if span is not None:
-                tracer.end(
-                    span,
-                    shield_ns=components[0], copy_ns=components[1],
-                    host_ns=components[2],
-                    transition_ns=enter_cost[1] + exit_cost[1],
-                )
+                tracer.end(span, transition_ns=enter_cost[1] + exit_cost[1])
 
     def compile_syscalls(self, specs: Iterable[Tuple[str, int, int]]) -> object:
         """Precompile a syscall profile for :meth:`syscall_profile`.
@@ -378,15 +396,17 @@ class GramineEnclaveRuntime(Runtime):
         The HTTP layer replays the same ~90-spec profiles for every
         request, so everything loop-invariant per spec — the rounded
         cost components, the shared event-detail dict, the per-name stat
-        buckets, the byte totals — is resolved once here; replay only
-        pays for what genuinely varies per call: the (EENTER, EEXIT)
-        RNG draw and the running event timestamp.
+        buckets, the byte totals, the span templates — is resolved once
+        here; replay only pays for what genuinely varies per call: the
+        (EENTER, EEXIT) RNG draw and the running event timestamp.
         """
         specs = list(specs)
         spec_costs = self._spec_costs
         event_details = self._event_details
         enclave_name = self.enclave.build.name
         per_spec: List[Tuple[int, int, Dict[str, Any]]] = []
+        ocall_spans: List[Tuple[str, int, Dict[str, Any]]] = []
+        exitless_spans: List[Tuple[str, int, Dict[str, Any]]] = []
         name_counts: Dict[str, int] = {}
         exitless_cycles = 0
         exitless_ns = 0
@@ -402,9 +422,11 @@ class GramineEnclaveRuntime(Runtime):
                 detail = event_details[name] = {
                     "enclave": enclave_name, "syscall": name,
                 }
-            per_spec.append((cost[0], cost[1], detail))
-            exitless_cycles += cost[2]
-            exitless_ns += cost[3]
+            per_spec.append((cost.ocall_cycles, cost.ocall_ns, detail))
+            ocall_spans.append(cost.ocall_span)
+            exitless_spans.append(cost.exitless_span)
+            exitless_cycles += cost.exitless_cycles
+            exitless_ns += cost.exitless_ns
             bytes_out_total += spec[1]
             bytes_in_total += spec[2]
             name_counts[name] = name_counts.get(name, 0) + 1
@@ -416,6 +438,8 @@ class GramineEnclaveRuntime(Runtime):
             exitless_ns,
             bytes_out_total,
             bytes_in_total,
+            ocall_spans,
+            exitless_spans,
         )
 
     def syscall_profile(self, handle: object) -> None:
@@ -427,34 +451,37 @@ class GramineEnclaveRuntime(Runtime):
         — every RNG draw, event timestamp, stat total and the final
         clock value are bit-identical to the per-call sequence.
 
-        The fusion is only valid while nobody wants a span per OCALL
-        and ``_epc_pressure`` is inert (no global EPC contention, not
-        degraded, resident set at or under the baseline — the state in
-        which it draws nothing and charges nothing); otherwise this is
+        Being traced does not change that: under an open span the replay
+        hands the tracer one *burst* — the profile's span templates plus
+        the running end offset of each call — which ``obs.trace`` turns
+        into the per-call ``sgx.ocall`` leaves only if somebody reads
+        them.  The fusion is only valid while ``_epc_pressure`` is inert
+        (see :meth:`_pressure_regimes`); under pressure, and for OCALLs
+        outside any span (which are trace roots, not leaves), this is
         the exact per-call path.
         """
         profile: _CompiledProfile = handle  # type: ignore[assignment]
         host = self.host
-        enclave = self.enclave
-        manager = enclave.epc_manager
+        tracer = host.tracer if host.tracing else None
+        contended, degraded, oversized = self._pressure_regimes()
         if (
-            host.tracing
-            or manager.resident_pages
-            >= self._GLOBAL_CONTENTION_THRESHOLD * manager.capacity_pages
-            or self.degraded
-            or enclave.epc_region.resident_pages > _BASELINE_RESIDENT_PAGES
+            contended or degraded or oversized
+            or (tracer is not None and not tracer.depth)
         ):
             for name, bytes_out, bytes_in in profile.specs:
                 self.syscall(name, bytes_out, bytes_in)
             return
         self._app_context._check_open()
 
+        enclave = self.enclave
         stats = enclave.stats
         by_syscall = stats.ocalls_by_syscall
         cpu = host.cpu
         count = profile.count
 
         if self.exitless:
+            if tracer is not None:
+                tracer.ocall_burst(profile.exitless_spans)
             cpu.spend_preconverted(profile.exitless_cycles, profile.exitless_ns)
             stats.ocalls += count
             for name, n in profile.name_counts:
@@ -474,7 +501,7 @@ class GramineEnclaveRuntime(Runtime):
         acc_cycles = 0
         acc_ns = 0
 
-        append_raw = events.bulk_appender(count)
+        append_raw = events.bulk_appender(count) if tracer is None else None
         if append_raw is not None:
             # No trim can fire this batch: append Events directly and
             # settle the category index once for the whole profile.
@@ -491,7 +518,11 @@ class GramineEnclaveRuntime(Runtime):
                 append_raw(Event(base_ns + acc_ns, "sgx.ocall", detail))
             events.bump_count("sgx.ocall", count)
         else:
+            # The general loop: trim-exact emits, and the running end
+            # offsets a tracer's burst is rebuilt from.
             emit_shared = events.emit_shared
+            ends: List[int] = []
+            record_end = ends.append
             for cyc, ns, detail in profile.per_spec:
                 total = pair_min + pair_span * random_()
                 eenter = int(total * 0.55)
@@ -503,6 +534,9 @@ class GramineEnclaveRuntime(Runtime):
                     + int(round(eexit * NS_PER_S / hz))
                 )
                 emit_shared(base_ns + acc_ns, "sgx.ocall", detail)
+                record_end(acc_ns)
+            if tracer is not None:
+                tracer.ocall_burst(profile.ocall_spans, ends)
 
         cpu.spend_preconverted(acc_cycles, acc_ns)
         stats.eexits += count

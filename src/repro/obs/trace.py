@@ -27,7 +27,10 @@ Span kinds (the taxonomy):
 ``sgx.ocall``
     One shielded syscall: EEXIT + host work + EENTER.  Tagged with the
     rounded cost components ``shield_ns`` / ``copy_ns`` / ``host_ns`` /
-    ``transition_ns`` (``rpc_ns`` in exitless mode).
+    ``transition_ns`` (``rpc_ns`` in exitless mode).  261 of the 294
+    spans of an SGX registration (3 modules x 87); a fused replay files
+    a whole run of them as one unread burst (:meth:`Tracer.ocall_burst`)
+    that becomes ordinary spans the first time ``children`` is read.
 
 Distributed-trace identity rides on top of the span tree: a tracer armed
 with a ``trace_seed`` stamps every span with a deterministic
@@ -47,7 +50,9 @@ from __future__ import annotations
 
 import re
 from hashlib import blake2b
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.sim.clock import NS_PER_US, SimClock
 
@@ -66,7 +71,7 @@ class Span:
     """
 
     __slots__ = (
-        "name", "kind", "start_ns", "end_ns", "tags", "children",
+        "name", "kind", "start_ns", "end_ns", "tags", "_children", "_unread",
         "trace_id", "span_id", "parent_id", "tracer",
     )
 
@@ -76,11 +81,34 @@ class Span:
         self.start_ns = start_ns
         self.end_ns = start_ns
         self.tags: Dict[str, Any] = tags
-        self.children: List["Span"] = []
+        # Child spans in begin order.  While ``_unread`` is set the list
+        # also holds :class:`_OcallBurst` placeholders, which the
+        # ``children`` property expands in place on first read.
+        self._children: List[Any] = []
+        self._unread = False
         self.trace_id: Optional[str] = None
         self.span_id: Optional[str] = None
         self.parent_id: Optional[str] = None
         self.tracer: Optional["Tracer"] = None
+
+    @property
+    def children(self) -> List["Span"]:
+        """Child spans in start order (builds any unread OCALL burst)."""
+        if self._unread:
+            self._unread = False
+            expanded: List["Span"] = []
+            for child in self._children:
+                if child.__class__ is _OcallBurst:
+                    child.expand_under(self, expanded)
+                else:
+                    expanded.append(child)
+            self._children[:] = expanded
+        return self._children
+
+    @children.setter
+    def children(self, spans: List["Span"]) -> None:
+        self._children = spans
+        self._unread = False
 
     def __enter__(self) -> "Span":
         return self
@@ -152,15 +180,66 @@ class Span:
         )
 
 
-# Freelist of recycled Span objects, shared across tracers.  An armed
-# tracer allocates one Span per instrumentation point (~1.1k per SGX
-# registration, most of them sgx.ocall leaves); recycling a consumed tree
-# lets the next trace reuse the objects instead of exercising the
-# allocator, which is where most of the armed-tracer host overhead goes.
-# ``Tracer.begin`` fully re-initialises every slot (name, kind, both
-# timestamps, tags, children), so a recycled span can never leak state.
+class _OcallBurst:
+    """A run of back-to-back ``sgx.ocall`` leaves nobody has read yet.
+
+    A fused OCALL replay (``GramineEnclaveRuntime.syscall_profile``)
+    produces ~87 closed leaves per module per registration whose every
+    field follows from the compiled profile and one integer per call;
+    most trees are recycled unread (the :class:`TraceStore` keeps 1 in
+    N), so the leaves are only built when ``Span.children`` is read.
+
+    ``templates[i]`` is ``(name, fixed_ns, tags)`` — the leaf's name, the
+    deterministic part of its duration and its tags; ``ends[i]`` is its
+    end as an offset from ``start_ns``, and what it adds beyond
+    ``fixed_ns`` is the drawn ``transition_ns``.  ``ends=None`` (the
+    exitless flavour) means there is no drawn part.  Leaf ``i`` takes
+    sequence number ``first_seq + i`` of trace ``trace_id``.
+    """
+
+    __slots__ = ("templates", "start_ns", "ends", "trace_id", "first_seq")
+
+    def __init__(self, templates, start_ns, ends, trace_id, first_seq) -> None:
+        self.templates = templates
+        self.start_ns = start_ns
+        self.ends = ends
+        self.trace_id = trace_id
+        self.first_seq = first_seq
+
+    def expand_under(self, parent: Span, out: List[Span]) -> None:
+        """Append the leaves ``Tracer.begin``/``end`` would have built."""
+        base_ns = self.start_ns
+        ends = self.ends
+        trace_id = self.trace_id
+        seq = self.first_seq
+        offset = 0
+        for index, (name, fixed_ns, tags) in enumerate(self.templates):
+            span = Span(name, "sgx.ocall", base_ns + offset, **tags)
+            if ends is None:
+                offset += fixed_ns
+            else:
+                span.tags["transition_ns"] = ends[index] - offset - fixed_ns
+                offset = ends[index]
+            span.end_ns = base_ns + offset
+            span.tracer = parent.tracer
+            if trace_id is not None:
+                span.trace_id = trace_id
+                span.span_id = span_context_id(trace_id, seq + index)
+                span.parent_id = parent.span_id
+            out.append(span)
+
+
+# Freelist of recycled Span objects, shared across tracers.  Only spans
+# opened through ``Tracer.begin`` come from it — 33 per SGX registration;
+# the 3 x 87 ``sgx.ocall`` leaves arrive as bursts and are mostly never
+# built — so the cap covers the deepest tree's begun spans several times
+# over, not a tree's leaves: a read tree's surplus is left to the
+# allocator (hostbench ``observed``: 8192 -> 256 holds peak RSS 3.5 MB
+# lower at the same cost per registration).  ``Tracer.begin`` fully
+# re-initialises every slot (name, kind, both timestamps, tags,
+# children), so a recycled span can never leak state.
 _SPAN_POOL: List[Span] = []
-_SPAN_POOL_CAP = 8192
+_SPAN_POOL_CAP = 256
 
 
 class Tracer:
@@ -229,11 +308,32 @@ class Tracer:
             span.span_id = None
             span.parent_id = None
         if self._stack:
-            self._stack[-1].children.append(span)
+            self._stack[-1]._children.append(span)
         else:
             self.roots.append(span)
         self._stack.append(span)
         return span
+
+    def ocall_burst(
+        self,
+        templates: Sequence[Tuple[str, int, Dict[str, Any]]],
+        ends: Optional[List[int]] = None,
+    ) -> None:
+        """File ``len(templates)`` closed ``sgx.ocall`` leaves, starting
+        at the current simulated instant, under the innermost open span.
+
+        Equivalent to one :meth:`begin`/:meth:`end` pair per leaf (see
+        :class:`_OcallBurst` for the arguments), span sequence included,
+        but nothing is built until the parent's ``children`` are read.
+        """
+        parent = self._stack[-1]
+        seq = self._span_seq
+        if self._trace_id is not None:
+            self._span_seq = seq + len(templates)
+        parent._children.append(
+            _OcallBurst(templates, self.clock.now_ns, ends, self._trace_id, seq)
+        )
+        parent._unread = True
 
     def annotate(self, **tags: Any) -> None:
         """Tag the innermost open span (no new span, no clock read).
@@ -432,9 +532,14 @@ def _recycle_tree(span: Span) -> None:
     stack = [span]
     while stack:
         current = stack.pop()
-        children = current.children
+        children = current._children
         if children:
-            stack.extend(children)
+            if current._unread:
+                # Unread bursts are dropped without ever being built.
+                current._unread = False
+                stack.extend(c for c in children if c.__class__ is Span)
+            else:
+                stack.extend(children)
             children.clear()
         if len(pool) < _SPAN_POOL_CAP:
             pool.append(current)

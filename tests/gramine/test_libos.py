@@ -8,6 +8,7 @@ from repro.gramine.libos import HELPER_THREADS, GramineEnclaveRuntime, GramineEr
 from repro.gramine.manifest import GramineManifest
 from repro.gramine.pal import PlatformAdaptationLayer
 from repro.hw.host import paper_testbed_host
+from repro.obs.trace import Tracer
 from repro.sgx.aesm import AesmDaemon
 from repro.sgx.epc import EpcManager
 
@@ -174,21 +175,114 @@ def _syscall_fingerprint(runtime):
     )
 
 
-@pytest.mark.parametrize("exitless", [False, True])
-def test_syscall_batch_is_the_per_call_sequence(exitless):
-    """``syscall_batch`` = compile + fused replay; clock, counters, RNG
-    draws and events must equal a loop over :meth:`syscall`."""
-    specs = [
-        ("epoll_wait", 0, 0), ("recvmsg", 0, 512), ("sendmsg", 256, 0),
-        ("read", 0, 16384), ("epoll_wait", 0, 0), ("futex", 0, 0),
-    ] * 7
-    batched = make_runtime(seed=9, exitless=exitless)
-    looped = make_runtime(seed=9, exitless=exitless)
-    batched.syscall_batch(iter(specs))
+_REPLAY_SPECS = [
+    ("epoll_wait", 0, 0), ("recvmsg", 0, 512), ("sendmsg", 256, 0),
+    ("read", 0, 16384), ("epoll_wait", 0, 0), ("futex", 0, 0),
+] * 7
+
+# How the host is observed while a replay runs: nobody installed, an
+# armed tracer, an armed tracer minting trace identity.
+_ARMINGS = (None, {}, {"trace_seed": 3})
+
+
+def _replay_pair(arming, **runtime_kwargs):
+    """Twin runtimes (armed alike) and their tracers, if any."""
+    runtimes = [make_runtime(seed=9, **runtime_kwargs) for _ in range(2)]
+    tracers = [None, None]
+    if arming is not None:
+        tracers = [Tracer(rt.host.clock, **arming) for rt in runtimes]
+        for runtime, tracer in zip(runtimes, tracers):
+            runtime.host.tracer = tracer
+    return runtimes, tracers
+
+
+def _loop(runtime, specs):
     for name, bytes_out, bytes_in in specs:
-        looped.syscall(name, bytes_out, bytes_in)
+        runtime.syscall(name, bytes_out, bytes_in)
+
+
+def _under_root(tracer, replay):
+    """Run ``replay`` under an open registration root; returns the root's
+    dict and the id of the next span begun after the replay."""
+    with tracer.trace("registration", "registration", supi="imsi-1") as root:
+        replay()
+        with tracer.span("after", "nas") as after:
+            pass
+    return root.span.to_dict(), after.span_id
+
+
+@pytest.mark.parametrize("exitless", [False, True])
+def test_syscall_batch_is_the_per_call_sequence(exitless, monkeypatch):
+    """``syscall_batch`` = compile + fused replay; clock, counters, RNG
+    draws and events must equal a loop over :meth:`syscall` — and under
+    an open span so must the span tree, ids included, although the fused
+    replay never makes a per-call ``syscall``."""
+    for arming in _ARMINGS:
+        (batched, looped), (batched_tracer, looped_tracer) = _replay_pair(
+            arming, exitless=exitless
+        )
+        handle = batched.compile_syscalls(iter(_REPLAY_SPECS))
+        monkeypatch.setattr(
+            batched, "syscall", lambda *spec: pytest.fail("fused replay fell back")
+        )
+        if arming is None:
+            batched.syscall_profile(handle)
+            _loop(looped, _REPLAY_SPECS)
+        else:
+            fused = _under_root(
+                batched_tracer, lambda: batched.syscall_profile(handle)
+            )
+            reference = _under_root(
+                looped_tracer, lambda: _loop(looped, _REPLAY_SPECS)
+            )
+            assert fused == reference
+            assert len(reference[0]["children"]) == len(_REPLAY_SPECS) + 1
+            assert (reference[1] is not None) == ("trace_seed" in arming)
+        assert _syscall_fingerprint(batched) == _syscall_fingerprint(looped)
+        # The next draw from the transition stream is the same too.
+        assert (
+            batched._transition_stream.random()
+            == looped._transition_stream.random()
+        )
+
+
+def test_ocalls_outside_any_span_stay_trace_roots():
+    """LibOS start-up and warm-up replay profiles with no span open: under
+    an installed tracer each OCALL is its own root, batched or not."""
+    (batched, looped), (batched_tracer, looped_tracer) = _replay_pair(
+        {"trace_seed": 3}
+    )
+    batched.syscall_batch(_REPLAY_SPECS)
+    _loop(looped, _REPLAY_SPECS)
+    roots = [root.to_dict() for root in batched_tracer.roots]
+    assert roots == [root.to_dict() for root in looped_tracer.roots]
+    assert [(r["name"], r["kind"]) for r in roots] == [
+        (name, "sgx.ocall") for name, _, _ in _REPLAY_SPECS
+    ]
     assert _syscall_fingerprint(batched) == _syscall_fingerprint(looped)
-    # The next draw from the transition stream is the same too.
+
+
+@pytest.mark.parametrize(
+    "enclave_size, stream", [("8G", "pressure-spike"), ("256M", "thrash")]
+)
+def test_replay_under_epc_pressure_stays_per_call(enclave_size, stream, monkeypatch):
+    """Any non-inert pressure regime (the Fig 8 sweeps) draws per
+    syscall, so the replay must be the per-call sequence, traced or not."""
+    (batched, looped), (batched_tracer, looped_tracer) = _replay_pair(
+        {"trace_seed": 3}, enclave_size=enclave_size
+    )
+    assert any(batched._pressure_regimes())
+    calls = []
+    per_call = batched.syscall
+    monkeypatch.setattr(
+        batched, "syscall", lambda *spec: (calls.append(spec), per_call(*spec))
+    )
+    fused = _under_root(batched_tracer, lambda: batched.syscall_batch(_REPLAY_SPECS))
+    reference = _under_root(looped_tracer, lambda: _loop(looped, _REPLAY_SPECS))
+    assert calls == _REPLAY_SPECS
+    assert fused == reference
+    assert _syscall_fingerprint(batched) == _syscall_fingerprint(looped)
+    name = f"{batched.name}.{stream}"
     assert (
-        batched._transition_stream.random() == looped._transition_stream.random()
+        batched.host.rng.stream(name).random() == looped.host.rng.stream(name).random()
     )

@@ -126,3 +126,131 @@ def test_pooled_begin_matches_constructed_span():
     assert pooled.tags == reference.tags
     assert pooled.children == reference.children
     tracer.end(pooled)
+
+
+# ---------------------------------------------------------------- bursts
+#
+# A fused OCALL replay files its ``sgx.ocall`` leaves as one unread burst
+# (``Tracer.ocall_burst``); they are built when ``children`` is first
+# read and dropped unbuilt when the tree is recycled before that.
+
+
+def _burst_templates(n):
+    return [(f"sys{i}", 10, {"runtime": "rt", "shield_ns": 10}) for i in range(n)]
+
+
+def _raw_spans(span):
+    """Built spans of a tree, without reading (= expanding) anything."""
+    yield span
+    for child in span._children:
+        if isinstance(child, Span):
+            yield from _raw_spans(child)
+
+
+def test_recycled_unread_bursts_never_resurface():
+    _drain_pool()
+    clock = SimClock()
+    tracer = Tracer(clock, trace_seed=1)
+    tracer.start_trace("imsi-1")
+    root = tracer.begin("registration", "registration")
+    window = tracer.begin("window", "L_T")
+    tracer.ocall_burst(_burst_templates(5), [14, 27, 41, 55, 70])
+    handler = tracer.begin("handler", "L_F")
+    tracer.end(handler)
+    tracer.ocall_burst(_burst_templates(3))
+    tracer.end(window)
+    tracer.ocall_burst(_burst_templates(2), [12, 25])
+    tracer.end(root)
+    tracer.end_trace()
+    assert root._unread and window._unread
+    tracer.recycle(root)
+
+    # Only the three spans ever built went to the pool — no burst leaf was.
+    assert len(trace._SPAN_POOL) == 3
+    reused = [tracer.begin(f"fresh{i}") for i in range(3)]
+    assert {id(span) for span in reused} == {id(root), id(window), id(handler)}
+    for depth, span in enumerate(reused):
+        assert not span._unread
+        assert span.children == reused[depth + 1: depth + 2]
+    for span in reversed(reused):
+        tracer.end(span)
+
+
+def test_burst_leaves_take_the_reserved_sequence_range():
+    _drain_pool()
+    clock = SimClock()
+    clock.advance(1_000)
+    tracer = Tracer(clock, trace_seed=1)
+    trace_id = tracer.start_trace("imsi-1")
+    root = tracer.begin("registration", "registration")
+    tracer.ocall_burst(_burst_templates(3), [14, 27, 41])
+    after = tracer.begin("after", "nas")
+    tracer.end(after)
+    tracer.end(root)
+    assert after.span_id == trace.span_context_id(trace_id, 4)
+    leaves = root.children[:3]
+    assert [leaf.span_id for leaf in leaves] == [
+        trace.span_context_id(trace_id, seq) for seq in (1, 2, 3)
+    ]
+    assert [(leaf.start_ns, leaf.end_ns) for leaf in leaves] == [
+        (1_000, 1_014), (1_014, 1_027), (1_027, 1_041)
+    ]
+    assert [leaf.tags["transition_ns"] for leaf in leaves] == [4, 3, 4]
+    assert all(leaf.parent_id == root.span_id for leaf in leaves)
+    assert root.children[3] is after
+
+
+def _traced_registrations(count):
+    """``count`` fresh SGX registrations under an armed store-less tracer:
+    the roots stay on the tracer, their OCALL bursts unread."""
+    from repro.experiments.harness import warmed_testbed
+    from repro.testbed import IsolationMode
+
+    testbed = warmed_testbed(IsolationMode.SGX, seed=7)
+    tracer = Tracer(testbed.host.clock, trace_seed=7)
+    testbed.host.tracer = tracer
+    for _ in range(count):
+        outcome = testbed.register(testbed.add_subscriber(), establish_session=False)
+        assert outcome.success
+    return testbed, tracer.roots
+
+
+def test_every_consumer_reads_a_lazy_tree_like_its_dict_copy():
+    from repro.obs.profile import fold_registration
+    from repro.obs.trace import (
+        format_span_tree, registration_breakdown, span_from_dict,
+    )
+
+    def flat(span):
+        return (
+            span.name, span.kind, span.start_ns, span.end_ns, span.tags,
+            span.trace_id, span.span_id, span.parent_id,
+        )
+
+    def fold(root):
+        profile = fold_registration(root, **maps)
+        return profile.stacks, profile.modules
+
+    consumers = [
+        lambda root: [flat(span) for span in root.walk()],
+        lambda root: [flat(span) for span in root.find("sgx.ocall")],
+        lambda root: [
+            flat(window.child_of_kind("sgx.ocall") or window)
+            for window in root.find("L_T")
+        ],
+        format_span_tree,
+        lambda root: registration_breakdown(root, **maps),
+        fold,
+    ]
+    testbed, lazy_roots = _traced_registrations(len(consumers))
+    _, twin_roots = _traced_registrations(len(consumers))
+    modules = testbed.paka.modules
+    maps = {
+        "module_servers": {name: m.server.name for name, m in modules.items()},
+        "module_runtimes": {name: m.runtime.name for name, m in modules.items()},
+    }
+    for consume, lazy, twin in zip(consumers, lazy_roots, twin_roots):
+        assert any(span._unread for span in _raw_spans(lazy))
+        copy = span_from_dict(twin.to_dict())
+        assert len(copy.find("sgx.ocall")) == 261
+        assert consume(lazy) == consume(copy)
