@@ -3,15 +3,18 @@
 MILENAGE (TS 35.206) is defined over a 128-bit block cipher with a 128-bit
 key, for which 3GPP uses AES-128 (Rijndael).  This module implements the
 FIPS-197 cipher over four precomputed 32-bit T-tables (SubBytes, ShiftRows
-and MixColumns fused into table lookups), which is the fastest portable
-formulation — the simulator charges cycle costs through the hardware
-model, so host speed here only determines how fast campaigns regenerate.
+and MixColumns fused into table lookups) — the simulator charges cycle
+costs through the hardware model, so host speed here only determines how
+fast campaigns regenerate.
 
 Two APIs are exposed:
 
 * :class:`AES128` — a keyed cipher object that expands the key **once**;
   hot callers (MILENAGE, CMAC, TLS record protection, CTR modes) hold one
-  per key and amortise the schedule over every block.
+  per key and amortise the schedule over every block.  It also remembers
+  the last CTR keystream it produced, so the receiving end of a record
+  (same key, hence same object via :func:`aes128_cipher`) reuses the
+  stream its sender just computed.
 * module-level one-shot helpers (:func:`aes128_encrypt_block` et al.) that
   transparently reuse cached cipher objects keyed by the raw key bytes,
   so legacy call sites get the fast path without restructuring.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 # Optional hardware-AES backend: when the `cryptography` package (OpenSSL
@@ -122,6 +126,10 @@ def _build_tables() -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...],
 
 _MASK128 = (1 << 128) - 1
 
+# ShiftRows / InvShiftRows as byte gathers over the 16-byte state.
+_SHIFT_ROWS = itemgetter(0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11)
+_INV_SHIFT_ROWS = itemgetter(0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3)
+
 
 def _expand_key_words(key: bytes) -> Tuple[int, ...]:
     """Expand a 16-byte key into the 44 32-bit round-key words."""
@@ -144,8 +152,8 @@ def _expand_key_words(key: bytes) -> Tuple[int, ...]:
 
 
 def _invert_schedule(ek: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Round keys for the equivalent inverse cipher (InvMixColumns applied
-    to the inner round keys, order reversed)."""
+    """Round-key words for the equivalent inverse cipher (InvMixColumns
+    applied to the inner round keys, order reversed)."""
     sbox = _SBOX
     dk: List[int] = list(ek[40:44])
     for r in range(9, 0, -1):
@@ -162,6 +170,65 @@ def _invert_schedule(ek: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(dk)
 
 
+def _round_keys(words: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Pack 44 schedule words into the 11 128-bit round keys the block
+    kernels XOR into the state."""
+    return tuple(
+        (words[i] << 96) | (words[i + 1] << 64) | (words[i + 2] << 32) | words[i + 3]
+        for i in range(0, 44, 4)
+    )
+
+
+def _encrypt_int(ek: Tuple[int, ...], block: int) -> int:
+    """One block through the T-table cipher, 128-bit integers in and out.
+
+    The only copy of the encryption round: every pure-Python mode
+    (single block, ECB batch, CBC-MAC chain, CTR keystream) calls this.
+    The state travels between rounds as 16 big-endian bytes, so each
+    T-table index is a constant byte subscript instead of a shift and a
+    mask, and the round body is the same text for all nine inner rounds.
+    """
+    t0, t1, t2, t3 = _T0, _T1, _T2, _T3
+    s = (block ^ ek[0]).to_bytes(16, "big")
+    for rk in ek[1:10]:
+        s = (
+            ((t0[s[0]] ^ t1[s[5]] ^ t2[s[10]] ^ t3[s[15]]) << 96
+             | (t0[s[4]] ^ t1[s[9]] ^ t2[s[14]] ^ t3[s[3]]) << 64
+             | (t0[s[8]] ^ t1[s[13]] ^ t2[s[2]] ^ t3[s[7]]) << 32
+             | (t0[s[12]] ^ t1[s[1]] ^ t2[s[6]] ^ t3[s[11]]))
+            ^ rk
+        ).to_bytes(16, "big")
+    return int.from_bytes(bytes(_SHIFT_ROWS(s.translate(_SBOX))), "big") ^ ek[10]
+
+
+def _decrypt_int(dk: Tuple[int, ...], block: int) -> int:
+    """:func:`_encrypt_int`'s inverse over the Td tables (equivalent
+    inverse cipher, ``dk`` from :func:`_invert_schedule`)."""
+    t0, t1, t2, t3 = _TD0, _TD1, _TD2, _TD3
+    s = (block ^ dk[0]).to_bytes(16, "big")
+    for rk in dk[1:10]:
+        s = (
+            ((t0[s[0]] ^ t1[s[13]] ^ t2[s[10]] ^ t3[s[7]]) << 96
+             | (t0[s[4]] ^ t1[s[1]] ^ t2[s[14]] ^ t3[s[11]]) << 64
+             | (t0[s[8]] ^ t1[s[5]] ^ t2[s[2]] ^ t3[s[15]]) << 32
+             | (t0[s[12]] ^ t1[s[9]] ^ t2[s[6]] ^ t3[s[3]]))
+            ^ rk
+        ).to_bytes(16, "big")
+    return int.from_bytes(bytes(_INV_SHIFT_ROWS(s.translate(_INV_SBOX))), "big") ^ dk[10]
+
+
+@lru_cache(maxsize=256)
+def _counter_run(nblocks: int) -> Tuple[int, int]:
+    """``(repunit, ramp)`` such that ``counter * repunit + ramp`` is the
+    concatenation of the 128-bit blocks ``counter, counter + 1, …,
+    counter + nblocks - 1`` (valid while none of them wraps)."""
+    repunit = ramp = 0
+    for i in range(nblocks):
+        repunit = (repunit << 128) | 1
+        ramp = (ramp << 128) | i
+    return repunit, ramp
+
+
 class AES128:
     """AES-128 with the key schedule expanded once at construction.
 
@@ -170,14 +237,20 @@ class AES128:
     True
     """
 
-    __slots__ = ("_key", "_ek_lazy", "_dk", "_hw_algo", "_hw_ecb_enc", "_hw_ecb_dec")
+    __slots__ = (
+        "_key", "_ek_lazy", "_dk", "_hw_algo", "_hw_ecb_enc", "_hw_ecb_dec", "_memo",
+    )
 
     def __init__(self, key: bytes) -> None:
         key = bytes(key)
         if len(key) != 16:
             raise ValueError(f"AES-128 key must be 16 bytes, got {len(key)}")
         self._key = key
-        self._dk: "Tuple[int, ...] | None" = None  # inverted lazily
+        # Pure-path round keys, expanded and inverted on first use.
+        self._ek_lazy: "Tuple[int, ...] | None" = None
+        self._dk: "Tuple[int, ...] | None" = None
+        # Last CTR keystream produced: (nonce, nblocks, stream), see _stream_int.
+        self._memo: "Tuple[bytes, int, int] | None" = None
         if HAVE_HW_AES:
             algo = _hw_algorithms.AES(key)
             self._hw_algo: Optional[object] = algo
@@ -188,19 +261,17 @@ class AES128:
             # is only built on first use.
             self._hw_ecb_enc = _HwCipher(algo, _hw_modes.ECB()).encryptor()
             self._hw_ecb_dec = None
-            self._ek_lazy: "Tuple[int, ...] | None" = None  # pure path unused
         else:
             self._hw_algo = self._hw_ecb_enc = self._hw_ecb_dec = None
-            self._ek_lazy = _expand_key_words(key)
 
     @property
     def _ek(self) -> Tuple[int, ...]:
-        """Round-key words for the pure-Python path (expanded on demand —
-        with the hardware backend active they are only needed when a caller
+        """Round keys for the pure-Python path (expanded on demand — with
+        the hardware backend active they are only needed when a caller
         explicitly exercises the T-table reference)."""
         ek = self._ek_lazy
         if ek is None:
-            ek = self._ek_lazy = _expand_key_words(self._key)
+            ek = self._ek_lazy = _round_keys(_expand_key_words(self._key))
         return ek
 
     def encrypt_block(self, block: bytes) -> bytes:
@@ -214,30 +285,7 @@ class AES128:
 
     def _pure_encrypt_block(self, block: bytes) -> bytes:
         """T-table single-block encryption (backend-independent reference)."""
-        ek = self._ek
-        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
-        s0 = int.from_bytes(block[0:4], "big") ^ ek[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ ek[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ ek[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ ek[3]
-        k = 4
-        for _ in range(9):
-            r0 = t0[s0 >> 24] ^ t1[(s1 >> 16) & 0xFF] ^ t2[(s2 >> 8) & 0xFF] ^ t3[s3 & 0xFF] ^ ek[k]
-            r1 = t0[s1 >> 24] ^ t1[(s2 >> 16) & 0xFF] ^ t2[(s3 >> 8) & 0xFF] ^ t3[s0 & 0xFF] ^ ek[k + 1]
-            r2 = t0[s2 >> 24] ^ t1[(s3 >> 16) & 0xFF] ^ t2[(s0 >> 8) & 0xFF] ^ t3[s1 & 0xFF] ^ ek[k + 2]
-            r3 = t0[s3 >> 24] ^ t1[(s0 >> 16) & 0xFF] ^ t2[(s1 >> 8) & 0xFF] ^ t3[s2 & 0xFF] ^ ek[k + 3]
-            s0, s1, s2, s3 = r0, r1, r2, r3
-            k += 4
-        sbox = _SBOX
-        r0 = ((sbox[s0 >> 24] << 24) | (sbox[(s1 >> 16) & 0xFF] << 16)
-              | (sbox[(s2 >> 8) & 0xFF] << 8) | sbox[s3 & 0xFF]) ^ ek[40]
-        r1 = ((sbox[s1 >> 24] << 24) | (sbox[(s2 >> 16) & 0xFF] << 16)
-              | (sbox[(s3 >> 8) & 0xFF] << 8) | sbox[s0 & 0xFF]) ^ ek[41]
-        r2 = ((sbox[s2 >> 24] << 24) | (sbox[(s3 >> 16) & 0xFF] << 16)
-              | (sbox[(s0 >> 8) & 0xFF] << 8) | sbox[s1 & 0xFF]) ^ ek[42]
-        r3 = ((sbox[s3 >> 24] << 24) | (sbox[(s0 >> 16) & 0xFF] << 16)
-              | (sbox[(s1 >> 8) & 0xFF] << 8) | sbox[s2 & 0xFF]) ^ ek[43]
-        return ((r0 << 96) | (r1 << 64) | (r2 << 32) | r3).to_bytes(16, "big")
+        return _encrypt_int(self._ek, int.from_bytes(block, "big")).to_bytes(16, "big")
 
     def encrypt_blocks(self, data: bytes) -> bytes:
         """ECB-encrypt ``data`` (a concatenation of independent 16-byte
@@ -245,11 +293,8 @@ class AES128:
 
         Byte-identical to ``b"".join(encrypt_block(b) for b in blocks)``;
         the hardware backend handles the whole buffer in a single
-        ``update`` call, and the pure path inlines the T-table rounds so
-        the tables, S-box and boundary round keys bind to locals once for
-        the entire batch (the bulk-CTR pattern applied to ECB).  MILENAGE
-        uses this to run all of a vector's post-TEMP encryptions as one
-        multi-block pass.
+        ``update`` call.  MILENAGE uses this to run all of a vector's
+        post-TEMP encryptions as one multi-block pass.
         """
         n = len(data)
         if n % 16:
@@ -260,40 +305,10 @@ class AES128:
         if hw is not None:
             return hw.update(data)
         ek = self._ek
-        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
-        sbox = _SBOX
-        ek0, ek1, ek2, ek3 = ek[0], ek[1], ek[2], ek[3]
-        ek40, ek41, ek42, ek43 = ek[40], ek[41], ek[42], ek[43]
-        nblocks = n // 16
-        src = int.from_bytes(data, "big")
-        mask = _MASK128
-        out = 0
-        shift = (nblocks - 1) * 128
-        for _ in range(nblocks):
-            block = (src >> shift) & mask
-            shift -= 128
-            s0 = ((block >> 96) & 0xFFFFFFFF) ^ ek0
-            s1 = ((block >> 64) & 0xFFFFFFFF) ^ ek1
-            s2 = ((block >> 32) & 0xFFFFFFFF) ^ ek2
-            s3 = (block & 0xFFFFFFFF) ^ ek3
-            k = 4
-            for _ in range(9):
-                r0 = t0[s0 >> 24] ^ t1[(s1 >> 16) & 0xFF] ^ t2[(s2 >> 8) & 0xFF] ^ t3[s3 & 0xFF] ^ ek[k]
-                r1 = t0[s1 >> 24] ^ t1[(s2 >> 16) & 0xFF] ^ t2[(s3 >> 8) & 0xFF] ^ t3[s0 & 0xFF] ^ ek[k + 1]
-                r2 = t0[s2 >> 24] ^ t1[(s3 >> 16) & 0xFF] ^ t2[(s0 >> 8) & 0xFF] ^ t3[s1 & 0xFF] ^ ek[k + 2]
-                r3 = t0[s3 >> 24] ^ t1[(s0 >> 16) & 0xFF] ^ t2[(s1 >> 8) & 0xFF] ^ t3[s2 & 0xFF] ^ ek[k + 3]
-                s0, s1, s2, s3 = r0, r1, r2, r3
-                k += 4
-            r0 = ((sbox[s0 >> 24] << 24) | (sbox[(s1 >> 16) & 0xFF] << 16)
-                  | (sbox[(s2 >> 8) & 0xFF] << 8) | sbox[s3 & 0xFF]) ^ ek40
-            r1 = ((sbox[s1 >> 24] << 24) | (sbox[(s2 >> 16) & 0xFF] << 16)
-                  | (sbox[(s3 >> 8) & 0xFF] << 8) | sbox[s0 & 0xFF]) ^ ek41
-            r2 = ((sbox[s2 >> 24] << 24) | (sbox[(s3 >> 16) & 0xFF] << 16)
-                  | (sbox[(s0 >> 8) & 0xFF] << 8) | sbox[s1 & 0xFF]) ^ ek42
-            r3 = ((sbox[s3 >> 24] << 24) | (sbox[(s0 >> 16) & 0xFF] << 16)
-                  | (sbox[(s1 >> 8) & 0xFF] << 8) | sbox[s2 & 0xFF]) ^ ek43
-            out = (out << 128) | (r0 << 96) | (r1 << 64) | (r2 << 32) | r3
-        return out.to_bytes(n, "big")
+        return b"".join(
+            _encrypt_int(ek, int.from_bytes(data[i : i + 16], "big")).to_bytes(16, "big")
+            for i in range(0, n, 16)
+        )
 
     def cbc_mac(self, data: bytes) -> bytes:
         """Last ciphertext block of zero-IV CBC over ``data``.
@@ -301,9 +316,7 @@ class AES128:
         This is the CBC-MAC / CMAC chaining value: byte-identical to
         folding ``x = encrypt_block(x ^ block)`` over the blocks from
         ``x = 0``.  The chain is inherently sequential, but the hardware
-        backend still collapses it to one CBC ``update`` call, and the
-        pure path keeps the running value as a 128-bit integer with the
-        T-tables bound to locals once.
+        backend still collapses it to one CBC ``update`` call.
         """
         n = len(data)
         if n % 16 or n == 0:
@@ -318,39 +331,9 @@ class AES128:
                 .update(data)[-16:]
             )
         ek = self._ek
-        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
-        sbox = _SBOX
-        ek0, ek1, ek2, ek3 = ek[0], ek[1], ek[2], ek[3]
-        ek40, ek41, ek42, ek43 = ek[40], ek[41], ek[42], ek[43]
-        nblocks = n // 16
-        src = int.from_bytes(data, "big")
-        mask = _MASK128
         x = 0
-        shift = (nblocks - 1) * 128
-        for _ in range(nblocks):
-            block = x ^ ((src >> shift) & mask)
-            shift -= 128
-            s0 = ((block >> 96) & 0xFFFFFFFF) ^ ek0
-            s1 = ((block >> 64) & 0xFFFFFFFF) ^ ek1
-            s2 = ((block >> 32) & 0xFFFFFFFF) ^ ek2
-            s3 = (block & 0xFFFFFFFF) ^ ek3
-            k = 4
-            for _ in range(9):
-                r0 = t0[s0 >> 24] ^ t1[(s1 >> 16) & 0xFF] ^ t2[(s2 >> 8) & 0xFF] ^ t3[s3 & 0xFF] ^ ek[k]
-                r1 = t0[s1 >> 24] ^ t1[(s2 >> 16) & 0xFF] ^ t2[(s3 >> 8) & 0xFF] ^ t3[s0 & 0xFF] ^ ek[k + 1]
-                r2 = t0[s2 >> 24] ^ t1[(s3 >> 16) & 0xFF] ^ t2[(s0 >> 8) & 0xFF] ^ t3[s1 & 0xFF] ^ ek[k + 2]
-                r3 = t0[s3 >> 24] ^ t1[(s0 >> 16) & 0xFF] ^ t2[(s1 >> 8) & 0xFF] ^ t3[s2 & 0xFF] ^ ek[k + 3]
-                s0, s1, s2, s3 = r0, r1, r2, r3
-                k += 4
-            r0 = ((sbox[s0 >> 24] << 24) | (sbox[(s1 >> 16) & 0xFF] << 16)
-                  | (sbox[(s2 >> 8) & 0xFF] << 8) | sbox[s3 & 0xFF]) ^ ek40
-            r1 = ((sbox[s1 >> 24] << 24) | (sbox[(s2 >> 16) & 0xFF] << 16)
-                  | (sbox[(s3 >> 8) & 0xFF] << 8) | sbox[s0 & 0xFF]) ^ ek41
-            r2 = ((sbox[s2 >> 24] << 24) | (sbox[(s3 >> 16) & 0xFF] << 16)
-                  | (sbox[(s0 >> 8) & 0xFF] << 8) | sbox[s1 & 0xFF]) ^ ek42
-            r3 = ((sbox[s3 >> 24] << 24) | (sbox[(s0 >> 16) & 0xFF] << 16)
-                  | (sbox[(s1 >> 8) & 0xFF] << 8) | sbox[s2 & 0xFF]) ^ ek43
-            x = (r0 << 96) | (r1 << 64) | (r2 << 32) | r3
+        for i in range(0, n, 16):
+            x = _encrypt_int(ek, x ^ int.from_bytes(data[i : i + 16], "big"))
         return x.to_bytes(16, "big")
 
     def decrypt_block(self, block: bytes) -> bytes:
@@ -369,84 +352,64 @@ class AES128:
     def _pure_decrypt_block(self, block: bytes) -> bytes:
         """Td-table single-block decryption (backend-independent reference)."""
         if self._dk is None:
-            self._dk = _invert_schedule(self._ek)
-        dk = self._dk
-        t0, t1, t2, t3 = _TD0, _TD1, _TD2, _TD3
-        s0 = int.from_bytes(block[0:4], "big") ^ dk[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ dk[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ dk[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ dk[3]
-        k = 4
-        for _ in range(9):
-            r0 = t0[s0 >> 24] ^ t1[(s3 >> 16) & 0xFF] ^ t2[(s2 >> 8) & 0xFF] ^ t3[s1 & 0xFF] ^ dk[k]
-            r1 = t0[s1 >> 24] ^ t1[(s0 >> 16) & 0xFF] ^ t2[(s3 >> 8) & 0xFF] ^ t3[s2 & 0xFF] ^ dk[k + 1]
-            r2 = t0[s2 >> 24] ^ t1[(s1 >> 16) & 0xFF] ^ t2[(s0 >> 8) & 0xFF] ^ t3[s3 & 0xFF] ^ dk[k + 2]
-            r3 = t0[s3 >> 24] ^ t1[(s2 >> 16) & 0xFF] ^ t2[(s1 >> 8) & 0xFF] ^ t3[s0 & 0xFF] ^ dk[k + 3]
-            s0, s1, s2, s3 = r0, r1, r2, r3
-            k += 4
-        isbox = _INV_SBOX
-        r0 = ((isbox[s0 >> 24] << 24) | (isbox[(s3 >> 16) & 0xFF] << 16)
-              | (isbox[(s2 >> 8) & 0xFF] << 8) | isbox[s1 & 0xFF]) ^ dk[40]
-        r1 = ((isbox[s1 >> 24] << 24) | (isbox[(s0 >> 16) & 0xFF] << 16)
-              | (isbox[(s3 >> 8) & 0xFF] << 8) | isbox[s2 & 0xFF]) ^ dk[41]
-        r2 = ((isbox[s2 >> 24] << 24) | (isbox[(s1 >> 16) & 0xFF] << 16)
-              | (isbox[(s0 >> 8) & 0xFF] << 8) | isbox[s3 & 0xFF]) ^ dk[42]
-        r3 = ((isbox[s3 >> 24] << 24) | (isbox[(s2 >> 16) & 0xFF] << 16)
-              | (isbox[(s1 >> 8) & 0xFF] << 8) | isbox[s0 & 0xFF]) ^ dk[43]
-        return ((r0 << 96) | (r1 << 64) | (r2 << 32) | r3).to_bytes(16, "big")
+            self._dk = _round_keys(_invert_schedule(_expand_key_words(self._key)))
+        return _decrypt_int(self._dk, int.from_bytes(block, "big")).to_bytes(16, "big")
 
     @staticmethod
     def _counter_blocks(nonce: bytes, nblocks: int) -> bytes:
         """The ``nblocks`` consecutive CTR counter blocks starting at
         ``nonce`` (big-endian increment, wrapping mod 2^128)."""
         counter = int.from_bytes(nonce, "big")
-        out = 0
-        for _ in range(nblocks):
-            out = (out << 128) | counter
-            counter = (counter + 1) & _MASK128
-        return out.to_bytes(nblocks * 16, "big")
+        head = (1 << 128) - counter  # blocks before the counter wraps
+        if nblocks > head:
+            return AES128._counter_blocks(nonce, head) + AES128._counter_blocks(
+                bytes(16), nblocks - head
+            )
+        repunit, ramp = _counter_run(nblocks)
+        return (counter * repunit + ramp).to_bytes(nblocks * 16, "big")
 
     def _keystream_int(self, counter: int, nblocks: int) -> int:
-        """``nblocks`` consecutive CTR keystream blocks as one big integer.
-
-        This is the bulk fast path behind :meth:`ctr`: the whole per-block
-        cipher is inlined here so the T-tables, S-box and boundary round
-        keys are bound to locals *once* and then reused across every block,
-        and the counter blocks are built with integer shifts rather than
-        ``to_bytes``/``from_bytes`` round trips.  The output is bit-for-bit
-        the concatenation of ``encrypt_block(counter + i)`` for ``i`` in
-        ``range(nblocks)`` (big-endian counter, wrapping mod 2^128).
-        """
+        """``nblocks`` consecutive pure-Python CTR keystream blocks as one
+        big integer: the concatenation of ``encrypt_block(counter + i)``
+        for ``i`` in ``range(nblocks)`` (counter wrapping mod 2^128)."""
         ek = self._ek
-        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
-        sbox = _SBOX
-        ek0, ek1, ek2, ek3 = ek[0], ek[1], ek[2], ek[3]
-        ek40, ek41, ek42, ek43 = ek[40], ek[41], ek[42], ek[43]
         out = 0
         for _ in range(nblocks):
-            s0 = ((counter >> 96) & 0xFFFFFFFF) ^ ek0
-            s1 = ((counter >> 64) & 0xFFFFFFFF) ^ ek1
-            s2 = ((counter >> 32) & 0xFFFFFFFF) ^ ek2
-            s3 = (counter & 0xFFFFFFFF) ^ ek3
-            k = 4
-            for _ in range(9):
-                r0 = t0[s0 >> 24] ^ t1[(s1 >> 16) & 0xFF] ^ t2[(s2 >> 8) & 0xFF] ^ t3[s3 & 0xFF] ^ ek[k]
-                r1 = t0[s1 >> 24] ^ t1[(s2 >> 16) & 0xFF] ^ t2[(s3 >> 8) & 0xFF] ^ t3[s0 & 0xFF] ^ ek[k + 1]
-                r2 = t0[s2 >> 24] ^ t1[(s3 >> 16) & 0xFF] ^ t2[(s0 >> 8) & 0xFF] ^ t3[s1 & 0xFF] ^ ek[k + 2]
-                r3 = t0[s3 >> 24] ^ t1[(s0 >> 16) & 0xFF] ^ t2[(s1 >> 8) & 0xFF] ^ t3[s2 & 0xFF] ^ ek[k + 3]
-                s0, s1, s2, s3 = r0, r1, r2, r3
-                k += 4
-            r0 = ((sbox[s0 >> 24] << 24) | (sbox[(s1 >> 16) & 0xFF] << 16)
-                  | (sbox[(s2 >> 8) & 0xFF] << 8) | sbox[s3 & 0xFF]) ^ ek40
-            r1 = ((sbox[s1 >> 24] << 24) | (sbox[(s2 >> 16) & 0xFF] << 16)
-                  | (sbox[(s3 >> 8) & 0xFF] << 8) | sbox[s0 & 0xFF]) ^ ek41
-            r2 = ((sbox[s2 >> 24] << 24) | (sbox[(s3 >> 16) & 0xFF] << 16)
-                  | (sbox[(s0 >> 8) & 0xFF] << 8) | sbox[s1 & 0xFF]) ^ ek42
-            r3 = ((sbox[s3 >> 24] << 24) | (sbox[(s0 >> 16) & 0xFF] << 16)
-                  | (sbox[(s1 >> 8) & 0xFF] << 8) | sbox[s2 & 0xFF]) ^ ek43
-            out = (out << 128) | (r0 << 96) | (r1 << 64) | (r2 << 32) | r3
+            out = (out << 128) | _encrypt_int(ek, counter)
             counter = (counter + 1) & _MASK128
         return out
+
+    def _stream_int(self, nonce: bytes, length: int) -> int:
+        """The first ``length`` (> 0) bytes of CTR keystream from counter
+        ``nonce``, as an integer.
+
+        The block-aligned stream is a pure function of (key, nonce, block
+        count), so the last one computed is kept on the cipher object:
+        the peer that decrypts a record shares this object through
+        :func:`aes128_cipher` and asks for exactly the stream its sender
+        just produced.  Nothing else keys the memo, and a hit returns what
+        a recomputation would — callers still authenticate before they
+        decrypt.
+        """
+        nblocks = (length + 15) // 16
+        memo = self._memo
+        if memo is not None and memo[1] == nblocks and memo[0] == nonce:
+            stream = memo[2]
+        else:
+            hw = self._hw_ecb_enc
+            if hw is not None:
+                # CTR keystream == ECB over the counter blocks; the
+                # persistent ECB context avoids a Cipher+encryptor
+                # construction per call.
+                stream = int.from_bytes(
+                    hw.update(self._counter_blocks(nonce, nblocks)), "big"
+                )
+            else:
+                stream = self._keystream_int(int.from_bytes(nonce, "big"), nblocks)
+            self._memo = (bytes(nonce), nblocks, stream)
+        # Truncation keeps the *first* ``length`` bytes, so a non-aligned
+        # tail drops the low-order bytes of the last block.
+        return stream >> ((nblocks * 16 - length) * 8)
 
     def keystream(self, nonce: bytes, length: int) -> bytes:
         """``length`` bytes of CTR keystream starting at counter ``nonce``.
@@ -458,21 +421,7 @@ class AES128:
             raise ValueError(f"CTR nonce must be 16 bytes, got {len(nonce)}")
         if length <= 0:
             return b""
-        nblocks = (length + 15) // 16
-        hw = self._hw_ecb_enc
-        if hw is not None:
-            # CTR keystream == ECB over the counter blocks; the persistent
-            # ECB context avoids a Cipher+encryptor construction per call.
-            stream = int.from_bytes(
-                hw.update(self._counter_blocks(nonce, nblocks)), "big"
-            )
-            return (stream >> ((nblocks * 16 - length) * 8)).to_bytes(
-                length, "big"
-            )
-        stream = self._keystream_int(int.from_bytes(nonce, "big"), nblocks)
-        # The keystream is truncated to its *first* ``length`` bytes, so a
-        # non-block-aligned tail drops the low-order bytes of the last block.
-        return (stream >> ((nblocks * 16 - length) * 8)).to_bytes(length, "big")
+        return self._stream_int(nonce, length).to_bytes(length, "big")
 
     def ctr(self, nonce: bytes, data: bytes) -> bytes:
         """Counter mode over this cipher's key.
@@ -486,18 +435,9 @@ class AES128:
         if not data:
             return b""
         n = len(data)
-        nblocks = (n + 15) // 16
-        hw = self._hw_ecb_enc
-        if hw is not None:
-            stream = int.from_bytes(
-                hw.update(self._counter_blocks(nonce, nblocks)), "big"
-            )
-        else:
-            # Generate the whole keystream as one big integer and XOR once:
-            # cheaper in CPython than per-block byte juggling.
-            stream = self._keystream_int(int.from_bytes(nonce, "big"), nblocks)
-        stream >>= (nblocks * 16 - n) * 8
-        return (int.from_bytes(data, "big") ^ stream).to_bytes(n, "big")
+        return (int.from_bytes(data, "big") ^ self._stream_int(nonce, n)).to_bytes(
+            n, "big"
+        )
 
 
 @lru_cache(maxsize=4096)

@@ -7,7 +7,11 @@ in counter mode and an HMAC-SHA-256 tag truncated to 8 bytes.
 
 The X25519 function is implemented from RFC 7748 directly (Montgomery
 ladder over GF(2^255 − 19)); the reproduction is offline and may not link
-against an external crypto library.
+against an external crypto library.  The two call sites whose base point
+recurs — public-key derivation (base 9) and the UE's exchange against the
+home-network public key — go through a fixed-base window table over the
+birationally equivalent Edwards curve instead (:func:`_x25519_comb`);
+the ladder stays the path for variable bases and the reference for both.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import hmac
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.crypto.aes import AES128
 
@@ -127,8 +131,115 @@ def _x25519_ladder(scalar: bytes, u_coordinate: bytes) -> bytes:
     if swap:
         x2, x3 = x3, x2
         z2, z3 = z3, z2
-    result = (x2 * pow(z2, _P - 2, _P)) % _P
-    return result.to_bytes(32, "little")
+    if z2 == 0:
+        # Low-order input: 0 has no inverse, and RFC 7748 defines the
+        # result as all zeros.
+        return bytes(32)
+    return (x2 * pow(z2, -1, _P) % _P).to_bytes(32, "little")
+
+
+# --- fixed-base scalar multiplication ---------------------------------
+#
+# Curve25519 is birationally equivalent to the twisted Edwards curve
+# -x^2 + y^2 = 1 + d x^2 y^2 via y = (u - 1)/(u + 1), u = (1 + y)/(1 - y).
+# Its unified addition law is complete, so for a base that recurs the
+# multiples j * 16^i * B can be tabulated once and k * B becomes one table
+# addition per non-zero nibble of k, with no doublings.
+
+_D = -121665 * pow(121666, -1, _P) % _P
+_2D = 2 * _D % _P
+_SQRT_M1 = pow(2, (_P - 1) // 4, _P)
+
+_EdPoint = Tuple[int, int, int, int]
+
+
+def _edwards_point(u: int) -> Optional[Tuple[int, int]]:
+    """Affine Edwards ``(x, y)`` whose Montgomery u-coordinate is ``u``
+    (reduced mod p), or ``None`` when there is none: ``u = -1`` has no
+    image, and a ``u`` on the quadratic twist has no ``x`` in the field."""
+    if u == _P - 1:
+        return None
+    y = (u - 1) * pow(u + 1, -1, _P) % _P
+    yy = y * y % _P
+    # d is a non-square and -1 a square, so d*y^2 + 1 is never zero.
+    xx = (yy - 1) * pow(_D * yy + 1, -1, _P) % _P
+    x = pow(xx, (_P + 3) // 8, _P)
+    if (x * x - xx) % _P:
+        x = x * _SQRT_M1 % _P
+        if (x * x - xx) % _P:
+            return None
+    return x, y
+
+
+def _ed_cached(point: _EdPoint) -> _EdPoint:
+    """``(Y+X, Y-X, 2Z, 2dT)`` — the operand form :func:`_ed_add` takes."""
+    x, y, z, t = point
+    return (y + x) % _P, (y - x) % _P, 2 * z % _P, _2D * t % _P
+
+
+def _ed_add(point: _EdPoint, cached: _EdPoint) -> _EdPoint:
+    """Extended-coordinate ``(X, Y, Z, T)`` sum of ``point`` and a point
+    in :func:`_ed_cached` form (Hisil–Wong–Carter–Dawson, a = -1;
+    complete, so it also doubles and absorbs low-order points)."""
+    x1, y1, z1, t1 = point
+    ypx, ymx, z2, t2d = cached
+    a = (y1 - x1) * ymx % _P
+    b = (y1 + x1) * ypx % _P
+    c = t1 * t2d % _P
+    d = z1 * z2 % _P
+    e, f, g, h = b - a, d - c, d + c, b + a
+    return e * f % _P, g * h % _P, f * g % _P, e * h % _P
+
+
+@lru_cache(maxsize=8)
+def _comb_table(u_coordinate: bytes) -> Optional[Tuple[Tuple[_EdPoint, ...], ...]]:
+    """Window table for base ``u_coordinate``: row ``i`` holds
+    ``j * 16^i * B`` for ``j = 1..15`` in cached form (64 rows × 15
+    points, ≈0.25 MB, ≈5 ms to build; a process sees two — base 9 and its
+    testbed's home-network key).  ``None`` when the base has no Edwards
+    image and the ladder must be used."""
+    point = _edwards_point(_decode_u_coordinate(u_coordinate) % _P)
+    if point is None:
+        return None
+    x, y = point
+    base: _EdPoint = (x, y, 1, x * y % _P)
+    rows = []
+    for _ in range(64):
+        step = _ed_cached(base)
+        row = [step]
+        for _ in range(14):
+            base = _ed_add(base, step)
+            row.append(_ed_cached(base))
+        rows.append(tuple(row))
+        base = _ed_add(base, step)  # 15 * 16^i * B + 16^i * B
+    return tuple(rows)
+
+
+def _x25519_comb(scalar: bytes, u_coordinate: bytes) -> bytes:
+    """:func:`_x25519_ladder` for a recurring base, in at most 64 table
+    additions; byte-identical output (pure-python path)."""
+    table = _comb_table(bytes(u_coordinate))
+    if table is None:
+        return _x25519_ladder(scalar, u_coordinate)
+    k = _decode_scalar(scalar)
+    acc: _EdPoint = (0, 1, 1, 0)
+    for row in table:
+        digit = k & 15
+        if digit:
+            acc = _ed_add(acc, row[digit - 1])
+        k >>= 4
+    _, y, z, _ = acc
+    if (z - y) % _P == 0:
+        # k*B is the identity (low-order base): all zeros, as the ladder.
+        return bytes(32)
+    return ((z + y) * pow(z - y, -1, _P) % _P).to_bytes(32, "little")
+
+
+def _x25519_fixed_base(scalar: bytes, u_coordinate: bytes) -> bytes:
+    """:func:`x25519` for call sites whose base point recurs."""
+    if HAVE_HW_X25519:
+        return x25519(scalar, u_coordinate)
+    return _x25519_comb(scalar, u_coordinate)
 
 
 _BASE_POINT = (9).to_bytes(32, "little")
@@ -136,7 +247,7 @@ _BASE_POINT = (9).to_bytes(32, "little")
 
 def x25519_public_key(private_key: bytes) -> bytes:
     """Derive the public u-coordinate for a 32-byte private scalar."""
-    return x25519(private_key, _BASE_POINT)
+    return _x25519_fixed_base(private_key, _BASE_POINT)
 
 
 def _x963_kdf(shared_secret: bytes, shared_info: bytes, length: int) -> bytes:
@@ -221,7 +332,8 @@ class EciesProfileA:
     @staticmethod
     def encrypt(plaintext: bytes, hn_public_key: bytes, eph_private_key: bytes) -> bytes:
         eph_public = x25519_public_key(eph_private_key)
-        shared = x25519(eph_private_key, hn_public_key)
+        # Every UE of a campaign conceals under the same home-network key.
+        shared = _x25519_fixed_base(eph_private_key, hn_public_key)
         keys = _x963_kdf(shared, eph_public, EciesProfileA.KDF_LENGTH)
         aes_key, icb, mac_key = keys[:16], keys[16:32], keys[32:]
         # The ECIES key is ephemeral (one per concealment): instantiate the

@@ -123,3 +123,24 @@ def test_ctr_counter_wraps_at_128_bits():
     nonce = b"\xff" * 16
     out = aes128_ctr(NIST_KEY, nonce, bytes(32))
     assert len(out) == 32
+
+
+def test_pure_decrypt_reference_matches_fips197_on_any_backend():
+    # The Td-table reference is reached directly, so it is checked even
+    # when decrypt_block routes through libcrypto (the encrypt kernel is
+    # pinned the same way in tests/property/test_aes_equivalence.py).
+    for key, plaintext, ciphertext in (
+        (FIPS_KEY, FIPS_PT, FIPS_CT),
+        (APX_B_KEY, APX_B_PT, APX_B_CT),
+    ):
+        assert AES128(key)._pure_decrypt_block(ciphertext) == plaintext
+
+
+def test_opt_out_selects_the_pure_path():
+    import os
+
+    from repro.crypto import aes
+
+    if os.environ.get("REPRO_PURE_AES"):
+        assert not aes.HAVE_HW_AES
+    assert (AES128(FIPS_KEY)._hw_ecb_enc is None) == (not aes.HAVE_HW_AES)

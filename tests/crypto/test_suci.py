@@ -174,6 +174,22 @@ class TestX25519BackendEquivalence:
         assert x25519(scalar, zero_point) == bytes(32)
         assert _x25519_ladder(scalar, zero_point) == bytes(32)
 
+    def test_opt_out_selects_the_pure_path(self, monkeypatch):
+        import os
+
+        from repro.crypto import suci
+
+        if os.environ.get("REPRO_PURE_X25519"):
+            assert not suci.HAVE_HW_X25519
+        # Without libcrypto the fixed-base entry point is the window table.
+        monkeypatch.setattr(suci, "HAVE_HW_X25519", False)
+        calls = []
+        monkeypatch.setattr(
+            suci, "_x25519_comb", lambda k, u: calls.append(u) or bytes(32)
+        )
+        x25519_public_key(bytes(32))
+        assert calls == [suci._BASE_POINT]
+
     def test_public_key_derivation_agrees_with_ladder(self):
         from repro.crypto.suci import _BASE_POINT, _x25519_ladder
 

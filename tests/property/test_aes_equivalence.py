@@ -12,7 +12,14 @@ the module under test except the test vectors' algebra itself.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES128, aes128_ctr
+from repro.crypto.aes import (
+    AES128,
+    _encrypt_int,
+    _expand_key_words,
+    _round_keys,
+    aes128_cipher,
+    aes128_ctr,
+)
 
 # --- schoolbook reference implementation ------------------------------
 
@@ -129,6 +136,28 @@ def test_reference_matches_appendix_b():
     )
 
 
+def test_block_kernel_matches_fips197_vectors():
+    # _encrypt_int is the one round body every pure mode runs, so pin it
+    # directly (with libcrypto present encrypt_block never reaches it).
+    for key, plaintext, ciphertext in (
+        # Appendix B, then Appendix C.1.
+        ("2b7e151628aed2a6abf7158809cf4f3c", "3243f6a8885a308d313198a2e0370734",
+         "3925841d02dc09fbdc118597196a0b32"),
+        ("000102030405060708090a0b0c0d0e0f", "00112233445566778899aabbccddeeff",
+         "69c4e0d86a7b0430d8cdb78070b4c55a"),
+    ):
+        ek = _round_keys(_expand_key_words(bytes.fromhex(key)))
+        assert _encrypt_int(ek, int(plaintext, 16)) == int(ciphertext, 16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=keys, block=blocks)
+def test_block_kernel_matches_schoolbook(key, block):
+    ek = _round_keys(_expand_key_words(key))
+    out = _encrypt_int(ek, int.from_bytes(block, "big"))
+    assert out.to_bytes(16, "big") == ref_encrypt_block(key, block)
+
+
 @settings(max_examples=40, deadline=None)
 @given(key=keys, block=blocks)
 def test_ttable_encrypt_matches_schoolbook(key, block):
@@ -217,3 +246,92 @@ def test_pure_bulk_keystream_matches_per_block(key, nonce, n):
     stream = cipher._keystream_int(int.from_bytes(nonce, "big"), nblocks)
     expected = _per_block_ctr(cipher, nonce, bytes(nblocks * 16))
     assert stream.to_bytes(nblocks * 16, "big") == expected
+
+
+# --- keystream memo: shared cipher objects under interleaved calls ----
+#
+# ``AES128`` keeps the last CTR keystream it produced, keyed (nonce,
+# block count), and ``aes128_cipher`` hands every user of a key the same
+# object — that is how a record's receiver reuses its sender's stream.
+# Whatever order calls arrive in, each must return what a cipher with no
+# memory would: the per-block reference above on a fresh schedule.
+
+_WRAP_NONCE = (_MASK128 - 1).to_bytes(16, "big")
+
+memo_calls = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),  # which key
+        # Few distinct nonces, so hits, same-nonce/other-length misses and
+        # other-nonce/same-length misses all occur; one wraps at 2^128.
+        st.sampled_from([bytes(16), bytes(range(16)), _WRAP_NONCE]),
+        st.sampled_from([1, 16, 17, 40, 48, 64, 100]),
+        st.sampled_from(["ctr", "keystream", "pure"]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key_pool=st.lists(keys, min_size=3, max_size=3, unique=True),
+       calls=memo_calls, data=st.data())
+def test_interleaved_calls_through_shared_ciphers_match_per_block(
+    key_pool, calls, data
+):
+    for which, nonce, n, op in calls:
+        key = key_pool[which]
+        shared = aes128_cipher(key)
+        payload = data.draw(st.binary(min_size=n, max_size=n))
+        expected = _per_block_ctr(AES128(key), nonce, payload)
+        if op == "ctr":
+            assert shared.ctr(nonce, payload) == expected
+        elif op == "keystream":
+            zeros = _per_block_ctr(AES128(key), nonce, bytes(n))
+            assert shared.keystream(nonce, n) == zeros
+        else:
+            # The pure generator under the memo, whatever the backend.
+            stream = shared._keystream_int(
+                int.from_bytes(nonce, "big"), (n + 15) // 16
+            ) >> (-n % 16 * 8)
+            assert (int.from_bytes(payload, "big") ^ stream).to_bytes(
+                n, "big"
+            ) == expected
+
+
+def test_memo_is_keyed_on_nonce_and_block_count_only():
+    cipher = AES128(bytes(range(16)))
+    nonce, other = bytes(16), bytes(15) + b"\x01"
+    first = cipher.ctr(nonce, bytes(40))
+    memo = cipher._memo
+    assert memo[:2] == (nonce, 3)
+    # Same nonce, same block count, other length and data: a hit.
+    assert cipher.ctr(nonce, bytes(33)) == first[:33]
+    assert cipher._memo is memo
+    # keystream() between two ctr()s shares the slot.
+    assert cipher.keystream(nonce, 48) == cipher.ctr(nonce, bytes(48))
+    assert cipher._memo is memo
+    # Other block count or other nonce: recomputed, slot replaced.
+    assert cipher.ctr(nonce, bytes(49))[:40] == first
+    assert cipher._memo[:2] == (nonce, 4)
+    assert cipher.ctr(other, bytes(64)) == _per_block_ctr(cipher, other, bytes(64))
+    assert cipher._memo[:2] == (other, 4)
+
+
+def test_memo_does_not_alias_a_mutable_nonce():
+    cipher = AES128(bytes(range(16)))
+    nonce = bytearray(16)
+    first = cipher.ctr(nonce, bytes(32))
+    nonce[15] = 1  # caller reuses its buffer for the next counter
+    assert cipher.ctr(nonce, bytes(32)) == _per_block_ctr(cipher, bytes(nonce), bytes(32))
+    assert cipher.ctr(bytes(16), bytes(32)) == first
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonce=nonces, n=st.integers(min_value=1, max_value=40))
+def test_counter_blocks_match_per_block_increment(nonce, n):
+    for start in (nonce, (_MASK128 - n // 2).to_bytes(16, "big")):
+        counter = int.from_bytes(start, "big")
+        expected = b"".join(
+            ((counter + i) & _MASK128).to_bytes(16, "big") for i in range(n)
+        )
+        assert AES128._counter_blocks(start, n) == expected

@@ -3,11 +3,12 @@
 The profiler-guided rewrite turned several per-block / per-call loops
 into single bulk passes: MILENAGE ``generate``/``f2345`` run all post-TEMP
 block encryptions as one ECB batch, AES-CMAC folds its chain into one
-zero-IV CBC pass, and the SBI codec serializes flat bodies without
-``json.dumps``.  Each rewrite must be **byte-for-byte** identical to the
-scalar form — these tests pin that by re-deriving every output the slow,
-literal way (per-block encryptions, spec-order rotations, ``json``
-itself) and comparing exact bytes.
+zero-IV CBC pass, the SBI codec serializes flat bodies without
+``json.dumps``, and X25519 against a recurring base walks a window table
+instead of the ladder.  Each rewrite must be **byte-for-byte** identical
+to the scalar form — these tests pin that by re-deriving every output the
+slow, literal way (per-block encryptions, spec-order rotations, ``json``
+itself, the Montgomery ladder) and comparing exact bytes.
 """
 
 import json
@@ -19,6 +20,16 @@ from repro.crypto.aes import AES128, aes128_encrypt_block
 from repro.crypto.cmac import aes_cmac
 from repro.crypto.kdf import ts33220_kdf
 from repro.crypto.milenage import Milenage
+from repro.crypto.suci import (
+    _BASE_POINT,
+    _P,
+    _comb_table,
+    _x25519_comb,
+    _x25519_fixed_base,
+    _x25519_ladder,
+    x25519,
+    x25519_public_key,
+)
 from repro.net.codec import dumps_flat, loads_object
 
 key16 = st.binary(min_size=16, max_size=16)
@@ -215,3 +226,94 @@ def test_dumps_flat_fallback_still_matches_json(payload):
     # Rich payloads (escapes, non-ASCII keys, floats, nesting) must take
     # the json fallback and stay byte-identical too.
     assert dumps_flat(payload) == json.dumps(payload, sort_keys=True).encode()
+
+
+# --- fixed-base X25519 (window table) vs the Montgomery ladder --------
+#
+# ``_x25519_comb`` is called directly, so these run the pure functions
+# whether or not libcrypto is installed.
+
+key32 = st.binary(min_size=32, max_size=32)
+
+# RFC 7748 §6.1 (and p-1, p, p+1): inputs of small order, for which every
+# clamped scalar yields the all-zero output.
+_LOW_ORDER_U = (
+    0,
+    1,
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+    _P - 1,
+    _P,
+    _P + 1,
+)
+
+
+def _u(value: int) -> bytes:
+    return value.to_bytes(32, "little")
+
+
+@settings(max_examples=40, deadline=None)
+@given(scalar=key32)
+def test_comb_matches_ladder_on_base_point(scalar):
+    assert _x25519_comb(scalar, _BASE_POINT) == _x25519_ladder(scalar, _BASE_POINT)
+
+
+@settings(max_examples=15, deadline=None)
+@given(scalar=key32, peer=key32)
+def test_comb_matches_ladder_on_valid_public_keys(scalar, peer):
+    public = _x25519_ladder(peer, _BASE_POINT)
+    assert _comb_table(public) is not None  # on the curve: has a table
+    assert _x25519_comb(scalar, public) == _x25519_ladder(scalar, public)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scalar=key32, u=key32)
+def test_comb_matches_ladder_on_arbitrary_u(scalar, u):
+    # About half of all u lie on the twist and take the ladder fallback;
+    # the top bit is masked by both paths.
+    assert _x25519_comb(scalar, u) == _x25519_ladder(scalar, u)
+
+
+def test_arbitrary_u_exercises_both_table_and_fallback():
+    import random
+
+    rnd = random.Random(25519)
+    tabled = [_comb_table(rnd.randbytes(32)) is not None for _ in range(24)]
+    assert any(tabled) and not all(tabled)
+
+
+@settings(max_examples=10, deadline=None)
+@given(scalar=key32)
+def test_comb_matches_ladder_on_low_order_and_noncanonical_u(scalar):
+    for value in _LOW_ORDER_U:
+        assert _x25519_comb(scalar, _u(value)) == _x25519_ladder(scalar, _u(value))
+        assert _x25519_comb(scalar, _u(value)) == bytes(32)
+    # Non-canonical encodings of ordinary points: u and u + p agree.
+    for value in (9, _P + 9):
+        assert _x25519_comb(scalar, _u(value)) == _x25519_ladder(scalar, _u(9))
+
+
+def test_fixed_base_entry_points_match_rfc7748_vectors():
+    # RFC 7748 §6.1: Alice's and Bob's key pairs and their shared secret.
+    alice = bytes.fromhex("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a")
+    alice_pub = bytes.fromhex("8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a")
+    bob = bytes.fromhex("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb")
+    bob_pub = bytes.fromhex("de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f")
+    shared = bytes.fromhex("4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742")
+    for derive in (x25519_public_key, lambda k: _x25519_comb(k, _BASE_POINT)):
+        assert derive(alice) == alice_pub
+        assert derive(bob) == bob_pub
+    for exchange in (_x25519_fixed_base, _x25519_comb, x25519):
+        assert exchange(alice, bob_pub) == shared
+        assert exchange(bob, alice_pub) == shared
+
+
+@settings(max_examples=15, deadline=None)
+@given(a=key32, b=key32)
+def test_diffie_hellman_symmetry_through_fixed_base_paths(a, b):
+    a_pub, b_pub = x25519_public_key(a), x25519_public_key(b)
+    assert a_pub == _x25519_comb(a, _BASE_POINT)
+    # One side fixed-base (the UE against the home-network key), the
+    # other variable-base (the UDM against the ephemeral key).
+    assert _x25519_fixed_base(a, b_pub) == x25519(b, a_pub)
+    assert _x25519_comb(a, b_pub) == _x25519_ladder(b, a_pub)
