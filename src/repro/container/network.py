@@ -103,19 +103,19 @@ class BridgeNetwork:
                 raise FrameLost(f"frame {src!r}->{dst!r} lost on {self.name!r}")
             extra_us = verdict
         self.host.clock.advance_us(self.transit_latency_us(len(payload)) + extra_us)
-        frame = Frame(
-            src=src, dst=dst, payload=payload,
-            timestamp_ns=self.host.clock.timestamp(),
-        )
-        if self.capture_enabled:
-            self._captures.append(frame)
+        arrived_ns = self.host.clock.timestamp()
         self.host.events.emit(
-            self.host.clock.timestamp(), "net.frame",
-            src=src, dst=dst, nbytes=len(payload),
+            arrived_ns, "net.frame", src=src, dst=dst, nbytes=len(payload),
         )
-        receiver = self._endpoints[dst]
-        if receiver.deliver is not None:
-            receiver.deliver(frame)
+        # A Frame exists only for whoever looks at one: the on-path
+        # capture and a receiver's deliver hook.
+        deliver = self._endpoints[dst].deliver
+        if self.capture_enabled or deliver is not None:
+            frame = Frame(src=src, dst=dst, payload=payload, timestamp_ns=arrived_ns)
+            if self.capture_enabled:
+                self._captures.append(frame)
+            if deliver is not None:
+                deliver(frame)
 
     # ------------------------------------------------------------- capture
 

@@ -21,9 +21,6 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.sim.clock import NS_PER_S
-from repro.sim.events import Event
-
 from repro.gramine.manifest import GramineManifest
 from repro.hw.host import PhysicalHost
 from repro.runtime.base import Runtime, syscall_host_cycles
@@ -77,14 +74,15 @@ class _CompiledProfile:
 
     Holds the original specs (for the per-call fallback paths) plus every
     loop-invariant the fused replay needs: per-spec rounded OCALL cost
-    components with their shared event-detail dicts, aggregate exitless
-    charges, byte totals, per-name stat increments and the per-spec span
-    templates of both flavours.
+    components, the matching shared event-detail dicts, aggregate
+    exitless charges, byte totals, per-name stat increments and the
+    per-spec span templates of both flavours.
     """
 
     __slots__ = (
         "specs",
         "per_spec",
+        "details",
         "name_counts",
         "count",
         "exitless_cycles",
@@ -98,7 +96,8 @@ class _CompiledProfile:
     def __init__(
         self,
         specs: List[Tuple[str, int, int]],
-        per_spec: List[Tuple[int, int, Dict[str, Any]]],
+        per_spec: List[Tuple[int, int]],
+        details: List[Dict[str, Any]],
         name_counts: Tuple[Tuple[str, int], ...],
         exitless_cycles: int,
         exitless_ns: int,
@@ -109,6 +108,7 @@ class _CompiledProfile:
     ) -> None:
         self.specs = specs
         self.per_spec = per_spec
+        self.details = details
         self.name_counts = name_counts
         self.count = len(specs)
         self.exitless_cycles = exitless_cycles
@@ -156,6 +156,12 @@ class GramineEnclaveRuntime(Runtime):
         # plus the hot RNG streams resolved once instead of per syscall.
         self._spec_costs: Dict[Tuple[str, int, int], _SpecCost] = {}
         self._transition_stream = host.rng.stream(f"{enclave.build.name}.transition")
+        # ns of every cycle count a drawn (EENTER, EEXIT) pair can split
+        # into, as Cpu.round_cycle_cost rounds it: one lookup per
+        # conversion in the replay loop, shared by all enclaves.
+        self._transition_ns = host.cpu.cycle_ns_table(
+            *enclave.cost_model.transition_cycle_bounds
+        )
         # Shared event-detail dicts (one per syscall name) for the fused
         # batch path: every sgx.ocall event of a spec carries the same
         # {"enclave": ..., "syscall": ...} payload, so one frozen dict per
@@ -404,7 +410,8 @@ class GramineEnclaveRuntime(Runtime):
         spec_costs = self._spec_costs
         event_details = self._event_details
         enclave_name = self.enclave.build.name
-        per_spec: List[Tuple[int, int, Dict[str, Any]]] = []
+        per_spec: List[Tuple[int, int]] = []
+        details: List[Dict[str, Any]] = []
         ocall_spans: List[Tuple[str, int, Dict[str, Any]]] = []
         exitless_spans: List[Tuple[str, int, Dict[str, Any]]] = []
         name_counts: Dict[str, int] = {}
@@ -422,7 +429,8 @@ class GramineEnclaveRuntime(Runtime):
                 detail = event_details[name] = {
                     "enclave": enclave_name, "syscall": name,
                 }
-            per_spec.append((cost.ocall_cycles, cost.ocall_ns, detail))
+            per_spec.append((cost.ocall_cycles, cost.ocall_ns))
+            details.append(detail)
             ocall_spans.append(cost.ocall_span)
             exitless_spans.append(cost.exitless_span)
             exitless_cycles += cost.exitless_cycles
@@ -433,6 +441,7 @@ class GramineEnclaveRuntime(Runtime):
         return _CompiledProfile(
             specs,
             per_spec,
+            details,
             tuple(name_counts.items()),
             exitless_cycles,
             exitless_ns,
@@ -451,12 +460,15 @@ class GramineEnclaveRuntime(Runtime):
         — every RNG draw, event timestamp, stat total and the final
         clock value are bit-identical to the per-call sequence.
 
-        Being traced does not change that: under an open span the replay
-        hands the tracer one *burst* — the profile's span templates plus
-        the running end offset of each call — which ``obs.trace`` turns
-        into the per-call ``sgx.ocall`` leaves only if somebody reads
-        them.  The fusion is only valid while ``_epc_pressure`` is inert
-        (see :meth:`_pressure_regimes`); under pressure, and for OCALLs
+        The per-call records are booked the same way, armed or not: the
+        one loop keeps only the running end offset of each call, and
+        that list goes to the event log as one *burst* beside the
+        profile's shared detail dicts (``EventLog.emit_burst``) and,
+        under an open span, to the tracer beside the profile's span
+        templates (``Tracer.ocall_burst``).  Either side builds its
+        ``sgx.ocall`` events / leaves only if somebody reads them.  The
+        fusion is only valid while ``_epc_pressure`` is inert (see
+        :meth:`_pressure_regimes`); under pressure, and for OCALLs
         outside any span (which are trace roots, not leaves), this is
         the exact per-call path.
         """
@@ -495,48 +507,22 @@ class GramineEnclaveRuntime(Runtime):
         random_ = self._transition_stream.random
         pair_min = model.transition_pair_min_cycles
         pair_span = model.transition_pair_max_cycles - pair_min
-        hz = cpu.spec.frequency_hz
-        events = host.events
-        base_ns = host.clock.now_ns
+        ns_of = self._transition_ns
         acc_cycles = 0
         acc_ns = 0
-
-        append_raw = events.bulk_appender(count) if tracer is None else None
-        if append_raw is not None:
-            # No trim can fire this batch: append Events directly and
-            # settle the category index once for the whole profile.
-            for cyc, ns, detail in profile.per_spec:
-                total = pair_min + pair_span * random_()
-                eenter = int(total * 0.55)
-                eexit = int(total * 0.45)
-                acc_cycles += cyc + eenter + eexit
-                acc_ns += (
-                    ns
-                    + int(round(eenter * NS_PER_S / hz))
-                    + int(round(eexit * NS_PER_S / hz))
-                )
-                append_raw(Event(base_ns + acc_ns, "sgx.ocall", detail))
-            events.bump_count("sgx.ocall", count)
-        else:
-            # The general loop: trim-exact emits, and the running end
-            # offsets a tracer's burst is rebuilt from.
-            emit_shared = events.emit_shared
-            ends: List[int] = []
-            record_end = ends.append
-            for cyc, ns, detail in profile.per_spec:
-                total = pair_min + pair_span * random_()
-                eenter = int(total * 0.55)
-                eexit = int(total * 0.45)
-                acc_cycles += cyc + eenter + eexit
-                acc_ns += (
-                    ns
-                    + int(round(eenter * NS_PER_S / hz))
-                    + int(round(eexit * NS_PER_S / hz))
-                )
-                emit_shared(base_ns + acc_ns, "sgx.ocall", detail)
-                record_end(acc_ns)
-            if tracer is not None:
-                tracer.ocall_burst(profile.ocall_spans, ends)
+        # One list serves both bursts; neither side mutates it.
+        ends: List[int] = []
+        record_end = ends.append
+        for cyc, ns in profile.per_spec:
+            total = pair_min + pair_span * random_()
+            eenter = int(total * 0.55)
+            eexit = int(total * 0.45)
+            acc_cycles += cyc + eenter + eexit
+            acc_ns += ns + ns_of[eenter] + ns_of[eexit]
+            record_end(acc_ns)
+        host.events.emit_burst("sgx.ocall", profile.details, host.clock.now_ns, ends)
+        if tracer is not None:
+            tracer.ocall_burst(profile.ocall_spans, ends)
 
         cpu.spend_preconverted(acc_cycles, acc_ns)
         stats.eexits += count

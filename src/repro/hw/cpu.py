@@ -8,6 +8,8 @@ converted to simulated nanoseconds through the CPU's clock frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional, Tuple
 
 from repro.sim.clock import NS_PER_S, SimClock
 
@@ -35,6 +37,16 @@ XEON_SILVER_4314 = CpuSpec(
     sgx_version=2,
     max_epc_bytes=8 * 1024**3,
 )
+
+
+@lru_cache(maxsize=8)
+def _cycle_ns_table(
+    frequency_hz: float, lo: int, hi: int
+) -> Tuple[Optional[int], ...]:
+    """See :meth:`Cpu.cycle_ns_table`; built once per process."""
+    return (None,) * lo + tuple(
+        [int(round(cycles * NS_PER_S / frequency_hz)) for cycles in range(lo, hi + 1)]
+    )
 
 
 class Cpu:
@@ -71,6 +83,19 @@ class Cpu:
         fused charge is bit-identical to the unfused call sequence.
         """
         return int(cycles), int(round(cycles * NS_PER_S / self.spec.frequency_hz))
+
+    def cycle_ns_table(self, lo: int, hi: int) -> Tuple[Optional[int], ...]:
+        """``table[c] == round_cycle_cost(c)[1]`` for every integer cycle
+        count ``lo <= c <= hi`` (``None`` below ``lo``, nothing above
+        ``hi``, so a draw outside the domain fails loudly).
+
+        For loops that convert thousands of small integer charges drawn
+        from a known band: each entry is computed once by the very
+        expression :meth:`round_cycle_cost` evaluates, so a lookup is
+        that call's result, not an approximation of it.  Cached per
+        ``(frequency, lo, hi)`` and shared by every CPU of that spec.
+        """
+        return _cycle_ns_table(self.spec.frequency_hz, lo, hi)
 
     def spend_preconverted(self, cycles_int: int, ns: int) -> None:
         """Apply pre-rounded increments from :meth:`round_cycle_cost` sums."""

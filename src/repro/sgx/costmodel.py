@@ -47,6 +47,15 @@ class SgxCostModel:
     # Memory Encryption Engine penalty on in-enclave, memory-bound compute.
     epc_compute_penalty: float = 1.10
 
+    @property
+    def transition_cycle_bounds(self) -> "tuple[int, int]":
+        """The smallest EEXIT and the largest EENTER cycle cost a drawn
+        pair can split into — the domain of a per-frequency ns table."""
+        return (
+            int(self.transition_pair_min_cycles * 0.45),
+            int(self.transition_pair_max_cycles * 0.55),
+        )
+
     def draw_transition_pair(self, rng: RngService, stream: str) -> "tuple[int, int]":
         """Sample an (EENTER, EEXIT) cycle cost pair from the 10k–18k band."""
         return self.draw_transition_pair_from(rng.stream(stream))

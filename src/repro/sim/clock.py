@@ -9,9 +9,8 @@ same RNG seed.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, List
+from typing import List, Optional
 
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
@@ -32,10 +31,34 @@ class MeasurementNestingError(RuntimeError):
 
 @dataclass
 class TimeSpan:
-    """A measured interval of simulated time, in nanoseconds."""
+    """A measured interval of simulated time, in nanoseconds.
+
+    The span :meth:`SimClock.measure` returns is its own context manager:
+    it is open (and on the clock's stack) from that call until the
+    ``with`` block it heads exits, normally or by exception.
+    """
 
     start_ns: int
     end_ns: int
+    clock: Optional["SimClock"] = field(default=None, repr=False, compare=False)
+
+    def __enter__(self) -> "TimeSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        clock = self.clock
+        self.end_ns = clock.now_ns
+        # Measurements nest (with-blocks), so the span being closed is
+        # always the most recently opened one: pop O(1) instead of an
+        # O(n) List.remove scan.
+        stack = clock._open_measurements
+        popped = stack.pop() if stack else None
+        if popped is not self:
+            raise MeasurementNestingError(
+                "measure() spans must close LIFO: closing "
+                f"[{self.start_ns}, ...] but the innermost open span is "
+                f"{popped!r}"
+            )
 
     @property
     def ns(self) -> int:
@@ -81,40 +104,43 @@ class SimClock:
             raise ValueError(f"cannot advance clock by negative time: {ns}")
         self.now_ns += int(ns)
 
+    # The unit helpers are the innermost frame of every simulated charge,
+    # so each checks its own bounds and adds to ``now_ns`` itself instead
+    # of hopping through :meth:`advance`.
+
     def advance_cycles(self, cycles: float, hz: float) -> None:
         """Advance by the wall time of ``cycles`` CPU cycles at ``hz``."""
         if hz <= 0:
             raise ValueError(f"clock frequency must be positive: {hz}")
-        self.advance(int(round(cycles * NS_PER_S / hz)))
+        ns = int(round(cycles * NS_PER_S / hz))
+        if ns < 0:
+            raise ValueError(f"cannot advance clock by negative time: {ns}")
+        self.now_ns += ns
 
     def advance_us(self, us: float) -> None:
-        self.advance(int(round(us * NS_PER_US)))
+        ns = int(round(us * NS_PER_US))
+        if ns < 0:
+            raise ValueError(f"cannot advance clock by negative time: {ns}")
+        self.now_ns += ns
 
     def advance_ms(self, ms: float) -> None:
-        self.advance(int(round(ms * NS_PER_MS)))
+        ns = int(round(ms * NS_PER_MS))
+        if ns < 0:
+            raise ValueError(f"cannot advance clock by negative time: {ns}")
+        self.now_ns += ns
 
     def advance_s(self, seconds: float) -> None:
-        self.advance(int(round(seconds * NS_PER_S)))
+        ns = int(round(seconds * NS_PER_S))
+        if ns < 0:
+            raise ValueError(f"cannot advance clock by negative time: {ns}")
+        self.now_ns += ns
 
-    @contextmanager
-    def measure(self) -> Iterator[TimeSpan]:
+    def measure(self) -> TimeSpan:
         """Measure the simulated time spent inside the ``with`` block."""
-        span = TimeSpan(start_ns=self.now_ns, end_ns=self.now_ns)
+        now_ns = self.now_ns
+        span = TimeSpan(now_ns, now_ns, self)
         self._open_measurements.append(span)
-        try:
-            yield span
-        finally:
-            span.end_ns = self.now_ns
-            # Measurements nest (with-blocks), so the span being closed is
-            # always the most recently opened one: pop O(1) instead of an
-            # O(n) List.remove scan.
-            popped = self._open_measurements.pop() if self._open_measurements else None
-            if popped is not span:
-                raise MeasurementNestingError(
-                    "measure() spans must close LIFO: closing "
-                    f"[{span.start_ns}, ...] but the innermost open span is "
-                    f"{popped!r}"
-                )
+        return span
 
     def timestamp(self) -> int:
         """Current simulated time in nanoseconds since simulation start."""

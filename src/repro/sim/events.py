@@ -6,22 +6,45 @@ protocol messages.  Components append :class:`Event` records; consumers
 filter by category.
 
 The log sits on the simulator's hottest path (one ``sgx.ocall`` event per
-simulated syscall in SGX mode), so the implementation is tuned for cheap
-appends at campaign scale:
+simulated syscall in SGX mode) and is read far less often than it is
+written, so booking an event must cost less than the work it books:
 
 * :class:`Event` is a ``__slots__`` class — no per-instance ``__dict__``
   and no ``dataclass`` ``object.__setattr__`` machinery on construction,
-* events live in a :class:`collections.deque`, so the optional capacity
+* entries live in a :class:`collections.deque`, so the optional capacity
   trim is an O(1)-amortised ``popleft`` ring instead of a list-slice copy
   of the surviving half on every overflow,
-* a per-category count index makes :meth:`count` O(distinct categories)
-  and lets :meth:`select` skip scanning when nothing matches.
+* a replay that books many events of one category hands them over as one
+  *burst* (:meth:`EventLog.emit_burst`): a single ring entry standing for
+  all of them, turned into ordinary :class:`Event` objects only when
+  somebody iterates or selects — a campaign that never reads its
+  ``sgx.ocall`` events never builds them,
+* the live event total and a per-category count index are maintained on
+  every append and trim, so ``len()`` and :meth:`EventLog.count` never
+  look at the ring and :meth:`EventLog.select` skips entries (whole
+  bursts included) that cannot match.
+
+The burst contract
+------------------
+``emit_burst(category, details, base_ns, ends)`` is, by definition, the
+loop ``for detail, end in zip(details, ends): emit_shared(base_ns + end,
+category, detail)``.  The log keeps *references* to ``details`` (the
+caller's per-event detail dicts, shared across bursts and frozen after
+the first emit, as for :meth:`EventLog.emit_shared`) and to ``ends`` (the
+caller may hand the same list to ``Tracer.ocall_burst``; neither side
+mutates it).  Expansion is non-destructive: every read builds equal
+events afresh.  The capacity trim drops the oldest half of the *events*,
+so it can pop a burst whole or advance its ``start`` offset part-way.  A
+burst that could push the log across ``capacity`` — where the per-event
+loop would trim somewhere in its middle — is not stored as a burst at
+all but emitted event by event, which is what keeps the ring contents
+exactly the per-event sequence at every capacity.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Union
 
 
 class Event:
@@ -66,33 +89,47 @@ class Event:
         return hash((self.timestamp_ns, self.category))
 
 
+class _Burst:
+    """One ring entry standing for the events ``start..len(ends)`` of an
+    :meth:`EventLog.emit_burst` call (see the module docstring)."""
+
+    __slots__ = ("category", "details", "base_ns", "ends", "start")
+
+    def __init__(
+        self,
+        category: str,
+        details: Sequence[Dict[str, Any]],
+        base_ns: int,
+        ends: Sequence[int],
+    ) -> None:
+        self.category = category
+        self.details = details
+        self.base_ns = base_ns
+        self.ends = ends
+        self.start = 0  # events before this offset were trimmed away
+
+    def events(self) -> List[Event]:
+        category, base_ns, start = self.category, self.base_ns, self.start
+        return [
+            Event(base_ns + end, category, detail)
+            for detail, end in zip(self.details[start:], self.ends[start:])
+        ]
+
+
 class EventLog:
     """Append-only event trace with category filtering."""
 
     def __init__(self, capacity: Optional[int] = None) -> None:
-        self._events: Deque[Event] = deque()
+        self._entries: Deque[Union[Event, _Burst]] = deque()
         self._capacity = capacity
-        # Live event count per exact category; kept in lockstep with the
-        # deque so prefix counts never rescan the log.
+        # Live events (a burst counts for each event it still holds) in
+        # total and per exact category; kept in lockstep with the ring so
+        # len() and prefix counts never rescan it.
+        self._size = 0
         self._counts: Dict[str, int] = {}
 
     def emit(self, timestamp_ns: int, category: str, **detail: Any) -> Event:
-        event = Event(timestamp_ns, category, detail)
-        events = self._events
-        events.append(event)
-        counts = self._counts
-        counts[category] = counts.get(category, 0) + 1
-        if self._capacity is not None and len(events) > self._capacity:
-            # Drop the oldest half; the log is diagnostics, not ground truth.
-            popleft = events.popleft
-            for _ in range(len(events) // 2):
-                old_category = popleft().category
-                remaining = counts[old_category] - 1
-                if remaining:
-                    counts[old_category] = remaining
-                else:
-                    del counts[old_category]
-        return event
+        return self.emit_shared(timestamp_ns, category, detail)
 
     def emit_shared(
         self, timestamp_ns: int, category: str, detail: Dict[str, Any]
@@ -100,56 +137,75 @@ class EventLog:
         """Append an event whose ``detail`` dict is *shared* with the caller.
 
         Semantics match :meth:`emit` except the dict is stored by
-        reference instead of being built from kwargs — hot emitters (the
-        fused Gramine OCALL batch) keep one dict per syscall spec and
-        reuse it across millions of events.  Callers must treat the dict
-        as frozen after the first emit.
+        reference instead of being built from kwargs — hot emitters keep
+        one dict per syscall spec and reuse it across millions of
+        events.  Callers must treat the dict as frozen after the first
+        emit.
         """
         event = Event(timestamp_ns, category, detail)
-        events = self._events
-        events.append(event)
+        self._entries.append(event)
         counts = self._counts
         counts[category] = counts.get(category, 0) + 1
-        if self._capacity is not None and len(events) > self._capacity:
-            popleft = events.popleft
-            for _ in range(len(events) // 2):
-                old_category = popleft().category
-                remaining = counts[old_category] - 1
-                if remaining:
-                    counts[old_category] = remaining
-                else:
-                    del counts[old_category]
+        size = self._size = self._size + 1
+        if self._capacity is not None and size > self._capacity:
+            # Drop the oldest half; the log is diagnostics, not ground truth.
+            self._drop_oldest(size // 2)
         return event
 
-    def bulk_appender(self, n: int):
-        """The deque's bound ``append`` when ``n`` appends cannot trim.
+    def emit_burst(
+        self,
+        category: str,
+        details: Sequence[Dict[str, Any]],
+        base_ns: int,
+        ends: Sequence[int],
+    ) -> None:
+        """Book ``len(ends)`` events of one category as a single entry.
 
-        Hot fused emitters (the Gramine OCALL batch) construct
-        :class:`Event` objects themselves and append them directly,
-        settling the category index once per batch via :meth:`bump_count`.
-        That is exact whenever the batch cannot trigger a capacity trim —
-        always for an unbounded log, and for a bounded one whenever the
-        ``n`` new events still fit under the bound (the common case: the
-        log only crosses its bound once per ~capacity/2 events).  When a
-        trim could fire mid-batch, returns ``None`` and callers fall back
-        to :meth:`emit_shared` per event, which keeps the trim bookkeeping
-        bit-exact.
+        Equivalent to :meth:`emit_shared` ``(base_ns + ends[i], category,
+        details[i])`` for each ``i`` in order; see the module docstring
+        for what the log keeps and when it falls back to exactly that
+        loop.
         """
-        capacity = self._capacity
-        if capacity is None or len(self._events) + n <= capacity:
-            return self._events.append
-        return None
+        n = len(ends)
+        if self._capacity is not None and self._size + n > self._capacity:
+            emit_shared = self.emit_shared
+            for detail, end in zip(details, ends):
+                emit_shared(base_ns + end, category, detail)
+        elif n:
+            self._entries.append(_Burst(category, details, base_ns, ends))
+            counts = self._counts
+            counts[category] = counts.get(category, 0) + n
+            self._size += n
 
-    def bump_count(self, category: str, n: int) -> None:
-        """Settle the category index after ``n`` :meth:`bulk_appender` appends."""
+    def _drop_oldest(self, n: int) -> None:
+        entries = self._entries
         counts = self._counts
-        counts[category] = counts.get(category, 0) + n
+        self._size -= n
+        while n:
+            head = entries[0]
+            dropped = 1 if head.__class__ is Event else len(head.ends) - head.start
+            if dropped <= n:
+                entries.popleft()
+            else:
+                # Only part of a burst goes: it stays, starting later.
+                dropped = n
+                head.start += n
+            n -= dropped
+            remaining = counts[head.category] - dropped
+            if remaining:
+                counts[head.category] = remaining
+            else:
+                del counts[head.category]
 
     def __len__(self) -> int:
-        return len(self._events)
+        return self._size
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
+        for entry in self._entries:
+            if entry.__class__ is Event:
+                yield entry
+            else:
+                yield from entry.events()
 
     def _count_matching(self, prefix: str, dotted: str) -> int:
         return sum(
@@ -161,15 +217,22 @@ class EventLog:
     def select(self, prefix: str) -> List[Event]:
         """All events whose category equals or starts with ``prefix.``."""
         dotted = prefix + "."
+        selected: List[Event] = []
         if not self._count_matching(prefix, dotted):
-            return []
-        return [
-            e for e in self._events if e.category == prefix or e.category.startswith(dotted)
-        ]
+            return selected
+        for entry in self._entries:
+            category = entry.category
+            if category == prefix or category.startswith(dotted):
+                if entry.__class__ is Event:
+                    selected.append(entry)
+                else:
+                    selected.extend(entry.events())
+        return selected
 
     def count(self, prefix: str) -> int:
         return self._count_matching(prefix, prefix + ".")
 
     def clear(self) -> None:
-        self._events.clear()
+        self._entries.clear()
         self._counts.clear()
+        self._size = 0

@@ -22,15 +22,25 @@ class RngService:
 
     def stream(self, name: str) -> random.Random:
         """Return the stream for ``name``, creating it deterministically."""
-        if name not in self._streams:
+        try:
+            return self._streams[name]
+        except KeyError:
             digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
-            self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
-        return self._streams[name]
+            stream = self._streams[name] = random.Random(
+                int.from_bytes(digest[:8], "big")
+            )
+            return stream
 
     def randbytes(self, name: str, n: int) -> bytes:
         """Draw ``n`` random bytes from the named stream."""
-        stream = self.stream(name)
-        return bytes(stream.getrandbits(8) for _ in range(n))
+        if n <= 0:
+            return b""
+        # ``getrandbits(8)`` is the top byte of one 32-bit Mersenne word,
+        # and ``getrandbits(32 * n)`` is ``n`` whole words, first word
+        # lowest: byte 3 of every little-endian word is the per-byte
+        # sequence, drawn in one call with the stream left where ``n``
+        # single draws would leave it.
+        return self.stream(name).getrandbits(32 * n).to_bytes(4 * n, "little")[3::4]
 
     def jitter(self, name: str, mean: float, rel_sigma: float = 0.03) -> float:
         """A positive gaussian jitter multiplier sample around ``mean``.

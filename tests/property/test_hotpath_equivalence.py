@@ -9,10 +9,17 @@ instead of the ladder.  Each rewrite must be **byte-for-byte** identical
 to the scalar form — these tests pin that by re-deriving every output the
 slow, literal way (per-block encryptions, spec-order rotations, ``json``
 itself, the Montgomery ladder) and comparing exact bytes.
+
+The simulator's own bookkeeping is held to the same rule (last section):
+the cycle→ns lookup table against ``Cpu.round_cycle_cost``, one-draw
+``randbytes`` against per-byte draws, and ``measure()`` windows against
+the LIFO contract.  ``EventLog.emit_burst`` against the per-event loop
+lives in ``tests/sim/test_events.py``.
 """
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +37,11 @@ from repro.crypto.suci import (
     x25519,
     x25519_public_key,
 )
+from repro.hw.cpu import XEON_SILVER_4314, Cpu, CpuSpec
 from repro.net.codec import dumps_flat, loads_object
+from repro.sgx.costmodel import SgxCostModel
+from repro.sim.clock import MeasurementNestingError, SimClock
+from repro.sim.rng import RngService
 
 key16 = st.binary(min_size=16, max_size=16)
 block16 = st.binary(min_size=16, max_size=16)
@@ -317,3 +328,106 @@ def test_diffie_hellman_symmetry_through_fixed_base_paths(a, b):
     # other variable-base (the UDM against the ephemeral key).
     assert _x25519_fixed_base(a, b_pub) == x25519(b, a_pub)
     assert _x25519_comb(a, b_pub) == _x25519_ladder(b, a_pub)
+
+
+# --- simulator bookkeeping: table, randbytes, measure() ------------------
+
+
+def _cpu(frequency_hz):
+    spec = CpuSpec("test", frequency_hz, 1, sgx_version=2, max_epc_bytes=1 << 30)
+    return Cpu(spec, SimClock())
+
+
+@pytest.mark.parametrize(
+    "frequency_hz", [XEON_SILVER_4314.frequency_hz, 1.0e9, 3.7e9, 2_893_317_421.7]
+)
+def test_transition_ns_table_is_round_cycle_cost_over_its_whole_domain(frequency_hz):
+    cpu = _cpu(frequency_hz)
+    lo, hi = SgxCostModel().transition_cycle_bounds
+    assert (lo, hi) == (4_500, 9_900)
+    table = cpu.cycle_ns_table(lo, hi)
+    assert len(table) == hi + 1 and table[:lo] == (None,) * lo
+    assert all(table[c] == cpu.round_cycle_cost(c)[1] for c in range(lo, hi + 1))
+    # Built once per (frequency, domain) and shared by every CPU of the spec.
+    assert _cpu(frequency_hz).cycle_ns_table(lo, hi) is table
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction=st.floats(0.0, 1.0, exclude_max=True))
+def test_every_drawn_transition_pair_splits_inside_the_table(fraction):
+    # The replay loop's draw for any random() the stream can return.
+    model = SgxCostModel()
+    lo, hi = model.transition_cycle_bounds
+    pair_min = model.transition_pair_min_cycles
+    total = pair_min + (model.transition_pair_max_cycles - pair_min) * fraction
+    assert lo <= int(total * 0.45) <= int(total * 0.55) <= hi
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.sampled_from((-1, 0, 1, 4, 16, 32, 33, 257)))
+def test_randbytes_is_the_per_byte_draw_sequence(seed, n):
+    fused, scalar = RngService(seed), RngService(seed)
+    stream = scalar.stream("keys")
+    assert fused.randbytes("keys", n) == bytes(
+        stream.getrandbits(8) for _ in range(n)
+    )
+    # ... and leaves the stream where the per-byte draws leave it.
+    assert fused.stream("keys").getstate() == stream.getstate()
+    assert fused.stream("keys") is fused.stream("keys")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    script=st.lists(
+        st.one_of(st.just("open"), st.just("close"), st.integers(0, 5_000)),
+        max_size=40,
+    ),
+    fail_at=st.none() | st.integers(0, 6),
+)
+def test_measure_windows_nest_and_close_on_exception(script, fail_at):
+    # Drive the clock through a random tree of with-blocks against a
+    # hand-kept stack of (start, expected end) pairs; optionally raise
+    # from inside the ``fail_at``-deep block.
+    clock = SimClock()
+    closed = []
+
+    def run(position, depth):
+        while position < len(script):
+            step = script[position]
+            position += 1
+            if step == "open":
+                start = clock.now_ns
+                with clock.measure() as span:
+                    try:
+                        if depth == fail_at:
+                            raise LookupError("inside a window")
+                        position = run(position, depth + 1)
+                    finally:
+                        closed.append((span, start, clock.now_ns))
+            elif step == "close":
+                if depth:
+                    return position
+            else:
+                clock.advance(step)
+        return position
+
+    try:
+        run(0, 0)
+    except LookupError:
+        assert fail_at is not None
+    assert clock._open_measurements == []
+    for span, start, end in closed:
+        assert (span.start_ns, span.end_ns) == (start, end)
+
+
+def test_measure_still_refuses_an_out_of_order_close():
+    clock = SimClock()
+    outer, _inner = clock.measure(), clock.measure()
+    with pytest.raises(MeasurementNestingError, match="LIFO"):
+        outer.__exit__(None, None, None)
+    # A window closed twice is out of order too, not a silent no-op.
+    clock = SimClock()
+    with clock.measure() as span:
+        pass
+    with pytest.raises(MeasurementNestingError):
+        span.__exit__(None, None, None)

@@ -101,9 +101,9 @@ def test_deeply_nested_measurements_close_lifo():
 
 def test_measure_rejects_out_of_order_close():
     # Spans are with-blocks, so they can only close LIFO; closing an
-    # outer generator before its inner one raises a *real* exception —
-    # an assert would vanish under ``python -O`` and silently corrupt
-    # every still-open measurement.
+    # outer span before its inner one raises a *real* exception — an
+    # assert would vanish under ``python -O`` and silently corrupt every
+    # still-open measurement.
     clock = SimClock()
     outer = clock.measure()
     inner = clock.measure()
@@ -111,7 +111,7 @@ def test_measure_rejects_out_of_order_close():
     inner.__enter__()
     with pytest.raises(MeasurementNestingError, match="LIFO"):
         outer.__exit__(None, None, None)
-    # Unwind the abandoned inner span so its generator does not warn at GC.
+    # Unwind the abandoned inner span too.
     with contextlib.suppress(MeasurementNestingError, IndexError):
         inner.__exit__(None, None, None)
 
