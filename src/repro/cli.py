@@ -10,124 +10,185 @@ can regenerate a single figure without touching pytest:
    $ python -m repro table3 --max-ues 10
    $ python -m repro register --isolation sgx
    $ python -m repro list
+
+Every subcommand is one row of :data:`COMMANDS` — name, handler, help,
+argument specs — and :func:`build_parser` registers them all from that
+table; :func:`main` calls the row's handler.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.experiments.harness import ExperimentReport
+from repro.experiments import (
+    ablations,
+    availability,
+    figures,
+    migration,
+    scaling,
+    session_setup,
+    sweeps,
+    tables,
+)
+from repro.experiments.export import report_to_json
+from repro.experiments.harness import ExperimentReport, build_testbed
+from repro.experiments.render import render_report_figures
+from repro.experiments.shard import sharded_campaign
+from repro.experiments.survivability import (
+    DEFENSES,
+    _run_arm,
+    survivability_experiment,
+)
+from repro.obs.analytics import slowest_traces_digest
+from repro.obs.export import registry_to_json, registry_to_prometheus_text
+from repro.obs.profile import profile_registration
+from repro.obs.trace import format_span_tree, span_from_dict
+from repro.paka.deploy import IsolationMode
+from repro.testbed import Testbed
 
-_EXPERIMENTS: Dict[str, str] = {
-    "fig7": "Enclave load time (Fig 7)",
-    "fig8": "Thread/EPC sweep (Fig 8)",
-    "fig9": "Functional/total latency (Fig 9, Table II)",
-    "fig10": "Response times (Fig 10, Table II)",
-    "fig11": "OTA feasibility (Fig 11, Table IV)",
-    "table1": "Enclave I/O contracts (Table I)",
-    "table2": "Consolidated overheads (Table II)",
-    "table3": "SGX statistics (Table III)",
-    "table5": "Key issues (Table V)",
-    "setup": "End-to-end session setup",
-    "ablation-preheat": "Preheat ablation",
-    "ablation-exitless": "Exitless ablation",
-    "ablation-backends": "HMEE backend comparison",
-    "ablation-mtcp": "User-level TCP ablation",
-    "scaling": "Horizontal scaling of P-AKA replicas",
-    "migration": "Slice migration service gap per backend",
-    "availability": "Registration availability under injected faults",
+Args = argparse.Namespace
+
+
+def _registrations(args: Args) -> Dict[str, Any]:
+    return {"registrations": args.registrations}
+
+
+def _registrations_jobs(args: Args) -> Dict[str, Any]:
+    return {"registrations": args.registrations, "jobs": args.jobs}
+
+
+def _no_arguments(args: Args) -> Dict[str, Any]:
+    return {}
+
+
+# name -> (description, experiment, its keyword arguments from the flags)
+_EXPERIMENTS: Dict[
+    str,
+    Tuple[str, Callable[..., ExperimentReport], Callable[[Args], Dict[str, Any]]],
+] = {
+    "fig7": (
+        "Enclave load time (Fig 7)", figures.figure7_enclave_load_time,
+        lambda args: {"iterations": args.iterations},
+    ),
+    "fig8": (
+        "Thread/EPC sweep (Fig 8)", sweeps.figure8_threads_epc_sweep,
+        _registrations_jobs,
+    ),
+    "fig9": (
+        "Functional/total latency (Fig 9, Table II)",
+        figures.figure9_functional_total_latency, _registrations_jobs,
+    ),
+    "fig10": (
+        "Response times (Fig 10, Table II)", figures.figure10_response_time,
+        _registrations_jobs,
+    ),
+    "fig11": (
+        "OTA feasibility (Fig 11, Table IV)", figures.figure11_ota_feasibility,
+        _no_arguments,
+    ),
+    "table1": (
+        "Enclave I/O contracts (Table I)", tables.table1_enclave_io,
+        _no_arguments,
+    ),
+    "table2": (
+        "Consolidated overheads (Table II)", tables.table2_overheads,
+        _registrations,
+    ),
+    "table3": (
+        "SGX statistics (Table III)", tables.table3_sgx_stats,
+        lambda args: {"max_ues": args.max_ues, "iterations": args.iterations},
+    ),
+    "table5": ("Key issues (Table V)", tables.table5_key_issues, _no_arguments),
+    "setup": (
+        "End-to-end session setup", session_setup.session_setup_experiment,
+        _registrations,
+    ),
+    "ablation-preheat": (
+        "Preheat ablation", ablations.preheat_ablation, _registrations_jobs,
+    ),
+    "ablation-exitless": (
+        "Exitless ablation", ablations.exitless_ablation, _registrations_jobs,
+    ),
+    "ablation-backends": (
+        "HMEE backend comparison", ablations.hmee_backend_comparison,
+        _registrations_jobs,
+    ),
+    "ablation-mtcp": (
+        "User-level TCP ablation", ablations.userlevel_tcp_ablation,
+        lambda args: {"requests": max(40, args.registrations)},
+    ),
+    "scaling": (
+        "Horizontal scaling of P-AKA replicas",
+        scaling.horizontal_scaling_experiment,
+        lambda args: {"requests_per_replica": max(15, args.registrations // 4)},
+    ),
+    "migration": (
+        "Slice migration service gap per backend",
+        migration.migration_experiment, _no_arguments,
+    ),
+    "availability": (
+        "Registration availability under injected faults",
+        availability.availability_experiment,
+        lambda args: {"registrations": max(40, args.registrations)},
+    ),
 }
 
 
-def _run_experiment(name: str, args: argparse.Namespace) -> ExperimentReport:
-    n = args.registrations
-    jobs = getattr(args, "jobs", 1)
-    if name == "fig7":
-        from repro.experiments.figures import figure7_enclave_load_time
-
-        return figure7_enclave_load_time(iterations=args.iterations)
-    if name == "fig8":
-        from repro.experiments.sweeps import figure8_threads_epc_sweep
-
-        return figure8_threads_epc_sweep(registrations=n, jobs=jobs)
-    if name == "fig9":
-        from repro.experiments.figures import figure9_functional_total_latency
-
-        return figure9_functional_total_latency(registrations=n, jobs=jobs)
-    if name == "fig10":
-        from repro.experiments.figures import figure10_response_time
-
-        return figure10_response_time(registrations=n, jobs=jobs)
-    if name == "fig11":
-        from repro.experiments.figures import figure11_ota_feasibility
-
-        return figure11_ota_feasibility()
-    if name == "table1":
-        from repro.experiments.tables import table1_enclave_io
-
-        return table1_enclave_io()
-    if name == "table2":
-        from repro.experiments.tables import table2_overheads
-
-        return table2_overheads(registrations=n)
-    if name == "table3":
-        from repro.experiments.tables import table3_sgx_stats
-
-        return table3_sgx_stats(max_ues=args.max_ues, iterations=args.iterations)
-    if name == "table5":
-        from repro.experiments.tables import table5_key_issues
-
-        return table5_key_issues()
-    if name == "setup":
-        from repro.experiments.session_setup import session_setup_experiment
-
-        return session_setup_experiment(registrations=n)
-    if name == "ablation-preheat":
-        from repro.experiments.ablations import preheat_ablation
-
-        return preheat_ablation(registrations=n, jobs=jobs)
-    if name == "ablation-exitless":
-        from repro.experiments.ablations import exitless_ablation
-
-        return exitless_ablation(registrations=n, jobs=jobs)
-    if name == "ablation-backends":
-        from repro.experiments.ablations import hmee_backend_comparison
-
-        return hmee_backend_comparison(registrations=n, jobs=jobs)
-    if name == "ablation-mtcp":
-        from repro.experiments.ablations import userlevel_tcp_ablation
-
-        return userlevel_tcp_ablation(requests=max(40, n))
-    if name == "scaling":
-        from repro.experiments.scaling import horizontal_scaling_experiment
-
-        return horizontal_scaling_experiment(requests_per_replica=max(15, n // 4))
-    if name == "migration":
-        from repro.experiments.migration import migration_experiment
-
-        return migration_experiment()
-    if name == "availability":
-        from repro.experiments.availability import availability_experiment
-
-        return availability_experiment(registrations=max(40, n))
-    raise KeyError(name)
+def _print_report(report: ExperimentReport, as_json: bool) -> int:
+    print(report_to_json(report) if as_json else report.format())
+    if not report.all_checks_ok:
+        for check in report.failed_checks():
+            print("  FAILED " + check.format(), file=sys.stderr)
+        return 1
+    return 0
 
 
-def _cmd_list(_: argparse.Namespace) -> int:
+def _testbed(args: Args, warmup: int) -> Testbed:
+    """The ``--isolation`` / ``--seed`` testbed, ``warmup`` registrations in."""
+    isolation = (
+        None if args.isolation == "monolithic" else IsolationMode(args.isolation)
+    )
+    testbed = build_testbed(isolation, seed=args.seed)
+    for _ in range(warmup):
+        testbed.register(testbed.add_subscriber())
+    return testbed
+
+
+def _outcome_payload(outcome: Any) -> Dict[str, Any]:
+    return {
+        "success": outcome.success,
+        "session_setup_ms": outcome.session_setup_ms,
+        "nas_exchanges": outcome.nas_exchanges,
+    }
+
+
+def _cmd_list(_: Args) -> int:
     width = max(len(name) for name in _EXPERIMENTS)
-    for name, description in _EXPERIMENTS.items():
+    for name, (description, _run, _kwargs) in _EXPERIMENTS.items():
         print(f"  {name:<{width}}  {description}")
     return 0
 
 
-def _cmd_register(args: argparse.Namespace) -> int:
-    from repro.paka.deploy import IsolationMode
-    from repro.testbed import Testbed, TestbedConfig
+def _cmd_experiment(args: Args) -> int:
+    _description, experiment, kwargs = _EXPERIMENTS[args.command]
+    report = experiment(**kwargs(args))
+    print(report.format())
+    if report.series and args.plot:
+        print()
+        print(render_report_figures(report))
+    if not report.all_checks_ok:
+        print("\nFAILED paper-shape checks:", file=sys.stderr)
+        for check in report.failed_checks():
+            print("  " + check.format(), file=sys.stderr)
+        return 1
+    return 0
 
-    isolation = None if args.isolation == "monolithic" else IsolationMode(args.isolation)
-    testbed = Testbed.build(TestbedConfig(isolation=isolation, seed=args.seed))
+
+def _cmd_register(args: Args) -> int:
+    testbed = _testbed(args, warmup=0)
     successes = 0
     for _ in range(args.count):
         ue = testbed.add_subscriber()
@@ -145,27 +206,13 @@ def _cmd_register(args: argparse.Namespace) -> int:
     return 0 if successes == args.count else 1
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: Args) -> int:
     """Trace one registration and print the span tree + breakdown."""
-    import json
-
-    from repro.obs.trace import format_span_tree
-    from repro.paka.deploy import IsolationMode
-    from repro.testbed import Testbed, TestbedConfig
-
-    isolation = None if args.isolation == "monolithic" else IsolationMode(args.isolation)
-    testbed = Testbed.build(TestbedConfig(isolation=isolation, seed=args.seed))
-    for _ in range(args.warmup):
-        testbed.register(testbed.add_subscriber())
-    trace = testbed.trace_registration()
+    trace = _testbed(args, args.warmup).trace_registration()
     if args.json:
         payload = {
             "schema": 1,
-            "outcome": {
-                "success": trace.outcome.success,
-                "session_setup_ms": trace.outcome.session_setup_ms,
-                "nas_exchanges": trace.outcome.nas_exchanges,
-            },
+            "outcome": _outcome_payload(trace.outcome),
             "breakdown": trace.breakdown,
             "stats_delta": {
                 name: {
@@ -184,11 +231,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if trace.breakdown:
         print()
         print("Per-module decomposition (Fig 9 / Table II / Table III):")
-        header = (
+        print(
             f"  {'module':<8} {'L_F us':>9} {'L_T us':>9} {'L_N us':>9} "
             f"{'R us':>9} {'EENTER':>7} {'EEXIT':>7}"
         )
-        print(header)
         for module, row in trace.breakdown.items():
             print(
                 f"  {module:<8} {row['lf_us']:>9.2f} {row['lt_us']:>9.2f} "
@@ -198,152 +244,61 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0 if trace.outcome.success else 1
 
 
-def _metrics_selftest() -> int:
-    """Round-trip self-check used by CI: exporters must parse back."""
-    from repro.obs.export import (
-        parse_prometheus_text,
-        registry_from_dict,
-        registry_to_dict,
-        registry_to_json,
-        registry_to_prometheus_text,
-    )
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    registry.counter("selftest_requests_total", server="eamf-paka-srv-0").inc(42)
-    registry.gauge("selftest_open", nf="amf").set(1.0)
-    histogram = registry.histogram("selftest_latency_us", component="eudm")
-    for value in (10.0, 20.0, 30.0, 40.0):
-        histogram.observe(value)
-
-    rebuilt = registry_from_dict(registry_to_dict(registry))
-    if registry_to_json(rebuilt) != registry_to_json(registry):
-        print("selftest FAILED: JSON round-trip mismatch", file=sys.stderr)
-        return 1
-    samples = parse_prometheus_text(registry_to_prometheus_text(registry))
-    key = ("selftest_requests_total", (("server", "eamf-paka-srv-0"),))
-    if samples.get(key) != 42.0:
-        print("selftest FAILED: Prometheus round-trip mismatch", file=sys.stderr)
-        return 1
-    print("metrics selftest OK "
-          f"({len(registry)} metrics, {len(samples)} Prometheus samples)")
-    return 0
-
-
-def _monitor_selftest() -> int:
-    """Scraper/Tsdb/SLO self-check used by CI: no testbed, pure sim time.
-
-    Drives a synthetic producer through a stall window and asserts the
-    burn-rate alert fires during the outage, resolves after it, and that
-    the whole pipeline is deterministic (bit-identical on re-run).
-    """
-    import json
-
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.scrape import Scraper
-    from repro.obs.slo import BurnRateWindow, RatioSlo, SloEngine, ThresholdSlo
-    from repro.obs.tsdb import NS_PER_S
-    from repro.sim.clock import SimClock
-
-    def run_once():
-        clock = SimClock()
-        state = {"total": 0, "good": 0, "latencies": []}
-
-        def collect() -> MetricsRegistry:
-            registry = MetricsRegistry()
-            registry.counter("selftest_total").set(state["total"])
-            registry.counter("selftest_good").set(state["good"])
-            histogram = registry.histogram("selftest_latency_us")
-            for value in state["latencies"]:
-                histogram.observe(value)
-            return registry
-
-        scraper = Scraper(clock, collect, cadence_s=1.0)
-
-        class _Host:
-            monitor = None
-
-        host = _Host()
-        scraper.install(host)
-        # 120 simulated seconds: one op per second; ops fail (and slow
-        # down 10x) during the [40 s, 80 s) stall window.
-        for second in range(1, 121):
-            clock.advance_s(1.0)
-            stalled = 40 <= second < 80
-            state["total"] += 1
-            state["good"] += 0 if stalled else 1
-            state["latencies"].append(500.0 if stalled else 50.0)
-            scraper.tick()
-        scraper.uninstall(host)
-
-        slos = [
-            RatioSlo(
-                "selftest-success",
-                good=("selftest_good", {}),
-                total=("selftest_total", {}),
-                objective=0.99,
-                windows=(BurnRateWindow("fast", 60.0, 15.0, 4.0),),
-            ),
-            ThresholdSlo(
-                "selftest-latency",
-                basename="selftest_latency_us",
-                labels={},
-                limit_us=100.0,
-                windows=(BurnRateWindow("fast", 30.0, 10.0, 1.5),),
-            ),
-        ]
-        alerts = SloEngine(slos).evaluate(scraper.tsdb)
-        return scraper, alerts
-
-    scraper, alerts = run_once()
-    by_slo = {}
-    for alert in alerts:
-        by_slo.setdefault(alert.slo, []).append(alert)
-    failures = []
-    for slo_name in ("selftest-success", "selftest-latency"):
-        fired = by_slo.get(slo_name, [])
-        if not fired:
-            failures.append(f"{slo_name}: no alert fired during the stall")
-            continue
-        first = fired[0]
-        if not 40 * 10**9 <= first.fired_at_ns <= 90 * 10**9:
-            failures.append(
-                f"{slo_name}: fired at {first.fired_at_ns} ns, "
-                "outside the stall window"
-            )
-        if not any(a.resolved for a in fired):
-            failures.append(f"{slo_name}: never resolved after the stall")
-
-    # Determinism: the whole pipeline must replay bit-identically.
-    scraper2, alerts2 = run_once()
-    dump = lambda s, a: json.dumps(  # noqa: E731 - local one-shot helper
-        {"tsdb": s.tsdb.to_dict(), "alerts": [x.to_dict() for x in a]},
-        sort_keys=True,
-    )
-    if dump(scraper, alerts) != dump(scraper2, alerts2):
-        failures.append("re-run produced different Tsdb/alert bytes")
-
-    if failures:
-        for failure in failures:
-            print(f"monitor selftest FAILED: {failure}", file=sys.stderr)
-        return 1
+def _cmd_profile(args: Args) -> int:
+    """Fold one traced registration into a cycle-attribution flame graph."""
+    profile, trace = profile_registration(_testbed(args, args.warmup))
+    status = 0 if trace.outcome.success else 1
+    if args.collapsed:
+        # Folded stacks, pipe into flamegraph.pl / load into speedscope.
+        print(profile.collapsed(), end="")
+        return status
+    if args.json:
+        payload = {
+            "outcome": _outcome_payload(trace.outcome),
+            "total_ns": profile.total_ns,
+            "modules": profile.modules,
+            "breakdown": trace.breakdown,
+            "stacks": [
+                {"stack": list(stack), "ns": profile.stacks[stack]}
+                for stack in sorted(profile.stacks)
+            ],
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return status
     print(
-        f"monitor selftest OK ({scraper.scrapes} scrapes, "
-        f"{len(scraper.tsdb)} series, {len(alerts)} alerts, deterministic)"
+        f"registration folded: {profile.total_ns / 1e6:.2f} ms over "
+        f"{len(profile.stacks)} stacks"
     )
+    if profile.modules:
+        print("Per-module SGX cost attribution (Table III from the fold):")
+        print(
+            f"  {'module':<8} {'EENTER':>7} {'EEXIT':>7} {'OCALLs':>7} "
+            f"{'trans us':>9} {'shield us':>10} {'copy us':>9} {'host us':>9}"
+        )
+        for module, row in sorted(profile.modules.items()):
+            print(
+                f"  {module:<8} {row['eenters']:>7} {row['eexits']:>7} "
+                f"{row['ocalls']:>7} {row['transition_us']:>9.1f} "
+                f"{row['shield_us']:>10.1f} {row['copy_us']:>9.1f} "
+                f"{row['host_us']:>9.1f}"
+            )
+    print("(use --collapsed for flamegraph.pl input, --json for the full fold)")
+    return status
+
+
+def _cmd_metrics(args: Args) -> int:
+    """Run registrations and export the testbed's metrics registry."""
+    registry = _testbed(args, args.registrations).collect_metrics()
+    if args.format == "prom":
+        print(registry_to_prometheus_text(registry), end="")
+    else:
+        print(registry_to_json(registry))
     return 0
 
 
-def _cmd_monitor(args: argparse.Namespace) -> int:
+def _cmd_monitor(args: Args) -> int:
     """Monitor one availability fault arm: scraper + Tsdb + SLO alerts."""
-    if args.selftest:
-        return _monitor_selftest()
-
-    import json
-
-    from repro.experiments.availability import monitored_arm
-
-    payload = monitored_arm(
+    payload = availability.monitored_arm(
         factor=args.factor,
         registrations=args.registrations,
         horizon_s=args.horizon,
@@ -387,141 +342,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_selftest() -> int:
-    """Profiler self-check used by CI: the collapsed-stack totals must
-    agree bit-for-bit with the span-derived Table III decomposition."""
-    from repro.obs.flame import parse_collapsed_text
-    from repro.obs.profile import profile_registration
-    from repro.paka.deploy import IsolationMode
-    from repro.testbed import Testbed, TestbedConfig
-
-    testbed = Testbed.build(TestbedConfig(isolation=IsolationMode.SGX, seed=0))
-    testbed.register(testbed.add_subscriber())  # warm-up (steady state)
-    profile, trace = profile_registration(testbed)
-
-    failures = []
-    if not trace.outcome.success:
-        failures.append(f"registration failed: {trace.outcome.failure_cause}")
-    errors = profile.agreement_errors()
-    for key, detail in sorted(errors.items()):
-        failures.append(f"profile/breakdown disagree on {key}: {detail}")
-    if profile.total_ns != profile.root.ns:
-        failures.append(
-            f"folded self-times sum to {profile.total_ns} ns, "
-            f"span tree covers {profile.root.ns} ns"
-        )
-    text = profile.collapsed()
-    if parse_collapsed_text(text) != profile.stacks:
-        failures.append("collapsed text did not round-trip")
-    for module, row in profile.modules.items():
-        if row["eenters"] <= 0:
-            failures.append(f"{module}: no EENTERs attributed")
-
-    if failures:
-        for failure in failures:
-            print(f"profile selftest FAILED: {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"profile selftest OK ({len(profile.stacks)} stacks, "
-        f"{profile.total_ns} ns folded, "
-        f"{len(profile.modules)} modules bit-identical to the trace "
-        "breakdown)"
-    )
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Fold one traced registration into a cycle-attribution flame graph."""
-    if args.selftest:
-        return _profile_selftest()
-
-    import json
-
-    from repro.obs.profile import profile_registration
-    from repro.paka.deploy import IsolationMode
-    from repro.testbed import Testbed, TestbedConfig
-
-    isolation = None if args.isolation == "monolithic" else IsolationMode(args.isolation)
-    testbed = Testbed.build(TestbedConfig(isolation=isolation, seed=args.seed))
-    for _ in range(args.warmup):
-        testbed.register(testbed.add_subscriber())
-    profile, trace = profile_registration(testbed)
-    errors = profile.agreement_errors()
-    if errors:
-        for key, detail in sorted(errors.items()):
-            print(f"profile/breakdown disagree on {key}: {detail}", file=sys.stderr)
-        return 1
-
-    if args.collapsed:
-        # Folded stacks, pipe into flamegraph.pl / load into speedscope.
-        print(profile.collapsed(), end="")
-        return 0 if trace.outcome.success else 1
-    if args.json:
-        payload = {
-            "outcome": {
-                "success": trace.outcome.success,
-                "session_setup_ms": trace.outcome.session_setup_ms,
-                "nas_exchanges": trace.outcome.nas_exchanges,
-            },
-            "total_ns": profile.total_ns,
-            "modules": profile.modules,
-            "breakdown": trace.breakdown,
-            "stacks": [
-                {"stack": list(stack), "ns": profile.stacks[stack]}
-                for stack in sorted(profile.stacks)
-            ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0 if trace.outcome.success else 1
-
-    print(
-        f"registration folded: {profile.total_ns / 1e6:.2f} ms over "
-        f"{len(profile.stacks)} stacks"
-    )
-    if profile.modules:
-        print("Per-module SGX cost attribution (Table III from the fold):")
-        header = (
-            f"  {'module':<8} {'EENTER':>7} {'EEXIT':>7} {'OCALLs':>7} "
-            f"{'trans us':>9} {'shield us':>10} {'copy us':>9} {'host us':>9}"
-        )
-        print(header)
-        for module, row in sorted(profile.modules.items()):
-            print(
-                f"  {module:<8} {row['eenters']:>7} {row['eexits']:>7} "
-                f"{row['ocalls']:>7} {row['transition_us']:>9.1f} "
-                f"{row['shield_us']:>10.1f} {row['copy_us']:>9.1f} "
-                f"{row['host_us']:>9.1f}"
-            )
-    print("(use --collapsed for flamegraph.pl input, --json for the full fold)")
-    return 0 if trace.outcome.success else 1
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    """Run registrations and export the testbed's metrics registry."""
-    if args.selftest:
-        return _metrics_selftest()
-
-    from repro.obs.export import registry_to_json, registry_to_prometheus_text
-    from repro.paka.deploy import IsolationMode
-    from repro.testbed import Testbed, TestbedConfig
-
-    isolation = None if args.isolation == "monolithic" else IsolationMode(args.isolation)
-    testbed = Testbed.build(TestbedConfig(isolation=isolation, seed=args.seed))
-    for _ in range(args.registrations):
-        testbed.register(testbed.add_subscriber())
-    registry = testbed.collect_metrics()
-    if args.format == "prom":
-        print(registry_to_prometheus_text(registry), end="")
-    else:
-        print(registry_to_json(registry))
-    return 0
-
-
-def _cmd_capacity(args: argparse.Namespace) -> int:
+def _cmd_capacity(args: Args) -> int:
     """Partitioned mass-registration campaign (E-CAP / E-SCALE)."""
-    from repro.experiments.export import report_to_json
-    from repro.experiments.shard import sharded_campaign
-
     result = sharded_campaign(
         ues=args.ues,
         shards=args.shards,
@@ -529,97 +351,11 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
         seed=args.seed,
         monitor_cadence_s=args.monitor_cadence,
     )
-    if args.json:
-        print(report_to_json(result.report))
-    else:
-        print(result.report.format())
-    if not result.report.all_checks_ok:
-        for check in result.report.failed_checks():
-            print("  FAILED " + check.format(), file=sys.stderr)
-        return 1
-    return 0
+    return _print_report(result.report, args.json)
 
 
-def _attack_govern_selftest() -> int:
-    """Detector/governor self-check used by CI.
-
-    Replays the seeded-storm detector evaluation (ground-truth confusion
-    matrix over every attack class plus a pure queueing collapse), then a
-    quick governed survivability pair, and asserts the headline claims:
-    the undefended collapse pages on the sojourn SLO, the governor arms
-    and recovers legitimate success, and a quiescent governor never acts.
-    The JSON document on stdout is deterministic — CI runs the command
-    twice and ``cmp``s the bytes; status lines go to stderr.
-    """
-    import json
-
-    from repro.experiments.survivability import _run_arm
-    from repro.obs.detect import evaluate_detector
-
-    failures = []
-    evaluation = evaluate_detector(
-        seed=29, horizon_s=4.0, legit=6, attack_rate_per_s=40.0
-    )
-    for scenario in evaluation["scenarios"]:
-        if scenario["modal_verdict"] != scenario["expected"]:
-            failures.append(
-                f"{scenario['expected']}: modal verdict "
-                f"{scenario['modal_verdict']}"
-            )
-    if evaluation["accuracy"] < 0.8:
-        failures.append(f"accuracy {evaluation['accuracy']:.3f} < 0.8")
-
-    kwargs = dict(legit=12, horizon_s=5.0, seed=29)
-    undefended = _run_arm("none", 400.0, **kwargs)
-    governed = _run_arm("governed", 400.0, **kwargs)
-    quiescent = _run_arm("governed", 0.0, **kwargs)
-    if undefended["sojourn_alerts_fired"] < 1:
-        failures.append("undefended collapse fired no sojourn SLO alert")
-    actions = governed["governor"]["actions"]
-    if not actions or actions[0]["action"] != "arm":
-        failures.append("governor never armed under the peak storm")
-    if governed["legit_success_rate"] <= undefended["legit_success_rate"]:
-        failures.append(
-            f"governed success {governed['legit_success_rate']:.3f} did "
-            f"not beat undefended {undefended['legit_success_rate']:.3f}"
-        )
-    if quiescent["governor"]["actions"]:
-        failures.append("quiescent governor took actions with no storm")
-
-    payload = {
-        "evaluation": evaluation,
-        "governed": {
-            "actions": actions,
-            "detect_latency_s": governed["detect_latency_s"],
-            "legit_success_rate": governed["legit_success_rate"],
-            "quiescent_actions": quiescent["governor"]["actions"],
-            "sojourn_alerts_fired": governed["sojourn_alerts_fired"],
-            "undefended_success_rate": undefended["legit_success_rate"],
-        },
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if failures:
-        for failure in failures:
-            print(f"govern selftest FAILED: {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"govern selftest OK (accuracy {evaluation['accuracy']:.2f}, "
-        f"detect latency {governed['detect_latency_s']:.3f}s, governed "
-        f"{governed['legit_success_rate']:.2f} vs undefended "
-        f"{undefended['legit_success_rate']:.2f})",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _cmd_attack(args: argparse.Namespace) -> int:
+def _cmd_attack(args: Args) -> int:
     """Adversarial signaling campaign: storms × admission defenses (E-ATTACK)."""
-    if args.selftest:
-        return _attack_govern_selftest()
-
-    from repro.experiments.export import report_to_json
-    from repro.experiments.survivability import DEFENSES, survivability_experiment
-
     if args.defenses:
         defenses = tuple(name.strip() for name in args.defenses.split(","))
     elif args.govern:
@@ -634,30 +370,19 @@ def _cmd_attack(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    rates = tuple(float(rate) for rate in args.rates.split(","))
     report = survivability_experiment(
         legit=args.legit,
         horizon_s=args.horizon,
         seed=args.seed,
-        attack_rates=rates,
+        attack_rates=args.rates,
         defenses=defenses,
     )
-    if args.json:
-        print(report_to_json(report))
-    else:
-        print(report.format())
-    if not report.all_checks_ok:
-        for check in report.failed_checks():
-            print("  FAILED " + check.format(), file=sys.stderr)
-        return 1
-    return 0
+    return _print_report(report, args.json)
 
 
-def _run_traced_arm(args: argparse.Namespace) -> Dict[str, object]:
-    """One traced survivability arm for the ``traces`` command."""
-    from repro.experiments.survivability import _run_arm
-
-    return _run_arm(
+def _cmd_traces(args: Args) -> int:
+    """Distributed-trace analytics over a traced survivability arm."""
+    row = _run_arm(
         args.defense,
         args.rate,
         legit=args.legit,
@@ -665,197 +390,13 @@ def _run_traced_arm(args: argparse.Namespace) -> Dict[str, object]:
         seed=args.seed,
         trace_sample=args.sample,
     )
-
-
-def _traces_digest(row: Dict[str, object], top: int) -> Dict[str, object]:
-    from repro.obs.analytics import slowest_traces_digest
-
-    return slowest_traces_digest(
-        row["_trace_store"],
-        top=top,
-        module_servers=row["_module_servers"],
-        module_runtimes=row["_module_runtimes"],
-    )
-
-
-def _find_trace_record(
-    store_dump: Dict[str, object], trace_id: str
-) -> Optional[Dict[str, object]]:
-    for record in store_dump.get("records", ()):
-        if record["trace_id"] == trace_id:
-            return record
-    return None
-
-
-def _traces_selftest() -> int:
-    """Tracing self-check used by CI (the E-TRACE2 acceptance scenario).
-
-    Runs the undefended 400/s queueing collapse with tracing armed and
-    asserts the full pipeline: the sojourn SLO alert cites exemplar
-    trace ids, at least one cited id resolves to a complete cross-NF
-    tree in the store, the tree's integer-ns per-module decomposition
-    agrees exactly with the float-µs ``registration_breakdown``
-    (``round(us * 1000) == ns`` for every figure), and tracing spent
-    zero simulated nanoseconds (traced and untraced arms end on the
-    same clock reading).  The JSON document on stdout is deterministic —
-    CI runs the command twice and ``cmp``s the bytes; status lines go
-    to stderr.
-    """
-    import json
-
-    from repro.experiments.survivability import _run_arm
-    from repro.obs.analytics import registration_breakdown_ns, slowest_traces_digest
-    from repro.obs.trace import registration_breakdown, span_from_dict
-
-    failures: List[str] = []
-    kwargs = dict(legit=12, horizon_s=5.0, seed=29)
-    traced = _run_arm("none", 400.0, trace_sample=8, **kwargs)
-    untraced = _run_arm("none", 400.0, **kwargs)
-
-    # Tracing must be free on the simulated clock.
-    if traced["final_clock_ns"] != untraced["final_clock_ns"]:
-        failures.append(
-            f"traced arm clock {traced['final_clock_ns']} != "
-            f"untraced {untraced['final_clock_ns']}"
-        )
-
-    store_dump = traced["_trace_store"]
-    module_servers = traced["_module_servers"]
-    module_runtimes = traced["_module_runtimes"]
-
-    # The collapse must page on the sojourn SLO and cite exemplars.
-    sojourn_alerts = [
-        alert for alert in traced["_alerts"]
-        if alert["slo"].startswith("registration-sojourn")
-    ]
-    if not sojourn_alerts:
-        failures.append("queueing collapse fired no sojourn SLO alert")
-    cited = sorted(
-        {tid for alert in sojourn_alerts for tid in alert["exemplar_trace_ids"]}
-    )
-    if sojourn_alerts and not cited:
-        failures.append("sojourn alert cited no exemplar trace ids")
-
-    # At least one cited exemplar must resolve to a stored cross-NF tree.
-    resolved = [
-        record
-        for record in map(lambda t: _find_trace_record(store_dump, t), cited)
-        if record is not None
-    ]
-    if cited and not resolved:
-        failures.append("no cited exemplar trace id resolved in the store")
-    for record in resolved[:1]:
-        servers = {
-            str(node["tags"].get("server"))
-            for node in _walk_tree(record["root"])
-            if node["kind"] == "sbi.server"
-        }
-        missing = set(module_servers.values()) - servers
-        if missing:
-            failures.append(
-                f"resolved tree is not cross-NF: no server spans for "
-                f"{', '.join(sorted(missing))}"
-            )
-
-    # Integer-ns analytics must agree exactly with the float-µs
-    # breakdown on every stored tree: round(us * 1000) == ns.
-    checked = 0
-    for record in store_dump.get("records", ()):
-        ns = registration_breakdown_ns(
-            record["root"], module_servers, module_runtimes
-        )
-        us = registration_breakdown(
-            span_from_dict(record["root"]), module_servers, module_runtimes
-        )
-        for module, row_ns in ns.items():
-            row_us = us[module]
-            pairs = [
-                ("lf", "lf_us", "lf_ns"), ("lt", "lt_us", "lt_ns"),
-                ("ln", "ln_us", "ln_ns"), ("r", "r_us", "r_ns"),
-                ("shield", "shield_us", "shield_ns"),
-                ("copy", "copy_us", "copy_ns"),
-                ("host", "host_us", "host_ns"),
-                ("transition", "transition_us", "transition_ns"),
-            ]
-            for label, us_key, ns_key in pairs:
-                if round(row_us[us_key] * 1000) != row_ns[ns_key]:
-                    failures.append(
-                        f"{record['trace_id'][:8]} {module} {label}: "
-                        f"us {row_us[us_key]} !~ ns {row_ns[ns_key]}"
-                    )
-            for count_key in ("requests", "eenters", "eexits", "ocalls"):
-                if row_us[count_key] != row_ns[count_key]:
-                    failures.append(
-                        f"{record['trace_id'][:8]} {module} {count_key}: "
-                        f"{row_us[count_key]} != {row_ns[count_key]}"
-                    )
-        checked += 1
-    if not checked:
-        failures.append("trace store kept no records to cross-check")
-    if store_dump.get("kept_tail", 0) < 1:
-        failures.append("collapse kept no tail (failed/deadline) traces")
-
-    digest = slowest_traces_digest(
-        store_dump,
-        top=10,
-        module_servers=module_servers,
-        module_runtimes=module_runtimes,
-    )
-    # Critical paths must start at the registration root and account
-    # for the full trace duration at the first frame.
-    for entry in digest["slowest"]:
-        path = entry["critical_path"]
-        if not path or path[0]["kind"] != "registration":
-            failures.append(f"{entry['trace_id'][:8]}: path missing root")
-        elif path[0]["ns"] != entry["duration_ns"]:
-            failures.append(
-                f"{entry['trace_id'][:8]}: root frame {path[0]['ns']} ns "
-                f"!= duration {entry['duration_ns']} ns"
-            )
-
-    payload = {
-        "digest": digest,
-        "sojourn_alerts": sojourn_alerts,
-        "cited_trace_ids": cited,
-        "resolved": len(resolved),
-        "cross_checked": checked,
-        "final_clock_ns": traced["final_clock_ns"],
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if failures:
-        for failure in failures:
-            print(f"traces selftest FAILED: {failure}", file=sys.stderr)
-        return 1
-    print(
-        f"traces selftest OK ({store_dump['seen']} traces seen, "
-        f"{len(store_dump['records'])} kept "
-        f"({store_dump['kept_tail']} tail), {len(cited)} cited, "
-        f"{checked} trees cross-checked exactly)",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _walk_tree(node: Dict[str, object]):
-    yield node
-    for child in node["children"]:
-        yield from _walk_tree(child)
-
-
-def _cmd_traces(args: argparse.Namespace) -> int:
-    """Distributed-trace analytics over a traced survivability arm."""
-    import json
-
-    if args.selftest:
-        return _traces_selftest()
-
-    from repro.obs.trace import format_span_tree, span_from_dict
-
-    row = _run_traced_arm(args)
     store_dump = row["_trace_store"]
 
     if args.trace_id:
-        record = _find_trace_record(store_dump, args.trace_id)
+        record = next(
+            (r for r in store_dump["records"] if r["trace_id"] == args.trace_id),
+            None,
+        )
         if record is None:
             print(
                 f"trace {args.trace_id} not in store "
@@ -877,7 +418,12 @@ def _cmd_traces(args: argparse.Namespace) -> int:
         print("\n".join(format_span_tree(span_from_dict(record["root"]))))
         return 0
 
-    digest = _traces_digest(row, args.slowest)
+    digest = slowest_traces_digest(
+        store_dump,
+        top=args.slowest,
+        module_servers=row["_module_servers"],
+        module_runtimes=row["_module_runtimes"],
+    )
     if args.json:
         print(json.dumps(digest, indent=2, sort_keys=True))
         return 0
@@ -927,20 +473,231 @@ def _cmd_traces(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    report = _run_experiment(args.command, args)
-    print(report.format())
-    if report.series and getattr(args, "plot", False):
-        from repro.experiments.render import render_report_figures
+# ----------------------------------------------------------- argument specs
 
-        print()
-        print(render_report_figures(report))
-    if not report.all_checks_ok:
-        print("\nFAILED paper-shape checks:", file=sys.stderr)
-        for check in report.failed_checks():
-            print("  " + check.format(), file=sys.stderr)
-        return 1
-    return 0
+Argument = Tuple[Tuple[str, ...], Dict[str, Any]]
+
+
+def _arg(*flags: str, **spec: Any) -> Argument:
+    """One ``add_argument`` call, as data."""
+    return flags, spec
+
+
+def _positive(number: Callable[[str], Any]) -> Callable[[str], Any]:
+    """argparse ``type=`` for a ``number`` (``int`` / ``float``) above zero."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = number(text)
+        except ValueError:
+            value = 0
+        if not value > 0:
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {number.__name__}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+def _rates(text: str) -> Tuple[float, ...]:
+    """argparse ``type=``: comma-separated non-negative floats."""
+    try:
+        rates = tuple(float(rate) for rate in text.split(","))
+    except ValueError:
+        rates = ()
+    if not rates or not all(rate >= 0 for rate in rates):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated rates >= 0, got {text!r}"
+        )
+    return rates
+
+
+def _seed(default: int) -> Argument:
+    return _arg("--seed", type=int, default=default)
+
+
+def _json(help_text: str) -> Argument:
+    return _arg("--json", action="store_true", help=help_text)
+
+
+def _warmup(what: str) -> Argument:
+    return _arg(
+        "--warmup", type=int, default=1,
+        help=f"untraced registrations before the {what} one (steady state)",
+    )
+
+
+_ISOLATION = _arg(
+    "--isolation",
+    choices=["monolithic", "container", "sgx", "secure-vm"],
+    default="sgx",
+)
+
+_EXPERIMENT_ARGUMENTS: Tuple[Argument, ...] = (
+    _arg("--registrations", type=int, default=60),
+    _arg("--iterations", type=int, default=5),
+    _arg("--max-ues", type=int, default=3),
+    _arg(
+        "--plot", action="store_true",
+        help="render the measured distributions as ASCII box plots",
+    ),
+    _arg(
+        "--jobs", type=int, default=1, metavar="N",
+        help="run independent experiment arms over N worker processes "
+        "(0 = one per CPU); results are byte-identical to --jobs 1 "
+        "because every arm owns its own seeded testbed",
+    ),
+)
+
+#: Every subcommand: (name, handler, help, *argument specs).
+COMMANDS: Tuple[Tuple[Any, ...], ...] = (
+    ("list", _cmd_list, "list available experiments"),
+    (
+        "register", _cmd_register, "register UEs through a testbed",
+        _ISOLATION, _arg("--count", type=int, default=1), _seed(0),
+    ),
+    (
+        "trace", _cmd_trace,
+        "trace one registration: span tree + Fig 9 / Table III breakdown",
+        _ISOLATION, _seed(0), _warmup("traced"),
+        _json("emit the span tree and breakdown as JSON"),
+    ),
+    (
+        "metrics", _cmd_metrics,
+        "run registrations and export the metrics registry",
+        _ISOLATION, _seed(0), _arg("--registrations", type=int, default=3),
+        _arg(
+            "--format", choices=["json", "prom"], default="json",
+            help="export format: JSON document or Prometheus exposition text",
+        ),
+    ),
+    (
+        "monitor", _cmd_monitor,
+        "continuously monitor one fault arm: scraper + Tsdb + SLO "
+        "burn-rate alerts with simulated timestamps",
+        _arg(
+            "--factor", type=float, default=2.0,
+            help="fault-rate multiplier (x BASELINE_RATES; 0 = fault-free)",
+        ),
+        _arg("--registrations", type=int, default=120),
+        _arg(
+            "--horizon", type=float, default=180.0,
+            help="arm duration in simulated seconds",
+        ),
+        _seed(23),
+        _arg(
+            "--cadence", type=_positive(float), default=1.0,
+            help="scrape cadence in simulated seconds",
+        ),
+        _json(
+            "emit the row, SLOs, alerts and fault windows as JSON "
+            "(byte-identical for a fixed seed)"
+        ),
+    ),
+    (
+        "profile", _cmd_profile,
+        "fold one traced registration into a cycle-attribution "
+        "flame graph (collapsed-stack output)",
+        _ISOLATION, _seed(0), _warmup("profiled"),
+        _arg(
+            "--collapsed", action="store_true",
+            help="emit folded stacks for flamegraph.pl / speedscope",
+        ),
+        _json("emit the fold (stacks + per-module totals) as JSON"),
+    ),
+    (
+        "capacity", _cmd_capacity,
+        "partitioned mass-registration campaign: shard the UE "
+        "population over replica control-plane slices and merge the "
+        "per-shard simulations into one report",
+        _arg("--ues", type=_positive(int), default=10_000),
+        _arg(
+            "--shards", type=_positive(int), default=4,
+            help="control-plane shards (1 = the unsharded E-CAP campaign)",
+        ),
+        _arg(
+            "--jobs", type=int, default=1, metavar="N",
+            help="worker processes for the shard arms (0 = one per "
+            "schedulable CPU); the merged report is byte-identical for any N",
+        ),
+        _seed(7),
+        _arg(
+            "--monitor-cadence", type=_positive(float), default=None, metavar="S",
+            help="install a per-shard scraper at this simulated cadence and "
+            "merge the Tsdb series (shard label added); default off",
+        ),
+        _json("emit the merged report as JSON (byte-identical per seed)"),
+    ),
+    (
+        "attack", _cmd_attack,
+        "adversarial signaling campaign: seeded storms (SUCI replay, "
+        "forged-AUTS resync, NAS fuzz, botnet registration) against the "
+        "AMF's admission defenses; prints survivability curves",
+        _arg(
+            "--legit", type=int, default=30,
+            help="legitimate UEs paced over the horizon per arm",
+        ),
+        _arg(
+            "--horizon", type=float, default=12.0,
+            help="arm duration in simulated seconds",
+        ),
+        _seed(29),
+        _arg(
+            "--rates", type=_rates, default="0,240,400", metavar="R,R,...",
+            help="attack arrival rates per second (comma-separated; 0 = "
+            "disarmed control arm)",
+        ),
+        _arg(
+            "--defenses", default=None, metavar="D,D,...",
+            help="admission configs to sweep (subset of none,bucket,guard,"
+            "breaker,all,governed; default all of them)",
+        ),
+        _arg(
+            "--govern", action="store_true",
+            help="sweep only the undefended and alert-armed (governed) arms",
+        ),
+        _json("emit the report as JSON (byte-identical per seed)"),
+    ),
+    (
+        "traces", _cmd_traces,
+        "distributed-trace analytics: run a traced survivability "
+        "arm, rank the slowest stored traces with critical paths, and "
+        "resolve alert-cited exemplar trace ids to full cross-NF trees",
+        _arg(
+            "--defense", choices=list(DEFENSES), default="none",
+            help="admission config for the traced arm",
+        ),
+        _arg(
+            "--rate", type=float, default=400.0,
+            help="attack arrival rate per second (400 = queueing collapse)",
+        ),
+        _arg("--legit", type=int, default=12),
+        _arg("--horizon", type=float, default=5.0),
+        _seed(29),
+        _arg(
+            "--sample", type=int, default=8, metavar="N",
+            help="head-sample 1 in N healthy traces (failed/deadline traces "
+            "are always kept)",
+        ),
+        _arg(
+            "--slowest", type=int, default=10, metavar="N",
+            help="rank the N slowest stored traces in the digest",
+        ),
+        _arg(
+            "--trace-id", default=None, metavar="ID",
+            help="resolve one trace id to its full span tree instead of "
+            "the ranked digest",
+        ),
+        _json(
+            "emit the digest (or resolved trace) as JSON "
+            "(byte-identical per seed)"
+        ),
+    ),
+) + tuple(
+    (name, _cmd_experiment, description, *_EXPERIMENT_ARGUMENTS)
+    for name, (description, _run, _kwargs) in _EXPERIMENTS.items()
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -950,266 +707,18 @@ def build_parser() -> argparse.ArgumentParser:
         "Functions' (DSN 2024): run the paper's experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list available experiments")
-
-    register = sub.add_parser("register", help="register UEs through a testbed")
-    register.add_argument(
-        "--isolation",
-        choices=["monolithic", "container", "sgx", "secure-vm"],
-        default="sgx",
-    )
-    register.add_argument("--count", type=int, default=1)
-    register.add_argument("--seed", type=int, default=0)
-
-    trace = sub.add_parser(
-        "trace",
-        help="trace one registration: span tree + Fig 9 / Table III breakdown",
-    )
-    trace.add_argument(
-        "--isolation",
-        choices=["monolithic", "container", "sgx", "secure-vm"],
-        default="sgx",
-    )
-    trace.add_argument("--seed", type=int, default=0)
-    trace.add_argument(
-        "--warmup", type=int, default=1,
-        help="untraced registrations before the traced one (steady state)",
-    )
-    trace.add_argument(
-        "--json", action="store_true",
-        help="emit the span tree and breakdown as JSON",
-    )
-
-    metrics = sub.add_parser(
-        "metrics",
-        help="run registrations and export the metrics registry",
-    )
-    metrics.add_argument(
-        "--isolation",
-        choices=["monolithic", "container", "sgx", "secure-vm"],
-        default="sgx",
-    )
-    metrics.add_argument("--seed", type=int, default=0)
-    metrics.add_argument("--registrations", type=int, default=3)
-    metrics.add_argument(
-        "--format", choices=["json", "prom"], default="json",
-        help="export format: JSON document or Prometheus exposition text",
-    )
-    metrics.add_argument(
-        "--selftest", action="store_true",
-        help="exporter round-trip self-check (no testbed; used by CI)",
-    )
-
-    monitor = sub.add_parser(
-        "monitor",
-        help="continuously monitor one fault arm: scraper + Tsdb + SLO "
-        "burn-rate alerts with simulated timestamps",
-    )
-    monitor.add_argument(
-        "--factor", type=float, default=2.0,
-        help="fault-rate multiplier (x BASELINE_RATES; 0 = fault-free)",
-    )
-    monitor.add_argument("--registrations", type=int, default=120)
-    monitor.add_argument(
-        "--horizon", type=float, default=180.0,
-        help="arm duration in simulated seconds",
-    )
-    monitor.add_argument("--seed", type=int, default=23)
-    monitor.add_argument(
-        "--cadence", type=float, default=1.0,
-        help="scrape cadence in simulated seconds",
-    )
-    monitor.add_argument(
-        "--json", action="store_true",
-        help="emit the row, SLOs, alerts and fault windows as JSON "
-        "(byte-identical for a fixed seed)",
-    )
-    monitor.add_argument(
-        "--selftest", action="store_true",
-        help="scraper/Tsdb/SLO pipeline self-check (no testbed; used by CI)",
-    )
-
-    profile = sub.add_parser(
-        "profile",
-        help="fold one traced registration into a cycle-attribution "
-        "flame graph (collapsed-stack output)",
-    )
-    profile.add_argument(
-        "--isolation",
-        choices=["monolithic", "container", "sgx", "secure-vm"],
-        default="sgx",
-    )
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument(
-        "--warmup", type=int, default=1,
-        help="untraced registrations before the profiled one (steady state)",
-    )
-    profile.add_argument(
-        "--collapsed", action="store_true",
-        help="emit folded stacks for flamegraph.pl / speedscope",
-    )
-    profile.add_argument(
-        "--json", action="store_true",
-        help="emit the fold (stacks + per-module totals) as JSON",
-    )
-    profile.add_argument(
-        "--selftest", action="store_true",
-        help="profiler-vs-trace exactness self-check (used by CI)",
-    )
-
-    capacity = sub.add_parser(
-        "capacity",
-        help="partitioned mass-registration campaign: shard the UE "
-        "population over replica control-plane slices and merge the "
-        "per-shard simulations into one report",
-    )
-    capacity.add_argument("--ues", type=int, default=10_000)
-    capacity.add_argument(
-        "--shards", type=int, default=4,
-        help="control-plane shards (1 = the unsharded E-CAP campaign)",
-    )
-    capacity.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the shard arms (0 = one per "
-        "schedulable CPU); the merged report is byte-identical for any N",
-    )
-    capacity.add_argument("--seed", type=int, default=7)
-    capacity.add_argument(
-        "--monitor-cadence", type=float, default=None, metavar="S",
-        help="install a per-shard scraper at this simulated cadence and "
-        "merge the Tsdb series (shard label added); default off",
-    )
-    capacity.add_argument(
-        "--json", action="store_true",
-        help="emit the merged report as JSON (byte-identical per seed)",
-    )
-
-    attack = sub.add_parser(
-        "attack",
-        help="adversarial signaling campaign: seeded storms (SUCI replay, "
-        "forged-AUTS resync, NAS fuzz, botnet registration) against the "
-        "AMF's admission defenses; prints survivability curves",
-    )
-    attack.add_argument(
-        "--legit", type=int, default=30,
-        help="legitimate UEs paced over the horizon per arm",
-    )
-    attack.add_argument(
-        "--horizon", type=float, default=12.0,
-        help="arm duration in simulated seconds",
-    )
-    attack.add_argument("--seed", type=int, default=29)
-    attack.add_argument(
-        "--rates", default="0,240,400", metavar="R,R,...",
-        help="attack arrival rates per second (comma-separated; 0 = "
-        "disarmed control arm)",
-    )
-    attack.add_argument(
-        "--defenses", default=None, metavar="D,D,...",
-        help="admission configs to sweep (subset of none,bucket,guard,"
-        "breaker,all,governed; default all of them)",
-    )
-    attack.add_argument(
-        "--govern", action="store_true",
-        help="sweep only the undefended and alert-armed (governed) arms",
-    )
-    attack.add_argument(
-        "--selftest", action="store_true",
-        help="detector/governor self-check: seeded-storm confusion "
-        "matrix + governed recovery, deterministic JSON on stdout "
-        "(used by CI)",
-    )
-    attack.add_argument(
-        "--json", action="store_true",
-        help="emit the report as JSON (byte-identical per seed)",
-    )
-
-    traces = sub.add_parser(
-        "traces",
-        help="distributed-trace analytics: run a traced survivability "
-        "arm, rank the slowest stored traces with critical paths, and "
-        "resolve alert-cited exemplar trace ids to full cross-NF trees",
-    )
-    traces.add_argument(
-        "--defense", choices=["none", "bucket", "guard", "breaker", "all",
-                              "governed"],
-        default="none",
-        help="admission config for the traced arm",
-    )
-    traces.add_argument(
-        "--rate", type=float, default=400.0,
-        help="attack arrival rate per second (400 = queueing collapse)",
-    )
-    traces.add_argument("--legit", type=int, default=12)
-    traces.add_argument("--horizon", type=float, default=5.0)
-    traces.add_argument("--seed", type=int, default=29)
-    traces.add_argument(
-        "--sample", type=int, default=8, metavar="N",
-        help="head-sample 1 in N healthy traces (failed/deadline traces "
-        "are always kept)",
-    )
-    traces.add_argument(
-        "--slowest", type=int, default=10, metavar="N",
-        help="rank the N slowest stored traces in the digest",
-    )
-    traces.add_argument(
-        "--trace-id", default=None, metavar="ID",
-        help="resolve one trace id to its full span tree instead of "
-        "the ranked digest",
-    )
-    traces.add_argument(
-        "--json", action="store_true",
-        help="emit the digest (or resolved trace) as JSON "
-        "(byte-identical per seed)",
-    )
-    traces.add_argument(
-        "--selftest", action="store_true",
-        help="tracing self-check: alert-to-trace exemplar resolution + "
-        "exact integer-ns breakdown agreement, deterministic JSON on "
-        "stdout (used by CI)",
-    )
-
-    for name, description in _EXPERIMENTS.items():
-        experiment = sub.add_parser(name, help=description)
-        experiment.add_argument("--registrations", type=int, default=60)
-        experiment.add_argument("--iterations", type=int, default=5)
-        experiment.add_argument("--max-ues", type=int, default=3)
-        experiment.add_argument(
-            "--plot", action="store_true",
-            help="render the measured distributions as ASCII box plots",
-        )
-        experiment.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help="run independent experiment arms over N worker processes "
-            "(0 = one per CPU); results are byte-identical to --jobs 1 "
-            "because every arm owns its own seeded testbed",
-        )
+    for name, handler, help_text, *arguments in COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(func=handler)
+        for flags, spec in arguments:
+            command.add_argument(*flags, **spec)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "register":
-            return _cmd_register(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        if args.command == "monitor":
-            return _cmd_monitor(args)
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "capacity":
-            return _cmd_capacity(args)
-        if args.command == "attack":
-            return _cmd_attack(args)
-        if args.command == "traces":
-            return _cmd_traces(args)
-        return _cmd_experiment(args)
+        return args.func(args)
     except BrokenPipeError:  # output piped into head/less and closed
         return 0
 

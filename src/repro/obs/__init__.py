@@ -26,8 +26,9 @@ arithmetic:
 * :mod:`repro.obs.profile` / :mod:`repro.obs.flame` — a
   cycle-attribution profiler folding span trees into collapsed-stack
   flame graphs split by the shield/copy/host/transition components,
-* :mod:`repro.obs.analytics` — tail-based trace analytics over stored
-  trees: exact integer-ns per-module breakdowns, critical paths and the
+* :mod:`repro.obs.analytics` — the one fold of a registration tree
+  into the paper's tables (exact integer ns, with a float-µs view) and
+  the tail-based analytics over stored trees: critical paths and the
   deterministic slowest-traces digest.
 
 Distributed tracing rides on the same span trees: a tracer armed with a
@@ -54,6 +55,7 @@ from repro.obs.export import (
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.analytics import (
     critical_path,
+    registration_breakdown,
     registration_breakdown_ns,
     slowest_traces_digest,
 )
@@ -63,7 +65,6 @@ from repro.obs.trace import (
     TraceStore,
     Tracer,
     parse_traceparent,
-    registration_breakdown,
     span_from_dict,
     trace_context_id,
     traceparent_of,

@@ -1,16 +1,20 @@
-"""Tail-based trace analytics over stored registration trees.
+"""Trace analytics: the one fold of a registration tree, and the
+tail-based digests built on it.
 
 Consumers here work on the JSON-ready dict trees a
-:class:`~repro.obs.trace.TraceStore` snapshots (``Span.to_dict`` form),
-so they run identically on live spans, shard-worker dumps and
-re-loaded artifacts.  Three extractions:
+:class:`~repro.obs.trace.TraceStore` snapshots (``Span.to_dict`` form) —
+a live :class:`~repro.obs.trace.Span` is snapshotted on the way in — so
+they run identically on live spans, shard-worker dumps and re-loaded
+artifacts.  Four extractions:
 
 * :func:`registration_breakdown_ns` — the per-module decomposition of
-  :func:`~repro.obs.trace.registration_breakdown` in exact integer
-  nanoseconds.  Span boundaries are integer clock reads, so every
-  figure here is exact; the float-µs breakdown is the same sums divided
-  by 1000, and the two must agree at ``round(us * 1000) == ns`` — a
-  cross-check the traces selftest asserts.
+  one registration (Fig 9 / Table II L_F, L_T, L_N; Fig 10 R; Table III
+  EENTER/EEXIT and the shield / copy / host / transition split) in exact
+  integer nanoseconds.  The only walk that knows which span kinds and
+  tags become which figure; span boundaries are integer clock reads, so
+  every figure is exact.
+* :func:`registration_breakdown` — the same table in float microseconds,
+  a view over the fold: ``x_us = x_ns / 1000.0``, counts copied.
 * :func:`critical_path` — the root→leaf chain that dominates a trace's
   duration (largest child by span length at every level; ties break on
   earliest start, then tree order).
@@ -56,13 +60,24 @@ def registration_breakdown_ns(
     module_servers: Mapping[str, str],
     module_runtimes: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, Dict[str, int]]:
-    """Per-module decomposition of one registration tree, integer ns.
+    """Decompose one registration tree into the paper's tables, integer ns.
 
-    Same traversal and attribution rules as
-    :func:`~repro.obs.trace.registration_breakdown` (L_F/L_T from the
-    server spans, R from the client spans, SGX transition costs from the
-    OCALL tags), but summing the raw integer nanoseconds — no float in
-    sight, so cross-shard digests can be byte-compared.
+    ``module_servers`` maps module short names (``eudm`` …) to their HTTP
+    server names; ``module_runtimes`` maps them to enclave runtime names
+    (the ``runtime`` tag on ``sgx.ocall`` spans).  Returns, per module::
+
+        {"lf_ns": ..., "lt_ns": ..., "ln_ns": ...,      # Fig 9 / Table II
+         "r_ns": ...,                                    # Fig 10
+         "requests": ...,
+         "eenters": ..., "eexits": ..., "ocalls": ...,   # Table III
+         "shield_ns": ..., "copy_ns": ..., "host_ns": ...,
+         "transition_ns": ...}                           # L_N taxonomy
+
+    L_F and L_T are the handler and receive-to-send window spans — the
+    exact values the servers' metric series record; ``L_N`` is their
+    difference, which is how the paper defines it.  R comes from the
+    client spans, the SGX costs from the OCALL tags.  No float in sight,
+    so cross-shard digests can be byte-compared.
     """
     tree = _as_tree(root)
     server_to_module = {server: module for module, server in module_servers.items()}
@@ -107,6 +122,7 @@ def registration_breakdown_ns(
             row = breakdown[module]
             row["ocalls"] += 1
             if not tags.get("exitless"):
+                # One OCALL is exactly one EEXIT + one EENTER.
                 row["eenters"] += 1
                 row["eexits"] += 1
                 row["transition_ns"] += int(tags.get("transition_ns", 0))
@@ -114,6 +130,30 @@ def registration_breakdown_ns(
             row["copy_ns"] += int(tags.get("copy_ns", 0))
             row["host_ns"] += int(tags.get("host_ns", 0))
     return breakdown
+
+
+def us_view(row_ns: Mapping[str, int]) -> Dict[str, float]:
+    """One fold row in microseconds: every ``x_ns`` becomes ``x_us =
+    x_ns / 1000.0``; counts are copied; key order is kept."""
+    row_us: Dict[str, float] = {}
+    for key, value in row_ns.items():
+        if key.endswith("_ns"):
+            row_us[key[:-3] + "_us"] = value / 1000.0
+        else:
+            row_us[key] = value
+    return row_us
+
+
+def registration_breakdown(
+    root: Any,
+    module_servers: Mapping[str, str],
+    module_runtimes: Optional[Mapping[str, str]] = None,
+) -> Dict[str, Dict[str, float]]:
+    """:func:`registration_breakdown_ns` in float microseconds (``lf_us``
+    … ``transition_us``) — what ``repro trace`` prints and the campaign
+    reports record."""
+    rows = registration_breakdown_ns(root, module_servers, module_runtimes)
+    return {module: us_view(row) for module, row in rows.items()}
 
 
 def critical_path(root: Any) -> List[Dict[str, Any]]:

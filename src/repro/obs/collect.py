@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.obs.analytics import registration_breakdown
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Span, Tracer, registration_breakdown
+from repro.obs.trace import Span, Tracer
 from repro.sgx.stats import SgxStats
 
 

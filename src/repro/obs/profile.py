@@ -9,11 +9,11 @@ self-time values are exact integer nanoseconds, splitting every OCALL
 into its component sub-frames, so the Table III EENTER/EEXIT budget
 renders as a flame graph per module.
 
-Exactness contract: the per-module accumulation below replicates
-:func:`~repro.obs.trace.registration_breakdown`'s ``sgx.ocall`` branch —
-same walk order, same expressions — so ``RegistrationProfile.modules``
-agrees **bit-for-bit** with the span-derived Table III numbers that
-``repro trace`` prints (the ``repro profile --selftest`` check).
+What belongs to the profiler is the frames and the stacks.  The
+per-module Table III rows printed beside them
+(``RegistrationProfile.modules``) are rows of the one fold,
+:func:`~repro.obs.analytics.registration_breakdown_ns`, so they are the
+numbers ``repro trace`` prints by construction.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro.obs.analytics import registration_breakdown_ns, us_view
 from repro.obs.flame import StackKey, collapsed_text, sanitize_frame
-from repro.obs.trace import Span, registration_breakdown
+from repro.obs.trace import Span
 
 #: OCALL component sub-frames, in emission order (tag name per frame).
 COMPONENT_TAGS: Tuple[Tuple[str, str], ...] = (
@@ -30,6 +31,11 @@ COMPONENT_TAGS: Tuple[Tuple[str, str], ...] = (
     ("shield", "shield_ns"),
     ("copy", "copy_ns"),
     ("host", "host_ns"),
+)
+
+#: The fold-row keys a profile's per-module Table III view keeps.
+MODULE_KEYS: Tuple[str, ...] = ("ocalls", "eenters", "eexits") + tuple(
+    tag for _, tag in COMPONENT_TAGS
 )
 
 
@@ -47,15 +53,6 @@ def _frame_for(span: Span, runtime_to_module: Mapping[str, str]) -> str:
     return sanitize_frame(f"{span.kind}:{span.name}")
 
 
-def _new_module_row() -> Dict[str, float]:
-    return {
-        "ocalls": 0, "eenters": 0, "eexits": 0,
-        "transition_us": 0.0, "shield_us": 0.0,
-        "copy_us": 0.0, "host_us": 0.0,
-        "transition_ns": 0, "shield_ns": 0, "copy_ns": 0, "host_ns": 0,
-    }
-
-
 @dataclass
 class RegistrationProfile:
     """One folded registration: collapsed stacks + per-module totals."""
@@ -63,11 +60,9 @@ class RegistrationProfile:
     root: Span
     # Collapsed stacks: frame tuple -> exact self-time in simulated ns.
     stacks: Dict[StackKey, int] = field(default_factory=dict)
-    # Per-module Table III view (counts + component µs/ns); the µs fields
-    # are accumulated exactly like registration_breakdown's.
+    # Per-module Table III view: the MODULE_KEYS of the fold's row plus
+    # their µs view; modules that made no OCALL are omitted.
     modules: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    # The independent span-derived decomposition (``repro trace`` view).
-    breakdown: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property
     def total_ns(self) -> int:
@@ -89,29 +84,6 @@ class RegistrationProfile:
             and stack[-2].startswith(prefix)
         )
 
-    def agreement_errors(self) -> Dict[str, str]:
-        """Exactness check against :func:`registration_breakdown`.
-
-        Empty dict = the profiler and the span-derived Table III numbers
-        agree bit-for-bit (counts, component µs, and the collapsed-stack
-        transition totals).
-        """
-        errors: Dict[str, str] = {}
-        for module, row in self.breakdown.items():
-            mine = self.modules.get(module, _new_module_row())
-            for key in ("ocalls", "eenters", "eexits",
-                        "transition_us", "shield_us", "copy_us", "host_us"):
-                if mine[key] != row[key]:
-                    errors[f"{module}.{key}"] = (
-                        f"profile={mine[key]!r} breakdown={row[key]!r}"
-                    )
-            stack_ns = self.module_transition_ns(module)
-            if stack_ns != mine["transition_ns"]:
-                errors[f"{module}.stack_transition_ns"] = (
-                    f"stacks={stack_ns} modules={mine['transition_ns']}"
-                )
-        return errors
-
 
 def fold_registration(
     root: Span,
@@ -120,63 +92,40 @@ def fold_registration(
 ) -> RegistrationProfile:
     """Fold one registration span tree into a :class:`RegistrationProfile`.
 
-    ``module_servers`` / ``module_runtimes`` are the same maps
-    :func:`registration_breakdown` takes (module short name → HTTP server
-    name / enclave runtime name).
+    ``module_servers`` / ``module_runtimes`` are the maps
+    :func:`~repro.obs.analytics.registration_breakdown_ns` takes (module
+    short name → HTTP server name / enclave runtime name).
     """
     runtime_to_module = {
         runtime: module for module, runtime in (module_runtimes or {}).items()
     }
     profile = RegistrationProfile(root=root)
     stacks = profile.stacks
-    modules = profile.modules
 
     def fold(span: Span, stack: StackKey) -> None:
         stack = stack + (_frame_for(span, runtime_to_module),)
         if span.kind == "sgx.ocall":
-            module = runtime_to_module.get(str(span.tags.get("runtime")))
-            row = None
-            if module is not None:
-                row = modules.get(module)
-                if row is None:
-                    row = modules[module] = _new_module_row()
-                # Lockstep with registration_breakdown: one OCALL is one
-                # EEXIT + one EENTER unless exitless, and the component
-                # microseconds accumulate per span in walk order.
-                row["ocalls"] += 1
-                if not span.tags.get("exitless"):
-                    row["eenters"] += 1
-                    row["eexits"] += 1
-                    row["transition_us"] += (
-                        span.tags.get("transition_ns", 0) / 1_000.0
-                    )
-                row["shield_us"] += span.tags.get("shield_ns", 0) / 1_000.0
-                row["copy_us"] += span.tags.get("copy_ns", 0) / 1_000.0
-                row["host_us"] += span.tags.get("host_ns", 0) / 1_000.0
-            component_ns = 0
+            covered_ns = 0
             for frame, tag in COMPONENT_TAGS:
                 ns = int(span.tags.get(tag, 0))
-                if ns <= 0:
-                    continue
-                component_ns += ns
-                key = stack + (frame,)
-                stacks[key] = stacks.get(key, 0) + ns
-                if row is not None:
-                    row[f"{tag}"] = row.get(tag, 0) + ns
-            residual = span.ns - component_ns
-            if residual > 0:
-                stacks[stack] = stacks.get(stack, 0) + residual
+                if ns > 0:
+                    covered_ns += ns
+                    key = stack + (frame,)
+                    stacks[key] = stacks.get(key, 0) + ns
         else:
-            self_ns = span.ns - sum(child.ns for child in span.children)
-            if self_ns > 0:
-                stacks[stack] = stacks.get(stack, 0) + self_ns
+            covered_ns = sum(child.ns for child in span.children)
+        self_ns = span.ns - covered_ns
+        if self_ns > 0:
+            stacks[stack] = stacks.get(stack, 0) + self_ns
         for child in span.children:
             fold(child, stack)
 
     fold(root, ())
-    profile.breakdown = registration_breakdown(
-        root, module_servers=module_servers, module_runtimes=module_runtimes
-    )
+    rows = registration_breakdown_ns(root, module_servers, module_runtimes)
+    for module, row in rows.items():
+        if row["ocalls"]:
+            table3 = {key: row[key] for key in MODULE_KEYS}
+            profile.modules[module] = {**table3, **us_view(table3)}
     return profile
 
 

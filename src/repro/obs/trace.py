@@ -43,7 +43,9 @@ tail-based sampling (every failed or deadline-violating trace is kept;
 healthy ones are head-sampled 1/N by trace-id hash).
 
 Tracing never advances the clock — a traced run spends exactly the same
-simulated nanoseconds as an untraced one.
+simulated nanoseconds as an untraced one.  What a finished tree *means*
+in the paper's terms (L_F / L_T / L_N / R, Table III) is decided in one
+place, :func:`repro.obs.analytics.registration_breakdown_ns`.
 """
 
 from __future__ import annotations
@@ -583,8 +585,8 @@ def span_from_dict(data: Mapping[str, Any]) -> Span:
     Stored traces are snapshotted to plain dicts (so the originals can be
     recycled); this inverts the snapshot so dict trees can flow back into
     Span-consuming code — :func:`format_span_tree` rendering and the
-    float-µs :func:`registration_breakdown` cross-check.  Round-trip is
-    exact: ``span_from_dict(span.to_dict()).to_dict() == span.to_dict()``.
+    profiler's stack fold.  Round-trip is exact:
+    ``span_from_dict(span.to_dict()).to_dict() == span.to_dict()``.
     """
     span = Span(data["name"], data["kind"], int(data["start_ns"]), **data["tags"])
     span.end_ns = int(data["end_ns"])
@@ -730,77 +732,6 @@ class TraceStore:
             merged = dict(record)
             merged.update(extra_fields)
             self.records[merged["trace_id"]] = merged
-
-
-def registration_breakdown(
-    root: Span,
-    module_servers: Mapping[str, str],
-    module_runtimes: Optional[Mapping[str, str]] = None,
-) -> Dict[str, Dict[str, float]]:
-    """Decompose one registration trace into the paper's tables.
-
-    ``module_servers`` maps module short names (``eudm`` …) to their HTTP
-    server names; ``module_runtimes`` maps them to enclave runtime names
-    (the ``runtime`` tag on ``sgx.ocall`` spans).  Returns, per module::
-
-        {"lf_us": ..., "lt_us": ..., "ln_us": ...,      # Fig 9 / Table II
-         "r_us": ...,                                    # Fig 10
-         "eenters": ..., "eexits": ..., "ocalls": ...,   # Table III
-         "shield_us": ..., "copy_us": ..., "host_us": ...,
-         "transition_us": ...}                           # L_N taxonomy
-
-    L_F and L_T are the handler and receive-to-send window spans — the
-    exact values the servers' metric series record; ``L_N`` is their
-    difference, which is how the paper defines it.
-    """
-    server_to_module = {server: module for module, server in module_servers.items()}
-    runtime_to_module = {
-        runtime: module for module, runtime in (module_runtimes or {}).items()
-    }
-    breakdown: Dict[str, Dict[str, float]] = {
-        module: {
-            "lf_us": 0.0, "lt_us": 0.0, "ln_us": 0.0, "r_us": 0.0,
-            "requests": 0, "eenters": 0, "eexits": 0, "ocalls": 0,
-            "shield_us": 0.0, "copy_us": 0.0, "host_us": 0.0,
-            "transition_us": 0.0,
-        }
-        for module in module_servers
-    }
-
-    for span in root.walk():
-        if span.kind == "sbi.server":
-            module = server_to_module.get(str(span.tags.get("server")))
-            if module is None:
-                continue
-            row = breakdown[module]
-            lt_span = span.child_of_kind("L_T")
-            if lt_span is None:
-                continue
-            lf_span = lt_span.child_of_kind("L_F")
-            row["requests"] += 1
-            row["lt_us"] += lt_span.us
-            if lf_span is not None:
-                row["lf_us"] += lf_span.us
-            row["ln_us"] = row["lt_us"] - row["lf_us"]
-        elif span.kind == "sbi.request":
-            module = server_to_module.get(str(span.tags.get("dst")))
-            if module is not None:
-                breakdown[module]["r_us"] += span.us
-        elif span.kind == "sgx.ocall":
-            module = runtime_to_module.get(str(span.tags.get("runtime")))
-            if module is None:
-                continue
-            row = breakdown[module]
-            row["ocalls"] += 1
-            if not span.tags.get("exitless"):
-                # One OCALL is exactly one EEXIT + one EENTER.
-                row["eenters"] += 1
-                row["eexits"] += 1
-                row["transition_us"] += span.tags.get("transition_ns", 0) / 1_000.0
-            row["shield_us"] += span.tags.get("shield_ns", 0) / 1_000.0
-            row["copy_us"] += span.tags.get("copy_ns", 0) / 1_000.0
-            row["host_us"] += span.tags.get("host_ns", 0) / 1_000.0
-    return breakdown
 
 
 def format_span_tree(span: Span, indent: int = 0) -> List[str]:

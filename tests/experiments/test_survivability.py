@@ -7,6 +7,7 @@ from repro.experiments.survivability import (
     _run_arm,
     survivability_experiment,
 )
+from repro.obs.analytics import slowest_traces_digest
 from repro.paka.deploy import IsolationMode
 
 QUICK = dict(legit=6, horizon_s=2.0, seed=29)
@@ -122,8 +123,9 @@ def test_traced_arm_matches_untraced_golden_clock():
 
 def test_traced_collapse_alerts_cite_stored_exemplar_traces():
     """The E-TRACE2 acceptance path: a queueing-collapse sojourn alert
-    carries exemplar trace ids, and at least one resolves to a complete
-    tree in the arm's trace store."""
+    carries exemplar trace ids, at least one resolves to a complete
+    cross-NF tree in the arm's trace store, and the slowest-traces
+    digest of that store is rooted and tail-kept."""
     row = _run_arm("none", 400.0, legit=12, horizon_s=5.0, seed=29,
                    trace_sample=8)
     sojourn_alerts = [
@@ -135,12 +137,36 @@ def test_traced_collapse_alerts_cite_stored_exemplar_traces():
         tid for alert in sojourn_alerts for tid in alert["exemplar_trace_ids"]
     }
     assert cited
-    stored = {r["trace_id"] for r in row["_trace_store"]["records"]}
+    store = row["_trace_store"]
+    stored = {r["trace_id"] for r in store["records"]}
     resolved = cited & stored
     assert resolved
-    record = next(
-        r for r in row["_trace_store"]["records"]
-        if r["trace_id"] in resolved
-    )
+    record = next(r for r in store["records"] if r["trace_id"] in resolved)
     assert record["root"]["kind"] == "registration"
     assert record["root"]["children"]
+
+    # Cross-NF: the resolved tree has a server span for every module.
+    def walk(node):
+        yield node
+        for child in node["children"]:
+            yield from walk(child)
+
+    servers = {
+        node["tags"]["server"] for node in walk(record["root"])
+        if node["kind"] == "sbi.server"
+    }
+    assert set(row["_module_servers"].values()) <= servers
+
+    # The collapse keeps tail (failed / past-deadline) traces, and every
+    # digest entry's critical path starts at the registration root and
+    # accounts for the whole trace there.
+    assert store["kept_tail"] >= 1
+    digest = slowest_traces_digest(
+        store, top=10, module_servers=row["_module_servers"],
+        module_runtimes=row["_module_runtimes"],
+    )
+    assert digest["slowest"]
+    for entry in digest["slowest"]:
+        root_frame = entry["critical_path"][0]
+        assert root_frame["kind"] == "registration"
+        assert root_frame["ns"] == entry["duration_ns"]

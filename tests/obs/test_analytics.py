@@ -1,28 +1,22 @@
-"""Trace analytics: exact integer-ns breakdowns, critical paths, the
-slowest-traces digest."""
+"""Trace analytics: the integer-ns fold and its µs view, critical paths,
+the slowest-traces digest."""
 
 import json
 
 from repro.experiments.harness import warmed_testbed
 from repro.obs.analytics import (
     critical_path,
+    registration_breakdown,
     registration_breakdown_ns,
     slowest_traces_digest,
 )
-from repro.obs.trace import (
-    TraceStore,
-    Tracer,
-    registration_breakdown,
-    span_from_dict,
-)
+from repro.obs.trace import TraceStore, Tracer, span_from_dict
 from repro.paka.deploy import IsolationMode
 
 
-def _traced_store(seed=7, registrations=2):
+def _traced(seed=7, registrations=2, store=None):
     testbed = warmed_testbed(IsolationMode.SGX, seed=seed)
-    tracer = Tracer(
-        testbed.host.clock, trace_seed=seed, store=TraceStore(sample_every=1)
-    )
+    tracer = Tracer(testbed.host.clock, trace_seed=seed, store=store)
     testbed.host.tracer = tracer
     for _ in range(registrations):
         outcome = testbed.register(
@@ -38,34 +32,47 @@ def _traced_store(seed=7, registrations=2):
         name: module.runtime.name
         for name, module in sorted(testbed.paka.modules.items())
     }
+    return tracer, module_servers, module_runtimes
+
+
+def _traced_store(seed=7, registrations=2):
+    tracer, module_servers, module_runtimes = _traced(
+        seed, registrations, TraceStore(sample_every=1)
+    )
     return tracer.store, module_servers, module_runtimes
 
 
 def test_breakdown_ns_agrees_exactly_with_the_float_breakdown():
-    """round(us * 1000) == ns for every module and every figure: the
-    float-µs table is the integer-ns table divided by 1000."""
+    """The view's contract: the float-µs table is the integer-ns table
+    divided by 1000 — ``us[m][k_us] == ns[m][k_ns] / 1000.0`` exactly,
+    counts copied, same keys in the same order — whether the tree
+    arrives as a stored dict, a rebuilt live span, or the tracer's own
+    root with its OCALL bursts still unread."""
     store, module_servers, module_runtimes = _traced_store()
-    assert len(store) >= 1
-    pairs = (
-        ("lf_us", "lf_ns"), ("lt_us", "lt_ns"), ("ln_us", "ln_ns"),
-        ("r_us", "r_ns"), ("shield_us", "shield_ns"),
-        ("copy_us", "copy_ns"), ("host_us", "host_ns"),
-        ("transition_us", "transition_ns"),
-    )
-    for record in store.records.values():
+    # Same seed, no store: the same registrations, left on the tracer.
+    lazy_roots = _traced()[0].roots
+    assert len(store) == len(lazy_roots) == 2
+    for record, lazy_root in zip(store.records.values(), lazy_roots):
         ns = registration_breakdown_ns(
             record["root"], module_servers, module_runtimes
         )
-        us = registration_breakdown(
-            span_from_dict(record["root"]), module_servers, module_runtimes
-        )
-        assert set(ns) == set(us)
-        for module in ns:
-            for us_key, ns_key in pairs:
-                assert round(us[module][us_key] * 1000) == ns[module][ns_key]
-            for count in ("requests", "eenters", "eexits", "ocalls"):
-                assert us[module][count] == ns[module][count]
-            assert ns[module]["lt_ns"] - ns[module]["lf_ns"] == ns[module]["ln_ns"]
+        for tree in (record["root"], span_from_dict(record["root"]), lazy_root):
+            us = registration_breakdown(tree, module_servers, module_runtimes)
+            assert list(us) == list(ns) == list(module_servers)
+            for module, row_ns in ns.items():
+                assert list(us[module]) == [
+                    key[:-3] + "_us" if key.endswith("_ns") else key
+                    for key in row_ns
+                ]
+                for (key, value), figure in zip(
+                    row_ns.items(), us[module].values()
+                ):
+                    assert value > 0, (module, key)
+                    if key.endswith("_ns"):
+                        assert figure == value / 1000.0, (module, key)
+                    else:
+                        assert figure == value, (module, key)
+                assert row_ns["lt_ns"] - row_ns["lf_ns"] == row_ns["ln_ns"]
 
 
 def test_breakdown_ns_accepts_live_spans_and_dict_trees():

@@ -3,13 +3,18 @@
 import pytest
 
 from repro.experiments.harness import warmed_testbed
+from repro.obs.analytics import registration_breakdown_ns, us_view
 from repro.obs.flame import (
     collapsed_text,
     parse_collapsed_text,
     sanitize_frame,
     totals_by_frame,
 )
-from repro.obs.profile import fold_registration, profile_registration
+from repro.obs.profile import (
+    MODULE_KEYS,
+    fold_registration,
+    profile_registration,
+)
 from repro.obs.trace import Span
 from repro.testbed import IsolationMode
 
@@ -70,28 +75,55 @@ def test_fold_splits_ocalls_into_component_subframes():
     assert profile.stacks[("registration",)] == 1_000 - 600
     assert profile.total_ns == 1_000
     assert profile.module_transition_ns("eudm") == 100
-    assert profile.agreement_errors() == {}
+    assert profile.modules == {"eudm": {
+        "ocalls": 1, "eenters": 1, "eexits": 1,
+        "transition_ns": 100, "shield_ns": 50, "copy_ns": 25, "host_ns": 125,
+        "transition_us": 0.1, "shield_us": 0.05, "copy_us": 0.025,
+        "host_us": 0.125,
+    }}
 
 
 def test_profile_matches_trace_breakdown_bit_for_bit():
-    """The acceptance contract: the flame-graph fold and the span-derived
-    Table III decomposition (``repro trace``) agree exactly — counts and
-    component microseconds — on a real SGX registration."""
+    """The acceptance contract on a real SGX registration: the profile's
+    per-module rows *are* the fold's rows (so they are what ``repro
+    trace`` prints), and the one number the profiler derives on its own
+    — transition self-time summed back out of the collapsed stacks —
+    equals the fold's ``transition_ns``."""
     testbed = warmed_testbed(IsolationMode.SGX, seed=7)
     profile, trace = profile_registration(testbed, establish_session=False)
     assert trace.outcome.success
-    assert profile.agreement_errors() == {}
     # The fold is lossless: self times sum back to the root interval.
     assert profile.total_ns == profile.root.ns
     # Collapsed text round-trips to the identical stack map.
     assert parse_collapsed_text(profile.collapsed()) == profile.stacks
     # Every shielded module shows Table III activity.
     assert sorted(profile.modules) == ["eamf", "eausf", "eudm"]
+    modules = testbed.paka.modules
+    rows = registration_breakdown_ns(
+        profile.root,
+        {name: m.server.name for name, m in modules.items()},
+        {name: m.runtime.name for name, m in modules.items()},
+    )
     for module, row in profile.modules.items():
+        table3 = {key: rows[module][key] for key in MODULE_KEYS}
+        assert row == {**table3, **us_view(table3)}, module
+        assert all(row[key] == trace.breakdown[module][key]
+                   for key in us_view(table3)), module
         assert row["eenters"] > 0 and row["eenters"] == row["eexits"], module
         assert row["ocalls"] >= row["eenters"], module
         assert row["transition_us"] > 0, module
         assert profile.module_transition_ns(module) == row["transition_ns"]
+
+
+def test_modules_without_ocalls_are_omitted():
+    profile, trace = profile_registration(
+        warmed_testbed(IsolationMode.CONTAINER, seed=7)
+    )
+    assert trace.outcome.success and set(trace.breakdown) == {
+        "eamf", "eausf", "eudm"
+    }
+    assert profile.modules == {}
+    assert profile.total_ns == profile.root.ns
 
 
 def test_profile_is_deterministic_per_seed():

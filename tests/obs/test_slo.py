@@ -65,18 +65,30 @@ def test_threshold_burn_rate_math():
 
 
 def test_engine_fires_on_both_windows_and_resolves():
-    # Timeline: healthy, then 100% failures for 3 s, then healthy again.
+    # Timeline: healthy, then 100% failures (and 20x the latency) for
+    # 3 s, then healthy again.
     tsdb = Tsdb()
-    good = total = 0.0
+    good = total = latency_sum = 0.0
     for second in range(12):
         failing = 3 <= second < 6
         total += 10.0
         good += 0.0 if failing else 10.0
+        latency_sum += 10.0 * (1000.0 if failing else 50.0)
         _feed(tsdb, second, good, total)
+        ts = second * NS_PER_S
+        tsdb.series("lt_us_count", kind="counter").append(ts, total)
+        tsdb.series("lt_us_sum", kind="counter").append(ts, latency_sum)
 
-    alerts = SloEngine([_ratio_slo()]).evaluate(tsdb)
-    assert len(alerts) == 1
-    alert = alerts[0]
+    latency_slo = ThresholdSlo(
+        "latency", basename="lt_us", labels={}, limit_us=100.0,
+        windows=(WINDOW,),
+    )
+    alerts = SloEngine([_ratio_slo(), latency_slo]).evaluate(tsdb)
+    # Both kinds of objective page on the stall and clear after it.
+    assert sorted(a.slo for a in alerts) == ["latency", "success"]
+    assert all(a.fired_at_ns == 3 * NS_PER_S for a in alerts)
+    assert all(a.resolved_at_ns == 7 * NS_PER_S for a in alerts)
+    alert = next(a for a in alerts if a.slo == "success")
     assert alert.slo == "success" and alert.window == "fast"
     # Fires at the first scrape where both the 4 s and 2 s windows exceed
     # burn 2.0 (second 3: 10 bad of 30/20 in window), resolves once the

@@ -216,10 +216,9 @@ def _traced_registrations(count):
 
 
 def test_every_consumer_reads_a_lazy_tree_like_its_dict_copy():
+    from repro.obs.analytics import registration_breakdown
     from repro.obs.profile import fold_registration
-    from repro.obs.trace import (
-        format_span_tree, registration_breakdown, span_from_dict,
-    )
+    from repro.obs.trace import format_span_tree, span_from_dict
 
     def flat(span):
         return (

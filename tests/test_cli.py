@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import _EXPERIMENTS, build_parser, main
+from repro.cli import _EXPERIMENTS, COMMANDS, build_parser, main
 
 
 def test_list_command(capsys):
@@ -38,11 +38,6 @@ def test_fig11_experiment(capsys):
 def test_setup_experiment_small(capsys):
     assert main(["setup", "--registrations", "10"]) == 0
     assert "sgx_share_percent" in capsys.readouterr().out
-
-
-def test_metrics_selftest(capsys):
-    assert main(["metrics", "--selftest"]) == 0
-    assert "metrics selftest OK" in capsys.readouterr().out
 
 
 def test_trace_command_monolithic(capsys):
@@ -81,8 +76,8 @@ def test_trace_and_metrics_parsers():
     parser = build_parser()
     args = parser.parse_args(["trace", "--seed", "3", "--json"])
     assert args.command == "trace" and args.seed == 3 and args.json
-    args = parser.parse_args(["metrics", "--format", "prom", "--selftest"])
-    assert args.command == "metrics" and args.format == "prom" and args.selftest
+    args = parser.parse_args(["metrics", "--format", "prom"])
+    assert args.command == "metrics" and args.format == "prom"
 
 
 def test_unknown_command_rejected():
@@ -96,3 +91,35 @@ def test_every_experiment_has_a_parser():
         args = parser.parse_args([name])
         assert args.command == name
         assert args.registrations > 0
+
+
+def test_every_table_row_parses_with_defaults_and_has_a_handler():
+    parser = build_parser()
+    names = [name for name, *_ in COMMANDS]
+    assert len(names) == len(set(names)) and set(_EXPERIMENTS) < set(names)
+    for name, handler, help_text, *arguments in COMMANDS:
+        args = parser.parse_args([name])
+        assert args.command == name and args.func is handler
+        assert callable(handler) and help_text
+        for flags, _spec in arguments:
+            assert hasattr(args, flags[0].lstrip("-").replace("-", "_"))
+    # String defaults go through the same validators as typed input.
+    assert parser.parse_args(["attack"]).rates == (0.0, 240.0, 400.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["attack", "--rates", "abc"],
+    ["attack", "--rates", "0,-5"],
+    ["capacity", "--ues", "0"],
+    ["capacity", "--shards", "0"],
+    ["capacity", "--monitor-cadence", "0"],
+    ["monitor", "--cadence", "0"],
+    ["monitor", "--cadence", "soon"],
+])
+def test_out_of_range_arguments_are_usage_errors(argv, capsys):
+    """Outside input is rejected by the parser (exit 2 and a message
+    naming the flag), never by a traceback from inside the campaign."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {argv[1]}: expected" in capsys.readouterr().err
