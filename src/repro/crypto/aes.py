@@ -10,11 +10,11 @@ fast campaigns regenerate.
 Two APIs are exposed:
 
 * :class:`AES128` — a keyed cipher object that expands the key **once**;
-  hot callers (MILENAGE, CMAC, TLS record protection, CTR modes) hold one
-  per key and amortise the schedule over every block.  It also remembers
-  the last CTR keystream it produced, so the receiving end of a record
-  (same key, hence same object via :func:`aes128_cipher`) reuses the
-  stream its sender just computed.
+  hot callers (MILENAGE, TLS record protection, CTR modes, and CMAC where
+  there is no libcrypto) hold one per key and amortise the schedule over
+  every block.  It also remembers the last CTR keystream it produced, so
+  the receiving end of a record (same key, hence same object via
+  :func:`aes128_cipher`) reuses the stream its sender just computed.
 * module-level one-shot helpers (:func:`aes128_encrypt_block` et al.) that
   transparently reuse cached cipher objects keyed by the raw key bytes,
   so legacy call sites get the fast path without restructuring.
@@ -43,9 +43,11 @@ try:
     from cryptography.hazmat.primitives.ciphers import algorithms as _hw_algorithms
     from cryptography.hazmat.primitives.ciphers import modes as _hw_modes
 
+    # ECB carries no IV or state: one mode object serves every context.
+    _HW_ECB = _hw_modes.ECB()
     HAVE_HW_AES = True
 except ImportError:  # pragma: no cover - exercised via REPRO_PURE_AES runs
-    _HwCipher = _hw_algorithms = _hw_modes = None  # type: ignore[assignment]
+    _HwCipher = _hw_algorithms = _HW_ECB = None  # type: ignore[assignment]
     HAVE_HW_AES = False
 
 # FIPS-197 S-box.
@@ -256,10 +258,10 @@ class AES128:
             self._hw_algo: Optional[object] = algo
             # ECB contexts are stateless per block, so one encryptor /
             # decryptor pair serves every block-API call on this key.
-            # Every hot user (CTR, CBC-MAC, MILENAGE, block encrypt)
-            # needs the encryptor; decryption is rare, so that context
-            # is only built on first use.
-            self._hw_ecb_enc = _HwCipher(algo, _hw_modes.ECB()).encryptor()
+            # Every hot user (CTR, MILENAGE, block encrypt) needs the
+            # encryptor; decryption is rare, so that context is only
+            # built on first use.
+            self._hw_ecb_enc = _HwCipher(algo, _HW_ECB).encryptor()
             self._hw_ecb_dec = None
         else:
             self._hw_algo = self._hw_ecb_enc = self._hw_ecb_dec = None
@@ -315,20 +317,14 @@ class AES128:
 
         This is the CBC-MAC / CMAC chaining value: byte-identical to
         folding ``x = encrypt_block(x ^ block)`` over the blocks from
-        ``x = 0``.  The chain is inherently sequential, but the hardware
-        backend still collapses it to one CBC ``update`` call.
+        ``x = 0``.  Pure Python on either backend: it is the reference
+        the native CMAC of :mod:`repro.crypto.cmac` is checked against,
+        and the only MAC path without libcrypto.
         """
         n = len(data)
         if n % 16 or n == 0:
             raise ValueError(
                 f"CBC-MAC input must be a non-empty multiple of 16 bytes, got {n}"
-            )
-        hw_algo = self._hw_algo
-        if hw_algo is not None:
-            return (
-                _HwCipher(hw_algo, _hw_modes.CBC(bytes(16)))
-                .encryptor()
-                .update(data)[-16:]
             )
         ek = self._ek
         x = 0
@@ -342,9 +338,7 @@ class AES128:
             raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
         hw = self._hw_ecb_dec
         if hw is None and self._hw_algo is not None:
-            hw = self._hw_ecb_dec = _HwCipher(
-                self._hw_algo, _hw_modes.ECB()
-            ).decryptor()
+            hw = self._hw_ecb_dec = _HwCipher(self._hw_algo, _HW_ECB).decryptor()
         if hw is not None:
             return hw.update(block)
         return self._pure_decrypt_block(block)

@@ -5,13 +5,22 @@ conceals the MSIN part under the home network's public key, producing a
 SUCI.  Profile A uses Curve25519 key agreement, the ANSI X9.63 KDF, AES-128
 in counter mode and an HMAC-SHA-256 tag truncated to 8 bytes.
 
-The X25519 function is implemented from RFC 7748 directly (Montgomery
-ladder over GF(2^255 − 19)); the reproduction is offline and may not link
-against an external crypto library.  The two call sites whose base point
-recurs — public-key derivation (base 9) and the UE's exchange against the
-home-network public key — go through a fixed-base window table over the
-birationally equivalent Edwards curve instead (:func:`_x25519_comb`);
-the ladder stays the path for variable bases and the reference for both.
+Two backends, byte-identical by definition (X25519 is deterministic).
+With the optional ``cryptography`` wheel (``.[fast]``) scalar
+multiplications run in libcrypto, one native call per job: an exchange is
+``exchange`` on a cached key object, and a public key is read off the key
+object ``from_private_bytes`` already filled in — a registration costs one
+``from_private_bytes`` and two ``exchange``.  Without it (or under
+``REPRO_PURE_X25519=1``) the function is implemented from RFC 7748
+directly (Montgomery ladder over GF(2^255 − 19)); the two call sites whose
+base point recurs — public-key derivation (base 9) and the UE's exchange
+against the home-network public key — go through a fixed-base window table
+over the birationally equivalent Edwards curve instead
+(:func:`_x25519_comb`).  The ladder stays the pure path for variable
+bases and the reference for everything else, libcrypto included.
+
+The ECIES key of a SUCI is turned into a cipher once, not once per end:
+see :func:`_ecies_cipher`.
 """
 
 from __future__ import annotations
@@ -50,17 +59,21 @@ _P = 2**255 - 19
 _A24 = 121665
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=8)
 def _hw_private_key(scalar: bytes):
-    """libcrypto key object for ``scalar`` (the home-network private key
-    recurs every deconcealment; an ephemeral key is used twice back-to-back
-    — public derivation then exchange).  Caching on secret bytes is fine
-    here for the same reason as ``aes128_cipher``."""
+    """libcrypto key object for ``scalar``.  Only a testbed's home-network
+    private key recurs (every deconcealment); an ephemeral key is used
+    twice back-to-back — public key, then exchange — and never again, so
+    the bound only has to keep the recurring keys ahead of that churn.
+    Caching on secret bytes is fine here for the same reason as
+    ``aes128_cipher``."""
     return _HwX25519PrivateKey.from_private_bytes(scalar)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=8)
 def _hw_public_key(u_coordinate: bytes):
+    """As :func:`_hw_private_key`: the home-network public key recurs
+    (every concealment), an ephemeral public key is exchanged against once."""
     return _HwX25519PublicKey.from_public_bytes(u_coordinate)
 
 
@@ -247,6 +260,9 @@ _BASE_POINT = (9).to_bytes(32, "little")
 
 def x25519_public_key(private_key: bytes) -> bytes:
     """Derive the public u-coordinate for a 32-byte private scalar."""
+    if HAVE_HW_X25519:
+        # libcrypto computed it when it built the key object.
+        return _hw_private_key(private_key).public_key().public_bytes_raw()
     return _x25519_fixed_base(private_key, _BASE_POINT)
 
 
@@ -319,6 +335,17 @@ class Suci:
         )
 
 
+@lru_cache(maxsize=8)
+def _ecies_cipher(aes_key: bytes) -> AES128:
+    """The cipher for one SUCI's ECIES key.  UE and UDM derive the same
+    key back-to-back, so they share one object (and, after the UDM has
+    verified the tag, the keystream it remembers) the way both ends of a
+    TLS direction do.  The key never recurs after that, so this is a memo
+    of its own with a bound a hostile SUCI flood cannot grow — not the
+    campaign-sized ``aes128_cipher`` cache."""
+    return AES128(aes_key)
+
+
 class EciesProfileA:
     """ECIES Profile A encrypt/decrypt primitives (TS 33.501 C.3.2).
 
@@ -336,9 +363,7 @@ class EciesProfileA:
         shared = _x25519_fixed_base(eph_private_key, hn_public_key)
         keys = _x963_kdf(shared, eph_public, EciesProfileA.KDF_LENGTH)
         aes_key, icb, mac_key = keys[:16], keys[16:32], keys[32:]
-        # The ECIES key is ephemeral (one per concealment): instantiate the
-        # cipher directly rather than through the shared per-key cache.
-        ciphertext = AES128(aes_key).ctr(icb, plaintext)
+        ciphertext = _ecies_cipher(aes_key).ctr(icb, plaintext)
         tag = hmac.new(mac_key, ciphertext, hashlib.sha256).digest()[
             : EciesProfileA.TAG_LENGTH
         ]
@@ -359,7 +384,7 @@ class EciesProfileA:
         ]
         if not hmac.compare_digest(tag, expected):
             raise ValueError("SUCI MAC verification failed")
-        return AES128(aes_key).ctr(icb, ciphertext)
+        return _ecies_cipher(aes_key).ctr(icb, ciphertext)
 
 
 def conceal_supi(

@@ -26,6 +26,19 @@ class TlsError(Exception):
     """Record authentication or handshake failure."""
 
 
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+def _hmac_pads(key: bytes) -> tuple:
+    """HMAC-SHA-256 keyed once (RFC 2104): the inner and outer hash
+    contexts with their 64-byte pad block already absorbed.  ``key`` is a
+    32-byte digest here, so it never needs the longer-than-a-block
+    pre-hash."""
+    block = key.ljust(64, b"\0")
+    return hashlib.sha256(block.translate(_IPAD)), hashlib.sha256(block.translate(_OPAD))
+
+
 @dataclass(frozen=True)
 class TlsCostModel:
     """Cycle costs for the TLS operations (charged via the CPU model)."""
@@ -44,13 +57,13 @@ class TlsSession:
 
     Key material is derived **once** per session and direction: each
     direction gets its own AES-128 key (held as an expanded cipher
-    object), CTR IV base and MAC key, and each record's counter block is
-    built from the sequence number.  That removes the two SHA-256
-    invocations and the fresh AES key schedule the old per-record
-    derivation paid on every record — the hottest non-OCALL frames in the
-    registration profile — and it also gives the two directions distinct
-    keystreams (the per-record scheme reused key+counter across
-    directions at equal sequence numbers).
+    object), CTR IV base and MAC key (held as the two HMAC pad blocks
+    already hashed, :func:`_hmac_pads`), and each record's counter block
+    is built from the sequence number.  A record therefore pays only
+    per-record work — its keystream and its HMAC over ``seq ‖ ciphertext``
+    — never a key schedule, a key derivation or an HMAC re-keying, and
+    the two directions have distinct keystreams.  The receiver always
+    recomputes the tag and compares it before it asks for any keystream.
     """
 
     client_name: str
@@ -74,10 +87,10 @@ class TlsSession:
             send, send_mac, recv, recv_mac = s2c, s2c_mac, c2s, c2s_mac
         self._send_cipher = aes128_cipher(send[:16])
         self._send_iv = int.from_bytes(send[16:28], "big")
-        self._send_mac_key = send_mac
+        self._send_mac = _hmac_pads(send_mac)
         self._recv_cipher = aes128_cipher(recv[:16])
         self._recv_iv = int.from_bytes(recv[16:28], "big")
-        self._recv_mac_key = recv_mac
+        self._recv_mac = _hmac_pads(recv_mac)
 
     @staticmethod
     def _record_icb(iv96: int, seq: int) -> bytes:
@@ -89,6 +102,15 @@ class TlsSession:
         """
         return ((iv96 ^ seq) << 32).to_bytes(16, "big")
 
+    def _tag(self, pads: tuple, seq: int, ciphertext: bytes) -> bytes:
+        """``HMAC(key, seq8 ‖ ciphertext)[:TAG_LENGTH]`` from ``key``'s
+        pre-hashed pads."""
+        inner, outer = pads[0].copy(), pads[1].copy()
+        inner.update(seq.to_bytes(8, "big"))
+        inner.update(ciphertext)
+        outer.update(inner.digest())
+        return outer.digest()[: self.TAG_LENGTH]
+
     def protect(self, plaintext: bytes) -> bytes:
         """Encrypt-and-MAC one record; advances the send sequence."""
         seq = self._send_seq
@@ -96,10 +118,7 @@ class TlsSession:
         ciphertext = self._send_cipher.ctr(
             self._record_icb(self._send_iv, seq), plaintext
         )
-        tag = hmac.digest(
-            self._send_mac_key, seq.to_bytes(8, "big") + ciphertext, "sha256"
-        )[: self.TAG_LENGTH]
-        return ciphertext + tag
+        return ciphertext + self._tag(self._send_mac, seq, ciphertext)
 
     def unprotect(self, record: bytes) -> bytes:
         """Verify and decrypt one record; advances the receive sequence."""
@@ -107,10 +126,7 @@ class TlsSession:
             raise TlsError("record shorter than authentication tag")
         seq = self._recv_seq
         ciphertext, tag = record[: -self.TAG_LENGTH], record[-self.TAG_LENGTH :]
-        expected = hmac.digest(
-            self._recv_mac_key, seq.to_bytes(8, "big") + ciphertext, "sha256"
-        )[: self.TAG_LENGTH]
-        if not hmac.compare_digest(tag, expected):
+        if not hmac.compare_digest(tag, self._tag(self._recv_mac, seq, ciphertext)):
             raise TlsError("record authentication failed")
         self._recv_seq = seq + 1
         return self._recv_cipher.ctr(self._record_icb(self._recv_iv, seq), ciphertext)

@@ -130,8 +130,11 @@ class HttpRequest:
     @classmethod
     def from_wire(cls, raw: bytes) -> "HttpRequest":
         head, _, body = raw.partition(b"\r\n\r\n")
-        lines = head.decode().split("\r\n")
-        method, path, _ = lines[0].split(" ", 2)
+        try:
+            lines = head.decode().split("\r\n")
+            method, path, _ = lines[0].split(" ", 2)
+        except ValueError as exc:  # undecodable bytes, or not three fields
+            raise HttpError(f"malformed request head: {exc}") from exc
         headers = {}
         for line in lines[1:]:
             if ": " in line:
@@ -160,8 +163,11 @@ class HttpResponse:
     @classmethod
     def from_wire(cls, raw: bytes) -> "HttpResponse":
         head, _, body = raw.partition(b"\r\n\r\n")
-        lines = head.decode().split("\r\n")
-        status = int(lines[0].split(" ")[1])
+        try:
+            lines = head.decode().split("\r\n")
+            status = int(lines[0].split(" ")[1])
+        except (ValueError, IndexError) as exc:  # undecodable, short or non-numeric
+            raise HttpError(f"malformed status line: {exc}") from exc
         headers = {}
         for line in lines[1:]:
             if ": " in line:

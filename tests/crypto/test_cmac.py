@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.cmac import aes_cmac, nia2_mac
+from repro.crypto.cmac import _aes_cmac_pure, aes_cmac, nia2_mac
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 MSG = bytes.fromhex(
@@ -23,9 +23,25 @@ def test_rfc4493_vectors(message, expected):
     assert aes_cmac(KEY, message).hex() == expected
 
 
+def test_every_length_matches_the_pure_reference():
+    # Empty, partial last block, exact multiples: the padding and K1/K2
+    # choice are OpenSSL's on libcrypto and RFC 4493 spelled out here (the
+    # RFC's own four lengths are among them).  One key throughout: every
+    # tag comes from a copy, the kept context never absorbs a message.
+    stream = (MSG + MSG)[:80]
+    for length in range(81):
+        assert aes_cmac(KEY, stream[:length]) == _aes_cmac_pure(KEY, stream[:length])
+
+
+def test_bytes_like_key_and_message():
+    tag = aes_cmac(bytearray(KEY), bytearray(MSG[:40]))
+    assert tag == aes_cmac(KEY, MSG[:40]) and isinstance(tag, bytes)
+
+
 def test_cmac_rejects_bad_key():
-    with pytest.raises(ValueError):
-        aes_cmac(b"short", b"msg")
+    for key in (b"", b"short", bytes(15), bytes(17), bytes(32)):
+        with pytest.raises(ValueError):
+            aes_cmac(key, b"msg")
 
 
 def test_nia2_mac_is_4_bytes():

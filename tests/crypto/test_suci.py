@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.crypto import suci
+from repro.crypto.aes import AES128, aes128_cipher
 from repro.crypto.suci import (
     EciesProfileA,
     Suci,
@@ -114,6 +116,83 @@ class TestEciesProfileA:
     def test_short_blob_rejected(self):
         with pytest.raises(ValueError):
             EciesProfileA.decrypt(b"too-short", self.HN_PRIV)
+
+
+class TestSharedEciesCipher:
+    """UE and UDM derive the same ECIES key, so they share one cipher
+    object (``_ecies_cipher``) and the keystream it remembers.  The share
+    must not weaken the receive side: tag first, keystream after."""
+
+    HN_PRIV = bytes(range(1, 33))
+    HN_PUB = x25519_public_key(HN_PRIV)
+
+    @pytest.fixture
+    def stream_requests(self, monkeypatch):
+        requests = []
+        real = AES128._stream_int
+        monkeypatch.setattr(
+            AES128,
+            "_stream_int",
+            lambda self, nonce, n: requests.append((self, n)) or real(self, nonce, n),
+        )
+        return requests
+
+    def test_udm_finds_the_ues_keystream_memoised(self, stream_requests):
+        blob = EciesProfileA.encrypt(b"0000000001", self.HN_PUB, bytes(range(64, 96)))
+        (cipher, _), = stream_requests
+        memo = cipher._memo
+        assert EciesProfileA.decrypt(blob, self.HN_PRIV) == b"0000000001"
+        assert [c for c, _ in stream_requests] == [cipher, cipher]  # one object
+        assert cipher._memo is memo  # a hit: nothing recomputed
+
+    def test_flipped_tag_raises_before_any_keystream_is_requested(self, stream_requests):
+        blob = bytearray(
+            EciesProfileA.encrypt(b"0000000001", self.HN_PUB, bytes(range(64, 96)))
+        )
+        del stream_requests[:]  # the UE's own; its stream is now warm
+        for position in (32, len(blob) - 1):  # ciphertext and tag
+            forged = bytearray(blob)
+            forged[position] ^= 0x01
+            with pytest.raises(ValueError, match="MAC verification"):
+                EciesProfileA.decrypt(bytes(forged), self.HN_PRIV)
+        assert stream_requests == []
+
+    def test_sucis_under_different_ephemeral_keys_never_share_a_stream(
+        self, stream_requests
+    ):
+        one = EciesProfileA.encrypt(b"0000000001", self.HN_PUB, bytes(range(32)))
+        two = EciesProfileA.encrypt(b"0000000002", self.HN_PUB, bytes(range(32, 64)))
+        (first, _), (second, _) = stream_requests
+        assert first is not second
+        assert first._memo[2] != second._memo[2]
+        # Deconcealed out of order, each still finds its own stream.
+        assert EciesProfileA.decrypt(two, self.HN_PRIV) == b"0000000002"
+        assert EciesProfileA.decrypt(one, self.HN_PRIV) == b"0000000001"
+
+    def test_memo_stays_bounded_under_a_flood_of_valid_hostile_sucis(self, monkeypatch):
+        # Anyone holding the home-network public key can mint SUCIs whose
+        # tag verifies, each under a fresh ECIES key.  Plain DH mod p
+        # stands in for X25519 so 10 000 of them are cheap on the pure
+        # backend too; everything after the key agreement is the real code.
+        p = 2**255 - 19
+
+        def dh(scalar, u):
+            exponent = int.from_bytes(scalar, "little")
+            return pow(int.from_bytes(u, "little"), exponent, p).to_bytes(32, "little")
+
+        monkeypatch.setattr(suci, "x25519", dh)
+        monkeypatch.setattr(suci, "_x25519_fixed_base", dh)
+        monkeypatch.setattr(suci, "x25519_public_key", lambda k: dh(k, suci._BASE_POINT))
+        hn_public = suci.x25519_public_key(self.HN_PRIV)
+        shared_before = aes128_cipher.cache_info().currsize
+        suci._ecies_cipher.cache_clear()
+        for i in range(1, 10_001):
+            blob = EciesProfileA.encrypt(b"0000000001", hn_public, i.to_bytes(32, "little"))
+            assert EciesProfileA.decrypt(blob, self.HN_PRIV) == b"0000000001"
+        info = suci._ecies_cipher.cache_info()
+        assert info.misses == 10_000 and info.hits == 10_000
+        assert info.currsize == info.maxsize <= 16
+        assert aes128_cipher.cache_info().currsize == shared_before
 
 
 class TestSuciConcealment:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.container.network import BridgeNetwork
 from repro.fivegc.nf_base import NetworkFunction
+from repro.net.http import HttpResponse
 from repro.net.rest import JsonApiError, json_response
 from repro.net.sbi import NFType
 
@@ -40,6 +41,25 @@ def test_json_api_errors_map_to_status(pair):
     response = a.call(b, "POST", "/boom", {})
     assert response.status == 418
     assert response.json()["error"] == "teapot"
+
+
+def test_malformed_response_degrades_to_503_and_poisons_the_connection(pair):
+    a, b = pair
+
+    class Garbled(HttpResponse):
+        def wire_bytes(self):
+            return b"HTTP/1.1 abc X\r\n\r\n"
+
+    b.server.route("POST", "/garbled", lambda request, context: Garbled(200))
+    connection = a.connect_peer(b)
+    with pytest.raises(JsonApiError, match="malformed status line") as caught:
+        a.call(b, "POST", "/garbled", {})
+    assert caught.value.status == 503
+    assert not connection.open
+    assert a.circuit_breakers["b"].consecutive_failures == 1
+    # The next call re-handshakes and is served.
+    assert a.call(b, "POST", "/echo", {"x": 1}).ok
+    assert a.connect_peer(b) is not connection
 
 
 def test_connections_are_cached_keepalive(pair):

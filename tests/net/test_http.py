@@ -69,6 +69,26 @@ def test_wire_format_roundtrip():
     assert restored.status == 201 and restored.body == b"out"
 
 
+HOSTILE_HEADS = [
+    b"",
+    b"GET\r\n\r\n",
+    b"\xff\xfe /x HTTP/1.1\r\n\r\n",
+    b"HTTP/1.1\r\nX: 1\r\n\r\nbody",
+]
+
+
+@pytest.mark.parametrize(
+    "message,raw",
+    [(cls, raw) for cls in (HttpRequest, HttpResponse) for raw in HOSTILE_HEADS]
+    + [(HttpResponse, b"HTTP/1.1 abc X\r\n\r\n")],  # as a request: no such route
+)
+def test_malformed_head_fails_closed(message, raw):
+    # ValueError / IndexError / UnicodeDecodeError would slip past every
+    # `except (HttpError, NetworkError)` between here and the NAS exchange.
+    with pytest.raises(HttpError, match="malformed"):
+        message.from_wire(raw)
+
+
 def test_latency_metrics_recorded(server, client):
     connection = client.connect(server)
     client.request(connection, "POST", "/echo", body=b"x")

@@ -2,10 +2,12 @@
 
 The profiler-guided rewrite turned several per-block / per-call loops
 into single bulk passes: MILENAGE ``generate``/``f2345`` run all post-TEMP
-block encryptions as one ECB batch, AES-CMAC folds its chain into one
-zero-IV CBC pass, the SBI codec serializes flat bodies without
-``json.dumps``, and X25519 against a recurring base walks a window table
-instead of the ladder.  Each rewrite must be **byte-for-byte** identical
+block encryptions as one ECB batch, AES-CMAC is one copied native context
+on libcrypto and one zero-IV CBC chain without it, the TLS record tag
+starts from pre-hashed HMAC pads, the SBI codec serializes flat bodies
+without ``json.dumps``, and X25519 against a recurring base walks a window
+table instead of the ladder (or, on libcrypto, reads the public key off
+the key object).  Each rewrite must be **byte-for-byte** identical
 to the scalar form — these tests pin that by re-deriving every output the
 slow, literal way (per-block encryptions, spec-order rotations, ``json``
 itself, the Montgomery ladder) and comparing exact bytes.
@@ -17,6 +19,7 @@ the LIFO contract.  ``EventLog.emit_burst`` against the per-event loop
 lives in ``tests/sim/test_events.py``.
 """
 
+import hmac
 import json
 
 import pytest
@@ -24,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.aes import AES128, aes128_encrypt_block
-from repro.crypto.cmac import aes_cmac
+from repro.crypto.cmac import _aes_cmac_pure, aes_cmac
 from repro.crypto.kdf import ts33220_kdf
 from repro.crypto.milenage import Milenage
 from repro.crypto.suci import (
@@ -37,6 +40,7 @@ from repro.crypto.suci import (
     x25519,
     x25519_public_key,
 )
+from repro.crypto.tls import _hmac_pads, establish_session
 from repro.hw.cpu import XEON_SILVER_4314, Cpu, CpuSpec
 from repro.net.codec import dumps_flat, loads_object
 from repro.sgx.costmodel import SgxCostModel
@@ -194,7 +198,27 @@ def test_cmac_matches_rfc4493_step_by_step(key, message):
     for i in range(n - 1):
         x = cipher.encrypt_block(_xor16(x, message[i * 16 : (i + 1) * 16]))
     x = cipher.encrypt_block(_xor16(x, last))
-    assert aes_cmac(key, message) == x
+    # The backend's path (a native CMAC context on libcrypto), the pure
+    # subkeys + CBC chain, and the literal fold above.
+    assert aes_cmac(key, message) == _aes_cmac_pure(key, message) == x
+
+
+# --- TLS record tag from pre-hashed pads vs one-shot HMAC --------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.binary(min_size=1, max_size=64),
+    seq=st.integers(min_value=0, max_value=2**64 - 1),
+    ciphertext=st.binary(max_size=300),
+)
+def test_prehashed_pad_tag_is_hmac_sha256(key, seq, ciphertext):
+    session, _ = establish_session("c", "s", b"secret")
+    pads = _hmac_pads(key)
+    expected = hmac.digest(key, seq.to_bytes(8, "big") + ciphertext, "sha256")[:16]
+    assert session._tag(pads, seq, ciphertext) == expected
+    # The kept contexts are only ever copied: a second tag is unaffected.
+    assert session._tag(pads, seq, ciphertext) == expected
 
 
 # --- SBI codec vs json -------------------------------------------------
@@ -304,11 +328,15 @@ def test_comb_matches_ladder_on_low_order_and_noncanonical_u(scalar):
         assert _x25519_comb(scalar, _u(value)) == _x25519_ladder(scalar, _u(9))
 
 
+# RFC 7748 §6.1 private keys.
+_ALICE = bytes.fromhex("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a")
+_BOB = bytes.fromhex("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb")
+
+
 def test_fixed_base_entry_points_match_rfc7748_vectors():
     # RFC 7748 §6.1: Alice's and Bob's key pairs and their shared secret.
-    alice = bytes.fromhex("77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a")
+    alice, bob = _ALICE, _BOB
     alice_pub = bytes.fromhex("8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a")
-    bob = bytes.fromhex("5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb")
     bob_pub = bytes.fromhex("de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f")
     shared = bytes.fromhex("4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742")
     for derive in (x25519_public_key, lambda k: _x25519_comb(k, _BASE_POINT)):
@@ -317,6 +345,20 @@ def test_fixed_base_entry_points_match_rfc7748_vectors():
     for exchange in (_x25519_fixed_base, _x25519_comb, x25519):
         assert exchange(alice, bob_pub) == shared
         assert exchange(bob, alice_pub) == shared
+
+
+def test_public_key_matches_ladder_and_comb_on_edge_scalars():
+    # On libcrypto the public key is read off the key object; clamping is
+    # then OpenSSL's.  RFC 7748 §6.1 private keys, the same with every bit
+    # the clamp clears or sets flipped, and the two constant scalars.
+    def unclamp(k):
+        return bytes([k[0] ^ 7]) + k[1:31] + bytes([k[31] ^ 0xC0])
+
+    for scalar in (_ALICE, _BOB, unclamp(_ALICE), unclamp(_BOB), bytes(32), b"\xff" * 32):
+        public = x25519_public_key(scalar)
+        assert public == _x25519_ladder(scalar, _BASE_POINT)
+        assert public == _x25519_comb(scalar, _BASE_POINT)
+    assert x25519_public_key(unclamp(_ALICE)) == x25519_public_key(_ALICE)
 
 
 @settings(max_examples=15, deadline=None)
