@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.experiments.harness import BandCheck, ExperimentReport, warmed_testbed
 from repro.experiments.stats import percentiles, summarize
 from repro.faults import BASELINE_RATES, DEFAULT_SBI_RETRY, FaultInjector, FaultPlan

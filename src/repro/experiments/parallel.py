@@ -50,8 +50,11 @@ def default_jobs() -> int:
     cgroup/cpuset-limited container ``os.cpu_count()`` reports the whole
     machine while the scheduler confines us to a slice of it, and
     overshooting just multiplies per-process testbed memory for zero
-    throughput.  Platforms without ``sched_getaffinity`` (macOS, Windows)
-    fall back to the CPU count.
+    throughput — each worker is ≈30 MB with ``repro`` imported and a
+    warmed SGX slice built, plus ≈5 kB per UE it registers (hostbench
+    ``peak_rss_mb``, ``tests/integration/test_memory_budget.py``).
+    Platforms without ``sched_getaffinity`` (macOS, Windows) fall back to
+    the CPU count.
     """
     try:
         return len(os.sched_getaffinity(0)) or 1

@@ -1,11 +1,14 @@
-"""Distribution summaries for experiment series."""
+"""Distribution summaries for experiment series.
+
+The arithmetic is :mod:`repro.sim.summary`; this module names the result.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
-import numpy as np
+from repro.sim.summary import describe, outlier_fraction, percentiles  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -35,45 +38,7 @@ class SeriesSummary:
         )
 
 
-def percentiles(values: Sequence[float], qs: Sequence[float]) -> List[Optional[float]]:
-    """``np.percentile`` guarded against empty input.
-
-    ``np.percentile`` raises on an empty array, which turns a legitimate
-    degenerate measurement (e.g. an all-failures fault arm with no
-    latency samples) into a crash.  Returns ``None`` per requested
-    quantile when there are no samples — ``None`` survives JSON export,
-    unlike NaN.
-    """
-    array = np.asarray(values, dtype=float)
-    if array.size == 0:
-        return [None] * len(qs)
-    return [float(q) for q in np.percentile(array, list(qs))]
-
-
 def summarize(name: str, values: Sequence[float], unit: str) -> SeriesSummary:
     if not values:
         raise ValueError(f"series {name!r} is empty")
-    array = np.asarray(values, dtype=float)
-    return SeriesSummary(
-        name=name,
-        unit=unit,
-        n=array.size,
-        mean=float(array.mean()),
-        median=float(np.median(array)),
-        p25=float(np.percentile(array, 25)),
-        p75=float(np.percentile(array, 75)),
-        stdev=float(array.std(ddof=1)) if array.size > 1 else 0.0,
-        minimum=float(array.min()),
-        maximum=float(array.max()),
-    )
-
-
-def outlier_fraction(values: Sequence[float], k: float = 1.5) -> float:
-    """Fraction of points outside the Tukey fences (paper: <5 % outliers)."""
-    array = np.asarray(values, dtype=float)
-    if array.size < 4:
-        return 0.0
-    q1, q3 = np.percentile(array, [25, 75])
-    iqr = q3 - q1
-    low, high = q1 - k * iqr, q3 + k * iqr
-    return float(np.mean((array < low) | (array > high)))
+    return SeriesSummary(name=name, unit=unit, **describe(values))

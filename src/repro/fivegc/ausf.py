@@ -38,7 +38,6 @@ class _AuthContext:
     xres_star: bytes
     kseaf: bytes
     snn: str
-    confirmed: bool = False
 
 
 class Ausf(NetworkFunction):
@@ -115,10 +114,11 @@ class Ausf(NetworkFunction):
         if auth_context is None:
             raise JsonApiError(404, f"unknown auth context {ctx_id!r}")
         context.runtime.compute(_CONFIRM_CYCLES)
+        # A context answers one confirmation, pass or fail: K_SEAF is
+        # released at most once and nothing per-UE outlives the AKA run.
+        del self._contexts[ctx_id]
         if res_star != auth_context.xres_star:
-            self._contexts.pop(ctx_id)
             return self._ok({"result": "AUTHENTICATION_FAILURE"}, status=200)
-        auth_context.confirmed = True
         return self._ok(
             {
                 "result": "AUTHENTICATION_SUCCESS",

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.experiments.stats import percentiles
 from repro.sim.metrics import BoundedSeries
+from repro.sim.summary import percentiles
 
 LabelItems = Tuple[Tuple[str, str], ...]
 MetricKey = Tuple[str, LabelItems]
@@ -166,7 +166,7 @@ class Histogram:
         return self.series.stats.maximum
 
     def quantiles(self, qs: Tuple[float, ...] = (50.0, 95.0, 99.0)):
-        return percentiles(list(self.series), qs)
+        return percentiles(self.series, qs)
 
 
 class MetricsRegistry:

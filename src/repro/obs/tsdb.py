@@ -29,6 +29,7 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import LabelItems, MetricKey, MetricsRegistry, _label_key
+from repro.sim.summary import percentiles
 
 NS_PER_S = 1_000_000_000
 
@@ -278,10 +279,8 @@ class Tsdb:
         """Windowed quantile (``q`` in percent) over a gauge's samples.
 
         ``None`` when the window holds no samples — the empty-window
-        contract :func:`repro.experiments.stats.percentiles` defines.
+        contract :func:`repro.sim.summary.percentiles` defines.
         """
-        from repro.experiments.stats import percentiles
-
         series = self.get(name, **labels)
         if series is None:
             return None

@@ -11,6 +11,7 @@ Oxygen OS build for a successful end-to-end connection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from random import Random
 from typing import Dict, Optional
 
 from repro.crypto.cmac import nia2_mac
@@ -39,7 +40,7 @@ from repro.fivegc.messages import (
     SecurityModeComplete,
 )
 from repro.ran.usim import Usim
-from repro.sim.rng import RngService
+from repro.sim.rng import RngService, draw_bytes
 
 _ABBA = b"\x00\x00"
 
@@ -74,13 +75,18 @@ class UserEquipment:
         self.downlink_count = 0
         self.failure_cause: Optional[str] = None
         self.secure_channel: Optional[SecureNasChannel] = None
+        # ECIES ephemerals come from a stream this UE owns (created on the
+        # first SUCI, continued by every later one, gone with the UE).
+        self._ecies_stream: Optional[Random] = None
 
     # ------------------------------------------------------------- uplink
 
     def build_registration_request(self) -> RegistrationRequest:
         """Conceal the SUPI and start registration."""
         self._reset_nas_state()
-        eph = self.rng.randbytes(f"ue.{self.name}.ecies", 32)
+        if self._ecies_stream is None:
+            self._ecies_stream = self.rng.fresh_stream(f"ue.{self.name}.ecies")
+        eph = draw_bytes(self._ecies_stream, 32)
         suci = conceal_supi(self.usim.supi, self.hn_public_key, eph)
         return RegistrationRequest(
             suci={

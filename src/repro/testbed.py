@@ -38,6 +38,7 @@ from repro.paka.modules import EamfPakaModule, EausfPakaModule, EudmPakaModule
 from repro.ran.gnb import AirLinkModel, Gnb
 from repro.ran.ue import CommercialUE, UserEquipment
 from repro.ran.usim import Usim
+from repro.sim.rng import draw_bytes
 
 
 @dataclass
@@ -212,8 +213,10 @@ class Testbed:
             self._subscriber_counter += 1
             msin = f"{self._subscriber_counter:010d}"
         supi = Supi(mcc=self.config.mcc, mnc=self.config.mnc, msin=msin)
-        k = self.host.rng.randbytes(f"sub.{msin}.k", 16)
-        opc = self.host.rng.randbytes(f"sub.{msin}.opc", 16)
+        # Drawn once each, so the streams are not kept: a subscriber's
+        # key is a pure function of (seed, msin).
+        k = draw_bytes(self.host.rng.fresh_stream(f"sub.{msin}.k"), 16)
+        opc = draw_bytes(self.host.rng.fresh_stream(f"sub.{msin}.opc"), 16)
         self.udr.provision(AuthSubscription(supi=str(supi), k=k, opc=opc))
         # Shard-aware provisioning: the key goes into the eUDM module of
         # the slice that will serve this SUPI (the only module that will

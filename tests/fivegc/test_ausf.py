@@ -79,6 +79,30 @@ def test_failed_context_is_consumed(monolithic_testbed):
     assert retry.status == 404
 
 
+def test_confirmed_context_is_consumed_and_kseaf_released_once(monolithic_testbed):
+    testbed = monolithic_testbed
+    ue = testbed.add_subscriber()
+    body = authenticate(testbed, ue).json()
+    result = ue.usim.authenticate(
+        bytes.fromhex(body["rand"]), bytes.fromhex(body["autn"]), testbed.snn.encode()
+    )
+    payload = {"authCtxId": body["authCtxId"], "resStar": result.res_star.hex()}
+    first = testbed.amf.call(testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM, payload)
+    assert first.json()["result"] == "AUTHENTICATION_SUCCESS"
+    # The same RES* replayed against the same context: K_SEAF is not
+    # handed out a second time.
+    replay = testbed.amf.call(testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM, payload)
+    assert replay.status == 404
+    assert "kseaf" not in replay.json()
+
+
+def test_drained_registrations_leave_no_auth_context(monolithic_testbed):
+    testbed = monolithic_testbed
+    for _ in range(5):
+        assert testbed.register(testbed.add_subscriber()).success
+    assert len(testbed.ausf._contexts) == 0
+
+
 def test_unknown_context_404(monolithic_testbed):
     response = monolithic_testbed.amf.call(
         monolithic_testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM,

@@ -8,6 +8,9 @@ reach the event log as one burst (and, traced, reach the tracer as one
 burst over the *same* end-offset list), and nobody may build an
 ``sgx.ocall`` ``Event`` until the log is read.  A silent fall-back to
 per-event emission fails here on any machine, with no timer involved.
+Likewise the random streams: a fresh subscriber's registration seeds
+exactly three (K, OPc, the UE's ECIES ephemerals — the bytes need them)
+and the RNG service keeps none of them.
 
 ``python tests/integration/test_sim_ops_budget.py`` prints the counts as
 JSON.
@@ -23,6 +26,7 @@ from repro.obs.trace import Tracer
 from repro.paka.deploy import IsolationMode
 from repro.sim.clock import SimClock
 from repro.sim.events import Event, EventLog
+from repro.sim.rng import RngService
 
 # Seven SBI hops: 14 frames and 7 sbi.request events, and four windows
 # each (client R, server busy, L_T, L_F) plus the gNB's session set-up;
@@ -38,6 +42,8 @@ SGX_BUDGET = {
     "ocall_event_objects_built_by_a_read": 261,
     "measure_windows": 29,
     "open_measurements_after": 0,
+    "rng_streams_seeded": 3,
+    "rng_streams_kept": 0,
 }
 CONTAINER_BUDGET = dict(
     SGX_BUDGET,
@@ -62,6 +68,8 @@ def count_ops(isolation: IsolationMode, armed: bool, registrations: int = 2) -> 
     real_emit_burst = EventLog.emit_burst
     real_ocall_burst = Tracer.ocall_burst
     real_measure = SimClock.measure
+    real_fresh_stream = RngService.fresh_stream
+    streams_seeded = [0]  # its own tally: provisioning precedes counts.clear()
 
     def event_init(event, timestamp_ns, category, detail=None):
         counts["event_objects_built"] += 1
@@ -81,6 +89,10 @@ def count_ops(isolation: IsolationMode, armed: bool, registrations: int = 2) -> 
         counts["measure_windows"] += 1
         return real_measure(clock)
 
+    def fresh_stream(service, name):
+        streams_seeded[0] += 1
+        return real_fresh_stream(service, name)
+
     results = []
     with ExitStack() as stack:
         for owner, name, wrapper in (
@@ -88,9 +100,11 @@ def count_ops(isolation: IsolationMode, armed: bool, registrations: int = 2) -> 
             (EventLog, "emit_burst", emit_burst),
             (Tracer, "ocall_burst", ocall_burst),
             (SimClock, "measure", measure),
+            (RngService, "fresh_stream", fresh_stream),
         ):
             stack.enter_context(mock.patch.object(owner, name, wrapper))
         for _ in range(registrations):
+            seeded_before, kept_before = streams_seeded[0], len(host.rng._streams)
             ue = testbed.add_subscriber()
             host.events.clear()
             counts.clear()
@@ -102,6 +116,8 @@ def count_ops(isolation: IsolationMode, armed: bool, registrations: int = 2) -> 
             counts["events_in_bursts"] = sum(len(ends) for ends in event_ends)
             counts["single_events"] = counts["events"] - counts["events_in_bursts"]
             counts["open_measurements_after"] = len(host.clock._open_measurements)
+            counts["rng_streams_seeded"] = streams_seeded[0] - seeded_before
+            counts["rng_streams_kept"] = len(host.rng._streams) - kept_before
             if armed:
                 # The tracer got the very lists the event log holds.
                 counts["span_bursts_sharing_the_event_ends"] = sum(
