@@ -51,8 +51,9 @@ def default_jobs() -> int:
     machine while the scheduler confines us to a slice of it, and
     overshooting just multiplies per-process testbed memory for zero
     throughput — each worker is ≈30 MB with ``repro`` imported and a
-    warmed SGX slice built, plus ≈5 kB per UE it registers (hostbench
-    ``peak_rss_mb``, ``tests/integration/test_memory_budget.py``).
+    warmed SGX slice built, plus ≈3–4 kB per UE it registers and, traced,
+    ≈27 kB per trace its store keeps (hostbench ``peak_rss_mb``,
+    ``tests/integration/test_memory_budget.py``).
     Platforms without ``sched_getaffinity`` (macOS, Windows) fall back to
     the CPU count.
     """

@@ -4,7 +4,10 @@ Handles Nausf_UEAuthentication: verifies the serving network is
 authorised, obtains the HE AV from the UDM, derives the SE AV (HXRES* +
 K_SEAF — in the eAUSF P-AKA module when offloaded, Fig 5 step 3), stores
 the authentication context, and on confirmation compares the UE's RES*
-against XRES* before releasing K_SEAF to the SEAF/AMF.
+against XRES* before releasing K_SEAF to the SEAF/AMF.  A context
+answers one confirmation; one that is never confirmed (a replayed SUCI,
+a rejected resync — every one attacker-chosen) is forgotten
+:data:`_CONTEXT_TTL_NS` after its challenge was issued.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from repro.paka.modules import EausfPakaModule
 _SE_AV_LOCAL_CYCLES = EausfPakaModule.COMPUTE_CYCLES
 _SN_AUTHZ_CYCLES = 14_000  # serving-network authorisation check
 _CONFIRM_CYCLES = 12_000  # XRES* comparison + context update
+# How long a challenge may go unanswered, on the simulated clock.  Well
+# above the longest legitimate challenge → confirmation interval the
+# default SBI retry policy allows (3 x 2 s deadlines + backoff ≈ 6.2 s).
+_CONTEXT_TTL_NS = 30_000_000_000
 
 
 @dataclass
@@ -38,6 +45,7 @@ class _AuthContext:
     xres_star: bytes
     kseaf: bytes
     snn: str
+    issued_ns: int
 
 
 class Ausf(NetworkFunction):
@@ -90,11 +98,18 @@ class Ausf(NetworkFunction):
             se_av, kseaf = derive_se_av(he_av, snn.encode())
             hxres_star = se_av.hxres_star
 
+        # Contexts sit in issue order, so the expired ones are in front.
+        now_ns = self.host.clock.now_ns
+        while self._contexts:
+            oldest = next(iter(self._contexts))
+            if now_ns - self._contexts[oldest].issued_ns <= _CONTEXT_TTL_NS:
+                break
+            del self._contexts[oldest]
         self._next_ctx += 1
         ctx_id = f"authctx-{self._next_ctx}"
         self._contexts[ctx_id] = _AuthContext(
             supi=str(he["supi"]), rand=he_av.rand,
-            xres_star=he_av.xres_star, kseaf=kseaf, snn=snn,
+            xres_star=he_av.xres_star, kseaf=kseaf, snn=snn, issued_ns=now_ns,
         )
         return self._ok(
             {
@@ -111,7 +126,9 @@ class Ausf(NetworkFunction):
         ctx_id = require_str(data, "authCtxId")
         res_star = require_hex(data, "resStar", 16)
         auth_context = self._contexts.get(ctx_id)
-        if auth_context is None:
+        if auth_context is None or (
+            self.host.clock.now_ns - auth_context.issued_ns > _CONTEXT_TTL_NS
+        ):
             raise JsonApiError(404, f"unknown auth context {ctx_id!r}")
         context.runtime.compute(_CONFIRM_CYCLES)
         # A context answers one confirmation, pass or fail: K_SEAF is

@@ -552,7 +552,7 @@ class HttpClient:
         # Per-request / per-connect syscall profiles, precompiled once.
         self._request_profile = runtime.compile_syscalls(self._CLIENT_REQUEST_SYSCALLS)
         self._connect_profile = runtime.compile_syscalls(self._CLIENT_CONNECT_SYSCALLS)
-        # BoundedSeries (uncapped: list-compatible) rather than plain lists
+        # BoundedSeries (uncapped: nothing is dropped) rather than plain lists
         # so metric collection adopts them instead of re-observing every
         # sample into fresh histograms on each scrape — the difference
         # between O(total samples) and O(1) per armed-scraper pull.

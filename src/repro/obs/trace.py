@@ -74,7 +74,7 @@ class Span:
 
     __slots__ = (
         "name", "kind", "start_ns", "end_ns", "tags", "_children", "_unread",
-        "trace_id", "span_id", "parent_id", "tracer",
+        "trace_id", "_span_id", "_parent_id", "tracer",
     )
 
     def __init__(self, name: str, kind: str, start_ns: int, **tags: Any) -> None:
@@ -89,9 +89,20 @@ class Span:
         self._children: List[Any] = []
         self._unread = False
         self.trace_id: Optional[str] = None
-        self.span_id: Optional[str] = None
-        self.parent_id: Optional[str] = None
+        # What ``span_id`` / ``parent_id`` are read from: the begin-order
+        # sequence numbers a tracer left (hashed on access, see
+        # :func:`_id_on_read`) or the strings ``span_from_dict`` found.
+        self._span_id: Any = None
+        self._parent_id: Any = None
         self.tracer: Optional["Tracer"] = None
+
+    @property
+    def span_id(self) -> Optional[str]:
+        return _id_on_read(self.trace_id, self._span_id)
+
+    @property
+    def parent_id(self) -> Optional[str]:
+        return _id_on_read(self.trace_id, self._parent_id)
 
     @property
     def children(self) -> List["Span"]:
@@ -160,20 +171,22 @@ class Span:
         regardless of the tag order at the instrumentation site.  When the
         span carries trace identity (tracer armed with a ``trace_seed``)
         the ``trace_id`` / ``span_id`` / ``parent_id`` fields are included.
+
+        A read-only view: an unread OCALL burst contributes its leaves'
+        dicts without becoming spans, so the tree is exactly as small
+        afterwards as it was before and a second dump is byte-identical.
         """
-        payload: Dict[str, Any] = {
-            "name": self.name,
-            "kind": self.kind,
-            "start_ns": self.start_ns,
-            "end_ns": self.end_ns,
-            "tags": {key: self.tags[key] for key in sorted(self.tags)},
-            "children": [child.to_dict() for child in self.children],
-        }
-        if self.trace_id is not None:
-            payload["trace_id"] = self.trace_id
-            payload["span_id"] = self.span_id
-            payload["parent_id"] = self.parent_id
-        return payload
+        span_id = self.span_id
+        children: List[Dict[str, Any]] = []
+        for child in self._children:
+            if child.__class__ is _OcallBurst:
+                children.extend(child.leaf_dicts(span_id))
+            else:
+                children.append(child.to_dict())
+        return _node_dict(
+            self.name, self.kind, self.start_ns, self.end_ns, self.tags,
+            children, self.trace_id, span_id, self.parent_id,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -208,27 +221,63 @@ class _OcallBurst:
         self.trace_id = trace_id
         self.first_seq = first_seq
 
-    def expand_under(self, parent: Span, out: List[Span]) -> None:
-        """Append the leaves ``Tracer.begin``/``end`` would have built."""
+    def leaves(self) -> Iterator[Tuple[str, int, int, Dict[str, Any], int]]:
+        """``(name, start_ns, end_ns, tags, seq)`` of every leaf, as
+        ``Tracer.begin``/``end`` would have recorded it; ``tags`` is the
+        leaf's own dict."""
         base_ns = self.start_ns
         ends = self.ends
-        trace_id = self.trace_id
-        seq = self.first_seq
         offset = 0
         for index, (name, fixed_ns, tags) in enumerate(self.templates):
-            span = Span(name, "sgx.ocall", base_ns + offset, **tags)
+            start_ns = base_ns + offset
             if ends is None:
+                tags = dict(tags)
                 offset += fixed_ns
             else:
-                span.tags["transition_ns"] = ends[index] - offset - fixed_ns
+                tags = dict(tags, transition_ns=ends[index] - offset - fixed_ns)
                 offset = ends[index]
-            span.end_ns = base_ns + offset
+            yield name, start_ns, base_ns + offset, tags, self.first_seq + index
+
+    def expand_under(self, parent: Span, out: List[Span]) -> None:
+        """Append the leaves as spans (a live reader wants objects)."""
+        trace_id = self.trace_id
+        for name, start_ns, end_ns, tags, seq in self.leaves():
+            span = Span(name, "sgx.ocall", start_ns)
+            span.end_ns = end_ns
+            span.tags = tags
             span.tracer = parent.tracer
             if trace_id is not None:
                 span.trace_id = trace_id
-                span.span_id = span_context_id(trace_id, seq + index)
-                span.parent_id = parent.span_id
+                span._span_id = seq
+                span._parent_id = parent._span_id
             out.append(span)
+
+    def leaf_dicts(self, parent_id: Optional[str]) -> Iterator[Dict[str, Any]]:
+        """The leaves in ``Span.to_dict`` form, no span built."""
+        trace_id = self.trace_id
+        for name, start_ns, end_ns, tags, seq in self.leaves():
+            span_id = None if trace_id is None else span_context_id(trace_id, seq)
+            yield _node_dict(
+                name, "sgx.ocall", start_ns, end_ns, tags, [],
+                trace_id, span_id, parent_id,
+            )
+
+
+def _node_dict(name, kind, start_ns, end_ns, tags, children, trace_id, span_id, parent_id):
+    """One node of the ``Span.to_dict`` form, tags key-sorted."""
+    payload: Dict[str, Any] = {
+        "name": name,
+        "kind": kind,
+        "start_ns": start_ns,
+        "end_ns": end_ns,
+        "tags": {key: tags[key] for key in sorted(tags)},
+        "children": children,
+    }
+    if trace_id is not None:
+        payload["trace_id"] = trace_id
+        payload["span_id"] = span_id
+        payload["parent_id"] = parent_id
+    return payload
 
 
 # Freelist of recycled Span objects, shared across tracers.  Only spans
@@ -303,12 +352,12 @@ class Tracer:
             seq = self._span_seq
             self._span_seq = seq + 1
             span.trace_id = trace_id
-            span.span_id = span_context_id(trace_id, seq)
-            span.parent_id = self._stack[-1].span_id if self._stack else None
+            span._span_id = seq
+            span._parent_id = self._stack[-1]._span_id if self._stack else None
         else:
             span.trace_id = None
-            span.span_id = None
-            span.parent_id = None
+            span._span_id = None
+            span._parent_id = None
         if self._stack:
             self._stack[-1]._children.append(span)
         else:
@@ -506,10 +555,11 @@ class RootTrace:
 
         Leaves the per-bucket exemplar (last trace to land in each
         bucket) in ``exemplars`` and offers the tree to the tracer's
-        store.  A stored tree is snapshotted to dicts, so the spans are
-        recycled immediately — campaign memory stays bounded by the
-        store cap, not the horizon.  Without trace identity the root
-        just stays in ``tracer.roots``.
+        store.  A tree the store keeps is the store's from here on (it
+        only leaves ``tracer.roots``); one it declines is recycled at
+        once — campaign memory stays bounded by the store cap, not the
+        horizon.  Without trace identity the root just stays in
+        ``tracer.roots``.
         """
         trace_id = self.trace_id
         if trace_id is None:
@@ -522,11 +572,12 @@ class RootTrace:
                 break
         store = tracer.store
         if store is not None:
-            store.offer(
+            tracer.roots.remove(self.span)
+            if not store.offer(
                 self.span, trace_id, supi=self.supi, attempt=self.attempt,
                 success=success, sojourn_ns=sojourn_ns,
-            )
-            tracer.recycle(self.span)
+            ):
+                _recycle_tree(self.span)
 
 
 def _recycle_tree(span: Span) -> None:
@@ -563,6 +614,15 @@ def span_context_id(trace_id: str, seq: int) -> str:
     return blake2b(f"{trace_id}:{seq}".encode(), digest_size=8).hexdigest()
 
 
+def _id_on_read(trace_id: Optional[str], held: Any) -> Optional[str]:
+    """A span's id from what the span holds: a begin-order sequence
+    number is hashed now — so an id nobody asks for (26 of a
+    registration's 33 begun spans when only ``traceparent``s are minted,
+    every leaf of a tree nobody dumps) costs no blake2b — and a string
+    (or None) is the id already."""
+    return span_context_id(trace_id, held) if held.__class__ is int else held
+
+
 def traceparent_of(trace_id: str, span_id: str) -> str:
     """W3C ``traceparent`` header value (version 00, sampled flag set)."""
     return f"00-{trace_id}-{span_id}-01"
@@ -582,8 +642,8 @@ def parse_traceparent(header: str) -> Optional[Tuple[str, str]]:
 def span_from_dict(data: Mapping[str, Any]) -> Span:
     """Rebuild a live :class:`Span` tree from its ``to_dict`` form.
 
-    Stored traces are snapshotted to plain dicts (so the originals can be
-    recycled); this inverts the snapshot so dict trees can flow back into
+    Stored traces are read out as plain dicts (shard dumps, ``get``);
+    this inverts the dump so dict trees can flow back into
     Span-consuming code — :func:`format_span_tree` rendering and the
     profiler's stack fold.  Round-trip is exact:
     ``span_from_dict(span.to_dict()).to_dict() == span.to_dict()``.
@@ -591,8 +651,8 @@ def span_from_dict(data: Mapping[str, Any]) -> Span:
     span = Span(data["name"], data["kind"], int(data["start_ns"]), **data["tags"])
     span.end_ns = int(data["end_ns"])
     span.trace_id = data.get("trace_id")
-    span.span_id = data.get("span_id")
-    span.parent_id = data.get("parent_id")
+    span._span_id = data.get("span_id")
+    span._parent_id = data.get("parent_id")
     span.children = [span_from_dict(child) for child in data["children"]]
     return span
 
@@ -609,9 +669,19 @@ class TraceStore:
     evicted first (tail records are the valuable ones); with no
     head-sampled records left, the oldest record overall goes.
 
-    Records are plain JSON-ready dicts so shard workers can ship them
-    across process boundaries and :meth:`absorb` can merge them
-    deterministically (insertion order = offer order = shard order).
+    The store owns a kept tree exactly as the tracer built it — begun
+    spans, OCALL bursts unread, ids unhashed (≈27 kB for a 294-span SGX
+    registration) — and nothing is derived from it until it is read:
+    :meth:`get` and :meth:`to_dict` serialise on the way out, every time
+    (≈220 kB of JSON-ready dicts per tree, the caller's to keep or
+    drop), and leave the tree as it was.  ``records`` is the stored
+    form, so read roots through those two.  An evicted tree goes back to
+    the span freelist.
+
+    What comes out are plain JSON-ready dicts, so shard workers can ship
+    them across process boundaries and :meth:`absorb` can merge them
+    deterministically (insertion order = offer order = shard order);
+    absorbed records stay the dicts they arrived as.
     """
 
     __slots__ = (
@@ -656,8 +726,8 @@ class TraceStore:
     ) -> bool:
         """Consider one finished registration tree; True if kept.
 
-        The tree is snapshotted via :meth:`Span.to_dict`, so the caller
-        is free to recycle the spans afterwards.
+        A kept tree now belongs to the store: the caller must neither
+        recycle nor rewrite it.
         """
         self.seen += 1
         reason = self.keep_reason(trace_id, success, sojourn_ns)
@@ -677,7 +747,7 @@ class TraceStore:
             "start_ns": root.start_ns,
             "end_ns": root.end_ns,
             "duration_ns": root.ns,
-            "root": root.to_dict(),
+            "root": root,
         }
         if self.cap is not None:
             while len(self.records) > self.cap:
@@ -692,11 +762,14 @@ class TraceStore:
                 break
         if victim is None:
             victim = next(iter(self.records))
-        del self.records[victim]
+        root = self.records.pop(victim)["root"]
+        if isinstance(root, Span):
+            _recycle_tree(root)
         self.evicted += 1
 
     def get(self, trace_id: str) -> Optional[Dict[str, Any]]:
-        return self.records.get(trace_id)
+        record = self.records.get(trace_id)
+        return record and _dumped(record)
 
     def trace_ids(self) -> List[str]:
         return list(self.records)
@@ -714,7 +787,7 @@ class TraceStore:
             "kept_tail": self.kept_tail,
             "kept_head": self.kept_head,
             "evicted": self.evicted,
-            "records": list(self.records.values()),
+            "records": [_dumped(record) for record in self.records.values()],
         }
 
     def absorb(self, data: Mapping[str, Any], **extra_fields: Any) -> None:
@@ -732,6 +805,12 @@ class TraceStore:
             merged = dict(record)
             merged.update(extra_fields)
             self.records[merged["trace_id"]] = merged
+
+
+def _dumped(record: Dict[str, Any]) -> Dict[str, Any]:
+    """A stored record with its root in ``Span.to_dict`` form."""
+    root = record["root"]
+    return {**record, "root": root.to_dict()} if isinstance(root, Span) else record
 
 
 def format_span_tree(span: Span, indent: int = 0) -> List[str]:

@@ -6,11 +6,12 @@ raw samples only matter for percentile plots over bounded windows; the
 aggregate statistics must stay exact over the whole run.  This module
 splits the two concerns: :class:`RunningStats` accumulates count / total /
 min / max over every sample ever added, while :class:`BoundedSeries` is a
-drop-in ``list`` of recent raw samples with an optional retention cap.
+packed sequence of recent raw samples with an optional retention cap.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Optional
 
 
@@ -44,14 +45,20 @@ class RunningStats:
         )
 
 
-class BoundedSeries(list):
-    """A ``list`` of samples with running stats and an optional cap.
+class BoundedSeries(array):
+    """An ``array('d')`` of samples with running stats and an optional cap.
+
+    Samples are packed doubles — 8 bytes each, where a list spent a
+    pointer and a boxed float — so a sample must be a real number
+    (anything else is a ``TypeError`` and leaves :attr:`stats` untouched)
+    and reads back as a ``float``.  Indexing, ``len``, iteration and
+    pickling are a sequence's; a slice is a plain ``array('d')``, which
+    compares equal to another array, never to a list.
 
     With ``cap=None`` (the default everywhere latency windows are sliced
-    by index) this behaves exactly like a plain list that also maintains
-    :attr:`stats`.  With a cap, appends beyond it drop the oldest half of
-    the retained samples — the stats stay exact over everything ever
-    appended, only the raw window is trimmed.
+    by index) nothing is ever dropped.  With a cap, appends beyond it
+    drop the oldest half of the retained samples — the stats stay exact
+    over everything ever appended, only the raw window is trimmed.
 
     The series is **append-only**: every mutator that introduces new
     samples (:meth:`extend`, ``+=``) routes through :meth:`append` so the
@@ -63,8 +70,10 @@ class BoundedSeries(list):
     not just the retained window.
     """
 
+    def __new__(cls, cap: Optional[int] = None, iterable: Iterable[float] = ()):
+        return super().__new__(cls, "d")
+
     def __init__(self, cap: Optional[int] = None, iterable: Iterable[float] = ()) -> None:
-        super().__init__()
         if cap is not None and cap < 2:
             raise ValueError(f"cap must be >= 2, got {cap}")
         self.cap = cap
@@ -73,8 +82,8 @@ class BoundedSeries(list):
             self.append(value)
 
     def append(self, value: float) -> None:
-        self.stats.add(value)
         super().append(value)
+        self.stats.add(value)
         if self.cap is not None and len(self) > self.cap:
             del self[: len(self) // 2]
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fivegc.ausf import _CONTEXT_TTL_NS
 from repro.net.sbi import AUSF_UE_AUTH, AUSF_UE_AUTH_CONFIRM
 
 
@@ -101,6 +102,133 @@ def test_drained_registrations_leave_no_auth_context(monolithic_testbed):
     for _ in range(5):
         assert testbed.register(testbed.add_subscriber()).success
     assert len(testbed.ausf._contexts) == 0
+
+
+# ------------------------------------------------------------- expiry
+#
+# A challenge nobody answers (a replayed SUCI, a rejected resync) is
+# forgotten ``_CONTEXT_TTL_NS`` after it was issued, on the simulated
+# clock: dropped when the next challenge is issued, refused if its
+# confirmation turns up first.
+
+
+def _res_star(testbed, ue, body):
+    result = ue.usim.authenticate(
+        bytes.fromhex(body["rand"]), bytes.fromhex(body["autn"]), testbed.snn.encode()
+    )
+    assert result.success
+    return result.res_star.hex()
+
+
+def test_unanswered_challenges_are_gone_after_the_ttl(monolithic_testbed):
+    testbed = monolithic_testbed
+    clock = testbed.host.clock
+    ue = testbed.add_subscriber()
+    for _ in range(3):
+        assert authenticate(testbed, ue).status == 201
+    assert len(testbed.ausf._contexts) == 3
+    # Not yet: the oldest is younger than the TTL when the fourth is issued.
+    clock.advance(_CONTEXT_TTL_NS // 2)
+    assert authenticate(testbed, ue).status == 201
+    assert len(testbed.ausf._contexts) == 4
+    # Half a TTL on, the first three are too old and the fourth is not.
+    clock.advance(_CONTEXT_TTL_NS // 2 + 1)
+    fifth = authenticate(testbed, ue).json()
+    assert list(testbed.ausf._contexts) == ["authctx-4", fifth["authCtxId"]]
+    clock.advance(_CONTEXT_TTL_NS + 1)
+    assert authenticate(testbed, ue).status == 201
+    assert list(testbed.ausf._contexts) == ["authctx-6"]
+
+
+def test_expiry_spends_no_simulated_time_and_draws_nothing(monkeypatch):
+    """Twins on one seed, one of which never expires anything: the same
+    challenges come back at the same simulated nanosecond."""
+    from repro.fivegc import ausf
+    from repro.testbed import Testbed, TestbedConfig
+
+    def run(ttl_ns):
+        monkeypatch.setattr(ausf, "_CONTEXT_TTL_NS", ttl_ns)
+        testbed = Testbed.build(TestbedConfig(isolation=None, seed=13))
+        ue = testbed.add_subscriber()
+        bodies = [authenticate(testbed, ue).json() for _ in range(3)]
+        testbed.host.clock.advance(40_000_000_000)
+        bodies.append(authenticate(testbed, ue).json())
+        return bodies, testbed.host.clock.now_ns, len(testbed.ausf._contexts)
+
+    expiring = run(_CONTEXT_TTL_NS)
+    retaining = run(10**18)
+    assert expiring[:2] == retaining[:2]
+    assert (expiring[2], retaining[2]) == (1, 4)
+
+
+def test_a_timely_confirmation_still_succeeds(monolithic_testbed):
+    testbed = monolithic_testbed
+    ue = testbed.add_subscriber()
+    body = authenticate(testbed, ue).json()
+    issued_ns = testbed.ausf._contexts[body["authCtxId"]].issued_ns
+    # As late as the TTL allows, to the nanosecond the handler reads.
+    testbed.host.clock.advance(_CONTEXT_TTL_NS - 1_000_000_000)
+    assert testbed.host.clock.now_ns - issued_ns <= _CONTEXT_TTL_NS
+    confirm = testbed.amf.call(
+        testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM,
+        {"authCtxId": body["authCtxId"], "resStar": _res_star(testbed, ue, body)},
+    )
+    assert confirm.json()["result"] == "AUTHENTICATION_SUCCESS"
+    assert len(bytes.fromhex(confirm.json()["kseaf"])) == 32
+    assert len(testbed.ausf._contexts) == 0
+
+
+def test_a_late_confirmation_is_404_and_never_yields_kseaf(monolithic_testbed):
+    testbed = monolithic_testbed
+    ue = testbed.add_subscriber()
+    body = authenticate(testbed, ue).json()
+    payload = {"authCtxId": body["authCtxId"], "resStar": _res_star(testbed, ue, body)}
+    testbed.host.clock.advance(_CONTEXT_TTL_NS)
+    # The right RES*, too late — and nothing newer was issued in between,
+    # so the context is still in the table when the confirmation arrives.
+    assert body["authCtxId"] in testbed.ausf._contexts
+    late = testbed.amf.call(testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM, payload)
+    assert late.status == 404
+    assert "kseaf" not in late.json()
+    # Same answer as for an id that never existed.
+    unknown = testbed.amf.call(
+        testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM, dict(payload, authCtxId="authctx-999")
+    )
+    assert (late.status, sorted(late.json())) == (unknown.status, sorted(unknown.json()))
+
+
+def test_contexts_stay_bounded_under_a_storm(sgx_testbed):
+    """A ``storm-defended``-shaped run — suci-replay and auts-resync
+    events that never confirm, between paced legitimate registrations —
+    several TTLs long: what the AUSF holds is what the last TTL issued,
+    not what the run did."""
+    from repro.security.attacks import AttackPlane, generate_storm
+
+    testbed = sgx_testbed
+    ausf, clock = testbed.ausf, testbed.host.clock
+    plane = AttackPlane(testbed)
+    start_ns = clock.now_ns
+    peak = 0
+    events = generate_storm(seed=7, horizon_s=100.0, rate_per_s=3.0)
+    for index, event in enumerate(events):
+        remaining_ns = start_ns + event.at_ns - clock.now_ns
+        if remaining_ns > 0:
+            testbed.idle(remaining_ns / 1e9)
+        plane.execute(event)
+        if index % 25 == 0:
+            assert testbed.register(testbed.add_subscriber()).success
+        issued = [context.issued_ns for context in ausf._contexts.values()]
+        assert issued == sorted(issued)
+        assert not issued or issued[-1] - issued[0] <= _CONTEXT_TTL_NS
+        peak = max(peak, len(issued))
+    unanswered = plane.outcomes["suci-replay"]["pending"] + sum(
+        plane.outcomes["auts-resync"].values()
+    )
+    assert clock.now_ns - start_ns > 3 * _CONTEXT_TTL_NS
+    assert unanswered > 100
+    # Roughly a third of the run fits in one TTL; none of it would have
+    # been dropped without one.
+    assert peak < unanswered / 2
 
 
 def test_unknown_context_404(monolithic_testbed):

@@ -10,7 +10,13 @@ burst over the *same* end-offset list), and nobody may build an
 per-event emission fails here on any machine, with no timer involved.
 Likewise the random streams: a fresh subscriber's registration seeds
 exactly three (K, OPc, the UE's ECIES ephemerals — the bytes need them)
-and the RNG service keeps none of them.
+and the RNG service keeps none of them.  And the tracer's deferred
+work: an armed registration hashes a span id only where a
+``traceparent`` is minted (7 SBI requests; all 33 begun spans before ids
+were made on read), and a store that keeps the tree builds nothing —
+no ``Span`` from a burst, no leaf at all — until the tree is dumped, and
+a dump derives 261 leaves, hashes 326 ids (294 spans, the 32 parents
+once more) and still builds no ``Span``.
 
 ``python tests/integration/test_sim_ops_budget.py`` prints the counts as
 JSON.
@@ -22,7 +28,8 @@ from contextlib import ExitStack
 from unittest import mock
 
 from repro.experiments.harness import warmed_testbed
-from repro.obs.trace import Tracer
+from repro.obs import trace as trace_module
+from repro.obs.trace import TraceStore, Tracer, _OcallBurst
 from repro.paka.deploy import IsolationMode
 from repro.sim.clock import SimClock
 from repro.sim.events import Event, EventLog
@@ -55,12 +62,35 @@ CONTAINER_BUDGET = dict(
 )
 
 
-def count_ops(isolation: IsolationMode, armed: bool, registrations: int = 2) -> list:
+# What the tracer adds, armed with a store: kept (1 in 1) or declined.
+KEPT_BUDGET = {
+    "span_bursts_sharing_the_event_ends": 9,
+    "span_ids_hashed": 7,
+    "burst_leaves_derived": 0,
+    "spans_built_from_bursts": 0,
+    "traces_kept": 1,
+    "span_ids_hashed_by_a_dump": 326,
+    "burst_leaves_derived_by_a_dump": 261,
+    "spans_built_from_bursts_by_a_dump": 0,
+}
+DECLINED_BUDGET = dict(
+    KEPT_BUDGET,
+    traces_kept=0,
+    span_ids_hashed_by_a_dump=0,
+    burst_leaves_derived_by_a_dump=0,
+)
+_TRACER_COUNTS = ("span_ids_hashed", "burst_leaves_derived", "spans_built_from_bursts")
+
+
+def count_ops(
+    isolation: IsolationMode, armed: bool, registrations: int = 2, keep: bool = True
+) -> list:
     """Per-registration bookkeeping counts on a warmed, unbounded-log testbed."""
     testbed = warmed_testbed(isolation, seed=7)
     host = testbed.host
     if armed:
-        host.tracer = Tracer(host.clock, trace_seed=7)
+        store = TraceStore(cap=None, sample_every=1 if keep else 2**32)
+        host.tracer = Tracer(host.clock, trace_seed=7, store=store)
     counts: Counter = Counter()
     event_ends, span_ends = [], []
 
@@ -69,6 +99,9 @@ def count_ops(isolation: IsolationMode, armed: bool, registrations: int = 2) -> 
     real_ocall_burst = Tracer.ocall_burst
     real_measure = SimClock.measure
     real_fresh_stream = RngService.fresh_stream
+    real_span_context_id = trace_module.span_context_id
+    real_expand_under = _OcallBurst.expand_under
+    real_leaves = _OcallBurst.leaves
     streams_seeded = [0]  # its own tally: provisioning precedes counts.clear()
 
     def event_init(event, timestamp_ns, category, detail=None):
@@ -93,6 +126,19 @@ def count_ops(isolation: IsolationMode, armed: bool, registrations: int = 2) -> 
         streams_seeded[0] += 1
         return real_fresh_stream(service, name)
 
+    def span_context_id(trace_id, seq):
+        counts["span_ids_hashed"] += 1
+        return real_span_context_id(trace_id, seq)
+
+    def expand_under(burst, parent, out):
+        counts["spans_built_from_bursts"] += len(burst.templates)
+        real_expand_under(burst, parent, out)
+
+    def leaves(burst):
+        for leaf in real_leaves(burst):
+            counts["burst_leaves_derived"] += 1
+            yield leaf
+
     results = []
     with ExitStack() as stack:
         for owner, name, wrapper in (
@@ -101,6 +147,9 @@ def count_ops(isolation: IsolationMode, armed: bool, registrations: int = 2) -> 
             (Tracer, "ocall_burst", ocall_burst),
             (SimClock, "measure", measure),
             (RngService, "fresh_stream", fresh_stream),
+            (trace_module, "span_context_id", span_context_id),
+            (_OcallBurst, "expand_under", expand_under),
+            (_OcallBurst, "leaves", leaves),
         ):
             stack.enter_context(mock.patch.object(owner, name, wrapper))
         for _ in range(registrations):
@@ -123,7 +172,15 @@ def count_ops(isolation: IsolationMode, armed: bool, registrations: int = 2) -> 
                 counts["span_bursts_sharing_the_event_ends"] = sum(
                     a is b for a, b in zip(span_ends, event_ends)
                 )
+                counts["traces_kept"] = len(store)
+                counts.update(dict.fromkeys(_TRACER_COUNTS, 0))  # report zeros too
             result = {key: counts[key] for key in sorted(counts)}
+            if armed:
+                # Only now is the store read: the kept tree is dumped.
+                store.to_dict()
+                for key in _TRACER_COUNTS:
+                    result[f"{key}_by_a_dump"] = counts[key] - result[key]
+                store.records.clear()
             # Only now is the log read: the burst events get built.
             assert len(host.events.select("sgx.ocall")) == counts["events_in_bursts"]
             result["ocall_event_objects_built_by_a_read"] = (
@@ -140,9 +197,13 @@ def test_sgx_registration_books_its_ocalls_as_nine_bursts():
 
 
 def test_armed_tracer_changes_nothing_and_shares_the_end_offsets():
-    armed_budget = dict(SGX_BUDGET, span_bursts_sharing_the_event_ends=9)
     for counts in count_ops(IsolationMode.SGX, armed=True):
-        assert counts == armed_budget
+        assert counts == dict(SGX_BUDGET, **KEPT_BUDGET)
+
+
+def test_a_declined_trace_hashes_only_its_traceparents():
+    for counts in count_ops(IsolationMode.SGX, armed=True, keep=False):
+        assert counts == dict(SGX_BUDGET, **DECLINED_BUDGET)
 
 
 def test_container_registration_books_no_bursts():
@@ -154,5 +215,6 @@ if __name__ == "__main__":
     print(json.dumps({
         "sgx": count_ops(IsolationMode.SGX, armed=False),
         "sgx-armed": count_ops(IsolationMode.SGX, armed=True),
+        "sgx-armed-declined": count_ops(IsolationMode.SGX, armed=True, keep=False),
         "container": count_ops(IsolationMode.CONTAINER, armed=False),
     }, indent=1))

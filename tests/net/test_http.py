@@ -291,7 +291,7 @@ def test_late_response_is_discarded(server, client, host, bridge):
         client.request(connection, "POST", "/echo", body=b"x", timeout_us=1_000.0)
     bridge.link_filter = None
     assert client.timeouts == 1
-    assert client.response_times_us == []  # the late response is not a sample
+    assert len(client.response_times_us) == 0  # the late response is not a sample
     assert host.clock._open_measurements == []
 
 

@@ -52,7 +52,7 @@ def test_breakdown_ns_agrees_exactly_with_the_float_breakdown():
     # Same seed, no store: the same registrations, left on the tracer.
     lazy_roots = _traced()[0].roots
     assert len(store) == len(lazy_roots) == 2
-    for record, lazy_root in zip(store.records.values(), lazy_roots):
+    for record, lazy_root in zip(store.to_dict()["records"], lazy_roots):
         ns = registration_breakdown_ns(
             record["root"], module_servers, module_runtimes
         )
@@ -77,7 +77,7 @@ def test_breakdown_ns_agrees_exactly_with_the_float_breakdown():
 
 def test_breakdown_ns_accepts_live_spans_and_dict_trees():
     store, module_servers, module_runtimes = _traced_store(registrations=1)
-    record = next(iter(store.records.values()))
+    record = store.get(store.trace_ids()[0])
     from_dict = registration_breakdown_ns(
         record["root"], module_servers, module_runtimes
     )

@@ -6,8 +6,16 @@ recycled span can never leak the previous trace's name, kind,
 timestamps, tags or children into a new one.
 """
 
+import gc
+import itertools
+import json
+import tracemalloc
+
+import pytest
+
 from repro.obs import trace
-from repro.obs.trace import Span, Tracer
+from repro.obs.analytics import _walk as _walk_dicts
+from repro.obs.trace import Span, Tracer, TraceStore, span_from_dict
 from repro.sim.clock import SimClock
 
 
@@ -253,3 +261,213 @@ def test_every_consumer_reads_a_lazy_tree_like_its_dict_copy():
         copy = span_from_dict(twin.to_dict())
         assert len(copy.find("sgx.ocall")) == 261
         assert consume(lazy) == consume(copy)
+
+
+# ------------------------------------------------------------ kept trees
+#
+# A store keeps the tree the tracer built — bursts unread, ids unhashed —
+# and serialises it on every read.  The oracle is the eager form that
+# replaced: a twin run's root with every burst expanded into spans (it
+# reads ``children``), ids hashed from the pre-order (= begin-order)
+# index, one dict per span, in ``Span.to_dict``'s key order.
+
+
+def _eager_dict(span, seqs=None, parent_id=None):
+    seqs = itertools.count() if seqs is None else seqs
+    traced = span.trace_id is not None
+    span_id = trace.span_context_id(span.trace_id, next(seqs)) if traced else None
+    payload = {
+        "name": span.name,
+        "kind": span.kind,
+        "start_ns": span.start_ns,
+        "end_ns": span.end_ns,
+        "tags": {key: span.tags[key] for key in sorted(span.tags)},
+        "children": [_eager_dict(child, seqs, span_id) for child in span.children],
+    }
+    if traced:
+        payload.update(trace_id=span.trace_id, span_id=span_id, parent_id=parent_id)
+    return payload
+
+
+_FLAVOURS = {
+    "sgx": ("SGX", {}),
+    "exitless": ("SGX", {"exitless": True}),  # bursts filed with ends=None
+    "container": ("CONTAINER", {}),  # no bursts at all
+}
+
+
+def _three_registrations(flavour, trace_seed, store=None):
+    """Two successful attaches and one the AMF sheds, under an armed
+    tracer; returns the tracer and the three outcomes' success flags."""
+    from repro.experiments.harness import warmed_testbed
+    from repro.fivegc.admission import AdmissionConfig, AdmissionController
+    from repro.testbed import IsolationMode
+
+    isolation, config = _FLAVOURS[flavour]
+    testbed = warmed_testbed(IsolationMode[isolation], seed=7, **config)
+    tracer = Tracer(testbed.host.clock, trace_seed=trace_seed, store=store)
+    testbed.host.tracer = tracer
+    successes = [
+        testbed.register(testbed.add_subscriber(), establish_session=False).success
+    ]
+    testbed.amf.admission = AdmissionController(
+        AdmissionConfig(bucket_rate_per_s=0.001, bucket_burst=1.0)
+    )
+    for _ in range(2):
+        outcome = testbed.register(testbed.add_subscriber(), establish_session=False)
+        successes.append(outcome.success)
+    assert successes == [True, True, False]
+    return tracer, successes
+
+
+@pytest.mark.parametrize("trace_seed", [7, None], ids=["seeded", "unseeded"])
+@pytest.mark.parametrize("flavour", list(_FLAVOURS))
+def test_a_store_dump_is_the_eager_snapshot_byte_for_byte(flavour, trace_seed):
+    _drain_pool()
+    twin, _ = _three_registrations(flavour, trace_seed)
+    eager = [_eager_dict(root) for root in twin.roots]
+    assert len(eager) == 3
+    nodes = [node for root in eager for node in _walk_dicts(root)]
+    leaves = sum(node["kind"] == "sgx.ocall" for node in nodes)
+    assert leaves == (0 if flavour == "container" else 2 * 261)  # none when shed
+
+    store = TraceStore(cap=None, sample_every=1)
+    tracer, successes = _three_registrations(flavour, trace_seed, store)
+    if trace_seed is None:
+        # No identity, so ``RootTrace.record`` files nothing; offer the
+        # roots by hand (an id is only the store's key).
+        assert len(store) == 0 and len(tracer.roots) == 3
+        for index, (root, success) in enumerate(zip(tracer.roots, successes)):
+            assert store.offer(
+                root, f"{index:032x}", supi="imsi", attempt=1,
+                success=success, sojourn_ns=root.ns,
+            )
+    else:
+        assert tracer.roots == []  # kept trees left the tracer for the store
+    assert (store.seen, store.kept_head, store.kept_tail) == (3, 2, 1)
+
+    pool_before = list(trace._SPAN_POOL)
+    first = json.dumps(store.to_dict(), sort_keys=True)
+    records = store.to_dict()["records"]
+    assert [record["success"] for record in records] == successes
+    for record, expected in zip(records, eager):
+        # Unsorted too: the key order is ``Span.to_dict``'s.
+        assert json.dumps(record["root"]) == json.dumps(expected)
+        assert (record["start_ns"], record["end_ns"], record["duration_ns"]) == (
+            expected["start_ns"], expected["end_ns"],
+            expected["end_ns"] - expected["start_ns"],
+        )
+        assert store.get(record["trace_id"]) == record
+        assert span_from_dict(record["root"]).to_dict() == record["root"]
+    assert store.get("f" * 32) is None
+
+    # A read is only a read: the kept trees are still the tracer's
+    # (bursts unread, no leaf span built), the freelist is untouched, a
+    # second dump is the first and leaves the heap where it was.
+    stored_spans = [
+        span for record in store.records.values()
+        for span in _raw_spans(record["root"])
+    ]
+    assert len(stored_spans) == len(nodes) - leaves
+    assert not any(span.kind == "sgx.ocall" for span in stored_spans)
+    bursts = [
+        child for span in stored_spans for child in span._children
+        if child.__class__ is trace._OcallBurst
+    ]
+    assert len(bursts) == (0 if flavour == "container" else 2 * 9)
+    assert sum(len(burst.templates) for burst in bursts) == leaves
+    assert all((burst.ends is None) == (flavour == "exitless") for burst in bursts)
+    assert not {id(span) for span in stored_spans} & {id(s) for s in trace._SPAN_POOL}
+    assert trace._SPAN_POOL == pool_before
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        second = json.dumps(store.to_dict(), sort_keys=True)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before - len(second)
+    finally:
+        tracemalloc.stop()
+    assert second == first
+    assert growth < 4096  # three trees of ≈220 kB of dicts came and went
+
+
+def test_reading_a_kept_record_leaves_the_freelist_to_the_next_begin():
+    _drain_pool()
+    store = TraceStore(cap=None, sample_every=1)
+    tracer, _ = _three_registrations("sgx", 7, store)
+    # Give the freelist something to hand out: an unstored tree, recycled.
+    with tracer.trace("probe", "attack"):
+        with tracer.span("inner"):
+            pass
+    pool_before = list(trace._SPAN_POOL)
+    assert len(pool_before) == 2
+    for trace_id in store.trace_ids():
+        assert store.get(trace_id)["root"]["children"]
+    store.to_dict()
+    assert trace._SPAN_POOL == pool_before
+    fresh = tracer.begin("next")
+    assert fresh is pool_before[-1]
+    assert fresh.children == [] and fresh.trace_id is None and fresh.span_id is None
+    tracer.end(fresh)
+
+
+def test_eviction_follows_the_policy_and_returns_the_tree_to_the_freelist():
+    def offer(store, tracer, trace_id, success=True, sojourn_ns=1):
+        root = tracer.begin("registration", "registration")
+        child = tracer.begin("nas", "nas")
+        tracer.ocall_burst(_burst_templates(4), [11, 23, 36, 50])
+        tracer.end(child)
+        tracer.end(root)
+        tracer.roots.remove(root)
+        kept = store.offer(
+            root, trace_id, supi="imsi", attempt=1,
+            success=success, sojourn_ns=sojourn_ns,
+        )
+        return root, child, kept
+
+    _drain_pool()
+    tracer = Tracer(SimClock())
+    store = TraceStore(cap=2, sample_every=2, deadline_ms=1.0)
+    head, tail, skip = "00000002" + "0" * 24, "00000003" + "a" * 24, "00000005" + "0" * 24
+    _, _, kept = offer(store, tracer, skip)
+    assert not kept and trace._SPAN_POOL == []  # declined: the caller's to recycle
+    failed_root, failed_child, _ = offer(store, tracer, tail, success=False)
+    head_root, head_child, _ = offer(store, tracer, head)
+    assert trace._SPAN_POOL == []
+    # Over the cap: the oldest head sample goes, not the older tail record
+    # — and what goes back to the freelist is its two begun spans, the
+    # burst dropped unbuilt.
+    _, _, kept = offer(store, tracer, head[:-1] + "2", sojourn_ns=9**9)
+    assert kept and store.trace_ids() == [tail, head[:-1] + "2"]
+    assert {id(span) for span in trace._SPAN_POOL} == {id(head_root), id(head_child)}
+    assert head_root._children == [] and not head_child._unread
+    # No head sample left: the oldest record overall goes.
+    _, _, kept = offer(store, tracer, head[:-1] + "4", success=False)
+    assert kept and store.trace_ids() == [head[:-1] + "2", head[:-1] + "4"]
+    assert {id(failed_root), id(failed_child)} <= {id(s) for s in trace._SPAN_POOL}
+    assert (store.seen, store.kept_tail, store.kept_head, store.evicted) == (5, 3, 1, 2)
+    # What is left still dumps whole.
+    for record in store.to_dict()["records"]:
+        assert len(record["root"]["children"][0]["children"]) == 4
+
+
+def test_sharded_traced_digest_is_byte_identical_across_jobs():
+    """Shard workers dump their stores (expand on read) and the parent
+    absorbs the dicts: one process or two, the digest is the same bytes,
+    and an absorbed record reads back as the dict it arrived as."""
+    from repro.experiments.shard import sharded_campaign
+
+    serial = sharded_campaign(ues=8, shards=2, jobs=1, trace_sample=1)
+    fanned = sharded_campaign(ues=8, shards=2, jobs=2, trace_sample=1)
+    assert serial.traces_digest["kept"] == 8
+    assert json.dumps(serial.traces_digest, sort_keys=True) == json.dumps(
+        fanned.traces_digest, sort_keys=True
+    )
+    assert json.dumps(serial.trace_store.to_dict(), sort_keys=True) == json.dumps(
+        fanned.trace_store.to_dict(), sort_keys=True
+    )
+    merged = serial.trace_store
+    top = serial.traces_digest["slowest"][0]["trace_id"]
+    assert merged.get(top) is merged.records[top]
+    assert len(list(_walk_dicts(merged.get(top)["root"]))) == 294

@@ -100,8 +100,9 @@ def test_to_dict_tags_are_key_sorted():
     assert list(payload["tags"]) == ["alpha", "mike", "zulu"]
     # Identity keys appear only on stamped spans.
     assert "trace_id" not in payload
-    span.trace_id, span.span_id = "ab" * 16, "cd" * 8
-    stamped = span.to_dict()
+    stamped = span_from_dict(
+        {**payload, "trace_id": "ab" * 16, "span_id": "cd" * 8, "parent_id": None}
+    ).to_dict()
     assert stamped["trace_id"] == "ab" * 16
     assert stamped["parent_id"] is None
     # Byte-stable regardless of insertion order.
@@ -141,7 +142,7 @@ def test_traceparent_propagates_across_every_sbi_hop():
     outcome = testbed.register(testbed.add_subscriber(), establish_session=False)
     testbed.host.tracer = None
     assert outcome.success
-    record = next(iter(tracer.store.records.values()))
+    record = tracer.store.get(tracer.store.trace_ids()[0])
     tree = record["root"]
     assert {node["trace_id"] for node in _walk(tree)} == {record["trace_id"]}
 
