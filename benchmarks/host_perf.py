@@ -1,160 +1,36 @@
-"""Host-performance harness: how fast the simulator itself runs.
+"""Host-performance gates: what CI judges about the simulator's own speed.
 
-Everything in ``benchmarks/`` measures *simulated* time — the scientific
-output.  This script measures the *host* wall-clock cost of producing it,
-so crypto fast-path work (the T-table AES rewrite, per-key cipher caches)
-can be tracked with hard numbers:
+Everything else in ``benchmarks/`` measures *simulated* time -- the
+scientific output -- and ``benchmarks/hostbench`` is the calibrated
+end-to-end judge of host cost.  This script keeps the three checks CI
+still runs on the wall clock:
 
-* one-shot AES blocks/s      — ``aes128_encrypt_block`` per call
-* keyed AES blocks/s         — ``AES128.encrypt_block`` on a held cipher
-* MILENAGE vectors/s         — full f1 + f2345 authentication vectors on
-                               a held ``Milenage`` (the AKA crypto core)
-* SBI roundtrips/s           — ``dumps_flat``/``loads_object`` over a
-                               representative registration body set
-* registrations/s            — stable-regime 5G-AKA registrations on a
-                               warmed SGX testbed (the simulator hot path)
-* capacity regs/s (opt-in)   — host wall over a full ``--capacity N``
-                               UE campaign (the 10k/100k-UE scale runs)
-* sharded regs/s (opt-in)    — host wall + serial-vs-fanned speedup of
-                               the partitioned ``--sharded-capacity``
-                               campaign (the million-UE scale-out path)
-* suite wall-clock (opt-in)  — one full ``pytest benchmarks`` run
-
-Results land in ``BENCH_hostperf.json`` at the repo root; each invocation
-appends to the ``runs`` history so regressions are visible in the diff.
+* ``--gate NAME=PERCENT``   paired host-time overhead of one armed
+                            subsystem from ``OVERHEAD_GATES`` on
+                            legitimate registrations (repeatable)
+* ``--capacity N``          host wall over a full ``N``-UE capacity
+                            campaign (the 100k-UE CI smoke arm)
+* ``--sharded-capacity N``  the partitioned campaign serial vs fanned
+                            out: merged reports byte-identical, and with
+                            ``--sharded-gate`` a floor on the speed-up
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/host_perf.py [--suite] [--label TEXT]
-        [--quick] [--gate NAME=PERCENT ...]
+    PYTHONPATH=src python benchmarks/host_perf.py [--quick]
+        [--gate NAME=PERCENT ...] [--capacity UES]
+        [--sharded-capacity UES [--sharded-gate SPEEDUP]]
 
-``--quick`` shrinks the batches to CI-smoke scale and skips the history
-file (so smoke runs never pollute the committed numbers); each ``--gate``
-bounds the paired overhead of one armed subsystem from
-``OVERHEAD_GATES``.  The raw registrations/s reading is recorded, never
-judged — it is host-dependent; ``benchmarks/hostbench`` is the
-calibrated end-to-end judge.
+It prints what it measured as JSON and writes nothing:
+``BENCH_hostperf.json`` is frozen history.  ``--quick`` is accepted and
+changes nothing (it once kept smoke runs out of that file).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import pathlib
-import platform
-import subprocess
 import sys
 import time
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_hostperf.json"
-
-BLOCK_BATCH = 20_000
-# Post-rewrite a registration costs ~3 ms of host time, so 100 samples
-# is still sub-second; at 10–20 samples the regs/s rate swung ±15% on a
-# noisy host.
-REGISTRATIONS = 100
-QUICK_REGISTRATIONS = 30
-
-
-def measure_aes_blocks(batch: int = BLOCK_BATCH) -> dict:
-    """Blocks/s for the one-shot API and for a held keyed cipher."""
-    from repro.crypto.aes import AES128, aes128_encrypt_block
-
-    key = bytes(range(16))
-    block = bytes(range(16, 32))
-
-    start = time.perf_counter()
-    for _ in range(batch):
-        aes128_encrypt_block(key, block)
-    oneshot_s = time.perf_counter() - start
-
-    cipher = AES128(key)
-    encrypt = cipher.encrypt_block
-    start = time.perf_counter()
-    for _ in range(batch):
-        encrypt(block)
-    keyed_s = time.perf_counter() - start
-
-    # Bulk CTR over a NAS-sized message (the actual hot-path shape).
-    message = bytes(240)
-    nonce = bytes(range(32, 48))
-    ctr_batch = max(1, batch // 4)
-    ctr = cipher.ctr
-    start = time.perf_counter()
-    for _ in range(ctr_batch):
-        ctr(nonce, message)
-    ctr_s = time.perf_counter() - start
-
-    return {
-        "block_batch": batch,
-        "oneshot_blocks_per_s": round(batch / oneshot_s, 1),
-        "keyed_blocks_per_s": round(batch / keyed_s, 1),
-        "ctr_240B_msgs_per_s": round(ctr_batch / ctr_s, 1),
-    }
-
-
-def measure_milenage(batch: int = BLOCK_BATCH // 4) -> dict:
-    """Full MILENAGE authentication vectors/s on a held ``Milenage``.
-
-    One vector is the batched f1 + f2345 pass (MAC-A, RES, CK, IK, AK) —
-    the UDM/USIM cost of every 5G-AKA run, and the unit the bulk-crypto
-    rewrite optimises.  RAND varies per call so the per-RAND TEMP cache
-    cannot short-circuit the measurement.
-    """
-    from repro.crypto.milenage import Milenage
-
-    mil = Milenage(bytes(range(16)), bytes(range(16, 32)))
-    sqn = bytes(6)
-    amf = b"\x80\x00"
-    rands = [i.to_bytes(16, "big") for i in range(batch)]
-
-    generate = mil.generate
-    start = time.perf_counter()
-    for rand in rands:
-        generate(rand, sqn, amf)
-    wall_s = time.perf_counter() - start
-
-    return {
-        "vector_batch": batch,
-        "milenage_vectors_per_s": round(batch / wall_s, 1),
-    }
-
-
-def measure_sbi_roundtrips(batch: int = BLOCK_BATCH // 4) -> dict:
-    """Serialize+parse roundtrips/s over a registration's SBI body set.
-
-    One roundtrip pushes a representative mix of the ~14 flat JSON bodies
-    a registration exchanges (auth vectors, SUCI resolution, confirmation,
-    session setup) through ``dumps_flat`` and back through
-    ``loads_object`` — the fast-serialization layer's unit of work.
-    """
-    from repro.net.codec import dumps_flat, loads_object
-
-    bodies = [
-        {"supi": "imsi-001010000000001", "servingNetworkName": "5G:mnc001.mcc001.3gppnetwork.org"},
-        {
-            "rand": "00112233445566778899aabbccddeeff",
-            "autn": "ffeeddccbbaa99887766554433221100",
-            "hxresStar": "0f1e2d3c4b5a69788796a5b4c3d2e1f0" * 2,
-            "authCtxId": "ctx-000001",
-        },
-        {"resStar": "f0e1d2c3b4a5968778695a4b3c2d1e0f" * 2},
-        {"authResult": "AUTHENTICATION_SUCCESS", "supi": "imsi-001010000000001", "kseaf": "00" * 32},
-        {"pduSessionId": 1, "dnn": "internet", "sscMode": 1, "established": True},
-    ]
-
-    start = time.perf_counter()
-    for _ in range(batch):
-        for body in bodies:
-            loads_object(dumps_flat(body))
-    wall_s = time.perf_counter() - start
-
-    return {
-        "roundtrip_batch": batch,
-        "bodies_per_roundtrip": len(bodies),
-        "sbi_roundtrips_per_s": round(batch / wall_s, 1),
-    }
 
 
 def measure_capacity(ues: int) -> dict:
@@ -215,27 +91,6 @@ def measure_sharded_capacity(ues: int, shards: int, jobs: int) -> dict:
         "sharded_regs_per_s": round(ues / fanned_wall_s, 2),
         "speedup": round(serial_wall_s / fanned_wall_s, 2),
         "simulated_regs_per_s": fanned.report.derived["simulated_regs_per_s"],
-    }
-
-
-def measure_registrations(registrations: int = REGISTRATIONS) -> dict:
-    """Wall-clock for stable-regime registrations on a warmed SGX testbed."""
-    from repro.experiments.harness import warmed_testbed
-    from repro.paka.deploy import IsolationMode
-
-    testbed = warmed_testbed(IsolationMode.SGX, seed=7)
-    start = time.perf_counter()
-    for _ in range(registrations):
-        ue = testbed.add_subscriber()
-        outcome = testbed.register(ue, establish_session=False)
-        if not outcome.success:
-            raise RuntimeError(f"registration failed: {outcome.failure_cause}")
-    wall_s = time.perf_counter() - start
-
-    return {
-        "registrations": registrations,
-        "wall_s": round(wall_s, 4),
-        "registrations_per_s": round(registrations / wall_s, 2),
     }
 
 
@@ -385,51 +240,19 @@ def _parse_gate(text: str):
         raise argparse.ArgumentTypeError(f"bad percentage in {text!r}")
 
 
-def measure_suite() -> dict:
-    """Wall-clock of one full benchmark-suite run (the expensive bit)."""
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "benchmarks", "-q", "-p", "no:cacheprovider"],
-        cwd=REPO_ROOT,
-        env={**__import__("os").environ, "PYTHONPATH": "src"},
-        capture_output=True,
-        text=True,
-    )
-    wall_s = time.perf_counter() - start
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"benchmark suite failed (exit {proc.returncode}):\n{proc.stdout[-2000:]}"
-        )
-    return {"suite_wall_s": round(wall_s, 2)}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--suite",
-        action="store_true",
-        help="also time one full 'pytest benchmarks' run (minutes, not seconds)",
-    )
-    parser.add_argument(
-        "--label", default="", help="free-text tag stored with this run"
-    )
-    parser.add_argument(
-        "--output",
-        type=pathlib.Path,
-        default=DEFAULT_OUTPUT,
-        help=f"results file (default: {DEFAULT_OUTPUT})",
-    )
-    parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI-smoke scale; measures but does not append to the history file",
+        help="accepted for the CI command lines; no effect",
     )
     parser.add_argument(
         "--capacity",
         type=int,
         default=None,
         metavar="UES",
-        help="also wall-clock one full capacity campaign of this many UEs "
+        help="wall-clock one full capacity campaign of this many UEs "
         "(10_000 = the paper-scale run; 100_000 = the CI smoke arm)",
     )
     parser.add_argument(
@@ -437,7 +260,7 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="UES",
-        help="also wall-clock the partitioned (sharded) capacity campaign "
+        help="wall-clock the partitioned (sharded) capacity campaign "
         "of this many UEs, serial vs fanned-out, recording the speedup",
     )
     parser.add_argument(
@@ -481,17 +304,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    block_batch = BLOCK_BATCH // 5 if args.quick else BLOCK_BATCH
-    registrations = QUICK_REGISTRATIONS if args.quick else REGISTRATIONS
-
-    run = {
-        "label": args.label,
-        "python": platform.python_version(),
-        "aes": measure_aes_blocks(block_batch),
-        "milenage": measure_milenage(block_batch // 4),
-        "sbi": measure_sbi_roundtrips(block_batch // 4),
-        "registration": measure_registrations(registrations),
-    }
+    run = {}
     if args.capacity is not None:
         run["capacity"] = measure_capacity(args.capacity)
     if args.sharded_capacity is not None or args.sharded_gate is not None:
@@ -500,28 +313,9 @@ def main(argv=None) -> int:
             args.sharded_shards,
             args.sharded_jobs,
         )
-    # Gate measurements always use the full paired-sample count: the
-    # estimator needs ~150 pairs for a stable trimmed mean, and --quick
-    # shrinking them would just make the gate flaky.
     for name, _ in args.gate:
         run[f"{name}_overhead"] = _paired_overhead(OVERHEAD_GATES[name])
-    if args.suite:
-        run.update(measure_suite())
-
-    if not args.quick:
-        if args.output.exists():
-            document = json.loads(args.output.read_text())
-        else:
-            document = {
-                "description": "host wall-clock performance history",
-                "runs": [],
-            }
-        document["runs"].append(run)
-        args.output.write_text(json.dumps(document, indent=2) + "\n")
-
     print(json.dumps(run, indent=2))
-    if not args.quick:
-        print(f"recorded -> {args.output}")
 
     if args.sharded_gate is not None:
         sharded = run["sharded_capacity"]

@@ -7,21 +7,14 @@ byte-identical regardless of ``--jobs``.  This benchmark commits the
 100k-UE merged report — the scale-out headline — and budgets the host
 wall-clock so the partitioned driver stays CI-tolerable.
 
-The host throughput is appended to ``BENCH_hostperf.json`` under the
-``sharded-capacity-100k`` label (replacing the previous entry, like the
-unsharded 10k arm does).  Under ``--quick`` the campaign shrinks to 400
-UEs: band checks still run, nothing on disk is touched.
+The host throughput is printed and recorded in ``benchmark.extra_info``.
+Under ``--quick`` the campaign shrinks to 400 UEs: band checks still
+run, nothing on disk is touched and the wall-clock budget is not judged.
 """
 
-import json
-import pathlib
-import platform
 import time
 
 from repro.experiments.shard import sharded_campaign
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-HOSTPERF_PATH = REPO_ROOT / "BENCH_hostperf.json"
 
 FULL_100K = 100_000
 QUICK_SIZE = 400
@@ -30,21 +23,6 @@ SHARDS = 8
 # Single-core floor: the unsharded 10k arm clears ~700 regs/s on a
 # developer host, so 100k UEs plus the merge must land well inside this.
 MAX_WALL_S_100K = 420.0
-
-
-def _record_hostperf(label: str, measured: dict) -> None:
-    document = (
-        json.loads(HOSTPERF_PATH.read_text())
-        if HOSTPERF_PATH.exists()
-        else {"description": "host wall-clock performance history", "runs": []}
-    )
-    run = {
-        "label": label,
-        "python": platform.python_version(),
-        "sharded_capacity": measured,
-    }
-    document["runs"] = [r for r in document["runs"] if r.get("label") != label] + [run]
-    HOSTPERF_PATH.write_text(json.dumps(document, indent=2) + "\n")
 
 
 def test_bench_sharded_capacity_100k(benchmark, campaign, record_report, jobs, request):
@@ -65,17 +43,6 @@ def test_bench_sharded_capacity_100k(benchmark, campaign, record_report, jobs, r
     print(f"  host wall-clock: {wall_s:.2f}s ({ues / wall_s:.1f} regs/s)")
 
     if not request.config.getoption("--quick"):
-        _record_hostperf(
-            "sharded-capacity-100k",
-            {
-                "ues": ues,
-                "shards": SHARDS,
-                "jobs": jobs,
-                "wall_s": round(wall_s, 2),
-                "sharded_regs_per_s": round(ues / wall_s, 2),
-                "simulated_regs_per_s": report.derived["simulated_regs_per_s"],
-            },
-        )
         assert wall_s < MAX_WALL_S_100K, (
             f"100k-UE sharded campaign took {wall_s:.1f}s host wall-clock "
             f"(budget {MAX_WALL_S_100K:.0f}s)"

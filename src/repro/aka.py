@@ -98,11 +98,6 @@ def derive_se_av(he_av: HomeAuthVector, snn: bytes) -> "tuple[ServingAuthVector,
     return se_av, kseaf
 
 
-def verify_hres_star(rand: bytes, res_star: bytes, hxres_star: bytes) -> bool:
-    """SEAF-side check: SHA-256(RAND ‖ RES*) truncated == HXRES*."""
-    return derive_hxres_star(rand, res_star) == hxres_star
-
-
 from typing import Optional
 
 

@@ -39,7 +39,7 @@ from repro.experiments.render import render_report_figures
 from repro.experiments.shard import sharded_campaign
 from repro.experiments.survivability import (
     DEFENSES,
-    _run_arm,
+    run_storm_arm,
     survivability_experiment,
 )
 from repro.obs.analytics import slowest_traces_digest
@@ -382,7 +382,7 @@ def _cmd_attack(args: Args) -> int:
 
 def _cmd_traces(args: Args) -> int:
     """Distributed-trace analytics over a traced survivability arm."""
-    row = _run_arm(
+    row = run_storm_arm(
         args.defense,
         args.rate,
         legit=args.legit,

@@ -3,15 +3,13 @@
 Models the parts of the Docker stack the paper's deployment rests on:
 images with layered filesystems (including the credential-in-image problem
 of KI 27), a container engine (an *untrusted* entity in the threat model —
-it can inspect the memory of plain containers), an intra-host bridge
-network with a latency model (the "OAI docker bridge" of Fig 4), and a
-compose-style orchestrator for bringing whole slices up and down.
+it can inspect the memory of plain containers) and an intra-host bridge
+network with a latency model (the "OAI docker bridge" of Fig 4).
 """
 
 from repro.container.image import ContainerImage, FileEntry, ImageLayer
 from repro.container.engine import Container, ContainerEngine, ContainerStatus
 from repro.container.network import BridgeNetwork, NetworkEndpoint
-from repro.container.compose import ComposeProject, ServiceSpec
 
 __all__ = [
     "ContainerImage",
@@ -22,6 +20,4 @@ __all__ = [
     "ContainerStatus",
     "BridgeNetwork",
     "NetworkEndpoint",
-    "ComposeProject",
-    "ServiceSpec",
 ]

@@ -123,9 +123,6 @@ class ContainerEngine:
     def ps(self) -> List[Container]:
         return [c for c in self._containers.values() if c.status is ContainerStatus.RUNNING]
 
-    def stop(self, name: str) -> None:
-        self.get(name).stop()
-
     def remove(self, name: str) -> None:
         container = self._containers.pop(name, None)
         if container is not None:

@@ -45,9 +45,6 @@ class NetworkEndpoint:
     network: "BridgeNetwork"
     deliver: Optional[Callable[[Frame], None]] = None
 
-    def send(self, dst: str, payload: bytes) -> None:
-        self.network.transmit(self.name, dst, payload)
-
 
 @dataclass
 class BridgeNetwork:
@@ -74,12 +71,6 @@ class BridgeNetwork:
 
     def detach(self, name: str) -> None:
         self._endpoints.pop(name, None)
-
-    def endpoint(self, name: str) -> NetworkEndpoint:
-        try:
-            return self._endpoints[name]
-        except KeyError:
-            raise NetworkError(f"no endpoint {name!r} on bridge {self.name!r}")
 
     def transit_latency_us(self, nbytes: int) -> float:
         mean = self.base_latency_us + self.per_kb_latency_us * (nbytes / 1024.0)

@@ -16,7 +16,6 @@ implementations of the algorithms the 5G-AKA protocol runs —
   protection plus the latency cost hooks the network substrate uses.
 """
 
-from repro.crypto.aes import aes128_decrypt_block, aes128_encrypt_block
 from repro.crypto.kdf import (
     derive_hxres_star,
     derive_kamf,
@@ -25,7 +24,7 @@ from repro.crypto.kdf import (
     derive_res_star,
     ts33220_kdf,
 )
-from repro.crypto.milenage import Milenage, MilenageVector, compute_opc
+from repro.crypto.milenage import Milenage, MilenageVector
 from repro.crypto.suci import (
     EciesProfileA,
     Suci,
@@ -36,11 +35,8 @@ from repro.crypto.suci import (
 )
 
 __all__ = [
-    "aes128_encrypt_block",
-    "aes128_decrypt_block",
     "Milenage",
     "MilenageVector",
-    "compute_opc",
     "ts33220_kdf",
     "derive_kausf",
     "derive_kseaf",

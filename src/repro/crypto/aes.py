@@ -7,17 +7,13 @@ and MixColumns fused into table lookups) — the simulator charges cycle
 costs through the hardware model, so host speed here only determines how
 fast campaigns regenerate.
 
-Two APIs are exposed:
-
-* :class:`AES128` — a keyed cipher object that expands the key **once**;
-  hot callers (MILENAGE, TLS record protection, CTR modes, and CMAC where
-  there is no libcrypto) hold one per key and amortise the schedule over
-  every block.  It also remembers the last CTR keystream it produced, so
-  the receiving end of a record (same key, hence same object via
-  :func:`aes128_cipher`) reuses the stream its sender just computed.
-* module-level one-shot helpers (:func:`aes128_encrypt_block` et al.) that
-  transparently reuse cached cipher objects keyed by the raw key bytes,
-  so legacy call sites get the fast path without restructuring.
+One API is exposed: :class:`AES128`, a keyed cipher object that expands
+the key **once**; hot callers (MILENAGE, TLS record protection, CTR modes,
+and CMAC where there is no libcrypto) hold one per key and amortise the
+schedule over every block.  It also remembers the last CTR keystream it
+produced, so the receiving end of a record (same key, hence same object
+via :func:`aes128_cipher`, the per-key memo) reuses the stream its sender
+just computed.
 
 Side-channel hardening is explicitly a non-goal: this cipher runs inside a
 simulation, never against an adversary with a timer.
@@ -405,18 +401,6 @@ class AES128:
         # tail drops the low-order bytes of the last block.
         return stream >> ((nblocks * 16 - length) * 8)
 
-    def keystream(self, nonce: bytes, length: int) -> bytes:
-        """``length`` bytes of CTR keystream starting at counter ``nonce``.
-
-        Byte-identical to encrypting successive counter blocks with
-        :meth:`encrypt_block` and truncating the concatenation.
-        """
-        if len(nonce) != 16:
-            raise ValueError(f"CTR nonce must be 16 bytes, got {len(nonce)}")
-        if length <= 0:
-            return b""
-        return self._stream_int(nonce, length).to_bytes(length, "big")
-
     def ctr(self, nonce: bytes, data: bytes) -> bytes:
         """Counter mode over this cipher's key.
 
@@ -439,24 +423,8 @@ def aes128_cipher(key: bytes) -> AES128:
     """The shared :class:`AES128` instance for ``key``.
 
     USIM keys, NAS keys and TLS record keys recur across a campaign; this
-    cache makes the one-shot helpers below as cheap as holding the cipher
-    object explicitly.  (Caching on secret bytes is fine here — the
+    cache makes asking by key as cheap as holding the cipher object
+    explicitly.  (Caching on secret bytes is fine here — the
     simulator is the only user of this module.)
     """
     return AES128(key)
-
-
-def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
-    """Encrypt one 16-byte block with AES-128."""
-    return aes128_cipher(bytes(key)).encrypt_block(block)
-
-
-def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
-    """Decrypt one 16-byte block with AES-128."""
-    return aes128_cipher(bytes(key)).decrypt_block(block)
-
-
-def aes128_ctr(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    """AES-128 in counter mode (used by the ECIES SUCI profile, NEA2 and
-    the TLS record layer); expands the key at most once per process."""
-    return aes128_cipher(bytes(key)).ctr(nonce, data)

@@ -104,12 +104,3 @@ def derive_nas_keys(kamf: bytes, enc_alg_id: int = 1, int_alg_id: int = 2) -> "t
     k_enc = ts33220_kdf(kamf, 0x69, [bytes([N_NAS_ENC_ALG]), bytes([enc_alg_id])])[16:]
     k_int = ts33220_kdf(kamf, 0x69, [bytes([N_NAS_INT_ALG]), bytes([int_alg_id])])[16:]
     return k_enc, k_int
-
-
-def derive_kgnb(kamf: bytes, uplink_nas_count: int, access_type: int = 0x01) -> bytes:
-    """K_gNB per TS 33.501 A.9 (FC=0x6E, key K_AMF)."""
-    if uplink_nas_count < 0 or uplink_nas_count > 0xFFFFFFFF:
-        raise ValueError(f"NAS COUNT out of range: {uplink_nas_count}")
-    return ts33220_kdf(
-        kamf, 0x6E, [uplink_nas_count.to_bytes(4, "big"), bytes([access_type])]
-    )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.crypto.aes import aes128_cipher, aes128_encrypt_block
+from repro.crypto.aes import aes128_cipher
 
 # TS 35.206 §4.1 default constants: rotation amounts (bits) and additive
 # constants c1..c5 (only the low bits differ between them).
@@ -33,36 +33,6 @@ _C5 = bytes(15) + b"\x08"
 
 
 _MASK128 = (1 << 128) - 1
-
-
-def _xor(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError(f"xor length mismatch: {len(a)} vs {len(b)}")
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
-        len(a), "big"
-    )
-
-
-def _rotate_left(block: bytes, bits: int) -> bytes:
-    """Cyclic left rotation of a 16-byte block by ``bits`` bits."""
-    if bits % 8:
-        value = int.from_bytes(block, "big")
-        width = len(block) * 8
-        rotated = ((value << bits) | (value >> (width - bits))) % (1 << width)
-        return rotated.to_bytes(len(block), "big")
-    shift = (bits // 8) % len(block)
-    return block[shift:] + block[:shift]
-
-
-@lru_cache(maxsize=4096)
-def compute_opc(k: bytes, op: bytes) -> bytes:
-    """Derive the subscriber-specific operator constant OPc = OP ⊕ E_K(OP).
-
-    Cached per (K, OP): provisioning re-derives OPc for the same USIM on
-    every authentication-vector request, so memoising keeps the hot path
-    to the six MILENAGE block encryptions themselves.
-    """
-    return _xor(aes128_encrypt_block(k, op), op)
 
 
 @dataclass(frozen=True)
@@ -107,11 +77,6 @@ class Milenage:
         self._last_rand: "bytes | None" = None
         self._last_temp = 0
 
-    @classmethod
-    def from_op(cls, k: bytes, op: bytes) -> "Milenage":
-        """Build from the operator variant OP (computes OPc on the fly)."""
-        return cls(k, compute_opc(k, op))
-
     def _temp_int(self, rand: bytes) -> int:
         """TEMP = E_K(RAND ⊕ OPc) as a 128-bit integer, memoised per RAND."""
         if rand == self._last_rand:
@@ -127,9 +92,6 @@ class Milenage:
         self._last_rand = rand
         self._last_temp = temp
         return temp
-
-    def _temp(self, rand: bytes) -> bytes:
-        return self._temp_int(rand).to_bytes(16, "big")
 
     def _f1_block(self, temp: int, sqn: bytes, amf: bytes) -> int:
         """The cipher input block of f1/f1* (TEMP ⊕ rot(IN1 ⊕ OPc, r1) ⊕ c1)."""

@@ -52,8 +52,3 @@ def report_to_dict(report: ExperimentReport) -> Dict[str, Any]:
 
 def report_to_json(report: ExperimentReport, indent: int = 2) -> str:
     return json.dumps(report_to_dict(report), indent=indent, sort_keys=True)
-
-
-def write_report_json(report: ExperimentReport, path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(report_to_json(report) + "\n")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,6 @@ class Arm:
 
     def run(self) -> Any:
         return self.fn(**dict(self.kwargs))
-
-
-def _run_arm(arm: Arm) -> Any:
-    return arm.run()
 
 
 def default_jobs() -> int:
@@ -86,18 +82,10 @@ def run_arms(
     if jobs == 0:
         jobs = default_jobs()
     if pool is not None:
-        futures = [(arm.key, pool.submit(_run_arm, arm)) for arm in arms]
+        futures = [(arm.key, pool.submit(arm.run)) for arm in arms]
         return {key: future.result() for key, future in futures}
     if jobs <= 1 or len(arms) <= 1:
         return {arm.key: arm.run() for arm in arms}
     with ProcessPoolExecutor(max_workers=min(jobs, len(arms))) as pool:
-        futures = [(arm.key, pool.submit(_run_arm, arm)) for arm in arms]
+        futures = [(arm.key, pool.submit(arm.run)) for arm in arms]
         return {key: future.result() for key, future in futures}
-
-
-def run_pairs(
-    pairs: Sequence[Tuple[str, Callable[..., Any], Mapping[str, Any]]],
-    jobs: int = 1,
-) -> "Dict[str, Any]":
-    """Convenience wrapper: ``run_arms`` over ``(key, fn, kwargs)`` tuples."""
-    return run_arms([Arm(key=k, fn=f, kwargs=kw) for k, f, kw in pairs], jobs=jobs)

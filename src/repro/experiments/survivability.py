@@ -118,7 +118,7 @@ def _eenters(testbed) -> int:
     )
 
 
-def _run_arm(
+def run_storm_arm(
     defense: str,
     attack_rate_per_s: float,
     legit: int,
@@ -336,7 +336,7 @@ def survivability_experiment(
     rows: Dict[Tuple[str, float], Dict[str, object]] = {}
     for defense in defenses:
         for rate in attack_rates:
-            rows[(defense, rate)] = _run_arm(
+            rows[(defense, rate)] = run_storm_arm(
                 defense, rate, legit, horizon_s, seed
             )
 

@@ -170,17 +170,3 @@ class FaultPlan:
         for window in self.windows:
             out.setdefault(window.kind, []).append(window)
         return out
-
-    def counts(self) -> Dict[str, int]:
-        return {
-            kind.value: len(ws) for kind, ws in sorted(
-                self.by_kind().items(), key=lambda kv: kv[0].value
-            )
-        }
-
-    def describe(self) -> str:
-        parts = [f"{k}×{n}" for k, n in self.counts().items()]
-        return (
-            f"FaultPlan(seed={self.seed}, horizon={self.horizon_s:.0f}s, "
-            f"{', '.join(parts) if parts else 'fault-free'})"
-        )

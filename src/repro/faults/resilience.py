@@ -25,9 +25,7 @@ class CircuitBreaker:
     Call-path contract: gate each call through :meth:`try_acquire` (which
     claims the single half-open probe slot and books ``fast_failures``),
     then report the result via :meth:`record_success` /
-    :meth:`record_failure`.  :meth:`allow` is a *pure* query — metrics
-    collection and speculative health checks may call it freely without
-    corrupting accounting or stealing the probe slot.
+    :meth:`record_failure`.
     """
 
     name: str = ""
@@ -49,18 +47,6 @@ class CircuitBreaker:
     def _cooldown_elapsed(self, now_ns: int) -> bool:
         assert self.opened_at_ns is not None
         return now_ns - self.opened_at_ns >= int(self.cooldown_us * 1_000)
-
-    def allow(self, now_ns: int) -> bool:
-        """Would a call be admitted at simulated time ``now_ns``?
-
-        Pure query: no counters move and the probe slot is not claimed,
-        so passive observers never perturb the breaker state.
-        """
-        if self.opened_at_ns is None:
-            return True
-        if self.probe_in_flight:
-            return False
-        return self._cooldown_elapsed(now_ns)
 
     def try_acquire(self, now_ns: int) -> bool:
         """Admit one call at ``now_ns`` (the mutating call-path gate).

@@ -12,7 +12,7 @@ protocol logic of TS 33.501 §6.1.3.2 (the cryptography is exact, via
   plain container or inside an SGX enclave.
 """
 
-from repro.fivegc.aka import HomeAuthVector, ServingAuthVector, generate_he_av
+from repro.aka import HomeAuthVector, ServingAuthVector, generate_he_av
 from repro.fivegc.nf_base import NetworkFunction
 from repro.fivegc.nrf import Nrf
 from repro.fivegc.udr import AuthSubscription, Udr

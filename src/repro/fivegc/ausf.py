@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.fivegc.aka import HomeAuthVector, derive_se_av
+from repro.aka import HomeAuthVector, derive_se_av
 from repro.fivegc.nf_base import NetworkFunction
 from repro.net.rest import JsonApiError, json_body, require_hex, require_str
 from repro.net.sbi import (

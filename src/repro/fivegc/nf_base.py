@@ -27,7 +27,7 @@ from repro.net.http import (
 )
 from repro.net.codec import dumps_flat
 from repro.net.rest import JsonApiError, error_response, json_response
-from repro.net.sbi import NF_HEALTH, NFProfile, NFType
+from repro.net.sbi import NFProfile, NFType
 from repro.runtime.base import Runtime
 from repro.runtime.native import NativeRuntime
 
@@ -100,7 +100,6 @@ class NetworkFunction:
             metadata=metadata,
         )
         self._register_routes()
-        self._route_json("GET", NF_HEALTH, self._handle_health)
         self.server.start()
 
     # ------------------------------------------------------------- routing
@@ -119,22 +118,7 @@ class NetworkFunction:
 
         self.server.route(method, path, wrapped)
 
-    def _handle_health(self, request, context) -> HttpResponse:
-        """Liveness probe: answered by any NF that can still serve."""
-        context.runtime.compute(1_500)
-        return self._ok(
-            {"nfInstanceId": self.profile.nf_instance_id, "status": "OPERATIONAL"}
-        )
-
     # ----------------------------------------------------- peer connections
-
-    def connect_peer(self, peer: "NetworkFunction") -> HttpConnection:
-        """Open (or reuse) a keep-alive mutual-TLS connection to ``peer``."""
-        connection = self._connections.get(peer.name)
-        if connection is None or not connection.open:
-            connection = self.client.connect(peer.server)
-            self._connections[peer.name] = connection
-        return connection
 
     def call(
         self,
@@ -195,14 +179,6 @@ class NetworkFunction:
         breaker.record_success()
         return response
 
-    def check_health(self, peer: "NetworkFunction") -> bool:
-        """Probe a peer's liveness endpoint; False on any failure."""
-        try:
-            response = self.call(peer, "GET", NF_HEALTH)
-        except JsonApiError:
-            return False
-        return response.ok and response.json().get("status") == "OPERATIONAL"
-
     # -------------------------------------------------------- NRF plumbing
 
     def register_with(self, nrf: "NetworkFunction") -> None:
@@ -227,8 +203,7 @@ class NetworkFunction:
 
         The full discovery response is **cached**: repeated calls are
         answered locally with no NRF round-trip until the entry is
-        dropped (``refresh=True``, :meth:`invalidate_discovery`, or a
-        :meth:`restart` of this NF).  When the response carries several
+        dropped (``refresh=True``).  When the response carries several
         replicas the pick is deterministic client-side load balancing:
         the replica advertising this NF's own shard label wins (replica-
         set affinity), otherwise the first profile — per-key picks go
@@ -307,20 +282,6 @@ class NetworkFunction:
             return self.peer(nf_type)
         return record.peers_by_shard[record.ring.pick(str(key))]
 
-    def invalidate_discovery(self, nf_type: Optional[NFType] = None) -> None:
-        """Drop cached discovery state (all types, or just ``nf_type``).
-
-        Called when a discovered peer dies or restarts: the next
-        :meth:`discover` performs a fresh NRF round-trip instead of
-        reusing the stale entry (whose cached connection may point at a
-        poisoned TLS stream).  The bound peer mapping survives so
-        in-flight code paths keep a target until rediscovery.
-        """
-        if nf_type is None:
-            self._discovery.clear()
-        else:
-            self._discovery.pop(nf_type, None)
-
     def peer(self, nf_type: NFType) -> "NetworkFunction":
         try:
             return self._peers[nf_type]
@@ -349,24 +310,6 @@ class NetworkFunction:
             )
 
     # ----------------------------------------------------------- lifecycle
-
-    def restart(self) -> None:
-        """Simulate a process restart (fault revive): fresh statistics,
-        cold caches.
-
-        Every live counter and latency series starts over from zero —
-        the scenario Prometheus-style counter-reset detection exists
-        for — and cached TLS connections are poisoned so peers
-        re-handshake on their next call.  Routes, NRF registration and
-        peer bindings survive (the revived process re-reads its config).
-        """
-        for connection in self._connections.values():
-            connection.open = False
-        self._connections.clear()
-        self._discovery.clear()  # cold caches: rediscover peers via the NRF
-        self.server.reset_stats()
-        self.client.reset_stats()
-        self.circuit_breakers.clear()
 
     def shutdown(self) -> None:
         for connection in self._connections.values():

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from hashlib import blake2b
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 # Virtual nodes per physical node: enough for ±a few percent balance at
 # small replica counts without making ring construction noticeable.
@@ -76,16 +76,6 @@ class HashRing:
             self._points.insert(index, point)
             self._owners.insert(index, node)
 
-    def remove(self, node: str) -> None:
-        """Take ``node`` off the ring; its keys re-home to the successors."""
-        node = str(node)
-        if node not in self._nodes:
-            raise KeyError(f"node {node!r} not on the ring")
-        self._nodes.remove(node)
-        keep = [i for i, owner in enumerate(self._owners) if owner != node]
-        self._points = [self._points[i] for i in keep]
-        self._owners = [self._owners[i] for i in keep]
-
     # -------------------------------------------------------------- lookup
 
     def pick(self, key: str) -> str:
@@ -97,10 +87,6 @@ class HashRing:
         if index == len(self._points):
             index = 0  # wrap: the ring is circular
         return self._owners[index]
-
-    def assignment(self, keys: Sequence[str]) -> Dict[str, str]:
-        """``{key: node}`` for every key (one pass, deterministic)."""
-        return {key: self.pick(key) for key in keys}
 
     @property
     def nodes(self) -> Tuple[str, ...]:

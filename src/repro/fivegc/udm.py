@@ -13,15 +13,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.aka import verify_auts
-from repro.crypto.kdf import serving_network_name
+from repro.aka import generate_he_av, verify_auts
 from repro.crypto.suci import Suci, Supi, deconceal_suci
-from repro.fivegc.aka import generate_he_av
 from repro.fivegc.nf_base import NetworkFunction
 from repro.net.rest import JsonApiError, json_body, require_str
 from repro.net.sbi import (
     EUDM_GENERATE_AV,
-    EUDM_PROVISION,
     EUDM_VERIFY_AUTS,
     NFType,
     UDM_UE_AUTH_GET,
@@ -202,9 +199,3 @@ class Udm(NetworkFunction):
         )
         if not resync.ok:
             raise JsonApiError(resync.status, "UDR resync failed")
-
-
-
-def snn_for(mcc: str, mnc: str) -> str:
-    """Convenience: the serving network name string for a PLMN."""
-    return serving_network_name(mcc, mnc).decode()

@@ -2,20 +2,17 @@
 
 Models the paper's testbed server (Dell PowerEdge R450, 2× Intel Xeon
 Silver 4314 @ 2.40 GHz, 512 GB DDR4, 16 GB combined EPC) at the level of
-detail the experiments need: CPU cycle accounting, RAM capacity and the
-SGX Processor Reserved Memory carve-out.
+detail the experiments need: CPU cycle accounting and the capacities
+Table IV reports.
 """
 
 from repro.hw.cpu import Cpu, CpuSpec, XEON_SILVER_4314
-from repro.hw.memory import MemoryRegion, Ram
 from repro.hw.host import PhysicalHost, paper_testbed_host
 
 __all__ = [
     "Cpu",
     "CpuSpec",
     "XEON_SILVER_4314",
-    "MemoryRegion",
-    "Ram",
     "PhysicalHost",
     "paper_testbed_host",
 ]

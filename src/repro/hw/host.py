@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.hw.cpu import Cpu, CpuSpec, XEON_SILVER_4314
-from repro.hw.memory import Ram
 from repro.sim.clock import SimClock
 from repro.sim.events import EventLog
 from repro.sim.rng import RngService
@@ -64,7 +63,7 @@ class PhysicalHost:
     rng: RngService
     events: EventLog
     cpus: List[Cpu] = field(default_factory=list)
-    ram: Optional[Ram] = None
+    ram_bytes: int = 0
     # Installed by whoever wants to watch (``host.tracer = Tracer(...)``,
     # ``Scraper.install(host)``); both only read the clock, so an
     # observed run spends identical simulated nanoseconds.
@@ -146,8 +145,8 @@ def paper_testbed_host(
     clock = SimClock()
     rng = RngService(seed)
     events = EventLog(capacity=event_log_capacity)
-    host = PhysicalHost(name=name, clock=clock, rng=rng, events=events)
+    host = PhysicalHost(
+        name=name, clock=clock, rng=rng, events=events, ram_bytes=ram_bytes
+    )
     host.cpus = [Cpu(cpu_spec, clock) for _ in range(n_cpus)]
-    prm = sum(spec.max_epc_bytes for spec in [cpu_spec] * n_cpus if spec.sgx_capable)
-    host.ram = Ram(capacity_bytes=ram_bytes, prm_bytes=prm)
     return host

@@ -453,21 +453,6 @@ class HttpServer:
 
     # ------------------------------------------------------------- metrics
 
-    def reset_stats(self) -> None:
-        """Forget all latency series and counters (a process restart).
-
-        Fresh ``BoundedSeries`` objects are allocated rather than cleared
-        in place: a registry that adopted the old series must observably
-        diverge from the restarted server, exactly as a scraper loses a
-        real process's metrics across a restart.
-        """
-        self.lf_us = BoundedSeries(self.metrics_cap)
-        self.lt_us = BoundedSeries(self.metrics_cap)
-        self.busy_us = BoundedSeries(self.metrics_cap)
-        self.lf_us_by_path = {}
-        self.lt_us_by_path = {}
-        self.requests_served = 0
-
     def collect_metrics(self, registry, component: Optional[str] = None) -> None:
         """Snapshot this server into a ``repro.obs`` registry (pull).
 
@@ -728,14 +713,6 @@ class HttpClient:
             connection.open = False
 
     # ------------------------------------------------------------- metrics
-
-    def reset_stats(self) -> None:
-        """Forget response times and resilience counters (a restart)."""
-        self.response_times_us = BoundedSeries()
-        self.response_times_by_server = {}
-        self.retries = 0
-        self.timeouts = 0
-        self.reconnects = 0
 
     def collect_metrics(self, registry) -> None:
         """Snapshot this client into a ``repro.obs`` registry (pull).

@@ -42,9 +42,7 @@ def json_body(request: HttpRequest) -> Dict[str, Any]:
     try:
         return loads_object(request.body)
     except (UnicodeDecodeError, ValueError) as exc:
-        if isinstance(exc, json.JSONDecodeError):
-            raise JsonApiError(400, f"body is not valid JSON: {exc}")
-        if isinstance(exc, UnicodeDecodeError):
+        if isinstance(exc, (json.JSONDecodeError, UnicodeDecodeError)):
             raise JsonApiError(400, f"body is not valid JSON: {exc}")
         raise JsonApiError(400, "JSON body must be an object")
 

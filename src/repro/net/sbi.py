@@ -26,7 +26,6 @@ class NFType(Enum):
 
 # Core SBI API paths.
 NRF_REGISTER = "/nnrf-nfm/v1/nf-instances"
-NF_HEALTH = "/nnrf-nfm/v1/nf-health"  # liveness probe, served by every NF
 NRF_DISCOVER = "/nnrf-disc/v1/nf-instances"
 UDR_AUTH_SUBSCRIPTION = "/nudr-dr/v1/subscription-data/authentication-data"
 UDR_AUTH_PEEK = "/nudr-dr/v1/subscription-data/authentication-data/peek"
@@ -38,7 +37,6 @@ AMF_N1_MESSAGE = "/namf-comm/v1/n1-message"
 SMF_PDU_SESSION = "/nsmf-pdusession/v1/sm-contexts"
 
 # P-AKA module endpoints (one per offloaded function group, Table I).
-EUDM_PROVISION = "/eudm-paka/v1/provision"
 EUDM_GENERATE_AV = "/eudm-paka/v1/generate-av"
 EUDM_VERIFY_AUTS = "/eudm-paka/v1/verify-auts"
 EAUSF_DERIVE_SE_AV = "/eausf-paka/v1/derive-se-av"

@@ -3,7 +3,7 @@
 PR 8's survivability campaign found the blind spot this module closes:
 a pure-queueing collapse at 400 atk/s drove the legitimate success rate
 to 0.07 while the SLO engine fired **zero** alerts — every registration
-eventually succeeded, and nothing watched the gNB-side sojourn.  Three
+eventually succeeded, and nothing watched the gNB-side sojourn.  Two
 pieces close the loop from *seeing* an attack to *surviving* it:
 
 * :class:`AttackClassifier` — folds the defender-side series the scraper
@@ -17,9 +17,6 @@ pieces close the loop from *seeing* an attack to *surviving* it:
   transient blip neither arms nor disarms anything.  The runtime-tunable
   per-source policy shape is the one 5G-WAVE's decentralized
   authorization argues for (PAPERS.md).
-* :func:`evaluate_detector` — confusion-matrix evaluation over seeded
-  pure-kind storm schedules as ground truth, plus a legit flash crowd
-  for the ``queueing_collapse`` class.
 
 Everything is clockless bookkeeping over the Tsdb: classification and
 governance read simulated time, never advance it and never draw from an
@@ -86,14 +83,6 @@ class Classification:
     verdict: str
     evidence: Dict[str, float]
     exemplar_trace_ids: Tuple[str, ...] = ()
-
-    def to_dict(self, base_ns: int = 0) -> Dict[str, Any]:
-        return {
-            "at_s": round((self.at_ns - base_ns) / NS_PER_S, 6),
-            "verdict": self.verdict,
-            "evidence": {k: round(v, 6) for k, v in sorted(self.evidence.items())},
-            "exemplar_trace_ids": list(self.exemplar_trace_ids),
-        }
 
 
 class AttackClassifier:
@@ -220,10 +209,6 @@ class AttackClassifier:
             at_ns=at_ns, verdict=verdict, evidence=evidence,
             exemplar_trace_ids=exemplar_ids,
         )
-
-    def classify(self, tsdb: Tsdb) -> List[Classification]:
-        """One verdict per recorded scrape, replaying the timeline."""
-        return [self.classify_at(tsdb, at_ns) for at_ns in tsdb.scrape_times]
 
 
 @dataclass(frozen=True)
@@ -418,144 +403,3 @@ class AdmissionGovernor:
 
 
 # --------------------------------------------------------------- evaluation
-
-
-def _scenario_names(include_none: bool = True) -> List[str]:
-    names = list(ATTACK_VERDICTS) + ["queueing_collapse"]
-    return (["none"] + names) if include_none else names
-
-
-def evaluate_detector(
-    seed: int = 29,
-    horizon_s: float = 6.0,
-    legit: int = 8,
-    attack_rate_per_s: float = 80.0,
-    cadence_s: float = 1.0,
-    config: Optional[DetectorConfig] = None,
-) -> Dict[str, Any]:
-    """Confusion-matrix evaluation against seeded ground truth.
-
-    One scenario per verdict class: four pure-kind storms (the seeded
-    schedule *is* the ground truth), a legit flash crowd for
-    ``queueing_collapse`` (offered load ≈2× service capacity through the
-    tracking area's own gNB — no hostile cell anywhere), and an
-    attack-free control for ``none``.  Each scenario runs on a fresh
-    warmed slice with defenses disarmed (detection must work *before*
-    anything is armed); verdicts are scored per scrape from the first
-    window with enough history (two cadences in).
-
-    Deterministic: a fixed ``(seed, horizon, rates, cadence)`` yields a
-    byte-identical result dict.
-    """
-    # Lazy imports: obs must stay importable without the testbed stack.
-    from repro.experiments.harness import warmed_testbed
-    from repro.obs.scrape import Scraper
-    from repro.paka.deploy import IsolationMode
-    from repro.security.attacks import (
-        AttackPlane,
-        StormKind,
-        StormProfile,
-        generate_storm,
-    )
-
-    storm_of = {
-        "suci_replay": StormKind.SUCI_REPLAY,
-        "auts_resync": StormKind.AUTS_RESYNC,
-        "nas_fuzz": StormKind.NAS_FUZZ,
-        "botnet_ddos": StormKind.BOTNET_REGISTER,
-    }
-    classifier = AttackClassifier(config)
-    eval_from_ns = int(2 * cadence_s * NS_PER_S)
-    confusion: Dict[str, Dict[str, int]] = {}
-    scenarios: List[Dict[str, Any]] = []
-    correct = scored = 0
-
-    for expected in _scenario_names():
-        testbed = warmed_testbed(IsolationMode.SGX, seed=seed)
-        if expected == "queueing_collapse":
-            # Flash crowd: the whole legit population arrives in the
-            # first quarter of the horizon (≈2× service capacity).
-            n_legit = max(legit, int(horizon_s * 10))
-            burst_s = horizon_s / 4.0
-            gap_ns = int(burst_s / n_legit * NS_PER_S)
-        else:
-            n_legit = legit
-            gap_ns = int(horizon_s / n_legit * NS_PER_S)
-        ues = [testbed.add_subscriber() for _ in range(n_legit)]
-
-        storm = ()
-        plane = None
-        if expected in storm_of:
-            storm = generate_storm(
-                seed, horizon_s, attack_rate_per_s,
-                profile=StormProfile(mix=((storm_of[expected], 1.0),)),
-            )
-            plane = AttackPlane(testbed)
-
-        timeline: List[Tuple[int, int, Any]] = [
-            (index * gap_ns, 0, index) for index in range(n_legit)
-        ]
-        timeline.extend((event.at_ns, 1, event) for event in storm)
-        timeline.sort(key=lambda entry: (entry[0], entry[1]))
-
-        scraper = Scraper.for_testbed(
-            testbed, cadence_s=cadence_s, attack_plane=plane
-        ).install(testbed.host)
-        clock = testbed.host.clock
-        start_ns = clock.now_ns
-        for at_ns, _, payload in timeline:
-            target_ns = start_ns + at_ns
-            remaining_ns = target_ns - clock.now_ns
-            if remaining_ns > 0:
-                testbed.idle(remaining_ns / NS_PER_S)
-            if isinstance(payload, int):
-                testbed.gnb.register(
-                    ues[payload], establish_session=False,
-                    arrival_ns=target_ns,
-                )
-            else:
-                plane.execute(payload)
-        horizon_end = start_ns + int(horizon_s * NS_PER_S)
-        if clock.now_ns < horizon_end:
-            testbed.idle((horizon_end - clock.now_ns) / NS_PER_S)
-        scraper.uninstall(testbed.host)
-
-        verdicts = [
-            classifier.classify_at(scraper.tsdb, at_ns)
-            for at_ns in scraper.tsdb.scrape_times
-            if at_ns - start_ns >= eval_from_ns
-        ]
-        row = confusion.setdefault(
-            expected, {verdict: 0 for verdict in VERDICTS}
-        )
-        for classification in verdicts:
-            row[classification.verdict] += 1
-            scored += 1
-            if classification.verdict == expected:
-                correct += 1
-        first_hit = next(
-            (c.at_ns for c in verdicts if c.verdict == expected), None
-        )
-        scenarios.append(
-            {
-                "expected": expected,
-                "scrapes_scored": len(verdicts),
-                "detection_latency_s": (
-                    None if first_hit is None
-                    else round((first_hit - start_ns) / NS_PER_S, 6)
-                ),
-                "modal_verdict": max(
-                    VERDICTS, key=lambda v: (row[v], )
-                ),
-            }
-        )
-
-    return {
-        "seed": seed,
-        "horizon_s": horizon_s,
-        "cadence_s": cadence_s,
-        "attack_rate_per_s": attack_rate_per_s,
-        "confusion": confusion,
-        "accuracy": round(correct / scored, 6) if scored else 0.0,
-        "scenarios": scenarios,
-    }

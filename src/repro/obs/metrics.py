@@ -66,12 +66,6 @@ class Counter:
         self.value = 0
         self.raw = 0
 
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease ({amount})")
-        self.value += amount
-        self.raw += amount
-
     def set(self, value: int) -> None:
         """Snapshot-style assignment (pull collection from live objects).
 
@@ -152,10 +146,6 @@ class Histogram:
     @property
     def total(self) -> float:
         return self.series.stats.total
-
-    @property
-    def mean(self) -> float:
-        return self.series.stats.mean
 
     @property
     def minimum(self) -> Optional[float]:

@@ -457,10 +457,6 @@ class Tracer:
             span.tags.update(tags)
         return span
 
-    def span(self, name: str, kind: str = "", **tags: Any) -> Span:
-        """``with tracer.span(...) as span:`` — begin now, end on exit."""
-        return self.begin(name, kind, **tags)
-
     def trace(
         self,
         name: str,
@@ -486,19 +482,6 @@ class Tracer:
     @property
     def depth(self) -> int:
         return len(self._stack)
-
-    def clear(self, recycle: bool = False) -> None:
-        """Drop all finished roots; ``recycle=True`` also returns every
-        span tree to the freelist (same caller contract as
-        :meth:`recycle`)."""
-        if self._stack:
-            raise SpanNestingError(
-                f"clear() with {len(self._stack)} span(s) still open"
-            )
-        if recycle:
-            for root in self.roots:
-                _recycle_tree(root)
-        self.roots.clear()
 
 
 # Exemplar bucket bounds for registration sojourn, as OpenMetrics ``le``

@@ -15,8 +15,7 @@ materialised at ingest:
 * :meth:`Tsdb.increase` — Prometheus-style counter increase over a
   window, treating a decrease as a counter reset (the pre-reset value is
   banked and the post-reset value counts from zero),
-* :meth:`Tsdb.rate` — increase per second of window,
-* :meth:`Tsdb.quantile` — windowed quantile over a gauge's samples.
+* :meth:`Tsdb.rate` — increase per second of window.
 
 Everything here only *reads* simulated time: ingesting or querying a
 Tsdb never advances the clock and never draws from an RNG, which is what
@@ -29,7 +28,6 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import LabelItems, MetricKey, MetricsRegistry, _label_key
-from repro.sim.summary import percentiles
 
 NS_PER_S = 1_000_000_000
 
@@ -272,20 +270,6 @@ class Tsdb:
         return self.increase(name, window_ns, at_ns, **labels) / (
             window_ns / NS_PER_S
         )
-
-    def quantile(
-        self, name: str, q: float, window_ns: int, at_ns: int, **labels: str
-    ) -> Optional[float]:
-        """Windowed quantile (``q`` in percent) over a gauge's samples.
-
-        ``None`` when the window holds no samples — the empty-window
-        contract :func:`repro.sim.summary.percentiles` defines.
-        """
-        series = self.get(name, **labels)
-        if series is None:
-            return None
-        values = [v for _, v in series.window(at_ns - window_ns, at_ns)]
-        return percentiles(values, (q,))[0]
 
     def windowed_mean(
         self,

@@ -16,9 +16,6 @@ relative overhead).
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, Optional
-
 from repro.container.network import BridgeNetwork
 from repro.aka import HomeAuthVector, derive_se_av, generate_he_av
 from repro.crypto.kdf import derive_kamf
@@ -28,7 +25,6 @@ from repro.net.sbi import (
     EAMF_DERIVE_KAMF,
     EAUSF_DERIVE_SE_AV,
     EUDM_GENERATE_AV,
-    EUDM_PROVISION,
     EUDM_VERIFY_AUTS,
 )
 from repro.paka.endpoints import EAMF_CONTRACT, EAUSF_CONTRACT, EUDM_CONTRACT, EnclaveIoContract
@@ -66,14 +62,6 @@ class PakaModule:
 
     def start(self) -> None:
         self.server.start()
-
-    def stop(self) -> None:
-        self.server.stop()
-        self.runtime.shutdown()
-
-    @property
-    def shielded(self) -> bool:
-        return self.runtime.shielded
 
     def _register_routes(self) -> None:
         raise NotImplementedError
@@ -115,7 +103,6 @@ class EudmPakaModule(PakaModule):
     COLD_PAGES = 16
 
     def _register_routes(self) -> None:
-        self._route_json("POST", EUDM_PROVISION, self._handle_provision)
         self._route_json("POST", EUDM_GENERATE_AV, self._handle_generate_av)
         self._route_json("POST", EUDM_VERIFY_AUTS, self._handle_verify_auts)
 
@@ -126,20 +113,11 @@ class EudmPakaModule(PakaModule):
         into enclave memory when shielded) without traversing the HTTP
         path, so the module's first HTTP request is the first *AKA*
         request — the regime Fig 10(b)'s initial-response metric assumes.
-        The HTTP provisioning endpoint remains for dynamic onboarding.
         """
         if len(k) != 16:
             raise ValueError(f"K must be 16 bytes, got {len(k)}")
         self.runtime.compute(9_000)
         self.runtime.store_secret(f"k:{supi}", k)
-
-    def _handle_provision(self, request, context):
-        data = json_body(request)
-        supi = require_str(data, "supi")
-        k = require_hex(data, "k", 16)
-        context.runtime.compute(9_000)
-        context.runtime.store_secret(f"k:{supi}", k)
-        return json_response({"provisioned": supi}, status=201)
 
     def _handle_generate_av(self, request, context):
         data = json_body(request)
@@ -247,13 +225,3 @@ class EamfPakaModule(PakaModule):
         kamf = derive_kamf(kseaf, supi, abba)
         context.runtime.store_secret("last_kamf", kamf)
         return json_response({"kamf": kamf.hex()})
-
-
-def module_wire_digest(modules: Dict[str, PakaModule]) -> str:
-    """A stable digest of the deployed module contracts (diagnostics)."""
-    h = hashlib.sha256()
-    for name in sorted(modules):
-        contract = modules[name].CONTRACT
-        h.update(name.encode())
-        h.update(str(contract.total_bytes).encode())
-    return h.hexdigest()[:16]

@@ -75,7 +75,7 @@ def table_iv_configuration(testbed: "Testbed", radio: UsrpX310) -> "list[dict]":
         {"section": "Server", "key": "CPUs",
          "value": f"{len(host.cpus)} x {cpu.model}"},
         {"section": "Server", "key": "RAM / EPC",
-         "value": f"{host.ram.capacity_bytes // 1024**3} GB DDR4 - "
+         "value": f"{host.ram_bytes // 1024**3} GB DDR4 - "
                   f"{host.total_epc_bytes // 1024**3} GB EPC"},
         {"section": "Network", "key": "MCC / MNC",
          "value": f"{testbed.config.mcc} / {testbed.config.mnc}"},

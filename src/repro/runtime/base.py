@@ -44,9 +44,7 @@ _COPY_CYCLES_PER_BYTE = 0.35  # kernel/user copy cost per byte
 
 # (name, nbytes) -> cycles memo.  The syscall profiles reuse a small fixed
 # set of specs tens of thousands of times per campaign, so the dict-get +
-# float arithmetic is worth caching.  Kept as a plain module dict (not
-# functools.lru_cache) so mutating SYSCALL_HOST_CYCLES in a test can reset
-# it via _reset_syscall_cycle_cache().
+# float arithmetic is worth caching.
 _SYSCALL_CYCLE_CACHE: "dict[Tuple[str, int], float]" = {}
 
 
@@ -60,11 +58,6 @@ def syscall_host_cycles(name: str, nbytes: int = 0) -> float:
         )
         _SYSCALL_CYCLE_CACHE[key] = cycles
     return cycles
-
-
-def _reset_syscall_cycle_cache() -> None:
-    """Drop the memoised costs (after editing SYSCALL_HOST_CYCLES)."""
-    _SYSCALL_CYCLE_CACHE.clear()
 
 
 class Runtime(ABC):

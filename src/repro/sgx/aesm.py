@@ -47,9 +47,6 @@ class AesmDaemon:
         self.allowed_signers: Set[bytes] = set()
         self.tokens_issued = 0
 
-    def allow_signer(self, mrsigner: bytes) -> None:
-        self.allowed_signers.add(mrsigner)
-
     def request_launch_token(
         self, sigstruct: Optional[SigStruct], signing_key: Optional[bytes] = None
     ) -> LaunchToken:

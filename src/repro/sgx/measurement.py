@@ -16,7 +16,6 @@ import hmac
 from dataclasses import dataclass
 from typing import Optional
 
-PAGE_SIZE = 4096
 EEXTEND_CHUNK = 256
 
 

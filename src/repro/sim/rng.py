@@ -71,8 +71,3 @@ class RngService:
         stream = self.stream(name)
         value = stream.gauss(mean, abs(mean) * rel_sigma)
         return max(value, 0.1 * mean)
-
-    def fork(self, salt: str) -> "RngService":
-        """Derive an independent child service (e.g. per experiment run)."""
-        digest = hashlib.sha256(f"{self.seed}:fork:{salt}".encode()).digest()
-        return RngService(int.from_bytes(digest[:8], "big"))

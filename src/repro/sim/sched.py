@@ -66,6 +66,3 @@ class EventScheduler:
             pop(heap)[2]()
             fired += 1
         return fired
-
-    def clear(self) -> None:
-        self._heap.clear()

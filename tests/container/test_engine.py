@@ -40,7 +40,7 @@ def test_network_attach_detach(engine, image):
     engine.create_network("bridge0")
     container = engine.run(image, "c1", network="bridge0")
     assert container.endpoint is not None
-    engine.stop("c1")
+    engine.get("c1").stop()
     assert container.endpoint is None
     assert container.status is ContainerStatus.EXITED
 
@@ -58,7 +58,7 @@ def test_duplicate_network_rejected(engine):
 
 def test_stop_shuts_runtime_down(engine, image):
     container = engine.run(image, "c1")
-    engine.stop("c1")
+    engine.get("c1").stop()
     with pytest.raises(RuntimeError):
         container.runtime.compute(100)
 

@@ -11,10 +11,10 @@ def bridge(host):
 
 
 def test_attach_and_send(bridge, host):
-    a = bridge.attach("udm")
+    bridge.attach("udm")
     bridge.attach("eudm")
     t0 = host.clock.now_ns
-    a.send("eudm", b"payload")
+    bridge.transmit("udm", "eudm", b"payload")
     assert host.clock.now_ns > t0
 
 
@@ -25,17 +25,17 @@ def test_duplicate_endpoint_rejected(bridge):
 
 
 def test_unroutable_destination(bridge):
-    a = bridge.attach("udm")
+    bridge.attach("udm")
     with pytest.raises(NetworkError):
-        a.send("ghost", b"x")
+        bridge.transmit("udm", "ghost", b"x")
 
 
 def test_detach_removes_route(bridge):
-    a = bridge.attach("udm")
+    bridge.attach("udm")
     bridge.attach("eudm")
     bridge.detach("eudm")
     with pytest.raises(NetworkError):
-        a.send("eudm", b"x")
+        bridge.transmit("udm", "eudm", b"x")
 
 
 def test_latency_scales_with_size(bridge):
@@ -49,28 +49,28 @@ def test_delivery_callback(bridge):
     receiver = bridge.attach("eudm")
     received = []
     receiver.deliver = received.append
-    bridge.endpoint("udm").send("eudm", b"hello")
+    bridge.transmit("udm", "eudm", b"hello")
     assert len(received) == 1
     assert received[0].payload == b"hello"
     assert received[0].src == "udm"
 
 
 def test_capture_records_frames(bridge):
-    a = bridge.attach("udm")
+    bridge.attach("udm")
     bridge.attach("eudm")
     bridge.start_capture()
-    a.send("eudm", b"secret-exchange")
+    bridge.transmit("udm", "eudm", b"secret-exchange")
     frames = bridge.stop_capture()
     assert len(frames) == 1
     assert frames[0].payload == b"secret-exchange"
     # capture is drained and disabled afterwards
-    a.send("eudm", b"after")
+    bridge.transmit("udm", "eudm", b"after")
     assert bridge.stop_capture() == []
 
 
 def test_frames_logged_as_events(bridge, host):
-    a = bridge.attach("udm")
+    bridge.attach("udm")
     bridge.attach("eudm")
     before = host.events.count("net.frame")
-    a.send("eudm", b"x")
+    bridge.transmit("udm", "eudm", b"x")
     assert host.events.count("net.frame") == before + 1

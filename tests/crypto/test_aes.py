@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.crypto.aes import (
-    AES128,
-    aes128_cipher,
-    aes128_ctr,
-    aes128_decrypt_block,
-    aes128_encrypt_block,
-)
+from repro.crypto.aes import AES128, aes128_cipher
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 FIPS_PT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -29,19 +23,19 @@ NIST_BLOCKS = [
 
 
 def test_fips197_appendix_c_vector():
-    assert aes128_encrypt_block(FIPS_KEY, FIPS_PT) == FIPS_CT
+    assert aes128_cipher(FIPS_KEY).encrypt_block(FIPS_PT) == FIPS_CT
 
 
 def test_fips197_decrypt_inverts():
-    assert aes128_decrypt_block(FIPS_KEY, FIPS_CT) == FIPS_PT
+    assert aes128_cipher(FIPS_KEY).decrypt_block(FIPS_CT) == FIPS_PT
 
 
 def test_fips197_appendix_b_vector():
-    assert aes128_encrypt_block(APX_B_KEY, APX_B_PT) == APX_B_CT
+    assert aes128_cipher(APX_B_KEY).encrypt_block(APX_B_PT) == APX_B_CT
 
 
 def test_fips197_appendix_b_decrypt():
-    assert aes128_decrypt_block(APX_B_KEY, APX_B_CT) == APX_B_PT
+    assert aes128_cipher(APX_B_KEY).decrypt_block(APX_B_CT) == APX_B_PT
 
 
 def test_keyed_cipher_matches_oneshot():
@@ -53,7 +47,7 @@ def test_keyed_cipher_matches_oneshot():
 def test_keyed_cipher_ctr_matches_oneshot():
     nonce = bytes(range(16))
     data = b"keyed cipher and one-shot API share one keystream"
-    assert AES128(NIST_KEY).ctr(nonce, data) == aes128_ctr(NIST_KEY, nonce, data)
+    assert AES128(NIST_KEY).ctr(nonce, data) == aes128_cipher(NIST_KEY).ctr(nonce, data)
 
 
 def test_cipher_cache_returns_same_object():
@@ -70,58 +64,58 @@ def test_keyed_cipher_rejects_bad_key_length():
 @pytest.mark.parametrize("plaintext_hex,ciphertext_hex", NIST_BLOCKS)
 def test_sp800_38a_ecb_vectors(plaintext_hex, ciphertext_hex):
     plaintext = bytes.fromhex(plaintext_hex)
-    assert aes128_encrypt_block(NIST_KEY, plaintext).hex() == ciphertext_hex
+    assert aes128_cipher(NIST_KEY).encrypt_block(plaintext).hex() == ciphertext_hex
 
 
 @pytest.mark.parametrize("plaintext_hex,ciphertext_hex", NIST_BLOCKS)
 def test_sp800_38a_ecb_decrypt(plaintext_hex, ciphertext_hex):
     ciphertext = bytes.fromhex(ciphertext_hex)
-    assert aes128_decrypt_block(NIST_KEY, ciphertext).hex() == plaintext_hex
+    assert aes128_cipher(NIST_KEY).decrypt_block(ciphertext).hex() == plaintext_hex
 
 
 def test_encrypt_rejects_bad_key_length():
     with pytest.raises(ValueError):
-        aes128_encrypt_block(b"short", FIPS_PT)
+        aes128_cipher(b"short").encrypt_block(FIPS_PT)
 
 
 def test_encrypt_rejects_bad_block_length():
     with pytest.raises(ValueError):
-        aes128_encrypt_block(FIPS_KEY, b"tiny")
+        aes128_cipher(FIPS_KEY).encrypt_block(b"tiny")
 
 
 def test_decrypt_rejects_bad_block_length():
     with pytest.raises(ValueError):
-        aes128_decrypt_block(FIPS_KEY, b"x" * 15)
+        aes128_cipher(FIPS_KEY).decrypt_block(b"x" * 15)
 
 
 def test_ctr_roundtrip_unaligned_length():
     nonce = bytes(range(16))
     data = b"5G-AKA control plane payload that is not block aligned.."
-    ciphertext = aes128_ctr(NIST_KEY, nonce, data)
+    ciphertext = aes128_cipher(NIST_KEY).ctr(nonce, data)
     assert ciphertext != data
-    assert aes128_ctr(NIST_KEY, nonce, ciphertext) == data
+    assert aes128_cipher(NIST_KEY).ctr(nonce, ciphertext) == data
 
 
 def test_ctr_empty_payload():
-    assert aes128_ctr(NIST_KEY, bytes(16), b"") == b""
+    assert aes128_cipher(NIST_KEY).ctr(bytes(16), b"") == b""
 
 
 def test_ctr_counter_increments_across_blocks():
     nonce = bytes(16)
-    two_blocks = aes128_ctr(NIST_KEY, nonce, bytes(32))
+    two_blocks = aes128_cipher(NIST_KEY).ctr(nonce, bytes(32))
     # Keystream blocks must differ (counter advanced).
     assert two_blocks[:16] != two_blocks[16:]
 
 
 def test_ctr_rejects_bad_nonce():
     with pytest.raises(ValueError):
-        aes128_ctr(NIST_KEY, b"short", b"data")
+        aes128_cipher(NIST_KEY).ctr(b"short", b"data")
 
 
 def test_ctr_counter_wraps_at_128_bits():
     # Starting at the max counter must not raise; it wraps modulo 2^128.
     nonce = b"\xff" * 16
-    out = aes128_ctr(NIST_KEY, nonce, bytes(32))
+    out = aes128_cipher(NIST_KEY).ctr(nonce, bytes(32))
     assert len(out) == 32
 
 

@@ -9,7 +9,6 @@ from repro.crypto.kdf import (
     derive_hxres_star,
     derive_kamf,
     derive_kausf,
-    derive_kgnb,
     derive_kseaf,
     derive_nas_keys,
     derive_res_star,
@@ -123,15 +122,3 @@ def test_nas_keys_depend_on_algorithm_ids():
     base = derive_nas_keys(bytes(32), enc_alg_id=1, int_alg_id=2)
     other = derive_nas_keys(bytes(32), enc_alg_id=2, int_alg_id=1)
     assert base != other
-
-
-def test_kgnb_depends_on_nas_count():
-    kamf = bytes(range(32))
-    assert derive_kgnb(kamf, 0) != derive_kgnb(kamf, 1)
-
-
-def test_kgnb_rejects_out_of_range_count():
-    with pytest.raises(ValueError):
-        derive_kgnb(bytes(32), -1)
-    with pytest.raises(ValueError):
-        derive_kgnb(bytes(32), 1 << 32)

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.experiments.export import report_to_dict, report_to_json, write_report_json
+from repro.experiments.export import report_to_dict, report_to_json
 from repro.experiments.harness import BandCheck, ExperimentReport
 from repro.experiments.stats import summarize
 
@@ -32,7 +32,7 @@ def test_failed_checks_serialise(tmp_path):
     report = make_report()
     report.checks.append(BandCheck("bad", 10.0, 0.0, 1.0))
     path = tmp_path / "report.json"
-    write_report_json(report, str(path))
+    path.write_text(report_to_json(report) + "\n")
     data = json.loads(path.read_text())
     assert data["all_checks_ok"] is False
     assert any(not c["ok"] for c in data["checks"])

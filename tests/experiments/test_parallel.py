@@ -9,7 +9,7 @@ import pytest
 from repro.experiments.figures import figure9_functional_total_latency
 from repro.experiments.export import report_to_json
 from repro.experiments.harness import build_testbed, collect_module_latencies
-from repro.experiments.parallel import Arm, default_jobs, run_arms, run_pairs
+from repro.experiments.parallel import Arm, default_jobs, run_arms
 from repro.paka.deploy import IsolationMode
 
 
@@ -86,11 +86,6 @@ def test_multi_round_campaign_on_shared_pool_is_byte_identical():
     with ProcessPoolExecutor(max_workers=2) as pool:
         shared = [run_arms(arms, pool=pool) for arms in rounds]
     assert shared == serial
-
-
-def test_run_pairs_wrapper():
-    results = run_pairs([("a", _square, {"x": 2}), ("b", _square, {"x": 4})])
-    assert results == {"a": 4, "b": 16}
 
 
 def test_pool_path_preserves_order_and_values():

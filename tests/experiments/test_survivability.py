@@ -4,7 +4,7 @@ from repro.experiments.export import report_to_json
 from repro.experiments.harness import warmed_testbed
 from repro.experiments.survivability import (
     DEFENSES,
-    _run_arm,
+    run_storm_arm,
     survivability_experiment,
 )
 from repro.obs.analytics import slowest_traces_digest
@@ -31,7 +31,7 @@ def test_campaign_report_is_byte_identical_per_seed():
 def test_disarmed_arm_spends_attack_free_nanoseconds():
     """The rate-0 'none' arm builds no plane and arms no admission: its
     final clock must equal a plain paced run of the same legit grid."""
-    row = _run_arm("none", 0.0, **QUICK)
+    row = run_storm_arm("none", 0.0, **QUICK)
     assert row["attack_events"] == 0
     assert row["legit_success_rate"] == 1.0
 
@@ -64,9 +64,9 @@ def test_armed_idle_defenses_cost_zero_simulated_time():
     """Admission control is clockless arithmetic: with no storm, every
     defended arm — including the quiescent governor — lands on the
     disarmed arm's exact final clock."""
-    reference = _run_arm("none", 0.0, **QUICK)["final_clock_ns"]
+    reference = run_storm_arm("none", 0.0, **QUICK)["final_clock_ns"]
     for defense in ("bucket", "guard", "breaker", "all", "governed"):
-        row = _run_arm(defense, 0.0, **QUICK)
+        row = run_storm_arm(defense, 0.0, **QUICK)
         assert row["final_clock_ns"] == reference, defense
         assert row["legit_success_rate"] == 1.0
         if defense == "governed":
@@ -75,8 +75,8 @@ def test_armed_idle_defenses_cost_zero_simulated_time():
 
 def test_governed_arm_detects_and_recovers():
     kwargs = dict(legit=12, horizon_s=5.0, seed=29)
-    undefended = _run_arm("none", 400.0, **kwargs)
-    governed = _run_arm("governed", 400.0, **kwargs)
+    undefended = run_storm_arm("none", 400.0, **kwargs)
+    governed = run_storm_arm("governed", 400.0, **kwargs)
     # The PR 8 blind spot, closed: the collapse now pages on the
     # sojourn SLO inside the storm window...
     assert undefended["sojourn_alerts_fired"] >= 1
@@ -93,16 +93,16 @@ def test_governed_arm_detects_and_recovers():
 
 def test_governed_arm_is_byte_identical_per_seed():
     kwargs = dict(legit=12, horizon_s=5.0, seed=29)
-    first = _run_arm("governed", 400.0, **kwargs)
-    second = _run_arm("governed", 400.0, **kwargs)
+    first = run_storm_arm("governed", 400.0, **kwargs)
+    second = run_storm_arm("governed", 400.0, **kwargs)
     # Bit-identical everything: the sojourn histogram samples, the
     # classifier-driven governor actions, and the final clock.
     assert first == second
 
 
 def test_storm_arm_degrades_then_defense_recovers():
-    undefended = _run_arm("none", 400.0, **QUICK)
-    defended = _run_arm("guard", 400.0, **QUICK)
+    undefended = run_storm_arm("none", 400.0, **QUICK)
+    defended = run_storm_arm("guard", 400.0, **QUICK)
     assert undefended["legit_success_rate"] < 1.0
     assert defended["legit_success_rate"] > undefended["legit_success_rate"]
     assert defended["shed_total"] > 0
@@ -113,8 +113,8 @@ def test_traced_arm_matches_untraced_golden_clock():
     """Arming distributed tracing must not move the simulated clock or
     any campaign figure: the traced row minus its ``_trace_*`` extras is
     the untraced row."""
-    untraced = _run_arm("none", 400.0, **QUICK)
-    traced = _run_arm("none", 400.0, trace_sample=4, **QUICK)
+    untraced = run_storm_arm("none", 400.0, **QUICK)
+    traced = run_storm_arm("none", 400.0, trace_sample=4, **QUICK)
     extras = {k for k in traced if k.startswith("_") and k != "_sojourns_ms"}
     assert extras == {"_trace_store", "_alerts", "_module_servers",
                       "_module_runtimes"}
@@ -126,7 +126,7 @@ def test_traced_collapse_alerts_cite_stored_exemplar_traces():
     carries exemplar trace ids, at least one resolves to a complete
     cross-NF tree in the arm's trace store, and the slowest-traces
     digest of that store is rooted and tail-kept."""
-    row = _run_arm("none", 400.0, legit=12, horizon_s=5.0, seed=29,
+    row = run_storm_arm("none", 400.0, legit=12, horizon_s=5.0, seed=29,
                    trace_sample=8)
     sojourn_alerts = [
         alert for alert in row["_alerts"]

@@ -20,22 +20,6 @@ def test_breaker_opens_after_threshold():
     assert breaker.fast_failures == 1
 
 
-def test_allow_is_a_pure_query():
-    """Speculative checks (metrics collection, health probes) must not
-    book fast failures or claim the half-open probe slot."""
-    breaker = CircuitBreaker(failure_threshold=1, cooldown_us=1_000.0)
-    breaker.record_failure(0)
-    for _ in range(5):
-        assert not breaker.allow(500 * US)
-    assert breaker.fast_failures == 0
-    # Past the cooldown allow() says a probe *would* be admitted, but the
-    # slot is only claimed by try_acquire().
-    for _ in range(5):
-        assert breaker.allow(1_000 * US)
-    assert not breaker.probe_in_flight
-    assert breaker.fast_failures == 0
-
-
 def test_breaker_half_open_probe_closes_on_success():
     breaker = CircuitBreaker(failure_threshold=1, cooldown_us=1_000.0)
     breaker.record_failure(0)

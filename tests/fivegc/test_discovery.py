@@ -7,7 +7,7 @@ from repro.fivegc.nf_base import CONTROL_PLANE_RING_SEED
 from repro.fivegc.nrf import Nrf
 from repro.fivegc.routing import supi_ring
 from repro.fivegc.udm import Udm
-from repro.fivegc.udr import AuthSubscription, Udr
+from repro.fivegc.udr import Udr
 from repro.fivegc.ausf import Ausf
 from repro.net.sbi import NFType
 
@@ -46,64 +46,6 @@ def test_refresh_forces_a_fresh_nrf_round_trip(fabric):
     before = nrf.server.requests_served
     ausf.discover(NFType.UDM, registry, refresh=True)
     assert nrf.server.requests_served == before + 1
-
-
-def test_invalidate_discovery_drops_one_or_all_entries(fabric):
-    nrf, udr, udms, ausf, registry = fabric
-    ausf.discover(NFType.UDM, registry)
-    ausf.discover(NFType.UDR, registry)
-    ausf.invalidate_discovery(NFType.UDM)
-    before = nrf.server.requests_served
-    ausf.discover(NFType.UDR, registry)  # still cached
-    assert nrf.server.requests_served == before
-    ausf.discover(NFType.UDM, registry)  # dropped: NRF round-trip
-    assert nrf.server.requests_served == before + 1
-    ausf.invalidate_discovery()
-    ausf.discover(NFType.UDR, registry)
-    assert nrf.server.requests_served == before + 2
-
-
-def test_stale_cache_after_peer_restart_is_refreshed_not_poisoned(fabric):
-    """A restarted replica must be rediscovered and reachable.
-
-    The cached discovery entry (and the cached TLS connection under it)
-    predate the restart; after invalidation the next discover performs a
-    fresh NRF round-trip and calls reach the revived peer, rather than
-    being routed down the poisoned pre-restart connection.
-    """
-    nrf, udr, udms, ausf, registry = fabric
-    bound = ausf.discover(NFType.UDM, registry)
-    assert bound is udms[0]  # same-shard affinity
-    # Drive one real call over the discovered binding (warms the TLS
-    # connection that the restart will orphan).
-    udr.provision(
-        AuthSubscription(supi="imsi-001010000000077", k=b"k" * 16, opc=b"o" * 16)
-    )
-    for udm in udms:
-        udm.discover(NFType.UDR, registry)
-    ok = ausf.call(
-        bound, "POST", "/nudm-ueau/v1/generate-auth-data",
-        {"servingNetworkName": "5G:mnc001.mcc001.3gppnetwork.org",
-         "supi": "imsi-001010000000077"},
-    )
-    assert ok.ok
-
-    udms[0].restart()
-    # The revived process rediscovers its own peers via the NRF...
-    assert udms[0]._discovery == {}
-    udms[0].discover(NFType.UDR, registry)
-    # ...and the client drops its stale entry and rediscovers too.
-    ausf.invalidate_discovery(NFType.UDM)
-    before = nrf.server.requests_served
-    rebound = ausf.discover(NFType.UDM, registry)
-    assert nrf.server.requests_served == before + 1
-    assert rebound is udms[0]
-    again = ausf.call(
-        rebound, "POST", "/nudm-ueau/v1/generate-auth-data",
-        {"servingNetworkName": "5G:mnc001.mcc001.3gppnetwork.org",
-         "supi": "imsi-001010000000077"},
-    )
-    assert again.ok
 
 
 def test_discover_binds_same_shard_replica(fabric):

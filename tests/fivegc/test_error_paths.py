@@ -102,7 +102,7 @@ def test_module_endpoints_reject_malformed(container_testbed, path, payload):
 
 def test_non_json_body_rejected(monolithic_testbed):
     testbed = monolithic_testbed
-    connection = testbed.ausf.connect_peer(testbed.udm)
+    connection = testbed.ausf.client.connect(testbed.udm.server)
     response = testbed.ausf.client.request(
         connection, "POST", UDM_UE_AUTH_GET, body=b"\xff\xfe not json"
     )

@@ -51,7 +51,8 @@ def test_malformed_response_degrades_to_503_and_poisons_the_connection(pair):
             return b"HTTP/1.1 abc X\r\n\r\n"
 
     b.server.route("POST", "/garbled", lambda request, context: Garbled(200))
-    connection = a.connect_peer(b)
+    assert a.call(b, "POST", "/echo", {"x": 0}).ok
+    connection = a._connections["b"]
     with pytest.raises(JsonApiError, match="malformed status line") as caught:
         a.call(b, "POST", "/garbled", {})
     assert caught.value.status == 503
@@ -59,21 +60,24 @@ def test_malformed_response_degrades_to_503_and_poisons_the_connection(pair):
     assert a.circuit_breakers["b"].consecutive_failures == 1
     # The next call re-handshakes and is served.
     assert a.call(b, "POST", "/echo", {"x": 1}).ok
-    assert a.connect_peer(b) is not connection
+    assert a._connections["b"] is not connection
 
 
 def test_connections_are_cached_keepalive(pair):
     a, b = pair
-    first = a.connect_peer(b)
-    second = a.connect_peer(b)
-    assert first is second
+    assert a.call(b, "POST", "/echo", {"x": 1}).ok
+    first = a._connections["b"]
+    assert a.call(b, "POST", "/echo", {"x": 2}).ok
+    assert a._connections["b"] is first
 
 
 def test_connection_reopened_after_close(pair):
     a, b = pair
-    connection = a.connect_peer(b)
+    assert a.call(b, "POST", "/echo", {"x": 1}).ok
+    connection = a._connections["b"]
     a.client.close(connection)
-    fresh = a.connect_peer(b)
+    assert a.call(b, "POST", "/echo", {"x": 2}).ok
+    fresh = a._connections["b"]
     assert fresh is not connection
     assert fresh.open
 
@@ -86,7 +90,7 @@ def test_peer_lookup_requires_binding(pair):
 
 def test_shutdown_closes_everything(pair):
     a, b = pair
-    a.connect_peer(b)
+    assert a.call(b, "POST", "/echo", {"x": 1}).ok
     a.shutdown()
     assert not a.server.started
     with pytest.raises(RuntimeError):

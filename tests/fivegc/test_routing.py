@@ -61,24 +61,9 @@ def test_adding_a_node_moves_about_one_over_n_keys():
             assert grown.pick(key) == "4"
 
 
-def test_remove_rehomes_only_the_removed_nodes_keys():
-    keys = _population(2000)
-    full = supi_ring(4)
-    shrunk = HashRing(shard_labels(4), seed=0)
-    shrunk.remove("2")
-    for key in keys:
-        owner = full.pick(key)
-        if owner != "2":
-            assert shrunk.pick(key) == owner
-        else:
-            assert shrunk.pick(key) != "2"
-
-
 def test_ring_edge_cases():
     with pytest.raises(RuntimeError):
         HashRing(seed=0).pick("anything")
-    with pytest.raises(KeyError):
-        HashRing(["0"], seed=0).remove("7")
     with pytest.raises(ValueError):
         HashRing(vnodes=0)
     ring = HashRing(["0"], seed=0)

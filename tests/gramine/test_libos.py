@@ -206,7 +206,7 @@ def _under_root(tracer, replay):
     dict and the id of the next span begun after the replay."""
     with tracer.trace("registration", "registration", supi="imsi-1") as root:
         replay()
-        with tracer.span("after", "nas") as after:
+        with tracer.begin("after", "nas") as after:
             pass
     return root.span.to_dict(), after.span_id
 

@@ -50,6 +50,6 @@ def test_unsigned_debug_enclave_allowed(pal):
 def test_signer_whitelist_blocks_unknown_vendor(pal):
     import hashlib
 
-    pal.aesmd.allow_signer(hashlib.sha256(b"approved-vendor").digest())
+    pal.aesmd.allowed_signers.add(hashlib.sha256(b"approved-vendor").digest())
     with pytest.raises(LaunchDeniedError):
         pal.load_enclave(gsc_build(signed=True))

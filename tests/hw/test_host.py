@@ -14,8 +14,7 @@ def test_paper_testbed_shape():
     assert len(host.cpus) == 2
     assert host.sgx_capable
     assert host.total_epc_bytes == 16 * 1024**3  # 16 GB combined EPC
-    assert host.ram is not None
-    assert host.ram.capacity_bytes == 512 * 1024**3
+    assert host.ram_bytes == 512 * 1024**3
 
 
 def test_primary_cpu_accessor():

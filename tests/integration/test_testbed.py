@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.experiments.workloads import (
-    RegistrationWorkload,
-    burst_then_idle,
-    steady_state_registrations,
-)
 from repro.paka.deploy import IsolationMode
+from repro.ran.gnbsim import GnbSim
 from repro.testbed import Testbed, TestbedConfig
 
 
@@ -77,21 +73,25 @@ def test_module_servers_accessor():
 class TestWorkloads:
     def test_registration_workload(self):
         testbed = Testbed.build(TestbedConfig(isolation=None, seed=89))
-        report = RegistrationWorkload(ue_count=3).run(testbed)
+        report = GnbSim(testbed).register_ues(3)
         assert report.successes == 3
 
     def test_steady_state_helper(self):
-        testbed, report = steady_state_registrations(
-            IsolationMode.CONTAINER, count=3, seed=90
+        testbed = Testbed.build(
+            TestbedConfig(isolation=IsolationMode.CONTAINER, seed=90)
         )
-        assert report.successes == 3
+        sim = GnbSim(testbed)
+        sim.warm_up(2)
+        assert sim.register_ues(3).successes == 3
         assert testbed.gnb.registrations_succeeded == 5  # 2 warmups + 3
 
     def test_burst_then_idle(self):
-        testbed, reports = burst_then_idle(
-            IsolationMode.SGX, bursts=2, burst_size=2, idle_s=5.0, seed=91
-        )
-        assert len(reports) == 2
+        testbed = Testbed.build(TestbedConfig(isolation=IsolationMode.SGX, seed=91))
+        sim = GnbSim(testbed)
+        reports = []
+        for _ in range(2):
+            reports.append(sim.register_ues(2))
+            testbed.idle(5.0)
         assert all(r.successes == 2 for r in reports)
         # Idle windows drove AEX accumulation.
         assert testbed.paka.enclaves["eudm"].stats.aexs > 3_000

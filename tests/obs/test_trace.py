@@ -47,18 +47,11 @@ def test_end_on_empty_stack_raises():
         tracer.end(span)
 
 
-def test_clear_refuses_while_spans_open():
-    tracer = Tracer(SimClock())
-    tracer.begin("open")
-    with pytest.raises(SpanNestingError):
-        tracer.clear()
-
-
 def test_span_context_manager_closes_on_error():
     clock = SimClock()
     tracer = Tracer(clock)
     with pytest.raises(RuntimeError):
-        with tracer.span("failing", kind="L_F"):
+        with tracer.begin("failing", kind="L_F"):
             clock.advance_us(10.0)
             raise RuntimeError("handler blew up")
     assert tracer.depth == 0

@@ -82,25 +82,6 @@ def test_recycled_children_lists_are_emptied():
     tracer.end(fresh_a)
 
 
-def test_clear_recycle_true_pools_all_roots():
-    _drain_pool()
-    tracer = Tracer(SimClock())
-    for i in range(4):
-        span = tracer.begin(f"r{i}")
-        tracer.end(span)
-    tracer.clear(recycle=True)
-    assert len(trace._SPAN_POOL) == 4
-    assert tracer.roots == []
-
-    # Plain clear() drops roots without pooling them.
-    _drain_pool()
-    span = tracer.begin("kept-alive")
-    tracer.end(span)
-    tracer.clear()
-    assert trace._SPAN_POOL == []
-    assert span.name == "kept-alive"
-
-
 def test_pool_is_capacity_bounded():
     _drain_pool()
     tracer = Tracer(SimClock())
@@ -109,7 +90,8 @@ def test_pool_is_capacity_bounded():
         for i in range(5):
             span = tracer.begin(f"r{i}")
             tracer.end(span)
-        tracer.clear(recycle=True)
+        for root in list(tracer.roots):
+            tracer.recycle(root)
         assert len(trace._SPAN_POOL) == 2
     finally:
         trace._SPAN_POOL_CAP = original_cap
@@ -398,7 +380,7 @@ def test_reading_a_kept_record_leaves_the_freelist_to_the_next_begin():
     tracer, _ = _three_registrations("sgx", 7, store)
     # Give the freelist something to hand out: an unstored tree, recycled.
     with tracer.trace("probe", "attack"):
-        with tracer.span("inner"):
+        with tracer.begin("inner"):
             pass
     pool_before = list(trace._SPAN_POOL)
     assert len(pool_before) == 2

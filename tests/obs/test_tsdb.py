@@ -92,13 +92,6 @@ def test_increase_handles_counter_reset():
 
 def test_quantile_and_windowed_mean():
     tsdb = Tsdb()
-    gauge = tsdb.series("depth", kind="gauge")
-    for ts, value in enumerate((1.0, 2.0, 3.0, 4.0)):
-        gauge.append(ts * NS_PER_S, value)
-    at = 3 * NS_PER_S
-    assert tsdb.quantile("depth", 50.0, 3 * NS_PER_S, at) == 2.5
-    assert tsdb.quantile("depth", 50.0, 3 * NS_PER_S, at, nf="x") is None
-
     _counter_series(tsdb, [(0, 0.0), (2, 4.0)], name="lt_us_count")
     _counter_series(tsdb, [(0, 0.0), (2, 100.0)], name="lt_us_sum")
     assert tsdb.windowed_mean("lt_us", 2 * NS_PER_S, 2 * NS_PER_S) == 25.0

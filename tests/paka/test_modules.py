@@ -13,7 +13,6 @@ from repro.net.sbi import (
     EAMF_DERIVE_KAMF,
     EAUSF_DERIVE_SE_AV,
     EUDM_GENERATE_AV,
-    EUDM_PROVISION,
 )
 from repro.paka.deploy import IsolationMode, PakaDeployment
 from repro.runtime.native import NativeRuntime
@@ -58,14 +57,6 @@ def test_eudm_generates_spec_correct_av(slice_and_client):
     assert bytes.fromhex(body["autn"]) == expected.autn
     assert bytes.fromhex(body["xresStar"]) == expected.xres_star
     assert bytes.fromhex(body["kausf"]) == expected.kausf
-
-
-def test_eudm_http_provisioning(slice_and_client):
-    slice_, client = slice_and_client
-    eudm = slice_.module("eudm")
-    response = post(client, eudm, EUDM_PROVISION, {"supi": SUPI, "k": K.hex()})
-    assert response.status == 201
-    assert eudm.runtime.load_secret(f"k:{SUPI}") == K
 
 
 def test_eudm_unprovisioned_supi_404(slice_and_client):

@@ -18,7 +18,6 @@ from repro.crypto.aes import (
     _expand_key_words,
     _round_keys,
     aes128_cipher,
-    aes128_ctr,
 )
 
 # --- schoolbook reference implementation ------------------------------
@@ -174,13 +173,13 @@ def test_ttable_decrypt_inverts_schoolbook(key, block):
 @settings(max_examples=25, deadline=None)
 @given(key=keys, nonce=nonces, data=payloads)
 def test_ctr_matches_schoolbook_keystream(key, nonce, data):
-    assert aes128_ctr(key, nonce, data) == ref_ctr(key, nonce, data)
+    assert aes128_cipher(key).ctr(nonce, data) == ref_ctr(key, nonce, data)
 
 
 @settings(max_examples=40, deadline=None)
 @given(key=keys, nonce=nonces, data=payloads)
 def test_ctr_roundtrip(key, nonce, data):
-    assert aes128_ctr(key, nonce, aes128_ctr(key, nonce, data)) == data
+    assert aes128_cipher(key).ctr(nonce, aes128_cipher(key).ctr(nonce, data)) == data
 
 
 # --- bulk keystream vs per-block (the wire-speed fast path) -----------
@@ -216,15 +215,6 @@ def test_bulk_ctr_matches_per_block(key, nonce, n, data):
     payload = data.draw(st.binary(min_size=n, max_size=n))
     cipher = AES128(key)
     assert cipher.ctr(nonce, payload) == _per_block_ctr(cipher, nonce, payload)
-
-
-@settings(max_examples=40, deadline=None)
-@given(key=keys, nonce=nonces, n=lengths)
-def test_bulk_keystream_is_ctr_of_zeros(key, nonce, n):
-    cipher = AES128(key)
-    keystream = cipher.keystream(nonce, n)
-    assert len(keystream) == n
-    assert keystream == cipher.ctr(nonce, bytes(n))
 
 
 @settings(max_examples=20, deadline=None)
@@ -287,7 +277,7 @@ def test_interleaved_calls_through_shared_ciphers_match_per_block(
             assert shared.ctr(nonce, payload) == expected
         elif op == "keystream":
             zeros = _per_block_ctr(AES128(key), nonce, bytes(n))
-            assert shared.keystream(nonce, n) == zeros
+            assert shared.ctr(nonce, bytes(n)) == zeros
         else:
             # The pure generator under the memo, whatever the backend.
             stream = shared._keystream_int(
@@ -306,9 +296,6 @@ def test_memo_is_keyed_on_nonce_and_block_count_only():
     assert memo[:2] == (nonce, 3)
     # Same nonce, same block count, other length and data: a hit.
     assert cipher.ctr(nonce, bytes(33)) == first[:33]
-    assert cipher._memo is memo
-    # keystream() between two ctr()s shares the slot.
-    assert cipher.keystream(nonce, 48) == cipher.ctr(nonce, bytes(48))
     assert cipher._memo is memo
     # Other block count or other nonce: recomputed, slot replaced.
     assert cipher.ctr(nonce, bytes(49))[:40] == first

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES128, aes128_encrypt_block
+from repro.crypto.aes import AES128, aes128_cipher
 from repro.crypto.cmac import _aes_cmac_pure, aes_cmac
 from repro.crypto.kdf import ts33220_kdf
 from repro.crypto.milenage import Milenage
@@ -65,17 +65,17 @@ def _rot(block: bytes, bits: int) -> bytes:
 
 def _reference_milenage(k, opc, rand, sqn, amf):
     """Literal per-function evaluation: six separate block encryptions."""
-    temp = aes128_encrypt_block(k, _xor16(rand, opc))
+    temp = aes128_cipher(k).encrypt_block(_xor16(rand, opc))
     in1 = _xor16(sqn + amf + sqn + amf, opc)
     out1 = _xor16(
-        aes128_encrypt_block(k, _xor16(temp, _rot(in1, 64))), opc
+        aes128_cipher(k).encrypt_block(_xor16(temp, _rot(in1, 64))), opc
     )
 
     outs = []
     for r, c in ((0, 1), (32, 2), (64, 4), (96, 8)):
         block = _rot(_xor16(temp, opc), r)
         block = block[:15] + bytes([block[15] ^ c])
-        outs.append(_xor16(aes128_encrypt_block(k, block), opc))
+        outs.append(_xor16(aes128_cipher(k).encrypt_block(block), opc))
     out2, out3, out4, out5 = outs
     return {
         "mac_a": out1[:8],

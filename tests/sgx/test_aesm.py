@@ -39,10 +39,10 @@ def test_invalid_signature_denied_with_key_check():
 def test_signer_whitelist_enforced():
     daemon = AesmDaemon("plat")
     sig = make_sigstruct()
-    daemon.allow_signer(hashlib.sha256(b"someone-else").digest())
+    daemon.allowed_signers.add(hashlib.sha256(b"someone-else").digest())
     with pytest.raises(LaunchDeniedError):
         daemon.request_launch_token(sig)
-    daemon.allow_signer(sig.mrsigner)
+    daemon.allowed_signers.add(sig.mrsigner)
     assert daemon.request_launch_token(sig)
 
 

@@ -34,13 +34,6 @@ class TestEventScheduler:
         assert len(sched) == 1
         assert sched.next_deadline_ns == 50
 
-    def test_clear_drops_everything(self):
-        sched = EventScheduler()
-        sched.schedule_at(1, lambda: None)
-        sched.clear()
-        assert sched.next_deadline_ns is None
-        assert sched.run_due(10) == 0
-
     def test_one_tick_can_cross_many_edges(self):
         sched = EventScheduler()
         counter = []
