@@ -180,8 +180,8 @@ def _arm_traces(tb) -> None:
 
 
 def _arm_observed(tb) -> None:
-    """What a campaign arms (hostbench ``observed``, ``experiments.shard``):
-    an enabled trace-context ``Tracer`` with a tail-sampling ``TraceStore``
+    """What hostbench ``observed`` and ``repro traces`` arm: an enabled
+    trace-context ``Tracer`` with a tail-sampling ``TraceStore``
     plus the 1 s ``Scraper``.  10-30 % while OCALL replays stay fused
     under the tracer; 85-100 % if they fall back to one span per OCALL."""
     _arm_traces(tb)

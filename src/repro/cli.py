@@ -483,21 +483,29 @@ def _arg(*flags: str, **spec: Any) -> Argument:
     return flags, spec
 
 
-def _positive(number: Callable[[str], Any]) -> Callable[[str], Any]:
-    """argparse ``type=`` for a ``number`` (``int`` / ``float``) above zero."""
+def _checked(
+    number: Callable[[str], Any], ok: Callable[[Any], bool], expected: str
+) -> Callable[[str], Any]:
+    """argparse ``type=``: a ``number`` (``int`` / ``float``) that is ``ok``."""
 
     def parse(text: str) -> Any:
         try:
             value = number(text)
         except ValueError:
-            value = 0
-        if not value > 0:
-            raise argparse.ArgumentTypeError(
-                f"expected a positive {number.__name__}, got {text!r}"
-            )
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
 
     return parse
+
+
+def _positive(number: Callable[[str], Any]) -> Callable[[str], Any]:
+    return _checked(number, lambda v: v > 0, f"a positive {number.__name__}")
+
+
+def _at_least(minimum: int) -> Callable[[str], int]:
+    return _checked(int, lambda v: v >= minimum, f"an int >= {minimum}")
 
 
 def _rates(text: str) -> Tuple[float, ...]:
@@ -535,15 +543,15 @@ _ISOLATION = _arg(
 )
 
 _EXPERIMENT_ARGUMENTS: Tuple[Argument, ...] = (
-    _arg("--registrations", type=int, default=60),
+    _arg("--registrations", type=_positive(int), default=60),
     _arg("--iterations", type=int, default=5),
-    _arg("--max-ues", type=int, default=3),
+    _arg("--max-ues", type=_at_least(2), default=3),
     _arg(
         "--plot", action="store_true",
         help="render the measured distributions as ASCII box plots",
     ),
     _arg(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_at_least(0), default=1, metavar="N",
         help="run independent experiment arms over N worker processes "
         "(0 = one per CPU); results are byte-identical to --jobs 1 "
         "because every arm owns its own seeded testbed",
@@ -580,7 +588,7 @@ COMMANDS: Tuple[Tuple[Any, ...], ...] = (
             "--factor", type=float, default=2.0,
             help="fault-rate multiplier (x BASELINE_RATES; 0 = fault-free)",
         ),
-        _arg("--registrations", type=int, default=120),
+        _arg("--registrations", type=_positive(int), default=120),
         _arg(
             "--horizon", type=float, default=180.0,
             help="arm duration in simulated seconds",
@@ -617,7 +625,7 @@ COMMANDS: Tuple[Tuple[Any, ...], ...] = (
             help="control-plane shards (1 = the unsharded E-CAP campaign)",
         ),
         _arg(
-            "--jobs", type=int, default=1, metavar="N",
+            "--jobs", type=_at_least(0), default=1, metavar="N",
             help="worker processes for the shard arms (0 = one per "
             "schedulable CPU); the merged report is byte-identical for any N",
         ),
@@ -635,11 +643,11 @@ COMMANDS: Tuple[Tuple[Any, ...], ...] = (
         "forged-AUTS resync, NAS fuzz, botnet registration) against the "
         "AMF's admission defenses; prints survivability curves",
         _arg(
-            "--legit", type=int, default=30,
+            "--legit", type=_positive(int), default=30,
             help="legitimate UEs paced over the horizon per arm",
         ),
         _arg(
-            "--horizon", type=float, default=12.0,
+            "--horizon", type=_positive(float), default=12.0,
             help="arm duration in simulated seconds",
         ),
         _seed(29),
@@ -672,8 +680,8 @@ COMMANDS: Tuple[Tuple[Any, ...], ...] = (
             "--rate", type=float, default=400.0,
             help="attack arrival rate per second (400 = queueing collapse)",
         ),
-        _arg("--legit", type=int, default=12),
-        _arg("--horizon", type=float, default=5.0),
+        _arg("--legit", type=_positive(int), default=12),
+        _arg("--horizon", type=_positive(float), default=5.0),
         _seed(29),
         _arg(
             "--sample", type=int, default=8, metavar="N",

@@ -15,38 +15,3 @@ implementations of the algorithms the 5G-AKA protocol runs —
 * :mod:`repro.crypto.tls` — TLS session model with real AEAD-style record
   protection plus the latency cost hooks the network substrate uses.
 """
-
-from repro.crypto.kdf import (
-    derive_hxres_star,
-    derive_kamf,
-    derive_kausf,
-    derive_kseaf,
-    derive_res_star,
-    ts33220_kdf,
-)
-from repro.crypto.milenage import Milenage, MilenageVector
-from repro.crypto.suci import (
-    EciesProfileA,
-    Suci,
-    Supi,
-    conceal_supi,
-    deconceal_suci,
-    x25519,
-)
-
-__all__ = [
-    "Milenage",
-    "MilenageVector",
-    "ts33220_kdf",
-    "derive_kausf",
-    "derive_kseaf",
-    "derive_kamf",
-    "derive_res_star",
-    "derive_hxres_star",
-    "Supi",
-    "Suci",
-    "EciesProfileA",
-    "conceal_supi",
-    "deconceal_suci",
-    "x25519",
-]

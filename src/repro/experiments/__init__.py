@@ -20,14 +20,3 @@ Session setup      :func:`repro.experiments.session_setup.session_setup_experime
 OTA (Fig 11/T IV)  :func:`repro.experiments.figures.figure11_ota_feasibility`
 =================  =======================================================
 """
-
-from repro.experiments.harness import BandCheck, ExperimentReport, build_testbed
-from repro.experiments.stats import SeriesSummary, summarize
-
-__all__ = [
-    "ExperimentReport",
-    "BandCheck",
-    "build_testbed",
-    "SeriesSummary",
-    "summarize",
-]

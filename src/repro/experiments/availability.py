@@ -20,7 +20,9 @@ from typing import Dict, List, Sequence
 
 from repro.experiments.harness import BandCheck, ExperimentReport, warmed_testbed
 from repro.experiments.stats import percentiles, summarize
-from repro.faults import BASELINE_RATES, DEFAULT_SBI_RETRY, FaultInjector, FaultPlan
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import BASELINE_RATES, FaultPlan
+from repro.net.http import DEFAULT_SBI_RETRY
 from repro.obs.scrape import Scraper
 from repro.obs.slo import SloEngine, default_slos
 from repro.paka.deploy import IsolationMode

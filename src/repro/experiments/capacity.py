@@ -33,14 +33,10 @@ from repro.paka.deploy import IsolationMode
 EVENT_LOG_CAPACITY = 20_000
 
 
-def capacity_campaign(
-    ues: int = 10_000,
-    seed: int = 7,
-    event_log_capacity: int = EVENT_LOG_CAPACITY,
-) -> ExperimentReport:
+def capacity_campaign(ues: int = 10_000, seed: int = 7) -> ExperimentReport:
     """Register ``ues`` subscribers back-to-back on one warmed SGX slice."""
     testbed = warmed_testbed(
-        IsolationMode.SGX, seed=seed, event_log_capacity=event_log_capacity
+        IsolationMode.SGX, seed=seed, event_log_capacity=EVENT_LOG_CAPACITY
     )
     eenters_before = {
         name: testbed.paka.modules[name].runtime.sgx_stats.eenters

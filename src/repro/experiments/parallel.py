@@ -17,9 +17,9 @@ completion order, so report assembly never depends on scheduling.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,8 @@ def default_jobs() -> int:
     machine while the scheduler confines us to a slice of it, and
     overshooting just multiplies per-process testbed memory for zero
     throughput — each worker is ≈30 MB with ``repro`` imported and a
-    warmed SGX slice built, plus ≈3–4 kB per UE it registers and, traced,
-    ≈27 kB per trace its store keeps (hostbench ``peak_rss_mb``,
-    ``tests/integration/test_memory_budget.py``).
+    warmed SGX slice built, plus ≈3–4 kB per UE it registers (hostbench
+    ``peak_rss_mb``, ``tests/integration/test_memory_budget.py``).
     Platforms without ``sched_getaffinity`` (macOS, Windows) fall back to
     the CPU count.
     """
@@ -59,31 +58,20 @@ def default_jobs() -> int:
         return os.cpu_count() or 1
 
 
-def run_arms(
-    arms: Sequence[Arm],
-    jobs: int = 1,
-    pool: Optional[Executor] = None,
-) -> "Dict[str, Any]":
+def run_arms(arms: Sequence[Arm], jobs: int = 1) -> "Dict[str, Any]":
     """Run every arm and return ``{arm.key: result}`` in declaration order.
 
     ``jobs <= 1`` runs inline (no executor, no pickling); ``jobs > 1``
     fans out over a :class:`ProcessPoolExecutor` capped at the arm count.
-    ``jobs == 0`` means one worker per schedulable CPU.
-
-    ``pool`` lets a multi-round campaign reuse one executor across calls
-    (worker processes import the simulation once, not once per round);
-    the caller owns its lifecycle and ``jobs`` only caps in-flight
-    submissions.  Results are keyed in declaration order either way, so
-    a shared pool cannot change a report's bytes.
+    ``jobs == 0`` means one worker per schedulable CPU.  Results are
+    keyed in declaration order either way, so scheduling cannot change a
+    report's bytes.
     """
     keys = [arm.key for arm in arms]
     if len(set(keys)) != len(keys):
         raise ValueError(f"arm keys must be unique, got {keys}")
     if jobs == 0:
         jobs = default_jobs()
-    if pool is not None:
-        futures = [(arm.key, pool.submit(arm.run)) for arm in arms]
-        return {key: future.result() for key, future in futures}
     if jobs <= 1 or len(arms) <= 1:
         return {arm.key: arm.run() for arm in arms}
     with ProcessPoolExecutor(max_workers=min(jobs, len(arms))) as pool:

@@ -3,9 +3,9 @@
 One warmed SGX slice sustains a few hundred simulated registrations per
 second (E-CAP); reaching a million UEs in one process — one simulated
 clock — would serialise everything behind a single Python loop.  This
-driver instead *partitions* the subscriber population with the very same
-consistent-hash ring the sharded control plane uses at runtime
-(:func:`repro.fivegc.routing.supi_ring`): each shard's UEs are registered
+driver instead *partitions* the subscriber population with one seeded
+consistent-hash ring (:func:`repro.fivegc.routing.supi_ring`) into N
+independent single-slice testbeds: each shard's UEs are registered
 against that shard's own seeded sub-testbed in a worker process, and the
 per-shard results — simulated clocks, Table III enclave counters, span
 decompositions, scraped Tsdb series — are merged deterministically into
@@ -13,11 +13,11 @@ one report.
 
 Determinism contract:
 
-* the UE→shard assignment is a pure function of ``(population, shards,
-  ring seed)`` — keyed blake2b, no process state, no ``PYTHONHASHSEED``;
+* the UE→shard assignment is a pure function of ``(population,
+  shards)`` — keyed blake2b, no process state, no ``PYTHONHASHSEED``;
 * each shard arm is a pure function of its kwargs (its own testbed, its
   own clock, its own RNG service), so the merge sees identical inputs
-  whether arms ran inline, across 4 workers, or on a reused pool;
+  whether arms ran inline or across 4 workers;
 * the merge itself walks shards in index order.
 
 Hence **the merged report is byte-identical regardless of ``--jobs``**,
@@ -55,10 +55,7 @@ from repro.experiments.harness import (
     warmed_testbed,
 )
 from repro.experiments.parallel import Arm, run_arms
-from repro.fivegc.nf_base import CONTROL_PLANE_RING_SEED
 from repro.fivegc.routing import shard_labels, supi_ring
-from repro.obs.analytics import slowest_traces_digest
-from repro.obs.trace import Tracer, TraceStore
 from repro.obs.tsdb import Tsdb
 from repro.paka.deploy import IsolationMode
 
@@ -85,23 +82,18 @@ def population_msins(ues: int, first: int = POPULATION_FIRST_MSIN) -> List[str]:
     return [f"{index:010d}" for index in range(first, first + ues)]
 
 
-def assign_shards(
-    msins: List[str],
-    shards: int,
-    mcc: str = "001",
-    mnc: str = "01",
-    ring_seed: int = CONTROL_PLANE_RING_SEED,
-) -> Dict[str, List[str]]:
-    """Partition ``msins`` by the deployment's SUPI→shard ring.
+def assign_shards(msins: List[str], shards: int) -> Dict[str, List[str]]:
+    """Partition ``msins`` (of PLMN 001/01, the testbed default) by the
+    deployment's SUPI→shard ring.
 
     Returns ``{shard_label: [msin, ...]}`` with every shard present (a
     shard can legitimately be empty at tiny populations) and per-shard
     order preserved from the population order.
     """
-    ring = supi_ring(shards, seed=ring_seed)
+    ring = supi_ring(shards)
     buckets: Dict[str, List[str]] = {label: [] for label in shard_labels(shards)}
     for msin in msins:
-        buckets[ring.pick(f"imsi-{mcc}{mnc}{msin}")].append(msin)
+        buckets[ring.pick(f"imsi-00101{msin}")].append(msin)
     return buckets
 
 
@@ -109,11 +101,7 @@ def run_shard(
     shard_index: int,
     msins: List[str],
     seed: int,
-    event_log_capacity: int = EVENT_LOG_CAPACITY,
     monitor_cadence_s: Optional[float] = None,
-    tsdb_series_cap: Optional[int] = 512,
-    trace_sample: Optional[int] = None,
-    trace_store_cap: int = 512,
 ) -> Dict[str, Any]:
     """One shard arm: register this shard's UEs on its own sub-testbed.
 
@@ -122,19 +110,13 @@ def run_shard(
     warmup, registrations back-to-back, clock read again — the optional
     scraper is pull-only and the trace for the span decomposition runs
     *after* the window closes, so neither perturbs the measured clock.
-
-    ``trace_sample`` arms campaign-wide distributed tracing: every
-    registration runs under a trace context (ids seeded from this
-    shard's sub-testbed seed) with healthy traces head-sampled 1/N into
-    a bounded :class:`TraceStore`.  Tracing never advances the clock, so
-    the measured window is byte-identical to an untraced run.
     """
     from repro.obs.scrape import Scraper
 
     testbed = warmed_testbed(
         IsolationMode.SGX,
         seed=shard_seed(seed, shard_index),
-        event_log_capacity=event_log_capacity,
+        event_log_capacity=EVENT_LOG_CAPACITY,
     )
     eenters_before = {
         name: testbed.paka.modules[name].runtime.sgx_stats.eenters
@@ -143,16 +125,8 @@ def run_shard(
     scraper = None
     if monitor_cadence_s is not None:
         scraper = Scraper.for_testbed(
-            testbed, cadence_s=monitor_cadence_s, series_cap=tsdb_series_cap
+            testbed, cadence_s=monitor_cadence_s, series_cap=512
         ).install(testbed.host)
-    campaign_tracer = None
-    if trace_sample is not None:
-        campaign_tracer = Tracer(
-            testbed.host.clock,
-            trace_seed=shard_seed(seed, shard_index),
-            store=TraceStore(cap=trace_store_cap, sample_every=trace_sample),
-        )
-        testbed.host.tracer = campaign_tracer
     clock_before_ns = testbed.host.clock.now_ns
 
     successes = 0
@@ -165,10 +139,6 @@ def run_shard(
     if scraper is not None:
         scraper.scrape()  # closing sample at the campaign edge
         scraper.uninstall(testbed.host)
-    if campaign_tracer is not None:
-        # Uninstall before the one-shot span decomposition below, which
-        # insists on owning the host tracer.
-        testbed.host.tracer = None
     eenters = {
         name: testbed.paka.modules[name].runtime.sgx_stats.eenters
         - eenters_before[name]
@@ -185,7 +155,7 @@ def run_shard(
         for module, parts in sorted(trace.breakdown.items())
     }
 
-    result: Dict[str, Any] = {
+    return {
         "shard": shard_index,
         "ues": len(msins),
         "successes": successes,
@@ -195,20 +165,6 @@ def run_shard(
         "breakdown": breakdown,
         "tsdb": scraper.tsdb.to_dict() if scraper is not None else None,
     }
-    if campaign_tracer is not None:
-        # Trace store dump plus the module maps the analytics layer
-        # needs to decompose stored trees (identical across shards —
-        # every sub-testbed names its servers/runtimes the same way).
-        result["trace_store"] = campaign_tracer.store.to_dict()
-        result["module_servers"] = {
-            name: module.server.name
-            for name, module in sorted(testbed.paka.modules.items())
-        }
-        result["module_runtimes"] = {
-            name: module.runtime.name
-            for name, module in sorted(testbed.paka.modules.items())
-        }
-    return result
 
 
 @dataclass
@@ -218,8 +174,6 @@ class ShardedCampaignResult:
     report: ExperimentReport
     shard_results: List[Dict[str, Any]] = field(default_factory=list)
     tsdb: Optional[Tsdb] = None
-    trace_store: Optional[TraceStore] = None
-    traces_digest: Optional[Dict[str, Any]] = None
 
 
 def _human_count(ues: int) -> str:
@@ -235,20 +189,13 @@ def sharded_campaign(
     shards: int = 4,
     jobs: int = 1,
     seed: int = 7,
-    event_log_capacity: int = EVENT_LOG_CAPACITY,
     monitor_cadence_s: Optional[float] = None,
-    pool: Optional[Any] = None,
-    trace_sample: Optional[int] = None,
-    trace_store_cap: int = 512,
 ) -> ShardedCampaignResult:
     """Partitioned mass-registration campaign over ``shards`` slices.
 
-    ``jobs``/``pool`` follow :func:`repro.experiments.parallel.run_arms`
-    (inline, fresh executor, or caller-owned executor) and **cannot**
-    change a byte of the merged report — only how long the host waits.
-    ``trace_sample`` arms per-shard distributed tracing (see
-    :func:`run_shard`); the merged slowest-traces digest is equally
-    ``--jobs``-independent.
+    ``jobs`` follows :func:`repro.experiments.parallel.run_arms` (inline
+    or a fresh executor) and **cannot** change a byte of the merged
+    report — only how long the host waits.
     """
     if ues < 1:
         raise ValueError(f"ues must be >= 1, got {ues}")
@@ -261,15 +208,12 @@ def sharded_campaign(
                 "shard_index": index,
                 "msins": buckets[label],
                 "seed": seed,
-                "event_log_capacity": event_log_capacity,
                 "monitor_cadence_s": monitor_cadence_s,
-                "trace_sample": trace_sample,
-                "trace_store_cap": trace_store_cap,
             },
         )
         for index, label in enumerate(shard_labels(shards))
     ]
-    results = run_arms(arms, jobs=jobs, pool=pool)
+    results = run_arms(arms, jobs=jobs)
     return merge_shard_results(
         list(results.values()), ues=ues, shards=shards, seed=seed
     )
@@ -383,28 +327,6 @@ def merge_shard_results(
         report.derived["tsdb_series"] = float(len(merged_tsdb))
         report.derived["tsdb_scrapes"] = float(len(merged_tsdb.scrape_times))
 
-    # Cross-shard trace merge: absorb per-shard stores in index order
-    # (records gain a ``shard`` field) and distill the slowest-traces
-    # digest.  Both are pure functions of the shard results, hence
-    # byte-identical however many jobs produced them.
-    merged_store: Optional[TraceStore] = None
-    traces_digest: Optional[Dict[str, Any]] = None
-    if any(r.get("trace_store") for r in ordered):
-        merged_store = TraceStore(cap=None)
-        for r in ordered:
-            if r.get("trace_store"):
-                merged_store.absorb(r["trace_store"], shard=str(r["shard"]))
-        maps = next(r for r in ordered if r.get("module_servers"))
-        traces_digest = slowest_traces_digest(
-            merged_store.to_dict(),
-            top=10,
-            module_servers=maps["module_servers"],
-            module_runtimes=maps["module_runtimes"],
-        )
-        report.derived["traces_kept"] = float(len(merged_store))
-        report.derived["traces_seen"] = float(merged_store.seen)
-
     return ShardedCampaignResult(
-        report=report, shard_results=ordered, tsdb=merged_tsdb,
-        trace_store=merged_store, traces_digest=traces_digest,
+        report=report, shard_results=ordered, tsdb=merged_tsdb
     )

@@ -6,25 +6,3 @@ executes a plan against a live testbed through zero-cost-when-off hooks;
 ``resilience`` holds the circuit breaker used by the NF base class (the
 retry policy itself lives with the HTTP client).
 """
-
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import (
-    BASELINE_RATES,
-    FaultKind,
-    FaultPlan,
-    FaultRates,
-    FaultWindow,
-)
-from repro.faults.resilience import DEFAULT_SBI_RETRY, CircuitBreaker, RetryPolicy
-
-__all__ = [
-    "BASELINE_RATES",
-    "CircuitBreaker",
-    "DEFAULT_SBI_RETRY",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FaultRates",
-    "FaultWindow",
-    "RetryPolicy",
-]

@@ -1,7 +1,6 @@
 """Client-side resilience primitives for the SBI plane.
 
-:class:`repro.net.http.RetryPolicy` (re-exported here) covers the
-request path; the :class:`CircuitBreaker` sits one layer up, in
+:class:`repro.net.http.RetryPolicy` covers the request path; the :class:`CircuitBreaker` sits one layer up, in
 :class:`repro.fivegc.nf_base.NetworkFunction`, so an NF whose peer is
 known-dead fails fast — a 503 in microseconds instead of burning a full
 timeout-and-retry ladder per call while the peer reloads its enclave.
@@ -13,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-from repro.net.http import DEFAULT_SBI_RETRY, RetryPolicy  # noqa: F401  (re-export)
 
 
 @dataclass

@@ -470,9 +470,8 @@ class Amf(NetworkFunction):
         return session
 
     def _allocate_guti(self) -> str:
-        # Stream keyed by NF name: replica AMFs draw from independent
-        # streams (the default instance is named "amf", so the unsharded
-        # stream name — and every draw — is unchanged).
+        # Stream keyed by NF name: two AMFs on one host draw from
+        # independent streams.
         self._guti_counter += 1
         tmsi = self.host.rng.stream(f"{self.name}.guti").getrandbits(32)
         return f"5g-guti-00101-{self._guti_counter:04d}-{tmsi:08x}"

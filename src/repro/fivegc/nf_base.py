@@ -10,12 +10,10 @@ discover peers through it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.container.network import BridgeNetwork, NetworkError
 from repro.faults.resilience import CircuitBreaker
-from repro.fivegc.routing import HashRing
 from repro.hw.host import PhysicalHost
 from repro.net.http import (
     HttpClient,
@@ -32,28 +30,6 @@ from repro.runtime.base import Runtime
 from repro.runtime.native import NativeRuntime
 
 
-@dataclass
-class DiscoveryRecord:
-    """One cached NRF discovery response, resolved to live peers.
-
-    ``peers_by_shard`` keys replicas by their advertised shard label
-    (replicas without one key by endpoint name); ``ring`` is the seeded
-    consistent-hash ring over those labels when the target NF type is
-    sharded, ``None`` for the single-instance case.
-    """
-
-    profiles: List[NFProfile]
-    peers_by_shard: Dict[str, "NetworkFunction"]
-    ring: Optional[HashRing] = None
-    registry: Dict[str, "NetworkFunction"] = field(default_factory=dict)
-
-
-# Ring seed for control-plane replica picks.  This is a *deployment
-# constant* shared by every SBI client and the gNB entry router — all
-# layers must hash a SUPI to the same shard — not an experiment seed.
-CONTROL_PLANE_RING_SEED = 0
-
-
 class NetworkFunction:
     """One control-plane VNF on the SBI bridge."""
 
@@ -65,39 +41,29 @@ class NetworkFunction:
         host: PhysicalHost,
         network: BridgeNetwork,
         runtime: Optional[Runtime] = None,
-        shard: Optional[str] = None,
     ) -> None:
         self.name = name
         self.host = host
         self.network = network
-        self.shard = shard
         self.runtime = runtime or NativeRuntime(name, host)
         self.server = HttpServer(name=name, runtime=self.runtime, network=network)
         self.client = HttpClient(
             name=f"{name}-client", runtime=self.runtime, network=network
         )
         self._connections: Dict[str, HttpConnection] = {}
+        # Bound peers: the NRF (register_with) and one per discovered NF
+        # type; repeated discover() calls are served from here.
         self._peers: Dict[NFType, "NetworkFunction"] = {}
-        # Cached NRF discovery responses (one record per target NF type);
-        # repeated discover() calls are served from here until an
-        # explicit invalidation (peer death/restart) drops the entry.
-        self._discovery: Dict[NFType, DiscoveryRecord] = {}
         # Resilience: optional SBI retry policy (None = single attempt,
         # the pre-resilience hot path) and a per-peer circuit breaker so
         # a dead peer fails fast instead of wedging every caller.
         self.retry_policy: Optional[RetryPolicy] = None
         self.circuit_breakers: Dict[str, CircuitBreaker] = {}
-        # The shard label travels in the NRF profile metadata so peers
-        # can make the same-slice pick; unsharded NFs advertise nothing
-        # (keeps the registration body — and thus simulated serialization
-        # time — byte-identical to the pre-shard deployment).
-        metadata = {} if shard is None else {"shard": shard}
         self.profile = NFProfile(
             nf_instance_id=f"{name}-0001",
             nf_type=self.NF_TYPE,
             endpoint_name=name,
             services=[],
-            metadata=metadata,
         )
         self._register_routes()
         self.server.start()
@@ -201,20 +167,15 @@ class NetworkFunction:
         ``registry`` maps endpoint names to live NF objects (the simulation's
         address resolution; the NRF response supplies the endpoint name).
 
-        The full discovery response is **cached**: repeated calls are
-        answered locally with no NRF round-trip until the entry is
-        dropped (``refresh=True``).  When the response carries several
-        replicas the pick is deterministic client-side load balancing:
-        the replica advertising this NF's own shard label wins (replica-
-        set affinity), otherwise the first profile — per-key picks go
-        through :meth:`peer_for`.
+        The bind is **cached**: repeated calls are answered locally
+        with no NRF round-trip unless ``refresh=True``.  It is
+        deterministic: the first profile of the NRF's canonically sorted
+        response.
         """
         from repro.net.sbi import NRF_DISCOVER
 
-        if not refresh:
-            cached = self._discovery.get(nf_type)
-            if cached is not None:
-                return self._peers[nf_type]
+        if not refresh and nf_type in self._peers:
+            return self._peers[nf_type]
 
         nrf = self._peers.get(NFType.NRF)
         if nrf is None:
@@ -231,56 +192,15 @@ class NetworkFunction:
             raise RuntimeError(f"{self.name}: no {nf_type.value} instances registered")
         profiles = [NFProfile.from_dict(raw) for raw in raw_profiles]
 
-        peers_by_shard: Dict[str, "NetworkFunction"] = {}
         for profile in profiles:
-            peer = registry.get(profile.endpoint_name)
-            if peer is None:
+            if profile.endpoint_name not in registry:
                 raise RuntimeError(
                     f"{self.name}: discovered unknown endpoint "
                     f"{profile.endpoint_name!r}"
                 )
-            label = profile.metadata.get("shard", profile.endpoint_name)
-            peers_by_shard[label] = peer
-
-        sharded = len(profiles) > 1 and all(
-            "shard" in profile.metadata for profile in profiles
-        )
-        ring = (
-            HashRing(sorted(peers_by_shard), seed=CONTROL_PLANE_RING_SEED)
-            if sharded
-            else None
-        )
-        self._discovery[nf_type] = DiscoveryRecord(
-            profiles=profiles,
-            peers_by_shard=peers_by_shard,
-            ring=ring,
-            registry=registry,
-        )
-
-        # Deterministic bind: same-shard replica if one is advertised,
-        # else the first instance (the pre-shard behaviour).
-        chosen = profiles[0]
-        if self.shard is not None:
-            for profile in profiles:
-                if profile.metadata.get("shard") == self.shard:
-                    chosen = profile
-                    break
-        picked = registry[chosen.endpoint_name]
+        picked = registry[profiles[0].endpoint_name]
         self._peers[nf_type] = picked
         return picked
-
-    def peer_for(self, nf_type: NFType, key: str) -> "NetworkFunction":
-        """The replica of ``nf_type`` serving routing key ``key``.
-
-        Single-instance targets return the bound peer (no hashing); a
-        sharded target is picked through the cached discovery ring, so
-        a given key always lands on the same replica as it does at every
-        other layer of the deployment.
-        """
-        record = self._discovery.get(nf_type)
-        if record is None or record.ring is None:
-            return self.peer(nf_type)
-        return record.peers_by_shard[record.ring.pick(str(key))]
 
     def peer(self, nf_type: NFType) -> "NetworkFunction":
         try:

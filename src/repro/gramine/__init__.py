@@ -12,22 +12,3 @@ GSC (Gramine Shielded Containers) wraps this for Docker images: it
 appends Gramine to the image, templates a manifest that marks essentially
 the whole root filesystem as trusted files, and signs the result.
 """
-
-from repro.gramine.manifest import GramineManifest, ManifestError, parse_size
-from repro.gramine.pal import PlatformAdaptationLayer
-from repro.gramine.libos import GramineEnclaveRuntime, GramineError, HELPER_THREADS
-from repro.gramine.gsc import GscConfig, GscImage, build_gsc_image, sign_gsc_image
-
-__all__ = [
-    "GramineManifest",
-    "ManifestError",
-    "parse_size",
-    "PlatformAdaptationLayer",
-    "GramineEnclaveRuntime",
-    "GramineError",
-    "HELPER_THREADS",
-    "GscConfig",
-    "GscImage",
-    "build_gsc_image",
-    "sign_gsc_image",
-]

@@ -5,14 +5,3 @@ Silver 4314 @ 2.40 GHz, 512 GB DDR4, 16 GB combined EPC) at the level of
 detail the experiments need: CPU cycle accounting and the capacities
 Table IV reports.
 """
-
-from repro.hw.cpu import Cpu, CpuSpec, XEON_SILVER_4314
-from repro.hw.host import PhysicalHost, paper_testbed_host
-
-__all__ = [
-    "Cpu",
-    "CpuSpec",
-    "XEON_SILVER_4314",
-    "PhysicalHost",
-    "paper_testbed_host",
-]

@@ -6,29 +6,3 @@ TCP/TLS connections with real record protection, an epoll-reactor server
 whose syscall footprint is what becomes OCALLs under Gramine, and a small
 REST routing layer used by both the 5G core VNFs and the P-AKA modules.
 """
-
-from repro.net.http import (
-    HandlerContext,
-    HttpClient,
-    HttpConnection,
-    HttpError,
-    HttpRequest,
-    HttpResponse,
-    HttpServer,
-    ServerSyscallProfile,
-)
-from repro.net.rest import JsonApiError, json_body, json_response
-
-__all__ = [
-    "HttpRequest",
-    "HttpResponse",
-    "HttpServer",
-    "HttpClient",
-    "HttpConnection",
-    "HttpError",
-    "HandlerContext",
-    "ServerSyscallProfile",
-    "json_body",
-    "json_response",
-    "JsonApiError",
-]

@@ -44,90 +44,3 @@ observation seam on :class:`~repro.hw.host.PhysicalHost`
 (``host.span`` / ``host.trace`` / ``host.annotate`` / ``host.tick``);
 docs/ARCHITECTURE.md describes what it hides and what it costs.
 """
-
-from repro.obs.export import (
-    parse_prometheus_text,
-    registry_from_dict,
-    registry_to_dict,
-    registry_to_json,
-    registry_to_prometheus_text,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.analytics import (
-    critical_path,
-    registration_breakdown,
-    registration_breakdown_ns,
-    slowest_traces_digest,
-)
-from repro.obs.trace import (
-    Span,
-    SpanNestingError,
-    TraceStore,
-    Tracer,
-    parse_traceparent,
-    span_from_dict,
-    trace_context_id,
-    traceparent_of,
-)
-from repro.obs.collect import (
-    RegistrationTrace,
-    collect_testbed_metrics,
-    trace_registration,
-)
-from repro.obs.tsdb import Tsdb, TsdbSeries
-from repro.obs.scrape import Scraper
-from repro.obs.slo import (
-    Alert,
-    BurnRateWindow,
-    RatioSlo,
-    SloEngine,
-    ThresholdSlo,
-    default_slos,
-)
-from repro.obs.flame import collapsed_text, parse_collapsed_text
-from repro.obs.profile import (
-    RegistrationProfile,
-    fold_registration,
-    profile_registration,
-)
-
-__all__ = [
-    "Alert",
-    "BurnRateWindow",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "RatioSlo",
-    "RegistrationProfile",
-    "RegistrationTrace",
-    "Scraper",
-    "SloEngine",
-    "Span",
-    "SpanNestingError",
-    "ThresholdSlo",
-    "TraceStore",
-    "Tracer",
-    "Tsdb",
-    "TsdbSeries",
-    "collapsed_text",
-    "collect_testbed_metrics",
-    "critical_path",
-    "default_slos",
-    "fold_registration",
-    "parse_collapsed_text",
-    "parse_prometheus_text",
-    "parse_traceparent",
-    "profile_registration",
-    "registration_breakdown",
-    "registration_breakdown_ns",
-    "registry_from_dict",
-    "registry_to_dict",
-    "registry_to_json",
-    "registry_to_prometheus_text",
-    "slowest_traces_digest",
-    "span_from_dict",
-    "trace_context_id",
-    "trace_registration",
-    "traceparent_of",
-]

@@ -4,7 +4,7 @@ tail-based digests built on it.
 Consumers here work on the JSON-ready dict trees a
 :class:`~repro.obs.trace.TraceStore` snapshots (``Span.to_dict`` form) —
 a live :class:`~repro.obs.trace.Span` is snapshotted on the way in — so
-they run identically on live spans, shard-worker dumps and re-loaded
+they run identically on live spans, store dumps and re-loaded
 artifacts.  Four extractions:
 
 * :func:`registration_breakdown_ns` — the per-module decomposition of
@@ -77,7 +77,7 @@ def registration_breakdown_ns(
     exact values the servers' metric series record; ``L_N`` is their
     difference, which is how the paper defines it.  R comes from the
     client spans, the SGX costs from the OCALL tags.  No float in sight,
-    so cross-shard digests can be byte-compared.
+    so digests can be byte-compared.
     """
     tree = _as_tree(root)
     server_to_module = {server: module for module, server in module_servers.items()}
@@ -198,11 +198,10 @@ def slowest_traces_digest(
     """Deterministic digest of the slowest stored traces.
 
     ``store_dump`` is a :meth:`~repro.obs.trace.TraceStore.to_dict`
-    snapshot (single-shard or merged).  Records rank by duration
-    descending with trace-id ascending as the tiebreak, so the digest is
-    a pure function of the record *set* — byte-identical however many
-    jobs produced it.  Every value is an int or str; JSON with sorted
-    keys is the canonical byte form.
+    snapshot.  Records rank by duration descending with trace-id
+    ascending as the tiebreak, so the digest is a pure function of the
+    record *set*.  Every value is an int or str; JSON with sorted keys
+    is the canonical byte form.
     """
     ranked = sorted(
         store_dump.get("records", ()),
@@ -220,8 +219,6 @@ def slowest_traces_digest(
             "duration_ns": int(record["duration_ns"]),
             "critical_path": critical_path(record["root"]),
         }
-        if "shard" in record:
-            entry["shard"] = str(record["shard"])
         if module_servers is not None:
             entry["modules_ns"] = registration_breakdown_ns(
                 record["root"], module_servers, module_runtimes

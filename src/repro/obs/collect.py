@@ -33,23 +33,6 @@ def collect_sgx_stats(
     registry.counter("sgx_bytes_copied_out_total", **labels).set(stats.bytes_copied_out)
 
 
-def _paka_module_items(paka: Any):
-    """``(component, module)`` pairs, one per deployed replica.
-
-    ``PakaSlice.modules`` aliases the first replica under the plain short
-    name when ``replicas > 1``; walking ``replica_groups`` instead keeps
-    every module exactly once (``eudm``, then ``eudm#1`` …).
-    """
-    groups = getattr(paka, "replica_groups", None)
-    if not groups:
-        return list(paka.modules.items())
-    items = []
-    for short_name, group in groups.items():
-        for k, module in enumerate(group):
-            items.append((short_name if k == 0 else f"{short_name}#{k}", module))
-    return items
-
-
 def collect_testbed_metrics(
     testbed: Any,
     registry: Optional[MetricsRegistry] = None,
@@ -58,30 +41,22 @@ def collect_testbed_metrics(
     """Snapshot a whole testbed (Fig 4) into one registry."""
     registry = registry if registry is not None else MetricsRegistry()
 
-    # Replica-aware: a sharded testbed exposes its serving path as lists
-    # (first replica keeps the legacy attribute); iterate every slice so
-    # nothing is invisible to the scraper.  Single-slice testbeds walk
-    # the exact same objects in the exact same order as before.
-    udms = getattr(testbed, "udms", None) or [testbed.udm]
-    ausfs = getattr(testbed, "ausfs", None) or [testbed.ausf]
-    amfs = getattr(testbed, "amfs", None) or [testbed.amf]
     for nf in (
-        testbed.nrf, testbed.udr, *udms, *ausfs, *amfs,
+        testbed.nrf, testbed.udr, testbed.udm, testbed.ausf, testbed.amf,
         testbed.smf, testbed.upf,
     ):
         nf.collect_metrics(registry)
 
     if testbed.paka is not None:
-        for name, module in _paka_module_items(testbed.paka):
+        for name, module in testbed.paka.modules.items():
             module.server.collect_metrics(registry, component=name)
             stats = module.runtime.sgx_stats
             if stats is not None:
                 collect_sgx_stats(registry, stats, component=name)
 
-    # Every gNB, not just the first: a sharded testbed fans registrations
-    # over ``testbed.gnbs`` and an attack campaign adds hostile cells —
-    # all of their streams must reach the Tsdb or the SLO engine is
-    # blind to whole tracking areas (ROADMAP item 4).
+    # Every gNB, not just the first: a multi-cell testbed exposes
+    # ``testbed.gnbs`` — all of their streams must reach the Tsdb or the
+    # SLO engine is blind to whole tracking areas.
     gnbs = getattr(testbed, "gnbs", None) or [testbed.gnb]
     for gnb in gnbs:
         registry.counter("gnb_registrations_attempted_total", gnb=gnb.name).set(
@@ -142,9 +117,7 @@ def trace_registration(
         raise RuntimeError("a tracer is already installed on this host")
 
     ue = testbed.add_subscriber()
-    modules = (
-        dict(_paka_module_items(testbed.paka)) if testbed.paka is not None else {}
-    )
+    modules = testbed.paka.modules if testbed.paka is not None else {}
     before = {
         name: module.runtime.sgx_stats.snapshot()
         for name, module in modules.items()

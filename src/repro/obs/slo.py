@@ -344,7 +344,7 @@ class SloEngine:
 def _legit_gnbs(testbed: Any) -> List[Any]:
     """Every legitimate gNB on the testbed, attack cells excluded.
 
-    A sharded testbed may expose ``testbed.gnbs``; the single-cell
+    A multi-cell testbed may expose ``testbed.gnbs``; the single-cell
     testbed only ``testbed.gnb``.  Hostile cells (``gnb-atk-*``, the
     :mod:`repro.security.attacks` ingress names) carry adversarial
     streams whose failure is *desired* — binding SLOs to them would turn

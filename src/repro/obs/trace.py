@@ -625,7 +625,7 @@ def parse_traceparent(header: str) -> Optional[Tuple[str, str]]:
 def span_from_dict(data: Mapping[str, Any]) -> Span:
     """Rebuild a live :class:`Span` tree from its ``to_dict`` form.
 
-    Stored traces are read out as plain dicts (shard dumps, ``get``);
+    Stored traces are read out as plain dicts (``to_dict``, ``get``);
     this inverts the dump so dict trees can flow back into
     Span-consuming code — :func:`format_span_tree` rendering and the
     profiler's stack fold.  Round-trip is exact:
@@ -660,11 +660,6 @@ class TraceStore:
     drop), and leave the tree as it was.  ``records`` is the stored
     form, so read roots through those two.  An evicted tree goes back to
     the span freelist.
-
-    What comes out are plain JSON-ready dicts, so shard workers can ship
-    them across process boundaries and :meth:`absorb` can merge them
-    deterministically (insertion order = offer order = shard order);
-    absorbed records stay the dicts they arrived as.
     """
 
     __slots__ = (
@@ -745,9 +740,7 @@ class TraceStore:
                 break
         if victim is None:
             victim = next(iter(self.records))
-        root = self.records.pop(victim)["root"]
-        if isinstance(root, Span):
-            _recycle_tree(root)
+        _recycle_tree(self.records.pop(victim)["root"])
         self.evicted += 1
 
     def get(self, trace_id: str) -> Optional[Dict[str, Any]]:
@@ -773,27 +766,10 @@ class TraceStore:
             "records": [_dumped(record) for record in self.records.values()],
         }
 
-    def absorb(self, data: Mapping[str, Any], **extra_fields: Any) -> None:
-        """Merge one worker's :meth:`to_dict` snapshot into this store.
-
-        ``extra_fields`` (e.g. ``shard="3"``) are stamped onto each
-        absorbed record.  Callers absorb shards in index order, so the
-        merged record order is deterministic.
-        """
-        self.seen += int(data.get("seen", 0))
-        self.kept_tail += int(data.get("kept_tail", 0))
-        self.kept_head += int(data.get("kept_head", 0))
-        self.evicted += int(data.get("evicted", 0))
-        for record in data.get("records", ()):
-            merged = dict(record)
-            merged.update(extra_fields)
-            self.records[merged["trace_id"]] = merged
-
 
 def _dumped(record: Dict[str, Any]) -> Dict[str, Any]:
     """A stored record with its root in ``Span.to_dict`` form."""
-    root = record["root"]
-    return {**record, "root": root.to_dict()} if isinstance(root, Span) else record
+    return {**record, "root": record["root"].to_dict()}
 
 
 def format_span_tree(span: Span, indent: int = 0) -> List[str]:

@@ -16,33 +16,3 @@ Gramine/GSC they become the *Protected*-AKA (P-AKA) modules:
 (plain container vs GSC/SGX) with the co-location policy the paper's
 §IV-B mandates.
 """
-
-from repro.paka.endpoints import (
-    EAMF_CONTRACT,
-    EAUSF_CONTRACT,
-    EUDM_CONTRACT,
-    EnclaveIoContract,
-    IoParam,
-)
-from repro.paka.modules import (
-    EamfPakaModule,
-    EausfPakaModule,
-    EudmPakaModule,
-    PakaModule,
-)
-from repro.paka.deploy import IsolationMode, PakaDeployment, PakaSlice
-
-__all__ = [
-    "IoParam",
-    "EnclaveIoContract",
-    "EUDM_CONTRACT",
-    "EAUSF_CONTRACT",
-    "EAMF_CONTRACT",
-    "PakaModule",
-    "EudmPakaModule",
-    "EausfPakaModule",
-    "EamfPakaModule",
-    "IsolationMode",
-    "PakaDeployment",
-    "PakaSlice",
-]

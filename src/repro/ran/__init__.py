@@ -12,23 +12,3 @@
 * :mod:`repro.ran.sdr` — the USRP x310 software-defined-radio gNB of the
   OTA feasibility test (Fig 11 / Table IV).
 """
-
-from repro.ran.usim import Usim, UsimAuthResult
-from repro.ran.ue import CommercialUE, UserEquipment, ONEPLUS_8_PROFILE
-from repro.ran.gnb import Gnb, AirLinkModel
-from repro.ran.gnbsim import GnbSim, MassRegistrationReport
-from repro.ran.sdr import OtaTestbed, UsrpX310
-
-__all__ = [
-    "Usim",
-    "UsimAuthResult",
-    "UserEquipment",
-    "CommercialUE",
-    "ONEPLUS_8_PROFILE",
-    "Gnb",
-    "AirLinkModel",
-    "GnbSim",
-    "MassRegistrationReport",
-    "UsrpX310",
-    "OtaTestbed",
-]

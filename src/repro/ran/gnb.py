@@ -49,17 +49,12 @@ class Gnb:
         amf: Amf,
         plmn: str = "00101",
         airlink: Optional[AirLinkModel] = None,
-        router: Optional[object] = None,
     ) -> None:
         self.name = name
         self.host = host
         self.amf = amf
         self.plmn = plmn
         self.airlink = airlink or AirLinkModel()
-        # Sharded control plane: a ControlPlaneRouter pins each UE to an
-        # AMF replica by consistent-hashing its SUPI.  None (the default)
-        # keeps the single-AMF N2 binding.
-        self.router = router
         self.registrations_attempted = 0
         self.registrations_succeeded = 0
         # Registration sojourn (simulated ms) per attempt: outcome time
@@ -129,11 +124,8 @@ class Gnb:
                 f"{ue.profile.required_os_version})",
             )
 
-        # N2 routing: a sharded deployment pins the UE to its slice's AMF
-        # (ring pick on the SUPI, same hash every layer applies); the
-        # unsharded path keeps the static binding.
         supi = str(ue.usim.supi)
-        amf = self.router.amf_for(supi) if self.router is not None else self.amf
+        amf = self.amf
         host = self.host
         clock = host.clock
         exchanges = 0

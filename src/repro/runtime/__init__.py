@@ -13,8 +13,3 @@ interface and deployed two ways, exactly like the paper's artifacts:
 This symmetry is what makes the container-vs-SGX comparisons of
 Figs 8–10 / Table II meaningful.
 """
-
-from repro.runtime.base import Runtime, SYSCALL_HOST_CYCLES, syscall_host_cycles
-from repro.runtime.native import NativeRuntime
-
-__all__ = ["Runtime", "NativeRuntime", "SYSCALL_HOST_CYCLES", "syscall_host_cycles"]

@@ -21,8 +21,3 @@ What the model captures:
   domain and steals secrets; the same exploit against SGX-isolated
   modules gets nothing, because the kernel is outside the enclave TCB.
 """
-
-from repro.securevm.machine import SecureVm, SecureVmSpec
-from repro.securevm.runtime import GUEST_KERNEL_ACTOR, SecureVmRuntime
-
-__all__ = ["SecureVm", "SecureVmSpec", "SecureVmRuntime", "GUEST_KERNEL_ACTOR"]

@@ -13,39 +13,3 @@ directions is what gives the Table V verdicts their meaning.
 :mod:`repro.security.keyissues` is the 3GPP TR 33.848 Key-Issue catalogue
 with the paper's HMEE-applicability verdicts, reproduced by execution.
 """
-
-from repro.security.threat import Attacker, AttackerCapability, CoResidencyError
-from repro.security.attacks import (
-    AttackResult,
-    ImageSecretExtractionAttack,
-    MemoryIntrospectionAttack,
-    AttestationSpoofAttack,
-    FunctionTamperAttack,
-    NetworkSniffAttack,
-    VirtualKeyStoreAttack,
-)
-from repro.security.keyissues import (
-    KEY_ISSUES,
-    KeyIssue,
-    KeyIssueVerdict,
-    Mitigation,
-    evaluate_key_issues,
-)
-
-__all__ = [
-    "Attacker",
-    "AttackerCapability",
-    "CoResidencyError",
-    "AttackResult",
-    "MemoryIntrospectionAttack",
-    "ImageSecretExtractionAttack",
-    "AttestationSpoofAttack",
-    "FunctionTamperAttack",
-    "NetworkSniffAttack",
-    "VirtualKeyStoreAttack",
-    "KEY_ISSUES",
-    "KeyIssue",
-    "KeyIssueVerdict",
-    "Mitigation",
-    "evaluate_key_issues",
-]

@@ -17,46 +17,3 @@ Models Intel SGX at the abstraction level the paper measures:
 * **aesmd** — the Architectural Enclave Service Manager that provisions
   launch tokens (a *trusted* entity in the paper's threat model).
 """
-
-from repro.sgx.errors import (
-    AttestationError,
-    EnclaveLostError,
-    EnclaveNotInitializedError,
-    SgxError,
-    SgxUnsupportedError,
-    SealingError,
-)
-from repro.sgx.costmodel import SgxCostModel
-from repro.sgx.stats import SgxStats
-from repro.sgx.measurement import EnclaveMeasurement, SigStruct, sign_enclave
-from repro.sgx.epc import EpcManager, EpcRegion
-from repro.sgx.enclave import Enclave, EnclaveBuildInfo, EcallContext
-from repro.sgx.attestation import Quote, QuotingEnclave, verify_quote
-from repro.sgx.sealing import seal, unseal
-from repro.sgx.aesm import AesmDaemon, LaunchToken
-
-__all__ = [
-    "SgxError",
-    "SgxUnsupportedError",
-    "EnclaveNotInitializedError",
-    "EnclaveLostError",
-    "AttestationError",
-    "SealingError",
-    "SgxCostModel",
-    "SgxStats",
-    "EnclaveMeasurement",
-    "SigStruct",
-    "sign_enclave",
-    "EpcManager",
-    "EpcRegion",
-    "Enclave",
-    "EnclaveBuildInfo",
-    "EcallContext",
-    "Quote",
-    "QuotingEnclave",
-    "verify_quote",
-    "seal",
-    "unseal",
-    "AesmDaemon",
-    "LaunchToken",
-]

@@ -11,9 +11,3 @@ provides three services shared across all substrates:
 * :class:`~repro.sim.events.EventLog` — a structured trace of simulation
   events used by the experiment harness and by tests.
 """
-
-from repro.sim.clock import SimClock, TimeSpan
-from repro.sim.events import Event, EventLog
-from repro.sim.rng import RngService
-
-__all__ = ["SimClock", "TimeSpan", "Event", "EventLog", "RngService"]

@@ -1,7 +1,6 @@
 """The parallel arm runner: semantics, and parallel == serial determinism."""
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import pytest
@@ -60,32 +59,6 @@ def test_default_jobs_falls_back_to_cpu_count():
         side_effect=AttributeError("no affinity here"),
     ):
         assert default_jobs() == (os.cpu_count() or 1)
-
-
-def test_run_arms_on_a_caller_owned_pool():
-    arms = [Arm(key=f"k{i}", fn=_square, kwargs={"x": i}) for i in range(4)]
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        pooled_once = run_arms(arms, pool=pool)
-        pooled_again = run_arms(arms, pool=pool)  # pool survives the call
-    assert pooled_once == run_arms(arms, jobs=1)
-    assert pooled_again == pooled_once
-    assert list(pooled_once) == ["k0", "k1", "k2", "k3"]
-
-
-def test_multi_round_campaign_on_shared_pool_is_byte_identical():
-    """Satellite regression: reusing one executor across rounds changes
-    nothing in the results, round for round, byte for byte."""
-    rounds = [
-        [
-            Arm(key=f"seed={seed}", fn=_registration_arm, kwargs={"seed": seed})
-            for seed in group
-        ]
-        for group in ((51, 52), (53, 54))
-    ]
-    serial = [run_arms(arms, jobs=1) for arms in rounds]
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        shared = [run_arms(arms, pool=pool) for arms in rounds]
-    assert shared == serial
 
 
 def test_pool_path_preserves_order_and_values():

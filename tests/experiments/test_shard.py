@@ -1,6 +1,6 @@
 """Partitioned campaign driver: determinism, merge semantics, E-CAP parity."""
 
-from concurrent.futures import ProcessPoolExecutor
+from hashlib import blake2b
 
 from repro.experiments.capacity import capacity_campaign
 from repro.experiments.export import report_to_json
@@ -24,6 +24,20 @@ def test_population_and_assignment_are_stable():
     assert sum(len(b) for b in buckets.values()) == 10
     # Pure function: same partition on every call.
     assert assign_shards(msins, 4) == buckets
+
+
+def test_100k_partition_is_the_committed_one():
+    """The rows of ``benchmarks/results/capacity_100k_x8.txt``, plus a
+    digest of the whole msin→shard map: a ring change that re-homes even
+    one UE shows here, not only in a five-minute bench."""
+    buckets = assign_shards(population_msins(100_000), 8)
+    assert [len(b) for b in buckets.values()] == [
+        12741, 10899, 9375, 14419, 10461, 16384, 13831, 11890,
+    ]
+    digest = blake2b(digest_size=16)
+    for label, msins in buckets.items():
+        digest.update(f"{label}:{','.join(msins)};".encode())
+    assert digest.hexdigest() == "d7a88c6be889a47d3da1ca41539ace46"
 
 
 def test_shard_seed_offsets_are_distinct():
@@ -54,15 +68,6 @@ def test_merged_report_is_byte_identical_across_jobs():
     serial = sharded_campaign(ues=_UES, shards=4, jobs=1)
     fanned = sharded_campaign(ues=_UES, shards=4, jobs=4)
     assert report_to_json(fanned.report) == report_to_json(serial.report)
-
-
-def test_merged_report_is_byte_identical_on_a_reused_pool():
-    serial = sharded_campaign(ues=_UES, shards=3, jobs=1)
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        first = sharded_campaign(ues=_UES, shards=3, pool=pool)
-        second = sharded_campaign(ues=_UES, shards=3, pool=pool)
-    assert report_to_json(first.report) == report_to_json(serial.report)
-    assert report_to_json(second.report) == report_to_json(serial.report)
 
 
 def test_merge_semantics():
@@ -99,41 +104,3 @@ def test_monitored_campaign_merges_tsdb_with_shard_labels():
     # Scrape times are pooled and sorted.
     times = result.tsdb.scrape_times
     assert times == sorted(times)
-
-
-def test_traced_campaign_digest_is_byte_identical_across_jobs():
-    """The slowest-traces digest is a pure function of the kept record
-    set: fanning the shards over worker processes must not change a
-    byte of it."""
-    import json
-
-    serial = sharded_campaign(ues=_UES, shards=4, jobs=1, trace_sample=4)
-    fanned = sharded_campaign(ues=_UES, shards=4, jobs=4, trace_sample=4)
-    assert serial.traces_digest is not None
-    assert json.dumps(serial.traces_digest, sort_keys=True) == json.dumps(
-        fanned.traces_digest, sort_keys=True
-    )
-    assert report_to_json(fanned.report) == report_to_json(serial.report)
-
-
-def test_traced_campaign_spends_no_simulated_time():
-    """Golden clocks: arming per-shard tracing must leave every shard's
-    simulated nanosecond count untouched."""
-    plain = sharded_campaign(ues=_UES, shards=2, jobs=1)
-    traced = sharded_campaign(ues=_UES, shards=2, jobs=1, trace_sample=4)
-    for before, after in zip(plain.shard_results, traced.shard_results):
-        assert before["simulated_ns"] == after["simulated_ns"]
-    assert traced.trace_store is not None
-    assert traced.traces_digest["seen"] == _UES
-    # Merged records carry their origin shard.
-    shards = {r["shard"] for r in traced.trace_store.records.values()}
-    assert shards <= {"0", "1"} and shards
-    assert traced.report.derived["traces_seen"] == float(_UES)
-
-
-def test_untraced_campaign_report_has_no_trace_keys():
-    result = sharded_campaign(ues=_UES, shards=2, jobs=1)
-    assert result.trace_store is None
-    assert result.traces_digest is None
-    assert "traces_seen" not in result.report.derived
-    assert all("trace_store" not in r for r in result.shard_results)

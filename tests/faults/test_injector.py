@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultRates
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultKind, FaultPlan, FaultRates
 from repro.faults.plan import NS_PER_S, FaultWindow
 from repro.net.http import UnresponsiveError
 

@@ -1,6 +1,6 @@
 """Fault plans: pure values, reproducible from (seed, horizon, rates)."""
 
-from repro.faults import BASELINE_RATES, FaultKind, FaultPlan, FaultRates
+from repro.faults.plan import BASELINE_RATES, FaultKind, FaultPlan, FaultRates
 
 
 def test_same_seed_same_plan():

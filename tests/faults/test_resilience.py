@@ -1,6 +1,7 @@
 """Circuit breaker state machine and retry backoff determinism."""
 
-from repro.faults import CircuitBreaker, DEFAULT_SBI_RETRY, RetryPolicy
+from repro.faults.resilience import CircuitBreaker
+from repro.net.http import DEFAULT_SBI_RETRY, RetryPolicy
 from repro.sim.rng import RngService
 
 US = 1_000  # ns per us

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.fivegc.routing import (
-    ControlPlaneRouter,
-    HashRing,
-    shard_labels,
-    supi_ring,
-)
+from repro.fivegc.routing import HashRing, shard_labels, supi_ring
 
 
 def _population(n=4000):
@@ -49,8 +44,7 @@ def test_adding_a_node_moves_about_one_over_n_keys():
     """The consistent-hashing contract: scale-out re-homes ~1/(N+1)."""
     keys = _population(4000)
     before = supi_ring(4)
-    grown = HashRing(shard_labels(4), seed=0)
-    grown.add("4")
+    grown = supi_ring(5)
     moved = sum(1 for k in keys if before.pick(k) != grown.pick(k))
     # Expected 1/5 = 20%; allow generous slack for vnode placement noise.
     assert 0.05 < moved / len(keys) < 0.40, moved
@@ -62,13 +56,9 @@ def test_adding_a_node_moves_about_one_over_n_keys():
 
 
 def test_ring_edge_cases():
-    with pytest.raises(RuntimeError):
-        HashRing(seed=0).pick("anything")
     with pytest.raises(ValueError):
-        HashRing(vnodes=0)
+        HashRing([], seed=0)
     ring = HashRing(["0"], seed=0)
-    ring.add("0")  # idempotent duplicate add
-    assert len(ring) == 1
     assert all(ring.pick(k) == "0" for k in _population(50))
 
 
@@ -76,21 +66,4 @@ def test_shard_labels_and_supi_ring():
     assert shard_labels(3) == ["0", "1", "2"]
     with pytest.raises(ValueError):
         shard_labels(0)
-    assert supi_ring(2).nodes == ("0", "1")
-
-
-def test_router_requires_an_amf_per_shard():
-    ring = supi_ring(2)
-    with pytest.raises(ValueError, match="without an AMF"):
-        ControlPlaneRouter(ring, {"0": object()})
-
-
-def test_router_pins_supi_to_one_amf():
-    ring = supi_ring(3)
-    amfs = {label: object() for label in shard_labels(3)}
-    router = ControlPlaneRouter(ring, amfs)
-    for key in _population(200):
-        shard = router.shard_for(key)
-        assert router.amf_for(key) is amfs[shard]
-        # Stable across repeated lookups.
-        assert router.shard_for(key) == shard
+    assert {supi_ring(2).pick(k) for k in _population(50)} == {"0", "1"}

@@ -37,7 +37,9 @@ def test_monitored_arm_replays_byte_identically():
 
 
 def test_tsdb_contents_and_alerts_replay_bit_identically():
-    from repro.faults import BASELINE_RATES, DEFAULT_SBI_RETRY, FaultInjector, FaultPlan
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import BASELINE_RATES, FaultPlan
+    from repro.net.http import DEFAULT_SBI_RETRY
     from repro.obs.slo import SloEngine, default_slos
 
     def run():

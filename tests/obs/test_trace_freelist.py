@@ -432,24 +432,3 @@ def test_eviction_follows_the_policy_and_returns_the_tree_to_the_freelist():
     # What is left still dumps whole.
     for record in store.to_dict()["records"]:
         assert len(record["root"]["children"][0]["children"]) == 4
-
-
-def test_sharded_traced_digest_is_byte_identical_across_jobs():
-    """Shard workers dump their stores (expand on read) and the parent
-    absorbs the dicts: one process or two, the digest is the same bytes,
-    and an absorbed record reads back as the dict it arrived as."""
-    from repro.experiments.shard import sharded_campaign
-
-    serial = sharded_campaign(ues=8, shards=2, jobs=1, trace_sample=1)
-    fanned = sharded_campaign(ues=8, shards=2, jobs=2, trace_sample=1)
-    assert serial.traces_digest["kept"] == 8
-    assert json.dumps(serial.traces_digest, sort_keys=True) == json.dumps(
-        fanned.traces_digest, sort_keys=True
-    )
-    assert json.dumps(serial.trace_store.to_dict(), sort_keys=True) == json.dumps(
-        fanned.trace_store.to_dict(), sort_keys=True
-    )
-    merged = serial.trace_store
-    top = serial.traces_digest["slowest"][0]["trace_id"]
-    assert merged.get(top) is merged.records[top]
-    assert len(list(_walk_dicts(merged.get(top)["root"]))) == 294

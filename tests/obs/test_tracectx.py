@@ -212,16 +212,3 @@ def test_store_evicts_head_samples_before_tail_records():
     assert store.evicted == 1
     _offer(store, "d" * 32, success=False)                    # no head left
     assert store.trace_ids() == ["c" * 32, "d" * 32]          # oldest overall
-
-
-def test_store_absorb_stamps_extra_fields_and_sums_counters():
-    worker = TraceStore(cap=8, sample_every=1)
-    _offer(worker, "a" * 32, success=False)
-    _offer(worker, "b" * 32, success=True)
-    merged = TraceStore(cap=None)
-    merged.absorb(worker.to_dict(), shard="3")
-    assert merged.seen == worker.seen
-    assert merged.kept_tail == 1 and merged.kept_head == 1
-    assert all(r["shard"] == "3" for r in merged.records.values())
-    # Snapshot order is offer order; absorb preserves it.
-    assert merged.trace_ids() == worker.trace_ids()

@@ -115,6 +115,16 @@ def test_every_table_row_parses_with_defaults_and_has_a_handler():
     ["capacity", "--monitor-cadence", "0"],
     ["monitor", "--cadence", "0"],
     ["monitor", "--cadence", "soon"],
+    ["monitor", "--registrations", "0"],
+    ["table3", "--max-ues", "0"],
+    ["table3", "--max-ues", "1"],
+    ["fig9", "--registrations", "0"],
+    ["fig9", "--jobs", "-2"],
+    ["capacity", "--jobs", "-3"],
+    ["attack", "--legit", "0"],
+    ["attack", "--horizon", "-1"],
+    ["traces", "--legit", "0"],
+    ["traces", "--horizon", "0"],
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     """Outside input is rejected by the parser (exit 2 and a message

@@ -1,12 +1,11 @@
-"""Every module under ``src/repro`` is imported by something that ships.
+"""Every module under ``src/repro`` is imported by something that ships,
+from the one place that defines it.
 
 Static (AST import graph, no execution): a module passes when a file
 outside ``tests/`` -- ``src/``, ``benchmarks/``, ``examples/`` -- imports
-it directly, or when its package's ``__init__`` re-exports one of its
-names *and* some file outside ``tests/`` imports that name from the
-package.  A package ``__init__`` importing its own submodule is a
-re-export, not a use: a module only its own unit test and an unused
-re-export reach fails here.  The function-level census is
+it directly.  There is no second path to a name: a package ``__init__``
+under ``src/repro`` is a docstring and nothing else, so a re-export
+cannot stand in for a caller.  The function-level census is
 ``benchmarks/reachability.py``; this is the sub-second part of it that
 tier-1 can afford.
 """
@@ -24,20 +23,30 @@ def _module_name(path: pathlib.Path) -> str:
 
 
 def _imports(path: pathlib.Path, modules):
-    """``(modules imported, (package, name) pairs imported from a package)``."""
-    imported, names = set(), set()
+    """The modules ``path`` imports."""
+    imported = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             assert not node.level, f"{path}: relative imports are not resolved here"
             for alias in node.names:
-                if f"{node.module}.{alias.name}" in modules:
-                    imported.add(f"{node.module}.{alias.name}")
-                else:
-                    imported.add(node.module)
-                    names.add((node.module, alias.name))
-    return imported, names
+                submodule = f"{node.module}.{alias.name}"
+                imported.add(submodule if submodule in modules else node.module)
+    return imported
+
+
+def test_package_inits_bind_no_name():
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("__init__.py")):
+        tree = ast.parse(path.read_text())
+        code = tree.body[1:] if ast.get_docstring(tree) is not None else tree.body
+        if code:
+            offenders.append(str(path.relative_to(SRC)))
+    assert not offenders, (
+        "a package __init__ is a docstring and nothing else (import a name "
+        f"from the module that defines it): {offenders}"
+    )
 
 
 def test_every_module_is_imported_outside_tests():
@@ -46,21 +55,9 @@ def test_every_module_is_imported_outside_tests():
     shipped = sources + sorted(
         path for top in ("benchmarks", "examples") for path in (ROOT / top).rglob("*.py")
     )
-    used, wanted, reexports = set(), set(), {}
+    used = set()
     for path in shipped:
-        imported, names = _imports(path, modules)
-        if path.name == "__init__.py" and SRC in path.parents:
-            # name re-exported by this package -> the module it came from
-            reexports[_module_name(path)] = {
-                name: base for base, name in names if base in modules
-            }
-        else:
-            used |= imported
-            wanted |= names
-    for package, name in wanted:
-        origin = reexports.get(package, {}).get(name)
-        if origin:
-            used.add(origin)
+        used |= _imports(path, modules)
     unreached = sorted(
         name for name, path in modules.items()
         if path.name not in ("__init__.py", "__main__.py") and name not in used
