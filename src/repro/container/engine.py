@@ -106,10 +106,10 @@ class ContainerEngine:
         if network is not None:
             container.endpoint = self.network(network).attach(name)
         container.status = ContainerStatus.RUNNING
-        container.start_timestamp_ns = self.host.clock.timestamp()
+        container.start_timestamp_ns = self.host.clock.now_ns
         self._containers[name] = container
         self.host.events.emit(
-            self.host.clock.timestamp(), "engine.run", container=name,
+            self.host.clock.now_ns, "engine.run", container=name,
             image=image.reference, shielded=runtime.shielded,
         )
         return container

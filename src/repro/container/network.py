@@ -62,6 +62,9 @@ class BridgeNetwork:
     # Stays None in fault-free runs, costing nothing on the hot path.
     link_filter: Optional[Callable[[str, str, int], Optional[float]]] = None
 
+    def __post_init__(self) -> None:
+        self._jitter_stream = f"net.{self.name}"  # named once, drawn per frame
+
     def attach(self, name: str) -> NetworkEndpoint:
         if name in self._endpoints:
             raise NetworkError(f"endpoint {name!r} already attached to {self.name!r}")
@@ -74,29 +77,30 @@ class BridgeNetwork:
 
     def transit_latency_us(self, nbytes: int) -> float:
         mean = self.base_latency_us + self.per_kb_latency_us * (nbytes / 1024.0)
-        return self.host.rng.jitter(f"net.{self.name}", mean, 0.06)
+        return self.host.rng.jitter(self._jitter_stream, mean, 0.06)
 
     def transmit(self, src: str, dst: str, payload: bytes) -> None:
         """Move one frame across the bridge, advancing the clock."""
         if dst not in self._endpoints:
             raise NetworkError(f"no route from {src!r} to {dst!r} on {self.name!r}")
+        clock = self.host.clock
+        nbytes = len(payload)
         extra_us = 0.0
         if self.link_filter is not None:
-            verdict = self.link_filter(src, dst, len(payload))
+            verdict = self.link_filter(src, dst, nbytes)
             if verdict is None:
                 # The frame burns its transit time and vanishes; the
                 # sender discovers the loss only through its timeout.
-                self.host.clock.advance_us(self.transit_latency_us(len(payload)))
+                clock.advance_us(self.transit_latency_us(nbytes))
                 self.host.events.emit(
-                    self.host.clock.timestamp(), "net.drop",
-                    src=src, dst=dst, nbytes=len(payload),
+                    clock.now_ns, "net.drop", src=src, dst=dst, nbytes=nbytes,
                 )
                 raise FrameLost(f"frame {src!r}->{dst!r} lost on {self.name!r}")
             extra_us = verdict
-        self.host.clock.advance_us(self.transit_latency_us(len(payload)) + extra_us)
-        arrived_ns = self.host.clock.timestamp()
-        self.host.events.emit(
-            arrived_ns, "net.frame", src=src, dst=dst, nbytes=len(payload),
+        clock.advance_us(self.transit_latency_us(nbytes) + extra_us)
+        arrived_ns = clock.now_ns
+        self.host.events.emit_shared(
+            arrived_ns, "net.frame", {"src": src, "dst": dst, "nbytes": nbytes}
         )
         # A Frame exists only for whoever looks at one: the on-path
         # capture and a receiver's deliver hook.

@@ -49,7 +49,7 @@ from repro.fivegc.nas_security import (
     SecureNasChannel,
 )
 from repro.fivegc.nf_base import NetworkFunction
-from repro.net.rest import JsonApiError
+from repro.net.rest import JsonApiError, read_answer, require_hex, require_str
 from repro.net.sbi import (
     AUSF_UE_AUTH,
     AUSF_UE_AUTH_CONFIRM,
@@ -237,21 +237,21 @@ class Amf(NetworkFunction):
             payload["resynchronizationInfo"] = resync_info
         try:
             response = self.call(ausf, "POST", AUSF_UE_AUTH, payload)
-        except JsonApiError as exc:  # transport failure / circuit open
-            return self._fail(session, str(exc))
-        if not response.ok:
-            return self._fail(
-                session, f"AUSF refused authentication ({response.status})"
+            if not response.ok:
+                return self._fail(
+                    session, f"AUSF refused authentication ({response.status})"
+                )
+            body = read_answer(
+                response, "AUSF", authCtxId=require_str, rand=16, autn=16, hxresStar=16
             )
-        body = response.json()
-        session.auth_ctx_id = str(body["authCtxId"])
-        session.rand = bytes.fromhex(body["rand"])
-        session.hxres_star = bytes.fromhex(body["hxresStar"])
+        except JsonApiError as exc:  # transport failure / circuit open / malformed
+            return self._fail(session, str(exc))
+        session.auth_ctx_id = body["authCtxId"]
+        session.rand = body["rand"]
+        session.hxres_star = body["hxresStar"]
         session.state = _SessionState.WAIT_AUTH_RESPONSE
         self.runtime.compute(_NAS_ENCODE_CYCLES)
-        return AuthenticationRequest(
-            rand=session.rand, autn=bytes.fromhex(body["autn"])
-        )
+        return AuthenticationRequest(rand=session.rand, autn=body["autn"])
 
     def _on_authentication_response(
         self, ue_id: str, message: AuthenticationResponse
@@ -274,13 +274,13 @@ class Amf(NetworkFunction):
                 AUSF_UE_AUTH_CONFIRM,
                 {"authCtxId": session.auth_ctx_id, "resStar": message.res_star.hex()},
             )
-        except JsonApiError as exc:  # transport failure / circuit open
+            body = read_answer(response, "AUSF") if response.ok else {}
+            if body.get("result") != "AUTHENTICATION_SUCCESS":
+                return self._fail(session, "AUSF confirmation failed")
+            session.supi = require_str(body, "supi")
+            kseaf = require_hex(body, "kseaf", 32)
+        except JsonApiError as exc:  # transport failure / circuit open / malformed
             return self._fail(session, str(exc))
-        if not response.ok or response.json().get("result") != "AUTHENTICATION_SUCCESS":
-            return self._fail(session, "AUSF confirmation failed")
-        body = response.json()
-        session.supi = str(body["supi"])
-        kseaf = bytes.fromhex(body["kseaf"])
 
         # Derive K_AMF — in the eAMF P-AKA module when offloaded.
         if self.offload_module is not None:
@@ -483,7 +483,7 @@ class Amf(NetworkFunction):
         response = self.call_server(module.server, "POST", EAMF_DERIVE_KAMF, payload)
         if not response.ok:
             raise JsonApiError(502, f"eAMF module error: {response.status}")
-        return bytes.fromhex(response.json()["kamf"])
+        return read_answer(response, "eAMF", kamf=32)["kamf"]
 
     # ------------------------------------------------------------- metrics
 

@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 from repro.aka import HomeAuthVector, derive_se_av
 from repro.fivegc.nf_base import NetworkFunction
-from repro.net.rest import JsonApiError, json_body, require_hex, require_str
+from repro.net.rest import JsonApiError, json_body, read_answer, require_hex, require_str
 from repro.net.sbi import (
     AUSF_UE_AUTH,
     AUSF_UE_AUTH_CONFIRM,
@@ -83,12 +83,11 @@ class Ausf(NetworkFunction):
         udm_response = self.call(udm, "POST", UDM_UE_AUTH_GET, forward)
         if not udm_response.ok:
             raise JsonApiError(udm_response.status, "UDM rejected authentication")
-        he = udm_response.json()
+        he = read_answer(
+            udm_response, "UDM", rand=16, autn=16, xresStar=16, kausf=32, supi=require_str
+        )
         he_av = HomeAuthVector(
-            rand=bytes.fromhex(he["rand"]),
-            autn=bytes.fromhex(he["autn"]),
-            xres_star=bytes.fromhex(he["xresStar"]),
-            kausf=bytes.fromhex(he["kausf"]),
+            rand=he["rand"], autn=he["autn"], xres_star=he["xresStar"], kausf=he["kausf"]
         )
 
         if self.offload_module is not None:
@@ -108,7 +107,7 @@ class Ausf(NetworkFunction):
         self._next_ctx += 1
         ctx_id = f"authctx-{self._next_ctx}"
         self._contexts[ctx_id] = _AuthContext(
-            supi=str(he["supi"]), rand=he_av.rand,
+            supi=he["supi"], rand=he_av.rand,
             xres_star=he_av.xres_star, kseaf=kseaf, snn=snn, issued_ns=now_ns,
         )
         return self._ok(
@@ -160,5 +159,5 @@ class Ausf(NetworkFunction):
         response = self.call_server(module.server, "POST", EAUSF_DERIVE_SE_AV, payload)
         if not response.ok:
             raise JsonApiError(502, f"eAUSF module error: {response.status}")
-        body = response.json()
-        return bytes.fromhex(body["hxresStar"]), bytes.fromhex(body["kseaf"])
+        body = read_answer(response, "eAUSF", hxresStar=16, kseaf=32)
+        return body["hxresStar"], body["kseaf"]

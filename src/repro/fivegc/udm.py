@@ -16,7 +16,7 @@ from typing import Optional
 from repro.aka import generate_he_av, verify_auts
 from repro.crypto.suci import Suci, Supi, deconceal_suci
 from repro.fivegc.nf_base import NetworkFunction
-from repro.net.rest import JsonApiError, json_body, require_str
+from repro.net.rest import JsonApiError, json_body, read_answer, require_int, require_str
 from repro.net.sbi import (
     EUDM_GENERATE_AV,
     EUDM_VERIFY_AUTS,
@@ -79,10 +79,8 @@ class Udm(NetworkFunction):
         udr_response = self.call(udr, "POST", UDR_AUTH_SUBSCRIPTION, {"supi": supi})
         if not udr_response.ok:
             raise JsonApiError(udr_response.status, "UDR rejected the subscriber")
-        record = udr_response.json()
-        opc = bytes.fromhex(record["opc"])
-        sqn = bytes.fromhex(record["sqn"])
-        amf_field = bytes.fromhex(record["amfField"])
+        record = read_answer(udr_response, "UDR", k=16, opc=16, sqn=6, amfField=2)
+        opc, sqn, amf_field = record["opc"], record["sqn"], record["amfField"]
         rand = self.host.rng.randbytes("udm.rand", 16)
 
         if self.offload_module is not None:
@@ -92,9 +90,8 @@ class Udm(NetworkFunction):
             )
         else:
             context.runtime.compute(_AV_LOCAL_CYCLES)
-            k = bytes.fromhex(record["k"])
             he_av = generate_he_av(
-                k=k, opc=opc, rand=rand, sqn=sqn,
+                k=record["k"], opc=opc, rand=rand, sqn=sqn,
                 snn=snn_text.encode(), amf_field=amf_field,
             )
             av = {
@@ -155,7 +152,8 @@ class Udm(NetworkFunction):
         response = self.call_server(module.server, "POST", EUDM_GENERATE_AV, payload)
         if not response.ok:
             raise JsonApiError(502, f"eUDM module error: {response.status}")
-        return response.json()
+        # Forwarded as it came: the AUSF checks the vector's fields.
+        return read_answer(response, "eUDM")
 
     def _perform_resync(self, supi: str, resync_info: dict, context) -> None:
         """Verify AUTS (inside the eUDM enclave when offloaded) and reset
@@ -172,8 +170,8 @@ class Udm(NetworkFunction):
         peek = self.call(udr, "POST", UDR_AUTH_PEEK, {"supi": supi})
         if not peek.ok:
             raise JsonApiError(peek.status, "UDR rejected the subscriber")
-        record = peek.json()
-        opc = bytes.fromhex(record["opc"])
+        record = read_answer(peek, "UDR", k=16, opc=16)
+        opc = record["opc"]
 
         if self.offload_module is not None:
             response = self.call_server(
@@ -185,11 +183,10 @@ class Udm(NetworkFunction):
                 raise JsonApiError(403, "AUTS verification failed")
             if not response.ok:
                 raise JsonApiError(502, f"eUDM module error: {response.status}")
-            sqn_ms = int(response.json()["sqnMs"])
+            sqn_ms = read_answer(response, "eUDM", sqnMs=require_int)["sqnMs"]
         else:
             context.runtime.compute(_AUTS_LOCAL_CYCLES)
-            k = bytes.fromhex(record["k"])
-            recovered = verify_auts(k, opc, rand, auts)
+            recovered = verify_auts(record["k"], opc, rand, auts)
             if recovered is None:
                 raise JsonApiError(403, "AUTS verification failed")
             sqn_ms = recovered

@@ -222,7 +222,10 @@ class GramineEnclaveRuntime(Runtime):
     # ------------------------------------------------------------ execution
 
     def compute(self, cycles: float) -> None:
-        self._app_context.compute(cycles)
+        # ``started`` implies the process context exists (start and
+        # shutdown move them together); otherwise the property raises.
+        context = self._contexts[0] if self.started else self._app_context
+        context.compute(cycles)
 
     @property
     def degraded(self) -> bool:

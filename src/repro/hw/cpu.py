@@ -24,6 +24,10 @@ class CpuSpec:
     sgx_version: int  # 0 = no SGX, 1 = SGXv1, 2 = SGXv2 (EDMM capable)
     max_epc_bytes: int  # per-package EPC limit
 
+    def __post_init__(self) -> None:
+        if not self.frequency_hz > 0:
+            raise ValueError(f"CPU frequency must be positive: {self.frequency_hz}")
+
     @property
     def sgx_capable(self) -> bool:
         return self.sgx_version >= 1
@@ -67,11 +71,16 @@ class Cpu:
         return self._cycles_spent
 
     def spend_cycles(self, cycles: float) -> None:
-        """Advance simulated time by ``cycles`` at this CPU's frequency."""
+        """Advance simulated time by ``cycles`` at this CPU's frequency.
+
+        The innermost frame of every simulated charge: it rounds and adds
+        to the clock itself (the spec guarantees a positive frequency, so
+        a non-negative charge never moves the clock backwards).
+        """
         if cycles < 0:
             raise ValueError(f"negative cycle cost: {cycles}")
         self._cycles_spent += int(cycles)
-        self.clock.advance_cycles(cycles, self.spec.frequency_hz)
+        self.clock.now_ns += int(round(cycles * NS_PER_S / self.spec.frequency_hz))
 
     def round_cycle_cost(self, cycles: float) -> "tuple[int, int]":
         """The exact ``(cycles_spent, clock_ns)`` increments one

@@ -74,15 +74,17 @@ class PhysicalHost:
 
     @property
     def tracing(self) -> bool:
-        """True while an installed tracer is recording — the one place
-        that tells no tracer, a disabled tracer and an armed one apart."""
+        """True while an installed tracer is recording (no tracer and a
+        disabled one both read False; :meth:`span`, the hottest reader,
+        makes the same test on one read of ``self.tracer``)."""
         tracer = self.tracer
         return tracer is not None and tracer.enabled
 
     def span(self, name: str, kind: str = "", **tags: Any):
         """Open a span over the ``with`` block (no-op unless tracing)."""
-        if self.tracing:
-            return self.tracer.begin(name, kind, **tags)
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            return tracer.begin(name, kind, **tags)
         return NULL_SPAN
 
     def trace(

@@ -10,23 +10,26 @@ server uses epoll_wait system calls to monitor sockets").
 
 Latency instrumentation follows the paper's definitions:
 
-* ``L_F`` (functional latency) — measured by the handler around the AKA
-  function execution (:meth:`HandlerContext.functional`),
+* ``L_F`` (functional latency) — measured by the server around the
+  handler, i.e. the AKA function execution,
 * ``L_T`` (total latency) — measured by the server from request received
   to response sent, so ``L_T = L_F + L_N``,
 * ``R`` (response time) — measured by the client around the full exchange.
+
+Each window is two reads of ``clock.now_ns`` at the edges of the span
+that shows it; see docs/ARCHITECTURE.md for what one hop books.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.container.network import BridgeNetwork, FrameLost, NetworkError
 from repro.crypto.tls import TlsCostModel, TlsSession, establish_session
+from repro.net.codec import loads_object
 from repro.runtime.base import Runtime
-from repro.sim.clock import TimeSpan
+from repro.sim.clock import NS_PER_US
 from repro.sim.metrics import BoundedSeries
 from repro.sim.rng import RngService
 
@@ -92,28 +95,29 @@ DEFAULT_SBI_RETRY = RetryPolicy()
 _HEAD_CACHE: Dict[tuple, bytes] = {}
 
 
+def _cache_head(key: tuple, start_line: str, header_items: tuple) -> bytes:
+    """Serialize one head and remember it under ``key`` (either direction).
+
+    Unique-header traffic cannot leak memory: past 8 192 shapes the cache
+    starts over, so it never holds more than 8 193.
+    """
+    if len(_HEAD_CACHE) > 8192:
+        _HEAD_CACHE.clear()
+    header_lines = "".join(f"{k}: {v}\r\n" for k, v in sorted(header_items))
+    head = _HEAD_CACHE[key] = f"{start_line}\r\n{header_lines}\r\n".encode()
+    return head
+
+
 def _request_head(method: str, path: str, header_items: tuple) -> bytes:
     key = (method, path, header_items)
     head = _HEAD_CACHE.get(key)
-    if head is None:
-        if len(_HEAD_CACHE) > 8192:  # unique-header traffic cannot leak memory
-            _HEAD_CACHE.clear()
-        header_lines = "".join(f"{k}: {v}\r\n" for k, v in sorted(header_items))
-        head = _HEAD_CACHE[key] = (
-            f"{method} {path} HTTP/1.1\r\n{header_lines}\r\n".encode()
-        )
-    return head
+    return head or _cache_head(key, f"{method} {path} HTTP/1.1", header_items)
 
 
 def _response_head(status: int, header_items: tuple) -> bytes:
     key = (status, header_items)
     head = _HEAD_CACHE.get(key)
-    if head is None:
-        header_lines = "".join(f"{k}: {v}\r\n" for k, v in sorted(header_items))
-        head = _HEAD_CACHE[key] = (
-            f"HTTP/1.1 {status} X\r\n{header_lines}\r\n".encode()
-        )
-    return head
+    return head or _cache_head(key, f"HTTP/1.1 {status} X", header_items)
 
 
 @dataclass
@@ -154,7 +158,9 @@ class HttpResponse:
         return 200 <= self.status < 300
 
     def json(self) -> dict:
-        return json.loads(self.body.decode())
+        """The body as a JSON object; ``ValueError`` if it is anything
+        else (undecodable, not JSON, or JSON that is not an object)."""
+        return loads_object(self.body)
 
     def wire_bytes(self) -> bytes:
         head = _response_head(self.status, tuple(self.headers.items()))
@@ -386,9 +392,9 @@ class HttpServer:
     def serve(self, connection: "HttpConnection", protected_request: bytes) -> bytes:
         """Handle one protected request; returns the protected response.
 
-        Measures L_T from request-received to response-sent and lets the
-        handler measure L_F inside; both are appended to the server's
-        metric lists.
+        Measures L_T from request-received to response-sent, L_F around
+        the handler and the busy window around both plus the reactor
+        chatter, and appends each to the server's metric series.
         """
         if not self.started:
             raise HttpError(f"server {self.name!r} not started")
@@ -407,11 +413,13 @@ class HttpServer:
         # attached to the parsed request below, so the header exists
         # exactly where a real server would see it.
         traceparent = connection.traceparent
-        # The busy window wraps L_T plus the reactor chatter after it.
-        with host.span(
-            self.name, kind="sbi.server", server=self.name
-        ) as srv_span, clock.measure() as busy_span:
-            with host.span("window", kind="L_T"), clock.measure() as lt_span:
+        # Each window is two reads of the clock at the edges of the span
+        # that shows it, so the two are the same float; busy wraps L_T
+        # plus the reactor chatter after it.
+        with host.span(self.name, kind="sbi.server", server=self.name) as srv_span:
+            busy_start = clock.now_ns
+            with host.span("window", kind="L_T"):
+                lt_start = clock.now_ns
                 runtime.syscall_profile(self._in_window_pre)
                 runtime.compute(self.tls_cost.record_cycles(len(protected_request)))
                 raw = connection.server_tls.unprotect(protected_request)
@@ -423,31 +431,33 @@ class HttpServer:
                     + self.profile.parse_per_byte_cycles * len(raw)
                 )
                 handler = self._resolve(request.method, request.path)
-                with host.span(
-                    request.path, kind="L_F", path=request.path
-                ), clock.measure() as lf_span:
+                with host.span(request.path, kind="L_F", path=request.path):
+                    lf_start = clock.now_ns
                     response = handler(request, self._handler_context)
+                    lf_us = (clock.now_ns - lf_start) / NS_PER_US
                 response_raw = response.wire_bytes()
                 runtime.compute(self.tls_cost.record_cycles(len(response_raw)))
                 protected_response = connection.server_tls.protect(response_raw)
                 runtime.syscall_profile(self._in_window_post)
+                lt_us = (clock.now_ns - lt_start) / NS_PER_US
 
             # Reactor chatter around the request (outside the L_T window
             # but inside the client's response-time window).
             runtime.syscall_profile(self._out_of_window)
+            busy_us = (clock.now_ns - busy_start) / NS_PER_US
         srv_span.tag(path=request.path, status=response.status)
         if traceparent is not None:
             srv_span.tag(traceparent=traceparent)
 
-        self.busy_us.append(busy_span.us)
-        self.lf_us.append(lf_span.us)
-        self.lt_us.append(lt_span.us)
+        self.busy_us.append(busy_us)
+        self.lf_us.append(lf_us)
+        self.lt_us.append(lt_us)
         lf_series = self.lf_us_by_path.get(request.path)
         if lf_series is None:
             lf_series = self.lf_us_by_path[request.path] = BoundedSeries(self.metrics_cap)
             self.lt_us_by_path[request.path] = BoundedSeries(self.metrics_cap)
-        lf_series.append(lf_span.us)
-        self.lt_us_by_path[request.path].append(lt_span.us)
+        lf_series.append(lf_us)
+        self.lt_us_by_path[request.path].append(lt_us)
         self.requests_served += 1
         return protected_response
 
@@ -625,19 +635,19 @@ class HttpClient:
             raise HttpError("connection is closed")
         host = self.runtime.host
         clock = host.clock
-        request = HttpRequest(
-            method=method, path=path, body=body, headers=headers or {}
+        server = connection.server
+        dst = server.name
+        host.events.emit_shared(
+            clock.now_ns, "sbi.request",
+            {"src": self.name, "dst": dst, "method": method, "path": path},
         )
-        host.events.emit(
-            clock.timestamp(), "sbi.request",
-            src=self.name, dst=connection.server.name,
-            method=method, path=path,
-        )
-        raw = request.wire_bytes()
+        header_items = tuple(headers.items()) if headers else ()
+        raw = _request_head(method, path, header_items) + body
         with host.span(
-            path, kind="sbi.request",
-            src=self.name, dst=connection.server.name, method=method, path=path,
-        ) as req_span, clock.measure() as r_span:
+            path, kind="sbi.request", src=self.name, dst=dst, method=method, path=path,
+        ) as req_span:
+            # R is two reads of the clock at the span's edges.
+            start_ns = clock.now_ns
             # W3C traceparent naming the open sbi.request span as parent;
             # propagated out-of-band — see HttpConnection.traceparent for
             # why it stays off the wire.
@@ -648,11 +658,9 @@ class HttpClient:
                 self.runtime.syscall_profile(self._request_profile)
                 # Request transit, server handling, response transit — real
                 # frames on the bridge (advances the clock per hop).
-                self.network.transmit(self.name, connection.server.name, protected)
-                protected_response = connection.server.serve(connection, protected)
-                self.network.transmit(
-                    connection.server.name, self.name, protected_response
-                )
+                self.network.transmit(self.name, dst, protected)
+                protected_response = server.serve(connection, protected)
+                self.network.transmit(dst, self.name, protected_response)
                 self.runtime.compute(
                     self.tls_cost.record_cycles(len(protected_response))
                 )
@@ -662,12 +670,12 @@ class HttpClient:
                 # its deadline.
                 if timeout_us is None:
                     raise
-                elapsed_us = (clock.now_ns - r_span.start_ns) / 1_000.0
+                elapsed_us = (clock.now_ns - start_ns) / 1_000.0
                 if timeout_us > elapsed_us:
                     clock.advance_us(timeout_us - elapsed_us)
                 self.timeouts += 1
                 raise RequestTimeout(
-                    f"{self.name}->{connection.server.name} {method} {path}: "
+                    f"{self.name}->{dst} {method} {path}: "
                     f"no response within {timeout_us:.0f}us"
                 ) from exc
             finally:
@@ -675,22 +683,21 @@ class HttpClient:
                 # served, gated or lost, it never outlives the exchange
                 # (``_reconnect`` re-establishes the connection in place).
                 connection.traceparent = None
-        if timeout_us is not None and r_span.us > timeout_us:
+            r_us = (clock.now_ns - start_ns) / NS_PER_US
+        if timeout_us is not None and r_us > timeout_us:
             # The response arrived after the client already gave up
             # (e.g. an injected latency spike): it is discarded.
             self.timeouts += 1
             raise RequestTimeout(
-                f"{self.name}->{connection.server.name} {method} {path}: "
-                f"response after {r_span.us:.0f}us deadline {timeout_us:.0f}us"
+                f"{self.name}->{dst} {method} {path}: "
+                f"response after {r_us:.0f}us deadline {timeout_us:.0f}us"
             )
-        self.response_times_us.append(r_span.us)
-        by_server = self.response_times_by_server.get(connection.server.name)
+        self.response_times_us.append(r_us)
+        by_server = self.response_times_by_server.get(dst)
         if by_server is None:
-            by_server = self.response_times_by_server[
-                connection.server.name
-            ] = BoundedSeries()
-        by_server.append(r_span.us)
-        req_span.tag(r_us=r_span.us)
+            by_server = self.response_times_by_server[dst] = BoundedSeries()
+        by_server.append(r_us)
+        req_span.tag(r_us=r_us)
         return HttpResponse.from_wire(response_raw)
 
     def _reconnect(self, connection: HttpConnection) -> None:

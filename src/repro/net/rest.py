@@ -75,3 +75,21 @@ def require_int(data: Dict[str, Any], field: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise JsonApiError(400, f"missing or non-integer field {field!r}")
     return value
+
+
+def read_answer(response: HttpResponse, peer: str, **fields: Any) -> Dict[str, Any]:
+    """A peer's JSON answer, each named field checked and decoded in place.
+
+    A field is a hex octet string of that many bytes, or whatever its
+    reader (:func:`require_str`, :func:`require_int`) accepts.  A body that
+    is not a JSON object, or a missing or ill-formed field, is the peer's
+    fault: :class:`JsonApiError` 502, where the same flaw in a request is
+    the caller's (400).
+    """
+    try:
+        data = response.json()
+        for name, kind in fields.items():
+            data[name] = kind(data, name) if callable(kind) else require_hex(data, name, kind)
+        return data
+    except (ValueError, JsonApiError) as exc:
+        raise JsonApiError(502, f"malformed {peer} answer: {exc}")

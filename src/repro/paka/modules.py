@@ -51,6 +51,7 @@ class PakaModule:
     ) -> None:
         self.name = name
         self.runtime = runtime
+        self._fn_stream = f"{name}.fn"  # jitter stream, drawn per request
         self.server = HttpServer(
             name=name,
             runtime=runtime,
@@ -83,9 +84,7 @@ class PakaModule:
         Figs 8–9.
         """
         runtime = context.runtime
-        cycles = runtime.host.rng.jitter(
-            f"{self.name}.fn", self.COMPUTE_CYCLES, 0.035
-        )
+        cycles = runtime.host.rng.jitter(self._fn_stream, self.COMPUTE_CYCLES, 0.035)
         runtime.compute(cycles)
         runtime.touch_pages(cold=self.COLD_PAGES)
 

@@ -55,6 +55,10 @@ class Gnb:
         self.amf = amf
         self.plmn = plmn
         self.airlink = airlink or AirLinkModel()
+        # Jitter stream names, built once: each is drawn per NAS message.
+        self._air_stream = f"gnb.{name}.air"
+        self._n2_stream = f"gnb.{name}.n2"
+        self._rrc_stream = f"gnb.{name}.rrc"
         self.registrations_attempted = 0
         self.registrations_succeeded = 0
         # Registration sojourn (simulated ms) per attempt: outcome time
@@ -76,13 +80,13 @@ class Gnb:
 
     def _air(self, message: NasMessage) -> None:
         latency = self.host.rng.jitter(
-            f"gnb.{self.name}.air", self.airlink.message_ms(message.approx_bytes()), 0.08
+            self._air_stream, self.airlink.message_ms(message.approx_bytes()), 0.08
         )
         self.host.clock.advance_ms(latency)
 
     def _n2(self) -> None:
         self.host.clock.advance_us(
-            self.host.rng.jitter(f"gnb.{self.name}.n2", self._N2_LATENCY_US, 0.05)
+            self.host.rng.jitter(self._n2_stream, self._N2_LATENCY_US, 0.05)
         )
 
     # -------------------------------------------------------- registration
@@ -138,9 +142,7 @@ class Gnb:
             },
         ) as trace, clock.measure() as setup_span:
             clock.advance_ms(
-                host.rng.jitter(
-                    f"gnb.{self.name}.rrc", self.airlink.rrc_setup_ms, 0.06
-                )
+                host.rng.jitter(self._rrc_stream, self.airlink.rrc_setup_ms, 0.06)
             )
             uplink: Optional[NasMessage] = (
                 ue.build_registration_request()

@@ -39,6 +39,7 @@ class NativeRuntime(Runtime):
 
     def __init__(self, name: str, host: PhysicalHost) -> None:
         super().__init__(name, host)
+        self.cpu = host.cpu  # every charge goes straight to the package
         self._secrets: Dict[str, bytes] = {}
         self._running = True
 
@@ -50,17 +51,21 @@ class NativeRuntime(Runtime):
     def sgx_stats(self) -> Optional[SgxStats]:
         return None
 
+    # The two charges of every request test ``_running`` inline; only a
+    # dead runtime reaches the check that raises.
+
     def _check_running(self) -> None:
         if not self._running:
             raise RuntimeError(f"runtime {self.name!r} has been shut down")
 
     def compute(self, cycles: float) -> None:
-        self._check_running()
-        self.host.cpu.spend_cycles(cycles)
+        if not self._running:
+            self._check_running()
+        self.cpu.spend_cycles(cycles)
 
     def syscall(self, name: str, bytes_out: int = 0, bytes_in: int = 0) -> None:
         self._check_running()
-        self.host.cpu.spend_cycles(
+        self.cpu.spend_cycles(
             _SYSCALL_TRAP_CYCLES + syscall_host_cycles(name, bytes_out + bytes_in)
         )
 
@@ -72,7 +77,7 @@ class NativeRuntime(Runtime):
         ``spend_preconverted`` that leaves the clock bit-identical to the
         per-call loop.
         """
-        cpu = self.host.cpu
+        cpu = self.cpu
         total_cycles = 0
         total_ns = 0
         for name, bytes_out, bytes_in in specs:
@@ -84,12 +89,13 @@ class NativeRuntime(Runtime):
         return (total_cycles, total_ns)
 
     def syscall_profile(self, handle) -> None:
-        self._check_running()
-        self.host.cpu.spend_preconverted(handle[0], handle[1])
+        if not self._running:
+            self._check_running()
+        self.cpu.spend_preconverted(handle[0], handle[1])
 
     def touch_pages(self, cold: int = 0, new: int = 0) -> None:
         self._check_running()
-        self.host.cpu.spend_cycles(new * _MINOR_FAULT_CYCLES + cold * _COLD_ACCESS_CYCLES)
+        self.cpu.spend_cycles(new * _MINOR_FAULT_CYCLES + cold * _COLD_ACCESS_CYCLES)
 
     def idle(
         self, duration_s: float, active_threads: int = 1, advance_clock: bool = True

@@ -78,9 +78,10 @@ class EcallContext:
 
     def compute(self, cycles: float) -> None:
         """In-enclave computation; charged with the MEE penalty."""
-        self._check_open()
-        model = self._enclave.cost_model
-        self._enclave.host.cpu.spend_cycles(cycles * model.epc_compute_penalty)
+        if self.closed:  # inline: the hottest entry; the check raises
+            self._check_open()
+        enclave = self._enclave
+        enclave.host.cpu.spend_cycles(cycles * enclave.cost_model.epc_compute_penalty)
 
     def touch_pages(self, cold: int = 0, new: int = 0) -> None:
         """Touch EPC pages: ``new`` pages fault in, ``cold`` are resident
@@ -127,7 +128,7 @@ class EcallContext:
         stats.bytes_copied_out += bytes_out
         stats.bytes_copied_in += bytes_in
         enclave.host.events.emit(
-            enclave.host.clock.timestamp(), "sgx.ocall",
+            enclave.host.clock.now_ns, "sgx.ocall",
             enclave=enclave.build.name, syscall=syscall,
         )
 
@@ -234,7 +235,7 @@ class Enclave:
 
         self.load_span = span
         self.host.events.emit(
-            self.host.clock.timestamp(), "sgx.load",
+            self.host.clock.now_ns, "sgx.load",
             enclave=self.build.name, load_ms=span.ms,
         )
         return span

@@ -66,11 +66,11 @@ class TimeSpan:
 
     @property
     def us(self) -> float:
-        return self.ns / NS_PER_US
+        return (self.end_ns - self.start_ns) / NS_PER_US
 
     @property
     def ms(self) -> float:
-        return self.ns / NS_PER_MS
+        return (self.end_ns - self.start_ns) / NS_PER_MS
 
     @property
     def seconds(self) -> float:
@@ -106,16 +106,8 @@ class SimClock:
 
     # The unit helpers are the innermost frame of every simulated charge,
     # so each checks its own bounds and adds to ``now_ns`` itself instead
-    # of hopping through :meth:`advance`.
-
-    def advance_cycles(self, cycles: float, hz: float) -> None:
-        """Advance by the wall time of ``cycles`` CPU cycles at ``hz``."""
-        if hz <= 0:
-            raise ValueError(f"clock frequency must be positive: {hz}")
-        ns = int(round(cycles * NS_PER_S / hz))
-        if ns < 0:
-            raise ValueError(f"cannot advance clock by negative time: {ns}")
-        self.now_ns += ns
+    # of hopping through :meth:`advance` (a CPU charge adds its own, see
+    # :meth:`repro.hw.cpu.Cpu.spend_cycles`).
 
     def advance_us(self, us: float) -> None:
         ns = int(round(us * NS_PER_US))
@@ -141,7 +133,3 @@ class SimClock:
         span = TimeSpan(now_ns, now_ns, self)
         self._open_measurements.append(span)
         return span
-
-    def timestamp(self) -> int:
-        """Current simulated time in nanoseconds since simulation start."""
-        return self.now_ns

@@ -4,9 +4,10 @@ Long campaigns (the 10k-UE capacity benchmark) push hundreds of thousands
 of per-request latency samples into the HTTP servers' metric lists.  The
 raw samples only matter for percentile plots over bounded windows; the
 aggregate statistics must stay exact over the whole run.  This module
-splits the two concerns: :class:`RunningStats` accumulates count / total /
+splits the two concerns: :class:`RunningStats` holds count / total /
 min / max over every sample ever added, while :class:`BoundedSeries` is a
-packed sequence of recent raw samples with an optional retention cap.
+packed sequence of recent raw samples with an optional retention cap
+that keeps its stats up to date on every append.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Iterable, Optional
 
 
 class RunningStats:
-    """Exact streaming count/total/min/max/mean over all samples added."""
+    """Exact streaming count/total/min/max/mean over all samples added
+    (by :meth:`BoundedSeries.append`, the only writer)."""
 
     __slots__ = ("count", "total", "minimum", "maximum")
 
@@ -25,14 +27,6 @@ class RunningStats:
         self.total = 0.0
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
 
     @property
     def mean(self) -> float:
@@ -82,8 +76,14 @@ class BoundedSeries(array):
             self.append(value)
 
     def append(self, value: float) -> None:
-        super().append(value)
-        self.stats.add(value)
+        array.append(self, value)
+        stats = self.stats
+        stats.count += 1
+        stats.total += value
+        if stats.minimum is None or value < stats.minimum:
+            stats.minimum = value
+        if stats.maximum is None or value > stats.maximum:
+            stats.maximum = value
         if self.cap is not None and len(self) > self.cap:
             del self[: len(self) // 2]
 

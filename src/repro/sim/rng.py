@@ -66,8 +66,9 @@ class RngService:
 
         Used by cost models to turn point costs into realistic
         distributions.  Clamped at 10% of the mean so a pathological draw
-        can never produce a non-positive cost.
+        can never produce a non-positive cost.  Hot callers build ``name``
+        once, where they are built.
         """
-        stream = self.stream(name)
+        stream = self._streams.get(name) or self.stream(name)
         value = stream.gauss(mean, abs(mean) * rel_sigma)
         return max(value, 0.1 * mean)

@@ -1,14 +1,20 @@
 """Negative paths across the SBI: malformed inputs degrade gracefully."""
 
+import json
+
 import pytest
 
+from repro.net.http import HttpResponse
 from repro.net.sbi import (
     AUSF_UE_AUTH,
+    AUSF_UE_AUTH_CONFIRM,
     EAMF_DERIVE_KAMF,
     EAUSF_DERIVE_SE_AV,
     EUDM_GENERATE_AV,
+    NRF_DISCOVER,
     UDM_UE_AUTH_GET,
     UDR_AUTH_RESYNC,
+    NFType,
 )
 
 
@@ -84,8 +90,6 @@ def test_module_errors_propagate_as_gateway_errors(container_testbed):
     ],
 )
 def test_module_endpoints_reject_malformed(container_testbed, path, payload):
-    import json
-
     testbed = container_testbed
     module = {
         EUDM_GENERATE_AV: "eudm",
@@ -107,3 +111,68 @@ def test_non_json_body_rejected(monolithic_testbed):
         connection, "POST", UDM_UE_AUTH_GET, body=b"\xff\xfe not json"
     )
     assert response.status == 400
+
+
+def _rewrite_answers(server, method, path, rewrite):
+    """Serve ``path`` with ``rewrite(answer JSON) -> body``; returns the
+    undo."""
+    real = server._resolve(method, path)
+
+    def rewritten(request, context):
+        answer = real(request, context)
+        return HttpResponse(answer.status, rewrite(answer.json()), answer.headers)
+
+    server.route(method, path, rewritten)
+    return lambda: server.route(method, path, real)
+
+
+def _json(payload):
+    return json.dumps(payload).encode()
+
+
+@pytest.mark.parametrize(
+    "path,rewrite,cause",
+    [
+        (
+            AUSF_UE_AUTH_CONFIRM,
+            lambda a: _json({k: v for k, v in a.items() if k != "kseaf"}),
+            "missing or non-string field 'kseaf'",
+        ),
+        (
+            AUSF_UE_AUTH_CONFIRM,
+            lambda a: _json({**a, "kseaf": "zz"}),
+            "field 'kseaf' is not valid hex",
+        ),
+        (
+            AUSF_UE_AUTH,
+            lambda a: _json([1, 2]),
+            "malformed AUSF answer: JSON body must be an object",
+        ),
+    ],
+    ids=["confirm-without-kseaf", "kseaf-not-hex", "answer-not-an-object"],
+)
+def test_malformed_peer_answer_rejects_the_ue_not_the_registration(
+    container_testbed, path, rewrite, cause
+):
+    testbed = container_testbed
+    undo = _rewrite_answers(testbed.ausf.server, "POST", path, rewrite)
+    outcome = testbed.register(testbed.add_subscriber(), establish_session=False)
+    assert outcome.success is False
+    assert outcome.failure_cause == cause
+    undo()
+    assert testbed.register(testbed.add_subscriber(), establish_session=False).success
+
+
+def test_malformed_discovery_answer_is_a_typed_error_and_keeps_the_bind(
+    container_testbed,
+):
+    testbed = container_testbed
+    registry = {nf.name: nf for nf in (testbed.ausf, testbed.udm, testbed.smf)}
+    undo = _rewrite_answers(
+        testbed.nrf.server, "GET", NRF_DISCOVER, lambda a: _json([1, 2])
+    )
+    with pytest.raises(ValueError, match="object"):
+        testbed.amf.discover(NFType.AUSF, registry, refresh=True)
+    undo()
+    assert testbed.amf.peer(NFType.AUSF) is testbed.ausf
+    assert testbed.register(testbed.add_subscriber(), establish_session=False).success

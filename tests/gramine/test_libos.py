@@ -137,6 +137,18 @@ def test_shutdown_destroys_enclave():
     assert runtime.enclave.destroyed
     with pytest.raises(GramineError):
         runtime.syscall("read")
+    with pytest.raises(GramineError):
+        runtime.compute(1)
+
+
+def test_compute_before_start_or_with_negative_cycles_is_rejected():
+    with pytest.raises(GramineError, match="not running"):
+        make_runtime(start=False).compute(1)
+    runtime = make_runtime()
+    t0 = runtime.host.clock.now_ns
+    with pytest.raises(ValueError):
+        runtime.compute(-1)
+    assert runtime.host.clock.now_ns == t0
 
 
 def test_idle_books_aex_on_enclave():

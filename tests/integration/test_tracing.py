@@ -19,7 +19,7 @@ artifacts:
 import pytest
 
 from repro.experiments.harness import warmed_testbed
-from repro.obs.trace import Tracer
+from repro.obs.trace import TraceStore, Tracer
 from repro.testbed import IsolationMode
 
 from tests.integration.test_golden_clocks import (
@@ -135,3 +135,75 @@ def test_trace_derived_fig9_split_matches_experiment_shape(traced_sgx):
     for row in trace.breakdown.values():
         share = row["lf_us"] / row["lt_us"]
         assert 0.15 <= share <= 0.55
+
+
+def _walk(node):
+    yield node
+    for child in node["children"]:
+        yield from _walk(child)
+
+
+def _us(node):
+    return (node["end_ns"] - node["start_ns"]) / 1_000
+
+
+def _only(node, kind):
+    (child,) = [c for c in node["children"] if c["kind"] == kind]
+    return child
+
+
+@pytest.mark.parametrize("isolation", [IsolationMode.CONTAINER, IsolationMode.SGX])
+def test_every_hop_window_is_its_span(isolation):
+    """Each SBI hop's four windows — the client's R and the server's busy,
+    L_T and L_F — are the very floats its spans measure, on every server
+    and client of the registration, read back from a store that kept the
+    tree."""
+    testbed = warmed_testbed(isolation, seed=7)
+    host = testbed.host
+    store = TraceStore(cap=None, sample_every=1)
+    host.tracer = Tracer(host.clock, trace_seed=7, store=store)
+    try:
+        ue = testbed.add_subscriber()
+        assert testbed.register(ue, establish_session=False).success
+    finally:
+        host.tracer = None
+    (trace_id,) = store.trace_ids()
+    requests = [
+        node for node in _walk(store.get(trace_id)["root"])
+        if node["kind"] == "sbi.request"
+    ]
+    assert len(requests) == 7
+
+    nfs = (testbed.udr, testbed.udm, testbed.ausf, testbed.amf)
+    servers = {nf.server.name: nf.server for nf in nfs}
+    servers.update((s.name, s) for s in testbed.module_servers().values())
+    clients = {nf.client.name: nf.client for nf in nfs}
+    hops_by_server, requests_by_client = {}, {}
+    for request in requests:
+        hop = _only(request, "sbi.server")
+        hops_by_server.setdefault(hop["tags"]["server"], []).append(hop)
+        requests_by_client.setdefault(request["tags"]["src"], []).append(request)
+        assert request["tags"]["r_us"] == _us(request)
+
+    for name, hops in hops_by_server.items():
+        server, n = servers[name], len(hops)
+        lts = [_only(hop, "L_T") for hop in hops]
+        lfs = [_only(lt, "L_F") for lt in lts]
+        assert list(server.busy_us[-n:]) == [_us(hop) for hop in hops]
+        assert list(server.lt_us[-n:]) == [_us(lt) for lt in lts]
+        assert list(server.lf_us[-n:]) == [_us(lf) for lf in lfs]
+        for lt, lf in zip(lts, lfs):
+            path = lf["tags"]["path"]
+            assert server.lt_us_by_path[path][-1] == _us(lt)
+            assert server.lf_us_by_path[path][-1] == _us(lf)
+    # Every server but the AMF's (N1 is direct dispatch) served this UE.
+    assert set(hops_by_server) == set(servers) - {testbed.amf.server.name}
+
+    for name, sent in requests_by_client.items():
+        client = clients[name]
+        times = client.response_times_us
+        assert list(times[-len(sent):]) == [_us(request) for request in sent]
+        for dst in {request["tags"]["dst"] for request in sent}:
+            to_dst = [_us(request) for request in sent if request["tags"]["dst"] == dst]
+            by_server = client.response_times_by_server[dst]
+            assert list(by_server[-len(to_dst):]) == to_dst

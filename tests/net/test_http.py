@@ -69,6 +69,29 @@ def test_wire_format_roundtrip():
     assert restored.status == 201 and restored.body == b"out"
 
 
+@pytest.mark.parametrize("message", [HttpRequest, HttpResponse])
+def test_head_cache_is_bounded_in_both_directions(message, monkeypatch):
+    from repro.net import http
+
+    monkeypatch.setattr(http, "_HEAD_CACHE", {})
+    first = message(200) if message is HttpResponse else message("GET", "/x")
+    for n in range(20_000):
+        # Distinct header sets: each is a new cache key.
+        twin = message(200) if message is HttpResponse else message("GET", "/x")
+        twin.headers["X-Unique"] = str(n)
+        assert message.from_wire(twin.wire_bytes()).headers == twin.headers
+        assert len(http._HEAD_CACHE) <= 8193
+    # A head serialised after the cache started over is the same bytes.
+    assert first.wire_bytes() == message.from_wire(first.wire_bytes()).wire_bytes()
+
+
+def test_json_body_must_be_an_object():
+    assert HttpResponse(200, body=b'{"a": 1}').json() == {"a": 1}
+    for body in (b"[1, 2]", b"7", b"not json", b"\xff"):
+        with pytest.raises(ValueError):
+            HttpResponse(200, body=body).json()
+
+
 HOSTILE_HEADS = [
     b"",
     b"GET\r\n\r\n",

@@ -76,12 +76,31 @@ def test_unprivileged_actor_sees_nothing(runtime):
     assert runtime.memory_view("random-neighbour") == b""
 
 
+def test_negative_charges_are_rejected(runtime, host):
+    for charge in (
+        lambda: runtime.compute(-1),
+        lambda: runtime.touch_pages(cold=-1),
+    ):
+        with pytest.raises(ValueError):
+            charge()
+    assert host.clock.now_ns == 0
+
+
 def test_shutdown_blocks_further_use(runtime):
+    handle = runtime.compile_syscalls([("read", 0, 0)])
     runtime.shutdown()
-    with pytest.raises(RuntimeError):
-        runtime.compute(1)
-    with pytest.raises(RuntimeError):
-        runtime.syscall("read")
+    # A real exception on every entry point, so it holds under python -O.
+    for call in (
+        lambda: runtime.compute(1),
+        lambda: runtime.syscall("read"),
+        lambda: runtime.syscall_profile(handle),
+        lambda: runtime.touch_pages(cold=1),
+        lambda: runtime.idle(1.0),
+        lambda: runtime.store_secret("k", b"x"),
+        lambda: runtime.load_secret("k"),
+    ):
+        with pytest.raises(RuntimeError, match="shut down"):
+            call()
 
 
 def test_shutdown_scrubs_secrets(runtime):

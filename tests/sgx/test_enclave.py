@@ -120,9 +120,17 @@ class TestTransitions:
 
     def test_context_unusable_after_exit(self, enclave):
         with enclave.ecall("handler") as ctx:
-            pass
-        with pytest.raises(SgxError):
-            ctx.ocall("read")
+            with pytest.raises(ValueError):
+                ctx.compute(-1)
+        for call in (
+            lambda: ctx.ocall("read"),
+            lambda: ctx.compute(1),
+            lambda: ctx.touch_pages(cold=1),
+            lambda: ctx.store_secret("k", b"x"),
+            lambda: ctx.load_secret("k"),
+        ):
+            with pytest.raises(SgxError, match="already exited"):
+                call()
 
     def test_tcs_exhaustion(self, host, epc):
         enclave = Enclave(host, small_build("one-thread", max_threads=1), epc)

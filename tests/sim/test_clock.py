@@ -29,17 +29,6 @@ def test_advance_rejects_negative():
         SimClock().advance(-1)
 
 
-def test_advance_cycles_converts_through_frequency():
-    clock = SimClock()
-    clock.advance_cycles(2_400, 2.4e9)  # 2400 cycles at 2.4 GHz = 1 us
-    assert clock.now_ns == 1_000
-
-
-def test_advance_cycles_rejects_bad_frequency():
-    with pytest.raises(ValueError):
-        SimClock().advance_cycles(100, 0)
-
-
 def test_unit_helpers():
     clock = SimClock()
     clock.advance_us(1)

@@ -15,17 +15,18 @@ class TestRunningStats:
         assert stats.mean == 0.0
         assert stats.minimum is None and stats.maximum is None
 
-    def test_accumulates_exactly(self):
-        stats = RunningStats()
+
+class TestBoundedSeries:
+    def test_stats_accumulate_exactly(self):
+        series = BoundedSeries()
         for value in (3.0, 1.0, 2.0):
-            stats.add(value)
+            series.append(value)
+        stats = series.stats
         assert stats.count == 3
         assert stats.total == 6.0
         assert stats.mean == 2.0
         assert (stats.minimum, stats.maximum) == (1.0, 3.0)
 
-
-class TestBoundedSeries:
     def test_uncapped_behaves_like_a_list(self):
         series = BoundedSeries()
         for i in range(100):
