@@ -49,13 +49,15 @@ from repro.fivegc.nas_security import (
     SecureNasChannel,
 )
 from repro.fivegc.nf_base import NetworkFunction
-from repro.net.rest import JsonApiError, read_answer, require_hex, require_str
+from repro.net.rest import JsonApiError
 from repro.net.sbi import (
+    ANSWER,
     AUSF_UE_AUTH,
     AUSF_UE_AUTH_CONFIRM,
     EAMF_DERIVE_KAMF,
     NFType,
     SMF_PDU_SESSION,
+    decode,
 )
 from repro.paka.modules import EamfPakaModule
 
@@ -241,9 +243,7 @@ class Amf(NetworkFunction):
                 return self._fail(
                     session, f"AUSF refused authentication ({response.status})"
                 )
-            body = read_answer(
-                response, "AUSF", authCtxId=require_str, rand=16, autn=16, hxresStar=16
-            )
+            body = decode(AUSF_UE_AUTH, response.body, ANSWER)
         except JsonApiError as exc:  # transport failure / circuit open / malformed
             return self._fail(session, str(exc))
         session.auth_ctx_id = body["authCtxId"]
@@ -274,13 +274,13 @@ class Amf(NetworkFunction):
                 AUSF_UE_AUTH_CONFIRM,
                 {"authCtxId": session.auth_ctx_id, "resStar": message.res_star.hex()},
             )
-            body = read_answer(response, "AUSF") if response.ok else {}
-            if body.get("result") != "AUTHENTICATION_SUCCESS":
-                return self._fail(session, "AUSF confirmation failed")
-            session.supi = require_str(body, "supi")
-            kseaf = require_hex(body, "kseaf", 32)
+            body = decode(AUSF_UE_AUTH_CONFIRM, response.body, ANSWER) if response.ok else {}
         except JsonApiError as exc:  # transport failure / circuit open / malformed
             return self._fail(session, str(exc))
+        kseaf = body.get("kseaf")
+        if body.get("result") != "AUTHENTICATION_SUCCESS" or kseaf is None or "supi" not in body:
+            return self._fail(session, "AUSF confirmation failed")
+        session.supi = body["supi"]
 
         # Derive K_AMF — in the eAMF P-AKA module when offloaded.
         if self.offload_module is not None:
@@ -400,12 +400,15 @@ class Amf(NetworkFunction):
         )
         if not response.ok:
             raise AmfError(f"SMF rejected PDU session: {response.status}")
-        body = response.json()
+        try:
+            body = decode(SMF_PDU_SESSION, response.body, ANSWER)
+        except JsonApiError as exc:
+            raise AmfError(f"SMF rejected PDU session: {exc}")
         self.runtime.compute(_NAS_ENCODE_CYCLES)
         return PduSessionEstablishmentAccept(
             session_id=message.session_id,
-            ue_address=str(body["ueAddress"]),
-            qos_flow=str(body["qosFlow"]),
+            ue_address=body["ueAddress"],
+            qos_flow=body["qosFlow"],
         )
 
     def _on_deregistration(self, ue_id: str, message: DeregistrationRequest) -> NasMessage:
@@ -483,7 +486,7 @@ class Amf(NetworkFunction):
         response = self.call_server(module.server, "POST", EAMF_DERIVE_KAMF, payload)
         if not response.ok:
             raise JsonApiError(502, f"eAMF module error: {response.status}")
-        return read_answer(response, "eAMF", kamf=32)["kamf"]
+        return decode(EAMF_DERIVE_KAMF, response.body, ANSWER)["kamf"]
 
     # ------------------------------------------------------------- metrics
 

@@ -17,13 +17,16 @@ from typing import Dict, Optional
 
 from repro.aka import HomeAuthVector, derive_se_av
 from repro.fivegc.nf_base import NetworkFunction
-from repro.net.rest import JsonApiError, json_body, read_answer, require_hex, require_str
+from repro.net.rest import JsonApiError, json_response
 from repro.net.sbi import (
+    ANSWER,
     AUSF_UE_AUTH,
     AUSF_UE_AUTH_CONFIRM,
     EAUSF_DERIVE_SE_AV,
     NFType,
     UDM_UE_AUTH_GET,
+    decode,
+    serve,
 )
 from repro.paka.modules import EausfPakaModule
 
@@ -64,28 +67,22 @@ class Ausf(NetworkFunction):
     # ------------------------------------------------------------- routing
 
     def _register_routes(self) -> None:
-        self._route_json("POST", AUSF_UE_AUTH, self._handle_authenticate)
-        self._route_json("POST", AUSF_UE_AUTH_CONFIRM, self._handle_confirm)
+        serve(self.server, "POST", AUSF_UE_AUTH, self._handle_authenticate)
+        serve(self.server, "POST", AUSF_UE_AUTH_CONFIRM, self._handle_confirm)
 
-    def _handle_authenticate(self, request, context):
-        data = json_body(request)
-        snn = require_str(data, "servingNetworkName")
+    def _handle_authenticate(self, data, context):
+        snn = data["servingNetworkName"]
         context.runtime.compute(_SN_AUTHZ_CYCLES)
         if self.allowed_snns is not None and snn not in self.allowed_snns:
             raise JsonApiError(403, f"serving network {snn!r} not authorised")
 
-        # Forward to the UDM (identity and any resync token untouched).
+        # Forward to the UDM: the request holds only its declared fields,
+        # so the identity and any resync token go on untouched.
         udm = self.peer(NFType.UDM)
-        forward = {"servingNetworkName": snn}
-        for key in ("supi", "suci", "resynchronizationInfo"):
-            if key in data:
-                forward[key] = data[key]
-        udm_response = self.call(udm, "POST", UDM_UE_AUTH_GET, forward)
+        udm_response = self.call(udm, "POST", UDM_UE_AUTH_GET, data)
         if not udm_response.ok:
             raise JsonApiError(udm_response.status, "UDM rejected authentication")
-        he = read_answer(
-            udm_response, "UDM", rand=16, autn=16, xresStar=16, kausf=32, supi=require_str
-        )
+        he = decode(UDM_UE_AUTH_GET, udm_response.body, ANSWER)
         he_av = HomeAuthVector(
             rand=he["rand"], autn=he["autn"], xres_star=he["xresStar"], kausf=he["kausf"]
         )
@@ -110,7 +107,7 @@ class Ausf(NetworkFunction):
             supi=he["supi"], rand=he_av.rand,
             xres_star=he_av.xres_star, kseaf=kseaf, snn=snn, issued_ns=now_ns,
         )
-        return self._ok(
+        return json_response(
             {
                 "authCtxId": ctx_id,
                 "rand": he_av.rand.hex(),
@@ -120,10 +117,8 @@ class Ausf(NetworkFunction):
             status=201,
         )
 
-    def _handle_confirm(self, request, context):
-        data = json_body(request)
-        ctx_id = require_str(data, "authCtxId")
-        res_star = require_hex(data, "resStar", 16)
+    def _handle_confirm(self, data, context):
+        ctx_id, res_star = data["authCtxId"], data["resStar"]
         auth_context = self._contexts.get(ctx_id)
         if auth_context is None or (
             self.host.clock.now_ns - auth_context.issued_ns > _CONTEXT_TTL_NS
@@ -134,8 +129,8 @@ class Ausf(NetworkFunction):
         # released at most once and nothing per-UE outlives the AKA run.
         del self._contexts[ctx_id]
         if res_star != auth_context.xres_star:
-            return self._ok({"result": "AUTHENTICATION_FAILURE"}, status=200)
-        return self._ok(
+            return json_response({"result": "AUTHENTICATION_FAILURE"}, status=200)
+        return json_response(
             {
                 "result": "AUTHENTICATION_SUCCESS",
                 "supi": auth_context.supi,
@@ -159,5 +154,5 @@ class Ausf(NetworkFunction):
         response = self.call_server(module.server, "POST", EAUSF_DERIVE_SE_AV, payload)
         if not response.ok:
             raise JsonApiError(502, f"eAUSF module error: {response.status}")
-        body = read_answer(response, "eAUSF", hxresStar=16, kseaf=32)
+        body = decode(EAUSF_DERIVE_SE_AV, response.body, ANSWER)
         return body["hxresStar"], body["kseaf"]

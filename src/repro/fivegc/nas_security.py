@@ -10,11 +10,10 @@ AKA parameters are on the SBI path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Type
 
-from repro.net.codec import dumps_flat
+from repro.net.codec import dumps_flat, loads_object
 from repro.crypto.cmac import nia2_mac
 from repro.crypto.nea import nea2_encrypt
 from repro.fivegc.messages import (
@@ -61,7 +60,7 @@ def encode_inner(message: NasMessage) -> bytes:
 
 def decode_inner(raw: bytes) -> NasMessage:
     try:
-        payload = json.loads(raw.decode())
+        payload = loads_object(raw)
         kind = payload.pop("kind")
         return _CODEC[kind](**payload)
     except (ValueError, KeyError, TypeError) as exc:

@@ -9,7 +9,6 @@ discover peers through it.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Optional
 
 from repro.container.network import BridgeNetwork, NetworkError
@@ -24,8 +23,15 @@ from repro.net.http import (
     RetryPolicy,
 )
 from repro.net.codec import dumps_flat
-from repro.net.rest import JsonApiError, error_response, json_response
-from repro.net.sbi import NFProfile, NFType
+from repro.net.rest import JsonApiError
+from repro.net.sbi import (
+    ANSWER,
+    NRF_DISCOVER,
+    NRF_REGISTER,
+    NFProfile,
+    NFType,
+    decode,
+)
 from repro.runtime.base import Runtime
 from repro.runtime.native import NativeRuntime
 
@@ -71,18 +77,8 @@ class NetworkFunction:
     # ------------------------------------------------------------- routing
 
     def _register_routes(self) -> None:
-        """Subclasses register their SBI endpoints here."""
-
-    def _route_json(self, method: str, path: str, handler) -> None:
-        """Register a JSON handler with uniform error mapping."""
-
-        def wrapped(request, context) -> HttpResponse:
-            try:
-                return handler(request, context)
-            except JsonApiError as error:
-                return error_response(error)
-
-        self.server.route(method, path, wrapped)
+        """Subclasses register their SBI endpoints here
+        (:func:`repro.net.sbi.serve`)."""
 
     # ----------------------------------------------------- peer connections
 
@@ -149,11 +145,10 @@ class NetworkFunction:
 
     def register_with(self, nrf: "NetworkFunction") -> None:
         """Register this NF's profile with the NRF (Nnrf_NFManagement)."""
-        from repro.net.sbi import NRF_REGISTER
-
         response = self.call(nrf, "PUT", NRF_REGISTER, self.profile.to_dict())
         if not response.ok:
             raise RuntimeError(f"{self.name}: NRF registration failed: {response.status}")
+        decode(NRF_REGISTER, response.body, ANSWER)
         self._peers[NFType.NRF] = nrf
 
     def discover(
@@ -170,10 +165,9 @@ class NetworkFunction:
         The bind is **cached**: repeated calls are answered locally
         with no NRF round-trip unless ``refresh=True``.  It is
         deterministic: the first profile of the NRF's canonically sorted
-        response.
+        response.  A malformed answer is ``JsonApiError`` 502 and keeps
+        the bind there was.
         """
-        from repro.net.sbi import NRF_DISCOVER
-
         if not refresh and nf_type in self._peers:
             return self._peers[nf_type]
 
@@ -187,10 +181,9 @@ class NetworkFunction:
             raise RuntimeError(
                 f"{self.name}: discovery of {nf_type.value} failed: {response.status}"
             )
-        raw_profiles = response.json().get("nfInstances", [])
-        if not raw_profiles:
+        profiles = decode(NRF_DISCOVER, response.body, ANSWER)["nfInstances"]
+        if not profiles:
             raise RuntimeError(f"{self.name}: no {nf_type.value} instances registered")
-        profiles = [NFProfile.from_dict(raw) for raw in raw_profiles]
 
         for profile in profiles:
             if profile.endpoint_name not in registry:
@@ -238,8 +231,3 @@ class NetworkFunction:
         self._connections.clear()
         self.server.stop()
         self.runtime.shutdown()
-
-    # Convenience used by subclasses.
-    @staticmethod
-    def _ok(payload: dict, status: int = 200) -> HttpResponse:
-        return json_response(payload, status=status)

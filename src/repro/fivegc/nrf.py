@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.fivegc.nf_base import NetworkFunction
-from repro.net.rest import JsonApiError, json_body
-from repro.net.sbi import NFProfile, NFType, NRF_DISCOVER, NRF_REGISTER
+from repro.net.rest import JsonApiError, json_response
+from repro.net.sbi import NFProfile, NFType, NRF_DISCOVER, NRF_REGISTER, serve
 
 
 class Nrf(NetworkFunction):
@@ -22,26 +22,18 @@ class Nrf(NetworkFunction):
         super().__init__(*args, **kwargs)
 
     def _register_routes(self) -> None:
-        self._route_json("PUT", NRF_REGISTER, self._handle_register)
-        self._route_json("GET", NRF_DISCOVER, self._handle_discover)
+        serve(self.server, "PUT", NRF_REGISTER, self._handle_register)
+        serve(self.server, "GET", NRF_DISCOVER, self._handle_discover)
 
     # ------------------------------------------------------------ handlers
 
-    def _handle_register(self, request, context):
-        data = json_body(request)
-        try:
-            profile = NFProfile.from_dict(data)
-        except (KeyError, ValueError) as exc:
-            raise JsonApiError(400, f"bad NF profile: {exc}")
+    def _handle_register(self, profile: NFProfile, context):
         context.runtime.compute(6_000)  # profile validation + store
         self._registry[profile.nf_instance_id] = profile
-        return self._ok({"nfInstanceId": profile.nf_instance_id}, status=201)
+        return json_response({"nfInstanceId": profile.nf_instance_id}, status=201)
 
-    def _handle_discover(self, request, context):
-        data = json_body(request)
-        target = data.get("targetNfType")
-        if not isinstance(target, str):
-            raise JsonApiError(400, "missing targetNfType")
+    def _handle_discover(self, data, context):
+        target = data["targetNfType"]
         try:
             nf_type = NFType(target)
         except ValueError:
@@ -57,7 +49,7 @@ class Nrf(NetworkFunction):
             )
             if profile.nf_type is nf_type
         ]
-        return self._ok({"nfInstances": matches})
+        return json_response({"nfInstances": matches})
 
     # --------------------------------------------------------- inspection
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.fivegc.nf_base import NetworkFunction
-from repro.net.rest import JsonApiError, json_body, require_int, require_str
-from repro.net.sbi import NFType, SMF_PDU_SESSION
+from repro.net.rest import JsonApiError, json_response
+from repro.net.sbi import ANSWER, NFType, SMF_PDU_SESSION, UPF_N4_SESSION, decode, serve
 
 _SESSION_SETUP_CYCLES = 55_000  # SM context + IP allocation + PCC rules
 
@@ -26,29 +26,26 @@ class Smf(NetworkFunction):
         super().__init__(*args, **kwargs)
 
     def _register_routes(self) -> None:
-        self._route_json("POST", SMF_PDU_SESSION, self._handle_create)
+        serve(self.server, "POST", SMF_PDU_SESSION, self._handle_create)
 
-    def _handle_create(self, request, context):
-        data = json_body(request)
-        supi = require_str(data, "supi")
-        session_id = require_int(data, "sessionId")
-        dnn = require_str(data, "dnn")
+    def _handle_create(self, data, context):
+        dnn = data["dnn"]
         context.runtime.compute(_SESSION_SETUP_CYCLES)
 
         self._next_ip += 1
         ue_address = f"10.0.{self._next_ip // 256}.{self._next_ip % 256}"
-        key = f"{supi}/{session_id}"
+        key = f"{data['supi']}/{data['sessionId']}"
         upf = self._peers.get(NFType.UPF)
         if upf is not None:
             # N4 session establishment towards the UPF.
             n4 = self.call(
-                upf, "POST", "/n4/v1/sessions",
-                {"ueAddress": ue_address, "dnn": dnn},
+                upf, "POST", UPF_N4_SESSION, {"ueAddress": ue_address, "dnn": dnn}
             )
             if not n4.ok:
                 raise JsonApiError(502, "UPF rejected N4 session")
+            decode(UPF_N4_SESSION, n4.body, ANSWER)
         self._sessions[key] = {"ueAddress": ue_address, "dnn": dnn}
-        return self._ok(
+        return json_response(
             {"ueAddress": ue_address, "qosFlow": "5qi-9", "sessionKey": key},
             status=201,
         )

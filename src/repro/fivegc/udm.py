@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.aka import generate_he_av, verify_auts
-from repro.crypto.suci import Suci, Supi, deconceal_suci
+from repro.aka import HomeAuthVector, generate_he_av, verify_auts
+from repro.crypto.suci import deconceal_suci
 from repro.fivegc.nf_base import NetworkFunction
-from repro.net.rest import JsonApiError, json_body, read_answer, require_int, require_str
+from repro.net.rest import JsonApiError, json_response
 from repro.net.sbi import (
+    ANSWER,
     EUDM_GENERATE_AV,
     EUDM_VERIFY_AUTS,
     NFType,
@@ -25,6 +26,8 @@ from repro.net.sbi import (
     UDR_AUTH_PEEK,
     UDR_AUTH_RESYNC,
     UDR_AUTH_SUBSCRIPTION,
+    decode,
+    serve,
 )
 from repro.paka.modules import EudmPakaModule
 
@@ -60,18 +63,23 @@ class Udm(NetworkFunction):
     # ------------------------------------------------------------- routing
 
     def _register_routes(self) -> None:
-        self._route_json("POST", UDM_UE_AUTH_GET, self._handle_generate_auth_data)
+        serve(self.server, "POST", UDM_UE_AUTH_GET, self._handle_generate_auth_data)
 
-    def _handle_generate_auth_data(self, request, context):
-        data = json_body(request)
-        snn_text = require_str(data, "servingNetworkName")
-        supi = self._resolve_identity(data, context)
+    def _handle_generate_auth_data(self, data, context):
+        snn_text = data["servingNetworkName"]
+        supi = data.get("supi")
+        if supi is None:  # SIDF: de-conceal the SUCI
+            context.runtime.compute(_SIDF_DECONCEAL_CYCLES)
+            try:
+                supi = str(deconceal_suci(data["suci"], self.hn_private_key))
+            except ValueError as exc:
+                raise JsonApiError(403, f"SUCI de-concealment failed: {exc}")
 
         # Resynchronisation (TS 33.102 §6.3.5): the UE reported a stale
         # SQN with an AUTS token; verify it and reset the UDR counter
         # before generating the fresh vector.
         resync_info = data.get("resynchronizationInfo")
-        if isinstance(resync_info, dict):
+        if resync_info is not None:
             self._perform_resync(supi, resync_info, context)
 
         # Fetch auth subscription data from the UDR (advances the SQN).
@@ -79,98 +87,58 @@ class Udm(NetworkFunction):
         udr_response = self.call(udr, "POST", UDR_AUTH_SUBSCRIPTION, {"supi": supi})
         if not udr_response.ok:
             raise JsonApiError(udr_response.status, "UDR rejected the subscriber")
-        record = read_answer(udr_response, "UDR", k=16, opc=16, sqn=6, amfField=2)
-        opc, sqn, amf_field = record["opc"], record["sqn"], record["amfField"]
+        record = decode(UDR_AUTH_SUBSCRIPTION, udr_response.body, ANSWER)
         rand = self.host.rng.randbytes("udm.rand", 16)
 
         if self.offload_module is not None:
-            av = self._generate_av_offloaded(
-                supi=supi, opc=opc, rand=rand, sqn=sqn,
-                amf_field=amf_field, snn_text=snn_text,
-            )
+            he_av = self._generate_av_offloaded(supi, record, rand, snn_text)
         else:
             context.runtime.compute(_AV_LOCAL_CYCLES)
             he_av = generate_he_av(
-                k=record["k"], opc=opc, rand=rand, sqn=sqn,
-                snn=snn_text.encode(), amf_field=amf_field,
+                k=record["k"], opc=record["opc"], rand=rand, sqn=record["sqn"],
+                snn=snn_text.encode(), amf_field=record["amfField"],
             )
-            av = {
+        return json_response(
+            {
                 "rand": he_av.rand.hex(),
                 "autn": he_av.autn.hex(),
                 "xresStar": he_av.xres_star.hex(),
                 "kausf": he_av.kausf.hex(),
+                "supi": supi,
             }
-        av["supi"] = supi
-        return self._ok(av)
+        )
 
     # ------------------------------------------------------------ internals
 
-    def _resolve_identity(self, data: dict, context) -> str:
-        """SIDF: map the request's SUCI (or SUPI) to a SUPI."""
-        if "supi" in data:
-            return require_str(data, "supi")
-        suci_text = data.get("suci")
-        if not isinstance(suci_text, dict):
-            raise JsonApiError(400, "request needs a supi or a suci object")
-        try:
-            suci = Suci(
-                mcc=str(suci_text["mcc"]),
-                mnc=str(suci_text["mnc"]),
-                protection_scheme=int(suci_text["scheme"]),
-                home_network_key_id=int(suci_text.get("keyId", 1)),
-                scheme_output=bytes.fromhex(str(suci_text["schemeOutput"])),
-            )
-        except (KeyError, ValueError) as exc:
-            raise JsonApiError(400, f"malformed SUCI: {exc}")
-        context.runtime.compute(_SIDF_DECONCEAL_CYCLES)
-        try:
-            supi = deconceal_suci(suci, self.hn_private_key)
-        except ValueError as exc:
-            raise JsonApiError(403, f"SUCI de-concealment failed: {exc}")
-        return str(supi)
-
     def _generate_av_offloaded(
-        self,
-        supi: str,
-        opc: bytes,
-        rand: bytes,
-        sqn: bytes,
-        amf_field: bytes,
-        snn_text: str,
-    ) -> dict:
+        self, supi: str, record: dict, rand: bytes, snn_text: str
+    ) -> HomeAuthVector:
         """Fig 5 step 2–3: round-trip to the eUDM P-AKA module."""
         module = self.offload_module
         assert module is not None
         payload = {
             "supi": supi,
-            "opc": opc.hex(),
+            "opc": record["opc"].hex(),
             "rand": rand.hex(),
-            "sqn": sqn.hex(),
-            "amfField": amf_field.hex(),
+            "sqn": record["sqn"].hex(),
+            "amfField": record["amfField"].hex(),
             "snn": snn_text,
         }
         response = self.call_server(module.server, "POST", EUDM_GENERATE_AV, payload)
         if not response.ok:
             raise JsonApiError(502, f"eUDM module error: {response.status}")
-        # Forwarded as it came: the AUSF checks the vector's fields.
-        return read_answer(response, "eUDM")
+        av = decode(EUDM_GENERATE_AV, response.body, ANSWER)
+        return HomeAuthVector(av["rand"], av["autn"], av["xresStar"], av["kausf"])
 
     def _perform_resync(self, supi: str, resync_info: dict, context) -> None:
         """Verify AUTS (inside the eUDM enclave when offloaded) and reset
         the UDR's SQN to the recovered SQN_MS."""
-        try:
-            rand = bytes.fromhex(str(resync_info["rand"]))
-            auts = bytes.fromhex(str(resync_info["auts"]))
-        except (KeyError, ValueError):
-            raise JsonApiError(400, "malformed resynchronizationInfo")
-        if len(rand) != 16 or len(auts) != 14:
-            raise JsonApiError(400, "resynchronizationInfo has bad sizes")
-
+        rand, auts = resync_info["rand"], resync_info["auts"]
         udr = self.peer(NFType.UDR)
         peek = self.call(udr, "POST", UDR_AUTH_PEEK, {"supi": supi})
         if not peek.ok:
             raise JsonApiError(peek.status, "UDR rejected the subscriber")
-        record = read_answer(peek, "UDR", k=16, opc=16)
+        record = decode(UDR_AUTH_PEEK, peek.body, ANSWER)
         opc = record["opc"]
 
         if self.offload_module is not None:
@@ -183,7 +151,7 @@ class Udm(NetworkFunction):
                 raise JsonApiError(403, "AUTS verification failed")
             if not response.ok:
                 raise JsonApiError(502, f"eUDM module error: {response.status}")
-            sqn_ms = read_answer(response, "eUDM", sqnMs=require_int)["sqnMs"]
+            sqn_ms = decode(EUDM_VERIFY_AUTS, response.body, ANSWER)["sqnMs"]
         else:
             context.runtime.compute(_AUTS_LOCAL_CYCLES)
             recovered = verify_auts(record["k"], opc, rand, auts)
@@ -196,3 +164,4 @@ class Udm(NetworkFunction):
         )
         if not resync.ok:
             raise JsonApiError(resync.status, "UDR resync failed")
+        decode(UDR_AUTH_RESYNC, resync.body, ANSWER)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.fivegc.nf_base import NetworkFunction
-from repro.net.rest import JsonApiError, json_body, require_int, require_str
-from repro.net.sbi import NFType, UDR_AUTH_PEEK, UDR_AUTH_RESYNC, UDR_AUTH_SUBSCRIPTION
+from repro.net.rest import JsonApiError, json_response
+from repro.net.sbi import NFType, UDR_AUTH_PEEK, UDR_AUTH_RESYNC, UDR_AUTH_SUBSCRIPTION, serve
 
 
 @dataclass
@@ -24,7 +24,7 @@ class AuthSubscription:
     k: bytes
     opc: bytes
     sqn: int = 0
-    amf_field: bytes = bytes.fromhex("8000")
+    amf_field: bytes = b"\x80\x00"
 
     def __post_init__(self) -> None:
         if len(self.k) != 16:
@@ -73,58 +73,47 @@ class Udr(NetworkFunction):
     # ------------------------------------------------------------- routing
 
     def _register_routes(self) -> None:
-        self._route_json("POST", UDR_AUTH_SUBSCRIPTION, self._handle_fetch)
-        self._route_json("POST", UDR_AUTH_PEEK, self._handle_peek)
-        self._route_json("POST", UDR_AUTH_RESYNC, self._handle_resync)
+        serve(self.server, "POST", UDR_AUTH_SUBSCRIPTION, self._handle_fetch)
+        serve(self.server, "POST", UDR_AUTH_PEEK, self._handle_peek)
+        serve(self.server, "POST", UDR_AUTH_RESYNC, self._handle_resync)
 
-    def _handle_fetch(self, request, context):
+    def _record(self, supi: str) -> AuthSubscription:
+        record = self._subscribers.get(supi)
+        if record is None:
+            raise JsonApiError(404, f"unknown subscriber {supi!r}")
+        return record
+
+    def _handle_fetch(self, data, context):
         """Fetch auth data for a SUPI, advancing the SQN counter."""
-        data = json_body(request)
-        supi = require_str(data, "supi")
-        record = self._subscribers.get(supi)
-        if record is None:
-            raise JsonApiError(404, f"unknown subscriber {supi!r}")
+        record = self._record(data["supi"])
         context.runtime.compute(11_000)  # DB lookup + row serialization
-        sqn = record.advance_sqn()
-        return self._ok(
-            {
-                "supi": record.supi,
-                "k": record.k.hex(),
-                "opc": record.opc.hex(),
-                "sqn": sqn.hex(),
-                "amfField": record.amf_field.hex(),
-            }
-        )
+        return _auth_data(record, record.advance_sqn())
 
-    def _handle_peek(self, request, context):
+    def _handle_peek(self, data, context):
         """Read auth data *without* consuming a SQN (resync verification)."""
-        data = json_body(request)
-        supi = require_str(data, "supi")
-        record = self._subscribers.get(supi)
-        if record is None:
-            raise JsonApiError(404, f"unknown subscriber {supi!r}")
+        record = self._record(data["supi"])
         context.runtime.compute(9_000)
-        return self._ok(
-            {
-                "supi": record.supi,
-                "k": record.k.hex(),
-                "opc": record.opc.hex(),
-                "sqn": record.sqn_bytes.hex(),
-                "amfField": record.amf_field.hex(),
-            }
-        )
+        return _auth_data(record, record.sqn_bytes)
 
-    def _handle_resync(self, request, context):
+    def _handle_resync(self, data, context):
         """Resynchronise the network-side SQN to the UE's SQN_MS
         (TS 33.102 §6.3.5, after a verified AUTS)."""
-        data = json_body(request)
-        supi = require_str(data, "supi")
-        sqn_ms = require_int(data, "sqnMs")
-        record = self._subscribers.get(supi)
-        if record is None:
-            raise JsonApiError(404, f"unknown subscriber {supi!r}")
+        supi, sqn_ms = data["supi"], data["sqnMs"]
+        record = self._record(supi)
         if not 0 <= sqn_ms < 1 << 48:
             raise JsonApiError(400, f"SQN out of range: {sqn_ms}")
         context.runtime.compute(8_000)
         record.sqn = sqn_ms
-        return self._ok({"supi": supi, "sqn": record.sqn_bytes.hex()})
+        return json_response({"supi": supi, "sqn": record.sqn_bytes.hex()})
+
+
+def _auth_data(record: AuthSubscription, sqn: bytes):
+    return json_response(
+        {
+            "supi": record.supi,
+            "k": record.k.hex(),
+            "opc": record.opc.hex(),
+            "sqn": sqn.hex(),
+            "amfField": record.amf_field.hex(),
+        }
+    )

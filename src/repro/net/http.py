@@ -27,7 +27,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.container.network import BridgeNetwork, FrameLost, NetworkError
 from repro.crypto.tls import TlsCostModel, TlsSession, establish_session
-from repro.net.codec import loads_object
 from repro.runtime.base import Runtime
 from repro.sim.clock import NS_PER_US
 from repro.sim.metrics import BoundedSeries
@@ -156,11 +155,6 @@ class HttpResponse:
     @property
     def ok(self) -> bool:
         return 200 <= self.status < 300
-
-    def json(self) -> dict:
-        """The body as a JSON object; ``ValueError`` if it is anything
-        else (undecodable, not JSON, or JSON that is not an object)."""
-        return loads_object(self.body)
 
     def wire_bytes(self) -> bytes:
         head = _response_head(self.status, tuple(self.headers.items()))

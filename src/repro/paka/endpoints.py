@@ -2,20 +2,29 @@
 
 The paper's Table I fixes, for each module, the parameters crossing the
 enclave boundary and their sizes, plus the functions executed inside.
-These contracts are the reproduction's source of truth: the endpoint
-handlers validate against them, the wire-cost model sums them, and
-``tests/paka/test_table1_contract.py`` asserts them byte-for-byte.
+Each contract is a view of its module's exchange in
+:data:`repro.net.sbi.EXCHANGES`: the fields carrying a Table I label, in
+the table's order, at the table's size — so the endpoint handlers, the
+wire and ``tests/paka/test_endpoints.py`` all read one declaration.
 
 Spec note: the paper lists HXRES* as 8 bytes and SNN as 2; TS 33.501
 defines HXRES* as 16 bytes and the SNN as a variable-length string
 (~32 bytes for a 3-digit MCC / 2-digit MNC).  We implement the spec and
-record the deviation here and in DESIGN.md §2.
+record the deviation in the table and in DESIGN.md §2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Tuple
+
+from repro.net.sbi import (
+    EAMF_DERIVE_KAMF,
+    EAUSF_DERIVE_SE_AV,
+    EUDM_GENERATE_AV,
+    EXCHANGES,
+    Shape,
+)
 
 
 @dataclass(frozen=True)
@@ -26,14 +35,25 @@ class IoParam:
     nbytes: int
 
 
+def _params(shape: Shape) -> Tuple[IoParam, ...]:
+    return tuple(IoParam(f.label, f.nbytes) for f in shape.fields if f.label)
+
+
 @dataclass(frozen=True)
 class EnclaveIoContract:
     """One row of Table I."""
 
     module: str
-    inputs: Tuple[IoParam, ...]
-    outputs: Tuple[IoParam, ...]
+    endpoint: str
     executes: Tuple[str, ...]
+
+    @property
+    def inputs(self) -> Tuple[IoParam, ...]:
+        return _params(EXCHANGES[self.endpoint].request)
+
+    @property
+    def outputs(self) -> Tuple[IoParam, ...]:
+        return _params(EXCHANGES[self.endpoint].answer)
 
     @property
     def input_bytes(self) -> int:
@@ -47,57 +67,7 @@ class EnclaveIoContract:
     def total_bytes(self) -> int:
         return self.input_bytes + self.output_bytes
 
-    def input_size(self, name: str) -> int:
-        for param in self.inputs:
-            if param.name == name:
-                return param.nbytes
-        raise KeyError(f"{self.module}: no input parameter {name!r}")
 
-    def output_size(self, name: str) -> int:
-        for param in self.outputs:
-            if param.name == name:
-                return param.nbytes
-        raise KeyError(f"{self.module}: no output parameter {name!r}")
-
-
-EUDM_CONTRACT = EnclaveIoContract(
-    module="eUDM",
-    inputs=(
-        IoParam("OPc", 16),
-        IoParam("RAND", 16),
-        IoParam("SQN", 6),
-        IoParam("AMFid", 2),
-    ),
-    outputs=(
-        IoParam("RAND", 16),
-        IoParam("XRES*", 16),
-        IoParam("KAUSF", 32),
-        IoParam("AUTN", 16),
-    ),
-    executes=("f1", "f2345", "KAUSF", "AUTN"),
-)
-
-EAUSF_CONTRACT = EnclaveIoContract(
-    module="eAUSF",
-    inputs=(
-        IoParam("RAND", 16),
-        IoParam("XRES*", 16),
-        # Paper Table I: SNN listed as 2 bytes; spec SNN is a string of
-        # ~32 bytes.  We keep the spec size (see module docstring).
-        IoParam("SNN", 32),
-        IoParam("KAUSF", 32),
-    ),
-    outputs=(
-        IoParam("KSEAF", 32),
-        # Paper Table I: 8 bytes; TS 33.501 A.5: 16 bytes (see docstring).
-        IoParam("HXRES*", 16),
-    ),
-    executes=("KSEAF", "HXRES*"),
-)
-
-EAMF_CONTRACT = EnclaveIoContract(
-    module="eAMF",
-    inputs=(IoParam("KSEAF", 32),),
-    outputs=(IoParam("KAMF", 32),),
-    executes=("KAMF",),
-)
+EUDM_CONTRACT = EnclaveIoContract("eUDM", EUDM_GENERATE_AV, ("f1", "f2345", "KAUSF", "AUTN"))
+EAUSF_CONTRACT = EnclaveIoContract("eAUSF", EAUSF_DERIVE_SE_AV, ("KSEAF", "HXRES*"))
+EAMF_CONTRACT = EnclaveIoContract("eAMF", EAMF_DERIVE_KAMF, ("KAMF",))

@@ -20,21 +20,20 @@ from repro.container.network import BridgeNetwork
 from repro.aka import HomeAuthVector, derive_se_av, generate_he_av
 from repro.crypto.kdf import derive_kamf
 from repro.net.http import HttpServer, ServerSyscallProfile
-from repro.net.rest import JsonApiError, error_response, json_body, json_response, require_hex, require_str
+from repro.net.rest import JsonApiError, json_response
 from repro.net.sbi import (
     EAMF_DERIVE_KAMF,
     EAUSF_DERIVE_SE_AV,
     EUDM_GENERATE_AV,
     EUDM_VERIFY_AUTS,
+    serve,
 )
-from repro.paka.endpoints import EAMF_CONTRACT, EAUSF_CONTRACT, EUDM_CONTRACT, EnclaveIoContract
 from repro.runtime.base import Runtime
 
 
 class PakaModule:
     """Base of the three module servers."""
 
-    CONTRACT: EnclaveIoContract
     # Handler compute in cycles: container-side functional latency L_F.
     COMPUTE_CYCLES: float
     # Per-request cold EPC pages touched (SGX-specific L_F component).
@@ -67,15 +66,6 @@ class PakaModule:
     def _register_routes(self) -> None:
         raise NotImplementedError
 
-    def _route_json(self, method: str, path: str, handler) -> None:
-        def wrapped(request, context):
-            try:
-                return handler(request, context)
-            except JsonApiError as error:
-                return error_response(error)
-
-        self.server.route(method, path, wrapped)
-
     def _charge_function(self, context) -> None:
         """Charge the module's AKA-function execution cost.
 
@@ -97,13 +87,12 @@ class EudmPakaModule(PakaModule):
     Table I parameters OPc, RAND, SQN and the AMF field.
     """
 
-    CONTRACT = EUDM_CONTRACT
     COMPUTE_CYCLES = 96_000  # MILENAGE f1–f5 + KDFs + vector assembly
     COLD_PAGES = 16
 
     def _register_routes(self) -> None:
-        self._route_json("POST", EUDM_GENERATE_AV, self._handle_generate_av)
-        self._route_json("POST", EUDM_VERIFY_AUTS, self._handle_verify_auts)
+        serve(self.server, "POST", EUDM_GENERATE_AV, self._handle_generate_av)
+        serve(self.server, "POST", EUDM_VERIFY_AUTS, self._handle_verify_auts)
 
     def provision_direct(self, supi: str, k: bytes) -> None:
         """Operator provisioning over the local attested channel.
@@ -118,22 +107,16 @@ class EudmPakaModule(PakaModule):
         self.runtime.compute(9_000)
         self.runtime.store_secret(f"k:{supi}", k)
 
-    def _handle_generate_av(self, request, context):
-        data = json_body(request)
-        supi = require_str(data, "supi")
-        opc = require_hex(data, "opc", self.CONTRACT.input_size("OPc"))
-        rand = require_hex(data, "rand", self.CONTRACT.input_size("RAND"))
-        sqn = require_hex(data, "sqn", self.CONTRACT.input_size("SQN"))
-        amf_field = require_hex(data, "amfField", self.CONTRACT.input_size("AMFid"))
-        snn = require_str(data, "snn").encode()
+    def _handle_generate_av(self, data, context):
+        supi = data["supi"]
         try:
             k = context.runtime.load_secret(f"k:{supi}")
         except KeyError:
             raise JsonApiError(404, f"no key provisioned for {supi!r}")
 
         self._charge_function(context)
-        he_av = generate_he_av(k=k, opc=opc, rand=rand, sqn=sqn, snn=snn,
-                               amf_field=amf_field)
+        he_av = generate_he_av(k=k, opc=data["opc"], rand=data["rand"], sqn=data["sqn"],
+                               snn=data["snn"].encode(), amf_field=data["amfField"])
         # The freshly derived K_AUSF also lives in module memory until the
         # response is consumed — part of what isolation protects.
         context.runtime.store_secret("last_kausf", he_av.kausf)
@@ -146,7 +129,7 @@ class EudmPakaModule(PakaModule):
             }
         )
 
-    def _handle_verify_auts(self, request, context):
+    def _handle_verify_auts(self, data, context):
         """Resynchronisation: verify the UE's AUTS token and recover SQN_MS.
 
         AUTS verification runs f1*/f5* under the subscriber key K, so it
@@ -156,11 +139,7 @@ class EudmPakaModule(PakaModule):
         """
         from repro.aka import verify_auts
 
-        data = json_body(request)
-        supi = require_str(data, "supi")
-        opc = require_hex(data, "opc", 16)
-        rand = require_hex(data, "rand", 16)
-        auts = require_hex(data, "auts", 14)
+        supi = data["supi"]
         try:
             k = context.runtime.load_secret(f"k:{supi}")
         except KeyError:
@@ -168,7 +147,7 @@ class EudmPakaModule(PakaModule):
         # f2345 (for AK*) + f1* — comparable weight to AV generation.
         context.runtime.compute(78_000)
         context.runtime.touch_pages(cold=self.COLD_PAGES)
-        sqn_ms = verify_auts(k, opc, rand, auts)
+        sqn_ms = verify_auts(k, data["opc"], data["rand"], data["auts"])
         if sqn_ms is None:
             raise JsonApiError(403, "AUTS verification failed")
         return json_response({"sqnMs": sqn_ms})
@@ -177,24 +156,19 @@ class EudmPakaModule(PakaModule):
 class EausfPakaModule(PakaModule):
     """eAUSF-AKA: SE AV derivation — HXRES* and K_SEAF (Table I row 2)."""
 
-    CONTRACT = EAUSF_CONTRACT
     COMPUTE_CYCLES = 81_000  # SHA-256 + two KDF invocations + assembly
     COLD_PAGES = 21
 
     def _register_routes(self) -> None:
-        self._route_json("POST", EAUSF_DERIVE_SE_AV, self._handle_derive)
+        serve(self.server, "POST", EAUSF_DERIVE_SE_AV, self._handle_derive)
 
-    def _handle_derive(self, request, context):
-        data = json_body(request)
-        rand = require_hex(data, "rand", self.CONTRACT.input_size("RAND"))
-        xres_star = require_hex(data, "xresStar", self.CONTRACT.input_size("XRES*"))
-        kausf = require_hex(data, "kausf", self.CONTRACT.input_size("KAUSF"))
-        autn = require_hex(data, "autn", 16)
-        snn = require_str(data, "snn").encode()
-
+    def _handle_derive(self, data, context):
         self._charge_function(context)
-        he_av = HomeAuthVector(rand=rand, autn=autn, xres_star=xres_star, kausf=kausf)
-        se_av, kseaf = derive_se_av(he_av, snn)
+        he_av = HomeAuthVector(
+            rand=data["rand"], autn=data["autn"], xres_star=data["xresStar"],
+            kausf=data["kausf"],
+        )
+        se_av, kseaf = derive_se_av(he_av, data["snn"].encode())
         context.runtime.store_secret("last_kseaf", kseaf)
         return json_response(
             {
@@ -207,20 +181,14 @@ class EausfPakaModule(PakaModule):
 class EamfPakaModule(PakaModule):
     """eAMF-AKA: K_AMF derivation from K_SEAF (Table I row 3)."""
 
-    CONTRACT = EAMF_CONTRACT
     COMPUTE_CYCLES = 66_000  # one KDF + NAS-key scheduling
     COLD_PAGES = 35
 
     def _register_routes(self) -> None:
-        self._route_json("POST", EAMF_DERIVE_KAMF, self._handle_derive)
+        serve(self.server, "POST", EAMF_DERIVE_KAMF, self._handle_derive)
 
-    def _handle_derive(self, request, context):
-        data = json_body(request)
-        kseaf = require_hex(data, "kseaf", self.CONTRACT.input_size("KSEAF"))
-        supi = require_str(data, "supi")
-        abba = require_hex(data, "abba", 2)
-
+    def _handle_derive(self, data, context):
         self._charge_function(context)
-        kamf = derive_kamf(kseaf, supi, abba)
+        kamf = derive_kamf(data["kseaf"], data["supi"], data["abba"])
         context.runtime.store_secret("last_kamf", kamf)
         return json_response({"kamf": kamf.hex()})

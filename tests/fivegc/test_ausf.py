@@ -1,5 +1,7 @@
 """AUSF: authentication contexts, SE AV derivation, confirmation."""
 
+import json
+
 import pytest
 
 from repro.fivegc.ausf import _CONTEXT_TTL_NS
@@ -27,7 +29,7 @@ def test_authenticate_returns_se_av(monolithic_testbed):
     ue = testbed.add_subscriber()
     response = authenticate(testbed, ue)
     assert response.status == 201
-    body = response.json()
+    body = json.loads(response.body)
     assert body["authCtxId"].startswith("authctx-")
     assert len(bytes.fromhex(body["hxresStar"])) == 16
     # XRES*, K_AUSF and K_SEAF never appear in the SE AV response.
@@ -37,7 +39,7 @@ def test_authenticate_returns_se_av(monolithic_testbed):
 def test_confirmation_releases_kseaf(monolithic_testbed):
     testbed = monolithic_testbed
     ue = testbed.add_subscriber()
-    body = authenticate(testbed, ue).json()
+    body = json.loads(authenticate(testbed, ue).body)
 
     # The genuine UE computes RES* through its USIM.
     result = ue.usim.authenticate(
@@ -48,27 +50,27 @@ def test_confirmation_releases_kseaf(monolithic_testbed):
         testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM,
         {"authCtxId": body["authCtxId"], "resStar": result.res_star.hex()},
     )
-    assert confirm.json()["result"] == "AUTHENTICATION_SUCCESS"
-    assert len(bytes.fromhex(confirm.json()["kseaf"])) == 32
-    assert confirm.json()["supi"] == str(ue.usim.supi)
+    assert json.loads(confirm.body)["result"] == "AUTHENTICATION_SUCCESS"
+    assert len(bytes.fromhex(json.loads(confirm.body)["kseaf"])) == 32
+    assert json.loads(confirm.body)["supi"] == str(ue.usim.supi)
 
 
 def test_wrong_res_star_fails_confirmation(monolithic_testbed):
     testbed = monolithic_testbed
     ue = testbed.add_subscriber()
-    body = authenticate(testbed, ue).json()
+    body = json.loads(authenticate(testbed, ue).body)
     confirm = testbed.amf.call(
         testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM,
         {"authCtxId": body["authCtxId"], "resStar": "00" * 16},
     )
-    assert confirm.json()["result"] == "AUTHENTICATION_FAILURE"
-    assert "kseaf" not in confirm.json()
+    assert json.loads(confirm.body)["result"] == "AUTHENTICATION_FAILURE"
+    assert "kseaf" not in json.loads(confirm.body)
 
 
 def test_failed_context_is_consumed(monolithic_testbed):
     testbed = monolithic_testbed
     ue = testbed.add_subscriber()
-    body = authenticate(testbed, ue).json()
+    body = json.loads(authenticate(testbed, ue).body)
     testbed.amf.call(
         testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM,
         {"authCtxId": body["authCtxId"], "resStar": "00" * 16},
@@ -83,18 +85,18 @@ def test_failed_context_is_consumed(monolithic_testbed):
 def test_confirmed_context_is_consumed_and_kseaf_released_once(monolithic_testbed):
     testbed = monolithic_testbed
     ue = testbed.add_subscriber()
-    body = authenticate(testbed, ue).json()
+    body = json.loads(authenticate(testbed, ue).body)
     result = ue.usim.authenticate(
         bytes.fromhex(body["rand"]), bytes.fromhex(body["autn"]), testbed.snn.encode()
     )
     payload = {"authCtxId": body["authCtxId"], "resStar": result.res_star.hex()}
     first = testbed.amf.call(testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM, payload)
-    assert first.json()["result"] == "AUTHENTICATION_SUCCESS"
+    assert json.loads(first.body)["result"] == "AUTHENTICATION_SUCCESS"
     # The same RES* replayed against the same context: K_SEAF is not
     # handed out a second time.
     replay = testbed.amf.call(testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM, payload)
     assert replay.status == 404
-    assert "kseaf" not in replay.json()
+    assert "kseaf" not in json.loads(replay.body)
 
 
 def test_drained_registrations_leave_no_auth_context(monolithic_testbed):
@@ -133,7 +135,7 @@ def test_unanswered_challenges_are_gone_after_the_ttl(monolithic_testbed):
     assert len(testbed.ausf._contexts) == 4
     # Half a TTL on, the first three are too old and the fourth is not.
     clock.advance(_CONTEXT_TTL_NS // 2 + 1)
-    fifth = authenticate(testbed, ue).json()
+    fifth = json.loads(authenticate(testbed, ue).body)
     assert list(testbed.ausf._contexts) == ["authctx-4", fifth["authCtxId"]]
     clock.advance(_CONTEXT_TTL_NS + 1)
     assert authenticate(testbed, ue).status == 201
@@ -150,9 +152,9 @@ def test_expiry_spends_no_simulated_time_and_draws_nothing(monkeypatch):
         monkeypatch.setattr(ausf, "_CONTEXT_TTL_NS", ttl_ns)
         testbed = Testbed.build(TestbedConfig(isolation=None, seed=13))
         ue = testbed.add_subscriber()
-        bodies = [authenticate(testbed, ue).json() for _ in range(3)]
+        bodies = [json.loads(authenticate(testbed, ue).body) for _ in range(3)]
         testbed.host.clock.advance(40_000_000_000)
-        bodies.append(authenticate(testbed, ue).json())
+        bodies.append(json.loads(authenticate(testbed, ue).body))
         return bodies, testbed.host.clock.now_ns, len(testbed.ausf._contexts)
 
     expiring = run(_CONTEXT_TTL_NS)
@@ -164,7 +166,7 @@ def test_expiry_spends_no_simulated_time_and_draws_nothing(monkeypatch):
 def test_a_timely_confirmation_still_succeeds(monolithic_testbed):
     testbed = monolithic_testbed
     ue = testbed.add_subscriber()
-    body = authenticate(testbed, ue).json()
+    body = json.loads(authenticate(testbed, ue).body)
     issued_ns = testbed.ausf._contexts[body["authCtxId"]].issued_ns
     # As late as the TTL allows, to the nanosecond the handler reads.
     testbed.host.clock.advance(_CONTEXT_TTL_NS - 1_000_000_000)
@@ -173,15 +175,15 @@ def test_a_timely_confirmation_still_succeeds(monolithic_testbed):
         testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM,
         {"authCtxId": body["authCtxId"], "resStar": _res_star(testbed, ue, body)},
     )
-    assert confirm.json()["result"] == "AUTHENTICATION_SUCCESS"
-    assert len(bytes.fromhex(confirm.json()["kseaf"])) == 32
+    assert json.loads(confirm.body)["result"] == "AUTHENTICATION_SUCCESS"
+    assert len(bytes.fromhex(json.loads(confirm.body)["kseaf"])) == 32
     assert len(testbed.ausf._contexts) == 0
 
 
 def test_a_late_confirmation_is_404_and_never_yields_kseaf(monolithic_testbed):
     testbed = monolithic_testbed
     ue = testbed.add_subscriber()
-    body = authenticate(testbed, ue).json()
+    body = json.loads(authenticate(testbed, ue).body)
     payload = {"authCtxId": body["authCtxId"], "resStar": _res_star(testbed, ue, body)}
     testbed.host.clock.advance(_CONTEXT_TTL_NS)
     # The right RES*, too late — and nothing newer was issued in between,
@@ -189,12 +191,13 @@ def test_a_late_confirmation_is_404_and_never_yields_kseaf(monolithic_testbed):
     assert body["authCtxId"] in testbed.ausf._contexts
     late = testbed.amf.call(testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM, payload)
     assert late.status == 404
-    assert "kseaf" not in late.json()
+    assert "kseaf" not in json.loads(late.body)
     # Same answer as for an id that never existed.
     unknown = testbed.amf.call(
         testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM, dict(payload, authCtxId="authctx-999")
     )
-    assert (late.status, sorted(late.json())) == (unknown.status, sorted(unknown.json()))
+    assert late.status == unknown.status
+    assert sorted(json.loads(late.body)) == sorted(json.loads(unknown.body))
 
 
 def test_contexts_stay_bounded_under_a_storm(sgx_testbed):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.sbi import SMF_PDU_SESSION
+from repro.net.sbi import ANSWER, SMF_PDU_SESSION, decode
 
 
 def test_pdu_session_allocates_address(monolithic_testbed):
@@ -12,7 +12,7 @@ def test_pdu_session_allocates_address(monolithic_testbed):
         {"supi": "imsi-001010000000001", "sessionId": 1, "dnn": "internet"},
     )
     assert response.status == 201
-    body = response.json()
+    body = decode(SMF_PDU_SESSION, response.body, ANSWER)
     assert body["ueAddress"].startswith("10.0.")
     assert body["qosFlow"] == "5qi-9"
     assert testbed.smf.session_count() == 1
@@ -20,10 +20,10 @@ def test_pdu_session_allocates_address(monolithic_testbed):
 
 def test_n4_programs_upf_forwarding(monolithic_testbed):
     testbed = monolithic_testbed
-    body = testbed.amf.call(
+    body = decode(SMF_PDU_SESSION, testbed.amf.call(
         testbed.smf, "POST", SMF_PDU_SESSION,
         {"supi": "imsi-001010000000001", "sessionId": 1, "dnn": "internet"},
-    ).json()
+    ).body, ANSWER)
     assert testbed.upf.session_count() == 1
     assert testbed.upf.forward_packet(body["ueAddress"], 1200)
     assert testbed.upf.packets_forwarded == 1
@@ -37,10 +37,10 @@ def test_addresses_are_unique(monolithic_testbed):
     testbed = monolithic_testbed
     addresses = set()
     for index in range(3):
-        body = testbed.amf.call(
+        body = decode(SMF_PDU_SESSION, testbed.amf.call(
             testbed.smf, "POST", SMF_PDU_SESSION,
             {"supi": f"imsi-00101000000000{index}", "sessionId": 1, "dnn": "internet"},
-        ).json()
+        ).body, ANSWER)
         addresses.add(body["ueAddress"])
     assert len(addresses) == 3
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.suci import Supi, conceal_supi
-from repro.net.sbi import UDM_UE_AUTH_GET
+from repro.net.sbi import ANSWER, UDM_UE_AUTH_GET, decode
 
 
 @pytest.fixture
@@ -33,12 +33,12 @@ def test_generates_he_av_from_suci(testbed):
         testbed.udm, "POST", UDM_UE_AUTH_GET, auth_request_for(testbed, ue)
     )
     assert response.ok
-    body = response.json()
+    body = decode(UDM_UE_AUTH_GET, response.body, ANSWER)
     assert body["supi"] == str(ue.usim.supi)
-    assert len(bytes.fromhex(body["rand"])) == 16
-    assert len(bytes.fromhex(body["autn"])) == 16
-    assert len(bytes.fromhex(body["xresStar"])) == 16
-    assert len(bytes.fromhex(body["kausf"])) == 32
+    assert len(body["rand"]) == 16
+    assert len(body["autn"]) == 16
+    assert len(body["xresStar"]) == 16
+    assert len(body["kausf"]) == 32
 
 
 def test_accepts_plain_supi(testbed):
@@ -53,9 +53,12 @@ def test_accepts_plain_supi(testbed):
 def test_fresh_rand_per_request(testbed):
     ue = testbed.add_subscriber()
     payload = {"servingNetworkName": testbed.snn, "supi": str(ue.usim.supi)}
-    one = testbed.ausf.call(testbed.udm, "POST", UDM_UE_AUTH_GET, payload).json()
-    two = testbed.ausf.call(testbed.udm, "POST", UDM_UE_AUTH_GET, payload).json()
-    assert one["rand"] != two["rand"]
+
+    def rand():
+        response = testbed.ausf.call(testbed.udm, "POST", UDM_UE_AUTH_GET, payload)
+        return decode(UDM_UE_AUTH_GET, response.body, ANSWER)["rand"]
+
+    assert rand() != rand()
 
 
 def test_unknown_subscriber_propagates_404(testbed):

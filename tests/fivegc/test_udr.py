@@ -4,7 +4,7 @@ import pytest
 
 from repro.container.network import BridgeNetwork
 from repro.fivegc.udr import AuthSubscription, Udr
-from repro.net.sbi import UDR_AUTH_SUBSCRIPTION
+from repro.net.sbi import ANSWER, UDR_AUTH_SUBSCRIPTION, decode
 
 
 @pytest.fixture
@@ -38,17 +38,17 @@ def test_subscription_validation():
 def test_sqn_advances_per_fetch(udr, caller):
     first = caller.call(udr, "POST", UDR_AUTH_SUBSCRIPTION, {"supi": "imsi-001010000000001"})
     second = caller.call(udr, "POST", UDR_AUTH_SUBSCRIPTION, {"supi": "imsi-001010000000001"})
-    assert first.json()["sqn"] == (1).to_bytes(6, "big").hex()
-    assert second.json()["sqn"] == (2).to_bytes(6, "big").hex()
+    assert decode(UDR_AUTH_SUBSCRIPTION, first.body, ANSWER)["sqn"] == (1).to_bytes(6, "big")
+    assert decode(UDR_AUTH_SUBSCRIPTION, second.body, ANSWER)["sqn"] == (2).to_bytes(6, "big")
 
 
 def test_fetch_returns_credentials(udr, caller):
-    body = caller.call(
+    body = decode(UDR_AUTH_SUBSCRIPTION, caller.call(
         udr, "POST", UDR_AUTH_SUBSCRIPTION, {"supi": "imsi-001010000000001"}
-    ).json()
-    assert body["k"] == bytes(16).hex()
-    assert body["opc"] == bytes(16).hex()
-    assert body["amfField"] == "8000"
+    ).body, ANSWER)
+    assert body["k"] == bytes(16)
+    assert body["opc"] == bytes(16)
+    assert body["amfField"] == b"\x80\x00"
 
 
 def test_unknown_subscriber_404(udr, caller):

@@ -1,64 +1,16 @@
-"""REST helpers: JSON bodies, hex fields, error mapping."""
+"""REST helpers: the JSON answer and the error mapping."""
 
-import pytest
-
-from repro.net.http import HttpRequest
-from repro.net.rest import (
-    JsonApiError,
-    error_response,
-    json_body,
-    json_response,
-    require_hex,
-    require_int,
-    require_str,
-)
+from repro.net.rest import JsonApiError, error_response, json_response
 
 
 def test_json_response_sets_content_type():
     response = json_response({"a": 1})
     assert response.ok
     assert response.headers["Content-Type"] == "application/json"
-    assert response.json() == {"a": 1}
+    assert response.body == b'{"a": 1}'
 
 
 def test_error_response_carries_status_and_message():
     response = error_response(JsonApiError(403, "denied"))
     assert response.status == 403
-    assert response.json() == {"error": "denied"}
-
-
-def test_json_body_parses_object():
-    request = HttpRequest("POST", "/", body=b'{"k": "v"}')
-    assert json_body(request) == {"k": "v"}
-
-
-@pytest.mark.parametrize("body", [b"not json", b"[1,2]", b"\xff\xfe"])
-def test_json_body_rejects_non_objects(body):
-    with pytest.raises(JsonApiError):
-        json_body(HttpRequest("POST", "/", body=body))
-
-
-def test_require_hex_happy_path():
-    assert require_hex({"k": "00ff"}, "k", 2) == b"\x00\xff"
-
-
-@pytest.mark.parametrize(
-    "data", [{}, {"k": 5}, {"k": "zz"}, {"k": "00"}]
-)
-def test_require_hex_failures(data):
-    with pytest.raises(JsonApiError):
-        require_hex(data, "k", 2)
-
-
-def test_require_str():
-    assert require_str({"s": "x"}, "s") == "x"
-    for bad in ({}, {"s": ""}, {"s": 7}):
-        with pytest.raises(JsonApiError):
-            require_str(bad, "s")
-
-
-def test_require_int():
-    assert require_int({"n": 5}, "n") == 5
-    for bad in ({}, {"n": "5"}, {"n": True}):
-        with pytest.raises(JsonApiError):
-            require_int(bad, "n")
+    assert response.body == b'{"error": "denied"}'

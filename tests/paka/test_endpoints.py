@@ -6,7 +6,6 @@ from repro.paka.endpoints import (
     EAMF_CONTRACT,
     EAUSF_CONTRACT,
     EUDM_CONTRACT,
-    EnclaveIoContract,
     IoParam,
 )
 
@@ -32,15 +31,15 @@ class TestEudmRow:
 
 class TestEausfRow:
     def test_crypto_param_sizes(self):
-        assert EAUSF_CONTRACT.input_size("RAND") == 16
-        assert EAUSF_CONTRACT.input_size("XRES*") == 16
-        assert EAUSF_CONTRACT.input_size("KAUSF") == 32
-        assert EAUSF_CONTRACT.output_size("KSEAF") == 32
+        assert [(p.name, p.nbytes) for p in EAUSF_CONTRACT.inputs] == [
+            ("RAND", 16), ("XRES*", 16), ("SNN", 32), ("KAUSF", 32),
+        ]
+        assert EAUSF_CONTRACT.outputs[0] == IoParam("KSEAF", 32)
 
     def test_hxres_star_is_spec_sized(self):
         # TS 33.501 A.5: 16 bytes (the paper's table lists 8 — documented
         # deviation, see the module docstring and DESIGN.md §2).
-        assert EAUSF_CONTRACT.output_size("HXRES*") == 16
+        assert EAUSF_CONTRACT.outputs[1] == IoParam("HXRES*", 16)
 
     def test_executed_functions(self):
         assert EAUSF_CONTRACT.executes == ("KSEAF", "HXRES*")
@@ -73,13 +72,6 @@ def test_byte_ordering_eudm_heaviest():
 
     assert crypto_bytes(EUDM_CONTRACT) > crypto_bytes(EAUSF_CONTRACT)
     assert crypto_bytes(EAUSF_CONTRACT) > crypto_bytes(EAMF_CONTRACT)
-
-
-def test_unknown_parameter_raises():
-    with pytest.raises(KeyError):
-        EUDM_CONTRACT.input_size("NOPE")
-    with pytest.raises(KeyError):
-        EUDM_CONTRACT.output_size("NOPE")
 
 
 def test_contract_is_immutable():
