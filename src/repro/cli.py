@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -501,11 +502,16 @@ def _checked(
 
 
 def _positive(number: Callable[[str], Any]) -> Callable[[str], Any]:
-    return _checked(number, lambda v: v > 0, f"a positive {number.__name__}")
+    # ``inf`` parses as a float but is no duration or rate a campaign can
+    # schedule; ``nan`` fails every comparison, so both are refused here.
+    return _checked(number, lambda v: 0 < v < math.inf, f"a positive {number.__name__}")
 
 
 def _at_least(minimum: int) -> Callable[[str], int]:
     return _checked(int, lambda v: v >= minimum, f"an int >= {minimum}")
+
+
+_NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf, "a finite float >= 0")
 
 
 def _rates(text: str) -> Tuple[float, ...]:
@@ -514,9 +520,9 @@ def _rates(text: str) -> Tuple[float, ...]:
         rates = tuple(float(rate) for rate in text.split(","))
     except ValueError:
         rates = ()
-    if not rates or not all(rate >= 0 for rate in rates):
+    if not rates or not all(0 <= rate < math.inf for rate in rates):
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated rates >= 0, got {text!r}"
+            f"expected comma-separated finite rates >= 0, got {text!r}"
         )
     return rates
 
@@ -531,7 +537,7 @@ def _json(help_text: str) -> Argument:
 
 def _warmup(what: str) -> Argument:
     return _arg(
-        "--warmup", type=int, default=1,
+        "--warmup", type=_at_least(0), default=1,
         help=f"untraced registrations before the {what} one (steady state)",
     )
 
@@ -544,7 +550,7 @@ _ISOLATION = _arg(
 
 _EXPERIMENT_ARGUMENTS: Tuple[Argument, ...] = (
     _arg("--registrations", type=_positive(int), default=60),
-    _arg("--iterations", type=int, default=5),
+    _arg("--iterations", type=_positive(int), default=5),
     _arg("--max-ues", type=_at_least(2), default=3),
     _arg(
         "--plot", action="store_true",
@@ -563,7 +569,7 @@ COMMANDS: Tuple[Tuple[Any, ...], ...] = (
     ("list", _cmd_list, "list available experiments"),
     (
         "register", _cmd_register, "register UEs through a testbed",
-        _ISOLATION, _arg("--count", type=int, default=1), _seed(0),
+        _ISOLATION, _arg("--count", type=_positive(int), default=1), _seed(0),
     ),
     (
         "trace", _cmd_trace,
@@ -574,7 +580,7 @@ COMMANDS: Tuple[Tuple[Any, ...], ...] = (
     (
         "metrics", _cmd_metrics,
         "run registrations and export the metrics registry",
-        _ISOLATION, _seed(0), _arg("--registrations", type=int, default=3),
+        _ISOLATION, _seed(0), _arg("--registrations", type=_positive(int), default=3),
         _arg(
             "--format", choices=["json", "prom"], default="json",
             help="export format: JSON document or Prometheus exposition text",
@@ -585,12 +591,12 @@ COMMANDS: Tuple[Tuple[Any, ...], ...] = (
         "continuously monitor one fault arm: scraper + Tsdb + SLO "
         "burn-rate alerts with simulated timestamps",
         _arg(
-            "--factor", type=float, default=2.0,
+            "--factor", type=_NON_NEGATIVE, default=2.0,
             help="fault-rate multiplier (x BASELINE_RATES; 0 = fault-free)",
         ),
         _arg("--registrations", type=_positive(int), default=120),
         _arg(
-            "--horizon", type=float, default=180.0,
+            "--horizon", type=_positive(float), default=180.0,
             help="arm duration in simulated seconds",
         ),
         _seed(23),
@@ -677,19 +683,19 @@ COMMANDS: Tuple[Tuple[Any, ...], ...] = (
             help="admission config for the traced arm",
         ),
         _arg(
-            "--rate", type=float, default=400.0,
+            "--rate", type=_NON_NEGATIVE, default=400.0,
             help="attack arrival rate per second (400 = queueing collapse)",
         ),
         _arg("--legit", type=_positive(int), default=12),
         _arg("--horizon", type=_positive(float), default=5.0),
         _seed(29),
         _arg(
-            "--sample", type=int, default=8, metavar="N",
+            "--sample", type=_positive(int), default=8, metavar="N",
             help="head-sample 1 in N healthy traces (failed/deadline traces "
             "are always kept)",
         ),
         _arg(
-            "--slowest", type=int, default=10, metavar="N",
+            "--slowest", type=_positive(int), default=10, metavar="N",
             help="rank the N slowest stored traces in the digest",
         ),
         _arg(

@@ -24,6 +24,7 @@ from repro.experiments.parallel import Arm, run_arms
 from repro.experiments.stats import summarize
 from repro.hw.host import paper_testbed_host
 from repro.net.http import HttpClient, ServerSyscallProfile
+from repro.net.sbi import EUDM_GENERATE_AV, REQUEST, write
 from repro.paka.deploy import IsolationMode, PakaDeployment
 from repro.runtime.native import NativeRuntime
 
@@ -331,20 +332,11 @@ def userlevel_tcp_ablation(requests: int = 120, seed: int = 123) -> ExperimentRe
         module.provision_direct("imsi-001010000000001", bytes(16))
         client = HttpClient(f"vnf-{label}", NativeRuntime(f"vnf-{label}", host), network)
         connection = client.connect(module.server)
-        import json as _json
-
-        payload = _json.dumps(
-            {
-                "supi": "imsi-001010000000001",
-                "opc": "00" * 16,
-                "rand": "11" * 16,
-                "sqn": "000000000001",
-                "amfField": "8000",
-                "snn": "5G:mnc001.mcc001.3gppnetwork.org",
-            }
-        ).encode()
-        from repro.net.sbi import EUDM_GENERATE_AV
-
+        payload = write(EUDM_GENERATE_AV, {
+            "supi": "imsi-001010000000001", "opc": bytes(16), "rand": b"\x11" * 16,
+            "sqn": (1).to_bytes(6, "big"), "amfField": b"\x80\x00",
+            "snn": "5G:mnc001.mcc001.3gppnetwork.org",
+        }, REQUEST)
         stats_before = slice_.enclaves["eudm"].stats.snapshot()
         for _ in range(requests):
             response = client.request(connection, "POST", EUDM_GENERATE_AV, body=payload)

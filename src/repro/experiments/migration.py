@@ -10,30 +10,22 @@ travel.
 
 from __future__ import annotations
 
-import json
 from typing import Dict
 
 from repro.container.engine import ContainerEngine
 from repro.experiments.harness import BandCheck, ExperimentReport
 from repro.hw.host import paper_testbed_host
 from repro.net.http import HttpClient
-from repro.net.sbi import EUDM_GENERATE_AV
+from repro.net.sbi import EUDM_GENERATE_AV, REQUEST, write
 from repro.paka.deploy import IsolationMode, PakaDeployment
 from repro.runtime.native import NativeRuntime
 
 _SUPI = "imsi-001010000000001"
 _K = bytes(range(16))
-_PAYLOAD = json.dumps(
-    {
-        "supi": _SUPI,
-        "opc": "00" * 16,
-        "rand": "22" * 16,
-        "sqn": "000000000002",
-        "amfField": "8000",
-        "snn": "5G:mnc001.mcc001.3gppnetwork.org",
-    },
-    sort_keys=True,
-).encode()
+_PAYLOAD = write(EUDM_GENERATE_AV, {
+    "supi": _SUPI, "opc": bytes(16), "rand": b"\x22" * 16, "sqn": (2).to_bytes(6, "big"),
+    "amfField": b"\x80\x00", "snn": "5G:mnc001.mcc001.3gppnetwork.org",
+}, REQUEST)
 
 
 def _deploy_and_serve(host, mode: IsolationMode) -> float:

@@ -11,7 +11,6 @@ host's physical EPC is oversubscribed.
 
 from __future__ import annotations
 
-import json
 from statistics import mean
 from typing import Dict, List
 
@@ -20,22 +19,15 @@ from repro.experiments.harness import BandCheck, ExperimentReport
 from repro.experiments.stats import summarize
 from repro.hw.host import paper_testbed_host
 from repro.net.http import HttpClient
-from repro.net.sbi import EUDM_GENERATE_AV
+from repro.net.sbi import EUDM_GENERATE_AV, REQUEST, write
 from repro.paka.deploy import IsolationMode, PakaDeployment
 from repro.runtime.native import NativeRuntime
 
 _SUPI = "imsi-001010000000001"
-_PAYLOAD = json.dumps(
-    {
-        "supi": _SUPI,
-        "opc": "00" * 16,
-        "rand": "11" * 16,
-        "sqn": "000000000001",
-        "amfField": "8000",
-        "snn": "5G:mnc001.mcc001.3gppnetwork.org",
-    },
-    sort_keys=True,
-).encode()
+_PAYLOAD = write(EUDM_GENERATE_AV, {
+    "supi": _SUPI, "opc": bytes(16), "rand": b"\x11" * 16, "sqn": (1).to_bytes(6, "big"),
+    "amfField": b"\x80\x00", "snn": "5G:mnc001.mcc001.3gppnetwork.org",
+}, REQUEST)
 
 
 def _drive_replicas(

@@ -51,13 +51,11 @@ from repro.fivegc.nas_security import (
 from repro.fivegc.nf_base import NetworkFunction
 from repro.net.rest import JsonApiError
 from repro.net.sbi import (
-    ANSWER,
     AUSF_UE_AUTH,
     AUSF_UE_AUTH_CONFIRM,
     EAMF_DERIVE_KAMF,
     NFType,
     SMF_PDU_SESSION,
-    decode,
 )
 from repro.paka.modules import EamfPakaModule
 
@@ -238,13 +236,8 @@ class Amf(NetworkFunction):
         if resync_info is not None:
             payload["resynchronizationInfo"] = resync_info
         try:
-            response = self.call(ausf, "POST", AUSF_UE_AUTH, payload)
-            if not response.ok:
-                return self._fail(
-                    session, f"AUSF refused authentication ({response.status})"
-                )
-            body = decode(AUSF_UE_AUTH, response.body, ANSWER)
-        except JsonApiError as exc:  # transport failure / circuit open / malformed
+            body = self.call(ausf, AUSF_UE_AUTH, payload)
+        except JsonApiError as exc:  # refused / malformed / transport failure / circuit open
             return self._fail(session, str(exc))
         session.auth_ctx_id = body["authCtxId"]
         session.rand = body["rand"]
@@ -268,17 +261,14 @@ class Amf(NetworkFunction):
         # UE instead of unwinding the whole NAS exchange.
         ausf = self.peer(NFType.AUSF)
         try:
-            response = self.call(
-                ausf,
-                "POST",
-                AUSF_UE_AUTH_CONFIRM,
-                {"authCtxId": session.auth_ctx_id, "resStar": message.res_star.hex()},
+            body = self.call(
+                ausf, AUSF_UE_AUTH_CONFIRM,
+                {"authCtxId": session.auth_ctx_id, "resStar": message.res_star},
             )
-            body = decode(AUSF_UE_AUTH_CONFIRM, response.body, ANSWER) if response.ok else {}
-        except JsonApiError as exc:  # transport failure / circuit open / malformed
+        except JsonApiError as exc:  # refused / malformed / transport failure / circuit open
             return self._fail(session, str(exc))
         kseaf = body.get("kseaf")
-        if body.get("result") != "AUTHENTICATION_SUCCESS" or kseaf is None or "supi" not in body:
+        if body["result"] != "AUTHENTICATION_SUCCESS" or kseaf is None or "supi" not in body:
             return self._fail(session, "AUSF confirmation failed")
         session.supi = body["supi"]
 
@@ -392,18 +382,12 @@ class Amf(NetworkFunction):
     ) -> NasMessage:
         session = self._require(ue_id, _SessionState.REGISTERED)
         smf = self.peer(NFType.SMF)
-        response = self.call(
-            smf,
-            "POST",
-            SMF_PDU_SESSION,
-            {"supi": session.supi, "sessionId": message.session_id, "dnn": message.dnn},
-        )
-        if not response.ok:
-            raise AmfError(f"SMF rejected PDU session: {response.status}")
         try:
-            body = decode(SMF_PDU_SESSION, response.body, ANSWER)
+            body = self.call(smf, SMF_PDU_SESSION, {
+                "supi": session.supi, "sessionId": message.session_id, "dnn": message.dnn,
+            })
         except JsonApiError as exc:
-            raise AmfError(f"SMF rejected PDU session: {exc}")
+            raise AmfError(str(exc))
         self.runtime.compute(_NAS_ENCODE_CYCLES)
         return PduSessionEstablishmentAccept(
             session_id=message.session_id,
@@ -480,13 +464,8 @@ class Amf(NetworkFunction):
         return f"5g-guti-00101-{self._guti_counter:04d}-{tmsi:08x}"
 
     def _derive_kamf_offloaded(self, kseaf: bytes, supi: str) -> bytes:
-        module = self.offload_module
-        assert module is not None
-        payload = {"kseaf": kseaf.hex(), "supi": supi, "abba": _ABBA.hex()}
-        response = self.call_server(module.server, "POST", EAMF_DERIVE_KAMF, payload)
-        if not response.ok:
-            raise JsonApiError(502, f"eAMF module error: {response.status}")
-        return decode(EAMF_DERIVE_KAMF, response.body, ANSWER)["kamf"]
+        fields = {"kseaf": kseaf, "supi": supi, "abba": _ABBA}
+        return self.call(self.offload_module, EAMF_DERIVE_KAMF, fields)["kamf"]
 
     # ------------------------------------------------------------- metrics
 

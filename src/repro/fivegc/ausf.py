@@ -17,15 +17,13 @@ from typing import Dict, Optional
 
 from repro.aka import HomeAuthVector, derive_se_av
 from repro.fivegc.nf_base import NetworkFunction
-from repro.net.rest import JsonApiError, json_response
+from repro.net.rest import JsonApiError
 from repro.net.sbi import (
-    ANSWER,
     AUSF_UE_AUTH,
     AUSF_UE_AUTH_CONFIRM,
     EAUSF_DERIVE_SE_AV,
     NFType,
     UDM_UE_AUTH_GET,
-    decode,
     serve,
 )
 from repro.paka.modules import EausfPakaModule
@@ -67,8 +65,8 @@ class Ausf(NetworkFunction):
     # ------------------------------------------------------------- routing
 
     def _register_routes(self) -> None:
-        serve(self.server, "POST", AUSF_UE_AUTH, self._handle_authenticate)
-        serve(self.server, "POST", AUSF_UE_AUTH_CONFIRM, self._handle_confirm)
+        serve(self.server, AUSF_UE_AUTH, self._handle_authenticate)
+        serve(self.server, AUSF_UE_AUTH_CONFIRM, self._handle_confirm)
 
     def _handle_authenticate(self, data, context):
         snn = data["servingNetworkName"]
@@ -78,11 +76,7 @@ class Ausf(NetworkFunction):
 
         # Forward to the UDM: the request holds only its declared fields,
         # so the identity and any resync token go on untouched.
-        udm = self.peer(NFType.UDM)
-        udm_response = self.call(udm, "POST", UDM_UE_AUTH_GET, data)
-        if not udm_response.ok:
-            raise JsonApiError(udm_response.status, "UDM rejected authentication")
-        he = decode(UDM_UE_AUTH_GET, udm_response.body, ANSWER)
+        he = self.call(self.peer(NFType.UDM), UDM_UE_AUTH_GET, data)
         he_av = HomeAuthVector(
             rand=he["rand"], autn=he["autn"], xres_star=he["xresStar"], kausf=he["kausf"]
         )
@@ -107,15 +101,8 @@ class Ausf(NetworkFunction):
             supi=he["supi"], rand=he_av.rand,
             xres_star=he_av.xres_star, kseaf=kseaf, snn=snn, issued_ns=now_ns,
         )
-        return json_response(
-            {
-                "authCtxId": ctx_id,
-                "rand": he_av.rand.hex(),
-                "autn": he_av.autn.hex(),
-                "hxresStar": hxres_star.hex(),
-            },
-            status=201,
-        )
+        return {"authCtxId": ctx_id, "rand": he_av.rand, "autn": he_av.autn,
+                "hxresStar": hxres_star}
 
     def _handle_confirm(self, data, context):
         ctx_id, res_star = data["authCtxId"], data["resStar"]
@@ -129,30 +116,16 @@ class Ausf(NetworkFunction):
         # released at most once and nothing per-UE outlives the AKA run.
         del self._contexts[ctx_id]
         if res_star != auth_context.xres_star:
-            return json_response({"result": "AUTHENTICATION_FAILURE"}, status=200)
-        return json_response(
-            {
-                "result": "AUTHENTICATION_SUCCESS",
-                "supi": auth_context.supi,
-                "kseaf": auth_context.kseaf.hex(),
-            }
-        )
+            return {"result": "AUTHENTICATION_FAILURE"}
+        return {"result": "AUTHENTICATION_SUCCESS", "supi": auth_context.supi,
+                "kseaf": auth_context.kseaf}
 
     # ------------------------------------------------------------ internals
 
     def _derive_offloaded(self, he_av: HomeAuthVector, snn: str) -> "tuple[bytes, bytes]":
         """Fig 5: HXRES* calculation + K_SEAF derivation in eAUSF P-AKA."""
-        module = self.offload_module
-        assert module is not None
-        payload = {
-            "rand": he_av.rand.hex(),
-            "autn": he_av.autn.hex(),
-            "xresStar": he_av.xres_star.hex(),
-            "kausf": he_av.kausf.hex(),
-            "snn": snn,
-        }
-        response = self.call_server(module.server, "POST", EAUSF_DERIVE_SE_AV, payload)
-        if not response.ok:
-            raise JsonApiError(502, f"eAUSF module error: {response.status}")
-        body = decode(EAUSF_DERIVE_SE_AV, response.body, ANSWER)
+        body = self.call(self.offload_module, EAUSF_DERIVE_SE_AV, {
+            "rand": he_av.rand, "autn": he_av.autn, "xresStar": he_av.xres_star,
+            "kausf": he_av.kausf, "snn": snn,
+        })
         return body["hxresStar"], body["kseaf"]

@@ -9,28 +9,23 @@ discover peers through it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.container.network import BridgeNetwork, NetworkError
 from repro.faults.resilience import CircuitBreaker
 from repro.hw.host import PhysicalHost
-from repro.net.http import (
-    HttpClient,
-    HttpConnection,
-    HttpError,
-    HttpResponse,
-    HttpServer,
-    RetryPolicy,
-)
-from repro.net.codec import dumps_flat
+from repro.net.http import HttpClient, HttpConnection, HttpError, HttpServer, RetryPolicy
 from repro.net.rest import JsonApiError
 from repro.net.sbi import (
     ANSWER,
+    EXCHANGES,
     NRF_DISCOVER,
     NRF_REGISTER,
+    REQUEST,
     NFProfile,
     NFType,
     decode,
+    write,
 )
 from repro.runtime.base import Runtime
 from repro.runtime.native import NativeRuntime
@@ -82,33 +77,21 @@ class NetworkFunction:
 
     # ----------------------------------------------------- peer connections
 
-    def call(
-        self,
-        peer: "NetworkFunction",
-        method: str,
-        path: str,
-        payload: Optional[dict] = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> HttpResponse:
-        """One SBI request to a peer over the cached connection."""
-        return self.call_server(peer.server, method, path, payload, retry=retry)
+    def call(self, peer: Any, endpoint: str, fields: Dict[str, Any]) -> Any:
+        """One SBI exchange with ``peer`` (an NF or a P-AKA module) over
+        the cached connection, written and read by ``endpoint``'s row of
+        :data:`~repro.net.sbi.EXCHANGES`: returns the decoded answer.
 
-    def call_server(
-        self,
-        server: HttpServer,
-        method: str,
-        path: str,
-        payload: Optional[dict] = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> HttpResponse:
-        """One SBI request to a raw HTTP server (peer NF or P-AKA module).
-
-        Transport failures — timeouts, lost frames, dead endpoints — are
-        translated into :class:`JsonApiError` 503 so handlers up the call
-        chain degrade into error responses (an AuthenticationReject at
-        the AMF) instead of unwinding the whole NAS exchange.  A per-peer
-        circuit breaker fails fast while a peer is known-dead.
+        Every failure is a :class:`JsonApiError`, so handlers up the call
+        chain degrade into error answers (an AuthenticationReject at the
+        AMF) instead of unwinding the whole NAS exchange: an answer of
+        another status than the row's is the row's refusal, a malformed
+        one a 502, and a transport failure — timeouts, lost frames, dead
+        endpoints — a 503.  A per-peer circuit breaker fails fast while
+        a peer is known-dead.
         """
+        server = peer.server
+        exchange = EXCHANGES[endpoint]
         breaker = self.circuit_breakers.get(server.name)
         if breaker is None:
             breaker = self.circuit_breakers[server.name] = CircuitBreaker(
@@ -118,15 +101,14 @@ class NetworkFunction:
             raise JsonApiError(
                 503, f"{self.name}: circuit to {server.name} open"
             )
-        body = dumps_flat(payload or {})
+        body = write(endpoint, fields, REQUEST)
         try:
             connection = self._connections.get(server.name)
             if connection is None or not connection.open:
                 connection = self.client.connect(server)
                 self._connections[server.name] = connection
             response = self.client.request(
-                connection, method, path, body=body,
-                retry=retry if retry is not None else self.retry_policy,
+                connection, exchange.method, endpoint, body=body, retry=self.retry_policy
             )
         except (HttpError, NetworkError) as exc:
             # The TLS record stream may be desynchronized mid-exchange:
@@ -139,16 +121,19 @@ class NetworkFunction:
                 503, f"{self.name}: {server.name} unreachable: {exc}"
             )
         breaker.record_success()
-        return response
+        if response.status != exchange.status:
+            status, text = exchange.refused
+            raise JsonApiError(
+                status or response.status,
+                text.format(status=response.status, server=exchange.server),
+            )
+        return decode(endpoint, response.body, ANSWER)
 
     # -------------------------------------------------------- NRF plumbing
 
     def register_with(self, nrf: "NetworkFunction") -> None:
         """Register this NF's profile with the NRF (Nnrf_NFManagement)."""
-        response = self.call(nrf, "PUT", NRF_REGISTER, self.profile.to_dict())
-        if not response.ok:
-            raise RuntimeError(f"{self.name}: NRF registration failed: {response.status}")
-        decode(NRF_REGISTER, response.body, ANSWER)
+        self.call(nrf, NRF_REGISTER, self.profile.to_dict())
         self._peers[NFType.NRF] = nrf
 
     def discover(
@@ -165,8 +150,8 @@ class NetworkFunction:
         The bind is **cached**: repeated calls are answered locally
         with no NRF round-trip unless ``refresh=True``.  It is
         deterministic: the first profile of the NRF's canonically sorted
-        response.  A malformed answer is ``JsonApiError`` 502 and keeps
-        the bind there was.
+        response.  A refused or malformed answer is a ``JsonApiError``
+        and keeps the bind there was.
         """
         if not refresh and nf_type in self._peers:
             return self._peers[nf_type]
@@ -174,14 +159,7 @@ class NetworkFunction:
         nrf = self._peers.get(NFType.NRF)
         if nrf is None:
             raise RuntimeError(f"{self.name}: not registered with an NRF yet")
-        response = self.call(
-            nrf, "GET", NRF_DISCOVER, {"targetNfType": nf_type.value}
-        )
-        if not response.ok:
-            raise RuntimeError(
-                f"{self.name}: discovery of {nf_type.value} failed: {response.status}"
-            )
-        profiles = decode(NRF_DISCOVER, response.body, ANSWER)["nfInstances"]
+        profiles = self.call(nrf, NRF_DISCOVER, {"targetNfType": nf_type.value})["nfInstances"]
         if not profiles:
             raise RuntimeError(f"{self.name}: no {nf_type.value} instances registered")
 

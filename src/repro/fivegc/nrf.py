@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.fivegc.nf_base import NetworkFunction
-from repro.net.rest import JsonApiError, json_response
+from repro.net.rest import JsonApiError
 from repro.net.sbi import NFProfile, NFType, NRF_DISCOVER, NRF_REGISTER, serve
 
 
@@ -22,15 +22,15 @@ class Nrf(NetworkFunction):
         super().__init__(*args, **kwargs)
 
     def _register_routes(self) -> None:
-        serve(self.server, "PUT", NRF_REGISTER, self._handle_register)
-        serve(self.server, "GET", NRF_DISCOVER, self._handle_discover)
+        serve(self.server, NRF_REGISTER, self._handle_register)
+        serve(self.server, NRF_DISCOVER, self._handle_discover)
 
     # ------------------------------------------------------------ handlers
 
     def _handle_register(self, profile: NFProfile, context):
         context.runtime.compute(6_000)  # profile validation + store
         self._registry[profile.nf_instance_id] = profile
-        return json_response({"nfInstanceId": profile.nf_instance_id}, status=201)
+        return {"nfInstanceId": profile.nf_instance_id}
 
     def _handle_discover(self, data, context):
         target = data["targetNfType"]
@@ -49,7 +49,7 @@ class Nrf(NetworkFunction):
             )
             if profile.nf_type is nf_type
         ]
-        return json_response({"nfInstances": matches})
+        return {"nfInstances": matches}
 
     # --------------------------------------------------------- inspection
 

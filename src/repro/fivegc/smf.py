@@ -11,8 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.fivegc.nf_base import NetworkFunction
-from repro.net.rest import JsonApiError, json_response
-from repro.net.sbi import ANSWER, NFType, SMF_PDU_SESSION, UPF_N4_SESSION, decode, serve
+from repro.net.sbi import NFType, SMF_PDU_SESSION, UPF_N4_SESSION, serve
 
 _SESSION_SETUP_CYCLES = 55_000  # SM context + IP allocation + PCC rules
 
@@ -26,7 +25,7 @@ class Smf(NetworkFunction):
         super().__init__(*args, **kwargs)
 
     def _register_routes(self) -> None:
-        serve(self.server, "POST", SMF_PDU_SESSION, self._handle_create)
+        serve(self.server, SMF_PDU_SESSION, self._handle_create)
 
     def _handle_create(self, data, context):
         dnn = data["dnn"]
@@ -38,17 +37,9 @@ class Smf(NetworkFunction):
         upf = self._peers.get(NFType.UPF)
         if upf is not None:
             # N4 session establishment towards the UPF.
-            n4 = self.call(
-                upf, "POST", UPF_N4_SESSION, {"ueAddress": ue_address, "dnn": dnn}
-            )
-            if not n4.ok:
-                raise JsonApiError(502, "UPF rejected N4 session")
-            decode(UPF_N4_SESSION, n4.body, ANSWER)
+            self.call(upf, UPF_N4_SESSION, {"ueAddress": ue_address, "dnn": dnn})
         self._sessions[key] = {"ueAddress": ue_address, "dnn": dnn}
-        return json_response(
-            {"ueAddress": ue_address, "qosFlow": "5qi-9", "sessionKey": key},
-            status=201,
-        )
+        return {"ueAddress": ue_address, "qosFlow": "5qi-9", "sessionKey": key}
 
     def session_count(self) -> int:
         return len(self._sessions)

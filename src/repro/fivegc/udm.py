@@ -16,9 +16,8 @@ from typing import Optional
 from repro.aka import HomeAuthVector, generate_he_av, verify_auts
 from repro.crypto.suci import deconceal_suci
 from repro.fivegc.nf_base import NetworkFunction
-from repro.net.rest import JsonApiError, json_response
+from repro.net.rest import JsonApiError
 from repro.net.sbi import (
-    ANSWER,
     EUDM_GENERATE_AV,
     EUDM_VERIFY_AUTS,
     NFType,
@@ -26,7 +25,6 @@ from repro.net.sbi import (
     UDR_AUTH_PEEK,
     UDR_AUTH_RESYNC,
     UDR_AUTH_SUBSCRIPTION,
-    decode,
     serve,
 )
 from repro.paka.modules import EudmPakaModule
@@ -63,7 +61,7 @@ class Udm(NetworkFunction):
     # ------------------------------------------------------------- routing
 
     def _register_routes(self) -> None:
-        serve(self.server, "POST", UDM_UE_AUTH_GET, self._handle_generate_auth_data)
+        serve(self.server, UDM_UE_AUTH_GET, self._handle_generate_auth_data)
 
     def _handle_generate_auth_data(self, data, context):
         snn_text = data["servingNetworkName"]
@@ -83,11 +81,7 @@ class Udm(NetworkFunction):
             self._perform_resync(supi, resync_info, context)
 
         # Fetch auth subscription data from the UDR (advances the SQN).
-        udr = self.peer(NFType.UDR)
-        udr_response = self.call(udr, "POST", UDR_AUTH_SUBSCRIPTION, {"supi": supi})
-        if not udr_response.ok:
-            raise JsonApiError(udr_response.status, "UDR rejected the subscriber")
-        record = decode(UDR_AUTH_SUBSCRIPTION, udr_response.body, ANSWER)
+        record = self.call(self.peer(NFType.UDR), UDR_AUTH_SUBSCRIPTION, {"supi": supi})
         rand = self.host.rng.randbytes("udm.rand", 16)
 
         if self.offload_module is not None:
@@ -98,15 +92,8 @@ class Udm(NetworkFunction):
                 k=record["k"], opc=record["opc"], rand=rand, sqn=record["sqn"],
                 snn=snn_text.encode(), amf_field=record["amfField"],
             )
-        return json_response(
-            {
-                "rand": he_av.rand.hex(),
-                "autn": he_av.autn.hex(),
-                "xresStar": he_av.xres_star.hex(),
-                "kausf": he_av.kausf.hex(),
-                "supi": supi,
-            }
-        )
+        return {"rand": he_av.rand, "autn": he_av.autn, "xresStar": he_av.xres_star,
+                "kausf": he_av.kausf, "supi": supi}
 
     # ------------------------------------------------------------ internals
 
@@ -114,20 +101,10 @@ class Udm(NetworkFunction):
         self, supi: str, record: dict, rand: bytes, snn_text: str
     ) -> HomeAuthVector:
         """Fig 5 step 2–3: round-trip to the eUDM P-AKA module."""
-        module = self.offload_module
-        assert module is not None
-        payload = {
-            "supi": supi,
-            "opc": record["opc"].hex(),
-            "rand": rand.hex(),
-            "sqn": record["sqn"].hex(),
-            "amfField": record["amfField"].hex(),
-            "snn": snn_text,
-        }
-        response = self.call_server(module.server, "POST", EUDM_GENERATE_AV, payload)
-        if not response.ok:
-            raise JsonApiError(502, f"eUDM module error: {response.status}")
-        av = decode(EUDM_GENERATE_AV, response.body, ANSWER)
+        av = self.call(self.offload_module, EUDM_GENERATE_AV, {
+            "supi": supi, "opc": record["opc"], "rand": rand, "sqn": record["sqn"],
+            "amfField": record["amfField"], "snn": snn_text,
+        })
         return HomeAuthVector(av["rand"], av["autn"], av["xresStar"], av["kausf"])
 
     def _perform_resync(self, supi: str, resync_info: dict, context) -> None:
@@ -135,33 +112,17 @@ class Udm(NetworkFunction):
         the UDR's SQN to the recovered SQN_MS."""
         rand, auts = resync_info["rand"], resync_info["auts"]
         udr = self.peer(NFType.UDR)
-        peek = self.call(udr, "POST", UDR_AUTH_PEEK, {"supi": supi})
-        if not peek.ok:
-            raise JsonApiError(peek.status, "UDR rejected the subscriber")
-        record = decode(UDR_AUTH_PEEK, peek.body, ANSWER)
+        record = self.call(udr, UDR_AUTH_PEEK, {"supi": supi})
         opc = record["opc"]
 
         if self.offload_module is not None:
-            response = self.call_server(
-                self.offload_module.server, "POST", EUDM_VERIFY_AUTS,
-                {"supi": supi, "opc": opc.hex(), "rand": rand.hex(),
-                 "auts": auts.hex()},
-            )
-            if response.status == 403:
-                raise JsonApiError(403, "AUTS verification failed")
-            if not response.ok:
-                raise JsonApiError(502, f"eUDM module error: {response.status}")
-            sqn_ms = decode(EUDM_VERIFY_AUTS, response.body, ANSWER)["sqnMs"]
+            sqn_ms = self.call(self.offload_module, EUDM_VERIFY_AUTS, {
+                "supi": supi, "opc": opc, "rand": rand, "auts": auts,
+            })["sqnMs"]
         else:
             context.runtime.compute(_AUTS_LOCAL_CYCLES)
-            recovered = verify_auts(record["k"], opc, rand, auts)
-            if recovered is None:
+            sqn_ms = verify_auts(record["k"], opc, rand, auts)
+            if sqn_ms is None:
                 raise JsonApiError(403, "AUTS verification failed")
-            sqn_ms = recovered
 
-        resync = self.call(
-            udr, "POST", UDR_AUTH_RESYNC, {"supi": supi, "sqnMs": sqn_ms}
-        )
-        if not resync.ok:
-            raise JsonApiError(resync.status, "UDR resync failed")
-        decode(UDR_AUTH_RESYNC, resync.body, ANSWER)
+        self.call(udr, UDR_AUTH_RESYNC, {"supi": supi, "sqnMs": sqn_ms})

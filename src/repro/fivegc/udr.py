@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.fivegc.nf_base import NetworkFunction
-from repro.net.rest import JsonApiError, json_response
+from repro.net.rest import JsonApiError
 from repro.net.sbi import NFType, UDR_AUTH_PEEK, UDR_AUTH_RESYNC, UDR_AUTH_SUBSCRIPTION, serve
 
 
@@ -73,9 +73,9 @@ class Udr(NetworkFunction):
     # ------------------------------------------------------------- routing
 
     def _register_routes(self) -> None:
-        serve(self.server, "POST", UDR_AUTH_SUBSCRIPTION, self._handle_fetch)
-        serve(self.server, "POST", UDR_AUTH_PEEK, self._handle_peek)
-        serve(self.server, "POST", UDR_AUTH_RESYNC, self._handle_resync)
+        serve(self.server, UDR_AUTH_SUBSCRIPTION, self._handle_fetch)
+        serve(self.server, UDR_AUTH_PEEK, self._handle_peek)
+        serve(self.server, UDR_AUTH_RESYNC, self._handle_resync)
 
     def _record(self, supi: str) -> AuthSubscription:
         record = self._subscribers.get(supi)
@@ -104,16 +104,9 @@ class Udr(NetworkFunction):
             raise JsonApiError(400, f"SQN out of range: {sqn_ms}")
         context.runtime.compute(8_000)
         record.sqn = sqn_ms
-        return json_response({"supi": supi, "sqn": record.sqn_bytes.hex()})
+        return {"supi": supi, "sqn": record.sqn_bytes}
 
 
-def _auth_data(record: AuthSubscription, sqn: bytes):
-    return json_response(
-        {
-            "supi": record.supi,
-            "k": record.k.hex(),
-            "opc": record.opc.hex(),
-            "sqn": sqn.hex(),
-            "amfField": record.amf_field.hex(),
-        }
-    )
+def _auth_data(record: AuthSubscription, sqn: bytes) -> Dict[str, object]:
+    return {"supi": record.supi, "k": record.k, "opc": record.opc, "sqn": sqn,
+            "amfField": record.amf_field}

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.fivegc.nf_base import NetworkFunction
-from repro.net.rest import json_response
 from repro.net.sbi import NFType, UPF_N4_SESSION, serve
 
 _N4_PROGRAM_CYCLES = 30_000  # PDR/FAR install
@@ -26,13 +25,13 @@ class Upf(NetworkFunction):
         super().__init__(*args, **kwargs)
 
     def _register_routes(self) -> None:
-        serve(self.server, "POST", UPF_N4_SESSION, self._handle_n4)
+        serve(self.server, UPF_N4_SESSION, self._handle_n4)
 
     def _handle_n4(self, data, context):
         ue_address = data["ueAddress"]
         context.runtime.compute(_N4_PROGRAM_CYCLES)
         self._forwarding[ue_address] = data["dnn"]
-        return json_response({"installed": ue_address}, status=201)
+        return {"installed": ue_address}
 
     # ------------------------------------------------------------ data path
 

@@ -1,71 +1,56 @@
-"""Fast SBI message serialization.
+"""SBI message serialization.
 
-Every SBI body in the simulator is a flat JSON object of strings
-(hex-encoded octet strings, SUPIs), integers and booleans — Table I's
-byte accounting depends on the exact wire form, so the encoder here is
-**byte-identical** to ``json.dumps(payload, sort_keys=True)`` for those
-payloads and falls back to :mod:`json` for anything richer (nested
-containers, floats needing full repr rules, non-ASCII text).
+Every SBI body in the simulator is a JSON object — hex-encoded octet
+strings, SUPIs and integers, plus the NRF's profiles and the identity
+objects a hop forwards untouched.  Table I's byte accounting depends on
+the exact wire form, so what is written here is **byte-identical** to
+``json.dumps(payload, sort_keys=True)``.
 
-Why not just call ``json.dumps``?  The registration hot path serializes
-and parses ~14 bodies per registration; ``dumps`` pays encoder-object
-construction and dispatch per call, and ``sorted`` re-sorts the same
-small key sets millions of times per campaign.  The encoder below is a
-precompiled-per-message-type scheme in spirit: the sort order of each
-distinct key tuple (the "message type" — call sites build dict literals,
-so insertion order identifies the shape) is computed once and memoised.
+:func:`dumps_value` writes one value: a plain ASCII string, an int, a
+bool or ``None`` with a string builder, anything richer (escapes,
+non-ASCII text, floats, nested containers) through :mod:`json`.  An SBI
+message's key order is fixed once per declared shape
+(:func:`repro.net.sbi.write`); :func:`dumps_flat` writes an object
+outside any shape, sorting its keys per call.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
 # Characters json.dumps escapes inside strings (ensure_ascii=True also
-# escapes non-ASCII; such strings take the fallback path).
+# escapes non-ASCII; such strings take the json path).
 _NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f]')
-
-# Key-tuple (insertion order) -> (sorted keys, keys are plain strings).
-# SBI message shapes are a small fixed set, so this is effectively
-# per-message-type: sort order and key validation compile once per shape.
-_KEY_ORDER: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], bool]] = {}
 
 
 def _simple_str(value: str) -> bool:
     return value.isascii() and _NEEDS_ESCAPE.search(value) is None
 
 
+def dumps_value(value: Any) -> str:
+    """One JSON value, as ``json.dumps(value, sort_keys=True)`` writes it."""
+    cls = value.__class__
+    if cls is str:
+        if _simple_str(value):
+            return f'"{value}"'
+    elif cls is int:
+        return str(value)
+    elif cls is bool:
+        return "true" if value else "false"
+    elif value is None:
+        return "null"
+    return json.dumps(value, sort_keys=True)
+
+
 def dumps_flat(payload: Dict[str, Any]) -> bytes:
-    """Serialize a flat JSON object, byte-identical to
+    """Serialize a JSON object, byte-identical to
     ``json.dumps(payload, sort_keys=True).encode()``."""
-    keys = tuple(payload)
-    cached = _KEY_ORDER.get(keys)
-    if cached is None:
-        keys_ok = all(k.__class__ is str and _simple_str(k) for k in keys)
-        cached = _KEY_ORDER[keys] = (tuple(sorted(keys)), keys_ok)
-    order, keys_ok = cached
-    if keys_ok:
-        parts = []
-        append = parts.append
-        for key in order:
-            value = payload[key]
-            cls = value.__class__
-            if cls is str:
-                if not _simple_str(value):
-                    break
-                append(f'"{key}": "{value}"')
-            elif cls is bool:
-                append(f'"{key}": true' if value else f'"{key}": false')
-            elif cls is int:
-                append(f'"{key}": {value}')
-            elif value is None:
-                append(f'"{key}": null')
-            else:
-                break
-        else:
-            return ("{" + ", ".join(parts) + "}").encode()
-    return json.dumps(payload, sort_keys=True).encode()
+    if not all(key.__class__ is str and _simple_str(key) for key in payload):
+        return json.dumps(payload, sort_keys=True).encode()
+    items = ", ".join(f'"{key}": {dumps_value(payload[key])}' for key in sorted(payload))
+    return ("{" + items + "}").encode()
 
 
 def loads_object(body: bytes) -> Dict[str, Any]:

@@ -1,6 +1,7 @@
-"""REST conveniences over the HTTP layer: the JSON answer and the
-error answer an SBI handler returns.  Reading a body is
-:func:`repro.net.sbi.decode`'s job.
+"""REST conveniences over the HTTP layer: the error an SBI handler
+raises, and a JSON answer for a route outside
+:data:`repro.net.sbi.EXCHANGES`.  Writing and reading an SBI body is
+:mod:`repro.net.sbi`'s job.
 """
 
 from __future__ import annotations
@@ -21,14 +22,8 @@ class JsonApiError(Exception):
 
 
 def json_response(payload: Dict[str, Any], status: int = 200) -> HttpResponse:
-    # dumps_flat is byte-identical to json.dumps(payload, sort_keys=True)
-    # for the flat hex/str/int bodies the SBI exchanges (see net/codec.py).
     return HttpResponse(
         status=status,
         body=dumps_flat(payload),
         headers={"Content-Type": "application/json"},
     )
-
-
-def error_response(error: JsonApiError) -> HttpResponse:
-    return json_response({"error": error.message}, status=error.status)

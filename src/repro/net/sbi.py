@@ -7,11 +7,17 @@ style (``nausf-auth``, ``nudm-ueau`` …); the P-AKA module paths are this
 reproduction's equivalent of the paper's "REST API endpoints where each
 AKA function is mapped to an endpoint handler".
 
-:func:`decode` is the only way a body becomes fields.  It fails closed:
-a body that is not UTF-8, not JSON or not an object, a missing field, a
-value of the wrong kind or length, and a field the shape does not
-declare are all refused — :class:`~repro.net.rest.JsonApiError` 400 on
-a request (the caller's fault), 502 on an answer (the peer's).  A
+Each row also names the method, the status of a success and how the
+caller reports any other answer, so an exchange has one path each way:
+:func:`serve` routes a handler that takes decoded fields and returns
+fields, and ``NetworkFunction.call`` returns the peer's decoded answer.
+:func:`write` is the only way fields become a body, byte-identical to
+``json.dumps(body, sort_keys=True)`` with each shape's key order fixed
+once.  :func:`decode` is the only way a body becomes fields.  It fails
+closed: a body that is not UTF-8, not JSON or not an object, a missing
+field, a value of the wrong kind or length, and a field the shape does
+not declare are all refused — :class:`~repro.net.rest.JsonApiError` 400
+on a request (the caller's fault), 502 on an answer (the peer's).  A
 reject's text is wire bytes (an error body's length moves transit and
 TLS record costs), so the texts below are part of the simulation.
 """
@@ -23,8 +29,9 @@ from enum import Enum
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.crypto.suci import Suci
-from repro.net.codec import loads_object
-from repro.net.rest import JsonApiError, error_response
+from repro.net.codec import dumps_value, loads_object
+from repro.net.http import HttpResponse
+from repro.net.rest import JsonApiError
 
 
 class NFType(Enum):
@@ -55,7 +62,7 @@ EUDM_VERIFY_AUTS = "/eudm-paka/v1/verify-auts"
 EAUSF_DERIVE_SE_AV = "/eausf-paka/v1/derive-se-av"
 EAMF_DERIVE_KAMF = "/eamf-paka/v1/derive-kamf"
 
-# The body of every non-2xx answer (rest.error_response): not a path.
+# The body of every error answer (serve writes it): not a path.
 ERROR = "error"
 
 
@@ -137,14 +144,29 @@ class Shape:
         self.fields = tuple(Field(f) if f.__class__ is str else f for f in fields)
         self.names = frozenset(f.wire for f in self.fields)
         self.title, self.one_of, self.build = title, one_of, build
+        # What write() needs per field, in json.dumps(sort_keys=True) order.
+        self.writers = tuple(
+            (f.wire, f'"{f.wire}": ', f.kind is HEX)
+            for f in sorted(self.fields, key=lambda f: f.wire)
+        )
 
 
 class Exchange(NamedTuple):
-    """One SBI endpoint: who serves it, and what goes each way."""
+    """One SBI endpoint: who serves it, what goes each way, and how.
+
+    ``status`` is the one status of a success.  ``refused`` is how the
+    caller reports an answer of any other status: the status it raises
+    (``None``: the peer's own) and the text, formatted with ``status``
+    (the peer's) and ``server``.  Where the caller is a handler, that
+    text is its own error answer, so it is wire bytes too.
+    """
 
     server: str
     request: Optional[Shape]
     answer: Shape
+    refused: Tuple[Optional[int], str] = (None, "")
+    method: str = "POST"
+    status: int = 200
 
 
 def _read(shape: Shape, data: Dict[str, Any], status: int) -> Any:
@@ -205,18 +227,46 @@ def decode(endpoint: str, body: bytes, side: str) -> Any:
         raise JsonApiError(status, f"malformed {exchange.server} {side}: {exc}") from None
 
 
-def serve(server, method: str, path: str, handler) -> None:
-    """Route ``path`` on ``server``: ``handler(fields, context)`` gets
-    the decoded request, and a ``JsonApiError`` it (or :func:`decode`)
-    raises becomes the error answer."""
+def _write(shape: Shape, fields: Dict[str, Any]) -> bytes:
+    parts = []
+    for wire, head, is_hex in shape.writers:
+        if wire in fields:
+            value = fields[wire]
+            parts.append(f'{head}"{value.hex()}"' if is_hex else head + dumps_value(value))
+    return ("{" + ", ".join(parts) + "}").encode()
+
+
+def write(endpoint: str, fields: Dict[str, Any], side: str) -> bytes:
+    """``fields`` as ``endpoint``'s declared ``side``, the inverse of
+    :func:`decode`: hex fields are given as ``bytes``, a nested object
+    or list in its wire form (a hop forwards what it read untouched).
+    Only declared fields are written; the reader judges the rest."""
+    exchange = EXCHANGES[endpoint]
+    return _write(exchange.request if side == REQUEST else exchange.answer, fields)
+
+
+def _answer(status: int, shape: Shape, fields: Dict[str, Any]) -> HttpResponse:
+    return HttpResponse(status, _write(shape, fields), {"Content-Type": "application/json"})
+
+
+def serve(server, path: str, handler) -> None:
+    """Route ``path`` on ``server`` with its declared method.
+
+    ``handler(fields, context)`` gets the decoded request and returns the
+    answer's fields, sent with the declared success status; a
+    ``JsonApiError`` it (or :func:`decode`) raises becomes the error answer.
+    """
+    exchange = EXCHANGES[path]
+    error = EXCHANGES[ERROR].answer
 
     def wrapped(request, context):
         try:
-            return handler(decode(path, request.body, REQUEST), context)
-        except JsonApiError as error:
-            return error_response(error)
+            fields = handler(decode(path, request.body, REQUEST), context)
+        except JsonApiError as exc:
+            return _answer(exc.status, error, {"error": exc.message})
+        return _answer(exchange.status, exchange.answer, fields)
 
-    server.route(method, path, wrapped)
+    server.route(exchange.method, path, wrapped)
 
 
 def _suci(fields: Dict[str, Any]) -> Suci:
@@ -244,16 +294,24 @@ SUCI = Shape(
 RESYNC = Shape(hexf("rand", 16), hexf("auts", 14), title="resynchronizationInfo")
 _BY_SUPI = Shape("supi")
 _AUTH_DATA = Shape("supi", hexf("k", 16), hexf("opc", 16), hexf("sqn", 6), hexf("amfField", 2))
+_UNKNOWN_SUBSCRIBER = (None, "UDR rejected the subscriber")
+# A P-AKA module's refusal is its caller's gateway error.
+_MODULE_ERROR = (502, "{server} module error: {status}")
 
 EXCHANGES: Dict[str, Exchange] = {
-    NRF_REGISTER: Exchange("NRF", PROFILE, Shape("nfInstanceId")),
-    NRF_DISCOVER: Exchange(
-        "NRF", Shape("targetNfType"), Shape(Field("nfInstances", LIST, shape=PROFILE))
+    NRF_REGISTER: Exchange(
+        "NRF", PROFILE, Shape("nfInstanceId"), (None, "NRF registration failed: {status}"),
+        "PUT", 201,
     ),
-    UDR_AUTH_SUBSCRIPTION: Exchange("UDR", _BY_SUPI, _AUTH_DATA),
-    UDR_AUTH_PEEK: Exchange("UDR", _BY_SUPI, _AUTH_DATA),
+    NRF_DISCOVER: Exchange(
+        "NRF", Shape("targetNfType"), Shape(Field("nfInstances", LIST, shape=PROFILE)),
+        (None, "NRF discovery failed: {status}"), "GET",
+    ),
+    UDR_AUTH_SUBSCRIPTION: Exchange("UDR", _BY_SUPI, _AUTH_DATA, _UNKNOWN_SUBSCRIBER),
+    UDR_AUTH_PEEK: Exchange("UDR", _BY_SUPI, _AUTH_DATA, _UNKNOWN_SUBSCRIBER),
     UDR_AUTH_RESYNC: Exchange(
-        "UDR", Shape("supi", Field("sqnMs", INT)), Shape("supi", hexf("sqn", 6))
+        "UDR", Shape("supi", Field("sqnMs", INT)), Shape("supi", hexf("sqn", 6)),
+        (None, "UDR resync failed"),
     ),
     # The UDM (SIDF) judges the SUCI and the AUTS token; the AUSF forwards
     # both untouched, so their rejects (and those texts on the UDM → AUSF
@@ -262,22 +320,29 @@ EXCHANGES: Dict[str, Exchange] = {
         "UDM", _auth_request(SUCI, RESYNC),
         Shape(hexf("rand", 16), hexf("autn", 16), hexf("xresStar", 16), hexf("kausf", 32),
               "supi"),
+        (None, "UDM rejected authentication"),
     ),
     AUSF_UE_AUTH: Exchange(
         "AUSF", _auth_request(),
         Shape("authCtxId", hexf("rand", 16), hexf("autn", 16), hexf("hxresStar", 16)),
+        (None, "AUSF refused authentication ({status})"), status=201,
     ),
     AUSF_UE_AUTH_CONFIRM: Exchange(
         "AUSF", Shape("authCtxId", hexf("resStar", 16)),
         # A failed confirmation names neither the SUPI nor a key.
         Shape("result", Field("supi", optional=True),
               Field("kseaf", HEX, 32, optional=True)),
+        (None, "AUSF confirmation failed"),
     ),
     SMF_PDU_SESSION: Exchange(
         "SMF", Shape("supi", Field("sessionId", INT), "dnn"),
         Shape("ueAddress", "qosFlow", "sessionKey"),
+        (None, "SMF rejected PDU session: {status}"), status=201,
     ),
-    UPF_N4_SESSION: Exchange("UPF", Shape("ueAddress", "dnn"), Shape("installed")),
+    UPF_N4_SESSION: Exchange(
+        "UPF", Shape("ueAddress", "dnn"), Shape("installed"),
+        (502, "UPF rejected N4 session"), status=201,
+    ),
     # The Table I rows: the labelled fields, in the paper's order.
     EUDM_GENERATE_AV: Exchange(
         "eUDM",
@@ -285,10 +350,12 @@ EXCHANGES: Dict[str, Exchange] = {
               hexf("sqn", 6, "SQN"), hexf("amfField", 2, "AMFid"), "snn"),
         Shape(hexf("rand", 16, "RAND"), hexf("xresStar", 16, "XRES*"),
               hexf("kausf", 32, "KAUSF"), hexf("autn", 16, "AUTN")),
+        _MODULE_ERROR,
     ),
+    # Its refusal (403: the AUTS does not verify) is the answer itself.
     EUDM_VERIFY_AUTS: Exchange(
         "eUDM", Shape("supi", hexf("opc", 16), hexf("rand", 16), hexf("auts", 14)),
-        Shape(Field("sqnMs", INT)),
+        Shape(Field("sqnMs", INT)), (None, "AUTS verification failed"),
     ),
     EAUSF_DERIVE_SE_AV: Exchange(
         "eAUSF",
@@ -298,10 +365,11 @@ EXCHANGES: Dict[str, Exchange] = {
               Field("snn", STR, 32, label="SNN"), hexf("kausf", 32, "KAUSF"), hexf("autn", 16)),
         # HXRES*: Table I lists 8 bytes, TS 33.501 A.5 defines 16.
         Shape(hexf("kseaf", 32, "KSEAF"), hexf("hxresStar", 16, "HXRES*")),
+        _MODULE_ERROR,
     ),
     EAMF_DERIVE_KAMF: Exchange(
         "eAMF", Shape(hexf("kseaf", 32, "KSEAF"), "supi", hexf("abba", 2)),
-        Shape(hexf("kamf", 32, "KAMF")),
+        Shape(hexf("kamf", 32, "KAMF")), _MODULE_ERROR,
     ),
     ERROR: Exchange("peer", None, Shape("error")),
 }

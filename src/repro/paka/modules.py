@@ -20,7 +20,7 @@ from repro.container.network import BridgeNetwork
 from repro.aka import HomeAuthVector, derive_se_av, generate_he_av
 from repro.crypto.kdf import derive_kamf
 from repro.net.http import HttpServer, ServerSyscallProfile
-from repro.net.rest import JsonApiError, json_response
+from repro.net.rest import JsonApiError
 from repro.net.sbi import (
     EAMF_DERIVE_KAMF,
     EAUSF_DERIVE_SE_AV,
@@ -91,8 +91,8 @@ class EudmPakaModule(PakaModule):
     COLD_PAGES = 16
 
     def _register_routes(self) -> None:
-        serve(self.server, "POST", EUDM_GENERATE_AV, self._handle_generate_av)
-        serve(self.server, "POST", EUDM_VERIFY_AUTS, self._handle_verify_auts)
+        serve(self.server, EUDM_GENERATE_AV, self._handle_generate_av)
+        serve(self.server, EUDM_VERIFY_AUTS, self._handle_verify_auts)
 
     def provision_direct(self, supi: str, k: bytes) -> None:
         """Operator provisioning over the local attested channel.
@@ -120,14 +120,8 @@ class EudmPakaModule(PakaModule):
         # The freshly derived K_AUSF also lives in module memory until the
         # response is consumed — part of what isolation protects.
         context.runtime.store_secret("last_kausf", he_av.kausf)
-        return json_response(
-            {
-                "rand": he_av.rand.hex(),
-                "autn": he_av.autn.hex(),
-                "xresStar": he_av.xres_star.hex(),
-                "kausf": he_av.kausf.hex(),
-            }
-        )
+        return {"rand": he_av.rand, "autn": he_av.autn, "xresStar": he_av.xres_star,
+                "kausf": he_av.kausf}
 
     def _handle_verify_auts(self, data, context):
         """Resynchronisation: verify the UE's AUTS token and recover SQN_MS.
@@ -150,7 +144,7 @@ class EudmPakaModule(PakaModule):
         sqn_ms = verify_auts(k, data["opc"], data["rand"], data["auts"])
         if sqn_ms is None:
             raise JsonApiError(403, "AUTS verification failed")
-        return json_response({"sqnMs": sqn_ms})
+        return {"sqnMs": sqn_ms}
 
 
 class EausfPakaModule(PakaModule):
@@ -160,7 +154,7 @@ class EausfPakaModule(PakaModule):
     COLD_PAGES = 21
 
     def _register_routes(self) -> None:
-        serve(self.server, "POST", EAUSF_DERIVE_SE_AV, self._handle_derive)
+        serve(self.server, EAUSF_DERIVE_SE_AV, self._handle_derive)
 
     def _handle_derive(self, data, context):
         self._charge_function(context)
@@ -170,12 +164,7 @@ class EausfPakaModule(PakaModule):
         )
         se_av, kseaf = derive_se_av(he_av, data["snn"].encode())
         context.runtime.store_secret("last_kseaf", kseaf)
-        return json_response(
-            {
-                "hxresStar": se_av.hxres_star.hex(),
-                "kseaf": kseaf.hex(),
-            }
-        )
+        return {"hxresStar": se_av.hxres_star, "kseaf": kseaf}
 
 
 class EamfPakaModule(PakaModule):
@@ -185,10 +174,10 @@ class EamfPakaModule(PakaModule):
     COLD_PAGES = 35
 
     def _register_routes(self) -> None:
-        serve(self.server, "POST", EAMF_DERIVE_KAMF, self._handle_derive)
+        serve(self.server, EAMF_DERIVE_KAMF, self._handle_derive)
 
     def _handle_derive(self, data, context):
         self._charge_function(context)
         kamf = derive_kamf(data["kseaf"], data["supi"], data["abba"])
         context.runtime.store_secret("last_kamf", kamf)
-        return json_response({"kamf": kamf.hex()})
+        return {"kamf": kamf}

@@ -1,10 +1,9 @@
 """AUSF: authentication contexts, SE AV derivation, confirmation."""
 
-import json
-
 import pytest
 
 from repro.fivegc.ausf import _CONTEXT_TTL_NS
+from repro.net.rest import JsonApiError
 from repro.net.sbi import AUSF_UE_AUTH, AUSF_UE_AUTH_CONFIRM
 
 
@@ -15,7 +14,7 @@ def authenticate(testbed, ue):
         ue.usim.supi, testbed.hn_public_key, testbed.host.rng.randbytes("eph2", 32)
     )
     return testbed.amf.call(
-        testbed.ausf, "POST", AUSF_UE_AUTH,
+        testbed.ausf, AUSF_UE_AUTH,
         {
             "servingNetworkName": testbed.snn,
             "suci": {"mcc": suci.mcc, "mnc": suci.mnc, "scheme": 1, "keyId": 1,
@@ -24,14 +23,31 @@ def authenticate(testbed, ue):
     )
 
 
+def confirm(testbed, auth_ctx_id, res_star):
+    return testbed.amf.call(
+        testbed.ausf, AUSF_UE_AUTH_CONFIRM, {"authCtxId": auth_ctx_id, "resStar": res_star}
+    )
+
+
+def refused_with(call):
+    """The status of an answer the caller reports as a refusal."""
+    with pytest.raises(JsonApiError) as caught:
+        call()
+    return caught.value.status
+
+
+def _res_star(testbed, ue, body):
+    result = ue.usim.authenticate(body["rand"], body["autn"], testbed.snn.encode())
+    assert result.success
+    return result.res_star
+
+
 def test_authenticate_returns_se_av(monolithic_testbed):
     testbed = monolithic_testbed
     ue = testbed.add_subscriber()
-    response = authenticate(testbed, ue)
-    assert response.status == 201
-    body = json.loads(response.body)
+    body = authenticate(testbed, ue)
     assert body["authCtxId"].startswith("authctx-")
-    assert len(bytes.fromhex(body["hxresStar"])) == 16
+    assert len(body["hxresStar"]) == 16
     # XRES*, K_AUSF and K_SEAF never appear in the SE AV response.
     assert "xresStar" not in body and "kausf" not in body and "kseaf" not in body
 
@@ -39,64 +55,39 @@ def test_authenticate_returns_se_av(monolithic_testbed):
 def test_confirmation_releases_kseaf(monolithic_testbed):
     testbed = monolithic_testbed
     ue = testbed.add_subscriber()
-    body = json.loads(authenticate(testbed, ue).body)
-
+    body = authenticate(testbed, ue)
     # The genuine UE computes RES* through its USIM.
-    result = ue.usim.authenticate(
-        bytes.fromhex(body["rand"]), bytes.fromhex(body["autn"]), testbed.snn.encode()
-    )
-    assert result.success
-    confirm = testbed.amf.call(
-        testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM,
-        {"authCtxId": body["authCtxId"], "resStar": result.res_star.hex()},
-    )
-    assert json.loads(confirm.body)["result"] == "AUTHENTICATION_SUCCESS"
-    assert len(bytes.fromhex(json.loads(confirm.body)["kseaf"])) == 32
-    assert json.loads(confirm.body)["supi"] == str(ue.usim.supi)
+    answer = confirm(testbed, body["authCtxId"], _res_star(testbed, ue, body))
+    assert answer["result"] == "AUTHENTICATION_SUCCESS"
+    assert len(answer["kseaf"]) == 32
+    assert answer["supi"] == str(ue.usim.supi)
 
 
 def test_wrong_res_star_fails_confirmation(monolithic_testbed):
     testbed = monolithic_testbed
     ue = testbed.add_subscriber()
-    body = json.loads(authenticate(testbed, ue).body)
-    confirm = testbed.amf.call(
-        testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM,
-        {"authCtxId": body["authCtxId"], "resStar": "00" * 16},
-    )
-    assert json.loads(confirm.body)["result"] == "AUTHENTICATION_FAILURE"
-    assert "kseaf" not in json.loads(confirm.body)
+    answer = confirm(testbed, authenticate(testbed, ue)["authCtxId"], bytes(16))
+    assert answer == {"result": "AUTHENTICATION_FAILURE"}
 
 
 def test_failed_context_is_consumed(monolithic_testbed):
     testbed = monolithic_testbed
     ue = testbed.add_subscriber()
-    body = json.loads(authenticate(testbed, ue).body)
-    testbed.amf.call(
-        testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM,
-        {"authCtxId": body["authCtxId"], "resStar": "00" * 16},
-    )
-    retry = testbed.amf.call(
-        testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM,
-        {"authCtxId": body["authCtxId"], "resStar": "00" * 16},
-    )
-    assert retry.status == 404
+    ctx_id = authenticate(testbed, ue)["authCtxId"]
+    confirm(testbed, ctx_id, bytes(16))
+    assert refused_with(lambda: confirm(testbed, ctx_id, bytes(16))) == 404
 
 
 def test_confirmed_context_is_consumed_and_kseaf_released_once(monolithic_testbed):
     testbed = monolithic_testbed
     ue = testbed.add_subscriber()
-    body = json.loads(authenticate(testbed, ue).body)
-    result = ue.usim.authenticate(
-        bytes.fromhex(body["rand"]), bytes.fromhex(body["autn"]), testbed.snn.encode()
-    )
-    payload = {"authCtxId": body["authCtxId"], "resStar": result.res_star.hex()}
-    first = testbed.amf.call(testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM, payload)
-    assert json.loads(first.body)["result"] == "AUTHENTICATION_SUCCESS"
+    body = authenticate(testbed, ue)
+    res_star = _res_star(testbed, ue, body)
+    first = confirm(testbed, body["authCtxId"], res_star)
+    assert first["result"] == "AUTHENTICATION_SUCCESS"
     # The same RES* replayed against the same context: K_SEAF is not
     # handed out a second time.
-    replay = testbed.amf.call(testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM, payload)
-    assert replay.status == 404
-    assert "kseaf" not in json.loads(replay.body)
+    assert refused_with(lambda: confirm(testbed, body["authCtxId"], res_star)) == 404
 
 
 def test_drained_registrations_leave_no_auth_context(monolithic_testbed):
@@ -114,31 +105,23 @@ def test_drained_registrations_leave_no_auth_context(monolithic_testbed):
 # confirmation turns up first.
 
 
-def _res_star(testbed, ue, body):
-    result = ue.usim.authenticate(
-        bytes.fromhex(body["rand"]), bytes.fromhex(body["autn"]), testbed.snn.encode()
-    )
-    assert result.success
-    return result.res_star.hex()
-
-
 def test_unanswered_challenges_are_gone_after_the_ttl(monolithic_testbed):
     testbed = monolithic_testbed
     clock = testbed.host.clock
     ue = testbed.add_subscriber()
     for _ in range(3):
-        assert authenticate(testbed, ue).status == 201
+        authenticate(testbed, ue)
     assert len(testbed.ausf._contexts) == 3
     # Not yet: the oldest is younger than the TTL when the fourth is issued.
     clock.advance(_CONTEXT_TTL_NS // 2)
-    assert authenticate(testbed, ue).status == 201
+    authenticate(testbed, ue)
     assert len(testbed.ausf._contexts) == 4
     # Half a TTL on, the first three are too old and the fourth is not.
     clock.advance(_CONTEXT_TTL_NS // 2 + 1)
-    fifth = json.loads(authenticate(testbed, ue).body)
+    fifth = authenticate(testbed, ue)
     assert list(testbed.ausf._contexts) == ["authctx-4", fifth["authCtxId"]]
     clock.advance(_CONTEXT_TTL_NS + 1)
-    assert authenticate(testbed, ue).status == 201
+    authenticate(testbed, ue)
     assert list(testbed.ausf._contexts) == ["authctx-6"]
 
 
@@ -152,9 +135,9 @@ def test_expiry_spends_no_simulated_time_and_draws_nothing(monkeypatch):
         monkeypatch.setattr(ausf, "_CONTEXT_TTL_NS", ttl_ns)
         testbed = Testbed.build(TestbedConfig(isolation=None, seed=13))
         ue = testbed.add_subscriber()
-        bodies = [json.loads(authenticate(testbed, ue).body) for _ in range(3)]
+        bodies = [authenticate(testbed, ue) for _ in range(3)]
         testbed.host.clock.advance(40_000_000_000)
-        bodies.append(json.loads(authenticate(testbed, ue).body))
+        bodies.append(authenticate(testbed, ue))
         return bodies, testbed.host.clock.now_ns, len(testbed.ausf._contexts)
 
     expiring = run(_CONTEXT_TTL_NS)
@@ -166,38 +149,30 @@ def test_expiry_spends_no_simulated_time_and_draws_nothing(monkeypatch):
 def test_a_timely_confirmation_still_succeeds(monolithic_testbed):
     testbed = monolithic_testbed
     ue = testbed.add_subscriber()
-    body = json.loads(authenticate(testbed, ue).body)
+    body = authenticate(testbed, ue)
     issued_ns = testbed.ausf._contexts[body["authCtxId"]].issued_ns
     # As late as the TTL allows, to the nanosecond the handler reads.
     testbed.host.clock.advance(_CONTEXT_TTL_NS - 1_000_000_000)
     assert testbed.host.clock.now_ns - issued_ns <= _CONTEXT_TTL_NS
-    confirm = testbed.amf.call(
-        testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM,
-        {"authCtxId": body["authCtxId"], "resStar": _res_star(testbed, ue, body)},
-    )
-    assert json.loads(confirm.body)["result"] == "AUTHENTICATION_SUCCESS"
-    assert len(bytes.fromhex(json.loads(confirm.body)["kseaf"])) == 32
+    answer = confirm(testbed, body["authCtxId"], _res_star(testbed, ue, body))
+    assert answer["result"] == "AUTHENTICATION_SUCCESS"
+    assert len(answer["kseaf"]) == 32
     assert len(testbed.ausf._contexts) == 0
 
 
 def test_a_late_confirmation_is_404_and_never_yields_kseaf(monolithic_testbed):
     testbed = monolithic_testbed
     ue = testbed.add_subscriber()
-    body = json.loads(authenticate(testbed, ue).body)
-    payload = {"authCtxId": body["authCtxId"], "resStar": _res_star(testbed, ue, body)}
+    body = authenticate(testbed, ue)
+    res_star = _res_star(testbed, ue, body)
     testbed.host.clock.advance(_CONTEXT_TTL_NS)
     # The right RES*, too late — and nothing newer was issued in between,
     # so the context is still in the table when the confirmation arrives.
     assert body["authCtxId"] in testbed.ausf._contexts
-    late = testbed.amf.call(testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM, payload)
-    assert late.status == 404
-    assert "kseaf" not in json.loads(late.body)
+    late = refused_with(lambda: confirm(testbed, body["authCtxId"], res_star))
+    assert late == 404
     # Same answer as for an id that never existed.
-    unknown = testbed.amf.call(
-        testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM, dict(payload, authCtxId="authctx-999")
-    )
-    assert late.status == unknown.status
-    assert sorted(json.loads(late.body)) == sorted(json.loads(unknown.body))
+    assert refused_with(lambda: confirm(testbed, "authctx-999", res_star)) == late
 
 
 def test_contexts_stay_bounded_under_a_storm(sgx_testbed):
@@ -235,11 +210,8 @@ def test_contexts_stay_bounded_under_a_storm(sgx_testbed):
 
 
 def test_unknown_context_404(monolithic_testbed):
-    response = monolithic_testbed.amf.call(
-        monolithic_testbed.ausf, "POST", AUSF_UE_AUTH_CONFIRM,
-        {"authCtxId": "authctx-999", "resStar": "00" * 16},
-    )
-    assert response.status == 404
+    testbed = monolithic_testbed
+    assert refused_with(lambda: confirm(testbed, "authctx-999", bytes(16))) == 404
 
 
 def test_serving_network_authorization(host):
@@ -251,8 +223,5 @@ def test_serving_network_authorization(host):
     from repro.fivegc.nf_base import NetworkFunction
 
     caller = NetworkFunction("caller", host, bridge)
-    response = caller.call(
-        ausf, "POST", AUSF_UE_AUTH,
-        {"servingNetworkName": "5G:mnc070.mcc901.3gppnetwork.org", "supi": "imsi-x"},
-    )
-    assert response.status == 403
+    fields = {"servingNetworkName": "5G:mnc070.mcc901.3gppnetwork.org", "supi": "imsi-x"}
+    assert refused_with(lambda: caller.call(ausf, AUSF_UE_AUTH, fields)) == 403

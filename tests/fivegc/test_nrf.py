@@ -5,6 +5,7 @@ import pytest
 from repro.container.network import BridgeNetwork
 from repro.fivegc.nrf import Nrf
 from repro.fivegc.udr import Udr
+from repro.net.rest import JsonApiError
 from repro.net.sbi import NFType
 
 
@@ -51,13 +52,16 @@ def test_bad_profile_rejected(host, bridge, nrf):
     from repro.net.sbi import NRF_REGISTER
 
     udr = Udr("udr", host, bridge)
-    response = udr.call(nrf, "PUT", NRF_REGISTER, {"garbage": True})
-    assert response.status == 400
+    # Only declared fields are written: the NRF reads an empty profile.
+    with pytest.raises(JsonApiError, match="NRF registration failed: 400") as caught:
+        udr.call(nrf, NRF_REGISTER, {"garbage": True})
+    assert caught.value.status == 400
 
 
 def test_discover_unknown_type_rejected(host, bridge, nrf):
     from repro.net.sbi import NRF_DISCOVER
 
     udr = Udr("udr", host, bridge)
-    response = udr.call(nrf, "GET", NRF_DISCOVER, {"targetNfType": "XYZ"})
-    assert response.status == 400
+    with pytest.raises(JsonApiError, match="NRF discovery failed: 400") as caught:
+        udr.call(nrf, NRF_DISCOVER, {"targetNfType": "XYZ"})
+    assert caught.value.status == 400

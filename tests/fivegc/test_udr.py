@@ -4,7 +4,8 @@ import pytest
 
 from repro.container.network import BridgeNetwork
 from repro.fivegc.udr import AuthSubscription, Udr
-from repro.net.sbi import ANSWER, UDR_AUTH_SUBSCRIPTION, decode
+from repro.net.rest import JsonApiError
+from repro.net.sbi import UDR_AUTH_SUBSCRIPTION
 
 
 @pytest.fixture
@@ -36,29 +37,31 @@ def test_subscription_validation():
 
 
 def test_sqn_advances_per_fetch(udr, caller):
-    first = caller.call(udr, "POST", UDR_AUTH_SUBSCRIPTION, {"supi": "imsi-001010000000001"})
-    second = caller.call(udr, "POST", UDR_AUTH_SUBSCRIPTION, {"supi": "imsi-001010000000001"})
-    assert decode(UDR_AUTH_SUBSCRIPTION, first.body, ANSWER)["sqn"] == (1).to_bytes(6, "big")
-    assert decode(UDR_AUTH_SUBSCRIPTION, second.body, ANSWER)["sqn"] == (2).to_bytes(6, "big")
+    first = caller.call(udr, UDR_AUTH_SUBSCRIPTION, {"supi": "imsi-001010000000001"})
+    second = caller.call(udr, UDR_AUTH_SUBSCRIPTION, {"supi": "imsi-001010000000001"})
+    assert first["sqn"] == (1).to_bytes(6, "big")
+    assert second["sqn"] == (2).to_bytes(6, "big")
 
 
 def test_fetch_returns_credentials(udr, caller):
-    body = decode(UDR_AUTH_SUBSCRIPTION, caller.call(
-        udr, "POST", UDR_AUTH_SUBSCRIPTION, {"supi": "imsi-001010000000001"}
-    ).body, ANSWER)
+    body = caller.call(udr, UDR_AUTH_SUBSCRIPTION, {"supi": "imsi-001010000000001"})
     assert body["k"] == bytes(16)
     assert body["opc"] == bytes(16)
     assert body["amfField"] == b"\x80\x00"
 
 
+def _refused(udr, caller, fields, status):
+    with pytest.raises(JsonApiError, match="UDR rejected the subscriber") as caught:
+        caller.call(udr, UDR_AUTH_SUBSCRIPTION, fields)
+    assert caught.value.status == status
+
+
 def test_unknown_subscriber_404(udr, caller):
-    response = caller.call(udr, "POST", UDR_AUTH_SUBSCRIPTION, {"supi": "imsi-999"})
-    assert response.status == 404
+    _refused(udr, caller, {"supi": "imsi-999"}, 404)
 
 
 def test_missing_supi_400(udr, caller):
-    response = caller.call(udr, "POST", UDR_AUTH_SUBSCRIPTION, {})
-    assert response.status == 400
+    _refused(udr, caller, {}, 400)
 
 
 def test_subscriber_count(udr):

@@ -72,10 +72,8 @@ def test_module_crash_fails_registration_not_core(testbed):
     # Core NFs are still serving (NRF answers discovery).
     from repro.net.sbi import NRF_DISCOVER
 
-    response = testbed.udm.call(
-        testbed.nrf, "GET", NRF_DISCOVER, {"targetNfType": "UDR"}
-    )
-    assert response.ok
+    answer = testbed.udm.call(testbed.nrf, NRF_DISCOVER, {"targetNfType": "UDR"})
+    assert [profile.nf_type.value for profile in answer["nfInstances"]] == ["UDR"]
 
 
 def test_unprovisioned_ue_rejected(testbed):

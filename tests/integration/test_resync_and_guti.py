@@ -38,15 +38,18 @@ def test_forged_auts_rejected(container_testbed):
 
     testbed = container_testbed
     ue = testbed.add_subscriber()
-    response = testbed.ausf.call(
-        testbed.udm, "POST", UDM_UE_AUTH_GET,
-        {
-            "servingNetworkName": testbed.snn,
-            "supi": str(ue.usim.supi),
-            "resynchronizationInfo": {"rand": "00" * 16, "auts": "00" * 14},
-        },
-    )
-    assert response.status == 403
+    from repro.net.rest import JsonApiError
+
+    with pytest.raises(JsonApiError) as caught:
+        testbed.ausf.call(
+            testbed.udm, UDM_UE_AUTH_GET,
+            {
+                "servingNetworkName": testbed.snn,
+                "supi": str(ue.usim.supi),
+                "resynchronizationInfo": {"rand": "00" * 16, "auts": "00" * 14},
+            },
+        )
+    assert caught.value.status == 403
     assert testbed.udr.subscriber(str(ue.usim.supi)).sqn == 0  # untouched
 
 

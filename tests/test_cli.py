@@ -125,6 +125,20 @@ def test_every_table_row_parses_with_defaults_and_has_a_handler():
     ["attack", "--horizon", "-1"],
     ["traces", "--legit", "0"],
     ["traces", "--horizon", "0"],
+    ["attack", "--horizon", "inf"],
+    ["attack", "--rates", "0,inf"],
+    ["monitor", "--horizon", "-1"],
+    ["monitor", "--horizon", "nan"],
+    ["monitor", "--factor", "-1"],
+    ["monitor", "--cadence", "inf"],
+    ["traces", "--rate", "-5"],
+    ["traces", "--rate", "nan"],
+    ["traces", "--sample", "0"],
+    ["traces", "--slowest", "-1"],
+    ["register", "--count", "-1"],
+    ["metrics", "--registrations", "0"],
+    ["trace", "--warmup", "-1"],
+    ["table3", "--iterations", "0"],
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, capsys):
     """Outside input is rejected by the parser (exit 2 and a message
