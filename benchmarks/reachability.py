@@ -167,7 +167,7 @@ _HOST_PERF = {
     "gates": [arg for name in _GATES for arg in ("--gate", f"{name}=1e9")],
     "capacity": ["--capacity", "150"],
     "sharded": ["--sharded-capacity", "160", "--sharded-shards", "4",
-                "--sharded-jobs", "1", "--sharded-gate", "0"],
+                "--sharded-jobs", "1", "--sharded-gate", "1e9"],
 }
 
 

@@ -51,22 +51,76 @@ class GramineError(Exception):
     """LibOS start-up or runtime failure."""
 
 
+# Gramine + glibc initialization issues several hundred OCALLs: the
+# manifest, ld.so and libraries are opened, mapped and read through the
+# untrusted host (paper §V-B1).
+_INIT_OCALLS: Tuple[Tuple[str, int, int], ...] = (
+    ("openat", 0, 0),
+    *(("read", 0, 65536),) * 4,                    # manifest + config reads
+    *(("openat", 0, 0), ("fstat", 0, 0), ("mmap", 0, 0),
+      ("mmap", 0, 0), ("read", 0, 131072), ("close", 0, 0)) * 74,
+    # ~37 libs -> ~444 OCALLs
+    *(("brk", 0, 0),) * 10,
+    *(("getrandom", 0, 32),) * 4,
+    *(("clock_gettime", 0, 0),) * 8,
+)
+
+# The first request after deployment triggers lazy initialization:
+# name-service lookups, crypto drivers, network-stack state.  A modest
+# burst of OCALLs rotating open/read/mmap/read pulls in several MB of
+# file-backed library pages (not covered by preheat, which only
+# pre-faults the heap); ``lazy_warmup`` then faults them into the EPC.
+_WARMUP_OCALLS = 40
+_WARMUP_READ_BYTES = 6_000_000
+_WARMUP_SPECS: Tuple[Tuple[str, int, int], ...] = tuple(
+    (name, 0, _WARMUP_READ_BYTES // (_WARMUP_OCALLS // 2) if name == "read" else 0)
+    for name in ("openat", "read", "mmap", "read") * (_WARMUP_OCALLS // 4)
+)
+
+
 class _SpecCost(NamedTuple):
     """Everything deterministic about one syscall spec, derived once.
 
-    The pre-rounded charge of both flavours plus the matching
-    ``sgx.ocall`` span template ``(name, fixed_ns, tags)`` — the leaf's
-    name, the deterministic part of its duration and its tags short of
-    the per-call ``transition_ns`` — built from the same roundings, so
-    traced components always sum to the charged deterministic ns.
+    The pre-rounded charge of both flavours, the ``sgx.ocall`` event
+    detail and the matching span template ``(name, fixed_ns, tags)`` —
+    the leaf's name, the deterministic part of its duration and its tags
+    short of the per-call ``transition_ns`` — built from the same
+    roundings, so traced components always sum to the charged
+    deterministic ns.
     """
 
     ocall_cycles: int
     ocall_ns: int
     exitless_cycles: int
     exitless_ns: int
+    detail: Dict[str, Any]
     ocall_span: Tuple[str, int, Dict[str, Any]]
     exitless_span: Tuple[str, int, Dict[str, Any]]
+
+
+# Per-spec costs and compiled profiles are pure functions of a runtime's
+# cost inputs: the enclave cost model, the CPU frequency, and the runtime
+# and enclave names that span tags and event details carry.  Runtimes
+# whose inputs are equal share one _CostTables, so every testbed after
+# the first in a process (a shard's, a re-deployed module's) compiles
+# nothing.  Each memo is cleared when it reaches its bound; a runtime
+# keeps the tables it was built with.
+_COST_TABLES_MAX = 32  # distinct (model, frequency, runtime, enclave) keys
+_SPEC_COSTS_MAX = 512  # per-spec records per key
+_PROFILES_MAX = 64  # compiled profiles per key
+
+
+class _CostTables:
+    """The shared per-spec costs and compiled profiles of one key."""
+
+    __slots__ = ("spec_costs", "profiles")
+
+    def __init__(self) -> None:
+        self.spec_costs: Dict[Tuple[str, int, int], _SpecCost] = {}
+        self.profiles: Dict[Tuple[Tuple[str, int, int], ...], _CompiledProfile] = {}
+
+
+_COST_TABLES: Dict[Tuple[Any, ...], _CostTables] = {}
 
 
 class _CompiledProfile:
@@ -95,7 +149,7 @@ class _CompiledProfile:
 
     def __init__(
         self,
-        specs: List[Tuple[str, int, int]],
+        specs: Tuple[Tuple[str, int, int], ...],
         per_spec: List[Tuple[int, int]],
         details: List[Dict[str, Any]],
         name_counts: Tuple[Tuple[str, int], ...],
@@ -122,19 +176,6 @@ class _CompiledProfile:
 class GramineEnclaveRuntime(Runtime):
     """The :class:`~repro.runtime.base.Runtime` view of a Gramine enclave."""
 
-    # Gramine + glibc initialization issues several hundred OCALLs: the
-    # manifest, ld.so and libraries are opened, mapped and read through
-    # the untrusted host (paper §V-B1).
-    _INIT_OCALLS = [
-        ("openat", 0, 0)] + [
-        ("read", 0, 65536)] * 4 + [               # manifest + config reads
-        ("openat", 0, 0), ("fstat", 0, 0), ("mmap", 0, 0),
-        ("mmap", 0, 0), ("read", 0, 131072), ("close", 0, 0),
-    ] * 74 + [                                     # ~37 libs -> ~444 OCALLs
-        ("brk", 0, 0)] * 10 + [
-        ("getrandom", 0, 32)] * 4 + [
-        ("clock_gettime", 0, 0)] * 8
-
     def __init__(
         self,
         name: str,
@@ -150,11 +191,19 @@ class GramineEnclaveRuntime(Runtime):
         self.started = False
         self._contexts: List[EcallContext] = []
         self._warmed_up = False
-        # Fused-accounting cache: per-spec deterministic costs, pre-rounded
+        # Fused-accounting caches: per-spec deterministic costs, pre-rounded
         # to (cycles_spent, clock_ns) pairs exactly as the unfused
         # spend_cycles sequence would round them (see Cpu.round_cycle_cost),
-        # plus the hot RNG streams resolved once instead of per syscall.
-        self._spec_costs: Dict[Tuple[str, int, int], _SpecCost] = {}
+        # and the profiles compiled from them, shared process-wide by key;
+        # plus the hot RNG stream resolved once instead of per syscall.
+        key = (enclave.cost_model, host.cpu.spec.frequency_hz, name, enclave.build.name)
+        tables = _COST_TABLES.get(key)
+        if tables is None:
+            if len(_COST_TABLES) >= _COST_TABLES_MAX:
+                _COST_TABLES.clear()
+            tables = _COST_TABLES[key] = _CostTables()
+        self._spec_costs = tables.spec_costs
+        self._profiles = tables.profiles
         self._transition_stream = host.rng.stream(f"{enclave.build.name}.transition")
         # ns of every cycle count a drawn (EENTER, EEXIT) pair can split
         # into, as Cpu.round_cycle_cost rounds it: one lookup per
@@ -162,11 +211,6 @@ class GramineEnclaveRuntime(Runtime):
         self._transition_ns = host.cpu.cycle_ns_table(
             *enclave.cost_model.transition_cycle_bounds
         )
-        # Shared event-detail dicts (one per syscall name) for the fused
-        # batch path: every sgx.ocall event of a spec carries the same
-        # {"enclave": ..., "syscall": ...} payload, so one frozen dict per
-        # name replaces a fresh two-entry dict per OCALL.
-        self._event_details: Dict[str, Dict[str, Any]] = {}
 
     # ----------------------------------------------------------- lifecycle
 
@@ -194,7 +238,7 @@ class GramineEnclaveRuntime(Runtime):
                 self.enclave.begin_persistent_ecall(f"helper-{i}")
             )
         self.started = True
-        self.syscall_batch(self._INIT_OCALLS)
+        self.syscall_batch(_INIT_OCALLS)
 
     def shutdown(self) -> None:
         for context in self._contexts:
@@ -316,12 +360,19 @@ class GramineEnclaveRuntime(Runtime):
         exitless = round_cost(_EXITLESS_RPC_CYCLES + host_cycles)
         ocall_ns = shield[1] + copy_out[1] + host[1] + copy_in[1]
         exitless_ns = shield[1] + exitless[1]
-        identity = {"runtime": self.name, "enclave": self.enclave.build.name}
-        cost = self._spec_costs[spec] = _SpecCost(
+        enclave_name = self.enclave.build.name
+        identity = {"runtime": self.name, "enclave": enclave_name}
+        spec_costs = self._spec_costs
+        if len(spec_costs) >= _SPEC_COSTS_MAX:
+            spec_costs.clear()
+        cost = spec_costs[spec] = _SpecCost(
             shield[0] + copy_out[0] + host[0] + copy_in[0],
             ocall_ns,
             shield[0] + exitless[0],
             exitless_ns,
+            # Every sgx.ocall event of this spec carries this one frozen
+            # dict (EventLog.emit_shared / emit_burst keep references).
+            {"enclave": enclave_name, "syscall": name},
             (name, ocall_ns, {
                 **identity, "shield_ns": shield[1],
                 "copy_ns": copy_out[1] + copy_in[1], "host_ns": host[1],
@@ -407,12 +458,21 @@ class GramineEnclaveRuntime(Runtime):
         cost components, the shared event-detail dict, the per-name stat
         buckets, the byte totals, the span templates — is resolved once
         here; replay only pays for what genuinely varies per call: the
-        (EENTER, EEXIT) RNG draw and the running event timestamp.
+        (EENTER, EEXIT) RNG draw and the running event timestamp.  The
+        result is immutable and depends only on ``specs`` and this
+        runtime's cost key, so it is memoised with the shared tables.
         """
-        specs = list(specs)
+        specs = tuple(specs)
+        profiles = self._profiles
+        profile = profiles.get(specs)
+        if profile is None:
+            if len(profiles) >= _PROFILES_MAX:
+                profiles.clear()
+            profile = profiles[specs] = self._compile(specs)
+        return profile
+
+    def _compile(self, specs: Tuple[Tuple[str, int, int], ...]) -> _CompiledProfile:
         spec_costs = self._spec_costs
-        event_details = self._event_details
-        enclave_name = self.enclave.build.name
         per_spec: List[Tuple[int, int]] = []
         details: List[Dict[str, Any]] = []
         ocall_spans: List[Tuple[str, int, Dict[str, Any]]] = []
@@ -427,13 +487,8 @@ class GramineEnclaveRuntime(Runtime):
             if cost is None:
                 cost = self._spec_cost(spec)
             name = spec[0]
-            detail = event_details.get(name)
-            if detail is None:
-                detail = event_details[name] = {
-                    "enclave": enclave_name, "syscall": name,
-                }
             per_spec.append((cost.ocall_cycles, cost.ocall_ns))
-            details.append(detail)
+            details.append(cost.detail)
             ocall_spans.append(cost.ocall_span)
             exitless_spans.append(cost.exitless_span)
             exitless_cycles += cost.exitless_cycles
@@ -555,14 +610,9 @@ class GramineEnclaveRuntime(Runtime):
             advance_clock=advance_clock,
         )
 
-    # The first request after deployment triggers lazy initialization:
-    # name-service lookups, crypto drivers, network-stack state.  A modest
-    # burst of OCALLs pulls in several MB of file-backed library pages
-    # (not covered by preheat, which only pre-faults the heap) and faults
-    # them into the EPC.  Cached afterwards — the mechanism behind
-    # Fig 10(b)'s ≈20x initial response time.
-    _WARMUP_OCALLS = 40
-    _WARMUP_READ_BYTES = 6_000_000
+    # The first request's lazy initialization (``_WARMUP_SPECS``) faults
+    # the library pages it read into the EPC.  Cached afterwards — the
+    # mechanism behind Fig 10(b)'s ≈20x initial response time.
     _WARMUP_FAULT_PAGES = 1_100
 
     # Without preheat the heap working set also faults in lazily on the
@@ -574,12 +624,7 @@ class GramineEnclaveRuntime(Runtime):
         """Run the one-time first-request warmup; True if it ran now."""
         if self._warmed_up:
             return False
-        chunk = self._WARMUP_READ_BYTES // (self._WARMUP_OCALLS // 2)
-        rotation = ("openat", "read", "mmap", "read")
-        self.syscall_batch(
-            (name, 0, chunk if name == "read" else 0)
-            for name in (rotation[i % 4] for i in range(self._WARMUP_OCALLS))
-        )
+        self.syscall_batch(_WARMUP_SPECS)
         fault_pages = self._WARMUP_FAULT_PAGES
         if not self.enclave.build.preheat:
             fault_pages += self._LAZY_HEAP_WORKING_SET_PAGES

@@ -23,7 +23,8 @@ that shows it; see docs/ARCHITECTURE.md for what one hop books.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.container.network import BridgeNetwork, FrameLost, NetworkError
 from repro.crypto.tls import TlsCostModel, TlsSession, establish_session
@@ -186,51 +187,46 @@ class ServerSyscallProfile:
     eventfd wakeups, futexes) that still costs OCALLs per request and
     therefore lands in the client-observed response time R and in the
     per-registration EENTER/EEXIT deltas of Table III.
+
+    Every sequence is a tuple, so a profile is immutable and hashable:
+    runtimes memoise what they compile from it process-wide.
     """
 
-    in_window_pre: List[SyscallSpec]
-    in_window_post: List[SyscallSpec]
-    out_of_window: List[SyscallSpec]
-    connection_setup: List[SyscallSpec]
+    in_window_pre: Tuple[SyscallSpec, ...]
+    in_window_post: Tuple[SyscallSpec, ...]
+    out_of_window: Tuple[SyscallSpec, ...]
+    connection_setup: Tuple[SyscallSpec, ...]
     # Application-level parse/serialize compute, cycles per byte + fixed.
     parse_fixed_cycles: float = 9_000
     parse_per_byte_cycles: float = 14.0
 
     @staticmethod
+    @lru_cache(maxsize=8)
     def pistache_like(reactor_chatter: int = 80) -> "ServerSyscallProfile":
         """The default Pistache-style profile used by the P-AKA modules.
 
         ``reactor_chatter`` scales the out-of-window reactor noise; the
         calibrated default lands each request at ≈90 syscalls total, the
-        per-registration transition count the paper reports.
+        per-registration transition count the paper reports.  Built once
+        per ``reactor_chatter`` value and process.
         """
-        background: List[SyscallSpec] = []
-        rotation = [
-            ("epoll_wait", 0, 0),
-            ("clock_gettime", 0, 0),
-            ("futex", 0, 0),
-            ("read", 0, 8),        # timerfd
-            ("write", 8, 0),       # eventfd wakeup
-            ("epoll_ctl", 0, 0),
-            ("clock_gettime", 0, 0),
-            ("sched_yield", 0, 0),
-        ]
-        for i in range(reactor_chatter):
-            background.append(rotation[i % len(rotation)])
         return ServerSyscallProfile(
-            in_window_pre=[
+            in_window_pre=(
                 ("epoll_wait", 0, 0),
                 ("recvmsg", 0, 512),
                 ("recvmsg", 0, 512),
                 ("clock_gettime", 0, 0),
-            ],
-            in_window_post=[
+            ),
+            in_window_post=(
                 ("sendmsg", 512, 0),
                 ("sendmsg", 256, 0),
                 ("epoll_ctl", 0, 0),
-            ],
-            out_of_window=background,
-            connection_setup=[
+            ),
+            out_of_window=tuple(
+                _REACTOR_ROTATION[i % len(_REACTOR_ROTATION)]
+                for i in range(reactor_chatter)
+            ),
+            connection_setup=(
                 ("accept4", 0, 0),
                 ("setsockopt", 0, 0),
                 ("setsockopt", 0, 0),
@@ -241,7 +237,7 @@ class ServerSyscallProfile:
                 ("recvmsg", 0, 128), ("sendmsg", 64, 0),
                 ("getrandom", 0, 64),
                 ("epoll_ctl", 0, 0),
-            ],
+            ),
         )
 
     @staticmethod
@@ -255,37 +251,49 @@ class ServerSyscallProfile:
         application), while the OCALL-able syscall count collapses.
         """
         return ServerSyscallProfile(
-            in_window_pre=[("clock_gettime", 0, 0)],
-            in_window_post=[],
-            out_of_window=[
+            in_window_pre=(("clock_gettime", 0, 0),),
+            in_window_post=(),
+            out_of_window=(
                 ("clock_gettime", 0, 0),
                 ("sched_yield", 0, 0),
                 ("clock_gettime", 0, 0),
-            ],
-            connection_setup=[("getrandom", 0, 64)],
+            ),
+            connection_setup=(("getrandom", 0, 64),),
             # TCP/IP processing moves into the application.
             parse_fixed_cycles=9_000 + 14_000,
             parse_per_byte_cycles=14.0 + 3.5,
         )
 
-    # The "Pistache server inside an enclave costs ~650 EENTER/EEXITs"
-    # startup footprint: sockets, TLS context, thread pool, epoll setup.
     @staticmethod
-    def pistache_startup() -> List[SyscallSpec]:
-        setup: List[SyscallSpec] = [
-            ("socket", 0, 0), ("setsockopt", 0, 0), ("bind", 0, 0),
-            ("listen", 0, 0), ("epoll_ctl", 0, 0), ("clone", 0, 0),
-            ("clone", 0, 0), ("getrandom", 0, 48),
-        ]
-        # TLS context: certificate chain + DH parameter loading.
-        for _ in range(40):
-            setup.extend(
-                [("openat", 0, 0), ("read", 0, 16384), ("close", 0, 0)]
-            )
-        # Thread pool + allocator warmup.
-        for _ in range(130):
-            setup.extend([("mmap", 0, 0), ("brk", 0, 0), ("futex", 0, 0), ("clock_gettime", 0, 0)])
-        return setup
+    def pistache_startup() -> Tuple[SyscallSpec, ...]:
+        """The server's start-up footprint (see ``_PISTACHE_STARTUP``)."""
+        return _PISTACHE_STARTUP
+
+
+# What the reactor does around each request, cycled ``reactor_chatter``
+# times by ``ServerSyscallProfile.pistache_like``.
+_REACTOR_ROTATION: Tuple[SyscallSpec, ...] = (
+    ("epoll_wait", 0, 0),
+    ("clock_gettime", 0, 0),
+    ("futex", 0, 0),
+    ("read", 0, 8),        # timerfd
+    ("write", 8, 0),       # eventfd wakeup
+    ("epoll_ctl", 0, 0),
+    ("clock_gettime", 0, 0),
+    ("sched_yield", 0, 0),
+)
+
+# The "Pistache server inside an enclave costs ~650 EENTER/EEXITs"
+# startup footprint: sockets, TLS context, thread pool, epoll setup.
+_PISTACHE_STARTUP: Tuple[SyscallSpec, ...] = (
+    ("socket", 0, 0), ("setsockopt", 0, 0), ("bind", 0, 0),
+    ("listen", 0, 0), ("epoll_ctl", 0, 0), ("clone", 0, 0),
+    ("clone", 0, 0), ("getrandom", 0, 48),
+    # TLS context: certificate chain + DH parameter loading.
+    *(("openat", 0, 0), ("read", 0, 16384), ("close", 0, 0)) * 40,
+    # Thread pool + allocator warmup.
+    *(("mmap", 0, 0), ("brk", 0, 0), ("futex", 0, 0), ("clock_gettime", 0, 0)) * 130,
+)
 
 
 class HandlerContext:
@@ -510,19 +518,19 @@ class HttpConnection:
 class HttpClient:
     """A client (e.g. a parent VNF) issuing requests over the bridge."""
 
-    _CLIENT_REQUEST_SYSCALLS: List[SyscallSpec] = [
+    _CLIENT_REQUEST_SYSCALLS: Tuple[SyscallSpec, ...] = (
         ("sendmsg", 512, 0),
         ("epoll_wait", 0, 0),
         ("recvmsg", 0, 512),
         ("recvmsg", 0, 256),
         ("clock_gettime", 0, 0),
-    ]
-    _CLIENT_CONNECT_SYSCALLS: List[SyscallSpec] = [
+    )
+    _CLIENT_CONNECT_SYSCALLS: Tuple[SyscallSpec, ...] = (
         ("socket", 0, 0), ("connect", 0, 0), ("setsockopt", 0, 0),
         ("sendmsg", 512, 0), ("recvmsg", 0, 2048),
         ("sendmsg", 320, 0), ("recvmsg", 0, 320),
         ("getrandom", 0, 64), ("epoll_ctl", 0, 0),
-    ]
+    )
 
     def __init__(
         self,

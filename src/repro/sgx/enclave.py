@@ -269,8 +269,7 @@ class Enclave:
         )
         self.stats.eenters += n_chunks
         self.stats.eexits += n_chunks
-        for _ in range(n_chunks):
-            self.stats.record_ocall("pread64")
+        self.stats.record_ocall("pread64", n_chunks)
 
     # ----------------------------------------------------------------- ecall
 

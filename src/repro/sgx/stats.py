@@ -29,9 +29,11 @@ class SgxStats:
     bytes_copied_out: int = 0
     ocalls_by_syscall: Dict[str, int] = field(default_factory=dict)
 
-    def record_ocall(self, syscall: str) -> None:
-        self.ocalls += 1
-        self.ocalls_by_syscall[syscall] = self.ocalls_by_syscall.get(syscall, 0) + 1
+    def record_ocall(self, syscall: str, count: int = 1) -> None:
+        self.ocalls += count
+        self.ocalls_by_syscall[syscall] = (
+            self.ocalls_by_syscall.get(syscall, 0) + count
+        )
 
     def snapshot(self) -> "SgxStats":
         """A frozen copy for before/after differencing."""

@@ -1,6 +1,9 @@
 """The parallel arm runner: semantics, and parallel == serial determinism."""
 
+import multiprocessing
 import os
+import pickle
+from multiprocessing.process import BaseProcess
 from unittest import mock
 
 import pytest
@@ -13,6 +16,12 @@ from repro.paka.deploy import IsolationMode
 
 
 def _square(x):
+    return x * x
+
+
+def _raise_on(x, bad):
+    if x == bad:
+        raise ValueError(f"arm {x} failed")
     return x * x
 
 
@@ -61,10 +70,38 @@ def test_default_jobs_falls_back_to_cpu_count():
         assert default_jobs() == (os.cpu_count() or 1)
 
 
-def test_pool_path_preserves_order_and_values():
-    arms = [Arm(key=f"k{i}", fn=_square, kwargs={"x": i}) for i in range(4)]
-    assert run_arms(arms, jobs=2) == run_arms(arms, jobs=1)
-    assert list(run_arms(arms, jobs=2)) == ["k0", "k1", "k2", "k3"]
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_more_arms_than_jobs_come_back_in_declaration_order(jobs):
+    arms = [Arm(key=f"k{i}", fn=_square, kwargs={"x": i}) for i in (5, 0, 6, 2, 3, 1, 4)]
+    results = run_arms(arms, jobs=jobs)
+    assert list(results) == [arm.key for arm in arms]
+    assert pickle.dumps(results) == pickle.dumps(run_arms(arms, jobs=1))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+@pytest.mark.parametrize("bad", [0, 6])  # a pooled arm, the caller's first
+def test_an_arm_that_raises_propagates_and_leaves_no_child(jobs, bad):
+    arms = [
+        Arm(key=f"k{i}", fn=_raise_on, kwargs={"x": i, "bad": bad}) for i in range(7)
+    ]
+    with pytest.raises(ValueError, match=f"arm {bad} failed"):
+        run_arms(arms, jobs=jobs)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs, children", [(1, 0), (2, 1), (4, 3), (9, 5)])
+def test_the_caller_is_worker_zero(jobs, children, monkeypatch):
+    """``jobs=N`` starts N-1 processes (capped at one fewer than the arms)."""
+    started = []
+    start = BaseProcess.start
+    monkeypatch.setattr(
+        BaseProcess, "start", lambda self: (started.append(self), start(self))[1]
+    )
+    arms = [Arm(key=f"k{i}", fn=_square, kwargs={"x": i}) for i in range(6)]
+    assert run_arms(arms, jobs=jobs) == {f"k{i}": i * i for i in range(6)}
+    assert len(started) == children
+    assert multiprocessing.active_children() == []
 
 
 def test_parallel_four_arm_run_equals_serial():

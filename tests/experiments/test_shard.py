@@ -1,5 +1,7 @@
 """Partitioned campaign driver: determinism, merge semantics, E-CAP parity."""
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from hashlib import blake2b
 
 from repro.experiments.capacity import capacity_campaign
@@ -8,6 +10,7 @@ from repro.experiments.shard import (
     POPULATION_FIRST_MSIN,
     assign_shards,
     population_msins,
+    run_shard,
     shard_seed,
     sharded_campaign,
 )
@@ -68,6 +71,24 @@ def test_merged_report_is_byte_identical_across_jobs():
     serial = sharded_campaign(ues=_UES, shards=4, jobs=1)
     fanned = sharded_campaign(ues=_UES, shards=4, jobs=4)
     assert report_to_json(fanned.report) == report_to_json(serial.report)
+
+
+def test_a_reused_process_leaks_nothing_between_shards():
+    """The caller runs shard after shard and keeps its process-wide memos
+    warm: shard 1 after shard 0 here must be exactly shard 1 run in a
+    fresh interpreter, and a second campaign must repeat the first."""
+    buckets = assign_shards(population_msins(40), 2)
+    run_shard(0, buckets["0"], seed=7)
+    reused = run_shard(1, buckets["1"], seed=7)
+    with ProcessPoolExecutor(
+        max_workers=1, mp_context=multiprocessing.get_context("spawn")
+    ) as fresh:
+        assert fresh.submit(run_shard, 1, buckets["1"], seed=7).result() == reused
+    first, second = (
+        report_to_json(sharded_campaign(ues=40, shards=4, jobs=2).report)
+        for _ in range(2)
+    )
+    assert first == second
 
 
 def test_merge_semantics():

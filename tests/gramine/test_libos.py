@@ -1,23 +1,30 @@
 """Gramine LibOS: thread requirements, syscall→OCALL, warmup, exitless."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.container.image import oai_base_image
+from repro.gramine import libos
 from repro.gramine.gsc import build_gsc_image, sign_gsc_image
 from repro.gramine.libos import HELPER_THREADS, GramineEnclaveRuntime, GramineError
 from repro.gramine.manifest import GramineManifest
 from repro.gramine.pal import PlatformAdaptationLayer
+from repro.hw.cpu import XEON_SILVER_4314
 from repro.hw.host import paper_testbed_host
 from repro.obs.trace import Tracer
+from repro.runtime import native
+from repro.runtime.native import NativeRuntime
 from repro.sgx.aesm import AesmDaemon
 from repro.sgx.epc import EpcManager
+from repro.testbed import Testbed, TestbedConfig
 
 KEY = b"libos-test-signing-key"
 
 
 def make_runtime(max_threads=4, enclave_size="512M", exitless=False, seed=5,
-                 start=True, bulk_mb=50):
-    host = paper_testbed_host(seed=seed)
+                 start=True, bulk_mb=50, cpu_spec=XEON_SILVER_4314):
+    host = paper_testbed_host(seed=seed, cpu_spec=cpu_spec)
     epc = EpcManager(host.total_epc_bytes, host.cpu, host.rng)
     pal = PlatformAdaptationLayer(host, epc, AesmDaemon("plat"))
     image, _ = oai_base_image("eudm-aka", bulk_mb=bulk_mb)
@@ -197,10 +204,10 @@ _REPLAY_SPECS = [
 _ARMINGS = (None, {}, {"trace_seed": 3})
 
 
-def _replay_pair(arming, **runtime_kwargs):
+def _replay_pair(arming, count=2, **runtime_kwargs):
     """Twin runtimes (armed alike) and their tracers, if any."""
-    runtimes = [make_runtime(seed=9, **runtime_kwargs) for _ in range(2)]
-    tracers = [None, None]
+    runtimes = [make_runtime(seed=9, **runtime_kwargs) for _ in range(count)]
+    tracers = [None] * count
     if arming is not None:
         tracers = [Tracer(rt.host.clock, **arming) for rt in runtimes]
         for runtime, tracer in zip(runtimes, tracers):
@@ -228,34 +235,68 @@ def test_syscall_batch_is_the_per_call_sequence(exitless, monkeypatch):
     """``syscall_batch`` = compile + fused replay; clock, counters, RNG
     draws and events must equal a loop over :meth:`syscall` — and under
     an open span so must the span tree, ids included, although the fused
-    replay never makes a per-call ``syscall``."""
+    replay never makes a per-call ``syscall``.  Compiles are memoised
+    process-wide: a twin with equal cost inputs gets the very profile a
+    fresh compile built, and on its own host it replays alike."""
     for arming in _ARMINGS:
-        (batched, looped), (batched_tracer, looped_tracer) = _replay_pair(
-            arming, exitless=exitless
+        libos._COST_TABLES.clear()  # the first compile below is a fresh one
+        (fresh, hit, looped), tracers = _replay_pair(
+            arming, count=3, exitless=exitless
         )
-        handle = batched.compile_syscalls(iter(_REPLAY_SPECS))
-        monkeypatch.setattr(
-            batched, "syscall", lambda *spec: pytest.fail("fused replay fell back")
-        )
+        handle = fresh.compile_syscalls(iter(_REPLAY_SPECS))
+        assert hit.compile_syscalls(_REPLAY_SPECS) is handle
+        for runtime in (fresh, hit):
+            monkeypatch.setattr(
+                runtime, "syscall", lambda *spec: pytest.fail("fused replay fell back")
+            )
         if arming is None:
-            batched.syscall_profile(handle)
+            fresh.syscall_profile(handle)
+            hit.syscall_profile(handle)
             _loop(looped, _REPLAY_SPECS)
         else:
-            fused = _under_root(
-                batched_tracer, lambda: batched.syscall_profile(handle)
-            )
-            reference = _under_root(
-                looped_tracer, lambda: _loop(looped, _REPLAY_SPECS)
-            )
-            assert fused == reference
+            fused = [
+                _under_root(tracer, lambda runtime=runtime: runtime.syscall_profile(handle))
+                for runtime, tracer in zip((fresh, hit), tracers)
+            ]
+            reference = _under_root(tracers[2], lambda: _loop(looped, _REPLAY_SPECS))
+            assert fused == [reference, reference]
             assert len(reference[0]["children"]) == len(_REPLAY_SPECS) + 1
             assert (reference[1] is not None) == ("trace_seed" in arming)
-        assert _syscall_fingerprint(batched) == _syscall_fingerprint(looped)
+        expected = _syscall_fingerprint(looped)
         # The next draw from the transition stream is the same too.
-        assert (
-            batched._transition_stream.random()
-            == looped._transition_stream.random()
+        next_draw = looped._transition_stream.random()
+        for runtime in (fresh, hit):
+            assert _syscall_fingerprint(runtime) == expected
+            assert runtime._transition_stream.random() == next_draw
+
+
+def test_compile_memos_are_keyed_on_frequency_and_bounded():
+    """CPUs of different frequency never share a compiled profile, native
+    or Gramine, and no memo grows past its bound: not by a testbed build,
+    not by more distinct profiles than it holds."""
+    faster = replace(XEON_SILVER_4314, frequency_hz=3.0e9)
+    enclaves = [make_runtime(cpu_spec=spec) for spec in (XEON_SILVER_4314, faster)]
+    natives = [NativeRuntime("native", runtime.host) for runtime in enclaves]
+    for slow, fast in (enclaves, natives):
+        assert slow.compile_syscalls(_REPLAY_SPECS) is not fast.compile_syscalls(
+            _REPLAY_SPECS
         )
+    # A native handle is (cycles, ns): equal cycles, fewer ns when faster.
+    slow_handle, fast_handle = (n.compile_syscalls(_REPLAY_SPECS) for n in natives)
+    assert slow_handle[0] == fast_handle[0] and slow_handle[1] > fast_handle[1]
+
+    for runtime, bound in ((enclaves[0], libos._PROFILES_MAX), (natives[0], native._PROFILES_MAX)):
+        for index in range(bound + 1):
+            runtime.compile_syscalls([("read", 0, index)])
+    enclaves[0].compile_syscalls(
+        [("read", 0, index) for index in range(libos._SPEC_COSTS_MAX + 1)]
+    )
+    Testbed.build(TestbedConfig(seed=3))
+    assert len(native._PROFILES) <= native._PROFILES_MAX
+    assert len(libos._COST_TABLES) <= libos._COST_TABLES_MAX
+    for tables in libos._COST_TABLES.values():
+        assert len(tables.spec_costs) <= libos._SPEC_COSTS_MAX
+        assert len(tables.profiles) <= libos._PROFILES_MAX
 
 
 def test_ocalls_outside_any_span_stay_trace_roots():

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.hw.host import paper_testbed_host
+from repro.runtime import native
 from repro.runtime.base import SYSCALL_HOST_CYCLES, syscall_host_cycles
 from repro.runtime.native import PRIVILEGED_ACTORS, NativeRuntime
 
@@ -110,7 +112,10 @@ def test_shutdown_scrubs_secrets(runtime):
 
 
 def test_syscall_batch_is_the_per_call_sequence(host):
+    """A fresh compile, and a memo hit from another runtime on a CPU of
+    the same frequency, both charge exactly what the per-call loop does."""
     specs = [("epoll_wait", 0, 0), ("recvmsg", 0, 512), ("sendmsg", 256, 0)] * 5
+    native._PROFILES.clear()  # the first compile below is a fresh one
     batched = NativeRuntime("batched", host)
     t0, c0 = host.clock.now_ns, host.cpu.cycles_spent
     batched.syscall_batch(iter(specs))
@@ -119,3 +124,9 @@ def test_syscall_batch_is_the_per_call_sequence(host):
     for name, bytes_out, bytes_in in specs:
         batched.syscall(name, bytes_out, bytes_in)
     assert (host.clock.now_ns - t0, host.cpu.cycles_spent - c0) == batch_cost
+    twin_host = paper_testbed_host(seed=1)
+    twin = NativeRuntime("twin", twin_host)
+    handle = twin.compile_syscalls(specs)
+    assert handle is batched.compile_syscalls(specs)
+    twin.syscall_profile(handle)
+    assert (twin_host.clock.now_ns, twin_host.cpu.cycles_spent) == batch_cost
