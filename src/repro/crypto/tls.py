@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.crypto.aes import aes128_cipher
 
@@ -39,16 +38,16 @@ def _hmac_pads(key: bytes) -> tuple:
     return hashlib.sha256(block.translate(_IPAD)), hashlib.sha256(block.translate(_OPAD))
 
 
-@dataclass(frozen=True)
-class TlsCostModel:
-    """Cycle costs for the TLS operations (charged via the CPU model)."""
+# Cycle costs of the TLS operations, charged to the endpoint CPUs by
+# :mod:`repro.net.http`.
+HANDSHAKE_CYCLES = 1_200_000  # ECDHE + cert verification, amortised
+RECORD_FIXED_CYCLES = 2_400  # per-record framing + MAC setup
+RECORD_PER_BYTE_CYCLES = 6.0  # AES + HMAC per payload byte
 
-    handshake_cycles: int = 1_200_000  # ECDHE + cert verification, amortised
-    record_fixed_cycles: int = 2_400  # per-record framing + MAC setup
-    record_per_byte_cycles: float = 6.0  # AES + HMAC per payload byte
 
-    def record_cycles(self, nbytes: int) -> float:
-        return self.record_fixed_cycles + self.record_per_byte_cycles * nbytes
+def record_cycles(nbytes: int) -> float:
+    """Cycles to protect (or verify and decrypt) one ``nbytes`` record."""
+    return RECORD_FIXED_CYCLES + RECORD_PER_BYTE_CYCLES * nbytes
 
 
 @dataclass
@@ -69,7 +68,6 @@ class TlsSession:
     client_name: str
     server_name: str
     master_secret: bytes
-    cost_model: TlsCostModel = field(default_factory=TlsCostModel)
     is_client: bool = True
     _send_seq: int = 0
     _recv_seq: int = 0
@@ -136,7 +134,6 @@ def establish_session(
     client_name: str,
     server_name: str,
     handshake_secret: bytes,
-    cost_model: Optional[TlsCostModel] = None,
 ) -> "tuple[TlsSession, TlsSession]":
     """Create the paired client/server session objects.
 
@@ -148,9 +145,8 @@ def establish_session(
     master = hashlib.sha256(
         b"tls-master" + client_name.encode() + server_name.encode() + handshake_secret
     ).digest()
-    kwargs = {"cost_model": cost_model} if cost_model is not None else {}
     client = TlsSession(client_name=client_name, server_name=server_name,
-                        master_secret=master, is_client=True, **kwargs)
+                        master_secret=master, is_client=True)
     server = TlsSession(client_name=client_name, server_name=server_name,
-                        master_secret=master, is_client=False, **kwargs)
+                        master_secret=master, is_client=False)
     return client, server

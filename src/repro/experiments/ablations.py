@@ -340,7 +340,8 @@ def userlevel_tcp_ablation(requests: int = 120, seed: int = 123) -> ExperimentRe
         stats_before = slice_.enclaves["eudm"].stats.snapshot()
         for _ in range(requests):
             response = client.request(connection, "POST", EUDM_GENERATE_AV, body=payload)
-            assert response.ok
+            if not response.ok:
+                raise RuntimeError(f"{label}: eUDM answered {response.status}")
         delta = slice_.enclaves["eudm"].stats.delta(stats_before)
         r_series = client.response_times_by_server[module.server.name][3:]
         results[label] = {

@@ -117,7 +117,8 @@ def collect_module_latencies(
     Returns ``{module: {"lf_us": [...], "lt_us": [...], "r_us": [...]}}``
     with the first ``skip`` samples dropped.
     """
-    assert testbed.paka is not None, "experiment requires deployed modules"
+    if testbed.paka is None:
+        raise ValueError("experiment requires deployed modules")
     client_of = {"eudm": testbed.udm, "eausf": testbed.ausf, "eamf": testbed.amf}
     before_counts = {
         name: len(

@@ -58,7 +58,10 @@ def _drive_replicas(
             response = client.request(
                 connection, "POST", EUDM_GENERATE_AV, body=_PAYLOAD
             )
-            assert response.ok
+            if not response.ok:
+                raise RuntimeError(
+                    f"{module.name}: eUDM answered {response.status}"
+                )
         busy_means.append(mean(module.server.busy_us[3:]))
 
     mean_busy_us = mean(busy_means)

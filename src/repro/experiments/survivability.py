@@ -27,9 +27,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.experiments.harness import BandCheck, ExperimentReport, warmed_testbed
 from repro.experiments.stats import percentiles, summarize
 from repro.fivegc.admission import AdmissionConfig, AdmissionController
-from repro.obs.detect import AdmissionGovernor, AttackClassifier
+from repro.obs.detect import (
+    BREAKER_MAX_PENDING,
+    DEFENSE_FIELDS,
+    AdmissionGovernor,
+    AttackClassifier,
+)
 from repro.obs.scrape import Scraper
-from repro.obs.slo import SloEngine, SojournSlo, default_slos
+from repro.obs.slo import (
+    REGISTRATION_SOJOURN_DEADLINE_MS,
+    SloEngine,
+    SojournSlo,
+    default_slos,
+)
 from repro.obs.trace import Tracer, TraceStore
 from repro.paka.deploy import IsolationMode
 from repro.security.attacks import AttackPlane, generate_storm
@@ -42,39 +52,35 @@ NS_PER_S = 1_000_000_000
 #: near saturation, 400/s pushes utilization past 1 and collapses it.
 DEFAULT_ATTACK_RATES = (0.0, 240.0, 400.0)
 
-#: Sojourn deadline for a legitimate registration: finish time minus the
-#: UE's scheduled arrival slot.  ≈5× the unloaded setup time — generous
-#: against jitter, unforgiving against storm-induced queueing.
-DEFAULT_DEADLINE_MS = 250.0
-
 #: Legitimate traffic mix: 3 of 4 arrivals are returning subscribers
 #: re-registering with a held 5G-GUTI (the TS 24.501 population the
 #: overload breaker keeps serving); every 4th is a fresh SUCI attach.
 _INITIAL_EVERY = 4
 
+#: Bound on a traced arm's store (the oldest head samples go first).
+_TRACE_STORE_CAP = 2048
+
 
 def _defense_configs() -> Dict[str, Tuple[Optional[AdmissionConfig], Optional[int]]]:
     """Sweep arms: name → (admission config or None, pending-session cap).
 
-    Rates are matched to the campaign's legitimate offered load
-    (≈2.5 registrations/s through one gNB) so no defense sheds the
+    Each static arm is one of the governor's responses
+    (:data:`repro.obs.detect.DEFENSE_FIELDS`), whose rates are matched to
+    the campaign's legitimate offered load so no defense sheds the
     legitimate population by accident — except the breaker, whose whole
     mechanism is shedding *initial* attaches while open.
     """
-    bucket = dict(
-        per_source_rate_per_s=0.25, per_source_burst=2.0,
-        bucket_rate_per_s=50.0, bucket_burst=50.0,
-    )
-    guard = dict(gnb_rate_per_s=6.0, gnb_burst=6.0)
-    breaker = dict(
-        breaker_max_per_s=30.0, breaker_window_s=1.0, breaker_cooldown_s=2.0
-    )
+    bucket = DEFENSE_FIELDS["source"]
+    guard = DEFENSE_FIELDS["gnb"]
+    breaker = DEFENSE_FIELDS["breaker"]
     return {
         "none": (None, None),
         "bucket": (AdmissionConfig(**bucket), None),
         "guard": (AdmissionConfig(**guard), None),
         "breaker": (AdmissionConfig(**breaker), None),
-        "all": (AdmissionConfig(**bucket, **guard, **breaker), 512),
+        "all": (
+            AdmissionConfig(**bucket, **guard, **breaker), BREAKER_MAX_PENDING
+        ),
         # Closed loop: starts with *nothing* armed; the AdmissionGovernor
         # (repro.obs.detect) arms and tunes defenses at runtime from the
         # classifier's verdicts and the sojourn SLO's burn.
@@ -124,9 +130,7 @@ def run_storm_arm(
     legit: int,
     horizon_s: float,
     seed: int,
-    deadline_ms: float = DEFAULT_DEADLINE_MS,
     trace_sample: Optional[int] = None,
-    trace_store_cap: int = 2048,
 ) -> Dict[str, object]:
     """One sweep arm: seeded storm × admission config on a fresh slice.
 
@@ -199,11 +203,7 @@ def run_storm_arm(
         tracer = Tracer(
             testbed.host.clock,
             trace_seed=seed,
-            store=TraceStore(
-                cap=trace_store_cap,
-                sample_every=trace_sample,
-                deadline_ms=deadline_ms,
-            ),
+            store=TraceStore(cap=_TRACE_STORE_CAP, sample_every=trace_sample),
         )
         testbed.host.tracer = tracer
     clock = testbed.host.clock
@@ -219,7 +219,7 @@ def run_storm_arm(
     # provably identical (the PR 8 blind spot: a private list here that
     # never reached the Tsdb).
     sojourn_base = len(testbed.gnb.sojourn_ms)
-    deadline_ns = int(deadline_ms * 1e6)
+    deadline_ns = int(REGISTRATION_SOJOURN_DEADLINE_MS * 1e6)
     for at_ns, _, payload in timeline:
         target_ns = start_ns + at_ns
         remaining_ns = target_ns - clock.now_ns
@@ -263,7 +263,7 @@ def run_storm_arm(
         "legit_registered": legit_registered,
         "legit_ok": legit_ok,
         "legit_success_rate": round(legit_ok / legit, 4) if legit else 0.0,
-        "deadline_ms": deadline_ms,
+        "deadline_ms": REGISTRATION_SOJOURN_DEADLINE_MS,
         "sojourn_p50_ms": None if p50 is None else round(p50, 3),
         "sojourn_p95_ms": None if p95 is None else round(p95, 3),
         "sojourn_p99_ms": None if p99 is None else round(p99, 3),
@@ -413,9 +413,10 @@ def survivability_experiment(
             )
         )
     report.notes = (
-        f"seed={seed}; deadline={DEFAULT_DEADLINE_MS:g}ms sojourn from the "
-        f"scheduled slot (read back from the gnb_registration_sojourn_ms "
-        f"histogram the SLO engine alerts on); legit mix 3:1 GUTI "
+        f"seed={seed}; deadline={REGISTRATION_SOJOURN_DEADLINE_MS:g}ms "
+        "sojourn from the scheduled slot (read back from the "
+        "gnb_registration_sojourn_ms histogram the SLO engine alerts on); "
+        "legit mix 3:1 GUTI "
         "re-registration vs SUCI attach; storm mix suci-replay/auts-resync/"
         "nas-fuzz/botnet-register; the breaker arms cap at the "
         "returning-subscriber share by design (initial attaches are shed "

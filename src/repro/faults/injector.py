@@ -134,7 +134,8 @@ class FaultInjector:
     # ------------------------------------------------------------ hooks
 
     def _rel_ns(self) -> int:
-        assert self.base_ns is not None, "injector not armed"
+        if self.base_ns is None:
+            raise RuntimeError("injector not armed")
         return self.testbed.host.clock.now_ns - self.base_ns
 
     def _gate_for(self, target: str):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 NS_PER_S = 1_000_000_000
 
@@ -75,6 +75,12 @@ class FaultRates:
         return sum(getattr(self, f.name) for f in fields(self))
 
 
+# What each kind of fault can hit: the shielded modules, the core NFs
+# that can die, and the SBI bridge.
+_MODULE_TARGETS = ("eudm", "eausf", "eamf")
+_NF_TARGETS = ("udr", "udm", "ausf", "smf")
+_LINK_TARGETS = ("oai-bridge",)
+
 #: A balanced mix exercising every fault kind; scale with ``.scaled()``.
 BASELINE_RATES = FaultRates(
     module_crash_per_min=0.25,
@@ -95,14 +101,7 @@ class FaultPlan:
     windows: Tuple[FaultWindow, ...]
 
     @staticmethod
-    def generate(
-        seed: int,
-        horizon_s: float,
-        rates: FaultRates,
-        module_targets: Sequence[str] = ("eudm", "eausf", "eamf"),
-        nf_targets: Sequence[str] = ("udr", "udm", "ausf", "smf"),
-        link_targets: Sequence[str] = ("oai-bridge",),
-    ) -> "FaultPlan":
+    def generate(seed: int, horizon_s: float, rates: FaultRates) -> "FaultPlan":
         """Draw a plan: Poisson arrivals per kind, kind-specific windows.
 
         Every draw comes from a private generator seeded from
@@ -135,27 +134,23 @@ class FaultPlan:
                 )
             )
 
-        if module_targets:
-            for start, rnd in arrivals("module-crash", rates.module_crash_per_min):
-                # The outage lasts a Fig-7-scale enclave reload (~1 min).
-                reload_s = max(20.0, rnd.gauss(60.0, 4.0))
-                add(FaultKind.MODULE_CRASH, rnd.choice(list(module_targets)),
-                    start, reload_s)
-            for start, rnd in arrivals("aex-storm", rates.aex_storm_per_min):
-                add(FaultKind.AEX_STORM, rnd.choice(list(module_targets)),
-                    start, rnd.uniform(5.0, 15.0), magnitude=rnd.uniform(5.0, 20.0))
-        if nf_targets:
-            for start, rnd in arrivals("nf-death", rates.nf_death_per_min):
-                add(FaultKind.NF_DEATH, rnd.choice(list(nf_targets)),
-                    start, rnd.uniform(5.0, 15.0))
-        if link_targets:
-            for start, rnd in arrivals("link-loss", rates.link_loss_per_min):
-                add(FaultKind.LINK_LOSS, rnd.choice(list(link_targets)),
-                    start, rnd.uniform(2.0, 8.0), magnitude=rnd.uniform(0.3, 0.9))
-            for start, rnd in arrivals("latency-spike", rates.latency_spike_per_min):
-                add(FaultKind.LATENCY_SPIKE, rnd.choice(list(link_targets)),
-                    start, rnd.uniform(2.0, 10.0),
-                    magnitude=rnd.uniform(30_000.0, 250_000.0))
+        for start, rnd in arrivals("module-crash", rates.module_crash_per_min):
+            # The outage lasts a Fig-7-scale enclave reload (~1 min).
+            reload_s = max(20.0, rnd.gauss(60.0, 4.0))
+            add(FaultKind.MODULE_CRASH, rnd.choice(_MODULE_TARGETS), start, reload_s)
+        for start, rnd in arrivals("aex-storm", rates.aex_storm_per_min):
+            add(FaultKind.AEX_STORM, rnd.choice(_MODULE_TARGETS),
+                start, rnd.uniform(5.0, 15.0), magnitude=rnd.uniform(5.0, 20.0))
+        for start, rnd in arrivals("nf-death", rates.nf_death_per_min):
+            add(FaultKind.NF_DEATH, rnd.choice(_NF_TARGETS),
+                start, rnd.uniform(5.0, 15.0))
+        for start, rnd in arrivals("link-loss", rates.link_loss_per_min):
+            add(FaultKind.LINK_LOSS, rnd.choice(_LINK_TARGETS),
+                start, rnd.uniform(2.0, 8.0), magnitude=rnd.uniform(0.3, 0.9))
+        for start, rnd in arrivals("latency-spike", rates.latency_spike_per_min):
+            add(FaultKind.LATENCY_SPIKE, rnd.choice(_LINK_TARGETS),
+                start, rnd.uniform(2.0, 10.0),
+                magnitude=rnd.uniform(30_000.0, 250_000.0))
         for start, rnd in arrivals("epc-pressure", rates.epc_pressure_per_min):
             add(FaultKind.EPC_PRESSURE, "epc", start,
                 rnd.uniform(5.0, 20.0), magnitude=rnd.uniform(0.95, 1.0))

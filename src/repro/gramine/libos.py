@@ -24,6 +24,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 from repro.gramine.manifest import GramineManifest
 from repro.hw.host import PhysicalHost
 from repro.runtime.base import Runtime, syscall_host_cycles
+from repro.sgx.costmodel import SGX_COSTS
 from repro.sgx.enclave import EcallContext, Enclave
 from repro.sgx.stats import SgxStats
 
@@ -99,13 +100,13 @@ class _SpecCost(NamedTuple):
 
 
 # Per-spec costs and compiled profiles are pure functions of a runtime's
-# cost inputs: the enclave cost model, the CPU frequency, and the runtime
-# and enclave names that span tags and event details carry.  Runtimes
+# cost inputs: the CPU frequency (over the one SGX cost model), and the
+# runtime and enclave names that span tags and event details carry.  Runtimes
 # whose inputs are equal share one _CostTables, so every testbed after
 # the first in a process (a shard's, a re-deployed module's) compiles
 # nothing.  Each memo is cleared when it reaches its bound; a runtime
 # keeps the tables it was built with.
-_COST_TABLES_MAX = 32  # distinct (model, frequency, runtime, enclave) keys
+_COST_TABLES_MAX = 32  # distinct (frequency, runtime, enclave) keys
 _SPEC_COSTS_MAX = 512  # per-spec records per key
 _PROFILES_MAX = 64  # compiled profiles per key
 
@@ -196,7 +197,7 @@ class GramineEnclaveRuntime(Runtime):
         # spend_cycles sequence would round them (see Cpu.round_cycle_cost),
         # and the profiles compiled from them, shared process-wide by key;
         # plus the hot RNG stream resolved once instead of per syscall.
-        key = (enclave.cost_model, host.cpu.spec.frequency_hz, name, enclave.build.name)
+        key = (host.cpu.spec.frequency_hz, name, enclave.build.name)
         tables = _COST_TABLES.get(key)
         if tables is None:
             if len(_COST_TABLES) >= _COST_TABLES_MAX:
@@ -209,7 +210,7 @@ class GramineEnclaveRuntime(Runtime):
         # into, as Cpu.round_cycle_cost rounds it: one lookup per
         # conversion in the replay loop, shared by all enclaves.
         self._transition_ns = host.cpu.cycle_ns_table(
-            *enclave.cost_model.transition_cycle_bounds
+            *SGX_COSTS.transition_cycle_bounds
         )
 
     # ----------------------------------------------------------- lifecycle
@@ -322,13 +323,13 @@ class GramineEnclaveRuntime(Runtime):
             # quartile of the 8 GB boxes in Fig 8.
             stream = self.host.rng.stream(f"{self.name}.pressure-spike")
             if stream.random() < 0.011 * excess:
-                model = self.enclave.cost_model
+                model = SGX_COSTS
                 self.host.cpu.spend_cycles(
                     model.page_evict_cycles + model.page_fault_cycles
                 )
 
     def _charge_reload_pair(self) -> None:
-        model = self.enclave.cost_model
+        model = SGX_COSTS
         self.host.cpu.spend_cycles(model.page_evict_cycles + model.page_fault_cycles)
         self.enclave.stats.page_evictions += 1
         self.enclave.stats.page_faults += 1
@@ -345,7 +346,7 @@ class GramineEnclaveRuntime(Runtime):
         """
         name, bytes_out, bytes_in = spec
         nbytes = bytes_out + bytes_in
-        model = self.enclave.cost_model
+        model = SGX_COSTS
         round_cost = self.host.cpu.round_cycle_cost
         shield = round_cost(
             (_SHIELD_FIXED_CYCLES + _SHIELD_PER_BYTE_CYCLES * nbytes)
@@ -426,7 +427,7 @@ class GramineEnclaveRuntime(Runtime):
         else:
             # EEXIT + boundary copy-out + host work + EENTER + copy-in,
             # with the (EENTER, EEXIT) pair drawn per call as always.
-            eenter, eexit = enclave.cost_model.draw_transition_pair_from(
+            eenter, eexit = SGX_COSTS.draw_transition_pair_from(
                 self._transition_stream
             )
             round_cost = cpu.round_cycle_cost
@@ -558,7 +559,7 @@ class GramineEnclaveRuntime(Runtime):
                 by_syscall[name] = by_syscall.get(name, 0) + n
             return
 
-        model = enclave.cost_model
+        model = SGX_COSTS
         # random.Random.uniform(a, b) is a + (b - a) * random(); inlining
         # the expression with the span precomputed draws the identical
         # float from the identical stream state without the method hop.

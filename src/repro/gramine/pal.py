@@ -12,11 +12,8 @@ in the resulting measurement.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.hw.host import PhysicalHost
 from repro.sgx.aesm import AesmDaemon, LaunchDeniedError
-from repro.sgx.costmodel import SgxCostModel
 from repro.sgx.enclave import Enclave, EnclaveBuildInfo
 from repro.sgx.epc import EpcManager
 from repro.sim.clock import TimeSpan
@@ -30,12 +27,10 @@ class PlatformAdaptationLayer:
         host: PhysicalHost,
         epc_manager: EpcManager,
         aesmd: AesmDaemon,
-        cost_model: Optional[SgxCostModel] = None,
     ) -> None:
         self.host = host
         self.epc_manager = epc_manager
         self.aesmd = aesmd
-        self.cost_model = cost_model or SgxCostModel()
 
     def load_enclave(self, build: EnclaveBuildInfo) -> "tuple[Enclave, TimeSpan]":
         """ECREATE → EADD/EEXTEND → launch token → EINIT.
@@ -52,10 +47,7 @@ class PlatformAdaptationLayer:
             if not self.aesmd.validate_token(token):  # pragma: no cover - defensive
                 raise LaunchDeniedError("launch token failed validation")
         enclave = Enclave(
-            host=self.host,
-            build=build,
-            epc_manager=self.epc_manager,
-            cost_model=self.cost_model,
+            host=self.host, build=build, epc_manager=self.epc_manager
         )
         span = enclave.load()
         return enclave, span

@@ -27,7 +27,12 @@ from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.container.network import BridgeNetwork, FrameLost, NetworkError
-from repro.crypto.tls import TlsCostModel, TlsSession, establish_session
+from repro.crypto.tls import (
+    HANDSHAKE_CYCLES,
+    TlsSession,
+    establish_session,
+    record_cycles,
+)
 from repro.runtime.base import Runtime
 from repro.sim.clock import NS_PER_US
 from repro.sim.metrics import BoundedSeries
@@ -319,34 +324,28 @@ class HttpServer:
         runtime: Runtime,
         network: BridgeNetwork,
         profile: Optional[ServerSyscallProfile] = None,
-        tls_cost: Optional[TlsCostModel] = None,
-        metrics_cap: Optional[int] = None,
     ) -> None:
         self.name = name
         self.runtime = runtime
         self.network = network
         self.endpoint = network.attach(name)
         self.profile = profile or ServerSyscallProfile.pistache_like()
-        self.tls_cost = tls_cost or TlsCostModel()
         self.started = False
         self._routes: Dict[Tuple[str, str], Handler] = {}
-        # Per-request latency records, in microseconds of simulated time,
-        # aggregate and per path (so AKA-endpoint metrics are not diluted
-        # by auxiliary requests).  ``metrics_cap`` bounds the raw sample
-        # windows for campaign-scale runs; the ``.stats`` running summaries
-        # stay exact over every request regardless of the cap.
         # Fault-injection hook: consulted at the top of :meth:`serve`;
         # raises (e.g. UnresponsiveError) to fail the request.  None in
         # fault-free runs — zero cost on the hot path.
         self.fault_gate: Optional[Callable[["HttpServer"], None]] = None
-        self.metrics_cap = metrics_cap
-        self.lf_us: BoundedSeries = BoundedSeries(metrics_cap)
-        self.lt_us: BoundedSeries = BoundedSeries(metrics_cap)
+        # Per-request latency records, in microseconds of simulated time,
+        # aggregate and per path (so AKA-endpoint metrics are not diluted
+        # by auxiliary requests).
+        self.lf_us: BoundedSeries = BoundedSeries()
+        self.lt_us: BoundedSeries = BoundedSeries()
         self.lf_us_by_path: Dict[str, BoundedSeries] = {}
         self.lt_us_by_path: Dict[str, BoundedSeries] = {}
         # Full server occupancy per request (L_T window + reactor chatter):
         # the serial-capacity denominator for horizontal-scaling estimates.
-        self.busy_us: BoundedSeries = BoundedSeries(metrics_cap)
+        self.busy_us: BoundedSeries = BoundedSeries()
         self.requests_served = 0
         # HandlerContext carries only (server, runtime), both fixed for the
         # server's lifetime: one instance serves every request.
@@ -389,7 +388,7 @@ class HttpServer:
             raise HttpError(f"server {self.name!r} not started")
         self.runtime.syscall_profile(self._connection_setup)
         # TLS handshake crypto on the server side.
-        self.runtime.compute(self.tls_cost.handshake_cycles)
+        self.runtime.compute(HANDSHAKE_CYCLES)
 
     def serve(self, connection: "HttpConnection", protected_request: bytes) -> bytes:
         """Handle one protected request; returns the protected response.
@@ -423,7 +422,7 @@ class HttpServer:
             with host.span("window", kind="L_T"):
                 lt_start = clock.now_ns
                 runtime.syscall_profile(self._in_window_pre)
-                runtime.compute(self.tls_cost.record_cycles(len(protected_request)))
+                runtime.compute(record_cycles(len(protected_request)))
                 raw = connection.server_tls.unprotect(protected_request)
                 request = HttpRequest.from_wire(raw)
                 if traceparent is not None:
@@ -438,7 +437,7 @@ class HttpServer:
                     response = handler(request, self._handler_context)
                     lf_us = (clock.now_ns - lf_start) / NS_PER_US
                 response_raw = response.wire_bytes()
-                runtime.compute(self.tls_cost.record_cycles(len(response_raw)))
+                runtime.compute(record_cycles(len(response_raw)))
                 protected_response = connection.server_tls.protect(response_raw)
                 runtime.syscall_profile(self._in_window_post)
                 lt_us = (clock.now_ns - lt_start) / NS_PER_US
@@ -456,8 +455,8 @@ class HttpServer:
         self.lt_us.append(lt_us)
         lf_series = self.lf_us_by_path.get(request.path)
         if lf_series is None:
-            lf_series = self.lf_us_by_path[request.path] = BoundedSeries(self.metrics_cap)
-            self.lt_us_by_path[request.path] = BoundedSeries(self.metrics_cap)
+            lf_series = self.lf_us_by_path[request.path] = BoundedSeries()
+            self.lt_us_by_path[request.path] = BoundedSeries()
         lf_series.append(lf_us)
         self.lt_us_by_path[request.path].append(lt_us)
         self.requests_served += 1
@@ -532,20 +531,13 @@ class HttpClient:
         ("getrandom", 0, 64), ("epoll_ctl", 0, 0),
     )
 
-    def __init__(
-        self,
-        name: str,
-        runtime: Runtime,
-        network: BridgeNetwork,
-        tls_cost: Optional[TlsCostModel] = None,
-    ) -> None:
+    def __init__(self, name: str, runtime: Runtime, network: BridgeNetwork) -> None:
         self.name = name
         self.runtime = runtime
         self.network = network
         # The client owns a bridge endpoint so that its traffic is real
         # frames on the wire (capturable by an on-path attacker).
         self.endpoint = network.attach(name)
-        self.tls_cost = tls_cost or TlsCostModel()
         # Per-request / per-connect syscall profiles, precompiled once.
         self._request_profile = runtime.compile_syscalls(self._CLIENT_REQUEST_SYSCALLS)
         self._connect_profile = runtime.compile_syscalls(self._CLIENT_CONNECT_SYSCALLS)
@@ -560,11 +552,10 @@ class HttpClient:
         self.timeouts = 0
         self.reconnects = 0
 
-    def connect(self, server: HttpServer, handshake_secret: bytes = b"") -> HttpConnection:
+    def connect(self, server: HttpServer) -> HttpConnection:
         """TCP + mutual-TLS connection establishment."""
-        secret = handshake_secret or f"{self.name}->{server.name}".encode()
         self.runtime.syscall_profile(self._connect_profile)
-        self.runtime.compute(self.tls_cost.handshake_cycles)
+        self.runtime.compute(HANDSHAKE_CYCLES)
         # SYN/ACK + TLS flights across the bridge (alternating directions).
         for index, nbytes in enumerate((64, 64, 2048, 384)):
             if index % 2 == 0:
@@ -572,7 +563,7 @@ class HttpClient:
             else:
                 self.network.transmit(server.name, self.name, bytes(nbytes))
         client_tls, server_tls = establish_session(
-            self.name, server.name, secret, cost_model=self.tls_cost
+            self.name, server.name, f"{self.name}->{server.name}".encode()
         )
         connection = HttpConnection(
             client_name=self.name, server=server,
@@ -587,8 +578,6 @@ class HttpClient:
         method: str,
         path: str,
         body: bytes = b"",
-        headers: Optional[Dict[str, str]] = None,
-        timeout_us: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> HttpResponse:
         """One request/response exchange; records the response time R.
@@ -597,12 +586,12 @@ class HttpClient:
         dead endpoints) are retried with exponential backoff, transparently
         re-establishing the TLS connection in place.  Protocol errors
         (no route, malformed exchange) are deterministic and never
-        retried.  Without ``retry`` and ``timeout_us`` the behaviour is
-        exactly the pre-resilience hot path.
+        retried, and each attempt waits at most ``retry.timeout_us`` for
+        its answer.  Without ``retry`` the behaviour is exactly the
+        pre-resilience hot path.
         """
         if retry is None:
-            return self._attempt(connection, method, path, body, headers, timeout_us)
-        deadline = timeout_us if timeout_us is not None else retry.timeout_us
+            return self._attempt(connection, method, path, body, None)
         last_error: Optional[Exception] = None
         for attempt in range(1, retry.max_attempts + 1):
             if attempt > 1:
@@ -614,7 +603,9 @@ class HttpClient:
             try:
                 if not connection.open:
                     self._reconnect(connection)
-                return self._attempt(connection, method, path, body, headers, deadline)
+                return self._attempt(
+                    connection, method, path, body, retry.timeout_us
+                )
             except (RequestTimeout, UnresponsiveError, NetworkError) as exc:
                 last_error = exc
                 # The transport is suspect: force a fresh connection on
@@ -629,7 +620,6 @@ class HttpClient:
         method: str,
         path: str,
         body: bytes,
-        headers: Optional[Dict[str, str]],
         timeout_us: Optional[float],
     ) -> HttpResponse:
         """A single request/response attempt with an optional deadline."""
@@ -643,8 +633,7 @@ class HttpClient:
             clock.now_ns, "sbi.request",
             {"src": self.name, "dst": dst, "method": method, "path": path},
         )
-        header_items = tuple(headers.items()) if headers else ()
-        raw = _request_head(method, path, header_items) + body
+        raw = _request_head(method, path, ()) + body
         with host.span(
             path, kind="sbi.request", src=self.name, dst=dst, method=method, path=path,
         ) as req_span:
@@ -655,7 +644,7 @@ class HttpClient:
             # why it stays off the wire.
             connection.traceparent = req_span.traceparent
             try:
-                self.runtime.compute(self.tls_cost.record_cycles(len(raw)))
+                self.runtime.compute(record_cycles(len(raw)))
                 protected = connection.client_tls.protect(raw)
                 self.runtime.syscall_profile(self._request_profile)
                 # Request transit, server handling, response transit — real
@@ -663,9 +652,7 @@ class HttpClient:
                 self.network.transmit(self.name, dst, protected)
                 protected_response = server.serve(connection, protected)
                 self.network.transmit(dst, self.name, protected_response)
-                self.runtime.compute(
-                    self.tls_cost.record_cycles(len(protected_response))
-                )
+                self.runtime.compute(record_cycles(len(protected_response)))
                 response_raw = connection.client_tls.unprotect(protected_response)
             except (UnresponsiveError, FrameLost) as exc:
                 # No response will ever arrive; the client blocks until

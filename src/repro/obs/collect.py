@@ -54,28 +54,24 @@ def collect_testbed_metrics(
             if stats is not None:
                 collect_sgx_stats(registry, stats, component=name)
 
-    # Every gNB, not just the first: a multi-cell testbed exposes
-    # ``testbed.gnbs`` — all of their streams must reach the Tsdb or the
-    # SLO engine is blind to whole tracking areas.
-    gnbs = getattr(testbed, "gnbs", None) or [testbed.gnb]
-    for gnb in gnbs:
-        registry.counter("gnb_registrations_attempted_total", gnb=gnb.name).set(
-            gnb.registrations_attempted
-        )
-        registry.counter("gnb_registrations_succeeded_total", gnb=gnb.name).set(
-            gnb.registrations_succeeded
-        )
-        # Adopt the live sojourn series: count/sum reach the Tsdb as
-        # histogram component counters so windowed means are O(1).  The
-        # gNB's per-bucket exemplar dict rides along (populated only
-        # under a trace-context-armed tracer) so export can emit
-        # OpenMetrics exemplars and alerts can cite trace ids.
-        sojourn = registry.histogram_from_series(
-            "gnb_registration_sojourn_ms", gnb.sojourn_ms, gnb=gnb.name
-        )
-        exemplars = getattr(gnb, "sojourn_exemplars", None)
-        if exemplars:
-            sojourn.exemplars = exemplars
+    gnb = testbed.gnb
+    registry.counter("gnb_registrations_attempted_total", gnb=gnb.name).set(
+        gnb.registrations_attempted
+    )
+    registry.counter("gnb_registrations_succeeded_total", gnb=gnb.name).set(
+        gnb.registrations_succeeded
+    )
+    # Adopt the live sojourn series: count/sum reach the Tsdb as histogram
+    # component counters so windowed means are O(1).  The gNB's per-bucket
+    # exemplar dict rides along (populated only under a trace-context-armed
+    # tracer) so export can emit OpenMetrics exemplars and alerts can cite
+    # trace ids.
+    sojourn = registry.histogram_from_series(
+        "gnb_registration_sojourn_ms", gnb.sojourn_ms, gnb=gnb.name
+    )
+    exemplars = getattr(gnb, "sojourn_exemplars", None)
+    if exemplars:
+        sojourn.exemplars = exemplars
 
     host = testbed.host
     registry.counter("sim_clock_ns_total", host=host.name).set(host.clock.now_ns)

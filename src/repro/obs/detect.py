@@ -31,7 +31,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.fivegc.admission import AdmissionConfig, AdmissionController
+from repro.obs.slo import REGISTRATION_SOJOURN_DEADLINE_MS
 from repro.obs.tsdb import NS_PER_S, Tsdb
+from repro.security.attacks import ATTACK_CELL_PREFIX
 
 #: The verdict classes, in priority order: a storm signature outranks
 #: queueing (a botnet flood also queues — name the cause, not the
@@ -52,21 +54,13 @@ ATTACK_VERDICTS: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Thresholds for one classification window."""
-
-    #: gNB names carrying hostile ingress (repro.security.attacks).
-    attack_cell_prefix: str = "gnb-atk-"
-    #: The survivability campaign's registration deadline (ms).
-    deadline_ms: float = 250.0
-    #: Lookback per verdict (seconds of scraped history).
-    window_s: float = 4.0
-    #: Hostile-cell arrival rate below this is noise, not a storm.
-    min_attack_rate_per_s: float = 4.0
-    #: A signature (resync / fuzz-error / accept) rate at least this
-    #: fraction of the hostile arrival rate names the storm kind.
-    signature_fraction: float = 0.3
+#: Lookback per verdict (seconds of scraped history).
+_WINDOW_NS = int(4.0 * NS_PER_S)
+#: Hostile-cell arrival rate below this is noise, not a storm.
+_MIN_ATTACK_RATE_PER_S = 4.0
+#: A signature (resync / fuzz-error / accept) rate at least this fraction
+#: of the hostile arrival rate names the storm kind.
+_SIGNATURE_FRACTION = 0.3
 
 
 @dataclass(frozen=True)
@@ -101,87 +95,79 @@ class AttackClassifier:
     * otherwise healthy.
     """
 
-    def __init__(self, config: Optional[DetectorConfig] = None) -> None:
-        self.config = config or DetectorConfig()
-
     # ------------------------------------------------------------ queries
 
-    def _cell_rate(self, tsdb: Tsdb, name: str, window_ns: int, at_ns: int,
+    def _cell_rate(self, tsdb: Tsdb, name: str, at_ns: int,
                    hostile: bool) -> float:
         """Summed per-second rate of ``name`` over (non-)hostile cells."""
-        prefix = self.config.attack_cell_prefix
         total = 0.0
         for series in tsdb.series_named(name):
             labels = dict(series.labels)
-            if labels.get("gnb", "").startswith(prefix) is hostile:
-                total += tsdb.rate(name, window_ns, at_ns, **labels)
+            if labels.get("gnb", "").startswith(ATTACK_CELL_PREFIX) is hostile:
+                total += tsdb.rate(name, _WINDOW_NS, at_ns, **labels)
         return total
 
-    def _total_rate(self, tsdb: Tsdb, name: str, window_ns: int,
-                    at_ns: int) -> float:
+    def _total_rate(self, tsdb: Tsdb, name: str, at_ns: int) -> float:
         return sum(
-            tsdb.rate(name, window_ns, at_ns, **dict(series.labels))
+            tsdb.rate(name, _WINDOW_NS, at_ns, **dict(series.labels))
             for series in tsdb.series_named(name)
         )
 
-    def _legit_sojourn_mean(self, tsdb: Tsdb, window_ns: int,
-                            at_ns: int) -> Optional[float]:
+    def _legit_sojourn_mean(self, tsdb: Tsdb, at_ns: int) -> Optional[float]:
         """Attempt-weighted mean sojourn across every legitimate cell."""
-        prefix = self.config.attack_cell_prefix
         count = total = 0.0
         for series in tsdb.series_named("gnb_registration_sojourn_ms_count"):
             labels = dict(series.labels)
-            if labels.get("gnb", "").startswith(prefix):
+            if labels.get("gnb", "").startswith(ATTACK_CELL_PREFIX):
                 continue
-            count += tsdb.increase(series.name, window_ns, at_ns, **labels)
+            count += tsdb.increase(series.name, _WINDOW_NS, at_ns, **labels)
             total += tsdb.increase(
-                "gnb_registration_sojourn_ms_sum", window_ns, at_ns, **labels
+                "gnb_registration_sojourn_ms_sum", _WINDOW_NS, at_ns, **labels
             )
         return total / count if count > 0 else None
 
     # ------------------------------------------------------------ verdict
 
     def classify_at(self, tsdb: Tsdb, at_ns: int) -> Classification:
-        cfg = self.config
-        window_ns = int(cfg.window_s * NS_PER_S)
         attack_rate = self._cell_rate(
-            tsdb, "amf_nas_registration_arrivals_total", window_ns, at_ns,
-            hostile=True,
+            tsdb, "amf_nas_registration_arrivals_total", at_ns, hostile=True
         )
-        sojourn_mean = self._legit_sojourn_mean(tsdb, window_ns, at_ns)
+        sojourn_mean = self._legit_sojourn_mean(tsdb, at_ns)
         evidence: Dict[str, float] = {
             "attack_arrival_rate_per_s": attack_rate,
             "legit_sojourn_mean_ms": (
                 sojourn_mean if sojourn_mean is not None else 0.0
             ),
         }
-        if attack_rate >= cfg.min_attack_rate_per_s:
+        if attack_rate >= _MIN_ATTACK_RATE_PER_S:
             resync_frac = self._total_rate(
-                tsdb, "amf_auth_resync_requests_total", window_ns, at_ns
+                tsdb, "amf_auth_resync_requests_total", at_ns
             ) / attack_rate
             fuzz_frac = self._total_rate(
-                tsdb, "amf_nas_protocol_errors_total", window_ns, at_ns
+                tsdb, "amf_nas_protocol_errors_total", at_ns
             ) / attack_rate
             accept_frac = self._cell_rate(
-                tsdb, "amf_nas_registration_accepted_total", window_ns, at_ns,
-                hostile=True,
+                tsdb, "amf_nas_registration_accepted_total", at_ns, hostile=True
             ) / attack_rate
             evidence.update(
                 resync_fraction=resync_frac,
                 fuzz_error_fraction=fuzz_frac,
                 hostile_accept_fraction=accept_frac,
             )
-            if resync_frac >= cfg.signature_fraction:
+            if resync_frac >= _SIGNATURE_FRACTION:
                 verdict = "auts_resync"
-            elif fuzz_frac >= cfg.signature_fraction:
+            elif fuzz_frac >= _SIGNATURE_FRACTION:
                 verdict = "nas_fuzz"
-            elif accept_frac >= cfg.signature_fraction:
+            elif accept_frac >= _SIGNATURE_FRACTION:
                 verdict = "botnet_ddos"
             else:
                 # Hostile volume with no credential, resync or protocol
                 # signature: replayed captures failing authentication.
                 verdict = "suci_replay"
-        elif sojourn_mean is not None and sojourn_mean >= cfg.deadline_ms:
+        elif (
+            sojourn_mean is not None
+            and sojourn_mean >= REGISTRATION_SOJOURN_DEADLINE_MS
+        ):
             verdict = "queueing_collapse"
         else:
             verdict = "none"
@@ -190,17 +176,16 @@ class AttackClassifier:
             # Cite victim-side traces: sojourn exemplars the legitimate
             # cells recorded inside the verdict window (hostile cells'
             # own traffic is the weapon, not the evidence).
-            prefix = cfg.attack_cell_prefix
             cited = set()
             for labels_items, _timeline in tsdb.exemplars_named(
                 "gnb_registration_sojourn_ms"
             ):
                 labels = dict(labels_items)
-                if labels.get("gnb", "").startswith(prefix):
+                if labels.get("gnb", "").startswith(ATTACK_CELL_PREFIX):
                     continue
                 cited.update(
                     tsdb.exemplars_in_window(
-                        "gnb_registration_sojourn_ms", window_ns, at_ns,
+                        "gnb_registration_sojourn_ms", _WINDOW_NS, at_ns,
                         **labels,
                     )
                 )
@@ -211,38 +196,38 @@ class AttackClassifier:
         )
 
 
-@dataclass(frozen=True)
-class GovernorConfig:
-    """Hysteresis and response shape for the closed loop.
+#: What each defense the governor arms sets on the AMF's
+#: :class:`AdmissionConfig`.  The rates are matched to the survivability
+#: campaign's legitimate offered load (≈2.5 registrations/s through one
+#: gNB), so an armed response sheds the storm, not the subscribers;
+#: :mod:`repro.experiments.survivability` sweeps the same numbers as its
+#: static arms.
+DEFENSE_FIELDS: Dict[str, Dict[str, float]] = {
+    # Ingress (attack verdicts): per-source buckets plus a global cap...
+    "source": {
+        "per_source_rate_per_s": 0.25, "per_source_burst": 2.0,
+        "bucket_rate_per_s": 50.0, "bucket_burst": 50.0,
+    },
+    # ...and per-gNB guards, shedding at the cell serving the storm.
+    "gnb": {"gnb_rate_per_s": 6.0, "gnb_burst": 6.0},
+    # Overload (queueing collapse / unattributed sojourn burn).
+    "breaker": {
+        "breaker_max_per_s": 30.0, "breaker_window_s": 1.0,
+        "breaker_cooldown_s": 2.0,
+    },
+}
+#: The AMF's pending-session cap while the breaker is armed.
+BREAKER_MAX_PENDING = 512
 
-    The response rates are the survivability-calibrated ones from
-    ``repro.experiments.survivability._defense_configs`` — matched to the
-    campaign's legitimate offered load so an armed response sheds the
-    storm, not the subscribers.
-    """
-
-    #: Consecutive hot scrapes before arming.  1 by design: a verdict is
-    #: already smoothed over the detector's multi-second window, and at
-    #: storm rates every scrape of delay costs legitimate deadlines.
-    arm_after: int = 1
-    disarm_after: int = 8    # consecutive quiet scrapes before stand-down
-    #: Consecutive *burning* scrapes while armed before adding the
-    #: breaker.  Burn must persist — the long burn window keeps reading
-    #: collapse-era sojourns for a while after recovery, and escalating
-    #: then would shed legitimate initial attaches for nothing.
-    escalate_after: int = 4
-    # Ingress response (attack verdicts): per-source + per-gNB + global.
-    source_rate_per_s: float = 0.25
-    source_burst: float = 2.0
-    gnb_rate_per_s: float = 6.0
-    gnb_burst: float = 6.0
-    bucket_rate_per_s: float = 50.0
-    bucket_burst: float = 50.0
-    # Overload response (queueing collapse / unattributed sojourn burn).
-    breaker_max_per_s: float = 30.0
-    breaker_window_s: float = 1.0
-    breaker_cooldown_s: float = 2.0
-    max_pending: int = 512
+# Hysteresis.  A hot scrape arms at once: a verdict is already smoothed
+# over the detector's multi-second window, and at storm rates every
+# scrape of delay costs legitimate deadlines.
+_DISARM_AFTER = 8  # consecutive quiet scrapes before stand-down
+#: Consecutive *burning* scrapes while armed before adding the breaker.
+#: Burn must persist — the long burn window keeps reading collapse-era
+#: sojourns for a while after recovery, and escalating then would shed
+#: legitimate initial attaches for nothing.
+_ESCALATE_AFTER = 4
 
 
 class AdmissionGovernor:
@@ -256,7 +241,7 @@ class AdmissionGovernor:
     attack signature arms the overload breaker (TS 24.501 congestion
     control: shed fresh attaches, keep returning subscribers), and burn
     that persists after ingress arming escalates to the breaker too.
-    ``disarm_after`` quiet scrapes restore the pre-governor baseline.
+    Eight quiet scrapes in a row restore the pre-governor baseline.
 
     Quiescent-path contract: a governor over a healthy testbed performs
     only Tsdb reads and integer bookkeeping — no clock advance, no RNG
@@ -268,18 +253,15 @@ class AdmissionGovernor:
         amf: Any,
         classifier: Optional[AttackClassifier] = None,
         slos: Sequence[Any] = (),
-        config: Optional[GovernorConfig] = None,
     ) -> None:
         self.amf = amf
         self.classifier = classifier or AttackClassifier()
         #: Burn-rate objectives (typically the SojournSlo subset) whose
         #: firing counts as "hot" even without an attack signature.
         self.slos = list(slos)
-        self.config = config or GovernorConfig()
         self._baseline_admission = amf.admission
         self._baseline_max_pending = amf.max_pending_sessions
         self.armed: Tuple[str, ...] = ()
-        self.hot_streak = 0
         self.quiet_streak = 0
         self._burn_streak_armed = 0
         self.scrapes_seen = 0
@@ -300,37 +282,16 @@ class AdmissionGovernor:
 
     # ---------------------------------------------------------- response
 
-    def _admission_config(self, defenses: Tuple[str, ...]) -> AdmissionConfig:
-        cfg = self.config
-        kwargs: Dict[str, Any] = {}
-        if "source" in defenses:
-            kwargs.update(
-                per_source_rate_per_s=cfg.source_rate_per_s,
-                per_source_burst=cfg.source_burst,
-                bucket_rate_per_s=cfg.bucket_rate_per_s,
-                bucket_burst=cfg.bucket_burst,
-            )
-        if "gnb" in defenses:
-            kwargs.update(
-                gnb_rate_per_s=cfg.gnb_rate_per_s, gnb_burst=cfg.gnb_burst
-            )
-        if "breaker" in defenses:
-            kwargs.update(
-                breaker_max_per_s=cfg.breaker_max_per_s,
-                breaker_window_s=cfg.breaker_window_s,
-                breaker_cooldown_s=cfg.breaker_cooldown_s,
-            )
-        return AdmissionConfig(**kwargs)
-
     def _apply(self, action: str, verdict: str, defenses: Tuple[str, ...],
                at_ns: int) -> None:
         self.armed = defenses
         if defenses:
-            self.amf.admission = AdmissionController(
-                self._admission_config(defenses)
-            )
+            fields: Dict[str, float] = {}
+            for defense in defenses:
+                fields.update(DEFENSE_FIELDS[defense])
+            self.amf.admission = AdmissionController(AdmissionConfig(**fields))
             if "breaker" in defenses:
-                self.amf.max_pending_sessions = self.config.max_pending
+                self.amf.max_pending_sessions = BREAKER_MAX_PENDING
         else:
             self.amf.admission = self._baseline_admission
             self.amf.max_pending_sessions = self._baseline_max_pending
@@ -350,19 +311,13 @@ class AdmissionGovernor:
         verdict = self.classifier.classify_at(tsdb, now_ns).verdict
         burning = self._burning(tsdb, now_ns)
         hot = verdict != "none" or burning
-        if hot:
-            self.hot_streak += 1
-            self.quiet_streak = 0
-        else:
-            self.quiet_streak += 1
-            self.hot_streak = 0
+        self.quiet_streak = 0 if hot else self.quiet_streak + 1
         if self.armed and burning:
             self._burn_streak_armed += 1
         elif not burning:
             self._burn_streak_armed = 0
 
-        cfg = self.config
-        if hot and not self.armed and self.hot_streak >= cfg.arm_after:
+        if hot and not self.armed:
             if verdict in ATTACK_VERDICTS:
                 self._apply("arm", verdict, ("source", "gnb"), now_ns)
             else:
@@ -373,14 +328,14 @@ class AdmissionGovernor:
         elif (
             self.armed
             and "breaker" not in self.armed
-            and self._burn_streak_armed >= cfg.escalate_after
+            and self._burn_streak_armed >= _ESCALATE_AFTER
         ):
             # Ingress defenses did not stop a *sustained* burn: escalate.
             self._apply(
                 "escalate", verdict, tuple(self.armed) + ("breaker",), now_ns
             )
             self._burn_streak_armed = 0
-        elif self.armed and self.quiet_streak >= cfg.disarm_after:
+        elif self.armed and self.quiet_streak >= _DISARM_AFTER:
             self._apply("stand_down", verdict, (), now_ns)
             self._burn_streak_armed = 0
 

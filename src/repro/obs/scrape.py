@@ -28,7 +28,7 @@ from repro.obs.tsdb import NS_PER_S, Tsdb
 class Scraper:
     """Samples a registry producer on a simulated-time cadence."""
 
-    __slots__ = ("clock", "collect", "tsdb", "cadence_ns", "enabled",
+    __slots__ = ("clock", "collect", "tsdb", "cadence_ns",
                  "scrapes", "observers", "_base_ns", "_next_ns")
 
     def __init__(
@@ -36,7 +36,6 @@ class Scraper:
         clock: Any,
         collect: Callable[[], MetricsRegistry],
         cadence_s: float = 1.0,
-        tsdb: Optional[Tsdb] = None,
         series_cap: Optional[int] = None,
     ) -> None:
         cadence_ns = int(round(cadence_s * NS_PER_S))
@@ -44,9 +43,8 @@ class Scraper:
             raise ValueError(f"cadence must be positive, got {cadence_s}")
         self.clock = clock
         self.collect = collect
-        self.tsdb = tsdb if tsdb is not None else Tsdb(cap=series_cap)
+        self.tsdb = Tsdb(cap=series_cap)
         self.cadence_ns = cadence_ns
-        self.enabled = True
         self.scrapes = 0
         # On-line consumers of the freshly ingested Tsdb (e.g. the
         # :class:`repro.obs.detect.AdmissionGovernor`).  Observers run
@@ -96,8 +94,6 @@ class Scraper:
         them would only duplicate the same cumulative snapshot at
         fabricated timestamps.  The deadline then re-aligns to the grid.
         """
-        if not self.enabled:
-            return
         now = self.clock.now_ns
         if now < self._next_ns:
             return

@@ -61,7 +61,7 @@ LATENCY_WINDOWS: Tuple[BurnRateWindow, ...] = (
 #: Sojourn windows are tight because storms are short: the survivability
 #: campaign's attack window is ~12 s, so a 60 s long window would never
 #: confirm inside it.  Burn 1.0 = mean sojourn at the deadline; the slow
-#: pair fires at 0.6 (150 ms of a 250 ms deadline) for early warning.
+#: pair fires at 0.6 (60 % of the deadline) for early warning.
 SOJOURN_WINDOWS: Tuple[BurnRateWindow, ...] = (
     BurnRateWindow("fast", long_s=6.0, short_s=2.0, factor=1.0),
     BurnRateWindow("slow", long_s=30.0, short_s=10.0, factor=0.6),
@@ -73,9 +73,13 @@ LIVENESS_WINDOWS: Tuple[BurnRateWindow, ...] = (
     BurnRateWindow("fast", long_s=20.0, short_s=5.0, factor=0.95),
 )
 
-#: The survivability campaign's registration deadline (ms of simulated
-#: gNB-side sojourn, attempt arrival → outcome) — the number a user
-#: would call "the attach worked".
+#: The registration deadline (ms of simulated gNB-side sojourn, the UE's
+#: scheduled arrival → outcome) — the number a user would call "the
+#: attach worked".  ≈5× the unloaded setup time: generous against
+#: jitter, unforgiving against storm-induced queueing.  The sojourn SLO
+#: burns against it, the classifier calls a queueing collapse at it, the
+#: trace store keeps every registration over it, and the survivability
+#: campaign counts a legitimate success only within it.
 REGISTRATION_SOJOURN_DEADLINE_MS = 250.0
 
 #: Container-mode stable L_T per module (µs), the Fig 9 / Table II
@@ -98,13 +102,14 @@ class RatioSlo:
     error budget ``1 - objective``; 0.0 when the window saw no traffic.
     """
 
+    windows = RATIO_WINDOWS
+
     def __init__(
         self,
         name: str,
         good: Tuple[str, Mapping[str, str]],
         total: Tuple[str, Mapping[str, str]],
         objective: float = 0.99,
-        windows: Sequence[BurnRateWindow] = RATIO_WINDOWS,
     ) -> None:
         if not 0.0 < objective < 1.0:
             raise ValueError(f"objective must be in (0, 1), got {objective}")
@@ -112,7 +117,6 @@ class RatioSlo:
         self.good = (good[0], dict(good[1]))
         self.total = (total[0], dict(total[1]))
         self.objective = objective
-        self.windows = tuple(windows)
 
     def burn_rate(self, tsdb: Tsdb, window_ns: int, at_ns: int) -> float:
         total_name, total_labels = self.total
@@ -137,13 +141,14 @@ class ThresholdSlo:
     SLO owns, not a latency one.
     """
 
+    windows = LATENCY_WINDOWS
+
     def __init__(
         self,
         name: str,
         basename: str,
         labels: Mapping[str, str],
         limit_us: float,
-        windows: Sequence[BurnRateWindow] = LATENCY_WINDOWS,
     ) -> None:
         if limit_us <= 0:
             raise ValueError(f"limit must be positive, got {limit_us}")
@@ -151,7 +156,6 @@ class ThresholdSlo:
         self.basename = basename
         self.labels = dict(labels)
         self.limit_us = limit_us
-        self.windows = tuple(windows)
 
     def burn_rate(self, tsdb: Tsdb, window_ns: int, at_ns: int) -> float:
         mean = tsdb.windowed_mean(self.basename, window_ns, at_ns, **self.labels)
@@ -169,36 +173,29 @@ class SojournSlo:
     The blind spot this closes: a pure-queueing collapse leaves every
     registration *eventually* succeeding, so the success-ratio SLO reads
     healthy while the sojourn deadline dies.  Burn rate = windowed mean
-    of the ``gnb_registration_sojourn_ms`` histogram divided by the
-    deadline; 0.0 when the window saw no attempts (starvation is the
-    liveness SLO's problem, same split as :class:`ThresholdSlo`).
+    of the ``gnb_registration_sojourn_ms`` histogram divided by
+    :data:`REGISTRATION_SOJOURN_DEADLINE_MS`; 0.0 when the window saw no
+    attempts (starvation is the liveness SLO's problem, same split as
+    :class:`ThresholdSlo`).
     """
 
     basename = "gnb_registration_sojourn_ms"
+    windows = SOJOURN_WINDOWS
 
-    def __init__(
-        self,
-        name: str,
-        labels: Mapping[str, str],
-        deadline_ms: float = REGISTRATION_SOJOURN_DEADLINE_MS,
-        windows: Sequence[BurnRateWindow] = SOJOURN_WINDOWS,
-    ) -> None:
-        if deadline_ms <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline_ms}")
+    def __init__(self, name: str, labels: Mapping[str, str]) -> None:
         self.name = name
         self.labels = dict(labels)
-        self.deadline_ms = deadline_ms
-        self.windows = tuple(windows)
 
     def burn_rate(self, tsdb: Tsdb, window_ns: int, at_ns: int) -> float:
         mean = tsdb.windowed_mean(self.basename, window_ns, at_ns, **self.labels)
         if mean is None:
             return 0.0
-        return mean / self.deadline_ms
+        return mean / REGISTRATION_SOJOURN_DEADLINE_MS
 
     def describe(self) -> str:
         return (
-            f"{self.name}: mean {self.basename} <= {self.deadline_ms:g} ms"
+            f"{self.name}: mean {self.basename} <= "
+            f"{REGISTRATION_SOJOURN_DEADLINE_MS:g} ms"
         )
 
 
@@ -213,12 +210,13 @@ class LivenessSlo:
     before traffic had any chance to appear.
     """
 
+    windows = LIVENESS_WINDOWS
+
     def __init__(
         self,
         name: str,
         total: Tuple[str, Mapping[str, str]],
         min_rate_per_s: float,
-        windows: Sequence[BurnRateWindow] = LIVENESS_WINDOWS,
     ) -> None:
         if min_rate_per_s <= 0:
             raise ValueError(
@@ -227,7 +225,6 @@ class LivenessSlo:
         self.name = name
         self.total = (total[0], dict(total[1]))
         self.min_rate_per_s = min_rate_per_s
-        self.windows = tuple(windows)
 
     def burn_rate(self, tsdb: Tsdb, window_ns: int, at_ns: int) -> float:
         total_name, total_labels = self.total
@@ -341,62 +338,36 @@ class SloEngine:
         return alerts
 
 
-def _legit_gnbs(testbed: Any) -> List[Any]:
-    """Every legitimate gNB on the testbed, attack cells excluded.
-
-    A multi-cell testbed may expose ``testbed.gnbs``; the single-cell
-    testbed only ``testbed.gnb``.  Hostile cells (``gnb-atk-*``, the
-    :mod:`repro.security.attacks` ingress names) carry adversarial
-    streams whose failure is *desired* — binding SLOs to them would turn
-    every successful defense into a page.
-    """
-    gnbs = list(getattr(testbed, "gnbs", None) or [testbed.gnb])
-    return [gnb for gnb in gnbs if not gnb.name.startswith("gnb-atk-")]
-
-
 def default_slos(
     testbed: Any,
     expected_registration_rate_per_s: Optional[float] = None,
 ) -> List[Any]:
     """The paper-derived objectives for one testbed.
 
-    Per legitimate gNB: the ≥99 % success ratio, the 250 ms sojourn
+    On the testbed's gNB: the ≥99 % success ratio, the sojourn
     deadline, and — when the caller declares the workload's expected
     attempt rate — a traffic-liveness floor that catches full starvation
-    (the case the ratio SLO reads as burn 0).  SLO names carry a
-    ``-<gnb>`` suffix only on multi-cell testbeds, so single-cell alert
-    streams keep their historical names.
+    (the case the ratio SLO reads as burn 0).  Then the Table II latency
+    ceiling of each shielded module.
     """
-    slos: List[Any] = []
-    gnbs = _legit_gnbs(testbed)
-    multi_cell = len(gnbs) > 1
-    for gnb in gnbs:
-        suffix = f"-{gnb.name}" if multi_cell else ""
+    gnb = {"gnb": testbed.gnb.name}
+    slos: List[Any] = [
+        RatioSlo(
+            "registration-success",
+            good=("gnb_registrations_succeeded_total", gnb),
+            total=("gnb_registrations_attempted_total", gnb),
+            objective=0.99,
+        ),
+        SojournSlo("registration-sojourn", labels=gnb),
+    ]
+    if expected_registration_rate_per_s is not None:
         slos.append(
-            RatioSlo(
-                f"registration-success{suffix}",
-                good=("gnb_registrations_succeeded_total", {"gnb": gnb.name}),
-                total=("gnb_registrations_attempted_total", {"gnb": gnb.name}),
-                objective=0.99,
+            LivenessSlo(
+                "registration-liveness",
+                total=("gnb_registrations_attempted_total", gnb),
+                min_rate_per_s=expected_registration_rate_per_s,
             )
         )
-        slos.append(
-            SojournSlo(
-                f"registration-sojourn{suffix}",
-                labels={"gnb": gnb.name},
-            )
-        )
-        if expected_registration_rate_per_s is not None:
-            slos.append(
-                LivenessSlo(
-                    f"registration-liveness{suffix}",
-                    total=(
-                        "gnb_registrations_attempted_total",
-                        {"gnb": gnb.name},
-                    ),
-                    min_rate_per_s=expected_registration_rate_per_s,
-                )
-            )
     for module, server in sorted(testbed.module_servers().items()):
         baseline = CONTAINER_BASELINE_LT_US.get(module)
         if baseline is None:

@@ -56,6 +56,7 @@ from typing import (
     Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
 
+from repro.obs.slo import REGISTRATION_SOJOURN_DEADLINE_MS
 from repro.sim.clock import NS_PER_US, SimClock
 
 
@@ -640,13 +641,17 @@ def span_from_dict(data: Mapping[str, Any]) -> Span:
     return span
 
 
+_DEADLINE_NS = int(REGISTRATION_SOJOURN_DEADLINE_MS * 1_000_000)
+
+
 class TraceStore:
     """Bounded store of finished trace trees with deterministic sampling.
 
     Tail-based policy: every failed registration and every registration
-    whose sojourn exceeded the deadline is kept (``tail_failed`` /
-    ``tail_deadline``); healthy registrations are head-sampled 1/N by a
-    pure function of the trace id (``int(trace_id[:8], 16) % N == 0``) so
+    whose sojourn exceeded the registration deadline
+    (:data:`~repro.obs.slo.REGISTRATION_SOJOURN_DEADLINE_MS`) is kept
+    (``tail_failed`` / ``tail_deadline``); healthy registrations are
+    head-sampled 1/N by a pure function of the trace id (``int(trace_id[:8], 16) % N == 0``) so
     the kept set is identical run-to-run and shard-count-independent.
     When the store overflows ``cap``, the oldest head-sampled record is
     evicted first (tail records are the valuable ones); with no
@@ -663,7 +668,7 @@ class TraceStore:
     """
 
     __slots__ = (
-        "cap", "sample_every", "deadline_ns", "records",
+        "cap", "sample_every", "records",
         "seen", "kept_tail", "kept_head", "evicted",
     )
 
@@ -671,11 +676,9 @@ class TraceStore:
         self,
         cap: Optional[int] = 512,
         sample_every: int = 8,
-        deadline_ms: float = 250.0,
     ) -> None:
         self.cap = cap
         self.sample_every = max(1, int(sample_every))
-        self.deadline_ns = int(deadline_ms * 1_000_000)
         self.records: Dict[str, Dict[str, Any]] = {}
         self.seen = 0
         self.kept_tail = 0
@@ -687,7 +690,7 @@ class TraceStore:
     ) -> Optional[str]:
         if not success:
             return "tail_failed"
-        if sojourn_ns > self.deadline_ns:
+        if sojourn_ns > _DEADLINE_NS:
             return "tail_deadline"
         if int(trace_id[:8], 16) % self.sample_every == 0:
             return "head_sample"
@@ -758,7 +761,7 @@ class TraceStore:
         return {
             "cap": self.cap,
             "sample_every": self.sample_every,
-            "deadline_ms": self.deadline_ns / 1_000_000,
+            "deadline_ms": REGISTRATION_SOJOURN_DEADLINE_MS,
             "seen": self.seen,
             "kept_tail": self.kept_tail,
             "kept_head": self.kept_head,

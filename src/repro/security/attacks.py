@@ -315,7 +315,7 @@ class NetworkSniffAttack:
 # Everything below models *hostile load* rather than key extraction: seeded
 # deterministic signaling storms aimed at the AMF's NAS front door and the
 # enclave-backed authentication path behind it.  The storm schedule is a
-# pure value of (seed, rate, horizon, profile) drawn from a private
+# pure value of (seed, rate, horizon) drawn from a private
 # ``random.Random`` — the testbed's namespaced RNG streams are never
 # touched by schedule generation, and the attack UE population provisions
 # through dedicated ``9…``/``8…`` MSIN prefixes whose streams are disjoint
@@ -349,25 +349,20 @@ class StormKind(Enum):
     BOTNET_REGISTER = "botnet-register"  # valid registrations, hostile volume
 
 
-#: Default traffic mix for a blended storm (weights need not sum to 1).
-DEFAULT_STORM_MIX: Dict[StormKind, float] = {
-    StormKind.SUCI_REPLAY: 0.35,
-    StormKind.AUTS_RESYNC: 0.2,
-    StormKind.NAS_FUZZ: 0.2,
-    StormKind.BOTNET_REGISTER: 0.25,
-}
-
-
-@dataclass(frozen=True)
-class StormProfile:
-    """Shape of one storm: traffic mix and source-population sizes."""
-
-    mix: Tuple[Tuple[StormKind, float], ...] = tuple(
-        sorted(DEFAULT_STORM_MIX.items(), key=lambda kv: kv[0].value)
-    )
-    spoof_pool: int = 64  # distinct spoofed identities replaying captures
-    attack_gnbs: int = 4  # hostile cells the traffic enters through
-    botnet_population: int = 32  # provisioned bots, cycled round-robin
+#: Traffic mix of a blended storm (weights need not sum to 1), drawn in
+#: the order of the kinds' names.
+_STORM_MIX: Tuple[Tuple[StormKind, float], ...] = (
+    (StormKind.AUTS_RESYNC, 0.2),
+    (StormKind.BOTNET_REGISTER, 0.25),
+    (StormKind.NAS_FUZZ, 0.2),
+    (StormKind.SUCI_REPLAY, 0.35),
+)
+SPOOF_POOL = 64  # distinct spoofed identities replaying captures
+ATTACK_GNBS = 4  # hostile cells the traffic enters through
+BOTNET_POPULATION = 32  # provisioned bots, cycled round-robin
+#: Names the hostile cells (``gnb-atk-0`` …): the defender tells storm
+#: ingress from legitimate cells by this prefix.
+ATTACK_CELL_PREFIX = "gnb-atk-"
 
 
 @dataclass(frozen=True)
@@ -382,10 +377,7 @@ class AttackEvent:
 
 
 def generate_storm(
-    seed: int,
-    horizon_s: float,
-    rate_per_s: float,
-    profile: Optional[StormProfile] = None,
+    seed: int, horizon_s: float, rate_per_s: float
 ) -> Tuple[AttackEvent, ...]:
     """Poisson storm schedule: a pure value of its arguments.
 
@@ -393,13 +385,12 @@ def generate_storm(
     generating a schedule perturbs no testbed RNG stream; the same
     arguments always yield byte-identical events.
     """
-    profile = profile or StormProfile()
     if rate_per_s <= 0:
         return ()
     rng = Random(f"storm:{seed}:{horizon_s}:{rate_per_s}")
     horizon_ns = int(horizon_s * NS_PER_S)
-    kinds = [kind for kind, _ in profile.mix]
-    weights = [weight for _, weight in profile.mix]
+    kinds = [kind for kind, _ in _STORM_MIX]
+    weights = [weight for _, weight in _STORM_MIX]
     total_weight = sum(weights)
     events = []
     t_ns = 0
@@ -415,12 +406,12 @@ def generate_storm(
                 kind = candidate
                 break
             pick -= weight
-        gnb = f"gnb-atk-{rng.randrange(profile.attack_gnbs)}"
+        gnb = f"{ATTACK_CELL_PREFIX}{rng.randrange(ATTACK_GNBS)}"
         if kind is StormKind.BOTNET_REGISTER:
-            source = f"bot-{bot_cursor % profile.botnet_population}"
+            source = f"bot-{bot_cursor % BOTNET_POPULATION}"
             bot_cursor += 1
         else:
-            source = f"spoof-{rng.randrange(profile.spoof_pool)}"
+            source = f"spoof-{rng.randrange(SPOOF_POOL)}"
         events.append(
             AttackEvent(
                 at_ns=t_ns,
@@ -456,13 +447,8 @@ class AttackPlane:
     untouched.
     """
 
-    def __init__(
-        self,
-        testbed: Testbed,
-        profile: Optional[StormProfile] = None,
-    ) -> None:
+    def __init__(self, testbed: Testbed) -> None:
         self.testbed = testbed
-        self.profile = profile or StormProfile()
         self.amf = testbed.amf
         self.host = testbed.host
         # Captured over-the-air SUCI of an attacker-observed victim: one
@@ -473,7 +459,7 @@ class AttackPlane:
         # control (volume is the weapon, not malformed content).
         self.botnet = [
             testbed.add_subscriber(msin=f"{BOTNET_MSIN_PREFIX}{i:09d}")
-            for i in range(self.profile.botnet_population)
+            for i in range(BOTNET_POPULATION)
         ]
         self.events_executed = 0
         # outcome in {"pending", "completed", "rejected", "shed", "errored"}

@@ -74,3 +74,7 @@ class SgxCostModel:
         eenter = total * 0.55
         eexit = total * 0.45
         return int(eenter), int(eexit)
+
+
+#: The one cost model every enclave, EPC manager and LibOS charges with.
+SGX_COSTS = SgxCostModel()

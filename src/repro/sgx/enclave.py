@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Optional
 
 from repro.hw.host import PhysicalHost
-from repro.sgx.costmodel import SgxCostModel
+from repro.sgx.costmodel import SGX_COSTS
 from repro.sgx.epc import PAGE_SIZE, EpcManager, EpcRegion
 from repro.sgx.errors import (
     EnclaveLostError,
@@ -81,7 +81,7 @@ class EcallContext:
         if self.closed:  # inline: the hottest entry; the check raises
             self._check_open()
         enclave = self._enclave
-        enclave.host.cpu.spend_cycles(cycles * enclave.cost_model.epc_compute_penalty)
+        enclave.host.cpu.spend_cycles(cycles * SGX_COSTS.epc_compute_penalty)
 
     def touch_pages(self, cold: int = 0, new: int = 0) -> None:
         """Touch EPC pages: ``new`` pages fault in, ``cold`` are resident
@@ -92,7 +92,7 @@ class EcallContext:
             enclave.epc_manager.fault_in(enclave.epc_region, new, enclave.stats)
         if cold:
             enclave.host.cpu.spend_cycles(
-                cold * enclave.cost_model.cold_page_access_cycles
+                cold * SGX_COSTS.cold_page_access_cycles
             )
 
     def ocall(
@@ -110,7 +110,7 @@ class EcallContext:
         """
         self._check_open()
         enclave = self._enclave
-        model = enclave.cost_model
+        model = SGX_COSTS
         eenter, eexit = model.draw_transition_pair(
             enclave.host.rng, f"{enclave.build.name}.transition"
         )
@@ -153,14 +153,12 @@ class Enclave:
         host: PhysicalHost,
         build: EnclaveBuildInfo,
         epc_manager: EpcManager,
-        cost_model: Optional[SgxCostModel] = None,
     ) -> None:
         if not host.sgx_capable:
             raise SgxUnsupportedError(f"host {host.name!r} has no SGX-capable CPU")
         self.host = host
         self.build = build
         self.epc_manager = epc_manager
-        self.cost_model = cost_model or SgxCostModel()
         self.stats = SgxStats()
         self.initialized = False
         self.destroyed = False
@@ -192,7 +190,7 @@ class Enclave:
         if self.initialized:
             raise SgxError(f"enclave {self.build.name!r} already loaded")
 
-        model = self.cost_model
+        model = SGX_COSTS
         cpu = self.host.cpu
         builder = MeasurementBuilder()
         with self.host.clock.measure() as span:
@@ -252,7 +250,7 @@ class Enclave:
         total = self.build.trusted_files_bytes
         if total <= 0:
             return
-        model = self.cost_model
+        model = SGX_COSTS
         cpu = self.host.cpu
         n_chunks = (total + self._TRUSTED_FILE_CHUNK - 1) // self._TRUSTED_FILE_CHUNK
         eenter, eexit = model.draw_transition_pair(
@@ -293,7 +291,7 @@ class Enclave:
                 f"enclave {self.build.name!r}: no free TCS "
                 f"({self.build.max_threads} threads allowed)"
             )
-        model = self.cost_model
+        model = SGX_COSTS
         cpu = self.host.cpu
         eenter, eexit = model.draw_transition_pair(
             self.host.rng, f"{self.build.name}.transition"
@@ -336,7 +334,7 @@ class Enclave:
                 f"enclave {self.build.name!r}: no free TCS "
                 f"({self.build.max_threads} threads allowed)"
             )
-        eenter, _ = self.cost_model.draw_transition_pair(
+        eenter, _ = SGX_COSTS.draw_transition_pair(
             self.host.rng, f"{self.build.name}.transition"
         )
         self._threads_entered += 1
@@ -351,7 +349,7 @@ class Enclave:
             return
         context.closed = True
         self._threads_entered -= 1
-        _, eexit = self.cost_model.draw_transition_pair(
+        _, eexit = SGX_COSTS.draw_transition_pair(
             self.host.rng, f"{self.build.name}.transition"
         )
         self.stats.eexits += 1

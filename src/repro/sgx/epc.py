@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.hw.cpu import Cpu
-from repro.sgx.costmodel import SgxCostModel
+from repro.sgx.costmodel import SGX_COSTS
 from repro.sgx.errors import EpcExhaustedError
 from repro.sgx.stats import SgxStats
 from repro.sim.rng import RngService
@@ -56,12 +56,10 @@ class EpcManager:
         capacity_bytes: int,
         cpu: Cpu,
         rng: RngService,
-        cost_model: Optional[SgxCostModel] = None,
     ) -> None:
         self.capacity_bytes = capacity_bytes
         self.cpu = cpu
         self.rng = rng
-        self.cost_model = cost_model or SgxCostModel()
         self._regions: Dict[str, EpcRegion] = {}
 
     @property
@@ -127,8 +125,8 @@ class EpcManager:
             stats.page_evictions += transient
         if charge_time:
             self.cpu.spend_cycles(
-                n_pages * self.cost_model.page_fault_cycles
-                + transient * self.cost_model.page_evict_cycles
+                n_pages * SGX_COSTS.page_fault_cycles
+                + transient * SGX_COSTS.page_evict_cycles
             )
 
     def _evict(
@@ -156,7 +154,7 @@ class EpcManager:
         if stats is not None:
             stats.page_evictions += evicted
         if charge_time:
-            self.cpu.spend_cycles(evicted * self.cost_model.page_evict_cycles)
+            self.cpu.spend_cycles(evicted * SGX_COSTS.page_evict_cycles)
         return evicted
 
     def management_cycles(self, region: EpcRegion, stream: str) -> float:

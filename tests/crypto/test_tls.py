@@ -3,7 +3,12 @@
 import pytest
 
 from repro.crypto.aes import AES128
-from repro.crypto.tls import TlsCostModel, TlsError, establish_session
+from repro.crypto.tls import (
+    RECORD_FIXED_CYCLES,
+    TlsError,
+    establish_session,
+    record_cycles,
+)
 
 
 @pytest.fixture
@@ -68,9 +73,8 @@ def test_cross_session_records_rejected():
 
 
 def test_cost_model_scales_with_bytes():
-    model = TlsCostModel()
-    assert model.record_cycles(2048) > model.record_cycles(64)
-    assert model.record_cycles(0) == model.record_fixed_cycles
+    assert record_cycles(2048) > record_cycles(64)
+    assert record_cycles(0) == RECORD_FIXED_CYCLES
 
 
 # --- the keystream memo must not weaken the receive path ---------------

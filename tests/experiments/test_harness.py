@@ -74,5 +74,5 @@ def test_collect_module_latencies_counts(container_testbed):
 
 
 def test_collect_requires_modules(monolithic_testbed):
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="requires deployed modules"):
         collect_module_latencies(monolithic_testbed, registrations=1)

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.experiments.ablations import userlevel_tcp_ablation
 from repro.experiments.migration import migration_experiment, sealed_data_does_not_migrate
 from repro.experiments.scaling import horizontal_scaling_experiment
+from repro.net.http import HttpClient, HttpResponse
 from repro.paka.deploy import IsolationMode
 
 
@@ -27,6 +29,22 @@ def test_migration_small():
     assert_ok(report)
     gaps = {row["backend"]: row["service_gap_s"] for row in report.rows}
     assert gaps["container"] < gaps["secure-vm"] < gaps["sgx"]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: horizontal_scaling_experiment(replica_counts=(1,)),
+        migration_experiment,
+        userlevel_tcp_ablation,
+    ],
+    ids=["scaling", "migration", "userlevel-tcp-ablation"],
+)
+def test_a_refused_request_is_never_measured(run, monkeypatch):
+    # A real exception, not an assert: ``python -O`` must not measure it.
+    monkeypatch.setattr(HttpClient, "request", lambda *args, **kw: HttpResponse(503))
+    with pytest.raises(RuntimeError, match="eUDM answered 503"):
+        run()
 
 
 def test_sealed_data_platform_bound():

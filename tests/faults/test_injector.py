@@ -142,6 +142,11 @@ def test_double_arm_rejected(sgx_testbed):
         injector.arm()
 
 
+def test_tick_before_arm_rejected(sgx_testbed):
+    with pytest.raises(RuntimeError, match="not armed"):
+        FaultInjector(sgx_testbed, plan_with()).tick()
+
+
 def test_generated_plan_replays_identically(sgx_testbed):
     """Same (seed, plan) on same-seed testbeds → identical final clocks."""
     from repro.paka.deploy import IsolationMode

@@ -178,37 +178,6 @@ def test_requests_advance_simulated_time(server, client, host):
     assert 100 < elapsed_us < 2_000  # sub-millisecond intra-host exchange
 
 
-def test_metrics_cap_bounds_samples_but_keeps_exact_stats(host, bridge):
-    from repro.net.rest import json_response
-    from repro.runtime.native import NativeRuntime
-
-    server = HttpServer(
-        "capped", NativeRuntime("capped", host), bridge, metrics_cap=8
-    )
-    server.route(
-        "POST", "/echo",
-        lambda request, context: json_response({"echo": request.body.decode()}),
-    )
-    server.start()
-    client = HttpClient("cap-cli", NativeRuntime("cap-cli", host), bridge)
-    connection = client.connect(server)
-    for i in range(30):
-        client.request(connection, "POST", "/echo", body=b"x")
-
-    assert server.requests_served == 30
-    # Raw sample windows are trimmed to the cap...
-    assert len(server.lt_us) <= 8
-    assert len(server.lf_us) <= 8
-    assert len(server.busy_us) <= 8
-    assert len(server.lt_us_by_path["/echo"]) <= 8
-    # ...while the running summaries still cover every request.
-    assert server.lt_us.stats.count == 30
-    assert server.busy_us.stats.count == 30
-    assert server.lt_us_by_path["/echo"].stats.count == 30
-    assert server.lt_us.stats.minimum > 0
-    assert server.lt_us.stats.mean <= server.lt_us.stats.maximum
-
-
 def test_metrics_unbounded_by_default(server, client):
     connection = client.connect(server)
     for _ in range(5):
@@ -229,6 +198,7 @@ from repro.net.http import (  # noqa: E402
 )
 
 FAST_RETRY = RetryPolicy(max_attempts=3, timeout_us=5_000.0, base_backoff_us=100.0)
+ONE_SHOT = RetryPolicy(max_attempts=1, timeout_us=5_000.0)
 
 
 def raise_unresponsive(server):
@@ -250,7 +220,7 @@ def test_timeout_charges_the_full_deadline(server, client, host):
     connection = client.connect(server)
     t0 = host.clock.now_ns
     with pytest.raises(RequestTimeout):
-        client.request(connection, "POST", "/echo", body=b"x", timeout_us=5_000.0)
+        client.request(connection, "POST", "/echo", body=b"x", retry=ONE_SHOT)
     elapsed_us = (host.clock.now_ns - t0) / 1_000
     assert elapsed_us >= 5_000.0  # the client blocked until its deadline
     assert client.timeouts == 1
@@ -302,7 +272,7 @@ def test_lost_frame_times_out(server, client, host, bridge):
     connection = client.connect(server)
     bridge.link_filter = lambda src, dst, nbytes: None  # drop everything
     with pytest.raises(RequestTimeout):
-        client.request(connection, "POST", "/echo", body=b"x", timeout_us=5_000.0)
+        client.request(connection, "POST", "/echo", body=b"x", retry=ONE_SHOT)
     bridge.link_filter = None
     assert client.timeouts == 1
     assert host.clock._open_measurements == []
@@ -312,7 +282,7 @@ def test_late_response_is_discarded(server, client, host, bridge):
     connection = client.connect(server)
     bridge.link_filter = lambda src, dst, nbytes: 50_000.0  # +50 ms per frame
     with pytest.raises(RequestTimeout, match="deadline"):
-        client.request(connection, "POST", "/echo", body=b"x", timeout_us=1_000.0)
+        client.request(connection, "POST", "/echo", body=b"x", retry=ONE_SHOT)
     bridge.link_filter = None
     assert client.timeouts == 1
     assert len(client.response_times_us) == 0  # the late response is not a sample

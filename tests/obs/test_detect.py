@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.fivegc.admission import AdmissionController
+from repro.fivegc.admission import AdmissionConfig, AdmissionController
 from repro.obs.detect import (
     ATTACK_VERDICTS,
+    BREAKER_MAX_PENDING,
+    DEFENSE_FIELDS,
     VERDICTS,
     AdmissionGovernor,
     AttackClassifier,
-    DetectorConfig,
-    GovernorConfig,
 )
 from repro.obs.slo import BurnRateWindow
 from repro.obs.tsdb import NS_PER_S, Tsdb
@@ -117,11 +117,8 @@ class _Burning:
         return 2.0
 
 
-def _governor(amf, slos=(), **overrides):
-    return AdmissionGovernor(
-        amf, AttackClassifier(DetectorConfig()), slos=slos,
-        config=GovernorConfig(**overrides),
-    )
+def _governor(amf, slos=()):
+    return AdmissionGovernor(amf, AttackClassifier(), slos=slos)
 
 
 def test_governor_arms_ingress_on_attack_verdict():
@@ -130,10 +127,10 @@ def test_governor_arms_ingress_on_attack_verdict():
     governor.on_scrape(_storm_tsdb(accepts=38.0), AT)
     assert governor.armed == ("source", "gnb")
     assert isinstance(amf.admission, AdmissionController)
-    config = amf.admission.config
-    assert config.per_source_rate_per_s is not None
-    assert config.gnb_rate_per_s is not None
-    assert config.breaker_max_per_s is None  # breaker is not an ingress arm
+    # The breaker is not an ingress arm.
+    assert amf.admission.config == AdmissionConfig(
+        **DEFENSE_FIELDS["source"], **DEFENSE_FIELDS["gnb"]
+    )
     assert amf.max_pending_sessions is None
     assert [a["action"] for a in governor.actions] == ["arm"]
     assert governor.actions[0]["verdict"] == "botnet_ddos"
@@ -144,20 +141,20 @@ def test_governor_arms_breaker_on_unattributed_burn():
     governor = _governor(amf, slos=[_Burning()])
     governor.on_scrape(Tsdb(), AT)  # verdict none, but the SLO burns
     assert governor.armed == ("breaker",)
-    assert amf.admission.config.breaker_max_per_s is not None
-    assert amf.max_pending_sessions == GovernorConfig().max_pending
+    assert amf.admission.config == AdmissionConfig(**DEFENSE_FIELDS["breaker"])
+    assert amf.max_pending_sessions == BREAKER_MAX_PENDING
 
 
 def test_governor_escalates_only_on_sustained_burn():
     amf = _StubAmf()
-    governor = _governor(amf, slos=[_Burning()], escalate_after=3)
+    governor = _governor(amf, slos=[_Burning()])
     tsdb = _storm_tsdb()  # attack verdict + burning
     governor.on_scrape(tsdb, AT)
     assert governor.armed == ("source", "gnb")
-    for step in range(1, 3):
+    for step in range(1, 4):
         governor.on_scrape(tsdb, AT + step)
         assert governor.armed == ("source", "gnb")  # not yet sustained
-    governor.on_scrape(tsdb, AT + 3)
+    governor.on_scrape(tsdb, AT + 4)
     assert governor.armed == ("source", "gnb", "breaker")
     assert [a["action"] for a in governor.actions] == ["arm", "escalate"]
 
@@ -167,14 +164,14 @@ def test_governor_hysteresis_and_stand_down_restores_baseline():
     baseline = object()
     amf.admission = baseline
     amf.max_pending_sessions = 99
-    governor = _governor(amf, disarm_after=3)
+    governor = _governor(amf)
     governor.on_scrape(_storm_tsdb(), AT)
     assert governor.armed and amf.admission is not baseline
     quiet = Tsdb()
-    for step in range(1, 3):
+    for step in range(1, 8):
         governor.on_scrape(quiet, AT + step)
         assert governor.armed  # hysteresis: not enough quiet yet
-    governor.on_scrape(quiet, AT + 3)
+    governor.on_scrape(quiet, AT + 8)
     assert governor.armed == ()
     assert amf.admission is baseline
     assert amf.max_pending_sessions == 99

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.harness import warmed_testbed
+from repro.hw.host import paper_testbed_host
 from repro.obs.collect import collect_testbed_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.scrape import Scraper
@@ -79,12 +80,14 @@ def test_scraper_rejects_double_install_and_bad_cadence():
 
 
 def test_disabled_scraper_never_samples():
-    clock = SimClock()
-    scraper = Scraper(clock, _registry_producer({"ticks": 0}))
-    scraper.install(_Host())
-    scraper.enabled = False
-    clock.advance_s(10.0)
-    scraper.tick()
+    # Uninstalled is off: the host's ticks no longer reach the scraper.
+    host = paper_testbed_host()
+    scraper = Scraper(host.clock, _registry_producer({"ticks": 0}))
+    scraper.install(host)
+    scraper.uninstall(host)
+    host.clock.advance_s(10.0)
+    host.tick()
+    assert host.monitor is None
     assert scraper.scrapes == 1  # the install baseline only
 
 

@@ -410,7 +410,7 @@ def test_eviction_follows_the_policy_and_returns_the_tree_to_the_freelist():
 
     _drain_pool()
     tracer = Tracer(SimClock())
-    store = TraceStore(cap=2, sample_every=2, deadline_ms=1.0)
+    store = TraceStore(cap=2, sample_every=2)
     head, tail, skip = "00000002" + "0" * 24, "00000003" + "a" * 24, "00000005" + "0" * 24
     _, _, kept = offer(store, tracer, skip)
     assert not kept and trace._SPAN_POOL == []  # declined: the caller's to recycle

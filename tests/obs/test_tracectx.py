@@ -191,11 +191,12 @@ def _offer(store, trace_id, success=True, sojourn_ns=0):
 
 
 def test_store_keep_reasons():
-    store = TraceStore(cap=8, sample_every=4, deadline_ms=1.0)
+    store = TraceStore(cap=8, sample_every=4)
     sampled = "00000004" + "0" * 24   # int % 4 == 0 -> head sample
     skipped = "00000005" + "0" * 24   # int % 4 == 1 -> dropped
     assert store.keep_reason(skipped, False, 0) == "tail_failed"
-    assert store.keep_reason(skipped, True, 2_000_000) == "tail_deadline"
+    assert store.keep_reason(skipped, True, 250_000_000) is None  # at it
+    assert store.keep_reason(skipped, True, 250_000_001) == "tail_deadline"
     assert store.keep_reason(sampled, True, 0) == "head_sample"
     assert store.keep_reason(skipped, True, 0) is None
     assert _offer(store, skipped, success=False)
@@ -204,7 +205,7 @@ def test_store_keep_reasons():
 
 
 def test_store_evicts_head_samples_before_tail_records():
-    store = TraceStore(cap=2, sample_every=1, deadline_ms=1.0)
+    store = TraceStore(cap=2, sample_every=1)
     _offer(store, "a" * 32, success=False)                    # tail
     _offer(store, "b" * 32, success=True)                     # head
     _offer(store, "c" * 32, success=True, sojourn_ns=9**9)    # tail -> evicts b

@@ -43,7 +43,7 @@ from repro.crypto.suci import (
 from repro.crypto.tls import _hmac_pads, establish_session
 from repro.hw.cpu import XEON_SILVER_4314, Cpu, CpuSpec
 from repro.net.codec import dumps_flat, loads_object
-from repro.sgx.costmodel import SgxCostModel
+from repro.sgx.costmodel import SGX_COSTS
 from repro.sim.clock import MeasurementNestingError, SimClock
 from repro.sim.rng import RngService
 
@@ -385,7 +385,7 @@ def _cpu(frequency_hz):
 )
 def test_transition_ns_table_is_round_cycle_cost_over_its_whole_domain(frequency_hz):
     cpu = _cpu(frequency_hz)
-    lo, hi = SgxCostModel().transition_cycle_bounds
+    lo, hi = SGX_COSTS.transition_cycle_bounds
     assert (lo, hi) == (4_500, 9_900)
     table = cpu.cycle_ns_table(lo, hi)
     assert len(table) == hi + 1 and table[:lo] == (None,) * lo
@@ -398,7 +398,7 @@ def test_transition_ns_table_is_round_cycle_cost_over_its_whole_domain(frequency
 @given(fraction=st.floats(0.0, 1.0, exclude_max=True))
 def test_every_drawn_transition_pair_splits_inside_the_table(fraction):
     # The replay loop's draw for any random() the stream can return.
-    model = SgxCostModel()
+    model = SGX_COSTS
     lo, hi = model.transition_cycle_bounds
     pair_min = model.transition_pair_min_cycles
     total = pair_min + (model.transition_pair_max_cycles - pair_min) * fraction

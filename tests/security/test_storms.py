@@ -1,10 +1,12 @@
 """Seeded signaling storms: schedule purity and attack-plane determinism."""
 
 from repro.security.attacks import (
+    ATTACK_GNBS,
+    BOTNET_POPULATION,
+    SPOOF_POOL,
     AttackEvent,
     AttackPlane,
     StormKind,
-    StormProfile,
     generate_storm,
 )
 from repro.testbed import Testbed, TestbedConfig
@@ -24,8 +26,7 @@ def test_storm_schedule_is_a_pure_value():
 
 
 def test_storm_schedule_shape():
-    profile = StormProfile()
-    events = generate_storm(3, 20.0, 50.0, profile)
+    events = generate_storm(3, 20.0, 50.0)
     assert len(events) > 500  # ~1000 expected at 50/s over 20 s
     horizon_ns = int(20.0 * 1_000_000_000)
     assert all(0 <= event.at_ns < horizon_ns for event in events)
@@ -33,11 +34,11 @@ def test_storm_schedule_shape():
     # Every workload kind appears, and sources stay in their pools.
     assert {event.kind for event in events} == set(StormKind)
     for event in events:
-        assert event.gnb in {f"gnb-atk-{k}" for k in range(profile.attack_gnbs)}
+        assert event.gnb in {f"gnb-atk-{k}" for k in range(ATTACK_GNBS)}
         if event.kind is StormKind.BOTNET_REGISTER:
-            assert int(event.source.split("-")[1]) < profile.botnet_population
+            assert int(event.source.split("-")[1]) < BOTNET_POPULATION
         else:
-            assert int(event.source.split("-")[1]) < profile.spoof_pool
+            assert int(event.source.split("-")[1]) < SPOOF_POOL
 
 
 def test_schedule_generation_draws_no_testbed_randomness():

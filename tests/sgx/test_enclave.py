@@ -6,6 +6,7 @@ import pytest
 
 from repro.hw.cpu import CpuSpec
 from repro.hw.host import paper_testbed_host
+from repro.sgx.costmodel import SGX_COSTS
 from repro.sgx.enclave import CPU_PACKAGE_ACTOR, Enclave
 from repro.sgx.epc import EpcManager
 from repro.sgx.errors import (
@@ -110,13 +111,12 @@ class TestTransitions:
         assert enclave.host.clock.now_ns - t0 > 4_000
 
     def test_compute_charges_mee_penalty(self, enclave):
-        model = enclave.cost_model
         t0 = enclave.host.clock.now_ns
         with enclave.ecall("handler") as ctx:
             ctx.compute(240_000)
         elapsed = enclave.host.clock.now_ns - t0
         plain_ns = 240_000 / 2.4  # 2.4 GHz
-        assert elapsed > plain_ns * model.epc_compute_penalty * 0.9
+        assert elapsed > plain_ns * SGX_COSTS.epc_compute_penalty * 0.9
 
     def test_context_unusable_after_exit(self, enclave):
         with enclave.ecall("handler") as ctx:

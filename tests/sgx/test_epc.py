@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sgx.costmodel import SGX_COSTS
 from repro.sgx.epc import PAGE_SIZE, EpcManager
 from repro.sgx.errors import EpcExhaustedError
 from repro.sgx.stats import SgxStats
@@ -104,8 +105,7 @@ def test_eviction_charge_matches_accounting(manager, host):
     c0 = host.cpu.cycles_spent
     manager.fault_in(b, 8)
     spent = host.cpu.cycles_spent - c0
-    model = manager.cost_model
-    assert spent == 8 * model.page_fault_cycles + 8 * model.page_evict_cycles
+    assert spent == 8 * SGX_COSTS.page_fault_cycles + 8 * SGX_COSTS.page_evict_cycles
 
 
 def test_fault_in_charges_time(manager, host):
