@@ -11,13 +11,17 @@ Fig 5, and activates NAS security once K_AMF is derived:
    offloaded (Fig 5 step 5) — and NAS int/enc keys follow,
 5. Security Mode Command/Complete (real 128-NIA2 MACs), then
    Registration Accept with a fresh 5G-GUTI.
+
+:data:`PROCEDURE` declares these steps once: per uplink NAS type, the
+state it requires, the SBI exchanges it causes, and its success and
+reject edges.  The dispatch, Fig 5's sequence (:mod:`repro.paka.flow`)
+and the gNB's NAS round labels are all read from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Dict, Optional
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.crypto.cmac import nia2_mac
 from repro.crypto.kdf import derive_hxres_star, derive_kamf, derive_nas_keys
@@ -49,14 +53,9 @@ from repro.fivegc.nas_security import (
     SecureNasChannel,
 )
 from repro.fivegc.nf_base import NetworkFunction
+from repro.net import sbi
 from repro.net.rest import JsonApiError
-from repro.net.sbi import (
-    AUSF_UE_AUTH,
-    AUSF_UE_AUTH_CONFIRM,
-    EAMF_DERIVE_KAMF,
-    NFType,
-    SMF_PDU_SESSION,
-)
+from repro.net.sbi import NFType
 from repro.paka.modules import EamfPakaModule
 
 _KAMF_LOCAL_CYCLES = EamfPakaModule.COMPUTE_CYCLES
@@ -69,24 +68,27 @@ _GUTI_ALLOC_CYCLES = 6_000
 _ADMISSION_SHED_CYCLES = 4_000
 _ABBA = b"\x00\x00"
 
+# The states of a UE's NAS session, as ``Amf.session_state`` names them.
+WAIT_AUTH_RESPONSE = "wait-auth-response"
+WAIT_SMC_COMPLETE = "wait-smc-complete"
+WAIT_REG_COMPLETE = "wait-registration-complete"
+REGISTERED = "registered"
+RELEASED = "none"  # no session held: the context and its GUTI are gone
+
+#: NAS rounds one registration may take before the gNB (or a botnet
+#: bot) gives up; a resync registration takes five.
+MAX_NAS_ROUNDS = 12
+
 
 class AmfError(Exception):
     """Protocol-state violation in the AMF."""
 
 
-class _SessionState(Enum):
-    WAIT_AUTH_RESPONSE = "wait-auth-response"
-    WAIT_SMC_COMPLETE = "wait-smc-complete"
-    WAIT_REG_COMPLETE = "wait-registration-complete"
-    REGISTERED = "registered"
-    FAILED = "failed"
-
-
 @dataclass
 class _UeSession:
     ue_id: str
-    state: _SessionState
-    snn: str
+    via: Optional[str]  # originating gNB, for per-cell accounting
+    state: str = WAIT_AUTH_RESPONSE
     identity: Dict[str, object] = field(default_factory=dict)  # suci or supi
     auth_ctx_id: str = ""
     rand: bytes = b""
@@ -100,8 +102,20 @@ class _UeSession:
     uplink_count: int = 0
     resync_attempted: bool = False
     secure_channel: Optional[SecureNasChannel] = None
-    detail: Dict[str, float] = field(default_factory=dict)
-    via: str = "direct"  # originating gNB, for per-cell accept accounting
+
+
+class Step(NamedTuple):
+    """One NAS step of the procedure.  ``requires`` None opens (or
+    replaces) the UE's session; ``exchanges`` are the SBI requests the
+    step issues on an offloaded deployment, in order, as ``(caller role,
+    path)``.  A step rejects when its downlink is an AuthenticationReject."""
+
+    handler: Callable[["Amf", _UeSession, NasMessage], NasMessage]
+    requires: Optional[str]
+    exchanges: Tuple[Tuple[str, str], ...]
+    success: str
+    reject: str
+    label: str  # the gNB's span name for the NAS round
 
 
 class Amf(NetworkFunction):
@@ -166,64 +180,71 @@ class Amf(NetworkFunction):
     def _dispatch_nas(
         self, ue_id: str, message: NasMessage, via: Optional[str]
     ) -> NasMessage:
+        """Look the message's step up, check the state it requires, run
+        its handler and take the success or reject edge."""
         self.runtime.compute(_NAS_DECODE_CYCLES)
-        if isinstance(message, RegistrationRequest):
-            cell = via or "direct"
-            # Arrival is counted *before* admission, so detection keeps
-            # seeing the storm while the defenses shed it (hysteresis
-            # would otherwise flap: shed -> signal gone -> stand down).
-            self.nas_arrivals[cell] = self.nas_arrivals.get(cell, 0) + 1
-            if self.admission is not None:
-                denial = self.admission.check(
-                    self.host.clock.now_ns,
-                    source=ue_id,
-                    kind=KIND_RETURNING if message.guti is not None else KIND_INITIAL,
-                    gnb=via,
+        step = PROCEDURE.get(type(message))
+        if step is None:
+            raise AmfError(f"unexpected NAS message {message.kind} from {ue_id}")
+        if step.requires is None:
+            session = _UeSession(ue_id=ue_id, via=via)
+        else:
+            session = self._sessions.get(ue_id)
+            if session is None:
+                raise AmfError(f"no NAS session for {ue_id}")
+            if session.state != step.requires:
+                raise AmfError(
+                    f"{ue_id}: NAS message out of order (state {session.state}, "
+                    f"expected {step.requires})"
                 )
-                if denial is not None:
-                    # Shed at the front door: no session state, no SBI
-                    # call, no enclave work — just a cheap reject.
-                    self.runtime.compute(_ADMISSION_SHED_CYCLES)
-                    return AuthenticationReject(cause=denial)
-            return self._on_registration_request(ue_id, message, via=cell)
-        if isinstance(message, AuthenticationResponse):
-            return self._on_authentication_response(ue_id, message)
-        if isinstance(message, AuthenticationFailure):
-            return self._on_authentication_failure(ue_id, message)
-        if isinstance(message, SecurityModeComplete):
-            return self._on_smc_complete(ue_id, message)
-        if isinstance(message, RegistrationComplete):
-            return self._on_registration_complete(ue_id, message)
-        if isinstance(message, ProtectedNasPdu):
-            return self._on_protected_pdu(ue_id, message)
-        if isinstance(message, PduSessionEstablishmentRequest):
-            return self._on_pdu_session_request(ue_id, message)
-        if isinstance(message, DeregistrationRequest):
-            return self._on_deregistration(ue_id, message)
-        raise AmfError(f"unexpected NAS message {message.kind} from {ue_id}")
+        downlink = step.handler(self, session, message)
+        edge = step.reject if isinstance(downlink, AuthenticationReject) else step.success
+        if edge == RELEASED:
+            self._release(session)
+        else:
+            session.state = edge
+        return downlink
 
     # --------------------------------------------------------- state steps
 
     def _on_registration_request(
-        self, ue_id: str, message: RegistrationRequest, via: str = "direct"
+        self, session: _UeSession, message: RegistrationRequest
     ) -> NasMessage:
+        cell = session.via or "direct"
+        # Arrival is counted *before* admission, so detection keeps
+        # seeing the storm while the defenses shed it (hysteresis
+        # would otherwise flap: shed -> signal gone -> stand down).
+        self.nas_arrivals[cell] = self.nas_arrivals.get(cell, 0) + 1
+        if self.admission is not None:
+            denial = self.admission.check(
+                self.host.clock.now_ns,
+                source=session.ue_id,
+                kind=KIND_RETURNING if message.guti is not None else KIND_INITIAL,
+                gnb=session.via,
+            )
+            if denial is not None:
+                # Shed at the front door: the session is never held, no
+                # SBI call, no enclave work — just a cheap reject.
+                self.runtime.compute(_ADMISSION_SHED_CYCLES)
+                return AuthenticationReject(cause=denial)
         if self.max_pending_sessions is not None:
             self._evict_pending(budget=self.max_pending_sessions - 1)
-        session = _UeSession(
-            ue_id=ue_id, state=_SessionState.WAIT_AUTH_RESPONSE, snn=self.snn,
-            via=via,
-        )
-        self._sessions[ue_id] = session
-
+        supi = None
         if message.guti is not None:
             # Re-registration with a temporary identity: resolve the SUPI
             # from the prior session — no SUCI/SIDF round needed.
             supi = self._guti_to_supi.get(message.guti)
-            if supi is None:
-                return self._fail(session, f"unknown GUTI {message.guti!r}")
             session.identity = {"supi": supi}
         else:
             session.identity = {"suci": message.suci}
+        # The new session takes the old one's slot (eviction order is
+        # insertion order); the old one is released, retiring its GUTI.
+        replaced = self._sessions.get(session.ue_id)
+        self._sessions[session.ue_id] = session
+        if replaced is not None:
+            self._release(replaced)
+        if message.guti is not None and supi is None:
+            return AuthenticationReject(cause=f"unknown GUTI {message.guti!r}")
         return self._authenticate(session)
 
     def _authenticate(
@@ -236,25 +257,23 @@ class Amf(NetworkFunction):
         if resync_info is not None:
             payload["resynchronizationInfo"] = resync_info
         try:
-            body = self.call(ausf, AUSF_UE_AUTH, payload)
+            body = self.call(ausf, sbi.AUSF_UE_AUTH, payload)
         except JsonApiError as exc:  # refused / malformed / transport failure / circuit open
-            return self._fail(session, str(exc))
+            return AuthenticationReject(cause=str(exc))
         session.auth_ctx_id = body["authCtxId"]
         session.rand = body["rand"]
         session.hxres_star = body["hxresStar"]
-        session.state = _SessionState.WAIT_AUTH_RESPONSE
         self.runtime.compute(_NAS_ENCODE_CYCLES)
         return AuthenticationRequest(rand=session.rand, autn=body["autn"])
 
     def _on_authentication_response(
-        self, ue_id: str, message: AuthenticationResponse
+        self, session: _UeSession, message: AuthenticationResponse
     ) -> NasMessage:
-        session = self._require(ue_id, _SessionState.WAIT_AUTH_RESPONSE)
         # SEAF check: HRES* = SHA-256(RAND ‖ RES*) truncated vs HXRES*.
         self.runtime.compute(_HRES_CHECK_CYCLES)
         hres_star = derive_hxres_star(session.rand, message.res_star)
         if hres_star != session.hxres_star:
-            return self._fail(session, "HRES* mismatch at SEAF")
+            return AuthenticationReject(cause="HRES* mismatch at SEAF")
 
         # Confirm with the AUSF; on success it releases K_SEAF.  A dead
         # AUSF (or eAMF module, below) degrades into a reject for this
@@ -262,14 +281,14 @@ class Amf(NetworkFunction):
         ausf = self.peer(NFType.AUSF)
         try:
             body = self.call(
-                ausf, AUSF_UE_AUTH_CONFIRM,
+                ausf, sbi.AUSF_UE_AUTH_CONFIRM,
                 {"authCtxId": session.auth_ctx_id, "resStar": message.res_star},
             )
         except JsonApiError as exc:  # refused / malformed / transport failure / circuit open
-            return self._fail(session, str(exc))
+            return AuthenticationReject(cause=str(exc))
         kseaf = body.get("kseaf")
         if body["result"] != "AUTHENTICATION_SUCCESS" or kseaf is None or "supi" not in body:
-            return self._fail(session, "AUSF confirmation failed")
+            return AuthenticationReject(cause="AUSF confirmation failed")
         session.supi = body["supi"]
 
         # Derive K_AMF — in the eAMF P-AKA module when offloaded.
@@ -277,7 +296,7 @@ class Amf(NetworkFunction):
             try:
                 session.kamf = self._derive_kamf_offloaded(kseaf, session.supi)
             except JsonApiError as exc:
-                return self._fail(session, str(exc))
+                return AuthenticationReject(cause=str(exc))
         else:
             self.runtime.compute(_KAMF_LOCAL_CYCLES)
             session.kamf = derive_kamf(kseaf, session.supi, _ABBA)
@@ -290,13 +309,11 @@ class Amf(NetworkFunction):
             session.k_nas_int, session.downlink_count, 1, 1, b"SecurityModeCommand"
         )
         session.downlink_count += 1
-        session.state = _SessionState.WAIT_SMC_COMPLETE
         return SecurityModeCommand(mac=mac)
 
     def _on_authentication_failure(
-        self, ue_id: str, message: AuthenticationFailure
+        self, session: _UeSession, message: AuthenticationFailure
     ) -> NasMessage:
-        session = self._require(ue_id, _SessionState.WAIT_AUTH_RESPONSE)
         if (
             message.cause == "SYNCH_FAILURE"
             and message.auts is not None
@@ -314,16 +331,17 @@ class Amf(NetworkFunction):
                     "auts": message.auts.hex(),
                 },
             )
-        return self._fail(session, f"UE reported {message.cause}")
+        return AuthenticationReject(cause=f"UE reported {message.cause}")
 
-    def _on_smc_complete(self, ue_id: str, message: SecurityModeComplete) -> NasMessage:
-        session = self._require(ue_id, _SessionState.WAIT_SMC_COMPLETE)
+    def _on_smc_complete(
+        self, session: _UeSession, message: SecurityModeComplete
+    ) -> NasMessage:
         expected = nia2_mac(
             session.k_nas_int, session.uplink_count, 1, 0, b"SecurityModeComplete"
         )
         session.uplink_count += 1
         if message.mac != expected:
-            return self._fail(session, "SMC Complete MAC invalid")
+            return AuthenticationReject(cause="SMC Complete MAC invalid")
         self.runtime.compute(_GUTI_ALLOC_CYCLES)
         session.guti = self._allocate_guti()
         self._guti_to_supi[session.guti] = session.supi
@@ -336,21 +354,19 @@ class Amf(NetworkFunction):
             b"RegistrationAccept" + session.guti.encode(),
         )
         session.downlink_count += 1
-        session.state = _SessionState.WAIT_REG_COMPLETE
         return RegistrationAccept(guti=session.guti, mac=mac)
 
     def _on_registration_complete(
-        self, ue_id: str, message: RegistrationComplete
+        self, session: _UeSession, message: RegistrationComplete
     ) -> NasMessage:
-        session = self._require(ue_id, _SessionState.WAIT_REG_COMPLETE)
         expected = nia2_mac(
             session.k_nas_int, session.uplink_count, 1, 0, b"RegistrationComplete"
         )
         session.uplink_count += 1
         if message.mac != expected:
-            return self._fail(session, "Registration Complete MAC invalid")
-        session.state = _SessionState.REGISTERED
-        self.nas_accepted[session.via] = self.nas_accepted.get(session.via, 0) + 1
+            return AuthenticationReject(cause="Registration Complete MAC invalid")
+        cell = session.via or "direct"
+        self.nas_accepted[cell] = self.nas_accepted.get(cell, 0) + 1
         # Post-registration NAS signalling travels ciphered over the
         # secure channel (128-NEA2 + 128-NIA2).
         session.secure_channel = SecureNasChannel(
@@ -361,44 +377,37 @@ class Amf(NetworkFunction):
         # acknowledgement marker for the N2 transport.
         return RegistrationAccept(guti=session.guti, mac=b"")
 
-    def _on_protected_pdu(self, ue_id: str, pdu: ProtectedNasPdu) -> NasMessage:
-        """Unwrap a ciphered NAS PDU, dispatch the inner message, and
-        cipher the response."""
-        session = self._require(ue_id, _SessionState.REGISTERED)
-        if session.secure_channel is None:  # pragma: no cover - invariant
-            raise AmfError(f"{ue_id}: registered session without NAS security")
+    def _on_pdu_session_request(
+        self, session: _UeSession, pdu: ProtectedNasPdu
+    ) -> NasMessage:
+        """Unwrap a ciphered PDU session request, set the session up at
+        the SMF, and cipher the answer — a refusal included, so an SMF
+        outage costs the UE its session, not its registration."""
         self.runtime.compute(_NAS_DECODE_CYCLES)
         try:
             inner = session.secure_channel.unprotect(pdu)
         except NasSecurityError as error:
-            return self._fail(session, f"NAS security failure: {error}")
-        if isinstance(inner, PduSessionEstablishmentRequest):
-            response = self._on_pdu_session_request(ue_id, inner)
-            return session.secure_channel.protect(response)
-        raise AmfError(f"unexpected ciphered NAS message {inner.kind}")
-
-    def _on_pdu_session_request(
-        self, ue_id: str, message: PduSessionEstablishmentRequest
-    ) -> NasMessage:
-        session = self._require(ue_id, _SessionState.REGISTERED)
-        smf = self.peer(NFType.SMF)
+            return AuthenticationReject(cause=f"NAS security failure: {error}")
+        if not isinstance(inner, PduSessionEstablishmentRequest):
+            raise AmfError(f"unexpected ciphered NAS message {inner.kind}")
         try:
-            body = self.call(smf, SMF_PDU_SESSION, {
-                "supi": session.supi, "sessionId": message.session_id, "dnn": message.dnn,
+            body = self.call(self.peer(NFType.SMF), sbi.SMF_PDU_SESSION, {
+                "supi": session.supi, "sessionId": inner.session_id, "dnn": inner.dnn,
             })
         except JsonApiError as exc:
-            raise AmfError(str(exc))
+            return session.secure_channel.protect(AuthenticationReject(cause=str(exc)))
         self.runtime.compute(_NAS_ENCODE_CYCLES)
-        return PduSessionEstablishmentAccept(
-            session_id=message.session_id,
+        return session.secure_channel.protect(PduSessionEstablishmentAccept(
+            session_id=inner.session_id,
             ue_address=body["ueAddress"],
             qos_flow=body["qosFlow"],
-        )
+        ))
 
-    def _on_deregistration(self, ue_id: str, message: DeregistrationRequest) -> NasMessage:
-        """UE-initiated deregistration: verify the MAC, release the
-        context, retire the GUTI."""
-        session = self._require(ue_id, _SessionState.REGISTERED)
+    def _on_deregistration(
+        self, session: _UeSession, message: DeregistrationRequest
+    ) -> NasMessage:
+        """UE-initiated deregistration: verify the MAC; the edge then
+        releases the context and retires the GUTI."""
         expected = nia2_mac(
             session.k_nas_int, session.uplink_count, 1, 0, b"DeregistrationRequest"
         )
@@ -408,26 +417,18 @@ class Amf(NetworkFunction):
         mac = nia2_mac(
             session.k_nas_int, session.downlink_count, 1, 1, b"DeregistrationAccept"
         )
-        self._guti_to_supi.pop(session.guti, None)
-        self._sessions.pop(ue_id, None)
         return DeregistrationAccept(mac=mac)
 
     # ------------------------------------------------------------- helpers
 
-    def _fail(self, session: _UeSession, cause: str) -> AuthenticationReject:
-        """Terminate a NAS exchange: release the session context.
-
-        Failed sessions used to linger in ``_sessions`` forever (state
-        ``FAILED``), so a storm of failing registrations leaked one
-        ``_UeSession`` per spoofed identity.  The context — and any GUTI
-        it was issued — is released immediately; a later retry starts
-        from a clean ``RegistrationRequest``.
-        """
-        session.state = _SessionState.FAILED
-        if session.guti:
-            self._guti_to_supi.pop(session.guti, None)
-        self._sessions.pop(session.ue_id, None)
-        return AuthenticationReject(cause=cause)
+    def _release(self, session: _UeSession) -> None:
+        """The ``RELEASED`` edge: forget the session and retire its GUTI,
+        so a failed, evicted, replaced or deregistered session leaks
+        neither.  A session that was shed or replaced is no longer the
+        one held for its UE, and stays unheld."""
+        self._guti_to_supi.pop(session.guti, None)
+        if self._sessions.get(session.ue_id) is session:
+            del self._sessions[session.ue_id]
 
     def _evict_pending(self, budget: int) -> None:
         """Drop oldest in-progress sessions until at most ``budget`` remain.
@@ -436,25 +437,10 @@ class Amf(NetworkFunction):
         insertion order (deterministic — dicts preserve it), which under
         a SUCI flood means the stalest unanswered challenge dies first.
         """
-        pending = [
-            ue_id
-            for ue_id, session in self._sessions.items()
-            if session.state is not _SessionState.REGISTERED
-        ]
-        for ue_id in pending[: max(0, len(pending) - budget)]:
-            self._sessions.pop(ue_id, None)
+        pending = [s for s in self._sessions.values() if s.state != REGISTERED]
+        for session in pending[: max(0, len(pending) - budget)]:
+            self._release(session)
             self.pending_evictions += 1
-
-    def _require(self, ue_id: str, expected: _SessionState) -> _UeSession:
-        session = self._sessions.get(ue_id)
-        if session is None:
-            raise AmfError(f"no NAS session for {ue_id}")
-        if session.state is not expected:
-            raise AmfError(
-                f"{ue_id}: NAS message out of order (state {session.state.value}, "
-                f"expected {expected.value})"
-            )
-        return session
 
     def _allocate_guti(self) -> str:
         # Stream keyed by NF name: two AMFs on one host draw from
@@ -465,7 +451,7 @@ class Amf(NetworkFunction):
 
     def _derive_kamf_offloaded(self, kseaf: bytes, supi: str) -> bytes:
         fields = {"kseaf": kseaf, "supi": supi, "abba": _ABBA}
-        return self.call(self.offload_module, EAMF_DERIVE_KAMF, fields)["kamf"]
+        return self.call(self.offload_module, sbi.EAMF_DERIVE_KAMF, fields)["kamf"]
 
     # ------------------------------------------------------------- metrics
 
@@ -507,20 +493,61 @@ class Amf(NetworkFunction):
 
     def pending_count(self) -> int:
         """In-progress (non-registered) NAS sessions currently held."""
-        return sum(
-            1
-            for s in self._sessions.values()
-            if s.state is not _SessionState.REGISTERED
-        )
+        return sum(1 for s in self._sessions.values() if s.state != REGISTERED)
 
     def session_count(self) -> int:
         return len(self._sessions)
 
     def session_state(self, ue_id: str) -> str:
         session = self._sessions.get(ue_id)
-        return session.state.value if session else "none"
+        return session.state if session else RELEASED
 
     def registered_count(self) -> int:
-        return sum(
-            1 for s in self._sessions.values() if s.state is _SessionState.REGISTERED
-        )
+        return sum(1 for s in self._sessions.values() if s.state == REGISTERED)
+
+
+#: The registration procedure of Fig 5, declared once: each uplink NAS
+#: type's step.  The exchanges are those of a registration on an
+#: offloaded deployment (monolithic AMFs and UDMs make fewer); the
+#: AuthenticationFailure row's are a granted resync (SYNCH_FAILURE with
+#: AUTS).  A ciphered reject of the PDU row is still a ProtectedNasPdu:
+#: both its edges stay REGISTERED.
+PROCEDURE: Dict[type, Step] = {
+    RegistrationRequest: Step(
+        Amf._on_registration_request, None,
+        (("amf", sbi.AUSF_UE_AUTH), ("ausf", sbi.UDM_UE_AUTH_GET),
+         ("udm", sbi.UDR_AUTH_SUBSCRIPTION), ("udm", sbi.EUDM_GENERATE_AV),
+         ("ausf", sbi.EAUSF_DERIVE_SE_AV)),
+        WAIT_AUTH_RESPONSE, RELEASED, "RegistrationRequest",
+    ),
+    AuthenticationFailure: Step(
+        Amf._on_authentication_failure, WAIT_AUTH_RESPONSE,
+        (("amf", sbi.AUSF_UE_AUTH), ("ausf", sbi.UDM_UE_AUTH_GET),
+         ("udm", sbi.UDR_AUTH_PEEK), ("udm", sbi.EUDM_VERIFY_AUTS),
+         ("udm", sbi.UDR_AUTH_RESYNC), ("udm", sbi.UDR_AUTH_SUBSCRIPTION),
+         ("udm", sbi.EUDM_GENERATE_AV), ("ausf", sbi.EAUSF_DERIVE_SE_AV)),
+        WAIT_AUTH_RESPONSE, RELEASED, "AuthenticationFailure",
+    ),
+    AuthenticationResponse: Step(
+        Amf._on_authentication_response, WAIT_AUTH_RESPONSE,
+        (("amf", sbi.AUSF_UE_AUTH_CONFIRM), ("amf", sbi.EAMF_DERIVE_KAMF)),
+        WAIT_SMC_COMPLETE, RELEASED, "AuthenticationResponse",
+    ),
+    SecurityModeComplete: Step(
+        Amf._on_smc_complete, WAIT_SMC_COMPLETE, (),
+        WAIT_REG_COMPLETE, RELEASED, "SecurityModeComplete",
+    ),
+    RegistrationComplete: Step(
+        Amf._on_registration_complete, WAIT_REG_COMPLETE, (),
+        REGISTERED, RELEASED, "RegistrationComplete",
+    ),
+    ProtectedNasPdu: Step(
+        Amf._on_pdu_session_request, REGISTERED,
+        (("amf", sbi.SMF_PDU_SESSION), ("smf", sbi.UPF_N4_SESSION)),
+        REGISTERED, REGISTERED, "PduSessionRequest",
+    ),
+    DeregistrationRequest: Step(
+        Amf._on_deregistration, REGISTERED, (),
+        RELEASED, REGISTERED, "DeregistrationRequest",
+    ),
+}

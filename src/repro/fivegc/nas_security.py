@@ -17,6 +17,7 @@ from repro.net.codec import dumps_flat, loads_object
 from repro.crypto.cmac import nia2_mac
 from repro.crypto.nea import nea2_encrypt
 from repro.fivegc.messages import (
+    AuthenticationReject,
     NasMessage,
     PduSessionEstablishmentAccept,
     PduSessionEstablishmentRequest,
@@ -43,8 +44,10 @@ class ProtectedNasPdu(NasMessage):
         return 12 + len(self.ciphertext) + len(self.mac)
 
 
-# Inner-message codec: only messages that travel post-SMC need entries.
+# Inner-message codec: only messages that travel post-SMC need entries
+# (a refused PDU session is answered with a ciphered reject).
 _CODEC: Dict[str, Type[NasMessage]] = {
+    "AuthenticationReject": AuthenticationReject,
     "PduSessionEstablishmentRequest": PduSessionEstablishmentRequest,
     "PduSessionEstablishmentAccept": PduSessionEstablishmentAccept,
 }

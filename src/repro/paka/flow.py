@@ -18,15 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.sbi import (
-    AUSF_UE_AUTH,
-    AUSF_UE_AUTH_CONFIRM,
-    EAMF_DERIVE_KAMF,
-    EAUSF_DERIVE_SE_AV,
-    EUDM_GENERATE_AV,
-    UDM_UE_AUTH_GET,
-    UDR_AUTH_SUBSCRIPTION,
-)
+from repro.fivegc.amf import PROCEDURE
+from repro.fivegc.messages import AuthenticationResponse, RegistrationRequest
 from repro.testbed import Testbed
 
 
@@ -39,15 +32,12 @@ class SbiExchange:
     path: str
 
 
-# The Fig 5 request order for one registration (responses implied).
+# The Fig 5 request order for one registration (responses implied): the
+# exchanges the AMF's registration steps declare.  The UDM → eUDM and
+# AUSF → eAUSF hops precede the challenge; AMF → eAMF follows RES*.
 FIGURE5_SEQUENCE: Tuple[Tuple[str, str], ...] = (
-    ("amf", AUSF_UE_AUTH),  # 1. initial auth reaches the AUSF
-    ("ausf", UDM_UE_AUTH_GET),  # 2. ... and is forwarded to the UDM
-    ("udm", UDR_AUTH_SUBSCRIPTION),  # 3. credentials fetched (SQN advances)
-    ("udm", EUDM_GENERATE_AV),  # 4. HE AV generated inside eUDM P-AKA
-    ("ausf", EAUSF_DERIVE_SE_AV),  # 5. HXRES*/K_SEAF inside eAUSF P-AKA
-    ("amf", AUSF_UE_AUTH_CONFIRM),  # 6. RES* confirmed, K_SEAF released
-    ("amf", EAMF_DERIVE_KAMF),  # 7. K_AMF derived inside eAMF P-AKA
+    PROCEDURE[RegistrationRequest].exchanges
+    + PROCEDURE[AuthenticationResponse].exchanges
 )
 
 

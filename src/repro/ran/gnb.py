@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.fivegc.amf import Amf
+from repro.fivegc.amf import MAX_NAS_ROUNDS, PROCEDURE, Amf
 from repro.fivegc.messages import (
     AuthenticationReject,
     NasMessage,
@@ -40,7 +40,6 @@ class Gnb:
     """A gNB serving one tracking area, attached to one AMF."""
 
     _N2_LATENCY_US = 140.0  # gNB ↔ AMF transport (same site)
-    _MAX_NAS_ROUNDS = 12
 
     def __init__(
         self,
@@ -149,9 +148,9 @@ class Gnb:
                 if initial
                 else ue.build_guti_registration_request()
             )
-            while uplink is not None and exchanges < self._MAX_NAS_ROUNDS:
+            while uplink is not None and exchanges < MAX_NAS_ROUNDS:
                 with host.span(
-                    type(uplink).__name__, kind="nas", round=exchanges + 1
+                    PROCEDURE[type(uplink)].label, kind="nas", round=exchanges + 1
                 ):
                     self._air(uplink)
                     self._n2()
@@ -167,8 +166,8 @@ class Gnb:
             if ue.registered and establish_session:
                 # The PDU session exchange travels ciphered (128-NEA2)
                 # over the freshly established NAS security context.
-                with host.span("PduSessionRequest", kind="nas"):
-                    pdu_request = ue.build_pdu_session_request()
+                pdu_request = ue.build_pdu_session_request()
+                with host.span(PROCEDURE[type(pdu_request)].label, kind="nas"):
                     self._air(pdu_request)
                     self._n2()
                     accept = amf.handle_nas(ue.name, pdu_request, via=self.name)

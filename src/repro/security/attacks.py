@@ -327,7 +327,7 @@ from enum import Enum
 from random import Random
 from typing import Tuple
 
-from repro.fivegc.amf import AmfError
+from repro.fivegc.amf import MAX_NAS_ROUNDS, AmfError
 from repro.fivegc.messages import (
     AuthenticationFailure,
     AuthenticationReject,
@@ -432,7 +432,6 @@ VICTIM_MSIN = "9000000001"
 BOTNET_MSIN_PREFIX = "8"
 
 _N2_LATENCY_US = 140.0
-_MAX_NAS_ROUNDS = 12
 
 
 class AttackPlane:
@@ -591,7 +590,7 @@ class AttackPlane:
         bot = self.botnet[int(event.source.split("-")[1])]
         uplink = bot.build_registration_request()
         rounds = 0
-        while uplink is not None and rounds < _MAX_NAS_ROUNDS:
+        while uplink is not None and rounds < MAX_NAS_ROUNDS:
             downlink = self._send(bot.name, uplink, event.gnb)
             rounds += 1
             if downlink is None:

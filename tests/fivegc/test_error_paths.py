@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.fivegc.amf import AmfError
 from repro.fivegc.nas_security import NasSecurityError, decode_inner
 from repro.fivegc.udr import AuthSubscription
 from repro.net import sbi
@@ -120,8 +119,14 @@ def _read_answer(testbed, endpoint):
         _gateway_error(lambda: testbed.amf.discover(NFType.AUSF, registry, refresh=True))
         assert testbed.amf.peer(NFType.AUSF) is testbed.ausf
     elif endpoint in (sbi.SMF_PDU_SESSION, sbi.UPF_N4_SESSION):
-        with pytest.raises(AmfError, match="SMF"):
-            testbed.register(testbed.add_subscriber(), establish_session=True)
+        # A refused PDU session costs the UE its session, not its
+        # registration, and is no NAS protocol error.
+        ue, gnb, amf = testbed.add_subscriber(), testbed.gnb, testbed.amf
+        before = (gnb.registrations_succeeded, gnb.sojourn_ms.stats.count, amf.nas_protocol_errors)
+        outcome = testbed.register(ue, establish_session=True)
+        assert outcome.success and "SMF" in outcome.failure_cause and ue.ue_address is None
+        after = (gnb.registrations_succeeded, gnb.sojourn_ms.stats.count, amf.nas_protocol_errors)
+        assert after == (before[0] + 1, before[1] + 1, before[2])
     else:
         ue = testbed.add_subscriber()
         if endpoint in (sbi.UDR_AUTH_PEEK, sbi.UDR_AUTH_RESYNC, sbi.EUDM_VERIFY_AUTS):

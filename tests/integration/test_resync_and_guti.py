@@ -61,14 +61,10 @@ def test_guti_reregistration(isolation):
     first_guti = ue.guti
 
     # Re-register with the GUTI: full re-authentication, no SUCI round.
-    request = ue.build_guti_registration_request()
-    assert request.guti == first_guti and request.suci is None
-    downlink = testbed.amf.handle_nas(ue.name, request)
-    while downlink is not None:
-        uplink = ue.handle_nas(downlink)
-        if uplink is None:
-            break
-        downlink = testbed.amf.handle_nas(ue.name, uplink)
+    uplink = ue.build_guti_registration_request()
+    assert uplink.guti == first_guti and uplink.suci is None
+    while uplink is not None:
+        uplink = ue.handle_nas(testbed.amf.handle_nas(ue.name, uplink))
     assert ue.registered
     assert ue.guti != first_guti  # a fresh GUTI is issued
 
@@ -79,12 +75,9 @@ def test_guti_reregistration_derives_fresh_keys(monolithic_testbed):
     assert testbed.register(ue, establish_session=False).success
     old_kamf = ue.kamf
 
-    downlink = testbed.amf.handle_nas(ue.name, ue.build_guti_registration_request())
-    while downlink is not None:
-        uplink = ue.handle_nas(downlink)
-        if uplink is None:
-            break
-        downlink = testbed.amf.handle_nas(ue.name, uplink)
+    uplink = ue.build_guti_registration_request()
+    while uplink is not None:
+        uplink = ue.handle_nas(testbed.amf.handle_nas(ue.name, uplink))
     assert ue.registered
     assert ue.kamf != old_kamf  # fresh RAND → fresh hierarchy
 

@@ -1,8 +1,6 @@
 """gNB: registration loop, air-link model, failure propagation."""
 
-import pytest
-
-from repro.ran.gnb import AirLinkModel, Gnb
+from repro.ran.gnb import AirLinkModel
 
 
 def test_airlink_latency_scales_with_size():
