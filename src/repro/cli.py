@@ -383,7 +383,7 @@ def _cmd_attack(args: Args) -> int:
 
 def _cmd_traces(args: Args) -> int:
     """Distributed-trace analytics over a traced survivability arm."""
-    row = run_storm_arm(
+    _, observation = run_storm_arm(
         args.defense,
         args.rate,
         legit=args.legit,
@@ -391,18 +391,14 @@ def _cmd_traces(args: Args) -> int:
         seed=args.seed,
         trace_sample=args.sample,
     )
-    store_dump = row["_trace_store"]
+    store = observation.store
 
     if args.trace_id:
-        record = next(
-            (r for r in store_dump["records"] if r["trace_id"] == args.trace_id),
-            None,
-        )
+        record = store.get(args.trace_id)
         if record is None:
             print(
                 f"trace {args.trace_id} not in store "
-                f"({len(store_dump['records'])} kept of "
-                f"{store_dump['seen']} seen)",
+                f"({len(store)} kept of {store.seen} seen)",
                 file=sys.stderr,
             )
             return 2
@@ -420,10 +416,10 @@ def _cmd_traces(args: Args) -> int:
         return 0
 
     digest = slowest_traces_digest(
-        store_dump,
+        store.to_dict(),
         top=args.slowest,
-        module_servers=row["_module_servers"],
-        module_runtimes=row["_module_runtimes"],
+        module_servers=observation.module_servers,
+        module_runtimes=observation.module_runtimes,
     )
     if args.json:
         print(json.dumps(digest, indent=2, sort_keys=True))
@@ -438,15 +434,15 @@ def _cmd_traces(args: Args) -> int:
         f"({digest['kept_tail']} tail + {digest['kept_head']} head), "
         f"{digest['evicted']} evicted"
     )
+    alerts = observation.alerts
     sojourn_alerts = [
-        alert for alert in row["_alerts"]
-        if alert["slo"].startswith("registration-sojourn")
+        alert for alert in alerts if alert.slo.startswith("registration-sojourn")
     ]
     cited = sorted(
-        {tid for alert in sojourn_alerts for tid in alert["exemplar_trace_ids"]}
+        {tid for alert in sojourn_alerts for tid in alert.exemplar_trace_ids}
     )
     print(
-        f"alerts: {len(row['_alerts'])} fired, {len(sojourn_alerts)} "
+        f"alerts: {len(alerts)} fired, {len(sojourn_alerts)} "
         f"sojourn, {len(cited)} exemplar trace ids cited"
     )
     print(f"\nslowest {len(digest['slowest'])} traces:")

@@ -16,15 +16,14 @@ fault-free golden clocks exactly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence, Tuple
 
 from repro.experiments.harness import BandCheck, ExperimentReport, warmed_testbed
 from repro.experiments.stats import percentiles, summarize
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import BASELINE_RATES, FaultPlan
 from repro.net.http import DEFAULT_SBI_RETRY
-from repro.obs.scrape import Scraper
-from repro.obs.slo import SloEngine, default_slos
+from repro.obs.collect import Observation, observe
 from repro.paka.deploy import IsolationMode
 
 NS_PER_S = 1_000_000_000
@@ -57,62 +56,51 @@ def _run_arm(
     horizon_s: float,
     seed: int,
     cadence_s: float = DEFAULT_CADENCE_S,
-) -> Dict[str, object]:
+) -> Tuple[Dict[str, object], Observation]:
     """One sweep arm: a fresh warmed slice under ``factor×`` fault rates.
 
-    A :class:`~repro.obs.scrape.Scraper` monitors the whole arm on a
-    ``cadence_s`` simulated-time cadence, and the paper-derived SLOs are
-    evaluated over its Tsdb afterwards — scrapes are pull-only, so the
-    monitored arm spends exactly the same simulated nanoseconds as an
-    unmonitored one (the 0× arm still reproduces the golden clocks).
+    The whole arm is observed on a ``cadence_s`` simulated-time cadence
+    and the paper-derived SLOs are evaluated over its Tsdb afterwards —
+    scrapes are pull-only, so the monitored arm spends exactly the same
+    simulated nanoseconds as an unmonitored one (the 0× arm still
+    reproduces the golden clocks).  Returns the report row and the
+    :class:`~repro.obs.collect.Observation`.
     """
     testbed = warmed_testbed(IsolationMode.SGX, seed=seed)
-    nfs = (
-        testbed.nrf, testbed.udr, testbed.udm, testbed.ausf,
-        testbed.amf, testbed.smf, testbed.upf,
-    )
+    nfs = testbed.core_nfs
     for nf in nfs:
         nf.retry_policy = DEFAULT_SBI_RETRY
 
     plan = FaultPlan.generate(seed, horizon_s, BASELINE_RATES.scaled(factor))
     injector = FaultInjector(testbed, plan).arm()
     clock = testbed.host.clock
-    start_ns = clock.now_ns
     gap_s = horizon_s / registrations
 
-    scraper = Scraper.for_testbed(
+    with observe(
         testbed, cadence_s=cadence_s, fault_injector=injector
-    ).install(testbed.host)
+    ) as observation:
+        successes = 0
+        for index in range(registrations):
+            # Hold the arrival grid: idle up to this UE's slot, then sync
+            # the window-driven fault state (EPC pressure, AEX storms).
+            target_ns = observation.base_ns + int(index * gap_s * NS_PER_S)
+            remaining_ns = target_ns - clock.now_ns
+            if remaining_ns > 0:
+                testbed.idle(remaining_ns / NS_PER_S)
+            injector.tick()
 
-    successes = 0
-    latencies_ms: List[float] = []
-    for index in range(registrations):
-        # Hold the arrival grid: idle up to this UE's slot, then sync the
-        # window-driven fault state (EPC pressure, AEX storms).
-        target_ns = start_ns + int(index * gap_s * NS_PER_S)
-        remaining_ns = target_ns - clock.now_ns
-        if remaining_ns > 0:
-            testbed.idle(remaining_ns / NS_PER_S)
+            ue = testbed.add_subscriber()
+            outcome = testbed.register(ue, establish_session=False)
+            successes += 1 if outcome.success else 0
+
         injector.tick()
+        injector.disarm()
 
-        ue = testbed.add_subscriber()
-        t0 = clock.now_ns
-        outcome = testbed.register(ue, establish_session=False)
-        latencies_ms.append((clock.now_ns - t0) / 1e6)
-        successes += 1 if outcome.success else 0
-
-    injector.tick()
-    injector.disarm()
-
-    # Recovery probe: with the plan disarmed and the circuit-breaker
-    # cooldown (5 s) elapsed, the slice must serve again.  The scraper
-    # stays installed so post-fault scrapes let burn-rate alerts resolve.
-    testbed.idle(6.0)
-    probe = testbed.register(testbed.add_subscriber(), establish_session=False)
-    scraper.uninstall(testbed.host)
-
-    slos = default_slos(testbed)
-    alerts = SloEngine(slos).evaluate(scraper.tsdb)
+        # Recovery probe: with the plan disarmed and the circuit-breaker
+        # cooldown (5 s) elapsed, the slice must serve again.  The arm is
+        # still observed, so post-fault scrapes let burn-rate alerts resolve.
+        testbed.idle(6.0)
+        probe = testbed.register(testbed.add_subscriber(), establish_session=False)
 
     retries = sum(nf.client.retries for nf in nfs)
     timeouts = sum(nf.client.timeouts for nf in nfs)
@@ -132,31 +120,12 @@ def _run_arm(
         "breaker_opens": sum(b.times_opened for b in breakers),
         "fast_failures": sum(b.fast_failures for b in breakers),
         "recovered": int(probe.success),
-        "alerts_fired": len(alerts),
+        "alerts_fired": len(observation.alerts),
         "final_clock_ns": clock.now_ns,
     }
-    row.update(_percentiles_ms(latencies_ms))
-    row["latencies_ms"] = latencies_ms  # stripped before the report
-    row["_monitor"] = {  # stripped before the report; kept by monitored_arm
-        "cadence_s": cadence_s,
-        "base_ns": start_ns,
-        "scrapes": scraper.scrapes,
-        "series": len(scraper.tsdb),
-        "slos": [slo.describe() for slo in slos],
-        "alerts": [alert.to_dict(start_ns) for alert in alerts],
-        "fault_windows": [
-            {
-                "kind": window.kind.value,
-                "target": window.target,
-                "start_s": round(window.start_ns / NS_PER_S, 6),
-                "end_s": round(window.end_ns / NS_PER_S, 6),
-                "magnitude": round(window.magnitude, 6),
-            }
-            for window in plan.windows
-        ],
-        "alerts_in_fault_windows": _alerts_in_windows(alerts, plan, start_ns),
-    }
-    return row
+    # The arm's registration latencies: its sojourns, the probe's aside.
+    row.update(_percentiles_ms(observation.sojourns_ms[:registrations]))
+    return row, observation
 
 
 def _alerts_in_windows(alerts, plan: FaultPlan, base_ns: int) -> int:
@@ -184,9 +153,32 @@ def monitored_arm(
     many alerts fired while a fault window was active.  Deterministic —
     byte-identical JSON for a fixed ``(seed, factor, cadence)``.
     """
-    row = _run_arm(factor, registrations, horizon_s, seed, cadence_s=cadence_s)
-    monitor = row.pop("_monitor")
-    row.pop("latencies_ms")
+    row, observation = _run_arm(
+        factor, registrations, horizon_s, seed, cadence_s=cadence_s
+    )
+    plan = FaultPlan.generate(seed, horizon_s, BASELINE_RATES.scaled(factor))
+    base_ns = observation.base_ns
+    monitor = {
+        "cadence_s": cadence_s,
+        "base_ns": base_ns,
+        "scrapes": observation.scraper.scrapes,
+        "series": len(observation.scraper.tsdb),
+        "slos": [slo.describe() for slo in observation.slos],
+        "alerts": [alert.to_dict(base_ns) for alert in observation.alerts],
+        "fault_windows": [
+            {
+                "kind": window.kind.value,
+                "target": window.target,
+                "start_s": round(window.start_ns / NS_PER_S, 6),
+                "end_s": round(window.end_ns / NS_PER_S, 6),
+                "magnitude": round(window.magnitude, 6),
+            }
+            for window in plan.windows
+        ],
+        "alerts_in_fault_windows": _alerts_in_windows(
+            observation.alerts, plan, base_ns
+        ),
+    }
     return {"row": row, "monitor": monitor}
 
 
@@ -205,12 +197,10 @@ def availability_experiment(
         ),
     )
 
-    rows = [_run_arm(f, registrations, horizon_s, seed) for f in factors]
-    by_factor = {row["fault_factor"]: row for row in rows}
-    for row in rows:
-        label = f"x{row['fault_factor']:g}"
-        row.pop("_monitor")
-        latencies = row.pop("latencies_ms")
+    for factor in factors:
+        row, observation = _run_arm(factor, registrations, horizon_s, seed)
+        label = f"x{factor:g}"
+        latencies = observation.sojourns_ms[:registrations]
         if latencies:
             report.series[f"latency_ms_{label}"] = summarize(
                 f"registration latency {label}", latencies, "ms"
@@ -219,6 +209,8 @@ def availability_experiment(
             if row[key] is not None:
                 report.derived[f"{key}_{label}"] = float(row[key])
         report.rows.append(row)
+    rows = report.rows
+    by_factor = {row["fault_factor"]: row for row in rows}
 
     control = by_factor[min(by_factor)]
     worst = by_factor[max(by_factor)]

@@ -18,13 +18,7 @@ committed results files stay byte-identical across machines.
 
 from __future__ import annotations
 
-from repro.experiments.harness import (
-    MODULE_NAMES,
-    BandCheck,
-    ExperimentReport,
-    warmed_testbed,
-)
-from repro.paka.deploy import IsolationMode
+from repro.experiments.harness import MODULE_NAMES, BandCheck, ExperimentReport
 
 # Retention bound for the host event log during the campaign: an SGX
 # registration emits ~1.1k events, so 10k UEs would otherwise hold ~11M
@@ -34,24 +28,17 @@ EVENT_LOG_CAPACITY = 20_000
 
 
 def capacity_campaign(ues: int = 10_000, seed: int = 7) -> ExperimentReport:
-    """Register ``ues`` subscribers back-to-back on one warmed SGX slice."""
-    testbed = warmed_testbed(
-        IsolationMode.SGX, seed=seed, event_log_capacity=EVENT_LOG_CAPACITY
-    )
-    eenters_before = {
-        name: testbed.paka.modules[name].runtime.sgx_stats.eenters
-        for name in MODULE_NAMES
-    }
-    clock_before_ns = testbed.host.clock.now_ns
+    """Register ``ues`` subscribers back-to-back on one warmed SGX slice.
 
-    successes = 0
-    for _ in range(ues):
-        ue = testbed.add_subscriber()
-        outcome = testbed.register(ue, establish_session=False)
-        successes += 1 if outcome.success else 0
+    This is the one-shard arm of the partitioned campaign
+    (:func:`repro.experiments.shard.run_shard`): same seed, warmup and
+    registration sequence, reported unmerged.
+    """
+    from repro.experiments.shard import population_msins, run_shard
 
-    simulated_s = (testbed.host.clock.now_ns - clock_before_ns) / 1e9
-    eudm_server = testbed.paka.modules["eudm"].server
+    shard = run_shard(0, population_msins(ues), seed)
+    successes = shard["successes"]
+    simulated_s = shard["simulated_ns"] / 1e9
 
     report = ExperimentReport(
         experiment_id="capacity_10k" if ues >= 10_000 else f"capacity_{ues}",
@@ -62,10 +49,9 @@ def capacity_campaign(ues: int = 10_000, seed: int = 7) -> ExperimentReport:
     report.derived["simulated_s"] = round(simulated_s, 6)
     report.derived["simulated_regs_per_s"] = round(ues / simulated_s, 4)
     report.derived["simulated_ms_per_reg"] = round(simulated_s * 1e3 / ues, 4)
-    report.derived["eudm_lt_mean_us"] = round(eudm_server.lt_us.stats.mean, 4)
+    report.derived["eudm_lt_mean_us"] = round(shard["eudm_lt_mean_us"], 4)
     for name in MODULE_NAMES:
-        stats = testbed.paka.modules[name].runtime.sgx_stats
-        per_reg = (stats.eenters - eenters_before[name]) / ues
+        per_reg = shard["eenters"][name] / ues
         report.derived[f"{name}_eenters_per_reg"] = round(per_reg, 4)
         report.checks.append(
             BandCheck(

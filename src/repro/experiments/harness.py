@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.experiments.stats import SeriesSummary
 from repro.paka.deploy import IsolationMode
@@ -19,6 +19,9 @@ MODULE_AKA_PATH = {
     "eausf": EAUSF_DERIVE_SE_AV,
     "eamf": EAMF_DERIVE_KAMF,
 }
+
+# The NF whose client calls each module's AKA endpoint.
+MODULE_CALLER = {"eudm": "udm", "eausf": "ausf", "eamf": "amf"}
 
 
 @dataclass
@@ -109,6 +112,24 @@ def warmed_testbed(
     return testbed
 
 
+def trusted_path_samples(
+    testbed: Testbed, since: Optional[Mapping[str, int]] = None
+) -> Dict[str, List[float]]:
+    """Each module's trusted-path round trips (R, µs) as the NF calling it
+    recorded them, from index ``since[module]`` on (all without ``since``).
+
+    Take ``len`` of every list for the ``since`` of a later call.
+    """
+    since = since or {}
+    return {
+        name: getattr(testbed, MODULE_CALLER[name])
+        .client.response_times_by_server.get(module.server.name, [])[
+            since.get(name, 0):
+        ]
+        for name, module in testbed.paka.modules.items()
+    }
+
+
 def collect_module_latencies(
     testbed: Testbed, registrations: int, skip: int = 0
 ) -> Dict[str, Dict[str, List[float]]]:
@@ -119,14 +140,9 @@ def collect_module_latencies(
     """
     if testbed.paka is None:
         raise ValueError("experiment requires deployed modules")
-    client_of = {"eudm": testbed.udm, "eausf": testbed.ausf, "eamf": testbed.amf}
-    before_counts = {
-        name: len(
-            client_of[name].client.response_times_by_server.get(
-                testbed.paka.modules[name].server.name, []
-            )
-        )
-        for name in testbed.paka.modules
+    before_r = {
+        name: len(samples) + skip
+        for name, samples in trusted_path_samples(testbed).items()
     }
     before_lf = {
         name: len(
@@ -143,15 +159,14 @@ def collect_module_latencies(
         if not outcome.success:
             raise RuntimeError(f"registration failed: {outcome.failure_cause}")
 
+    r_us = trusted_path_samples(testbed, since=before_r)
     collected: Dict[str, Dict[str, List[float]]] = {}
     for name, module in testbed.paka.modules.items():
         path = MODULE_AKA_PATH[name]
         server = module.server
-        vnf = client_of[name]
-        r_series = vnf.client.response_times_by_server.get(server.name, [])
         collected[name] = {
             "lf_us": server.lf_us_by_path.get(path, [])[before_lf[name] + skip :],
             "lt_us": server.lt_us_by_path.get(path, [])[before_lf[name] + skip :],
-            "r_us": r_series[before_counts[name] + skip :],
+            "r_us": r_us[name],
         }
     return collected

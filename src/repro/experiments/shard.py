@@ -21,10 +21,9 @@ Determinism contract:
 * the merge itself walks shards in index order.
 
 Hence **the merged report is byte-identical regardless of ``--jobs``**,
-and with ``shards=1`` the single arm *is* the E-CAP campaign loop — same
-seed, same warmup, same registration sequence — so its simulated clock
-reproduces :func:`repro.experiments.capacity.capacity_campaign`
-bit-for-bit.
+and with ``shards=1`` the single arm *is* the E-CAP campaign:
+:func:`repro.experiments.capacity.capacity_campaign` runs exactly that
+arm and reports it unmerged.
 
 Merge semantics (what "one report" means for partitioned simulated time):
 
@@ -44,6 +43,7 @@ Merge semantics (what "one report" means for partitioned simulated time):
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -108,10 +108,12 @@ def run_shard(
     Module-level and plain-data in/out, so it fans out over worker
     processes.  The measured window is exactly E-CAP's: clock read after
     warmup, registrations back-to-back, clock read again — the optional
-    scraper is pull-only and the trace for the span decomposition runs
-    *after* the window closes, so neither perturbs the measured clock.
+    observation is pull-only and the trace for the span decomposition
+    runs *after* the window closes, so neither perturbs the measured
+    clock.  :func:`~repro.experiments.capacity.capacity_campaign` is
+    this arm on one shard.
     """
-    from repro.obs.scrape import Scraper
+    from repro.obs.collect import observe
 
     testbed = warmed_testbed(
         IsolationMode.SGX,
@@ -122,23 +124,21 @@ def run_shard(
         name: testbed.paka.modules[name].runtime.sgx_stats.eenters
         for name in MODULE_NAMES
     }
-    scraper = None
-    if monitor_cadence_s is not None:
-        scraper = Scraper.for_testbed(
-            testbed, cadence_s=monitor_cadence_s, series_cap=512
-        ).install(testbed.host)
-    clock_before_ns = testbed.host.clock.now_ns
-
-    successes = 0
-    for msin in msins:
-        ue = testbed.add_subscriber(msin)
-        outcome = testbed.register(ue, establish_session=False)
-        successes += 1 if outcome.success else 0
-
-    simulated_ns = testbed.host.clock.now_ns - clock_before_ns
-    if scraper is not None:
-        scraper.scrape()  # closing sample at the campaign edge
-        scraper.uninstall(testbed.host)
+    tsdb = None
+    with (
+        nullcontext() if monitor_cadence_s is None
+        else observe(testbed, cadence_s=monitor_cadence_s, series_cap=512)
+    ) as observation:
+        clock_before_ns = testbed.host.clock.now_ns
+        successes = 0
+        for msin in msins:
+            ue = testbed.add_subscriber(msin)
+            outcome = testbed.register(ue, establish_session=False)
+            successes += 1 if outcome.success else 0
+        simulated_ns = testbed.host.clock.now_ns - clock_before_ns
+        if observation is not None:
+            observation.scraper.scrape()  # closing sample at the campaign edge
+            tsdb = observation.scraper.tsdb.to_dict()
     eenters = {
         name: testbed.paka.modules[name].runtime.sgx_stats.eenters
         - eenters_before[name]
@@ -163,7 +163,7 @@ def run_shard(
         "eudm_lt_mean_us": eudm_lt_mean_us,
         "eenters": eenters,
         "breakdown": breakdown,
-        "tsdb": scraper.tsdb.to_dict() if scraper is not None else None,
+        "tsdb": tsdb,
     }
 
 

@@ -24,23 +24,22 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.harness import BandCheck, ExperimentReport, warmed_testbed
+from repro.experiments.harness import (
+    BandCheck,
+    ExperimentReport,
+    trusted_path_samples,
+    warmed_testbed,
+)
 from repro.experiments.stats import percentiles, summarize
 from repro.fivegc.admission import AdmissionConfig, AdmissionController
+from repro.obs.collect import Observation, observe
 from repro.obs.detect import (
     BREAKER_MAX_PENDING,
     DEFENSE_FIELDS,
     AdmissionGovernor,
     AttackClassifier,
 )
-from repro.obs.scrape import Scraper
-from repro.obs.slo import (
-    REGISTRATION_SOJOURN_DEADLINE_MS,
-    SloEngine,
-    SojournSlo,
-    default_slos,
-)
-from repro.obs.trace import Tracer, TraceStore
+from repro.obs.slo import REGISTRATION_SOJOURN_DEADLINE_MS, SojournSlo
 from repro.paka.deploy import IsolationMode
 from repro.security.attacks import AttackPlane, generate_storm
 
@@ -56,9 +55,6 @@ DEFAULT_ATTACK_RATES = (0.0, 240.0, 400.0)
 #: re-registering with a held 5G-GUTI (the TS 24.501 population the
 #: overload breaker keeps serving); every 4th is a fresh SUCI attach.
 _INITIAL_EVERY = 4
-
-#: Bound on a traced arm's store (the oldest head samples go first).
-_TRACE_STORE_CAP = 2048
 
 
 def _defense_configs() -> Dict[str, Tuple[Optional[AdmissionConfig], Optional[int]]]:
@@ -91,31 +87,6 @@ def _defense_configs() -> Dict[str, Tuple[Optional[AdmissionConfig], Optional[in
 DEFENSES = tuple(_defense_configs())
 
 
-def _module_lt_baseline(testbed) -> Dict[str, int]:
-    """Per-module count of already-recorded trusted-path samples."""
-    client_of = {"eudm": testbed.udm, "eausf": testbed.ausf, "eamf": testbed.amf}
-    return {
-        name: len(
-            client_of[name].client.response_times_by_server.get(
-                testbed.paka.modules[name].server.name, []
-            )
-        )
-        for name in testbed.paka.modules
-    }
-
-
-def _module_lt_new_samples(testbed, baseline: Dict[str, int]) -> List[float]:
-    """Trusted-path latencies recorded since ``baseline``, all modules."""
-    client_of = {"eudm": testbed.udm, "eausf": testbed.ausf, "eamf": testbed.amf}
-    samples: List[float] = []
-    for name, skip in baseline.items():
-        series = client_of[name].client.response_times_by_server.get(
-            testbed.paka.modules[name].server.name, []
-        )
-        samples.extend(series[skip:])
-    return samples
-
-
 def _eenters(testbed) -> int:
     return sum(
         module.runtime.sgx_stats.eenters
@@ -131,16 +102,17 @@ def run_storm_arm(
     horizon_s: float,
     seed: int,
     trace_sample: Optional[int] = None,
-) -> Dict[str, object]:
+) -> Tuple[Dict[str, object], Observation]:
     """One sweep arm: seeded storm × admission config on a fresh slice.
 
-    ``trace_sample`` arms distributed tracing for the arm: every
-    legitimate registration runs under a deterministic trace context,
-    failed/deadline-violating traces are all kept (plus 1/N healthy
-    head samples) in a bounded store, and the row gains ``"_trace_*"``
-    keys — alert payloads then cite exemplar trace ids.  Tracing never
-    advances the simulated clock, so a traced arm's ``final_clock_ns``
-    is byte-identical to an untraced one.
+    Returns the report row and the arm's
+    :class:`~repro.obs.collect.Observation`.  ``trace_sample`` arms
+    distributed tracing for the arm: every legitimate registration runs
+    under a deterministic trace context, failed/deadline-violating
+    traces are all kept (plus 1/N healthy head samples) in the
+    observation's store, and alert payloads cite exemplar trace ids.
+    Tracing never advances the simulated clock, so a traced arm's row is
+    byte-identical to an untraced one.
     """
     config, max_pending = _defense_configs()[defense]
     testbed = warmed_testbed(IsolationMode.SGX, seed=seed)
@@ -181,77 +153,70 @@ def run_storm_arm(
     timeline.extend((event.at_ns, 1, event) for event in storm)
     timeline.sort(key=lambda entry: (entry[0], entry[1]))
 
-    scraper = Scraper.for_testbed(
-        testbed, cadence_s=1.0, attack_plane=plane
-    ).install(testbed.host)
-    governor: Optional[AdmissionGovernor] = None
-    if defense == "governed":
-        # The closed loop: classifier verdicts + sojourn burn arm the
-        # admission config at runtime.  Subscribed after the baseline
-        # scrape, so the governor sees exactly the cadence-grid samples.
-        governor = AdmissionGovernor(
-            testbed.amf,
-            AttackClassifier(),
-            slos=[
-                slo for slo in default_slos(testbed)
-                if isinstance(slo, SojournSlo)
-            ],
-        )
-        scraper.subscribe(governor)
-    tracer = None
-    if trace_sample is not None:
-        tracer = Tracer(
-            testbed.host.clock,
-            trace_seed=seed,
-            store=TraceStore(cap=_TRACE_STORE_CAP, sample_every=trace_sample),
-        )
-        testbed.host.tracer = tracer
-    clock = testbed.host.clock
-    start_ns = clock.now_ns
-    lt_baseline = _module_lt_baseline(testbed)
-    eenters_before = _eenters(testbed)
-
-    legit_ok = 0
-    legit_registered = 0
-    # Sojourns are read back from the gNB's own histogram series — the
-    # same numbers the scraper ingests and the SojournSlo alerts on, so
-    # the campaign's deadline accounting and the alerting path are
-    # provably identical (the PR 8 blind spot: a private list here that
-    # never reached the Tsdb).
-    sojourn_base = len(testbed.gnb.sojourn_ms)
-    deadline_ns = int(REGISTRATION_SOJOURN_DEADLINE_MS * 1e6)
-    for at_ns, _, payload in timeline:
-        target_ns = start_ns + at_ns
-        remaining_ns = target_ns - clock.now_ns
-        if remaining_ns > 0:
-            testbed.idle(remaining_ns / NS_PER_S)
-        if isinstance(payload, int):
-            ue = ues[payload]
-            outcome = testbed.gnb.register(
-                ue, establish_session=False, initial=initial[payload],
-                arrival_ns=target_ns,
+    with observe(
+        testbed, attack_plane=plane, trace_sample=trace_sample,
+        expected_registration_rate_per_s=legit / horizon_s,
+    ) as observation:
+        governor: Optional[AdmissionGovernor] = None
+        if defense == "governed":
+            # The closed loop: classifier verdicts + sojourn burn arm the
+            # admission config at runtime.  Subscribed after the baseline
+            # scrape, so the governor sees exactly the cadence-grid samples.
+            governor = AdmissionGovernor(
+                testbed.amf,
+                AttackClassifier(),
+                slos=[
+                    slo for slo in observation.slos
+                    if isinstance(slo, SojournSlo)
+                ],
             )
-            sojourn_ns = clock.now_ns - target_ns
-            legit_registered += 1 if outcome.success else 0
-            legit_ok += 1 if outcome.success and sojourn_ns <= deadline_ns else 0
-        else:
-            plane.execute(payload)
+            observation.scraper.subscribe(governor)
+        clock = testbed.host.clock
+        start_ns = observation.base_ns
+        lt_before = {
+            name: len(samples)
+            for name, samples in trusted_path_samples(testbed).items()
+        }
+        eenters_before = _eenters(testbed)
 
-    scraper.uninstall(testbed.host)
-    if tracer is not None:
-        testbed.host.tracer = None
-    sojourns_ms = list(testbed.gnb.sojourn_ms[sojourn_base:])
-    alerts = SloEngine(
-        default_slos(
-            testbed, expected_registration_rate_per_s=legit / horizon_s
-        )
-    ).evaluate(scraper.tsdb)
+        legit_ok = 0
+        legit_registered = 0
+        # Sojourns are read back from the gNB's own histogram series —
+        # the same numbers the scraper ingests and the SojournSlo alerts
+        # on, so the campaign's deadline accounting and the alerting path
+        # are provably identical (the PR 8 blind spot: a private list
+        # here that never reached the Tsdb).
+        deadline_ns = int(REGISTRATION_SOJOURN_DEADLINE_MS * 1e6)
+        for at_ns, _, payload in timeline:
+            target_ns = start_ns + at_ns
+            remaining_ns = target_ns - clock.now_ns
+            if remaining_ns > 0:
+                testbed.idle(remaining_ns / NS_PER_S)
+            if isinstance(payload, int):
+                ue = ues[payload]
+                outcome = testbed.gnb.register(
+                    ue, establish_session=False, initial=initial[payload],
+                    arrival_ns=target_ns,
+                )
+                sojourn_ns = clock.now_ns - target_ns
+                legit_registered += 1 if outcome.success else 0
+                legit_ok += (
+                    1 if outcome.success and sojourn_ns <= deadline_ns else 0
+                )
+            else:
+                plane.execute(payload)
+
+    alerts = observation.alerts
     sojourn_alerts = [
         alert for alert in alerts if alert.slo.startswith("registration-sojourn")
     ]
 
-    p50, p95, p99 = percentiles(sojourns_ms, (50, 95, 99))
-    lt_samples = _module_lt_new_samples(testbed, lt_baseline)
+    p50, p95, p99 = percentiles(observation.sojourns_ms, (50, 95, 99))
+    lt_samples = [
+        sample
+        for samples in trusted_path_samples(testbed, since=lt_before).values()
+        for sample in samples
+    ]
     lt_p99 = percentiles(lt_samples, (99,))[0]
     admission = testbed.amf.admission
     row: Dict[str, object] = {
@@ -298,23 +263,7 @@ def run_storm_arm(
         # Detection latency: storm start (t=0 on this timeline) to the
         # first arming action; None when the governor never armed.
         row["detect_latency_s"] = arms[0]["at_s"] if arms else None
-    row["_sojourns_ms"] = sojourns_ms  # stripped before the report
-    if tracer is not None:
-        # Traced-arm extras (only present when tracing was requested, so
-        # untraced reports stay byte-identical): the trace store dump,
-        # full alert payloads with their exemplar citations, and the
-        # module maps the analytics layer needs to decompose trees.
-        row["_trace_store"] = tracer.store.to_dict()
-        row["_alerts"] = [a.to_dict(base_ns=start_ns) for a in alerts]
-        row["_module_servers"] = {
-            name: module.server.name
-            for name, module in sorted(testbed.paka.modules.items())
-        }
-        row["_module_runtimes"] = {
-            name: module.runtime.name
-            for name, module in sorted(testbed.paka.modules.items())
-        }
-    return row
+    return row, observation
 
 
 def survivability_experiment(
@@ -336,19 +285,16 @@ def survivability_experiment(
     rows: Dict[Tuple[str, float], Dict[str, object]] = {}
     for defense in defenses:
         for rate in attack_rates:
-            rows[(defense, rate)] = run_storm_arm(
-                defense, rate, legit, horizon_s, seed
-            )
-
-    for (defense, rate), row in rows.items():
-        label = f"{defense}_r{rate:g}"
-        sojourns = row.pop("_sojourns_ms")
-        if sojourns and rate == max(attack_rates):
-            report.series[f"sojourn_ms_{label}"] = summarize(
-                f"legit sojourn {label}", sojourns, "ms"
-            )
-        report.derived[f"success_{label}"] = float(row["legit_success_rate"])
-        report.rows.append(row)
+            row, observation = run_storm_arm(defense, rate, legit, horizon_s, seed)
+            rows[(defense, rate)] = row
+            label = f"{defense}_r{rate:g}"
+            sojourns = observation.sojourns_ms
+            if sojourns and rate == max(attack_rates):
+                report.series[f"sojourn_ms_{label}"] = summarize(
+                    f"legit sojourn {label}", sojourns, "ms"
+                )
+            report.derived[f"success_{label}"] = float(row["legit_success_rate"])
+            report.rows.append(row)
 
     peak = max(attack_rates)
     baseline = rows[("none", min(attack_rates))]

@@ -123,11 +123,7 @@ class FaultInjector:
 
     def _servers(self) -> Dict[str, HttpServer]:
         servers: Dict[str, HttpServer] = dict(self.testbed.module_servers())
-        for nf in (
-            self.testbed.nrf, self.testbed.udr, self.testbed.udm,
-            self.testbed.ausf, self.testbed.amf, self.testbed.smf,
-            self.testbed.upf,
-        ):
+        for nf in self.testbed.core_nfs:
             servers[nf.name] = nf.server
         return servers
 
@@ -180,24 +176,19 @@ class FaultInjector:
         """Sync window-driven state; call between arrivals in the driving
         loop.  Idempotent at a given simulated time.
 
-        With the edge scheduler armed, the per-tick scans only run while a
-        matching window is active (or needs a final flush); skipped calls
-        are exact no-ops — ``_sync_epc`` with no active window and no
-        noise region does nothing, and ``_book_aex_storms`` outside every
-        storm window books zero overlap.
+        The per-tick scans only run while a matching window is active (or
+        needs a final flush); skipped calls are exact no-ops —
+        ``_sync_epc`` with no active window and no noise region does
+        nothing, and ``_book_aex_storms`` outside every storm window books
+        zero overlap.
         """
         rel = self._rel_ns()
-        sched = self._sched
-        if sched is None:
+        self._sched.run_due(rel)
+        if self._epc_active or self._noise_region is not None:
             self._sync_epc(rel)
+        if self._storm_active or self._storm_flush:
+            self._storm_flush = False
             self._book_aex_storms(self._last_tick_ns, rel)
-        else:
-            sched.run_due(rel)
-            if self._epc_active or self._noise_region is not None:
-                self._sync_epc(rel)
-            if self._storm_active or self._storm_flush:
-                self._storm_flush = False
-                self._book_aex_storms(self._last_tick_ns, rel)
         self._last_tick_ns = rel
 
     def _epc_edge_start(self) -> None:

@@ -22,6 +22,8 @@ _SIZE_SUFFIXES = {"K": 1024, "M": 1024**2, "G": 1024**3}
 
 def parse_size(text: str) -> int:
     """Parse a Gramine size string such as ``512M`` or ``8G``."""
+    if not isinstance(text, str):
+        raise ManifestError(f"size must be a string, got {text!r}")
     raw = text.strip().upper()
     if not raw:
         raise ManifestError("empty size string")
@@ -68,9 +70,9 @@ class GramineManifest:
         return parse_size(self.enclave_size)
 
     def validate(self) -> None:
-        if not self.entrypoint:
+        if not isinstance(self.entrypoint, str) or not self.entrypoint:
             raise ManifestError("manifest needs an entrypoint")
-        if self.max_threads < 1:
+        if not isinstance(self.max_threads, int) or self.max_threads < 1:
             raise ManifestError(f"sgx.max_threads must be >= 1, got {self.max_threads}")
         self.enclave_size_bytes  # raises on bad size strings
         overlap = set(self.trusted_files) & set(self.allowed_files)
@@ -116,6 +118,8 @@ class GramineManifest:
             )
         except KeyError as missing:
             raise ManifestError(f"manifest missing required key: {missing}")
+        except (AttributeError, TypeError, ValueError) as error:
+            raise ManifestError(f"malformed manifest: {error}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "GramineManifest":

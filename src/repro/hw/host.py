@@ -64,9 +64,9 @@ class PhysicalHost:
     events: EventLog
     cpus: List[Cpu] = field(default_factory=list)
     ram_bytes: int = 0
-    # Installed by whoever wants to watch (``host.tracer = Tracer(...)``,
-    # ``Scraper.install(host)``); both only read the clock, so an
-    # observed run spends identical simulated nanoseconds.
+    # Installed by ``repro.obs`` (``collect.observe`` for a campaign arm,
+    # ``collect.trace_registration`` for one registration); both only read
+    # the clock, so an observed run spends identical simulated nanoseconds.
     tracer: Optional["Tracer"] = field(default=None, repr=False)
     monitor: Optional["Scraper"] = field(default=None, repr=False)
 

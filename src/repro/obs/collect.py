@@ -5,18 +5,26 @@ stats, the fault injector) are snapshotted into a
 :class:`MetricsRegistry` on demand, so a running simulation pays nothing
 until someone asks.  Tracing one registration installs a
 :class:`~repro.obs.trace.Tracer` on the host for exactly one
-``register()`` call and removes it afterwards.
+``register()`` call and removes it afterwards; :func:`observe` does the
+same for a whole campaign arm and hands back one :class:`Observation`.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from functools import cached_property
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.analytics import registration_breakdown
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Span, Tracer
+from repro.obs.scrape import Scraper
+from repro.obs.slo import Alert, SloEngine, default_slos
+from repro.obs.trace import Span, Tracer, TraceStore
 from repro.sgx.stats import SgxStats
+
+#: Bound on a traced arm's store (the oldest head samples go first).
+_TRACE_STORE_CAP = 2048
 
 
 def collect_sgx_stats(
@@ -41,10 +49,7 @@ def collect_testbed_metrics(
     """Snapshot a whole testbed (Fig 4) into one registry."""
     registry = registry if registry is not None else MetricsRegistry()
 
-    for nf in (
-        testbed.nrf, testbed.udr, testbed.udm, testbed.ausf, testbed.amf,
-        testbed.smf, testbed.upf,
-    ):
+    for nf in testbed.core_nfs:
         nf.collect_metrics(registry)
 
     if testbed.paka is not None:
@@ -83,6 +88,96 @@ def collect_testbed_metrics(
     if fault_injector is not None:
         fault_injector.collect_metrics(registry)
     return registry
+
+
+def module_maps(testbed: Any) -> Tuple[Dict[str, str], Dict[str, str]]:
+    """``(module_servers, module_runtimes)``: each P-AKA module's HTTP
+    server and enclave runtime name, the keys the analytics fold reads
+    span tags by (both empty on a module-less testbed)."""
+    modules = testbed.paka.modules if testbed.paka is not None else {}
+    return (
+        {name: module.server.name for name, module in modules.items()},
+        {name: module.runtime.name for name, module in modules.items()},
+    )
+
+
+@dataclass
+class Observation:
+    """Everything one monitored campaign arm saw, opened by :func:`observe`.
+
+    The scraper's Tsdb, the trace store (``None`` for an untraced arm),
+    the module maps that decompose its trees, and the paper-derived SLO
+    alerts.  ``slos`` / ``alerts`` are built on first read, over the
+    whole Tsdb — read them after the ``with`` block has closed.
+    """
+
+    testbed: Any
+    base_ns: int
+    scraper: Scraper
+    store: Optional[TraceStore]
+    module_servers: Dict[str, str]
+    module_runtimes: Dict[str, str]
+    expected_registration_rate_per_s: Optional[float] = None
+    sojourn_base: int = 0
+
+    @cached_property
+    def slos(self) -> List[Any]:
+        return default_slos(
+            self.testbed,
+            expected_registration_rate_per_s=self.expected_registration_rate_per_s,
+        )
+
+    @cached_property
+    def alerts(self) -> List[Alert]:
+        return SloEngine(self.slos).evaluate(self.scraper.tsdb)
+
+    @property
+    def sojourns_ms(self) -> List[float]:
+        """The gNB's registration sojourns recorded since ``base_ns``."""
+        return list(self.testbed.gnb.sojourn_ms[self.sojourn_base:])
+
+
+@contextmanager
+def observe(
+    testbed: Any,
+    cadence_s: float = 1.0,
+    fault_injector: Optional[Any] = None,
+    attack_plane: Optional[Any] = None,
+    series_cap: Optional[int] = None,
+    trace_sample: Optional[int] = None,
+    expected_registration_rate_per_s: Optional[float] = None,
+) -> Iterator[Observation]:
+    """Watch ``testbed`` for the duration of the ``with`` block.
+
+    Installs :meth:`Scraper.for_testbed` and, when ``trace_sample`` is
+    given, a trace-context :class:`Tracer` (seeded from the host) whose
+    finished trees go to a bounded :class:`TraceStore` keeping every
+    failed or late trace plus 1/``trace_sample`` healthy ones.  Both are
+    removed on exit, an exception included.  Scrapes and spans only read
+    the simulated clock, so an observed arm spends exactly the
+    nanoseconds of an unobserved one.
+    """
+    host = testbed.host
+    if trace_sample is not None and host.tracer is not None:
+        raise RuntimeError("a tracer is already installed on this host")
+    scraper = Scraper.for_testbed(
+        testbed, cadence_s=cadence_s, fault_injector=fault_injector,
+        series_cap=series_cap, attack_plane=attack_plane,
+    ).install(host)
+    store = None
+    try:
+        if trace_sample is not None:
+            store = TraceStore(cap=_TRACE_STORE_CAP, sample_every=trace_sample)
+            host.tracer = Tracer(host.clock, trace_seed=host.rng.seed, store=store)
+        yield Observation(
+            testbed, host.clock.now_ns, scraper, store, *module_maps(testbed),
+            expected_registration_rate_per_s=expected_registration_rate_per_s,
+            sojourn_base=len(testbed.gnb.sojourn_ms),
+        )
+    finally:
+        scraper.uninstall(host)
+        if store is not None:
+            host.tracer = None
 
 
 @dataclass
@@ -136,11 +231,7 @@ def trace_registration(
         name: modules[name].runtime.sgx_stats.delta(snapshot)
         for name, snapshot in before.items()
     }
-    breakdown = registration_breakdown(
-        root,
-        module_servers={name: m.server.name for name, m in modules.items()},
-        module_runtimes={name: m.runtime.name for name, m in modules.items()},
-    )
+    breakdown = registration_breakdown(root, *module_maps(testbed))
     return RegistrationTrace(
         root=root, outcome=outcome, breakdown=breakdown, stats_delta=stats_delta
     )

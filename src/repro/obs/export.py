@@ -228,6 +228,8 @@ def parse_prometheus_text(
         labels: List[Tuple[str, str]] = []
         raw = match.group("labels")
         if raw:
+            if _LABEL_RE.sub("", raw).strip(", "):
+                raise ValueError(f"unparseable Prometheus labels: {line!r}")
             for key, value in _LABEL_RE.findall(raw):
                 # Char-wise unescape: sequential str.replace would corrupt
                 # values like ``\now`` (backslash-backslash-n parses as an

@@ -138,13 +138,7 @@ def profile_registration(
     :class:`~repro.obs.collect.RegistrationTrace` (outcome, breakdown,
     SgxStats deltas).
     """
-    from repro.obs.collect import trace_registration
+    from repro.obs.collect import module_maps, trace_registration
 
     trace = trace_registration(testbed, establish_session=establish_session)
-    modules = dict(testbed.paka.modules) if testbed.paka is not None else {}
-    profile = fold_registration(
-        trace.root,
-        module_servers={name: m.server.name for name, m in modules.items()},
-        module_runtimes={name: m.runtime.name for name, m in modules.items()},
-    )
-    return profile, trace
+    return fold_registration(trace.root, *module_maps(testbed)), trace

@@ -623,6 +623,10 @@ def parse_traceparent(header: str) -> Optional[Tuple[str, str]]:
     return match.group(1), match.group(2)
 
 
+# ``Span.__init__``'s named parameters: no tag may carry one of them.
+_SPAN_ARGS = frozenset(("self", "name", "kind", "start_ns"))
+
+
 def span_from_dict(data: Mapping[str, Any]) -> Span:
     """Rebuild a live :class:`Span` tree from its ``to_dict`` form.
 
@@ -631,14 +635,28 @@ def span_from_dict(data: Mapping[str, Any]) -> Span:
     Span-consuming code — :func:`format_span_tree` rendering and the
     profiler's stack fold.  Round-trip is exact:
     ``span_from_dict(span.to_dict()).to_dict() == span.to_dict()``.
+    A tree no tracer could have built — an interval that ends before it
+    starts or leaves its parent's, or a tag that shadows a span field —
+    is a ``ValueError``: read on, it would give negative self times.
     """
-    span = Span(data["name"], data["kind"], int(data["start_ns"]), **data["tags"])
+    tags = data["tags"]
+    if not isinstance(tags, dict) or not _SPAN_ARGS.isdisjoint(tags):
+        raise ValueError(f"span tags must be a dict without {sorted(_SPAN_ARGS)}")
+    span = Span(data["name"], data["kind"], int(data["start_ns"]), **tags)
     span.end_ns = int(data["end_ns"])
+    if span.end_ns < span.start_ns:
+        raise ValueError(f"span {span.name!r} ends before it starts")
     span.trace_id = data.get("trace_id")
     span._span_id = data.get("span_id")
     span._parent_id = data.get("parent_id")
     span.children = [span_from_dict(child) for child in data["children"]]
+    for child in span.children:
+        if child.start_ns < span.start_ns or child.end_ns > span.end_ns:
+            raise ValueError(
+                f"span {child.name!r} lies outside its parent {span.name!r}"
+            )
     return span
+
 
 
 _DEADLINE_NS = int(REGISTRATION_SOJOURN_DEADLINE_MS * 1_000_000)

@@ -104,6 +104,8 @@ class Tsdb:
     _EXEMPLAR_CAP = 256
 
     def __init__(self, cap: Optional[int] = None) -> None:
+        if cap is not None and not (isinstance(cap, int) and cap >= 2):
+            raise ValueError(f"cap must be an int >= 2, got {cap!r}")
         self.cap = cap
         self._series: Dict[MetricKey, TsdbSeries] = {}
         # Exemplar timelines keyed like histogram series: (basename,

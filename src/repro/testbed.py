@@ -92,7 +92,7 @@ class Testbed:
         self.smf = Smf("smf", host, self.sbi)
         self.upf = Upf("upf", host, self.sbi)
 
-        core_nfs = (
+        self.core_nfs = core_nfs = (
             self.nrf, self.udr, self.udm, self.ausf, self.amf, self.smf, self.upf,
         )
         registry = {nf.name: nf for nf in core_nfs}

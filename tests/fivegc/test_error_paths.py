@@ -15,10 +15,14 @@ import pytest
 
 from repro.fivegc.nas_security import NasSecurityError, decode_inner
 from repro.fivegc.udr import AuthSubscription
+from repro.gramine.manifest import GramineManifest, ManifestError
 from repro.net import sbi
 from repro.net.http import HttpResponse
 from repro.net.rest import JsonApiError
 from repro.net.sbi import ANSWER, EXCHANGES, REQUEST, NFType, decode, write
+from repro.obs.export import parse_prometheus_text
+from repro.obs.trace import parse_traceparent, span_from_dict
+from repro.obs.tsdb import Tsdb
 from repro.paka.deploy import IsolationMode
 from repro.testbed import Testbed, TestbedConfig
 
@@ -182,6 +186,39 @@ def test_fuzz_base_bodies_decode():
 def test_fuzz_inner_nas(raw):
     with pytest.raises(NasSecurityError):
         decode_inner(raw)
+
+
+_SPAN = {"name": "r", "kind": "", "start_ns": 0, "end_ns": 9, "tags": {}, "children": []}
+_MANIFEST = {"libos": {"entrypoint": "/bin/nf"}}
+_HEADER = f"00-{'ab' * 16}-{'cd' * 8}-01"
+# The decoders outside the SBI, each fed what no writer of theirs emits.
+_OBS_CORPUS = {
+    "span-ends-before-start": (span_from_dict, {**_SPAN, "end_ns": -1}),
+    "span-child-outside-parent": (span_from_dict, {**_SPAN, "children": [{**_SPAN, "end_ns": 10}]}),
+    **{f"span-tag-{k}": (span_from_dict, {**_SPAN, "tags": {k: 1}}) for k in ("name", "kind", "start_ns")},
+    "tsdb-cap": (Tsdb, -1),
+    "tsdb-dump-cap": (Tsdb.from_dict, {"cap": -1, "series": []}),
+    "tsdb-dump-cap-type": (Tsdb.from_dict, {"cap": "8"}),
+    "prometheus-line": (parse_prometheus_text, "this is not a sample\n"),
+    "prometheus-labels": (parse_prometheus_text, "x{a=1} 1\n"),
+    "manifest-missing": (GramineManifest.from_dict, {"sgx": {}}),
+    "manifest-entrypoint": (GramineManifest.from_dict, {"libos": {"entrypoint": 7}}),
+    "manifest-threads": (GramineManifest.from_dict, {**_MANIFEST, "sgx": {"max_threads": "4"}}),
+    "manifest-files": (GramineManifest.from_dict, {**_MANIFEST, "sgx": {"trusted_files": 5}}),
+    "manifest-sgx": (GramineManifest.from_dict, {**_MANIFEST, "sgx": "x"}),
+    **{f"traceparent-{i}": (parse_traceparent, bad) for i, bad in enumerate(
+        ("", "00-xyz-01", _HEADER[:-1], _HEADER + "0", "01" + _HEADER[2:]))},
+}
+
+
+@pytest.mark.parametrize("decoder,raw", list(_OBS_CORPUS.values()), ids=list(_OBS_CORPUS))
+def test_fuzz_obs_decoders(decoder, raw):
+    """Refused with a ``ValueError`` (a header: ``None``), never half-read."""
+    if decoder is parse_traceparent:
+        assert decoder(raw) is None
+    else:
+        with pytest.raises((ValueError, ManifestError)):
+            decoder(raw)
 
 
 def test_a_confirmation_without_kseaf_rejects_the_ue(testbed):

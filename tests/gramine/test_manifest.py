@@ -80,6 +80,3 @@ class TestManifest:
         with pytest.raises(ManifestError):
             GramineManifest.from_json("{not json")
 
-    def test_from_dict_requires_entrypoint(self):
-        with pytest.raises(ManifestError):
-            GramineManifest.from_dict({"sgx": {}})

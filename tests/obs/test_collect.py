@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.collect import collect_testbed_metrics, trace_registration
+from repro.obs.collect import collect_testbed_metrics, observe, trace_registration
 from repro.obs.metrics import MetricsRegistry
 from repro.testbed import IsolationMode, Testbed, TestbedConfig
 
@@ -72,6 +72,15 @@ def test_trace_registration_refuses_double_install():
     testbed.host.tracer = Tracer(testbed.host.clock)
     with pytest.raises(RuntimeError):
         trace_registration(testbed)
+
+
+def test_observe_uninstalls_on_an_exception():
+    testbed = Testbed.build(TestbedConfig(isolation=None, seed=6))
+    with pytest.raises(KeyError), observe(testbed, trace_sample=1) as observation:
+        assert testbed.host.tracer.store is observation.store
+        assert testbed.host.monitor is observation.scraper
+        raise KeyError("mid-arm")
+    assert testbed.host.tracer is None and testbed.host.monitor is None
 
 
 def test_sgx_collection_includes_table3_counters():

@@ -4,6 +4,7 @@ tail-based trace store."""
 import json
 
 from repro.experiments.harness import warmed_testbed
+from repro.obs.collect import observe
 from repro.obs.trace import (
     Span,
     TraceStore,
@@ -127,22 +128,17 @@ def test_traceparent_format_round_trips_and_rejects_garbage():
     header = traceparent_of("ab" * 16, "cd" * 8)
     assert header == f"00-{'ab' * 16}-{'cd' * 8}-01"
     assert parse_traceparent(header) == ("ab" * 16, "cd" * 8)
-    for bad in ("", "00-xyz-01", header.upper(), header[:-1], header + "0"):
-        assert parse_traceparent(bad) is None
+    assert parse_traceparent(header.upper()) is None  # more rows: test_error_paths
 
 
 def test_traceparent_propagates_across_every_sbi_hop():
     """One traced registration: every server span on every NF carries the
     client's traceparent, and its span id is the parent request span."""
     testbed = warmed_testbed(IsolationMode.SGX, seed=7)
-    tracer = Tracer(
-        testbed.host.clock, trace_seed=7, store=TraceStore(sample_every=1)
-    )
-    testbed.host.tracer = tracer
-    outcome = testbed.register(testbed.add_subscriber(), establish_session=False)
-    testbed.host.tracer = None
+    with observe(testbed, trace_sample=1) as observation:
+        outcome = testbed.register(testbed.add_subscriber(), establish_session=False)
     assert outcome.success
-    record = tracer.store.get(tracer.store.trace_ids()[0])
+    record = observation.store.get(observation.store.trace_ids()[0])
     tree = record["root"]
     assert {node["trace_id"] for node in _walk(tree)} == {record["trace_id"]}
 
@@ -173,11 +169,9 @@ def test_traceparent_propagates_across_every_sbi_hop():
 def test_distributed_tracing_spends_no_simulated_time():
     plain = warmed_testbed(IsolationMode.SGX, seed=7)
     traced = warmed_testbed(IsolationMode.SGX, seed=7)
-    traced.host.tracer = Tracer(
-        traced.host.clock, trace_seed=7, store=TraceStore(sample_every=1)
-    )
     plain.register(plain.add_subscriber(), establish_session=False)
-    traced.register(traced.add_subscriber(), establish_session=False)
+    with observe(traced, trace_sample=1):
+        traced.register(traced.add_subscriber(), establish_session=False)
     assert plain.host.clock.now_ns == traced.host.clock.now_ns
 
 
