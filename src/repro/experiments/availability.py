@@ -156,7 +156,7 @@ def monitored_arm(
     row, observation = _run_arm(
         factor, registrations, horizon_s, seed, cadence_s=cadence_s
     )
-    plan = FaultPlan.generate(seed, horizon_s, BASELINE_RATES.scaled(factor))
+    plan = observation.fault_plan
     base_ns = observation.base_ns
     monitor = {
         "cadence_s": cadence_s,

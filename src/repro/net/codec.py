@@ -20,9 +20,9 @@ import json
 import re
 from typing import Any, Dict
 
-# Characters json.dumps escapes inside strings (ensure_ascii=True also
-# escapes non-ASCII; such strings take the json path).
-_NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f]')
+# Characters json.dumps escapes inside strings, DEL included (ensure_ascii
+# also escapes non-ASCII; such strings take the json path).
+_NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f\x7f]')
 
 
 def _simple_str(value: str) -> bool:

@@ -19,8 +19,9 @@ arithmetic:
   records one-registration traces, and observes a whole campaign arm:
   ``with observe(testbed, …) as observation`` installs a scraper (and,
   asked, a trace-context tracer with a store), removes them on exit, and
-  yields one :class:`~repro.obs.collect.Observation` holding the Tsdb,
-  the store, the module maps and the arm's SLO alerts,
+  yields one data-only :class:`~repro.obs.collect.Observation` holding
+  the Tsdb, the store, the module maps, the fault plan, the sojourns and
+  the arm's SLO alerts,
 * :mod:`repro.obs.scrape` / :mod:`repro.obs.tsdb` — continuous
   monitoring: a :class:`Scraper` samples any registry producer on a
   simulated-time cadence into a ring-buffer :class:`Tsdb` with

@@ -105,36 +105,27 @@ def module_maps(testbed: Any) -> Tuple[Dict[str, str], Dict[str, str]]:
 class Observation:
     """Everything one monitored campaign arm saw, opened by :func:`observe`.
 
-    The scraper's Tsdb, the trace store (``None`` for an untraced arm),
-    the module maps that decompose its trees, and the paper-derived SLO
-    alerts.  ``slos`` / ``alerts`` are built on first read, over the
-    whole Tsdb — read them after the ``with`` block has closed.
+    The scraper and its Tsdb, the trace store (``None`` for an untraced
+    arm), the module maps that decompose its trees, the paper-derived
+    SLOs, the armed fault plan (``None`` without an injector) and the
+    gNB sojourns recorded inside the ``with`` block.  Only ``alerts`` is
+    computed, on first read, over the whole Tsdb — read it after the
+    block has closed.  The observation holds data only: it does not keep
+    its testbed alive.
     """
 
-    testbed: Any
     base_ns: int
     scraper: Scraper
     store: Optional[TraceStore]
     module_servers: Dict[str, str]
     module_runtimes: Dict[str, str]
-    expected_registration_rate_per_s: Optional[float] = None
-    sojourn_base: int = 0
-
-    @cached_property
-    def slos(self) -> List[Any]:
-        return default_slos(
-            self.testbed,
-            expected_registration_rate_per_s=self.expected_registration_rate_per_s,
-        )
+    slos: List[Any]
+    fault_plan: Optional[Any] = None
+    sojourns_ms: List[float] = field(default_factory=list)
 
     @cached_property
     def alerts(self) -> List[Alert]:
         return SloEngine(self.slos).evaluate(self.scraper.tsdb)
-
-    @property
-    def sojourns_ms(self) -> List[float]:
-        """The gNB's registration sojourns recorded since ``base_ns``."""
-        return list(self.testbed.gnb.sojourn_ms[self.sojourn_base:])
 
 
 @contextmanager
@@ -153,9 +144,10 @@ def observe(
     given, a trace-context :class:`Tracer` (seeded from the host) whose
     finished trees go to a bounded :class:`TraceStore` keeping every
     failed or late trace plus 1/``trace_sample`` healthy ones.  Both are
-    removed on exit, an exception included.  Scrapes and spans only read
-    the simulated clock, so an observed arm spends exactly the
-    nanoseconds of an unobserved one.
+    removed on exit, an exception included, and the scraper is detached
+    from the testbed.  Scrapes and spans only read the simulated clock,
+    so an observed arm spends exactly the nanoseconds of an unobserved
+    one.
     """
     host = testbed.host
     if trace_sample is not None and host.tracer is not None:
@@ -165,17 +157,25 @@ def observe(
         series_cap=series_cap, attack_plane=attack_plane,
     ).install(host)
     store = None
+    sojourn_base = len(testbed.gnb.sojourn_ms)
     try:
         if trace_sample is not None:
             store = TraceStore(cap=_TRACE_STORE_CAP, sample_every=trace_sample)
             host.tracer = Tracer(host.clock, trace_seed=host.rng.seed, store=store)
-        yield Observation(
-            testbed, host.clock.now_ns, scraper, store, *module_maps(testbed),
-            expected_registration_rate_per_s=expected_registration_rate_per_s,
-            sojourn_base=len(testbed.gnb.sojourn_ms),
+        observation = Observation(
+            host.clock.now_ns, scraper, store, *module_maps(testbed),
+            slos=default_slos(
+                testbed,
+                expected_registration_rate_per_s=expected_registration_rate_per_s,
+            ),
+            fault_plan=fault_injector.plan if fault_injector is not None else None,
         )
+        yield observation
+        observation.sojourns_ms = list(testbed.gnb.sojourn_ms[sojourn_base:])
     finally:
         scraper.uninstall(host)
+        # Keep the Tsdb, drop what reaches the testbed.
+        scraper.collect, scraper.observers = None, []
         if store is not None:
             host.tracer = None
 

@@ -108,13 +108,13 @@ def test_storm_arm_degrades_then_defense_recovers():
 
 def test_traced_arm_matches_untraced_golden_clock():
     """Arming distributed tracing must not move the simulated clock or
-    any campaign figure: the traced row is the untraced row, and only the
-    traced arm's observation holds a store."""
+    any campaign figure or sojourn sample: the traced row is the untraced
+    row, and only the traced arm's observation holds a store."""
     untraced, bare = run_storm_arm("none", 400.0, **QUICK)
     traced, observed = run_storm_arm("none", 400.0, trace_sample=4, **QUICK)
     assert bare.store is None and len(observed.store)
     assert not [key for key in traced if key.startswith("_")]
-    assert traced == untraced
+    assert traced == untraced and observed.sojourns_ms == bare.sojourns_ms
 
 
 def test_traced_collapse_alerts_cite_stored_exemplar_traces():
