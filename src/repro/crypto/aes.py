@@ -418,13 +418,17 @@ class AES128:
         )
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def aes128_cipher(key: bytes) -> AES128:
     """The shared :class:`AES128` instance for ``key``.
 
     USIM keys, NAS keys and TLS record keys recur across a campaign; this
     cache makes asking by key as cheap as holding the cipher object
     explicitly.  (Caching on secret bytes is fine here — the
-    simulator is the only user of this module.)
+    simulator is the only user of this module.)  A registration brings
+    its new keys and reuses each within itself, and returning subscribers
+    recur well inside 256 entries, so a larger bound would only pin a
+    native cipher context per subscriber
+    (``tests/crypto/test_key_memos.py``).
     """
     return AES128(key)

@@ -183,7 +183,7 @@ class Milenage:
         )
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=256)
 def milenage_for(k: bytes, opc: bytes) -> Milenage:
     """The shared :class:`Milenage` instance for ``(K, OPc)``.
 
@@ -191,6 +191,8 @@ def milenage_for(k: bytes, opc: bytes) -> Milenage:
     verification re-instantiate MILENAGE for the same subscriber on every
     request, and the per-instance TEMP memo only pays off if the instance
     survives across calls.  (Caching on secret bytes is fine here — the
-    simulator is the only user of this module.)
+    simulator is the only user of this module.)  Bounded as
+    ``aes128_cipher`` is, for the same reason: an entry holds the
+    cipher of its K.
     """
     return Milenage(k, opc)

@@ -20,7 +20,6 @@ and the gNB's NAS round labels are all read from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.crypto.cmac import nia2_mac
@@ -84,24 +83,36 @@ class AmfError(Exception):
     """Protocol-state violation in the AMF."""
 
 
-@dataclass
 class _UeSession:
-    ue_id: str
-    via: Optional[str]  # originating gNB, for per-cell accounting
-    state: str = WAIT_AUTH_RESPONSE
-    identity: Dict[str, object] = field(default_factory=dict)  # suci or supi
-    auth_ctx_id: str = ""
-    rand: bytes = b""
-    hxres_star: bytes = b""
-    supi: str = ""
-    kamf: bytes = b""
-    k_nas_int: bytes = b""
-    k_nas_enc: bytes = b""
-    guti: str = ""
-    downlink_count: int = 0
-    uplink_count: int = 0
-    resync_attempted: bool = False
-    secure_channel: Optional[SecureNasChannel] = None
+    """One UE's NAS context.  A registered UE keeps it for as long as it
+    stays registered, so it is slotted, and what only the challenge needs
+    (``identity``, ``auth_ctx_id``, ``rand``, ``hxres_star``) is dropped
+    once the AUSF confirms: a registered UE keeps its SUPI, GUTI, K_AMF,
+    NAS keys and counts, and its secure channel."""
+
+    __slots__ = (
+        "ue_id", "via", "state", "identity", "auth_ctx_id", "rand", "hxres_star",
+        "supi", "kamf", "k_nas_int", "k_nas_enc", "guti", "downlink_count",
+        "uplink_count", "resync_attempted", "secure_channel",
+    )
+
+    def __init__(self, ue_id: str, via: Optional[str]) -> None:
+        self.ue_id = ue_id
+        self.via = via  # originating gNB, for per-cell accounting
+        self.state = WAIT_AUTH_RESPONSE
+        self.identity: Optional[Dict[str, object]] = None  # suci or supi
+        self.auth_ctx_id = ""
+        self.rand = b""
+        self.hxres_star = b""
+        self.supi = ""
+        self.kamf = b""
+        self.k_nas_int = b""
+        self.k_nas_enc = b""
+        self.guti = ""
+        self.downlink_count = 0
+        self.uplink_count = 0
+        self.resync_attempted = False
+        self.secure_channel: Optional[SecureNasChannel] = None
 
 
 class Step(NamedTuple):
@@ -290,6 +301,10 @@ class Amf(NetworkFunction):
         if body["result"] != "AUTHENTICATION_SUCCESS" or kseaf is None or "supi" not in body:
             return AuthenticationReject(cause="AUSF confirmation failed")
         session.supi = body["supi"]
+        # The challenge is answered: nothing reads its inputs again.
+        session.identity = None
+        session.auth_ctx_id = ""
+        session.rand = session.hxres_star = b""
 
         # Derive K_AMF — in the eAMF P-AKA module when offloaded.
         if self.offload_module is not None:

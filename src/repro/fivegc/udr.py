@@ -8,7 +8,6 @@ from here (Nudr_DataRepository) and writes back SQN increments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.fivegc.nf_base import NetworkFunction
@@ -16,21 +15,25 @@ from repro.net.rest import JsonApiError
 from repro.net.sbi import NFType, UDR_AUTH_PEEK, UDR_AUTH_RESYNC, UDR_AUTH_SUBSCRIPTION, serve
 
 
-@dataclass
 class AuthSubscription:
-    """One subscriber's authentication data."""
+    """One subscriber's authentication data (slotted: the UDR keeps one
+    per provisioned subscriber)."""
 
-    supi: str
-    k: bytes
-    opc: bytes
-    sqn: int = 0
-    amf_field: bytes = b"\x80\x00"
+    __slots__ = ("supi", "k", "opc", "sqn", "amf_field")
 
-    def __post_init__(self) -> None:
-        if len(self.k) != 16:
+    def __init__(
+        self, supi: str, k: bytes, opc: bytes, sqn: int = 0,
+        amf_field: bytes = b"\x80\x00",
+    ) -> None:
+        if len(k) != 16:
             raise ValueError("K must be 16 bytes")
-        if len(self.opc) != 16:
+        if len(opc) != 16:
             raise ValueError("OPc must be 16 bytes")
+        self.supi = supi
+        self.k = k
+        self.opc = opc
+        self.sqn = sqn
+        self.amf_field = amf_field
 
     @property
     def sqn_bytes(self) -> bytes:

@@ -19,6 +19,7 @@ analysis):
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.gramine.manifest import GramineManifest
@@ -521,7 +522,7 @@ class GramineEnclaveRuntime(Runtime):
 
         The per-call records are booked the same way, armed or not: the
         one loop keeps only the running end offset of each call, and
-        that list goes to the event log as one *burst* beside the
+        that array goes to the event log as one *burst* beside the
         profile's shared detail dicts (``EventLog.emit_burst``) and,
         under an open span, to the tracer beside the profile's span
         templates (``Tracer.ocall_burst``).  Either side builds its
@@ -569,8 +570,10 @@ class GramineEnclaveRuntime(Runtime):
         ns_of = self._transition_ns
         acc_cycles = 0
         acc_ns = 0
-        # One list serves both bursts; neither side mutates it.
-        ends: List[int] = []
+        # One array serves both bursts; neither side mutates it, and both
+        # only index, slice and take its length (8 bytes an OCALL, where a
+        # list would box every offset).
+        ends = array("q")
         record_end = ends.append
         for cyc, ns in profile.per_spec:
             total = pair_min + pair_span * random_()

@@ -369,7 +369,7 @@ class Tracer:
     def ocall_burst(
         self,
         templates: Sequence[Tuple[str, int, Dict[str, Any]]],
-        ends: Optional[List[int]] = None,
+        ends: Optional[Sequence[int]] = None,
     ) -> None:
         """File ``len(templates)`` closed ``sgx.ocall`` leaves, starting
         at the current simulated instant, under the innermost open span.

@@ -30,15 +30,16 @@ The burst contract
 loop ``for detail, end in zip(details, ends): emit_shared(base_ns + end,
 category, detail)``.  The log keeps *references* to ``details`` (the
 caller's per-event detail dicts, shared across bursts and frozen after
-the first emit, as for :meth:`EventLog.emit_shared`) and to ``ends`` (the
-caller may hand the same list to ``Tracer.ocall_burst``; neither side
-mutates it).  Expansion is non-destructive: every read builds equal
-events afresh.  The capacity trim drops the oldest half of the *events*,
-so it can pop a burst whole or advance its ``start`` offset part-way.  A
-burst that could push the log across ``capacity`` — where the per-event
-loop would trim somewhere in its middle — is not stored as a burst at
-all but emitted event by event, which is what keeps the ring contents
-exactly the per-event sequence at every capacity.
+the first emit, as for :meth:`EventLog.emit_shared`) and to ``ends`` (a
+list or an ``array('q')``, which the caller may hand to
+``Tracer.ocall_burst`` too; neither side mutates it).  Expansion is
+non-destructive: every read builds equal events afresh.  The capacity
+trim drops the oldest half of the *events*, so it can pop a burst whole
+or advance its ``start`` offset part-way.  A burst that could push the
+log across ``capacity`` — where the per-event loop would trim somewhere
+in its middle — is not stored as a burst at all but emitted event by
+event, which is what keeps the ring contents exactly the per-event
+sequence at every capacity.
 """
 
 from __future__ import annotations

@@ -87,7 +87,7 @@ class Testbed:
         self.ausf = Ausf("ausf", host, self.sbi)
         self.amf = Amf("amf", host, self.sbi, serving_network_name=self.snn)
         # One-element lists for benchmarks/hostbench/workloads.py::
-        # _testbed_counters, their only reader (ROADMAP item 2 repoints it).
+        # _testbed_counters, their only reader (ROADMAP item 5 repoints it).
         self.udms, self.ausfs, self.amfs = [self.udm], [self.ausf], [self.amf]
         self.smf = Smf("smf", host, self.sbi)
         self.upf = Upf("upf", host, self.sbi)

@@ -4,36 +4,48 @@ Host *memory* is judged by ``benchmarks/hostbench`` (``peak_rss_mb``,
 ``host.rss_kb_per_op``); this is the part of that judgement that needs no
 particular host.  A million-UE campaign can only afford per-UE state that
 is the subscriber itself (its UDR record, its AMF context, its latency
-samples), so on a warmed testbed whose event ring is already full:
+samples), so on a warmed testbed whose event ring and key memos have
+turned over under tracing (``tracemalloc`` sees a bounded structure's
+dropped entry freed only if it saw it allocated):
 
 * the RNG service keeps no stream per UE — K/OPc and the ECIES
   ephemerals are drawn from streams owned by what draws from them;
 * the AUSF keeps no authentication context of a confirmed UE;
+* the AMF keeps no SUCI, RAND, HXRES* or authCtxId of a registered UE,
+  and every ``net.frame`` / ``sbi.request`` event of one key in the ring
+  shares one detail dict;
 * ``tracemalloc`` growth stays under :data:`BUDGET_BYTES` per
-  registration (≈2.9 kB measured on SGX, ≈3.8 kB on CONTAINER, either
-  crypto backend; +1.2 kB when every latency sample was a boxed float
+  registration (≈1.4 kB measured on SGX, ≈1.5 kB on CONTAINER, either
+  crypto backend; ≈2.8 / ≈2.5 kB with dict-backed AMF and UDR records,
+  the challenge kept after it was answered and 4 096-entry key memos
+  still filling; +1.2 kB when every latency sample was a boxed float
   behind a list slot, +9.5 kB when three Mersenne states and an
   ``_AuthContext`` stayed behind per UE);
 * *observed* — what the 1M-UE campaign arms: a trace-context tracer
   feeding a ``TraceStore(cap=512, sample_every=8)`` and a 1 s scraper —
   a registration leaves at most :data:`OBSERVED_BUDGET_BYTES`, scrapes
-  included (≈7.2 kB; was ≈30.7), and a kept trace costs what the tracer
-  already built, at most :data:`KEPT_TREE_BUDGET_BYTES` more than a
-  declined one (≈27 kB; ≈227 kB when a kept tree was snapshotted into
-  dicts with every OCALL leaf built).
+  included (≈5.3 kB; ≈6.9 before, ≈30.7 long before), and a kept trace
+  costs what the tracer already built, at most
+  :data:`KEPT_TREE_BUDGET_BYTES` more than a declined one (≈20 kB;
+  ≈28 kB while OCALL burst ends were lists of boxed ints, ≈227 kB when
+  a kept tree was snapshotted into dicts with every OCALL leaf built).
 
 And in a fresh interpreter the CLI, a sharded campaign and an SLO
 evaluation run without NumPy ever being imported: the package has no
 hard dependency.
 
 ``python tests/integration/test_memory_budget.py`` prints the table, by
-allocating source file.
+allocating source file, with each row's ``ru_maxrss`` slope beside it
+(kB per registration, native key contexts included, measured over a
+campaign's first thousand UEs in a fresh interpreter: ≈1.4 SGX /
+≈1.2 CONTAINER / ≈5.4 observed; ≈3.3 / ≈3.1 / ≈8.2 while the key memos
+kept 4 096 entries).
 """
 
-import functools
 import gc
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -43,18 +55,22 @@ from typing import Optional
 
 import pytest
 
+from repro.crypto.aes import aes128_cipher
 from repro.experiments.harness import warmed_testbed
+from repro.fivegc.amf import REGISTERED
 from repro.obs.scrape import Scraper
 from repro.obs.trace import TraceStore, Tracer
 from repro.paka.deploy import IsolationMode
 
 SEED = 7
 REGISTRATIONS = 200
+# The RSS slope needs more: the peak moves in steps of ≈0.1–0.5 MB.
+RSS_REGISTRATIONS = 1_000
 # Before CPython 3.11 every instance carried a dict of its own from
 # birth; the same subscriber state weighs ≈20 % more there (CI runs 3.9).
-BUDGET_BYTES = (4 if sys.version_info >= (3, 11) else 5) * 1024
+BUDGET_BYTES = (2 if sys.version_info >= (3, 11) else 3) * 1024
 OBSERVED_BUDGET_BYTES = 12 * 1024
-KEPT_TREE_BUDGET_BYTES = 40 * 1024
+KEPT_TREE_BUDGET_BYTES = 24 * 1024
 CAMPAIGN_SAMPLE_EVERY = 8
 DECLINE_HEALTHY = 1 << 32  # head-sample 1 in 2**32: the tail rules only
 # Small enough that the event ring is full, i.e. at its steady state,
@@ -62,36 +78,14 @@ DECLINE_HEALTHY = 1 << 32  # head-sample 1 in 2**32: the tail rules only
 # registrations to get there and the footprint past that point is the same.
 EVENT_LOG_CAPACITY = 1_000
 WARMUP_REGISTRATIONS = 100
+KEY_MEMO_BOUND = aes128_cipher.cache_info().maxsize  # milenage_for's too
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-@functools.lru_cache(maxsize=None)
-def prime_key_memos() -> None:
-    """Once per process: leave the bounded key memos as a campaign's
-    steady state has them, as the capped event ring is left full.
-
-    ``aes128_cipher`` and ``milenage_for`` keep 4 096 entries each,
-    process-wide; until they are full every key new to them adds one
-    (≈0.75 kB a registration on libcrypto, ≈2.1 kB with the pure-python
-    key schedules), after that it replaces one.  A campaign is past that
-    point after 4 096 UEs, and a reading taken before it depends on which
-    keys earlier tests left behind.  Keys follow from ``(seed, msin)``,
-    so one dry pass over the subscribers every :func:`footprint` call
-    registers makes each of them a memo hit, whatever ran before.
-    """
-    warmed_testbed(
-        IsolationMode.SGX,
-        seed=SEED,
-        warmup_registrations=WARMUP_REGISTRATIONS + REGISTRATIONS,
-        event_log_capacity=EVENT_LOG_CAPACITY,
-    )
-
-
-def footprint(isolation: IsolationMode, sample_every: Optional[int] = None) -> dict:
-    """Traced heap growth over :data:`REGISTRATIONS` fresh subscribers;
-    with ``sample_every``, observed as a campaign observes them."""
-    prime_key_memos()
+def observed_testbed(isolation: IsolationMode, sample_every: Optional[int] = None):
+    """A warmed testbed; with ``sample_every``, observed as a campaign
+    observes it.  Returns it and its trace store."""
     testbed = warmed_testbed(
         isolation,
         seed=SEED,
@@ -103,15 +97,45 @@ def footprint(isolation: IsolationMode, sample_every: Optional[int] = None) -> d
         store = TraceStore(cap=512, sample_every=sample_every)
         testbed.host.tracer = Tracer(testbed.host.clock, trace_seed=SEED, store=store)
         Scraper.for_testbed(testbed, cadence_s=1.0).install(testbed.host)
-    streams = len(testbed.host.rng._streams)
+    return testbed, store
+
+
+def register_fresh(testbed, count: int) -> None:
+    for _ in range(count):
+        outcome = testbed.register(testbed.add_subscriber(), establish_session=False)
+        assert outcome.success  # outside the call: ``python -O`` still registers
+
+
+def prime_key_memos(testbed) -> None:
+    """Bring the bounded structures to a campaign's steady state where
+    ``tracemalloc`` sees it: with tracing on, register as many fresh
+    subscribers as the key memos keep.
+
+    ``aes128_cipher`` and ``milenage_for`` keep 256 entries each,
+    process-wide; until they are full every key new to them adds one
+    (≈0.3 kB of Python objects a registration on libcrypto, ≈2 kB with
+    the pure-python key schedules, and on libcrypto the native cipher
+    context ``tracemalloc`` does not see), after that it replaces one,
+    as a new event replaces an old one in the full ring.  ``tracemalloc``
+    only counts a dropped entry as freed if it saw it allocated, so
+    after this pass every replacement reads as one, whatever ran before.
+    """
+    register_fresh(testbed, KEY_MEMO_BOUND)
+
+
+def footprint(isolation: IsolationMode, sample_every: Optional[int] = None) -> dict:
+    """Traced heap growth over :data:`REGISTRATIONS` fresh subscribers;
+    with ``sample_every``, observed as a campaign observes them."""
+    testbed, store = observed_testbed(isolation, sample_every)
     gc.collect()
     tracemalloc.start()
     try:
+        prime_key_memos(testbed)
+        streams = len(testbed.host.rng._streams)
+        kept = store.kept_head + store.kept_tail if store is not None else None
+        gc.collect()
         before = tracemalloc.take_snapshot()
-        for _ in range(REGISTRATIONS):
-            ue = testbed.add_subscriber()
-            assert testbed.register(ue, establish_session=False).success
-        del ue
+        register_fresh(testbed, REGISTRATIONS)
         gc.collect()
         growth = tracemalloc.take_snapshot().compare_to(before, "filename")
     finally:
@@ -121,17 +145,50 @@ def footprint(isolation: IsolationMode, sample_every: Optional[int] = None) -> d
         path = Path(stat.traceback[0].filename)
         owner = path.relative_to(SRC) if SRC in path.parents else Path(path.name)
         by_file[str(owner)] += stat.size_diff
+    events = testbed.host.events
+    details = {}
+    for event in events.select("net.frame") + events.select("sbi.request"):
+        details.setdefault(tuple(event.detail.items()), set()).add(id(event.detail))
+    registered = [
+        session for session in testbed.amf._sessions.values()
+        if session.state == REGISTERED
+    ]
     return {
         "bytes_per_registration": sum(by_file.values()) / REGISTRATIONS,
-        "traces_kept": len(store) if store is not None else None,
+        "traces_kept": (
+            store.kept_head + store.kept_tail - kept if store is not None else None
+        ),
         "rng_streams_added": len(testbed.host.rng._streams) - streams,
         "ausf_contexts": len(testbed.ausf._contexts),
+        "registered_sessions": len(registered),
+        "sessions_holding_the_challenge": sum(
+            1 for session in registered
+            if session.identity or session.auth_ctx_id or session.rand
+            or session.hxres_star
+        ),
+        "detail_dicts_per_key": max(len(ids) for ids in details.values()),
         "by_file": {
             owner: round(size / REGISTRATIONS, 1)
             for owner, size in by_file.most_common()
             if size >= 32 * REGISTRATIONS
         },
     }
+
+
+def rss_kb_per_registration(isolation: IsolationMode, sample_every: Optional[int] = None) -> float:
+    """``ru_maxrss`` growth per registration over :data:`RSS_REGISTRATIONS`
+    fresh subscribers, untraced and with the key memos as a campaign's
+    first thousand UEs find them: what the host pays, native key
+    contexts included.  The peak is the process's, so this runs in a
+    fresh interpreter and starts counting once the peak moves."""
+    testbed, _ = observed_testbed(isolation, sample_every)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    while resource.getrusage(resource.RUSAGE_SELF).ru_maxrss == peak:
+        register_fresh(testbed, 1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    register_fresh(testbed, RSS_REGISTRATIONS)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round((after - before) / RSS_REGISTRATIONS, 2)
 
 
 @pytest.mark.parametrize(
@@ -141,6 +198,11 @@ def test_a_registration_leaves_only_the_subscriber_behind(isolation):
     row = footprint(isolation)
     assert row["rng_streams_added"] == 0
     assert row["ausf_contexts"] == 0
+    # A registered UE keeps no SUCI, RAND, HXRES* or authCtxId at the AMF.
+    assert row["registered_sessions"] >= REGISTRATIONS
+    assert row["sessions_holding_the_challenge"] == 0
+    # Every net.frame / sbi.request event of one key shares one detail dict.
+    assert row["detail_dicts_per_key"] == 1
     assert row["bytes_per_registration"] <= BUDGET_BYTES, row["by_file"]
 
 
@@ -166,7 +228,9 @@ def test_an_observed_registration_keeps_what_the_tracer_built():
 _CAMPAIGN = """
 import json, sys
 import repro.cli
+from repro.crypto.aes import aes128_cipher
 from repro.experiments.harness import warmed_testbed
+from repro.fivegc.amf import REGISTERED
 from repro.experiments.shard import sharded_campaign
 from repro.obs.slo import SloEngine, default_slos
 from repro.paka.deploy import IsolationMode
@@ -196,12 +260,32 @@ def test_cli_campaign_and_slo_evaluation_never_import_numpy():
     assert json.loads(out) == []
 
 
+ROWS = {
+    "sgx": (IsolationMode.SGX, None),
+    "container": (IsolationMode.CONTAINER, None),
+    "observed": (IsolationMode.SGX, CAMPAIGN_SAMPLE_EVERY),
+}
+
+
+def _rss_row(name: str) -> float:
+    """:func:`rss_kb_per_registration` of one row, in a child interpreter."""
+    out = subprocess.run(
+        [sys.executable, __file__, "--rss", name],
+        check=True, capture_output=True, text=True, timeout=600,
+    ).stdout
+    return json.loads(out)
+
+
 if __name__ == "__main__":
-    table = {
-        "sgx": footprint(IsolationMode.SGX),
-        "container": footprint(IsolationMode.CONTAINER),
-        "observed": footprint(IsolationMode.SGX, CAMPAIGN_SAMPLE_EVERY),
-    }
+    if sys.argv[1:2] == ["--rss"]:
+        print(json.dumps(rss_kb_per_registration(*ROWS[sys.argv[2]])))
+        sys.exit()
+    # The children first: one starts from the peak of the process it was
+    # forked from, which the footprints below would raise.
+    rss = {name: _rss_row(name) for name in ROWS}
+    table = {name: footprint(*row) for name, row in ROWS.items()}
+    for name, row in table.items():
+        row["rss_kb_per_registration"] = rss[name]
     table["observed"]["bytes_per_kept_tree"] = round(
         kept_tree_bytes(
             table["observed"], footprint(IsolationMode.SGX, DECLINE_HEALTHY)
