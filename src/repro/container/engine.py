@@ -108,10 +108,7 @@ class ContainerEngine:
         container.status = ContainerStatus.RUNNING
         container.start_timestamp_ns = self.host.clock.now_ns
         self._containers[name] = container
-        self.host.events.emit(
-            self.host.clock.now_ns, "engine.run", container=name,
-            image=image.reference, shielded=runtime.shielded,
-        )
+        self.host.events.add("engine.run")
         return container
 
     def get(self, name: str) -> Container:

@@ -10,13 +10,9 @@ why tests assert that captured AKA exchanges are TLS ciphertext.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.hw.host import PhysicalHost
-
-# Shared ``net.frame`` detail dicts kept per bridge, one per (src, dst,
-# nbytes); an attach campaign sees ≈90 keys, the memo is cleared when full.
-_FRAME_DETAILS_MAX = 1024
 
 
 class NetworkError(Exception):
@@ -68,7 +64,6 @@ class BridgeNetwork:
 
     def __post_init__(self) -> None:
         self._jitter_stream = f"net.{self.name}"  # named once, drawn per frame
-        self._frame_details: Dict[Tuple[str, str, int], Dict[str, object]] = {}
 
     def attach(self, name: str) -> NetworkEndpoint:
         if name in self._endpoints:
@@ -97,24 +92,12 @@ class BridgeNetwork:
                 # The frame burns its transit time and vanishes; the
                 # sender discovers the loss only through its timeout.
                 clock.advance_us(self.transit_latency_us(nbytes))
-                self.host.events.emit(
-                    clock.now_ns, "net.drop", src=src, dst=dst, nbytes=nbytes,
-                )
+                self.host.events.add("net.drop")
                 raise FrameLost(f"frame {src!r}->{dst!r} lost on {self.name!r}")
             extra_us = verdict
         clock.advance_us(self.transit_latency_us(nbytes) + extra_us)
         arrived_ns = clock.now_ns
-        # Every frame of one key carries one frozen detail dict, so the
-        # event ring holds one per key instead of one per frame.
-        key = (src, dst, nbytes)
-        details = self._frame_details
-        if key in details:
-            detail = details[key]
-        else:
-            if len(details) >= _FRAME_DETAILS_MAX:
-                details.clear()
-            detail = details[key] = {"src": src, "dst": dst, "nbytes": nbytes}
-        self.host.events.emit_shared(arrived_ns, "net.frame", detail)
+        self.host.events.add("net.frame")
         # A Frame exists only for whoever looks at one: the on-path
         # capture and a receiver's deliver hook.
         deliver = self._endpoints[dst].deliver

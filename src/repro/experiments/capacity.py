@@ -20,10 +20,8 @@ from __future__ import annotations
 
 from repro.experiments.harness import MODULE_NAMES, BandCheck, ExperimentReport
 
-# Retention bound for the host event log during the campaign: an SGX
-# registration emits ~1.1k events, so 10k UEs would otherwise hold ~11M
-# records.  Purely observer-side — golden tests pin that the knob leaves
-# the simulated clock untouched.
+# Inert: the event log keeps counts, which need no bound.  Only the
+# frozen hostbench still passes it (as ``event_log_capacity``).
 EVENT_LOG_CAPACITY = 20_000
 
 

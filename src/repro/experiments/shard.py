@@ -47,7 +47,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.capacity import EVENT_LOG_CAPACITY
 from repro.experiments.harness import (
     MODULE_NAMES,
     BandCheck,
@@ -115,11 +114,7 @@ def run_shard(
     """
     from repro.obs.collect import observe
 
-    testbed = warmed_testbed(
-        IsolationMode.SGX,
-        seed=shard_seed(seed, shard_index),
-        event_log_capacity=EVENT_LOG_CAPACITY,
-    )
+    testbed = warmed_testbed(IsolationMode.SGX, seed=shard_seed(seed, shard_index))
     eenters_before = {
         name: testbed.paka.modules[name].runtime.sgx_stats.eenters
         for name in MODULE_NAMES

@@ -83,30 +83,28 @@ _WARMUP_SPECS: Tuple[Tuple[str, int, int], ...] = tuple(
 class _SpecCost(NamedTuple):
     """Everything deterministic about one syscall spec, derived once.
 
-    The pre-rounded charge of both flavours, the ``sgx.ocall`` event
-    detail and the matching span template ``(name, fixed_ns, tags)`` —
-    the leaf's name, the deterministic part of its duration and its tags
-    short of the per-call ``transition_ns`` — built from the same
-    roundings, so traced components always sum to the charged
-    deterministic ns.
+    The pre-rounded charge of both flavours and the matching span
+    template ``(name, fixed_ns, tags)`` — the leaf's name, the
+    deterministic part of its duration and its tags short of the
+    per-call ``transition_ns`` — built from the same roundings, so
+    traced components always sum to the charged deterministic ns.
     """
 
     ocall_cycles: int
     ocall_ns: int
     exitless_cycles: int
     exitless_ns: int
-    detail: Dict[str, Any]
     ocall_span: Tuple[str, int, Dict[str, Any]]
     exitless_span: Tuple[str, int, Dict[str, Any]]
 
 
 # Per-spec costs and compiled profiles are pure functions of a runtime's
 # cost inputs: the CPU frequency (over the one SGX cost model), and the
-# runtime and enclave names that span tags and event details carry.  Runtimes
-# whose inputs are equal share one _CostTables, so every testbed after
-# the first in a process (a shard's, a re-deployed module's) compiles
-# nothing.  Each memo is cleared when it reaches its bound; a runtime
-# keeps the tables it was built with.
+# runtime and enclave names that span tags carry.  Runtimes whose inputs
+# are equal share one _CostTables, so every testbed after the first in a
+# process (a shard's, a re-deployed module's) compiles nothing.  Each
+# memo is cleared when it reaches its bound; a runtime keeps the tables it
+# was built with.
 _COST_TABLES_MAX = 32  # distinct (frequency, runtime, enclave) keys
 _SPEC_COSTS_MAX = 512  # per-spec records per key
 _PROFILES_MAX = 64  # compiled profiles per key
@@ -130,15 +128,13 @@ class _CompiledProfile:
 
     Holds the original specs (for the per-call fallback paths) plus every
     loop-invariant the fused replay needs: per-spec rounded OCALL cost
-    components, the matching shared event-detail dicts, aggregate
-    exitless charges, byte totals, per-name stat increments and the
-    per-spec span templates of both flavours.
+    components, aggregate exitless charges, byte totals, per-name stat
+    increments and the per-spec span templates of both flavours.
     """
 
     __slots__ = (
         "specs",
         "per_spec",
-        "details",
         "name_counts",
         "count",
         "exitless_cycles",
@@ -153,7 +149,6 @@ class _CompiledProfile:
         self,
         specs: Tuple[Tuple[str, int, int], ...],
         per_spec: List[Tuple[int, int]],
-        details: List[Dict[str, Any]],
         name_counts: Tuple[Tuple[str, int], ...],
         exitless_cycles: int,
         exitless_ns: int,
@@ -164,7 +159,6 @@ class _CompiledProfile:
     ) -> None:
         self.specs = specs
         self.per_spec = per_spec
-        self.details = details
         self.name_counts = name_counts
         self.count = len(specs)
         self.exitless_cycles = exitless_cycles
@@ -362,8 +356,7 @@ class GramineEnclaveRuntime(Runtime):
         exitless = round_cost(_EXITLESS_RPC_CYCLES + host_cycles)
         ocall_ns = shield[1] + copy_out[1] + host[1] + copy_in[1]
         exitless_ns = shield[1] + exitless[1]
-        enclave_name = self.enclave.build.name
-        identity = {"runtime": self.name, "enclave": enclave_name}
+        identity = {"runtime": self.name, "enclave": self.enclave.build.name}
         spec_costs = self._spec_costs
         if len(spec_costs) >= _SPEC_COSTS_MAX:
             spec_costs.clear()
@@ -372,9 +365,6 @@ class GramineEnclaveRuntime(Runtime):
             ocall_ns,
             shield[0] + exitless[0],
             exitless_ns,
-            # Every sgx.ocall event of this spec carries this one frozen
-            # dict (EventLog.emit_shared / emit_burst keep references).
-            {"enclave": enclave_name, "syscall": name},
             (name, ocall_ns, {
                 **identity, "shield_ns": shield[1],
                 "copy_ns": copy_out[1] + copy_in[1], "host_ns": host[1],
@@ -393,7 +383,7 @@ class GramineEnclaveRuntime(Runtime):
         ``context.compute`` → ``_epc_pressure`` → ``context.ocall``: the
         five-plus ``spend_cycles`` calls collapse into one pre-rounded
         clock/cycle update, with every RNG draw, stat increment and event
-        emission preserved in order so runs stay bit-identical.
+        count preserved in order so runs stay bit-identical.
         """
         context = self._app_context
         context._check_open()
@@ -445,10 +435,7 @@ class GramineEnclaveRuntime(Runtime):
             by_syscall[name] = by_syscall.get(name, 0) + 1
             stats.bytes_copied_out += bytes_out
             stats.bytes_copied_in += bytes_in
-            host.events.emit(
-                host.clock.now_ns, "sgx.ocall",
-                enclave=enclave.build.name, syscall=name,
-            )
+            host.events.add("sgx.ocall")
             if span is not None:
                 tracer.end(span, transition_ns=enter_cost[1] + exit_cost[1])
 
@@ -457,12 +444,12 @@ class GramineEnclaveRuntime(Runtime):
 
         The HTTP layer replays the same ~90-spec profiles for every
         request, so everything loop-invariant per spec — the rounded
-        cost components, the shared event-detail dict, the per-name stat
-        buckets, the byte totals, the span templates — is resolved once
-        here; replay only pays for what genuinely varies per call: the
-        (EENTER, EEXIT) RNG draw and the running event timestamp.  The
-        result is immutable and depends only on ``specs`` and this
-        runtime's cost key, so it is memoised with the shared tables.
+        cost components, the per-name stat buckets, the byte totals, the
+        span templates — is resolved once here; replay only pays for what
+        genuinely varies per call: the (EENTER, EEXIT) RNG draw and the
+        running end offset.  The result is immutable and depends only on
+        ``specs`` and this runtime's cost key, so it is memoised with the
+        shared tables.
         """
         specs = tuple(specs)
         profiles = self._profiles
@@ -476,7 +463,6 @@ class GramineEnclaveRuntime(Runtime):
     def _compile(self, specs: Tuple[Tuple[str, int, int], ...]) -> _CompiledProfile:
         spec_costs = self._spec_costs
         per_spec: List[Tuple[int, int]] = []
-        details: List[Dict[str, Any]] = []
         ocall_spans: List[Tuple[str, int, Dict[str, Any]]] = []
         exitless_spans: List[Tuple[str, int, Dict[str, Any]]] = []
         name_counts: Dict[str, int] = {}
@@ -490,7 +476,6 @@ class GramineEnclaveRuntime(Runtime):
                 cost = self._spec_cost(spec)
             name = spec[0]
             per_spec.append((cost.ocall_cycles, cost.ocall_ns))
-            details.append(cost.detail)
             ocall_spans.append(cost.ocall_span)
             exitless_spans.append(cost.exitless_span)
             exitless_cycles += cost.exitless_cycles
@@ -501,7 +486,6 @@ class GramineEnclaveRuntime(Runtime):
         return _CompiledProfile(
             specs,
             per_spec,
-            details,
             tuple(name_counts.items()),
             exitless_cycles,
             exitless_ns,
@@ -517,17 +501,15 @@ class GramineEnclaveRuntime(Runtime):
         Draws the per-call (EENTER, EEXIT) pairs from the same stream in
         the same order as :meth:`syscall`, accumulates the pre-rounded
         cycle/ns charges and applies them in one ``spend_preconverted``
-        — every RNG draw, event timestamp, stat total and the final
-        clock value are bit-identical to the per-call sequence.
+        — every RNG draw, event count, stat total and the final clock
+        value are bit-identical to the per-call sequence.
 
-        The per-call records are booked the same way, armed or not: the
-        one loop keeps only the running end offset of each call, and
-        that array goes to the event log as one *burst* beside the
-        profile's shared detail dicts (``EventLog.emit_burst``) and,
-        under an open span, to the tracer beside the profile's span
-        templates (``Tracer.ocall_burst``).  Either side builds its
-        ``sgx.ocall`` events / leaves only if somebody reads them.  The
-        fusion is only valid while ``_epc_pressure`` is inert (see
+        The one loop, armed or not, keeps only the running end offset of
+        each call; under an open span that array goes to the tracer
+        beside the profile's span templates (``Tracer.ocall_burst``),
+        which builds the ``sgx.ocall`` leaves only if somebody reads
+        them.  The event log books the profile's OCALLs as one count.
+        The fusion is only valid while ``_epc_pressure`` is inert (see
         :meth:`_pressure_regimes`); under pressure, and for OCALLs
         outside any span (which are trace roots, not leaves), this is
         the exact per-call path.
@@ -570,9 +552,8 @@ class GramineEnclaveRuntime(Runtime):
         ns_of = self._transition_ns
         acc_cycles = 0
         acc_ns = 0
-        # One array serves both bursts; neither side mutates it, and both
-        # only index, slice and take its length (8 bytes an OCALL, where a
-        # list would box every offset).
+        # The tracer keeps the end offsets as leaves it derives on read
+        # (8 bytes an OCALL, where a list would box every offset).
         ends = array("q")
         record_end = ends.append
         for cyc, ns in profile.per_spec:
@@ -582,7 +563,7 @@ class GramineEnclaveRuntime(Runtime):
             acc_cycles += cyc + eenter + eexit
             acc_ns += ns + ns_of[eenter] + ns_of[eexit]
             record_end(acc_ns)
-        host.events.emit_burst("sgx.ocall", profile.details, host.clock.now_ns, ends)
+        host.events.add("sgx.ocall", count)
         if tracer is not None:
             tracer.ocall_burst(profile.ocall_spans, ends)
 

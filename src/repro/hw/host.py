@@ -135,20 +135,16 @@ def paper_testbed_host(
     cpu_spec: CpuSpec = XEON_SILVER_4314,
     n_cpus: int = 2,
     ram_bytes: int = 512 * 1024**3,
-    event_log_capacity: Optional[int] = None,
 ) -> PhysicalHost:
     """Build the paper's Dell PowerEdge R450 testbed host.
 
     Two SGXv2-capable Xeon Silver 4314 packages, 512 GB DDR4 and a 16 GB
-    combined EPC carve-out.  ``event_log_capacity`` bounds the event log
-    for campaign-scale runs (an SGX registration emits ~1k events; 10k UEs
-    would otherwise retain millions of records).
+    combined EPC carve-out.
     """
     clock = SimClock()
     rng = RngService(seed)
-    events = EventLog(capacity=event_log_capacity)
     host = PhysicalHost(
-        name=name, clock=clock, rng=rng, events=events, ram_bytes=ram_bytes
+        name=name, clock=clock, rng=rng, events=EventLog(), ram_bytes=ram_bytes
     )
     host.cpus = [Cpu(cpu_spec, clock) for _ in range(n_cpus)]
     return host

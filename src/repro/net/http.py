@@ -43,10 +43,6 @@ Handler = Callable[["HttpRequest", "HandlerContext"], "HttpResponse"]
 # One syscall profile entry: (name, bytes_out, bytes_in).
 SyscallSpec = Tuple[str, int, int]
 
-# Shared ``sbi.request`` detail dicts kept per client, one per (dst,
-# method, path); a client sees a handful, the memo is cleared when full.
-_REQUEST_DETAILS_MAX = 256
-
 
 class HttpError(Exception):
     """Protocol-level failure (no route, bad payload, closed connection)."""
@@ -545,7 +541,6 @@ class HttpClient:
         # Per-request / per-connect syscall profiles, precompiled once.
         self._request_profile = runtime.compile_syscalls(self._CLIENT_REQUEST_SYSCALLS)
         self._connect_profile = runtime.compile_syscalls(self._CLIENT_CONNECT_SYSCALLS)
-        self._request_details: Dict[Tuple[str, str, str], Dict[str, str]] = {}
         # BoundedSeries (uncapped: nothing is dropped) rather than plain lists
         # so metric collection adopts them instead of re-observing every
         # sample into fresh histograms on each scrape — the difference
@@ -634,18 +629,7 @@ class HttpClient:
         clock = host.clock
         server = connection.server
         dst = server.name
-        # One frozen detail dict per request key, as for ``net.frame``.
-        key = (dst, method, path)
-        details = self._request_details
-        if key in details:
-            detail = details[key]
-        else:
-            if len(details) >= _REQUEST_DETAILS_MAX:
-                details.clear()
-            detail = details[key] = {
-                "src": self.name, "dst": dst, "method": method, "path": path,
-            }
-        host.events.emit_shared(clock.now_ns, "sbi.request", detail)
+        host.events.add("sbi.request")
         raw = _request_head(method, path, ()) + body
         with host.span(
             path, kind="sbi.request", src=self.name, dst=dst, method=method, path=path,

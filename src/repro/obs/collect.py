@@ -80,7 +80,7 @@ def collect_testbed_metrics(
 
     host = testbed.host
     registry.counter("sim_clock_ns_total", host=host.name).set(host.clock.now_ns)
-    registry.gauge("sim_events_retained", host=host.name).set(len(host.events))
+    registry.counter("sim_events_total", host=host.name).set(len(host.events))
     registry.counter("sim_ocall_events_total", host=host.name).set(
         host.events.count("sgx.ocall")
     )

@@ -9,8 +9,8 @@ The paper's Fig 5 fixes two structural properties of the offloaded flow:
    parent VNF* (the paper's deliberate design decision in §IV-B: modules
    never talk to each other, preserving their autonomy and OAI's flow).
 
-This module records the SBI exchanges of a live registration and checks
-both properties, turning Fig 5 into an executable artifact.
+This module reads the SBI exchanges of a live registration off its span
+tree and checks both properties, turning Fig 5 into an executable artifact.
 """
 
 from __future__ import annotations
@@ -51,20 +51,15 @@ class FlowVerdict:
 
 
 def record_registration_flow(testbed: Testbed) -> List[SbiExchange]:
-    """Register a fresh UE and return its SBI exchanges in order."""
-    events = testbed.host.events
-    before = len(events.select("sbi.request"))
-    ue = testbed.add_subscriber()
-    outcome = testbed.register(ue, establish_session=False)
-    if not outcome.success:
-        raise RuntimeError(f"registration failed: {outcome.failure_cause}")
-    recorded = events.select("sbi.request")[before:]
+    """Register a fresh UE and return its SBI exchanges in order: the
+    ``sbi.request`` spans of its trace, whose pre-order is begin order."""
+    trace = testbed.trace_registration()
+    if not trace.outcome.success:
+        raise RuntimeError(f"registration failed: {trace.outcome.failure_cause}")
     return [
-        SbiExchange(
-            src=str(e.detail["src"]), dst=str(e.detail["dst"]),
-            path=str(e.detail["path"]),
-        )
-        for e in recorded
+        SbiExchange(src=span.tags["src"], dst=span.tags["dst"], path=span.tags["path"])
+        for span in trace.root.walk()
+        if span.kind == "sbi.request"
     ]
 
 

@@ -127,10 +127,7 @@ class EcallContext:
         stats.record_ocall(syscall)
         stats.bytes_copied_out += bytes_out
         stats.bytes_copied_in += bytes_in
-        enclave.host.events.emit(
-            enclave.host.clock.now_ns, "sgx.ocall",
-            enclave=enclave.build.name, syscall=syscall,
-        )
+        enclave.host.events.add("sgx.ocall")
 
     def store_secret(self, key: str, value: bytes) -> None:
         """Place a secret in enclave memory (plaintext view inside only)."""
@@ -232,10 +229,7 @@ class Enclave:
                 self.epc_manager.fault_in(self.epc_region, to_fault, self.stats)
 
         self.load_span = span
-        self.host.events.emit(
-            self.host.clock.now_ns, "sgx.load",
-            enclave=self.build.name, load_ms=span.ms,
-        )
+        self.host.events.add("sgx.load")
         return span
 
     # Verification reads in 16 MiB bursts (one OCALL each — a couple of

@@ -8,6 +8,6 @@ provides three services shared across all substrates:
   counter with scoped measurement helpers,
 * :class:`~repro.sim.rng.RngService` — seeded, namespaced random streams so
   that each subsystem draws from an independent deterministic stream,
-* :class:`~repro.sim.events.EventLog` — a structured trace of simulation
-  events used by the experiment harness and by tests.
+* :class:`~repro.sim.events.EventLog` — per-category counts of what
+  happened in a run (enclave transitions, frames, SBI requests).
 """

@@ -57,9 +57,8 @@ class TestbedConfig:
     preheat: bool = True
     exitless: bool = False
     airlink: AirLinkModel = field(default_factory=AirLinkModel)
-    # Bound the host event log for campaign-scale runs (None = unbounded).
-    # Purely an observer-side memory knob: trims diagnostics retention,
-    # never the simulated costs, so clocks stay bit-identical either way.
+    # Inert: the event log keeps counts, which need no bound.  Only the
+    # frozen hostbench still passes it.
     event_log_capacity: Optional[int] = None
 
 
@@ -130,10 +129,7 @@ class Testbed:
     @classmethod
     def build(cls, config: Optional[TestbedConfig] = None) -> "Testbed":
         config = config or TestbedConfig()
-        host = paper_testbed_host(
-            seed=config.seed, event_log_capacity=config.event_log_capacity
-        )
-        return cls(config, host)
+        return cls(config, paper_testbed_host(seed=config.seed))
 
     # --------------------------------------------------------- subscribers
 

@@ -15,6 +15,7 @@ from repro.fivegc.messages import (
     DeregistrationRequest, RegistrationComplete, RegistrationRequest, SecurityModeComplete,
 )
 from repro.fivegc.nas_security import ProtectedNasPdu
+from repro.obs.trace import Tracer
 from repro.paka.deploy import IsolationMode
 from repro.paka.flow import _role_of
 from repro.testbed import Testbed, TestbedConfig
@@ -133,12 +134,15 @@ def test_every_edge_lands_in_its_declared_state(testbed, kind, edge):
     """A success edge also makes exactly its row's SBI exchanges."""
     step = PROCEDURE[kind]
     ue, uplink = _drive(testbed, step.requires or RELEASED, kind)
-    before = len(testbed.host.events.select("sbi.request"))
-    downlink = testbed.amf.handle_nas(ue.name, uplink if edge == "success" else _FORGED[kind])
+    tracer = testbed.host.tracer = Tracer(testbed.host.clock)
+    try:
+        downlink = testbed.amf.handle_nas(ue.name, uplink if edge == "success" else _FORGED[kind])
+    finally:
+        testbed.host.tracer = None
     assert isinstance(downlink, AuthenticationReject) == (edge == "reject")
     assert testbed.amf.session_state(ue.name) == getattr(step, edge)
-    made = [(_role_of(e.detail["src"], testbed), e.detail["path"])
-            for e in testbed.host.events.select("sbi.request")[before:]]
+    made = [(_role_of(span.tags["src"], testbed), span.tags["path"])
+            for root in tracer.roots for span in root.walk() if span.kind == "sbi.request"]
     assert edge == "reject" or tuple(made) == step.exchanges
 
 

@@ -190,7 +190,7 @@ def _syscall_fingerprint(runtime):
         stats.eenters, stats.eexits, stats.ocalls,
         stats.bytes_copied_out, stats.bytes_copied_in,
         dict(stats.ocalls_by_syscall),
-        host.events.select("sgx.ocall"),
+        host.events.count("sgx.ocall"),
     )
 
 

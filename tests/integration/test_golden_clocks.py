@@ -70,10 +70,11 @@ def test_native_clock_matches_golden():
 
 
 def test_event_log_capacity_does_not_move_the_clock():
-    # The capacity knob trims diagnostics retention only; simulated time
-    # and live counters must be unaffected.
+    # An inert knob: the clock and every count equal the unbounded twin's.
     bounded = warmed_testbed(IsolationMode.SGX, seed=7, event_log_capacity=500)
     for _ in range(5):
         bounded.register(bounded.add_subscriber(), establish_session=False)
-    assert bounded.host.clock.now_ns == SGX_GOLDEN_CLOCKS[7]
-    assert len(bounded.host.events) <= 500
+    unbounded = _run_registrations(IsolationMode.SGX, 7)
+    assert bounded.host.clock.now_ns == unbounded.host.clock.now_ns == SGX_GOLDEN_CLOCKS[7]
+    assert bounded.host.events._counts == unbounded.host.events._counts
+    assert len(bounded.host.events) == SGX_GOLDEN_TOTAL_EVENTS

@@ -4,18 +4,16 @@ Host *memory* is judged by ``benchmarks/hostbench`` (``peak_rss_mb``,
 ``host.rss_kb_per_op``); this is the part of that judgement that needs no
 particular host.  A million-UE campaign can only afford per-UE state that
 is the subscriber itself (its UDR record, its AMF context, its latency
-samples), so on a warmed testbed whose event ring and key memos have
-turned over under tracing (``tracemalloc`` sees a bounded structure's
-dropped entry freed only if it saw it allocated):
+samples), so on a warmed testbed whose key memos have turned over under
+tracing (``tracemalloc`` sees a bounded structure's dropped entry freed
+only if it saw it allocated):
 
 * the RNG service keeps no stream per UE — K/OPc and the ECIES
   ephemerals are drawn from streams owned by what draws from them;
 * the AUSF keeps no authentication context of a confirmed UE;
-* the AMF keeps no SUCI, RAND, HXRES* or authCtxId of a registered UE,
-  and every ``net.frame`` / ``sbi.request`` event of one key in the ring
-  shares one detail dict;
+* the AMF keeps no SUCI, RAND, HXRES* or authCtxId of a registered UE;
 * ``tracemalloc`` growth stays under :data:`BUDGET_BYTES` per
-  registration (≈1.4 kB measured on SGX, ≈1.5 kB on CONTAINER, either
+  registration (≈1.4 kB measured on SGX and on CONTAINER, either
   crypto backend; ≈2.8 / ≈2.5 kB with dict-backed AMF and UDR records,
   the challenge kept after it was answered and 4 096-entry key memos
   still filling; +1.2 kB when every latency sample was a boxed float
@@ -37,8 +35,8 @@ hard dependency.
 ``python tests/integration/test_memory_budget.py`` prints the table, by
 allocating source file, with each row's ``ru_maxrss`` slope beside it
 (kB per registration, native key contexts included, measured over a
-campaign's first thousand UEs in a fresh interpreter: ≈1.4 SGX /
-≈1.2 CONTAINER / ≈5.4 observed; ≈3.3 / ≈3.1 / ≈8.2 while the key memos
+campaign's first thousand UEs in a fresh interpreter: ≈1.3 SGX /
+≈1.2 CONTAINER / ≈5.3 observed; ≈3.3 / ≈3.1 / ≈8.2 while the key memos
 kept 4 096 entries).
 """
 
@@ -73,10 +71,6 @@ OBSERVED_BUDGET_BYTES = 12 * 1024
 KEPT_TREE_BUDGET_BYTES = 24 * 1024
 CAMPAIGN_SAMPLE_EVERY = 8
 DECLINE_HEALTHY = 1 << 32  # head-sample 1 in 2**32: the tail rules only
-# Small enough that the event ring is full, i.e. at its steady state,
-# well within the warm-up; the campaign cap (20 000 entries) takes ≈1 000
-# registrations to get there and the footprint past that point is the same.
-EVENT_LOG_CAPACITY = 1_000
 WARMUP_REGISTRATIONS = 100
 KEY_MEMO_BOUND = aes128_cipher.cache_info().maxsize  # milenage_for's too
 
@@ -86,12 +80,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 def observed_testbed(isolation: IsolationMode, sample_every: Optional[int] = None):
     """A warmed testbed; with ``sample_every``, observed as a campaign
     observes it.  Returns it and its trace store."""
-    testbed = warmed_testbed(
-        isolation,
-        seed=SEED,
-        warmup_registrations=WARMUP_REGISTRATIONS,
-        event_log_capacity=EVENT_LOG_CAPACITY,
-    )
+    testbed = warmed_testbed(isolation, seed=SEED, warmup_registrations=WARMUP_REGISTRATIONS)
     store = None
     if sample_every is not None:
         store = TraceStore(cap=512, sample_every=sample_every)
@@ -115,10 +104,10 @@ def prime_key_memos(testbed) -> None:
     process-wide; until they are full every key new to them adds one
     (≈0.3 kB of Python objects a registration on libcrypto, ≈2 kB with
     the pure-python key schedules, and on libcrypto the native cipher
-    context ``tracemalloc`` does not see), after that it replaces one,
-    as a new event replaces an old one in the full ring.  ``tracemalloc``
-    only counts a dropped entry as freed if it saw it allocated, so
-    after this pass every replacement reads as one, whatever ran before.
+    context ``tracemalloc`` does not see), after that it replaces one.
+    ``tracemalloc`` only counts a dropped entry as freed if it saw it
+    allocated, so after this pass every replacement reads as one,
+    whatever ran before.
     """
     register_fresh(testbed, KEY_MEMO_BOUND)
 
@@ -145,10 +134,6 @@ def footprint(isolation: IsolationMode, sample_every: Optional[int] = None) -> d
         path = Path(stat.traceback[0].filename)
         owner = path.relative_to(SRC) if SRC in path.parents else Path(path.name)
         by_file[str(owner)] += stat.size_diff
-    events = testbed.host.events
-    details = {}
-    for event in events.select("net.frame") + events.select("sbi.request"):
-        details.setdefault(tuple(event.detail.items()), set()).add(id(event.detail))
     registered = [
         session for session in testbed.amf._sessions.values()
         if session.state == REGISTERED
@@ -166,7 +151,6 @@ def footprint(isolation: IsolationMode, sample_every: Optional[int] = None) -> d
             if session.identity or session.auth_ctx_id or session.rand
             or session.hxres_star
         ),
-        "detail_dicts_per_key": max(len(ids) for ids in details.values()),
         "by_file": {
             owner: round(size / REGISTRATIONS, 1)
             for owner, size in by_file.most_common()
@@ -201,8 +185,6 @@ def test_a_registration_leaves_only_the_subscriber_behind(isolation):
     # A registered UE keeps no SUCI, RAND, HXRES* or authCtxId at the AMF.
     assert row["registered_sessions"] >= REGISTRATIONS
     assert row["sessions_holding_the_challenge"] == 0
-    # Every net.frame / sbi.request event of one key shares one detail dict.
-    assert row["detail_dicts_per_key"] == 1
     assert row["bytes_per_registration"] <= BUDGET_BYTES, row["by_file"]
 
 

@@ -1,9 +1,12 @@
 """Pull-collection from a live testbed and single-registration tracing."""
 
+from unittest import mock
+
 import pytest
 
+from repro.experiments.harness import warmed_testbed
 from repro.obs.collect import collect_testbed_metrics, observe, trace_registration
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.testbed import IsolationMode, Testbed, TestbedConfig
 
 
@@ -97,3 +100,30 @@ def test_sgx_collection_includes_table3_counters():
     }
     for value in eenters.values():
         assert value > 0
+
+
+def test_no_counter_snapshot_decreases_in_a_bounded_fault_free_run():
+    """Nothing restarts without faults, so every counter snapshot is at
+    least the last one; and the OCALL counter of a run with a bounded
+    event log is its unbounded twin's, sample for sample."""
+    decreases = []
+    real_set = Counter.set
+
+    def checked_set(counter, value):
+        if value < counter.raw:
+            decreases.append((counter.name, counter.labels, counter.raw, value))
+        real_set(counter, value)
+
+    ocall_samples = []
+    with mock.patch.object(Counter, "set", checked_set):
+        for capacity in (500, None):
+            testbed = warmed_testbed(IsolationMode.SGX, seed=7, event_log_capacity=capacity)
+            with observe(testbed, cadence_s=0.01) as observation:
+                for _ in range(6):
+                    testbed.register(testbed.add_subscriber(), establish_session=False)
+            ocall_samples.append(observation.scraper.tsdb.get(
+                "sim_ocall_events_total", host=testbed.host.name
+            ).samples)
+    assert decreases == []
+    assert len(ocall_samples[0]) > 6
+    assert ocall_samples[0] == ocall_samples[1]

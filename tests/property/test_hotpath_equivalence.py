@@ -15,8 +15,8 @@ itself, the Montgomery ladder) and comparing exact bytes.
 The simulator's own bookkeeping is held to the same rule (last section):
 the cycle→ns lookup table against ``Cpu.round_cycle_cost``, one-draw
 ``randbytes`` against per-byte draws, and ``measure()`` windows against
-the LIFO contract.  ``EventLog.emit_burst`` against the per-event loop
-lives in ``tests/sim/test_events.py``.
+the LIFO contract.  ``EventLog.add(category, n)`` against ``n`` single
+adds lives in ``tests/sim/test_events.py``.
 """
 
 import hmac

@@ -7,10 +7,11 @@ it directly.  There is no second path to a name: a package ``__init__``
 under ``src/repro`` is a docstring and nothing else, so a re-export
 cannot stand in for a caller.  The function-level census is
 ``benchmarks/reachability.py``; this is the sub-second part of it that
-tier-1 can afford.
+tier-1 can afford, and the static half of its allowlist check.
 """
 
 import ast
+import importlib.util
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -66,3 +67,22 @@ def test_every_module_is_imported_outside_tests():
         "imported by no file outside tests/ (delete it with its tests, or "
         f"give it a caller): {unreached}"
     )
+
+
+def test_every_allowlist_line_has_a_kind_and_names_a_defined_function():
+    spec = importlib.util.spec_from_file_location(
+        "reachability", ROOT / "benchmarks" / "reachability.py"
+    )
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    defined = {
+        f"{file}::{entry['qualname']}"
+        for (file, _line), entry in census.defined_functions().items()
+    }
+    bad = []
+    for line in pathlib.Path(census.ALLOWLIST).read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            kind, ident, reason = (part.strip() for part in line.split("|", 2))
+            if kind not in census.ALLOWED_KINDS or not reason or ident not in defined:
+                bad.append(line)
+    assert not bad, f"allowlist lines with an unknown kind or a gone function: {bad}"
