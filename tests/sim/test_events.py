@@ -14,13 +14,28 @@ def test_emit_and_len():
     assert log.count("sgx.eexit") == 1
 
 
-def test_count_by_dotted_prefix_not_substring():
+def test_select_by_prefix():
+    # A prefix picks every category under it; count() is the selection.
     log = EventLog()
-    for category in ("sgx.eenter", "sgx.ocall", "net.frame", "sgxextra.thing"):
-        log.add(category)
+    log.add("sgx.eenter")
+    log.add("sgx.ocall")
+    log.add("net.frame")
     assert log.count("sgx") == 2
     assert log.count("net") == 1
+
+
+def test_select_prefix_is_dotted_not_substring():
+    log = EventLog()
+    log.add("sgxextra.thing")
+    log.add("sgx.thing")
+    assert log.count("sgx") == 1
+
+
+def test_select_on_absent_prefix_is_empty_without_scan():
+    log = EventLog()
+    log.add("sgx.ocall", 100)
     assert log.count("attack") == 0
+    assert log.count("sgx") == 100
 
 
 def test_exact_category_match():
