@@ -2,10 +2,11 @@
 tail-based digests built on it.
 
 Consumers here work on the JSON-ready dict trees a
-:class:`~repro.obs.trace.TraceStore` snapshots (``Span.to_dict`` form) —
-a live :class:`~repro.obs.trace.Span` is snapshotted on the way in — so
-they run identically on live spans, store dumps and re-loaded
-artifacts.  Four extractions:
+:class:`~repro.obs.trace.TraceStore` snapshots (``Span.to_dict`` form),
+so they run identically on live spans, store dumps and re-loaded
+artifacts; the fold reads a live :class:`~repro.obs.trace.Span` where
+it stands (every shard folds one), the digests snapshot it on the way
+in.  Four extractions:
 
 * :func:`registration_breakdown_ns` — the per-module decomposition of
   one registration (Fig 9 / Table II L_F, L_T, L_N; Fig 10 R; Table III
@@ -27,6 +28,8 @@ artifacts.  Four extractions:
 from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Mapping, Optional
+
+from repro.obs.trace import Span
 
 DIGEST_SCHEMA = 1
 
@@ -79,7 +82,6 @@ def registration_breakdown_ns(
     client spans, the SGX costs from the OCALL tags.  No float in sight,
     so digests can be byte-compared.
     """
-    tree = _as_tree(root)
     server_to_module = {server: module for module, server in module_servers.items()}
     runtime_to_module = {
         runtime: module for module, runtime in (module_runtimes or {}).items()
@@ -94,41 +96,73 @@ def registration_breakdown_ns(
         for module in module_servers
     }
 
-    for node in _walk(tree):
-        kind = node["kind"]
-        tags = node["tags"]
-        if kind == "sbi.server":
-            module = server_to_module.get(str(tags.get("server")))
-            if module is None:
-                continue
+    def server(tags: Mapping[str, Any], lt_ns: int, lf_ns: int) -> None:
+        module = server_to_module.get(str(tags.get("server")))
+        if module is not None:
             row = breakdown[module]
-            lt_node = _child_of_kind(node, "L_T")
-            if lt_node is None:
-                continue
-            lf_node = _child_of_kind(lt_node, "L_F")
             row["requests"] += 1
-            row["lt_ns"] += _node_ns(lt_node)
-            if lf_node is not None:
-                row["lf_ns"] += _node_ns(lf_node)
+            row["lt_ns"] += lt_ns
+            row["lf_ns"] += lf_ns
             row["ln_ns"] = row["lt_ns"] - row["lf_ns"]
+
+    def request(tags: Mapping[str, Any], ns: int) -> None:
+        module = server_to_module.get(str(tags.get("dst")))
+        if module is not None:
+            breakdown[module]["r_ns"] += ns
+
+    def ocall(tags: Mapping[str, Any], transition_ns: int) -> None:
+        module = runtime_to_module.get(str(tags.get("runtime")))
+        if module is None:
+            return
+        row = breakdown[module]
+        row["ocalls"] += 1
+        if not tags.get("exitless"):
+            # One OCALL is exactly one EEXIT + one EENTER.
+            row["eenters"] += 1
+            row["eexits"] += 1
+            row["transition_ns"] += transition_ns
+        row["shield_ns"] += int(tags.get("shield_ns", 0))
+        row["copy_ns"] += int(tags.get("copy_ns", 0))
+        row["host_ns"] += int(tags.get("host_ns", 0))
+
+    if isinstance(root, dict):
+        for node in _walk(root):
+            kind = node["kind"]
+            tags = node["tags"]
+            if kind == "sbi.server":
+                lt_node = _child_of_kind(node, "L_T")
+                if lt_node is not None:
+                    lf_node = _child_of_kind(lt_node, "L_F")
+                    server(
+                        tags, _node_ns(lt_node),
+                        0 if lf_node is None else _node_ns(lf_node),
+                    )
+            elif kind == "sbi.request":
+                request(tags, _node_ns(node))
+            elif kind == "sgx.ocall":
+                ocall(tags, int(tags.get("transition_ns", 0)))
+        return breakdown
+
+    # A live tree is read where it stands: no dict, no span id, and an
+    # unread OCALL burst stays unread.  Its leaves are its templates (one
+    # runtime's compiled profile), and their summed transitions go to
+    # the first.
+    for node in root.walk_unread():
+        kind = node.kind
+        if node.__class__ is not Span:
+            transition_ns = node.transition_ns()
+            for _, _, tags in node.templates:
+                ocall(tags, transition_ns)
+                transition_ns = 0
+        elif kind == "sbi.server":
+            lt_span = node.child_of_kind("L_T")
+            if lt_span is not None:
+                lf_span = lt_span.child_of_kind("L_F")
+                server(node.tags, lt_span.ns, 0 if lf_span is None else lf_span.ns)
         elif kind == "sbi.request":
-            module = server_to_module.get(str(tags.get("dst")))
-            if module is not None:
-                breakdown[module]["r_ns"] += _node_ns(node)
+            request(node.tags, node.ns)
         elif kind == "sgx.ocall":
-            module = runtime_to_module.get(str(tags.get("runtime")))
-            if module is None:
-                continue
-            row = breakdown[module]
-            row["ocalls"] += 1
-            if not tags.get("exitless"):
-                # One OCALL is exactly one EEXIT + one EENTER.
-                row["eenters"] += 1
-                row["eexits"] += 1
-                row["transition_ns"] += int(tags.get("transition_ns", 0))
-            row["shield_ns"] += int(tags.get("shield_ns", 0))
-            row["copy_ns"] += int(tags.get("copy_ns", 0))
-            row["host_ns"] += int(tags.get("host_ns", 0))
+            ocall(node.tags, int(node.tags.get("transition_ns", 0)))
     return breakdown
 
 

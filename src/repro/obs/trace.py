@@ -159,8 +159,20 @@ class Span:
         """All descendants (including self) of the given kind."""
         return [span for span in self.walk() if span.kind == kind]
 
+    def walk_unread(self) -> Iterator[Any]:
+        """:meth:`walk` for a fold that only sums what the leaves carry:
+        an unread OCALL burst is yielded as itself (its ``templates`` and
+        :meth:`_OcallBurst.transition_ns`), not built into spans."""
+        yield self
+        for child in self._children:
+            if child.__class__ is _OcallBurst:
+                yield child
+            else:
+                yield from child.walk_unread()
+
     def child_of_kind(self, kind: str) -> Optional["Span"]:
-        for child in self.children:
+        # Only ``sgx.ocall`` leaves can be in an unread burst.
+        for child in self.children if kind == "sgx.ocall" else self._children:
             if child.kind == kind:
                 return child
         return None
@@ -214,6 +226,7 @@ class _OcallBurst:
     """
 
     __slots__ = ("templates", "start_ns", "ends", "trace_id", "first_seq")
+    kind = "sgx.ocall"  # every leaf's
 
     def __init__(self, templates, start_ns, ends, trace_id, first_seq) -> None:
         self.templates = templates
@@ -221,6 +234,14 @@ class _OcallBurst:
         self.ends = ends
         self.trace_id = trace_id
         self.first_seq = first_seq
+
+    def transition_ns(self) -> int:
+        """The leaves' drawn ``transition_ns``, summed without deriving
+        them: the leaves tile ``[0, ends[-1]]``, so the sum telescopes
+        to ``ends[-1]`` less the fixed parts (none drawn when exitless)."""
+        if not self.ends:
+            return 0
+        return self.ends[-1] - sum(fixed_ns for _, fixed_ns, _ in self.templates)
 
     def leaves(self) -> Iterator[Tuple[str, int, int, Dict[str, Any], int]]:
         """``(name, start_ns, end_ns, tags, seq)`` of every leaf, as

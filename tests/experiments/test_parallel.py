@@ -3,6 +3,8 @@
 import multiprocessing
 import os
 import pickle
+import time
+from concurrent.futures import ProcessPoolExecutor
 from multiprocessing.process import BaseProcess
 from unittest import mock
 
@@ -23,6 +25,11 @@ def _raise_on(x, bad):
     if x == bad:
         raise ValueError(f"arm {x} failed")
     return x * x
+
+
+def _sleep_then_pid(seconds):
+    time.sleep(seconds)
+    return os.getpid()
 
 
 def _registration_arm(seed, registrations=3):
@@ -101,6 +108,27 @@ def test_the_caller_is_worker_zero(jobs, children, monkeypatch):
     arms = [Arm(key=f"k{i}", fn=_square, kwargs={"x": i}) for i in range(6)]
     assert run_arms(arms, jobs=jobs) == {f"k{i}": i * i for i in range(6)}
     assert len(started) == children
+    assert multiprocessing.active_children() == []
+
+
+def test_the_caller_takes_its_share_of_equal_arms(monkeypatch):
+    """Four equal arms at ``jobs=2``: the child is handed an arm only when
+    it is idle, so none waits queued for it and the caller runs two."""
+    submitted, busy_at_submit = [], []
+    submit = ProcessPoolExecutor.submit
+
+    def counting_submit(pool, fn, *args, **kwargs):
+        busy_at_submit.append(sum(not future.done() for future in submitted))
+        submitted.append(submit(pool, fn, *args, **kwargs))
+        return submitted[-1]
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
+    arms = [
+        Arm(key=f"k{i}", fn=_sleep_then_pid, kwargs={"seconds": 0.3}) for i in range(4)
+    ]
+    pids = list(run_arms(arms, jobs=2).values())
+    assert busy_at_submit == [0, 0]
+    assert pids.count(os.getpid()) == 2, pids
     assert multiprocessing.active_children() == []
 
 

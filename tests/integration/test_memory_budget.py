@@ -28,16 +28,23 @@ only if it saw it allocated):
   ≈28 kB while OCALL burst ends were lists of boxed ints, ≈227 kB when
   a kept tree was snapshotted into dicts with every OCALL leaf built).
 
-And in a fresh interpreter the CLI, a sharded campaign and an SLO
-evaluation run without NumPy ever being imported: the package has no
-hard dependency.
+And in a fresh interpreter the CLI, a single-process sharded campaign
+and an SLO evaluation run without NumPy ever being imported (the
+package has no hard dependency) and without the process pool
+(``multiprocessing``, ``concurrent.futures``), which only a fan-out
+imports.
 
 ``python tests/integration/test_memory_budget.py`` prints the table, by
 allocating source file, with each row's ``ru_maxrss`` slope beside it
 (kB per registration, native key contexts included, measured over a
 campaign's first thousand UEs in a fresh interpreter: ≈1.3 SGX /
 ≈1.2 CONTAINER / ≈5.3 observed; ≈3.3 / ≈3.1 / ≈8.2 while the key memos
-kept 4 096 entries).
+kept 4 096 entries).  Its ``import`` row is the base those slopes sit
+on: the modules loaded and ``ru_maxrss`` of a fresh interpreter that has
+imported ``repro.experiments.shard`` (243 modules, ≈29.8 MB on
+CPython 3.11; 278 / ≈32.0 MB while the pool was imported with it).  It
+has no budget: the megabytes depend on the host, and the test above pins
+the module set.
 """
 
 import gc
@@ -220,11 +227,29 @@ from repro.paka.deploy import IsolationMode
 campaign = sharded_campaign(ues=6, shards=2, jobs=1, monitor_cadence_s=1.0)
 assert campaign.report.derived["success_rate"] == 1.0
 SloEngine(default_slos(warmed_testbed(IsolationMode.SGX, seed=7))).evaluate(campaign.tsdb)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "numpy")))
+print(json.dumps(sorted(
+    m for m in sys.modules
+    if m.split(".")[0] in ("numpy", "multiprocessing")
+    or m.startswith("concurrent.futures")
+)))
+"""
+
+# ``ru_maxrss`` counts the peak of the process an interpreter was forked
+# from (Linux folds it in at exec), so the base footprint is read in a
+# grandchild whose parent is a bare interpreter.
+_LAUNCH = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+_IMPORT = """
+import json, resource, sys
+import repro.experiments.shard
+print(json.dumps({
+    "modules": len(sys.modules),
+    "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+}))
 """
 
 
-def test_cli_campaign_and_slo_evaluation_never_import_numpy():
+def _run_child(*argv: str):
+    """The JSON a fresh interpreter run with ``argv`` prints."""
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join(
@@ -232,14 +257,18 @@ def test_cli_campaign_and_slo_evaluation_never_import_numpy():
         ),
     )
     out = subprocess.run(
-        [sys.executable, "-c", _CAMPAIGN],
+        [sys.executable, *argv],
         env=env,
         check=True,
         capture_output=True,
         text=True,
         timeout=120,
     ).stdout
-    assert json.loads(out) == []
+    return json.loads(out)
+
+
+def test_cli_campaign_and_slo_evaluation_import_neither_numpy_nor_the_process_pool():
+    assert _run_child("-c", _CAMPAIGN) == []
 
 
 ROWS = {
@@ -265,9 +294,10 @@ if __name__ == "__main__":
     # The children first: one starts from the peak of the process it was
     # forked from, which the footprints below would raise.
     rss = {name: _rss_row(name) for name in ROWS}
-    table = {name: footprint(*row) for name, row in ROWS.items()}
-    for name, row in table.items():
-        row["rss_kb_per_registration"] = rss[name]
+    table = {"import": _run_child("-c", _LAUNCH, sys.executable, "-c", _IMPORT)}
+    table.update((name, footprint(*row)) for name, row in ROWS.items())
+    for name in ROWS:
+        table[name]["rss_kb_per_registration"] = rss[name]
     table["observed"]["bytes_per_kept_tree"] = round(
         kept_tree_bytes(
             table["observed"], footprint(IsolationMode.SGX, DECLINE_HEALTHY)

@@ -3,14 +3,18 @@ the slowest-traces digest."""
 
 import json
 
+import pytest
+
 from repro.experiments.harness import warmed_testbed
+from repro.obs.analytics import _walk as _walk_dicts
 from repro.obs.analytics import (
     critical_path,
     registration_breakdown,
     registration_breakdown_ns,
     slowest_traces_digest,
 )
-from repro.obs.trace import TraceStore, Tracer, span_from_dict
+from repro.obs.collect import module_maps
+from repro.obs.trace import Span, TraceStore, Tracer, span_from_dict
 from repro.paka.deploy import IsolationMode
 
 
@@ -85,6 +89,41 @@ def test_breakdown_ns_accepts_live_spans_and_dict_trees():
         span_from_dict(record["root"]), module_servers, module_runtimes
     )
     assert from_dict == from_span
+
+
+@pytest.mark.parametrize(
+    "isolation, exitless",
+    [
+        (IsolationMode.SGX, False),
+        (IsolationMode.CONTAINER, False),
+        (IsolationMode.SGX, True),
+        (None, False),
+    ],
+    ids=["sgx", "container", "exitless", "monolithic"],
+)
+def test_the_live_fold_reads_bursts_unread_and_equals_the_dict_fold(
+    isolation, exitless
+):
+    testbed = warmed_testbed(isolation, seed=7, exitless=exitless)
+    root = testbed.trace_registration().root
+    tree = root.to_dict()  # a read-only view: builds no span
+    servers, runtimes = module_maps(testbed)
+    # Every other server on the tree is a row of its own, so a monolithic
+    # core is folded too.
+    for node in _walk_dicts(tree):
+        server = node["tags"].get("server")
+        if server is not None and server not in servers.values():
+            servers[server] = server
+    bursts = [node for node in root.walk_unread() if node.__class__ is not Span]
+    live = registration_breakdown_ns(root, servers, runtimes)
+    assert live == registration_breakdown_ns(tree, servers, runtimes)
+    assert [node for node in root.walk_unread() if node.__class__ is not Span] == bursts
+    assert sum(row["requests"] for row in live.values()) > 0
+    if isolation is IsolationMode.SGX:
+        assert bursts
+        assert sum(row["ocalls"] for row in live.values()) > 0
+        transition_ns = sum(row["transition_ns"] for row in live.values())
+        assert (transition_ns > 0) == (not exitless)
 
 
 def test_critical_path_descends_the_longest_child():
