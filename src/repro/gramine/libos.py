@@ -246,10 +246,6 @@ class GramineEnclaveRuntime(Runtime):
     # ------------------------------------------------------------- queries
 
     @property
-    def shielded(self) -> bool:
-        return True
-
-    @property
     def sgx_stats(self) -> Optional[SgxStats]:
         return self.enclave.stats
 
@@ -584,15 +580,11 @@ class GramineEnclaveRuntime(Runtime):
         scaled_cold = int(round(cold * (1.0 + 0.08 * excess)))
         self._app_context.touch_pages(cold=scaled_cold, new=new)
 
-    def idle(
-        self, duration_s: float, active_threads: int = 1, advance_clock: bool = True
-    ) -> None:
+    def idle(self, duration_s: float) -> None:
         # Helper threads keep attracting timer interrupts while the app
         # thread blocks, so the whole TCS population counts.
         self.enclave.run_idle(
-            duration_s,
-            active_threads=self.manifest.max_threads,
-            advance_clock=advance_clock,
+            duration_s, active_threads=self.manifest.max_threads, advance_clock=False
         )
 
     # The first request's lazy initialization (``_WARMUP_SPECS``) faults

@@ -69,6 +69,8 @@ class PhysicalHost:
     # the clock, so an observed run spends identical simulated nanoseconds.
     tracer: Optional["Tracer"] = field(default=None, repr=False)
     monitor: Optional["Scraper"] = field(default=None, repr=False)
+    # How many enclaves and VMs this host has created: see instance_serial.
+    _instances: int = field(default=0, init=False, repr=False, compare=False)
 
     # --------------------------------------------------- observation seam
 
@@ -111,6 +113,16 @@ class PhysicalHost:
         monitor = self.monitor
         if monitor is not None:
             monitor.tick()
+
+    def instance_serial(self) -> int:
+        """Number the next enclave or VM created on this host.
+
+        The seed-stable identity a per-instance hardware key derives
+        from: same-seed hosts number their instances alike, two
+        instances on one host differ, and no RNG stream is drawn.
+        """
+        self._instances += 1
+        return self._instances
 
     @property
     def cpu(self) -> Cpu:

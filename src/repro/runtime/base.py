@@ -1,8 +1,7 @@
-"""Runtime interface and the host syscall cost table."""
+"""The Runtime base and the host syscall cost table."""
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Iterable, Optional, Tuple
 
 from repro.hw.host import PhysicalHost
@@ -60,99 +59,38 @@ def syscall_host_cycles(name: str, nbytes: int = 0) -> float:
     return cycles
 
 
-class Runtime(ABC):
-    """Where a workload executes: native process or shielded enclave."""
+class Runtime:
+    """Where a workload executes: a native process, a secure VM or an
+    SGX enclave.
+
+    Every backend charges ``compute(cycles)``, ``syscall(name, bytes_out,
+    bytes_in)`` and ``touch_pages(cold, new)``, keeps key material with
+    ``store_secret``/``load_secret``, shows ``memory_view(actor)`` to an
+    outside reader and stops with ``shutdown()``.  It also compiles a
+    fixed syscall sequence once (``compile_syscalls``, an opaque handle
+    valid only on that runtime) and replays it per request
+    (``syscall_profile``), leaving clock, counters, RNG streams and
+    events exactly as the per-call ``syscall`` loop would.  This base
+    holds only what the backends share.
+    """
+
+    # SGX counters; only the enclave runtime has any.
+    sgx_stats: Optional[SgxStats] = None
 
     def __init__(self, name: str, host: PhysicalHost) -> None:
         self.name = name
         self.host = host
 
-    # -------------------------------------------------------------- queries
-
-    @property
-    @abstractmethod
-    def shielded(self) -> bool:
-        """True when the runtime provides HMEE isolation."""
-
-    @property
-    @abstractmethod
-    def sgx_stats(self) -> Optional[SgxStats]:
-        """SGX counters, or ``None`` for non-SGX runtimes."""
-
-    # ------------------------------------------------------------ execution
-
-    @abstractmethod
-    def compute(self, cycles: float) -> None:
-        """Burn CPU on application logic."""
-
-    @abstractmethod
-    def syscall(self, name: str, bytes_out: int = 0, bytes_in: int = 0) -> None:
-        """Issue one syscall moving ``bytes_out`` to and ``bytes_in`` from
-        the kernel."""
-
     def syscall_batch(self, specs: Iterable[Tuple[str, int, int]]) -> None:
-        """Issue a sequence of ``(name, bytes_out, bytes_in)`` syscalls.
+        """Issue a sequence of ``(name, bytes_out, bytes_in)`` syscalls,
+        exactly as calling ``syscall`` per spec would: start-up
+        footprints come through here once."""
+        self.syscall_profile(self.compile_syscalls(specs))  # type: ignore[attr-defined]
 
-        Semantically identical to calling :meth:`syscall` per spec.
-        Start-up footprints come through here once; sequences replayed
-        per request are compiled once and replayed with
-        :meth:`syscall_profile`.
-        """
-        self.syscall_profile(self.compile_syscalls(specs))
-
-    def compile_syscalls(self, specs: Iterable[Tuple[str, int, int]]) -> object:
-        """Precompile a fixed syscall sequence for repeated replay.
-
-        The HTTP layer replays the same handful of syscall profiles for
-        every request; compiling them once lets runtimes hoist per-spec
-        cost lookups out of the hot loop entirely.  Returns an opaque
-        handle for :meth:`syscall_profile`.  The handle is only valid on
-        the runtime that compiled it.  This default is the per-call
-        reference: the handle is the spec list itself.
-        """
-        return list(specs)
-
-    def syscall_profile(self, handle: object) -> None:
-        """Replay a profile compiled by :meth:`compile_syscalls`.
-
-        Runtimes that override the pair must leave clock, counters,
-        RNG streams and events exactly as this per-call loop would.
-        """
-        for name, bytes_out, bytes_in in handle:  # type: ignore[attr-defined]
-            self.syscall(name, bytes_out, bytes_in)
-
-    @abstractmethod
-    def touch_pages(self, cold: int = 0, new: int = 0) -> None:
-        """Touch memory pages (``new`` = first touch / fault)."""
-
-    @abstractmethod
-    def idle(
-        self, duration_s: float, active_threads: int = 1, advance_clock: bool = True
-    ) -> None:
-        """Block idle (e.g. in epoll_wait) for a simulated window.
-
-        ``advance_clock=False`` books the window's side effects (e.g. AEX
-        interrupts) without moving the clock, for callers coordinating a
-        shared concurrent window across runtimes.
-        """
-
-    # -------------------------------------------------------------- secrets
-
-    @abstractmethod
-    def store_secret(self, key: str, value: bytes) -> None:
-        """Keep key material in the runtime's memory."""
-
-    @abstractmethod
-    def load_secret(self, key: str) -> bytes:
-        """Read key material back (from inside the workload)."""
-
-    @abstractmethod
-    def memory_view(self, actor: str) -> bytes:
-        """What ``actor`` observes when inspecting this runtime's memory
-        from outside (the attack-surface primitive for Table V)."""
-
-    # ------------------------------------------------------------ lifecycle
-
-    @abstractmethod
-    def shutdown(self) -> None:
-        """Stop the runtime and release its resources."""
+    def idle(self, duration_s: float) -> None:
+        """Book the side effects of blocking idle (e.g. in epoll_wait)
+        for ``duration_s``: AEX interrupts in an enclave, nothing for a
+        plain process.  The caller moves the clock, once for every
+        runtime sharing the window."""
+        if duration_s < 0:
+            raise ValueError(f"negative idle window: {duration_s}")

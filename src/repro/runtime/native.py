@@ -11,19 +11,17 @@ privileged actors, which is exactly what the attack suite exploits.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from repro.hw.host import PhysicalHost
 from repro.runtime.base import Runtime, syscall_host_cycles
-from repro.sgx.stats import SgxStats
 
-_SYSCALL_TRAP_CYCLES = 1_400  # user→kernel→user round trip
-_MINOR_FAULT_CYCLES = 2_400
-_COLD_ACCESS_CYCLES = 60  # warm DRAM line fill, no MEE in the path
-
-# Compiled profiles, ``(frequency_hz, specs) -> (cycles, ns)``: every
-# native runtime of a process shares them.  Cleared when full.
-_PROFILES: Dict[Tuple[float, Tuple[Tuple[str, int, int], ...]], Tuple[int, int]] = {}
+# Compiled profiles, ``(cost class, frequency_hz, specs) -> (cycles, ns)``:
+# every runtime of a process with the same cost table shares them.
+# Cleared when full.
+_PROFILES: Dict[
+    Tuple[type, float, Tuple[Tuple[str, int, int], ...]], Tuple[int, int]
+] = {}
 _PROFILES_MAX = 64
 
 # Actors with a privileged view of arbitrary process memory on the host.
@@ -40,21 +38,20 @@ PRIVILEGED_ACTORS: Set[str] = {
 
 class NativeRuntime(Runtime):
     """A plain process (inside a container or not — same cost either way;
-    the paper found container-vs-monolithic latency differences negligible)."""
+    the paper found container-vs-monolithic latency differences negligible).
+
+    The cost table is class-level, so a backend that only charges
+    differently (the secure VM) is a subclass with its own numbers."""
+
+    _TRAP_CYCLES = 1_400  # user→kernel→user round trip
+    _MINOR_FAULT_CYCLES = 2_400
+    _COLD_ACCESS_CYCLES = 60  # warm DRAM line fill, no MEE in the path
 
     def __init__(self, name: str, host: PhysicalHost) -> None:
         super().__init__(name, host)
         self.cpu = host.cpu  # every charge goes straight to the package
         self._secrets: Dict[str, bytes] = {}
         self._running = True
-
-    @property
-    def shielded(self) -> bool:
-        return False
-
-    @property
-    def sgx_stats(self) -> Optional[SgxStats]:
-        return None
 
     # The two charges of every request test ``_running`` inline; only a
     # dead runtime reaches the check that raises.
@@ -68,11 +65,14 @@ class NativeRuntime(Runtime):
             self._check_running()
         self.cpu.spend_cycles(cycles)
 
+    def _syscall_cycles(self, name: str, nbytes: int) -> float:
+        """Cycles of one syscall moving ``nbytes``: the trap plus the
+        kernel's work."""
+        return self._TRAP_CYCLES + syscall_host_cycles(name, nbytes)
+
     def syscall(self, name: str, bytes_out: int = 0, bytes_in: int = 0) -> None:
         self._check_running()
-        self.cpu.spend_cycles(
-            _SYSCALL_TRAP_CYCLES + syscall_host_cycles(name, bytes_out + bytes_in)
-        )
+        self.cpu.spend_cycles(self._syscall_cycles(name, bytes_out + bytes_in))
 
     def compile_syscalls(self, specs) -> object:
         """Native profiles compile down to one pre-summed (cycles, ns) pair.
@@ -80,12 +80,13 @@ class NativeRuntime(Runtime):
         Per-spec rounding happens at compile time with the exact
         :meth:`syscall` expressions, so replaying the handle is a single
         ``spend_preconverted`` that leaves the clock bit-identical to the
-        per-call loop.  The pair is a pure function of the CPU frequency
-        and ``specs``, so it is memoised process-wide on both.
+        per-call loop.  The pair is a pure function of the cost class,
+        the CPU frequency and ``specs``, so it is memoised process-wide
+        on all three.
         """
         cpu = self.cpu
         specs = tuple(specs)
-        key = (cpu.spec.frequency_hz, specs)
+        key = (type(self), cpu.spec.frequency_hz, specs)
         handle = _PROFILES.get(key)
         if handle is not None:
             return handle
@@ -93,7 +94,7 @@ class NativeRuntime(Runtime):
         total_ns = 0
         for name, bytes_out, bytes_in in specs:
             cost = cpu.round_cycle_cost(
-                _SYSCALL_TRAP_CYCLES + syscall_host_cycles(name, bytes_out + bytes_in)
+                self._syscall_cycles(name, bytes_out + bytes_in)
             )
             total_cycles += cost[0]
             total_ns += cost[1]
@@ -109,16 +110,13 @@ class NativeRuntime(Runtime):
 
     def touch_pages(self, cold: int = 0, new: int = 0) -> None:
         self._check_running()
-        self.cpu.spend_cycles(new * _MINOR_FAULT_CYCLES + cold * _COLD_ACCESS_CYCLES)
+        self.cpu.spend_cycles(
+            new * self._MINOR_FAULT_CYCLES + cold * self._COLD_ACCESS_CYCLES
+        )
 
-    def idle(
-        self, duration_s: float, active_threads: int = 1, advance_clock: bool = True
-    ) -> None:
+    def idle(self, duration_s: float) -> None:
         self._check_running()
-        if duration_s < 0:
-            raise ValueError(f"negative idle window: {duration_s}")
-        if advance_clock:
-            self.host.clock.advance_s(duration_s)
+        super().idle(duration_s)
 
     def store_secret(self, key: str, value: bytes) -> None:
         self._check_running()
@@ -131,15 +129,17 @@ class NativeRuntime(Runtime):
         except KeyError:
             raise KeyError(f"no secret {key!r} in runtime {self.name!r}")
 
+    def _plaintext(self) -> bytes:
+        """The secrets as they lie in the process's memory."""
+        return json.dumps(
+            {k: v.hex() for k, v in sorted(self._secrets.items())}
+        ).encode()
+
     def memory_view(self, actor: str) -> bytes:
         """Privileged actors read process memory in the clear (/proc/pid/mem,
         hypervisor introspection, CRIU dumps …); unprivileged actors get
         nothing — ordinary OS isolation still applies to them."""
-        if actor in PRIVILEGED_ACTORS:
-            return json.dumps(
-                {k: v.hex() for k, v in sorted(self._secrets.items())}
-            ).encode()
-        return b""
+        return self._plaintext() if actor in PRIVILEGED_ACTORS else b""
 
     def shutdown(self) -> None:
         self._secrets.clear()

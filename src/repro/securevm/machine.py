@@ -58,7 +58,9 @@ class SecureVm:
         self.boot_span: Optional[TimeSpan] = None
         self.launch_measurement: Optional[bytes] = None
         self._vm_key = hashlib.sha256(
-            b"vm-ephemeral-key" + spec.name.encode() + id(self).to_bytes(8, "little")
+            b"vm-ephemeral-key"
+            + spec.name.encode()
+            + host.instance_serial().to_bytes(8, "little")
         ).digest()
 
     def boot(self) -> TimeSpan:

@@ -2,106 +2,56 @@
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Optional
-
 from repro.hw.host import PhysicalHost
-from repro.runtime.base import Runtime, syscall_host_cycles
+from repro.runtime.native import NativeRuntime
 from repro.securevm.machine import SecureVm
-from repro.sgx.stats import SgxStats
 
 # In-guest syscalls are ordinary traps; only virtio I/O forces a VM exit.
-_GUEST_TRAP_CYCLES = 1_500
-_GUEST_OVERHEAD_CYCLES = 320  # nested paging / TDX-module shims
-_VM_EXIT_CYCLES = 5_200  # TD exit + VMM service + TD resume
 _IO_SYSCALLS = {
     "sendmsg", "recvmsg", "read", "write", "pread64",
     "accept4", "connect", "socket", "shutdown", "close",
 }
 _MEMORY_ENCRYPTION_PENALTY = 1.04
-_MINOR_FAULT_CYCLES = 3_000  # includes page acceptance on first touch
-_COLD_ACCESS_CYCLES = 110
 
 # The actor name for an exploit that landed inside the guest kernel —
 # *inside* the secure VM's TCB, outside SGX's.
 GUEST_KERNEL_ACTOR = "guest-kernel-exploit"
 
 
-class SecureVmRuntime(Runtime):
-    """A module running unmodified inside a SEV/TDX-style VM."""
+class SecureVmRuntime(NativeRuntime):
+    """A module running unmodified inside a SEV/TDX-style VM: a native
+    process with the guest's cost table, whose memory the host sees
+    encrypted."""
+
+    _TRAP_CYCLES = 1_500 + 320  # guest trap + nested paging / TDX-module shims
+    _MINOR_FAULT_CYCLES = 3_000  # includes page acceptance on first touch
+    _COLD_ACCESS_CYCLES = 110
+    _VM_EXIT_CYCLES = 5_200  # TD exit + VMM service + TD resume
 
     def __init__(self, name: str, host: PhysicalHost, vm: SecureVm) -> None:
-        super().__init__(name, host)
         if not vm.booted:
             raise RuntimeError(f"VM {vm.spec.name!r} must boot before use")
+        super().__init__(name, host)
         self.vm = vm
-        self._secrets: Dict[str, bytes] = {}
-        self._running = True
 
-    @property
-    def shielded(self) -> bool:
-        return True
-
-    @property
-    def sgx_stats(self) -> Optional[SgxStats]:
-        return None  # no enclave transitions to count
-
-    def _check_running(self) -> None:
-        if not self._running:
-            raise RuntimeError(f"runtime {self.name!r} has been shut down")
+    def _syscall_cycles(self, name: str, nbytes: int) -> float:
+        cycles = super()._syscall_cycles(name, nbytes)
+        if name in _IO_SYSCALLS:
+            cycles += self._VM_EXIT_CYCLES  # virtio doorbell / completion
+        return cycles
 
     def compute(self, cycles: float) -> None:
-        self._check_running()
-        self.host.cpu.spend_cycles(cycles * _MEMORY_ENCRYPTION_PENALTY)
-
-    def syscall(self, name: str, bytes_out: int = 0, bytes_in: int = 0) -> None:
-        self._check_running()
-        nbytes = bytes_out + bytes_in
-        cycles = _GUEST_TRAP_CYCLES + _GUEST_OVERHEAD_CYCLES + syscall_host_cycles(
-            name, nbytes
-        )
-        if name in _IO_SYSCALLS:
-            cycles += _VM_EXIT_CYCLES  # virtio doorbell / completion
-        self.host.cpu.spend_cycles(cycles)
-
-    def touch_pages(self, cold: int = 0, new: int = 0) -> None:
-        self._check_running()
-        self.host.cpu.spend_cycles(
-            new * _MINOR_FAULT_CYCLES + cold * _COLD_ACCESS_CYCLES
-        )
-
-    def idle(
-        self, duration_s: float, active_threads: int = 1, advance_clock: bool = True
-    ) -> None:
-        self._check_running()
-        if duration_s < 0:
-            raise ValueError(f"negative idle window: {duration_s}")
-        if advance_clock:
-            self.host.clock.advance_s(duration_s)
-
-    def store_secret(self, key: str, value: bytes) -> None:
-        self._check_running()
-        self._secrets[key] = bytes(value)
-
-    def load_secret(self, key: str) -> bytes:
-        self._check_running()
-        try:
-            return self._secrets[key]
-        except KeyError:
-            raise KeyError(f"no secret {key!r} in runtime {self.name!r}")
+        super().compute(cycles * _MEMORY_ENCRYPTION_PENALTY)
 
     def memory_view(self, actor: str) -> bytes:
         """Host-side actors see VM-key ciphertext — but an exploit inside
         the guest kernel is *within the TCB* and reads plaintext.  This
         is the attack-surface cost of the larger trust domain."""
-        serialized = json.dumps(
-            {k: v.hex() for k, v in sorted(self._secrets.items())}
-        ).encode()
+        plaintext = self._plaintext()
         if actor == GUEST_KERNEL_ACTOR:
-            return serialized
-        return self.vm.encrypt_for_outside(serialized)
+            return plaintext
+        return self.vm.encrypt_for_outside(plaintext)
 
     def shutdown(self) -> None:
-        self._secrets.clear()
-        self._running = False
+        super().shutdown()
         self.vm.destroy()

@@ -161,15 +161,16 @@ class Enclave:
         self.destroyed = False
         self.load_span: Optional[TimeSpan] = None
         self.measurement: Optional[EnclaveMeasurement] = None
+        serial = host.instance_serial()
         self.epc_region: EpcRegion = epc_manager.create_region(
-            f"{build.name}#{id(self):x}", build.enclave_size_bytes
+            f"{build.name}#{serial}", build.enclave_size_bytes
         )
         self._secrets: Dict[str, bytes] = {}
         self._threads_entered = 0
         # The hardware sealing/memory-encryption root, unique per enclave
         # instance and never observable outside the CPU package.
         self._hw_key = hashlib.sha256(
-            b"cpu-fused-key" + build.name.encode() + id(self).to_bytes(8, "little")
+            b"cpu-fused-key" + build.name.encode() + serial.to_bytes(8, "little")
         ).digest()
 
     # ------------------------------------------------------------------ load
@@ -373,6 +374,8 @@ class Enclave:
         advances the clock once).  AEX re-entry uses ERESUME, not EENTER,
         so the EENTER counter is untouched (paper §V-B5).
         """
+        if self.destroyed:
+            raise EnclaveLostError(f"enclave {self.build.name!r} was destroyed")
         if duration_s < 0:
             raise ValueError(f"negative idle window: {duration_s}")
         threads = self.build.max_threads if active_threads is None else active_threads

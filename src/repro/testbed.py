@@ -190,7 +190,7 @@ class Testbed:
         """Let the slice sit idle concurrently (drives Table III's AEXs)."""
         if self.paka is not None:
             for module in self.paka.modules.values():
-                module.runtime.idle(duration_s, advance_clock=False)
+                module.runtime.idle(duration_s)
         self.host.clock.advance_s(duration_s)
         self.host.tick()
 

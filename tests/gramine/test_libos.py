@@ -118,9 +118,8 @@ def test_secrets_live_in_enclave():
     assert b"\xaa" * 16 not in runtime.memory_view("container-engine")
 
 
-def test_shielded_flag_and_stats():
+def test_sgx_stats_are_the_enclaves():
     runtime = make_runtime()
-    assert runtime.shielded
     assert runtime.sgx_stats is runtime.enclave.stats
 
 

@@ -10,6 +10,7 @@ from repro.paka.deploy import (
     PakaDeployment,
     enforce_colocation,
 )
+from repro.runtime.native import NativeRuntime
 
 
 @pytest.fixture
@@ -26,15 +27,16 @@ def test_container_mode_is_unshielded(deployment):
     assert set(slice_.modules) == {"eudm", "eausf", "eamf"}
     assert slice_.enclaves == {}
     for module in slice_.modules.values():
-        assert not module.runtime.shielded
+        assert type(module.runtime) is NativeRuntime
+        assert module.runtime.sgx_stats is None
 
 
 def test_sgx_mode_loads_enclaves(deployment):
     slice_ = deployment.deploy(IsolationMode.SGX)
     assert slice_.shielded
     assert set(slice_.enclaves) == {"eudm", "eausf", "eamf"}
-    for module in slice_.modules.values():
-        assert module.runtime.shielded
+    for name, module in slice_.modules.items():
+        assert module.runtime.enclave is slice_.enclaves[name]
     for name, span in slice_.load_spans.items():
         assert 0.80 < span.minutes < 1.10, f"{name} load time out of band"
 
@@ -89,7 +91,7 @@ def test_redeploy_after_teardown(deployment):
     first = deployment.deploy(IsolationMode.SGX, module_names=["eudm"])
     first.teardown(deployment.engine)
     second = deployment.deploy(IsolationMode.SGX, module_names=["eudm"])
-    assert second.module("eudm").runtime.shielded
+    assert second.module("eudm").runtime.enclave is second.enclaves["eudm"]
 
 
 def test_colocation_policy():

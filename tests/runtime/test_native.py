@@ -4,20 +4,20 @@ import json
 
 import pytest
 
+from repro.gramine.libos import GramineError
 from repro.hw.host import paper_testbed_host
 from repro.runtime import native
 from repro.runtime.base import SYSCALL_HOST_CYCLES, syscall_host_cycles
 from repro.runtime.native import PRIVILEGED_ACTORS, NativeRuntime
+from repro.securevm.machine import SecureVm, SecureVmSpec
+from repro.securevm.runtime import SecureVmRuntime
+from repro.sgx.errors import EnclaveLostError
+from tests.gramine.test_libos import make_runtime
 
 
 @pytest.fixture
 def runtime(host):
     return NativeRuntime("module", host)
-
-
-def test_not_shielded(runtime):
-    assert not runtime.shielded
-    assert runtime.sgx_stats is None
 
 
 def test_compute_advances_clock(runtime, host):
@@ -49,13 +49,10 @@ def test_syscall_cost_table_lookup():
     assert syscall_host_cycles("obscure_call") > 0
 
 
-def test_idle_advances_clock(runtime, host):
-    runtime.idle(1.5)
-    assert host.clock.now_ns == pytest.approx(1.5e9)
-
-
 def test_idle_without_clock_advance(runtime, host):
-    runtime.idle(1.5, advance_clock=False)
+    """A runtime books an idle window's side effects (a plain process
+    has none); the caller moves the clock."""
+    runtime.idle(1.5)
     assert host.clock.now_ns == 0
 
 
@@ -82,13 +79,31 @@ def test_negative_charges_are_rejected(runtime, host):
     for charge in (
         lambda: runtime.compute(-1),
         lambda: runtime.touch_pages(cold=-1),
+        lambda: runtime.idle(-1.0),
     ):
         with pytest.raises(ValueError):
             charge()
     assert host.clock.now_ns == 0
 
 
-def test_shutdown_blocks_further_use(runtime):
+def _secure_vm_runtime(host):
+    vm = SecureVm(host, SecureVmSpec(name="vm"))
+    vm.boot()
+    return SecureVmRuntime("module", host, vm)
+
+
+@pytest.mark.parametrize(
+    "make, refusal, match",
+    [
+        (lambda host: NativeRuntime("module", host), RuntimeError, "shut down"),
+        (_secure_vm_runtime, RuntimeError, "shut down"),
+        (lambda host: make_runtime(), (GramineError, EnclaveLostError),
+         "not running|destroyed"),
+    ],
+    ids=["native", "securevm", "gramine"],
+)
+def test_shutdown_blocks_further_use(make, refusal, match, host):
+    runtime = make(host)
     handle = runtime.compile_syscalls([("read", 0, 0)])
     runtime.shutdown()
     # A real exception on every entry point, so it holds under python -O.
@@ -101,7 +116,7 @@ def test_shutdown_blocks_further_use(runtime):
         lambda: runtime.store_secret("k", b"x"),
         lambda: runtime.load_secret("k"),
     ):
-        with pytest.raises(RuntimeError, match="shut down"):
+        with pytest.raises(refusal, match=match):
             call()
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from repro.hw.host import paper_testbed_host
 from repro.paka.deploy import IsolationMode
+from repro.runtime import native
+from repro.runtime.native import NativeRuntime
 from repro.securevm.machine import SecureVm, SecureVmSpec
 from repro.securevm.runtime import GUEST_KERNEL_ACTOR, SecureVmRuntime
 from repro.testbed import Testbed, TestbedConfig
@@ -47,7 +49,12 @@ class TestMachine:
 
 class TestRuntime:
     def test_shielded_without_sgx_stats(self, runtime):
-        assert runtime.shielded
+        """The host reads ciphertext, as from an enclave, but there are
+        no enclave transitions to count."""
+        runtime.store_secret("kausf", bytes(range(32)))
+        assert runtime.memory_view("hypervisor") != runtime.memory_view(
+            GUEST_KERNEL_ACTOR
+        )
         assert runtime.sgx_stats is None
 
     def test_io_syscalls_cost_vm_exits(self, runtime, host):
@@ -59,21 +66,28 @@ class TestRuntime:
         with_exit = host.clock.now_ns - t0
         assert with_exit > in_guest + 1_500  # ~5.2k extra cycles
 
-    def test_batch_and_profile_run_through_the_base_per_call_reference(
-        self, runtime, host
-    ):
+    def test_compiled_profiles_are_per_cost_class(self, runtime, host):
+        """On one CPU the native and secure-VM compiles of the same specs
+        are different memo entries, and each charges exactly what its
+        own class's per-call loop does."""
         specs = [("clock_gettime", 0, 0), ("sendmsg", 256, 0), ("recvmsg", 0, 512)]
-        t0 = host.clock.now_ns
-        for name, bytes_out, bytes_in in specs:
-            runtime.syscall(name, bytes_out, bytes_in)
-        per_call = host.clock.now_ns - t0
-        t0 = host.clock.now_ns
-        runtime.syscall_batch(iter(specs))
-        assert host.clock.now_ns - t0 == per_call
+        native._PROFILES.clear()
+        plain = NativeRuntime("plain", host)
+        native_handle = plain.compile_syscalls(specs)
         handle = runtime.compile_syscalls(specs)
-        t0 = host.clock.now_ns
-        runtime.syscall_profile(handle)
-        assert host.clock.now_ns - t0 == per_call
+        assert handle is not native_handle
+        assert handle is runtime.compile_syscalls(iter(specs))
+        for each, its_handle in ((plain, native_handle), (runtime, handle)):
+            t0, c0 = host.clock.now_ns, host.cpu.cycles_spent
+            for name, bytes_out, bytes_in in specs:
+                each.syscall(name, bytes_out, bytes_in)
+            per_call = (host.clock.now_ns - t0, host.cpu.cycles_spent - c0)
+            t0, c0 = host.clock.now_ns, host.cpu.cycles_spent
+            each.syscall_profile(its_handle)
+            assert (host.clock.now_ns - t0, host.cpu.cycles_spent - c0) == per_call
+            t0, c0 = host.clock.now_ns, host.cpu.cycles_spent
+            each.syscall_batch(iter(specs))
+            assert (host.clock.now_ns - t0, host.cpu.cycles_spent - c0) == per_call
 
     def test_syscalls_cheaper_than_sgx_ocalls(self, host):
         """The headline §IV-C point: no enclave transition per syscall."""
@@ -111,8 +125,6 @@ class TestRuntime:
     def test_shutdown_destroys_vm(self, runtime):
         runtime.shutdown()
         assert runtime.vm.destroyed
-        with pytest.raises(RuntimeError):
-            runtime.compute(1)
 
 
 class TestDeployment:
@@ -154,6 +166,34 @@ class TestDeployment:
         secure_vm = stable_lt(IsolationMode.SECURE_VM)
         sgx = stable_lt(IsolationMode.SGX)
         assert container < secure_vm < sgx
+
+
+@pytest.mark.parametrize(
+    "isolation, outsider",
+    [(IsolationMode.SGX, "container-engine"), (IsolationMode.SECURE_VM, "hypervisor")],
+    ids=["sgx", "securevm"],
+)
+def test_memory_views_depend_only_on_the_seed(isolation, outsider):
+    """Same-seed testbeds show an outsider the same ciphertext, while two
+    modules holding the same plaintext still show different bytes."""
+
+    def views():
+        testbed = Testbed.build(TestbedConfig(isolation=isolation, seed=115))
+        modules = testbed.paka.modules
+        probed = (modules["eausf"].runtime, modules["eamf"].runtime)
+        for runtime in probed:  # neither holds a key before a registration
+            runtime.store_secret("probe", bytes(32))
+        probes = tuple(runtime.memory_view(outsider) for runtime in probed)
+        ue = testbed.add_subscriber()
+        assert testbed.register(ue, establish_session=False).success
+        return probes, {
+            name: module.runtime.memory_view(outsider)
+            for name, module in modules.items()
+        }
+
+    probes, after = views()
+    assert probes[0] != probes[1]
+    assert views() == (probes, after)
 
 
 class TestTcbAttack:
