@@ -53,7 +53,6 @@ ALLOWLIST = os.path.join(ROOT, "benchmarks", "reachability_allowlist.txt")
 #: kind -> what a reason of that kind must be.
 ALLOWED_KINDS = {
     "abstract": "abstract interface method",
-    "reference": "reference implementation a property test compares against",
     "repr": "__repr__",
     "decoder": "decoder / parse-back oracle",
     "rejects-malformed": "rejection of malformed input",

@@ -46,7 +46,7 @@ def main() -> None:
           f"{gsc.build_info.trusted_files_bytes / 1024**3:.2f} GB to verify at load")
 
     # 2. An unsigned production enclave cannot launch.
-    epc = EpcManager(host.total_epc_bytes, host.cpu, host.rng)
+    epc = EpcManager(host.total_epc_bytes, host.cpu)
     pal = PlatformAdaptationLayer(host, epc, AesmDaemon("platform-0"))
     try:
         pal.load_enclave(gsc.build_info)

@@ -416,7 +416,7 @@ def _cmd_traces(args: Args) -> int:
         return 0
 
     digest = slowest_traces_digest(
-        store.to_dict(),
+        store,
         top=args.slowest,
         module_servers=observation.module_servers,
         module_runtimes=observation.module_runtimes,

@@ -213,7 +213,7 @@ def table3_sgx_stats(
 def _empty_workload_stats(seed: int, window_s: float) -> Dict[str, int]:
     """Load a no-op GSC enclave and let it idle: Table III's last row."""
     host = paper_testbed_host(seed=seed)
-    epc = EpcManager(host.total_epc_bytes, host.cpu, host.rng)
+    epc = EpcManager(host.total_epc_bytes, host.cpu)
     aesmd = AesmDaemon("platform-empty")
     pal = PlatformAdaptationLayer(host, epc, aesmd)
 

@@ -375,11 +375,10 @@ class GramineEnclaveRuntime(Runtime):
     def syscall(self, name: str, bytes_out: int = 0, bytes_in: int = 0) -> None:
         """One simulated syscall: shielding + EPC pressure + OCALL.
 
-        This is the fused fast path of the unfused chain
-        ``context.compute`` → ``_epc_pressure`` → ``context.ocall``: the
-        five-plus ``spend_cycles`` calls collapse into one pre-rounded
-        clock/cycle update, with every RNG draw, stat increment and event
-        count preserved in order so runs stay bit-identical.
+        The one per-call OCALL charge: MEE-penalised shielding, EEXIT,
+        boundary copy-out, host work, EENTER and copy-in land as one
+        pre-rounded clock/cycle update, with every RNG draw, stat
+        increment and event count in order so runs stay bit-identical.
         """
         context = self._app_context
         context._check_open()

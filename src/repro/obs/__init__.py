@@ -33,8 +33,9 @@ arithmetic:
   flame graphs split by the shield/copy/host/transition components,
 * :mod:`repro.obs.analytics` — the one fold of a registration tree
   into the paper's tables (exact integer ns, with a float-µs view) and
-  the tail-based analytics over stored trees: critical paths and the
-  deterministic slowest-traces digest.
+  the tail-based analytics over the live trees a store keeps, read
+  where they stand: critical paths and the deterministic
+  slowest-traces digest.
 
 Distributed tracing rides on the same span trees: a tracer armed with a
 ``trace_seed`` stamps deterministic ``trace_id``/``span_id`` identity on

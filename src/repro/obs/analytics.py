@@ -1,12 +1,11 @@
 """Trace analytics: the one fold of a registration tree, and the
 tail-based digests built on it.
 
-Consumers here work on the JSON-ready dict trees a
-:class:`~repro.obs.trace.TraceStore` snapshots (``Span.to_dict`` form),
-so they run identically on live spans, store dumps and re-loaded
-artifacts; the fold reads a live :class:`~repro.obs.trace.Span` where
-it stands (every shard folds one), the digests snapshot it on the way
-in.  Four extractions:
+Everything here reads live :class:`~repro.obs.trace.Span` trees where
+they stand — the tracer's roots and the trees a
+:class:`~repro.obs.trace.TraceStore` keeps — and serialises nothing; a
+dict tree (a dump, a re-loaded artifact) is read through
+:func:`~repro.obs.trace.span_from_dict`.  Four extractions:
 
 * :func:`registration_breakdown_ns` — the per-module decomposition of
   one registration (Fig 9 / Table II L_F, L_T, L_N; Fig 10 R; Table III
@@ -27,39 +26,15 @@ in.  Four extractions:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
-from repro.obs.trace import Span
+from repro.obs.trace import Span, TraceStore
 
 DIGEST_SCHEMA = 1
 
 
-def _as_tree(root: Any) -> Dict[str, Any]:
-    """Accept either a live Span or its ``to_dict`` tree."""
-    return root if isinstance(root, dict) else root.to_dict()
-
-
-def _walk(node: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
-    yield node
-    for child in node["children"]:
-        yield from _walk(child)
-
-
-def _node_ns(node: Mapping[str, Any]) -> int:
-    return int(node["end_ns"]) - int(node["start_ns"])
-
-
-def _child_of_kind(
-    node: Mapping[str, Any], kind: str
-) -> Optional[Dict[str, Any]]:
-    for child in node["children"]:
-        if child["kind"] == kind:
-            return child
-    return None
-
-
 def registration_breakdown_ns(
-    root: Any,
+    root: Span,
     module_servers: Mapping[str, str],
     module_runtimes: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, Dict[str, int]]:
@@ -96,21 +71,7 @@ def registration_breakdown_ns(
         for module in module_servers
     }
 
-    def server(tags: Mapping[str, Any], lt_ns: int, lf_ns: int) -> None:
-        module = server_to_module.get(str(tags.get("server")))
-        if module is not None:
-            row = breakdown[module]
-            row["requests"] += 1
-            row["lt_ns"] += lt_ns
-            row["lf_ns"] += lf_ns
-            row["ln_ns"] = row["lt_ns"] - row["lf_ns"]
-
-    def request(tags: Mapping[str, Any], ns: int) -> None:
-        module = server_to_module.get(str(tags.get("dst")))
-        if module is not None:
-            breakdown[module]["r_ns"] += ns
-
-    def ocall(tags: Mapping[str, Any], transition_ns: int) -> None:
+    def add_ocall(tags: Mapping[str, Any], transition_ns: int) -> None:
         module = runtime_to_module.get(str(tags.get("runtime")))
         if module is None:
             return
@@ -125,25 +86,7 @@ def registration_breakdown_ns(
         row["copy_ns"] += int(tags.get("copy_ns", 0))
         row["host_ns"] += int(tags.get("host_ns", 0))
 
-    if isinstance(root, dict):
-        for node in _walk(root):
-            kind = node["kind"]
-            tags = node["tags"]
-            if kind == "sbi.server":
-                lt_node = _child_of_kind(node, "L_T")
-                if lt_node is not None:
-                    lf_node = _child_of_kind(lt_node, "L_F")
-                    server(
-                        tags, _node_ns(lt_node),
-                        0 if lf_node is None else _node_ns(lf_node),
-                    )
-            elif kind == "sbi.request":
-                request(tags, _node_ns(node))
-            elif kind == "sgx.ocall":
-                ocall(tags, int(tags.get("transition_ns", 0)))
-        return breakdown
-
-    # A live tree is read where it stands: no dict, no span id, and an
+    # The tree is read where it stands: no dict, no span id, and an
     # unread OCALL burst stays unread.  Its leaves are its templates (one
     # runtime's compiled profile), and their summed transitions go to
     # the first.
@@ -152,17 +95,24 @@ def registration_breakdown_ns(
         if node.__class__ is not Span:
             transition_ns = node.transition_ns()
             for _, _, tags in node.templates:
-                ocall(tags, transition_ns)
+                add_ocall(tags, transition_ns)
                 transition_ns = 0
         elif kind == "sbi.server":
+            module = server_to_module.get(str(node.tags.get("server")))
             lt_span = node.child_of_kind("L_T")
-            if lt_span is not None:
+            if module is not None and lt_span is not None:
                 lf_span = lt_span.child_of_kind("L_F")
-                server(node.tags, lt_span.ns, 0 if lf_span is None else lf_span.ns)
+                row = breakdown[module]
+                row["requests"] += 1
+                row["lt_ns"] += lt_span.ns
+                row["lf_ns"] += 0 if lf_span is None else lf_span.ns
+                row["ln_ns"] = row["lt_ns"] - row["lf_ns"]
         elif kind == "sbi.request":
-            request(node.tags, node.ns)
+            module = server_to_module.get(str(node.tags.get("dst")))
+            if module is not None:
+                breakdown[module]["r_ns"] += node.ns
         elif kind == "sgx.ocall":
-            ocall(node.tags, int(node.tags.get("transition_ns", 0)))
+            add_ocall(node.tags, int(node.tags.get("transition_ns", 0)))
     return breakdown
 
 
@@ -179,7 +129,7 @@ def us_view(row_ns: Mapping[str, int]) -> Dict[str, float]:
 
 
 def registration_breakdown(
-    root: Any,
+    root: Span,
     module_servers: Mapping[str, str],
     module_runtimes: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, Dict[str, float]]:
@@ -190,33 +140,30 @@ def registration_breakdown(
     return {module: us_view(row) for module, row in rows.items()}
 
 
-def critical_path(root: Any) -> List[Dict[str, Any]]:
+def critical_path(root: Span) -> List[Dict[str, Any]]:
     """Root→leaf frames of the trace's dominant chain.
 
     At every level the longest child is taken (ties: earliest
     ``start_ns``, then tree order).  Each frame carries the span's name,
     kind, total ns and ``self_ns`` — the part of the span not covered by
-    any child, i.e. the frame's own contribution to the path.
+    any child, i.e. the frame's own contribution to the path.  Only the
+    spans on the path have their children read (an OCALL burst there is
+    built, which changes no dump of the tree).
     """
     frames: List[Dict[str, Any]] = []
-    node = _as_tree(root)
+    node: Optional[Span] = root
     while node is not None:
-        children = node["children"]
+        children = node.children
         frames.append({
-            "name": node["name"],
-            "kind": node["kind"],
-            "ns": _node_ns(node),
-            "self_ns": _node_ns(node) - sum(_node_ns(c) for c in children),
+            "name": node.name,
+            "kind": node.kind,
+            "ns": node.ns,
+            "self_ns": node.ns - sum(child.ns for child in children),
         })
         best = None
         for child in children:
-            if best is None:
-                best = child
-                continue
-            child_ns, best_ns = _node_ns(child), _node_ns(best)
-            if child_ns > best_ns or (
-                child_ns == best_ns
-                and int(child["start_ns"]) < int(best["start_ns"])
+            if best is None or child.ns > best.ns or (
+                child.ns == best.ns and child.start_ns < best.start_ns
             ):
                 best = child
         node = best
@@ -224,47 +171,47 @@ def critical_path(root: Any) -> List[Dict[str, Any]]:
 
 
 def slowest_traces_digest(
-    store_dump: Mapping[str, Any],
+    store: TraceStore,
     top: int = 10,
     module_servers: Optional[Mapping[str, str]] = None,
     module_runtimes: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, Any]:
-    """Deterministic digest of the slowest stored traces.
+    """Deterministic digest of the slowest traces ``store`` keeps.
 
-    ``store_dump`` is a :meth:`~repro.obs.trace.TraceStore.to_dict`
-    snapshot.  Records rank by duration descending with trace-id
-    ascending as the tiebreak, so the digest is a pure function of the
-    record *set*.  Every value is an int or str; JSON with sorted keys
-    is the canonical byte form.
+    Records rank by duration descending with trace-id ascending as the
+    tiebreak, so the digest is a pure function of the record *set*; only
+    the top ``top`` roots are read, where they stand.  Every value is an
+    int or str; JSON with sorted keys is the canonical byte form.
     """
     ranked = sorted(
-        store_dump.get("records", ()),
-        key=lambda r: (-int(r["duration_ns"]), r["trace_id"]),
+        store.records.values(),
+        key=lambda r: (-r["duration_ns"], r["trace_id"]),
     )
     entries: List[Dict[str, Any]] = []
     for record in ranked[: max(0, int(top))]:
+        root = record["root"]
         entry: Dict[str, Any] = {
             "trace_id": record["trace_id"],
             "supi": record["supi"],
-            "attempt": int(record["attempt"]),
-            "success": bool(record["success"]),
+            "attempt": record["attempt"],
+            "success": record["success"],
             "reason": record["reason"],
-            "sojourn_ns": int(record["sojourn_ns"]),
-            "duration_ns": int(record["duration_ns"]),
-            "critical_path": critical_path(record["root"]),
+            "sojourn_ns": record["sojourn_ns"],
+            "duration_ns": record["duration_ns"],
+            "critical_path": critical_path(root),
         }
         if module_servers is not None:
             entry["modules_ns"] = registration_breakdown_ns(
-                record["root"], module_servers, module_runtimes
+                root, module_servers, module_runtimes
             )
         entries.append(entry)
     return {
         "schema": DIGEST_SCHEMA,
         "top": int(top),
-        "seen": int(store_dump.get("seen", 0)),
-        "kept": len(store_dump.get("records", ())),
-        "kept_tail": int(store_dump.get("kept_tail", 0)),
-        "kept_head": int(store_dump.get("kept_head", 0)),
-        "evicted": int(store_dump.get("evicted", 0)),
+        "seen": store.seen,
+        "kept": len(store),
+        "kept_tail": store.kept_tail,
+        "kept_head": store.kept_head,
+        "evicted": store.evicted,
         "slowest": entries,
     }

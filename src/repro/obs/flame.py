@@ -52,11 +52,3 @@ def parse_collapsed_text(text: str) -> Dict[StackKey, int]:
         stacks[key] = stacks.get(key, 0) + int(value)
     return stacks
 
-
-def totals_by_frame(stacks: Mapping[StackKey, int]) -> Dict[str, int]:
-    """Inclusive self-time total per leaf frame (quick sanity views)."""
-    totals: Dict[str, int] = {}
-    for stack, value in stacks.items():
-        leaf = stack[-1]
-        totals[leaf] = totals.get(leaf, 0) + value
-    return totals

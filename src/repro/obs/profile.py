@@ -71,19 +71,6 @@ class RegistrationProfile:
     def collapsed(self) -> str:
         return collapsed_text(self.stacks)
 
-    def module_transition_ns(self, module: str) -> int:
-        """Transition self-time for one module, recomputed from the
-        collapsed stacks (the flame-graph-side number the per-module
-        totals must agree with)."""
-        prefix = sanitize_frame(f"{module}:ocall:")
-        return sum(
-            value
-            for stack, value in self.stacks.items()
-            if len(stack) >= 2
-            and stack[-1] == "transition"
-            and stack[-2].startswith(prefix)
-        )
-
 
 def fold_registration(
     root: Span,

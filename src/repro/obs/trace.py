@@ -699,11 +699,13 @@ class TraceStore:
     The store owns a kept tree exactly as the tracer built it — begun
     spans, OCALL bursts unread, ids unhashed (≈27 kB for a 294-span SGX
     registration) — and nothing is derived from it until it is read:
-    :meth:`get` and :meth:`to_dict` serialise on the way out, every time
+    :meth:`get` serialises one record on the way out, every time
     (≈220 kB of JSON-ready dicts per tree, the caller's to keep or
-    drop), and leave the tree as it was.  ``records`` is the stored
-    form, so read roots through those two.  An evicted tree goes back to
-    the span freelist.
+    drop), and leaves the tree as it was.  ``records`` is the stored
+    form: in-process readers take the live roots from it (as
+    :func:`~repro.obs.analytics.slowest_traces_digest` does), and a
+    reader that wants a dict goes through :meth:`get`.  An evicted tree
+    goes back to the span freelist.
     """
 
     __slots__ = (
@@ -786,32 +788,15 @@ class TraceStore:
         self.evicted += 1
 
     def get(self, trace_id: str) -> Optional[Dict[str, Any]]:
+        """A kept record with its root in ``Span.to_dict`` form."""
         record = self.records.get(trace_id)
-        return record and _dumped(record)
+        return record and {**record, "root": record["root"].to_dict()}
 
     def trace_ids(self) -> List[str]:
         return list(self.records)
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready snapshot (records in offer order)."""
-        return {
-            "cap": self.cap,
-            "sample_every": self.sample_every,
-            "deadline_ms": REGISTRATION_SOJOURN_DEADLINE_MS,
-            "seen": self.seen,
-            "kept_tail": self.kept_tail,
-            "kept_head": self.kept_head,
-            "evicted": self.evicted,
-            "records": [_dumped(record) for record in self.records.values()],
-        }
-
-
-def _dumped(record: Dict[str, Any]) -> Dict[str, Any]:
-    """A stored record with its root in ``Span.to_dict`` form."""
-    return {**record, "root": record["root"].to_dict()}
 
 
 def format_span_tree(span: Span, indent: int = 0) -> List[str]:

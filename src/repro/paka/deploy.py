@@ -115,7 +115,7 @@ class PakaDeployment:
         self.engine = engine
         self.network = network
         self.signing_key = signing_key
-        self.epc_manager = EpcManager(host.total_epc_bytes, host.cpu, host.rng)
+        self.epc_manager = EpcManager(host.total_epc_bytes, host.cpu)
         self.aesmd = AesmDaemon(platform_id)
         self.pal = PlatformAdaptationLayer(host, self.epc_manager, self.aesmd)
         self._instance = 0

@@ -1,21 +1,23 @@
 """The enclave: lifecycle, transitions and confidentiality semantics.
 
 An :class:`Enclave` is built from an :class:`EnclaveBuildInfo` (produced by
-the Gramine/GSC layer), loaded onto a host, and then entered via ECALLs.
-Inside an ECALL, code runs with plaintext access to enclave secrets and can
-issue OCALLs (each one an EEXIT/EENTER round trip).  Outside, the enclave's
-memory is only visible as ciphertext — this is the property the paper's
-Table V attack analysis relies on, and the security test-suite asserts it
-in both directions (attacks succeed against plain containers, fail here).
+the Gramine/GSC layer), loaded onto a host, and then entered the Gramine
+way: one persistent ECALL per thread (:meth:`Enclave.begin_persistent_ecall`),
+after which every syscall leaves as an OCALL, one EEXIT/EENTER round trip
+charged by :class:`~repro.gramine.libos.GramineEnclaveRuntime`.  Inside an
+ECALL, code runs with plaintext access to enclave secrets.  Outside, the
+enclave's memory is only visible as ciphertext — this is the property the
+paper's Table V attack analysis relies on, and the security test-suite
+asserts it in both directions (attacks succeed against plain containers,
+fail here).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.hw.host import PhysicalHost
 from repro.sgx.costmodel import SGX_COSTS
@@ -66,10 +68,9 @@ class EnclaveBuildInfo:
 class EcallContext:
     """Execution context of one ECALL; the only plaintext view of secrets."""
 
-    def __init__(self, enclave: "Enclave", name: str, rng_stream: str) -> None:
+    def __init__(self, enclave: "Enclave", name: str) -> None:
         self._enclave = enclave
         self._name = name
-        self._stream = rng_stream
         self.closed = False
 
     def _check_open(self) -> None:
@@ -94,40 +95,6 @@ class EcallContext:
             enclave.host.cpu.spend_cycles(
                 cold * SGX_COSTS.cold_page_access_cycles
             )
-
-    def ocall(
-        self,
-        syscall: str,
-        bytes_out: int = 0,
-        bytes_in: int = 0,
-        host_cycles: float = 3_000,
-    ) -> None:
-        """Leave the enclave to service ``syscall`` on the untrusted host.
-
-        Charges EEXIT + boundary copy-out + host work + EENTER + copy-in,
-        and counts one OCALL (one EEXIT and one EENTER in the Gramine
-        stats, exactly as Table III describes).
-        """
-        self._check_open()
-        enclave = self._enclave
-        model = SGX_COSTS
-        eenter, eexit = model.draw_transition_pair(
-            enclave.host.rng, f"{enclave.build.name}.transition"
-        )
-        cpu = enclave.host.cpu
-        cpu.spend_cycles(eexit)
-        cpu.spend_cycles(bytes_out * model.boundary_copy_cycles_per_byte)
-        cpu.spend_cycles(host_cycles)
-        cpu.spend_cycles(eenter)
-        cpu.spend_cycles(bytes_in * model.boundary_copy_cycles_per_byte)
-
-        stats = enclave.stats
-        stats.eexits += 1
-        stats.eenters += 1
-        stats.record_ocall(syscall)
-        stats.bytes_copied_out += bytes_out
-        stats.bytes_copied_in += bytes_in
-        enclave.host.events.add("sgx.ocall")
 
     def store_secret(self, key: str, value: bytes) -> None:
         """Place a secret in enclave memory (plaintext view inside only)."""
@@ -266,53 +233,6 @@ class Enclave:
 
     # ----------------------------------------------------------------- ecall
 
-    @contextmanager
-    def ecall(
-        self, name: str, bytes_in: int = 0, bytes_out: int = 0
-    ) -> Iterator[EcallContext]:
-        """Enter the enclave (EENTER), yielding the in-enclave context.
-
-        ``bytes_in``/``bytes_out`` are the marshalled argument and result
-        sizes crossing the boundary (Table I's enclave input/output).
-        """
-        if self.destroyed:
-            raise EnclaveLostError(f"enclave {self.build.name!r} was destroyed")
-        if not self.initialized:
-            raise EnclaveNotInitializedError(
-                f"enclave {self.build.name!r}: ECALL {name!r} before EINIT"
-            )
-        if self._threads_entered >= self.build.max_threads:
-            raise SgxError(
-                f"enclave {self.build.name!r}: no free TCS "
-                f"({self.build.max_threads} threads allowed)"
-            )
-        model = SGX_COSTS
-        cpu = self.host.cpu
-        eenter, eexit = model.draw_transition_pair(
-            self.host.rng, f"{self.build.name}.transition"
-        )
-        self._threads_entered += 1
-        self.stats.eenters += 1
-        self.stats.ecalls += 1
-        self.stats.bytes_copied_in += bytes_in
-        cpu.spend_cycles(eenter)
-        cpu.spend_cycles(bytes_in * model.boundary_copy_cycles_per_byte)
-        cpu.spend_cycles(
-            self.epc_manager.management_cycles(
-                self.epc_region, f"{self.build.name}.epcmgmt"
-            )
-        )
-        context = EcallContext(self, name, f"{self.build.name}.ecall")
-        try:
-            yield context
-        finally:
-            context.closed = True
-            self._threads_entered -= 1
-            self.stats.eexits += 1
-            self.stats.bytes_copied_out += bytes_out
-            cpu.spend_cycles(eexit)
-            cpu.spend_cycles(bytes_out * model.boundary_copy_cycles_per_byte)
-
     def begin_persistent_ecall(self, name: str) -> EcallContext:
         """Enter the enclave and *stay* inside (the Gramine execution model:
         one ECALL for the process plus one per thread, with all subsequent
@@ -336,7 +256,7 @@ class Enclave:
         self.stats.eenters += 1
         self.stats.ecalls += 1
         self.host.cpu.spend_cycles(eenter)
-        return EcallContext(self, name, f"{self.build.name}.ecall")
+        return EcallContext(self, name)
 
     def end_persistent_ecall(self, context: EcallContext) -> None:
         """Exit a persistent ECALL (process/thread termination)."""

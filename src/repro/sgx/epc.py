@@ -6,24 +6,21 @@ than page identities — because the experiments only depend on:
 
 * capacity: the sum of resident pages across enclaves cannot exceed the
   physical EPC; overshoot forces paging (EWB evict + ELDU reload),
-* fault costs: first touches (page-ins) are charged per page,
-* a management overhead that grows with the number of resident pages
-  (the kernel/driver scans larger enclaves more slowly) — this is what
-  produces the paper's Fig 8 observation that an 8 GB enclave is slightly
-  *slower* and noisier than a 512 MB one for the same workload.
+* fault costs: first touches (page-ins) are charged per page.
+
+Fig 8's 8 GB penalty is not charged here: the LibOS books it per
+syscall from its residency (``GramineEnclaveRuntime._epc_pressure``).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.hw.cpu import Cpu
 from repro.sgx.costmodel import SGX_COSTS
 from repro.sgx.errors import EpcExhaustedError
 from repro.sgx.stats import SgxStats
-from repro.sim.rng import RngService
 
 PAGE_SIZE = 4096
 
@@ -51,15 +48,9 @@ class EpcRegion:
 class EpcManager:
     """Physical EPC shared by all enclaves on a host."""
 
-    def __init__(
-        self,
-        capacity_bytes: int,
-        cpu: Cpu,
-        rng: RngService,
-    ) -> None:
+    def __init__(self, capacity_bytes: int, cpu: Cpu) -> None:
         self.capacity_bytes = capacity_bytes
         self.cpu = cpu
-        self.rng = rng
         self._regions: Dict[str, EpcRegion] = {}
 
     @property
@@ -90,8 +81,9 @@ class EpcManager:
     ) -> None:
         """Page ``n_pages`` into ``region``, evicting globally if needed.
 
-        ``charge_time=False`` is used by the AEX/idle path where the clock
-        has already been advanced by the idle window itself.
+        ``charge_time=False`` books residency and counters without CPU
+        time: the fault injector's noisy neighbour uses it to fill the EPC
+        from outside any enclave's timeline.
         """
         if n_pages <= 0:
             return
@@ -156,15 +148,3 @@ class EpcManager:
         if charge_time:
             self.cpu.spend_cycles(evicted * SGX_COSTS.page_evict_cycles)
         return evicted
-
-    def management_cycles(self, region: EpcRegion, stream: str) -> float:
-        """Per-call EPC management overhead for ``region``.
-
-        Grows logarithmically with resident pages, with jitter that widens
-        as the enclave gets bigger — the mechanism behind Fig 8's 8 GB
-        penalty and wider interquartile range.
-        """
-        pages = max(region.resident_pages, 1)
-        base = 140.0 * math.log2(pages + 1)
-        rel_sigma = 0.04 + 0.10 * min(1.0, pages / (2 * 1024**3 / PAGE_SIZE))
-        return self.rng.jitter(stream, base, rel_sigma)

@@ -10,6 +10,7 @@ from repro.experiments.survivability import (
 from repro.obs.analytics import slowest_traces_digest
 from repro.obs.collect import observe
 from repro.paka.deploy import IsolationMode
+from tests.obs.test_trace_freelist import store_dump
 
 QUICK = dict(legit=6, horizon_s=2.0, seed=29)
 
@@ -132,7 +133,7 @@ def test_traced_collapse_alerts_cite_stored_exemplar_traces():
     assert sojourn_alerts
     cited = {tid for alert in sojourn_alerts for tid in alert.exemplar_trace_ids}
     assert cited
-    store = observation.store.to_dict()
+    store = store_dump(observation.store)
     stored = {r["trace_id"] for r in store["records"]}
     resolved = cited & stored
     assert resolved
@@ -157,7 +158,7 @@ def test_traced_collapse_alerts_cite_stored_exemplar_traces():
     # accounts for the whole trace there.
     assert store["kept_tail"] >= 1
     digest = slowest_traces_digest(
-        store, top=10, module_servers=observation.module_servers,
+        observation.store, top=10, module_servers=observation.module_servers,
         module_runtimes=observation.module_runtimes,
     )
     assert digest["slowest"]

@@ -25,7 +25,7 @@ KEY = b"libos-test-signing-key"
 def make_runtime(max_threads=4, enclave_size="512M", exitless=False, seed=5,
                  start=True, bulk_mb=50, cpu_spec=XEON_SILVER_4314):
     host = paper_testbed_host(seed=seed, cpu_spec=cpu_spec)
-    epc = EpcManager(host.total_epc_bytes, host.cpu, host.rng)
+    epc = EpcManager(host.total_epc_bytes, host.cpu)
     pal = PlatformAdaptationLayer(host, epc, AesmDaemon("plat"))
     image, _ = oai_base_image("eudm-aka", bulk_mb=bulk_mb)
     manifest = GramineManifest(
@@ -74,10 +74,13 @@ def test_double_start_rejected():
 def test_syscall_becomes_ocall():
     runtime = make_runtime()
     before = runtime.enclave.stats.snapshot()
+    t0 = runtime.host.clock.now_ns
     runtime.syscall("epoll_wait")
     delta = runtime.enclave.stats.delta(before)
     assert delta.ocalls == 1
     assert delta.eenters == 1 and delta.eexits == 1
+    # At least one 10k-cycle transition pair: > 4 us at 2.4 GHz.
+    assert runtime.host.clock.now_ns - t0 > 4_000
 
 
 def test_syscall_before_start_rejected():

@@ -14,7 +14,7 @@ from repro.sgx.epc import EpcManager
 @pytest.fixture
 def pal():
     host = paper_testbed_host(seed=21)
-    epc = EpcManager(host.total_epc_bytes, host.cpu, host.rng)
+    epc = EpcManager(host.total_epc_bytes, host.cpu)
     return PlatformAdaptationLayer(host, epc, AesmDaemon("plat"))
 
 

@@ -31,6 +31,7 @@ from repro.net.sbi import EUDM_GENERATE_AV
 from repro.obs.trace import TraceStore, Tracer
 from repro.security.attacks import AttackPlane, StormKind, generate_storm
 from repro.testbed import IsolationMode
+from tests.obs.test_trace_freelist import store_dump
 
 ARMINGS = ("none", "disabled", "armed", "seeded")
 
@@ -151,7 +152,7 @@ def _fingerprint(testbed, tracer):
         },
     }
     if tracer.store is not None:
-        payload["store"] = tracer.store.to_dict()
+        payload["store"] = store_dump(tracer.store)
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -29,6 +29,7 @@ from repro.obs.trace import TraceStore, Tracer, _OcallBurst
 from repro.paka.deploy import IsolationMode
 from repro.sim.clock import SimClock
 from repro.sim.rng import RngService
+from tests.obs.test_trace_freelist import store_dump
 
 # Seven SBI hops: 14 frames and 7 sbi.request events; each hop's four
 # windows (client R, server busy, L_T, L_F) are clock reads, so the only
@@ -128,7 +129,7 @@ def count_ops(
             result = {key: counts[key] for key in sorted(counts)}
             if armed:
                 # Only now is the store read: the kept tree is dumped.
-                store.to_dict()
+                store_dump(store)
                 for key in _TRACER_COUNTS:
                     result[f"{key}_by_a_dump"] = counts[key] - result[key]
                 store.records.clear()

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.experiments.harness import warmed_testbed
-from repro.obs.analytics import _walk as _walk_dicts
 from repro.obs.analytics import (
     critical_path,
     registration_breakdown,
@@ -16,6 +15,7 @@ from repro.obs.analytics import (
 from repro.obs.collect import module_maps
 from repro.obs.trace import Span, TraceStore, Tracer, span_from_dict
 from repro.paka.deploy import IsolationMode
+from tests.obs.test_trace_freelist import store_dump
 
 
 def _traced(seed=7, registrations=2, store=None):
@@ -49,18 +49,17 @@ def _traced_store(seed=7, registrations=2):
 def test_breakdown_ns_agrees_exactly_with_the_float_breakdown():
     """The view's contract: the float-µs table is the integer-ns table
     divided by 1000 — ``us[m][k_us] == ns[m][k_ns] / 1000.0`` exactly,
-    counts copied, same keys in the same order — whether the tree
-    arrives as a stored dict, a rebuilt live span, or the tracer's own
-    root with its OCALL bursts still unread."""
+    counts copied, same keys in the same order — whether the tree is a
+    kept root, a span rebuilt from its dump, or the tracer's own root
+    with its OCALL bursts still unread."""
     store, module_servers, module_runtimes = _traced_store()
     # Same seed, no store: the same registrations, left on the tracer.
     lazy_roots = _traced()[0].roots
     assert len(store) == len(lazy_roots) == 2
-    for record, lazy_root in zip(store.to_dict()["records"], lazy_roots):
-        ns = registration_breakdown_ns(
-            record["root"], module_servers, module_runtimes
-        )
-        for tree in (record["root"], span_from_dict(record["root"]), lazy_root):
+    for record, lazy_root in zip(store.records.values(), lazy_roots):
+        kept = record["root"]
+        ns = registration_breakdown_ns(kept, module_servers, module_runtimes)
+        for tree in (kept, span_from_dict(kept.to_dict()), lazy_root):
             us = registration_breakdown(tree, module_servers, module_runtimes)
             assert list(us) == list(ns) == list(module_servers)
             for module, row_ns in ns.items():
@@ -79,18 +78,6 @@ def test_breakdown_ns_agrees_exactly_with_the_float_breakdown():
                 assert row_ns["lt_ns"] - row_ns["lf_ns"] == row_ns["ln_ns"]
 
 
-def test_breakdown_ns_accepts_live_spans_and_dict_trees():
-    store, module_servers, module_runtimes = _traced_store(registrations=1)
-    record = store.get(store.trace_ids()[0])
-    from_dict = registration_breakdown_ns(
-        record["root"], module_servers, module_runtimes
-    )
-    from_span = registration_breakdown_ns(
-        span_from_dict(record["root"]), module_servers, module_runtimes
-    )
-    assert from_dict == from_span
-
-
 @pytest.mark.parametrize(
     "isolation, exitless",
     [
@@ -106,17 +93,19 @@ def test_the_live_fold_reads_bursts_unread_and_equals_the_dict_fold(
 ):
     testbed = warmed_testbed(isolation, seed=7, exitless=exitless)
     root = testbed.trace_registration().root
-    tree = root.to_dict()  # a read-only view: builds no span
+    # The dump is a read-only view (it builds no span); its rebuild has
+    # every OCALL leaf built.
+    built = span_from_dict(root.to_dict())
     servers, runtimes = module_maps(testbed)
     # Every other server on the tree is a row of its own, so a monolithic
     # core is folded too.
-    for node in _walk_dicts(tree):
-        server = node["tags"].get("server")
+    for node in built.walk():
+        server = node.tags.get("server")
         if server is not None and server not in servers.values():
             servers[server] = server
     bursts = [node for node in root.walk_unread() if node.__class__ is not Span]
     live = registration_breakdown_ns(root, servers, runtimes)
-    assert live == registration_breakdown_ns(tree, servers, runtimes)
+    assert live == registration_breakdown_ns(built, servers, runtimes)
     assert [node for node in root.walk_unread() if node.__class__ is not Span] == bursts
     assert sum(row["requests"] for row in live.values()) > 0
     if isolation is IsolationMode.SGX:
@@ -139,7 +128,7 @@ def test_critical_path_descends_the_longest_child():
              ]},
         ],
     }
-    path = critical_path(tree)
+    path = critical_path(span_from_dict(tree))
     assert [frame["name"] for frame in path] == ["root", "long", "leaf"]
     assert path[0]["ns"] == 100
     assert path[0]["self_ns"] == 100 - 30 - 60
@@ -157,16 +146,33 @@ def test_critical_path_ties_break_on_earliest_start():
              "tags": {}, "children": []},
         ],
     }
-    assert [f["name"] for f in critical_path(tree)] == ["root", "first"]
+    assert [f["name"] for f in critical_path(span_from_dict(tree))] == [
+        "root", "first"
+    ]
 
 
-def test_digest_is_deterministic_and_ranked_by_duration():
-    store, module_servers, module_runtimes = _traced_store(registrations=3)
-    dump = store.to_dict()
-    digest = slowest_traces_digest(
-        dump, top=10, module_servers=module_servers,
-        module_runtimes=module_runtimes,
+def _unread_bursts(store):
+    return sum(
+        node.__class__ is not Span
+        for record in store.records.values()
+        for node in record["root"].walk_unread()
     )
+
+
+def test_digest_is_deterministic_and_ranked_by_duration(monkeypatch):
+    store, module_servers, module_runtimes = _traced_store(registrations=3)
+    dump = store_dump(store)
+    unread = _unread_bursts(store)
+    maps = {"module_servers": module_servers, "module_runtimes": module_runtimes}
+
+    def serialise(span):
+        raise AssertionError(f"the digest serialised span {span.name!r}")
+
+    # The digest reads the kept roots where they stand: not one span of
+    # them becomes a dict.
+    with monkeypatch.context() as patch:
+        patch.setattr(Span, "to_dict", serialise)
+        digest = slowest_traces_digest(store, top=10, **maps)
     assert digest["schema"] == 1
     assert digest["seen"] == 3 and digest["kept"] == 3
     durations = [entry["duration_ns"] for entry in digest["slowest"]]
@@ -175,17 +181,18 @@ def test_digest_is_deterministic_and_ranked_by_duration():
         assert entry["critical_path"][0]["kind"] == "registration"
         assert entry["critical_path"][0]["ns"] == entry["duration_ns"]
         assert set(entry["modules_ns"]) == set(module_servers)
-    # Pure function of the record set: byte-identical on re-computation.
-    again = slowest_traces_digest(
-        dump, top=10, module_servers=module_servers,
-        module_runtimes=module_runtimes,
-    )
+    # Pure function of the record set: byte-identical on re-computation
+    # (unpatched, over trees the first call has read).
+    again = slowest_traces_digest(store, top=10, **maps)
     assert json.dumps(digest, sort_keys=True) == json.dumps(again, sort_keys=True)
+    # Building the OCALL bursts on a critical path changes no dump.
+    assert 0 < _unread_bursts(store) < unread
+    assert store_dump(store) == dump
 
 
 def test_digest_top_limits_entries_but_not_counters():
     store, module_servers, module_runtimes = _traced_store(registrations=3)
-    digest = slowest_traces_digest(store.to_dict(), top=1)
+    digest = slowest_traces_digest(store, top=1)
     assert len(digest["slowest"]) == 1
     assert digest["seen"] == 3 and digest["kept"] == 3
     assert "modules_ns" not in digest["slowest"][0]

@@ -4,12 +4,7 @@ import pytest
 
 from repro.experiments.harness import warmed_testbed
 from repro.obs.analytics import registration_breakdown_ns, us_view
-from repro.obs.flame import (
-    collapsed_text,
-    parse_collapsed_text,
-    sanitize_frame,
-    totals_by_frame,
-)
+from repro.obs.flame import collapsed_text, parse_collapsed_text, sanitize_frame
 from repro.obs.profile import (
     MODULE_KEYS,
     fold_registration,
@@ -34,9 +29,18 @@ def test_collapsed_text_round_trips_and_sorts():
         parse_collapsed_text("justonetoken\n")
 
 
-def test_totals_by_frame_aggregates_leaves():
-    stacks = {("a", "x"): 5, ("b", "x"): 2, ("b",): 1}
-    assert totals_by_frame(stacks) == {"x": 7, "b": 1}
+def module_transition_ns(profile, module):
+    """Transition self-time for one module, summed back out of the
+    collapsed stacks: the flame-graph-side number the fold's per-module
+    ``transition_ns`` must equal."""
+    prefix = sanitize_frame(f"{module}:ocall:")
+    return sum(
+        value
+        for stack, value in profile.stacks.items()
+        if len(stack) >= 2
+        and stack[-1] == "transition"
+        and stack[-2].startswith(prefix)
+    )
 
 
 def _synthetic_ocall_tree():
@@ -74,7 +78,7 @@ def test_fold_splits_ocalls_into_component_subframes():
     assert profile.stacks[("registration", ocall_frame)] == 600 - 300
     assert profile.stacks[("registration",)] == 1_000 - 600
     assert profile.total_ns == 1_000
-    assert profile.module_transition_ns("eudm") == 100
+    assert module_transition_ns(profile, "eudm") == 100
     assert profile.modules == {"eudm": {
         "ocalls": 1, "eenters": 1, "eexits": 1,
         "transition_ns": 100, "shield_ns": 50, "copy_ns": 25, "host_ns": 125,
@@ -112,7 +116,7 @@ def test_profile_matches_trace_breakdown_bit_for_bit():
         assert row["eenters"] > 0 and row["eenters"] == row["eexits"], module
         assert row["ocalls"] >= row["eenters"], module
         assert row["transition_us"] > 0, module
-        assert profile.module_transition_ns(module) == row["transition_ns"]
+        assert module_transition_ns(profile, module) == row["transition_ns"]
 
 
 def test_modules_without_ocalls_are_omitted():

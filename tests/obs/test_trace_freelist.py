@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 
 from repro.obs import trace
-from repro.obs.analytics import _walk as _walk_dicts
+from repro.obs.slo import REGISTRATION_SOJOURN_DEADLINE_MS
 from repro.obs.trace import Span, Tracer, TraceStore, span_from_dict
 from repro.sim.clock import SimClock
 
@@ -254,6 +254,21 @@ def test_every_consumer_reads_a_lazy_tree_like_its_dict_copy():
 # index, one dict per span, in ``Span.to_dict``'s key order.
 
 
+def store_dump(store):
+    """A store's JSON-ready snapshot, records in offer order: every
+    kept record read through ``TraceStore.get``, beside the counters."""
+    return {
+        "cap": store.cap,
+        "sample_every": store.sample_every,
+        "deadline_ms": REGISTRATION_SOJOURN_DEADLINE_MS,
+        "seen": store.seen,
+        "kept_tail": store.kept_tail,
+        "kept_head": store.kept_head,
+        "evicted": store.evicted,
+        "records": [store.get(trace_id) for trace_id in store.trace_ids()],
+    }
+
+
 def _eager_dict(span, seqs=None, parent_id=None):
     seqs = itertools.count() if seqs is None else seqs
     traced = span.trace_id is not None
@@ -309,8 +324,8 @@ def test_a_store_dump_is_the_eager_snapshot_byte_for_byte(flavour, trace_seed):
     twin, _ = _three_registrations(flavour, trace_seed)
     eager = [_eager_dict(root) for root in twin.roots]
     assert len(eager) == 3
-    nodes = [node for root in eager for node in _walk_dicts(root)]
-    leaves = sum(node["kind"] == "sgx.ocall" for node in nodes)
+    nodes = [node for root in eager for node in span_from_dict(root).walk()]
+    leaves = sum(node.kind == "sgx.ocall" for node in nodes)
     assert leaves == (0 if flavour == "container" else 2 * 261)  # none when shed
 
     store = TraceStore(cap=None, sample_every=1)
@@ -329,8 +344,8 @@ def test_a_store_dump_is_the_eager_snapshot_byte_for_byte(flavour, trace_seed):
     assert (store.seen, store.kept_head, store.kept_tail) == (3, 2, 1)
 
     pool_before = list(trace._SPAN_POOL)
-    first = json.dumps(store.to_dict(), sort_keys=True)
-    records = store.to_dict()["records"]
+    first = json.dumps(store_dump(store), sort_keys=True)
+    records = store_dump(store)["records"]
     assert [record["success"] for record in records] == successes
     for record, expected in zip(records, eager):
         # Unsorted too: the key order is ``Span.to_dict``'s.
@@ -365,7 +380,7 @@ def test_a_store_dump_is_the_eager_snapshot_byte_for_byte(flavour, trace_seed):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        second = json.dumps(store.to_dict(), sort_keys=True)
+        second = json.dumps(store_dump(store), sort_keys=True)
         gc.collect()
         growth = tracemalloc.get_traced_memory()[0] - before - len(second)
     finally:
@@ -386,7 +401,7 @@ def test_reading_a_kept_record_leaves_the_freelist_to_the_next_begin():
     assert len(pool_before) == 2
     for trace_id in store.trace_ids():
         assert store.get(trace_id)["root"]["children"]
-    store.to_dict()
+    store_dump(store)
     assert trace._SPAN_POOL == pool_before
     fresh = tracer.begin("next")
     assert fresh is pool_before[-1]
@@ -430,5 +445,5 @@ def test_eviction_follows_the_policy_and_returns_the_tree_to_the_freelist():
     assert {id(failed_root), id(failed_child)} <= {id(s) for s in trace._SPAN_POOL}
     assert (store.seen, store.kept_tail, store.kept_head, store.evicted) == (5, 3, 1, 2)
     # What is left still dumps whole.
-    for record in store.to_dict()["records"]:
+    for record in store_dump(store)["records"]:
         assert len(record["root"]["children"][0]["children"]) == 4

@@ -35,7 +35,7 @@ from repro.obs.trace import (
     trace_context_id,
 )
 from repro.sim.clock import SimClock
-from tests.obs.test_trace_freelist import _eager_dict
+from tests.obs.test_trace_freelist import _eager_dict, store_dump
 
 names = st.sampled_from(["read", "write", "epoll_wait", "futex", "sendmsg", "nas", "L_T"])
 tag_values = st.one_of(st.integers(0, 10_000), st.booleans(), names)
@@ -130,9 +130,9 @@ def test_a_kept_tree_reads_as_the_literal_tree(program, trace_seed):
                 yield from bursts(child)
 
     unread = list(bursts(kept.span))
-    first = json.dumps(store.to_dict())
-    assert json.dumps(store.to_dict()["records"][0]["root"]) == json.dumps(expected)
-    assert json.dumps(store.to_dict()) == first
+    first = json.dumps(store_dump(store))
+    assert json.dumps(store_dump(store)["records"][0]["root"]) == json.dumps(expected)
+    assert json.dumps(store_dump(store)) == first
     assert list(bursts(kept.span)) == unread  # still the tracer's tree
     record = store.get(trace_id)
     assert span_from_dict(record["root"]).to_dict() == record["root"] == expected

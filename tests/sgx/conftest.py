@@ -41,7 +41,7 @@ def host():
 
 @pytest.fixture
 def epc(host):
-    return EpcManager(host.total_epc_bytes, host.cpu, host.rng)
+    return EpcManager(host.total_epc_bytes, host.cpu)
 
 
 @pytest.fixture

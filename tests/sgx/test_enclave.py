@@ -1,14 +1,16 @@
 """Enclave lifecycle, transitions and confidentiality semantics."""
 
 import json
+from contextlib import contextmanager
 
 import pytest
 
+from repro.gramine.libos import GramineEnclaveRuntime
+from repro.gramine.manifest import GramineManifest
 from repro.hw.cpu import CpuSpec
 from repro.hw.host import paper_testbed_host
 from repro.sgx.costmodel import SGX_COSTS
 from repro.sgx.enclave import CPU_PACKAGE_ACTOR, Enclave
-from repro.sgx.epc import EpcManager
 from repro.sgx.errors import (
     EnclaveLostError,
     EnclaveNotInitializedError,
@@ -17,6 +19,16 @@ from repro.sgx.errors import (
 )
 
 from .conftest import small_build
+
+
+@contextmanager
+def inside(enclave, name="handler"):
+    """One persistent ECALL (the only way in), exited on the way out."""
+    context = enclave.begin_persistent_ecall(name)
+    try:
+        yield context
+    finally:
+        enclave.end_persistent_ecall(context)
 
 
 class TestLifecycle:
@@ -36,14 +48,12 @@ class TestLifecycle:
     def test_ecall_before_load_rejected(self, host, epc):
         enclave = Enclave(host, small_build("unloaded"), epc)
         with pytest.raises(EnclaveNotInitializedError):
-            with enclave.ecall("f"):
-                pass
+            enclave.begin_persistent_ecall("f")
 
     def test_destroyed_enclave_unusable(self, enclave):
         enclave.destroy()
         with pytest.raises(EnclaveLostError):
-            with enclave.ecall("f"):
-                pass
+            enclave.begin_persistent_ecall("f")
 
     def test_destroy_releases_epc(self, enclave, epc):
         assert epc.resident_pages > 0
@@ -86,44 +96,31 @@ class TestLifecycle:
 
 
 class TestTransitions:
-    def test_ecall_counts_enter_and_exit(self, enclave):
-        with enclave.ecall("handler"):
-            pass
-        assert enclave.stats.ecalls == 1
-        # load() already performed trusted-file OCALLs; delta check:
-        assert enclave.stats.eenters == enclave.stats.eexits
-
-    def test_ocall_counts_pair(self, enclave):
-        before = enclave.stats.snapshot()
-        with enclave.ecall("handler") as ctx:
-            ctx.ocall("recvmsg", bytes_in=256)
-            ctx.ocall("sendmsg", bytes_out=256)
-        delta = enclave.stats.delta(before)
-        assert delta.ocalls == 2
-        assert delta.eenters == 3  # 1 ECALL + 2 OCALL re-entries
-        assert delta.eexits == 3
-
     def test_ocall_advances_time(self, enclave):
+        # OCALLs are issued by the LibOS over the enclave's persistent ECALLs.
+        runtime = GramineEnclaveRuntime(
+            "ocall-test", enclave.host, enclave,
+            GramineManifest(entrypoint="/bin/handler", max_threads=4),
+        )
+        runtime.start()
         t0 = enclave.host.clock.now_ns
-        with enclave.ecall("handler") as ctx:
-            ctx.ocall("epoll_wait")
+        runtime.syscall("epoll_wait")
         # At least one 10k-cycle transition pair: > 4 us at 2.4 GHz.
         assert enclave.host.clock.now_ns - t0 > 4_000
 
     def test_compute_charges_mee_penalty(self, enclave):
+        ctx = enclave.begin_persistent_ecall("handler")
         t0 = enclave.host.clock.now_ns
-        with enclave.ecall("handler") as ctx:
-            ctx.compute(240_000)
+        ctx.compute(240_000)
         elapsed = enclave.host.clock.now_ns - t0
         plain_ns = 240_000 / 2.4  # 2.4 GHz
         assert elapsed > plain_ns * SGX_COSTS.epc_compute_penalty * 0.9
 
     def test_context_unusable_after_exit(self, enclave):
-        with enclave.ecall("handler") as ctx:
+        with inside(enclave) as ctx:
             with pytest.raises(ValueError):
                 ctx.compute(-1)
         for call in (
-            lambda: ctx.ocall("read"),
             lambda: ctx.compute(1),
             lambda: ctx.touch_pages(cold=1),
             lambda: ctx.store_secret("k", b"x"),
@@ -136,21 +133,20 @@ class TestTransitions:
         enclave = Enclave(host, small_build("one-thread", max_threads=1), epc)
         enclave.load()
         handle = enclave.begin_persistent_ecall("app")
-        with pytest.raises(SgxError):
-            with enclave.ecall("too-many"):
-                pass
+        with pytest.raises(SgxError, match="no free TCS"):
+            enclave.begin_persistent_ecall("too-many")
         enclave.end_persistent_ecall(handle)
-        with enclave.ecall("now-fine"):
+        with inside(enclave, "now-fine"):
             pass
 
     def test_persistent_ecall_counts_one_enter(self, enclave):
         before = enclave.stats.snapshot()
         handle = enclave.begin_persistent_ecall("process")
         delta = enclave.stats.delta(before)
-        assert delta.eenters == 1 and delta.eexits == 0
+        assert delta.ecalls == delta.eenters == 1 and delta.eexits == 0
         enclave.end_persistent_ecall(handle)
         delta = enclave.stats.delta(before)
-        assert delta.eexits == 1
+        assert delta.eenters == delta.eexits == 1
 
     def test_end_persistent_is_idempotent(self, enclave):
         handle = enclave.begin_persistent_ecall("process")
@@ -197,19 +193,19 @@ class TestIdleAex:
 
 class TestConfidentiality:
     def test_secrets_visible_inside_ecall(self, enclave):
-        with enclave.ecall("store") as ctx:
+        with inside(enclave, "store") as ctx:
             ctx.store_secret("k", b"\x01\x02")
-        with enclave.ecall("load") as ctx:
+        with inside(enclave, "load") as ctx:
             assert ctx.load_secret("k") == b"\x01\x02"
 
     def test_missing_secret_raises(self, enclave):
-        with enclave.ecall("load") as ctx:
+        with inside(enclave, "load") as ctx:
             with pytest.raises(KeyError):
                 ctx.load_secret("nope")
 
     def test_outside_view_is_ciphertext(self, enclave):
         secret = bytes(range(32))
-        with enclave.ecall("store") as ctx:
+        with inside(enclave, "store") as ctx:
             ctx.store_secret("kausf", secret)
         dump = enclave.dump_memory(actor="hypervisor")
         assert secret not in dump
@@ -218,7 +214,7 @@ class TestConfidentiality:
             json.loads(dump.decode("utf-8", errors="strict"))
 
     def test_cpu_package_sees_plaintext(self, enclave):
-        with enclave.ecall("store") as ctx:
+        with inside(enclave, "store") as ctx:
             ctx.store_secret("kausf", bytes(range(32)))
         dump = enclave.dump_memory(actor=CPU_PACKAGE_ACTOR)
         data = json.loads(dump.decode())
@@ -230,14 +226,14 @@ class TestConfidentiality:
         a.load()
         b.load()
         secret = b"same-secret-in-both-enclaves-000"
-        with a.ecall("s") as ctx:
+        with inside(a, "s") as ctx:
             ctx.store_secret("k", secret)
-        with b.ecall("s") as ctx:
+        with inside(b, "s") as ctx:
             ctx.store_secret("k", secret)
         assert a.dump_memory("hypervisor") != b.dump_memory("hypervisor")
 
     def test_destroy_scrubs_secrets(self, enclave):
-        with enclave.ecall("store") as ctx:
+        with inside(enclave, "store") as ctx:
             ctx.store_secret("k", b"x")
         enclave.destroy()
         assert enclave._secrets == {}

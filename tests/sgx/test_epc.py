@@ -1,4 +1,4 @@
-"""EPC manager: capacity, faulting, eviction, management overhead."""
+"""EPC manager: capacity, faulting, eviction."""
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.sgx.stats import SgxStats
 @pytest.fixture
 def manager(host):
     # Small physical EPC so eviction is easy to trigger.
-    return EpcManager(64 * PAGE_SIZE, host.cpu, host.rng)
+    return EpcManager(64 * PAGE_SIZE, host.cpu)
 
 
 def test_region_creation_and_pages(manager):
@@ -129,12 +129,3 @@ def test_release_region_frees_pages(manager):
     manager.release_region("e1")
     assert manager.resident_pages == 0
 
-
-def test_management_cycles_grow_with_residency(manager):
-    small = manager.create_region("small", 64 * PAGE_SIZE)
-    manager.fault_in(small, 2)
-    large = manager.create_region("large", 64 * PAGE_SIZE)
-    manager.fault_in(large, 60)
-    small_cost = sum(manager.management_cycles(small, "t") for _ in range(50)) / 50
-    large_cost = sum(manager.management_cycles(large, "t") for _ in range(50)) / 50
-    assert large_cost > small_cost
