@@ -25,9 +25,12 @@ reason of an allowed kind, or go -- with the tests that exist only for it.
 Both write ``benchmarks/results/reachability.json`` (sorted, byte-stable
 for a tree); ``--check`` also prints ``file:line qualname <- contexts``
 for every function that is neither product-reached nor allowlisted and
-exits 1 if there is one.  Tier-1 under the profiler takes ~8 min, so this
-is a tool, not a CI step.  Worker processes are not followed: every
-context runs ``--jobs 1``.  Python 3.9-compatible (no ``sys.monitoring``).
+exits 1 if there is one.  Tier-1 under the profiler takes ~8 min; CI's
+``census`` job runs ``--check`` beside the other jobs.  Forked workers
+are not followed (a child leaves with ``os._exit`` and dumps nothing):
+every context but hostbench's ``sharded-4x2`` runs ``--jobs 1``, and
+there the caller runs the same claim loop as its child.
+Python 3.9-compatible (no ``sys.monitoring``).
 """
 
 from __future__ import annotations

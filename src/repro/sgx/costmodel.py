@@ -25,10 +25,6 @@ class SgxCostModel:
     transition_pair_min_cycles: int = 10_000
     transition_pair_max_cycles: int = 18_000
 
-    # AEX is cheaper than a full ECALL path; ERESUME cheaper than EENTER.
-    aex_cycles: int = 4_200
-    eresume_cycles: int = 3_000
-
     # Enclave build: per-page EADD and per-256-byte-chunk EEXTEND.
     ecreate_cycles: int = 40_000
     eadd_page_cycles: int = 1_900

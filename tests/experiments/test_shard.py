@@ -1,8 +1,11 @@
 """Partitioned campaign driver: determinism, merge semantics, E-CAP parity."""
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import subprocess
+import sys
 from hashlib import blake2b
+from pathlib import Path
 
 from repro.experiments.capacity import capacity_campaign
 from repro.experiments.export import report_to_json
@@ -73,6 +76,15 @@ def test_merged_report_is_byte_identical_across_jobs():
     assert report_to_json(fanned.report) == report_to_json(serial.report)
 
 
+_FRESH_SHARD = """
+import pickle, sys
+from repro.experiments.shard import assign_shards, population_msins, run_shard
+
+buckets = assign_shards(population_msins(40), 2)
+sys.stdout.buffer.write(pickle.dumps(run_shard(1, buckets["1"], seed=7)))
+"""
+
+
 def test_a_reused_process_leaks_nothing_between_shards():
     """The caller runs shard after shard and keeps its process-wide memos
     warm: shard 1 after shard 0 here must be exactly shard 1 run in a
@@ -80,10 +92,15 @@ def test_a_reused_process_leaks_nothing_between_shards():
     buckets = assign_shards(population_msins(40), 2)
     run_shard(0, buckets["0"], seed=7)
     reused = run_shard(1, buckets["1"], seed=7)
-    with ProcessPoolExecutor(
-        max_workers=1, mp_context=multiprocessing.get_context("spawn")
-    ) as fresh:
-        assert fresh.submit(run_shard, 1, buckets["1"], seed=7).result() == reused
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    ))
+    fresh = subprocess.run(
+        [sys.executable, "-c", _FRESH_SHARD], env=env, check=True,
+        capture_output=True, timeout=120,
+    ).stdout
+    assert pickle.loads(fresh) == reused
     first, second = (
         report_to_json(sharded_campaign(ues=40, shards=4, jobs=2).report)
         for _ in range(2)

@@ -31,8 +31,9 @@ only if it saw it allocated):
 And in a fresh interpreter the CLI, a single-process sharded campaign
 and an SLO evaluation run without NumPy ever being imported (the
 package has no hard dependency) and without the process pool
-(``multiprocessing``, ``concurrent.futures``), which only a fan-out
-imports.
+(``multiprocessing``, ``concurrent.futures``), and so does a campaign
+fanned over two processes: ``run_arms`` forks and pipes, it loads no
+pool.
 
 ``python tests/integration/test_memory_budget.py`` prints the table, by
 allocating source file, with each row's ``ru_maxrss`` slope beside it
@@ -227,6 +228,16 @@ from repro.paka.deploy import IsolationMode
 campaign = sharded_campaign(ues=6, shards=2, jobs=1, monitor_cadence_s=1.0)
 assert campaign.report.derived["success_rate"] == 1.0
 SloEngine(default_slos(warmed_testbed(IsolationMode.SGX, seed=7))).evaluate(campaign.tsdb)
+"""
+_FANNED = """
+import json, sys
+from repro.experiments.shard import sharded_campaign
+
+campaign = sharded_campaign(ues=6, shards=2, jobs=2)
+assert campaign.report.derived["success_rate"] == 1.0
+"""
+#: Appended to a script: the NumPy and process-pool modules it loaded.
+_LOADED = """
 print(json.dumps(sorted(
     m for m in sys.modules
     if m.split(".")[0] in ("numpy", "multiprocessing")
@@ -268,7 +279,13 @@ def _run_child(*argv: str):
 
 
 def test_cli_campaign_and_slo_evaluation_import_neither_numpy_nor_the_process_pool():
-    assert _run_child("-c", _CAMPAIGN) == []
+    assert _run_child("-c", _CAMPAIGN + _LOADED) == []
+
+
+def test_a_fanned_campaign_imports_neither_numpy_nor_the_process_pool():
+    """``jobs=2`` forks a child and pipes it claims: no pool, no
+    ``multiprocessing``."""
+    assert _run_child("-c", _FANNED + _LOADED) == []
 
 
 ROWS = {
