@@ -164,9 +164,7 @@ _CLI: Dict[str, List[List[str]]] = {
 }
 _HOSTBENCH = ("attach-sgx", "attach-container", "attach-sgx-pure", "observed",
               "storm-defended", "sharded-4x2")
-_GATES = ("tracer", "monitor", "attack", "detect", "traces", "observed")
 _HOST_PERF = {
-    "gates": [arg for name in _GATES for arg in ("--gate", f"{name}=1e9")],
     "capacity": ["--capacity", "150"],
     "sharded": ["--sharded-capacity", "160", "--sharded-shards", "4",
                 "--sharded-jobs", "1", "--sharded-gate", "1e9"],
@@ -175,7 +173,8 @@ _HOST_PERF = {
 
 def contexts() -> List[Tuple[str, str, List[str]]]:
     """``(context, kind, argv)`` for every run of the census."""
-    sys.path.insert(0, SRC)
+    sys.path[:0] = [SRC, os.path.join(ROOT, "benchmarks")]
+    from host_perf import OVERHEAD_GATES
     from repro.cli import COMMANDS
 
     digest = subprocess.run(
@@ -201,8 +200,9 @@ def contexts() -> List[Tuple[str, str, List[str]]]:
             rows.append((f"hostbench:{workload}:{phase}", "path", [
                 "benchmarks/hostbench/worker.py", "--workload", workload, "--seed", "7",
                 "--seconds", "0.3", "--trace", str(int(phase == "layers")), "--phase", phase]))
-    for name, flags in _HOST_PERF.items():
-        rows.append((f"host_perf:{name}", "path", ["benchmarks/host_perf.py", "--quick"] + flags))
+    gates = [arg for name in OVERHEAD_GATES for arg in ("--gate", f"{name}=1e9")]
+    for name, flags in {"gates": gates, **_HOST_PERF}.items():
+        rows.append((f"host_perf:{name}", "path", ["benchmarks/host_perf.py"] + flags))
     return rows
 
 

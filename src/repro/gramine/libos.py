@@ -511,7 +511,7 @@ class GramineEnclaveRuntime(Runtime):
         """
         profile: _CompiledProfile = handle  # type: ignore[assignment]
         host = self.host
-        tracer = host.tracer if host.tracing else None
+        tracer = host.tracer
         contended, degraded, oversized = self._pressure_regimes()
         if (
             contended or degraded or oversized

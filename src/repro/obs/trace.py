@@ -119,11 +119,6 @@ class Span:
             self._children[:] = expanded
         return self._children
 
-    @children.setter
-    def children(self, spans: List["Span"]) -> None:
-        self._children = spans
-        self._unread = False
-
     def __enter__(self) -> "Span":
         return self
 
@@ -184,22 +179,22 @@ class Span:
         regardless of the tag order at the instrumentation site.  When the
         span carries trace identity (tracer armed with a ``trace_seed``)
         the ``trace_id`` / ``span_id`` / ``parent_id`` fields are included.
-
-        A read-only view: an unread OCALL burst contributes its leaves'
-        dicts without becoming spans, so the tree is exactly as small
-        afterwards as it was before and a second dump is byte-identical.
+        Reads ``children``, so an unread OCALL burst is built into spans.
         """
-        span_id = self.span_id
-        children: List[Dict[str, Any]] = []
-        for child in self._children:
-            if child.__class__ is _OcallBurst:
-                children.extend(child.leaf_dicts(span_id))
-            else:
-                children.append(child.to_dict())
-        return _node_dict(
-            self.name, self.kind, self.start_ns, self.end_ns, self.tags,
-            children, self.trace_id, span_id, self.parent_id,
-        )
+        tags = self.tags
+        payload: Dict[str, Any] = {
+            "name": self.name,
+            "kind": self.kind,
+            "start_ns": self.start_ns,
+            "end_ns": self.end_ns,
+            "tags": {key: tags[key] for key in sorted(tags)},
+            "children": [child.to_dict() for child in self.children],
+        }
+        if self.trace_id is not None:
+            payload["trace_id"] = self.trace_id
+            payload["span_id"] = self.span_id
+            payload["parent_id"] = self.parent_id
+        return payload
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -214,7 +209,7 @@ class _OcallBurst:
     A fused OCALL replay (``GramineEnclaveRuntime.syscall_profile``)
     produces ~87 closed leaves per module per registration whose every
     field follows from the compiled profile and one integer per call;
-    most trees are recycled unread (the :class:`TraceStore` keeps 1 in
+    most trees are dropped unread (the :class:`TraceStore` keeps 1 in
     N), so the leaves are only built when ``Span.children`` is read.
 
     ``templates[i]`` is ``(name, fixed_ns, tags)`` — the leaf's name, the
@@ -243,84 +238,36 @@ class _OcallBurst:
             return 0
         return self.ends[-1] - sum(fixed_ns for _, fixed_ns, _ in self.templates)
 
-    def leaves(self) -> Iterator[Tuple[str, int, int, Dict[str, Any], int]]:
-        """``(name, start_ns, end_ns, tags, seq)`` of every leaf, as
-        ``Tracer.begin``/``end`` would have recorded it; ``tags`` is the
-        leaf's own dict."""
+    def expand_under(self, parent: Span, out: List[Span]) -> None:
+        """Append the leaves as spans, each as ``Tracer.begin``/``end``
+        would have recorded it, with a tags dict of its own."""
         base_ns = self.start_ns
         ends = self.ends
+        trace_id = self.trace_id
         offset = 0
         for index, (name, fixed_ns, tags) in enumerate(self.templates):
-            start_ns = base_ns + offset
+            span = Span(name, "sgx.ocall", base_ns + offset)
             if ends is None:
-                tags = dict(tags)
+                span.tags = dict(tags)
                 offset += fixed_ns
             else:
-                tags = dict(tags, transition_ns=ends[index] - offset - fixed_ns)
+                span.tags = dict(tags, transition_ns=ends[index] - offset - fixed_ns)
                 offset = ends[index]
-            yield name, start_ns, base_ns + offset, tags, self.first_seq + index
-
-    def expand_under(self, parent: Span, out: List[Span]) -> None:
-        """Append the leaves as spans (a live reader wants objects)."""
-        trace_id = self.trace_id
-        for name, start_ns, end_ns, tags, seq in self.leaves():
-            span = Span(name, "sgx.ocall", start_ns)
-            span.end_ns = end_ns
-            span.tags = tags
+            span.end_ns = base_ns + offset
             span.tracer = parent.tracer
             if trace_id is not None:
                 span.trace_id = trace_id
-                span._span_id = seq
+                span._span_id = self.first_seq + index
                 span._parent_id = parent._span_id
             out.append(span)
-
-    def leaf_dicts(self, parent_id: Optional[str]) -> Iterator[Dict[str, Any]]:
-        """The leaves in ``Span.to_dict`` form, no span built."""
-        trace_id = self.trace_id
-        for name, start_ns, end_ns, tags, seq in self.leaves():
-            span_id = None if trace_id is None else span_context_id(trace_id, seq)
-            yield _node_dict(
-                name, "sgx.ocall", start_ns, end_ns, tags, [],
-                trace_id, span_id, parent_id,
-            )
-
-
-def _node_dict(name, kind, start_ns, end_ns, tags, children, trace_id, span_id, parent_id):
-    """One node of the ``Span.to_dict`` form, tags key-sorted."""
-    payload: Dict[str, Any] = {
-        "name": name,
-        "kind": kind,
-        "start_ns": start_ns,
-        "end_ns": end_ns,
-        "tags": {key: tags[key] for key in sorted(tags)},
-        "children": children,
-    }
-    if trace_id is not None:
-        payload["trace_id"] = trace_id
-        payload["span_id"] = span_id
-        payload["parent_id"] = parent_id
-    return payload
-
-
-# Freelist of recycled Span objects, shared across tracers.  Only spans
-# opened through ``Tracer.begin`` come from it — 33 per SGX registration;
-# the 3 x 87 ``sgx.ocall`` leaves arrive as bursts and are mostly never
-# built — so the cap covers the deepest tree's begun spans several times
-# over, not a tree's leaves: a read tree's surplus is left to the
-# allocator (hostbench ``observed``: 8192 -> 256 holds peak RSS 3.5 MB
-# lower at the same cost per registration).  ``Tracer.begin`` fully
-# re-initialises every slot (name, kind, both timestamps, tags,
-# children), so a recycled span can never leak state.
-_SPAN_POOL: List[Span] = []
-_SPAN_POOL_CAP = 256
 
 
 class Tracer:
     """Builds span trees from begin/end calls against one clock.
 
     Protocol code never holds a tracer: it goes through the observation
-    seam on :class:`~repro.hw.host.PhysicalHost`, which resolves whether
-    this tracer is installed and ``enabled`` (docs/ARCHITECTURE.md).
+    seam on :class:`~repro.hw.host.PhysicalHost`, which opens spans
+    while a tracer is installed (docs/ARCHITECTURE.md).
 
     With ``trace_seed`` set, :meth:`start_trace` opens a deterministic
     trace context for one registration: every span begun until
@@ -333,12 +280,10 @@ class Tracer:
     def __init__(
         self,
         clock: SimClock,
-        enabled: bool = True,
         trace_seed: Optional[int] = None,
         store: Optional["TraceStore"] = None,
     ) -> None:
         self.clock = clock
-        self.enabled = enabled
         self.trace_seed = trace_seed
         self.store = store
         self.roots: List[Span] = []
@@ -353,21 +298,8 @@ class Tracer:
 
     def begin(self, name: str, kind: str = "", **tags: Any) -> Span:
         """Open a span at the current simulated instant."""
-        pool = _SPAN_POOL
-        if pool:
-            # Freelist hit: overwrite every slot.  ``tags`` is a fresh
-            # dict built for this call, so taking ownership of it (the
-            # same thing the constructor does) cannot leak prior tags;
-            # the children list was emptied when the span was recycled.
-            span = pool.pop()
-            span.name = name
-            span.kind = kind
-            now = self.clock.now_ns
-            span.start_ns = now
-            span.end_ns = now
-            span.tags = tags
-        else:
-            span = Span(name, kind, self.clock.now_ns, **tags)
+        span = Span(name, kind, self.clock.now_ns)
+        span.tags = tags  # a fresh dict built for this call: no copy
         span.tracer = self
         trace_id = self._trace_id
         if trace_id is not None:
@@ -376,10 +308,6 @@ class Tracer:
             span.trace_id = trace_id
             span._span_id = seq
             span._parent_id = self._stack[-1]._span_id if self._stack else None
-        else:
-            span.trace_id = None
-            span._span_id = None
-            span._parent_id = None
         if self._stack:
             self._stack[-1]._children.append(span)
         else:
@@ -453,18 +381,12 @@ class Tracer:
         return closed
 
     def recycle(self, span: Span) -> None:
-        """Return ``span`` and its whole subtree to the span freelist.
-
-        The caller asserts the tree is fully consumed: after this call the
-        spans, their ``tags`` dicts and ``children`` lists must not be
-        touched again (children lists are emptied in place).  If ``span``
-        is one of this tracer's roots it is detached first.
-        """
+        """Drop a finished root: detach it from ``roots`` (if it is one)
+        and leave the tree to the garbage collector."""
         try:
             self.roots.remove(span)
         except ValueError:
             pass
-        _recycle_tree(span)
 
     def end(self, span: Span, **tags: Any) -> Span:
         """Close ``span`` at the current instant; spans close LIFO."""
@@ -494,7 +416,7 @@ class Tracer:
         root included, carries the same ``trace_id``, and the finished
         tree is filed by :meth:`RootTrace.record`.  Without ``supi``
         there is nowhere to file the tree — it only contains the spans
-        opened beneath it and is recycled the moment it closes.
+        opened beneath it and is dropped the moment it closes.
         ``closing_tags()`` is called as the root ends, on every path.
         """
         return RootTrace(self, name, kind, supi, closing_tags, tags)
@@ -560,11 +482,10 @@ class RootTrace:
 
         Leaves the per-bucket exemplar (last trace to land in each
         bucket) in ``exemplars`` and offers the tree to the tracer's
-        store.  A tree the store keeps is the store's from here on (it
-        only leaves ``tracer.roots``); one it declines is recycled at
-        once — campaign memory stays bounded by the store cap, not the
-        horizon.  Without trace identity the root just stays in
-        ``tracer.roots``.
+        store.  Either way the tree leaves ``tracer.roots``: a kept one is
+        the store's from here on, a declined one is dropped at once —
+        campaign memory stays bounded by the store cap, not the horizon.
+        Without trace identity the root just stays in ``tracer.roots``.
         """
         trace_id = self.trace_id
         if trace_id is None:
@@ -578,29 +499,10 @@ class RootTrace:
         store = tracer.store
         if store is not None:
             tracer.roots.remove(self.span)
-            if not store.offer(
+            store.offer(
                 self.span, trace_id, supi=self.supi, attempt=self.attempt,
                 success=success, sojourn_ns=sojourn_ns,
-            ):
-                _recycle_tree(self.span)
-
-
-def _recycle_tree(span: Span) -> None:
-    pool = _SPAN_POOL
-    stack = [span]
-    while stack:
-        current = stack.pop()
-        children = current._children
-        if children:
-            if current._unread:
-                # Unread bursts are dropped without ever being built.
-                current._unread = False
-                stack.extend(c for c in children if c.__class__ is Span)
-            else:
-                stack.extend(children)
-            children.clear()
-        if len(pool) < _SPAN_POOL_CAP:
-            pool.append(current)
+            )
 
 
 # --------------------------------------------------------------------------
@@ -670,7 +572,7 @@ def span_from_dict(data: Mapping[str, Any]) -> Span:
     span.trace_id = data.get("trace_id")
     span._span_id = data.get("span_id")
     span._parent_id = data.get("parent_id")
-    span.children = [span_from_dict(child) for child in data["children"]]
+    span._children = [span_from_dict(child) for child in data["children"]]
     for child in span.children:
         if child.start_ns < span.start_ns or child.end_ns > span.end_ns:
             raise ValueError(
@@ -699,13 +601,13 @@ class TraceStore:
     The store owns a kept tree exactly as the tracer built it — begun
     spans, OCALL bursts unread, ids unhashed (≈27 kB for a 294-span SGX
     registration) — and nothing is derived from it until it is read:
-    :meth:`get` serialises one record on the way out, every time
-    (≈220 kB of JSON-ready dicts per tree, the caller's to keep or
-    drop), and leaves the tree as it was.  ``records`` is the stored
-    form: in-process readers take the live roots from it (as
-    :func:`~repro.obs.analytics.slowest_traces_digest` does), and a
-    reader that wants a dict goes through :meth:`get`.  An evicted tree
-    goes back to the span freelist.
+    :meth:`get` serialises one record on the way out (≈220 kB of
+    JSON-ready dicts per tree, the caller's to keep or drop), building
+    the tree's bursts into spans as any reader of ``children`` does.
+    ``records`` is the stored form: in-process readers take the live
+    roots from it (as :func:`~repro.obs.analytics.slowest_traces_digest`
+    does), and a reader that wants a dict goes through :meth:`get`.  An
+    evicted tree is simply dropped.
     """
 
     __slots__ = (
@@ -748,8 +650,8 @@ class TraceStore:
     ) -> bool:
         """Consider one finished registration tree; True if kept.
 
-        A kept tree now belongs to the store: the caller must neither
-        recycle nor rewrite it.
+        A kept tree now belongs to the store: the caller must not rewrite
+        it.
         """
         self.seen += 1
         reason = self.keep_reason(trace_id, success, sojourn_ns)
@@ -784,7 +686,7 @@ class TraceStore:
                 break
         if victim is None:
             victim = next(iter(self.records))
-        _recycle_tree(self.records.pop(victim)["root"])
+        del self.records[victim]
         self.evicted += 1
 
     def get(self, trace_id: str) -> Optional[Dict[str, Any]]:

@@ -507,7 +507,7 @@ class AttackPlane:
         # Storm events enter at the AMF directly (no gNB registration
         # root), so under an armed campaign tracer their SBI spans would
         # pile up as orphan roots for the whole horizon.  Each event runs
-        # under a root with no subscriber identity, which is recycled as
+        # under a root with no subscriber identity, which is dropped as
         # it closes: bounded memory, untraced runs untouched.
         with self.host.trace(event.kind.value, "attack", gnb=event.gnb):
             outcome = handler(event)

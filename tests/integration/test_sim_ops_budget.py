@@ -9,10 +9,10 @@ exactly three (K, OPc, the UE's ECIES ephemerals — the bytes need them)
 and the RNG service keeps none of them.  And the tracer's deferred
 work: an armed registration hashes a span id only where a
 ``traceparent`` is minted (7 SBI requests; all 33 begun spans before ids
-were made on read), and a store that keeps the tree builds nothing —
-no ``Span`` from a burst, no leaf at all — until the tree is dumped, and
-a dump derives 261 leaves, hashes 326 ids (294 spans, the 32 parents
-once more) and still builds no ``Span``.
+were made on read), and a store that keeps the tree builds no ``Span``
+from a burst until the tree is dumped.  A dump reads ``children`` like
+any reader: it builds the 261 leaves into spans and hashes 587 ids (294
+span ids, 293 parent ids).
 
 ``python tests/integration/test_sim_ops_budget.py`` prints the counts as
 JSON.
@@ -48,20 +48,18 @@ CONTAINER_BUDGET = dict(SGX_BUDGET, events=21)
 # What the tracer adds, armed with a store: kept (1 in 1) or declined.
 KEPT_BUDGET = {
     "span_ids_hashed": 7,
-    "burst_leaves_derived": 0,
     "spans_built_from_bursts": 0,
     "traces_kept": 1,
-    "span_ids_hashed_by_a_dump": 326,
-    "burst_leaves_derived_by_a_dump": 261,
-    "spans_built_from_bursts_by_a_dump": 0,
+    "span_ids_hashed_by_a_dump": 587,
+    "spans_built_from_bursts_by_a_dump": 261,
 }
 DECLINED_BUDGET = dict(
     KEPT_BUDGET,
     traces_kept=0,
     span_ids_hashed_by_a_dump=0,
-    burst_leaves_derived_by_a_dump=0,
+    spans_built_from_bursts_by_a_dump=0,
 )
-_TRACER_COUNTS = ("span_ids_hashed", "burst_leaves_derived", "spans_built_from_bursts")
+_TRACER_COUNTS = ("span_ids_hashed", "spans_built_from_bursts")
 
 
 def count_ops(
@@ -79,7 +77,6 @@ def count_ops(
     real_fresh_stream = RngService.fresh_stream
     real_span_context_id = trace_module.span_context_id
     real_expand_under = _OcallBurst.expand_under
-    real_leaves = _OcallBurst.leaves
     streams_seeded = [0]  # its own tally: provisioning precedes counts.clear()
 
     def measure(clock):
@@ -98,11 +95,6 @@ def count_ops(
         counts["spans_built_from_bursts"] += len(burst.templates)
         real_expand_under(burst, parent, out)
 
-    def leaves(burst):
-        for leaf in real_leaves(burst):
-            counts["burst_leaves_derived"] += 1
-            yield leaf
-
     results = []
     with ExitStack() as stack:
         for owner, name, wrapper in (
@@ -110,7 +102,6 @@ def count_ops(
             (RngService, "fresh_stream", fresh_stream),
             (trace_module, "span_context_id", span_context_id),
             (_OcallBurst, "expand_under", expand_under),
-            (_OcallBurst, "leaves", leaves),
         ):
             stack.enter_context(mock.patch.object(owner, name, wrapper))
         for _ in range(registrations):

@@ -113,21 +113,6 @@ def test_enabled_tracer_keeps_golden_clock():
     assert len(testbed.host.events) == SGX_GOLDEN_TOTAL_EVENTS
 
 
-def test_disabled_tracer_keeps_golden_clock():
-    """An attached-but-disabled tracer records nothing and costs nothing."""
-    testbed = warmed_testbed(IsolationMode.SGX, seed=7)
-    tracer = Tracer(testbed.host.clock, enabled=False)
-    testbed.host.tracer = tracer
-    try:
-        for _ in range(5):
-            ue = testbed.add_subscriber()
-            assert testbed.register(ue, establish_session=False).success
-    finally:
-        testbed.host.tracer = None
-    assert tracer.roots == []
-    assert testbed.host.clock.now_ns == SGX_GOLDEN_CLOCKS[7]
-
-
 def test_trace_derived_fig9_split_matches_experiment_shape(traced_sgx):
     """The span-tree decomposition shows Fig 9's structure: for shielded
     modules the functional share of L_T sits well below half."""

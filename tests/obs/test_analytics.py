@@ -93,20 +93,22 @@ def test_the_live_fold_reads_bursts_unread_and_equals_the_dict_fold(
 ):
     testbed = warmed_testbed(isolation, seed=7, exitless=exitless)
     root = testbed.trace_registration().root
-    # The dump is a read-only view (it builds no span); its rebuild has
-    # every OCALL leaf built.
-    built = span_from_dict(root.to_dict())
     servers, runtimes = module_maps(testbed)
     # Every other server on the tree is a row of its own, so a monolithic
-    # core is folded too.
-    for node in built.walk():
-        server = node.tags.get("server")
-        if server is not None and server not in servers.values():
+    # core is folded too (``walk_unread`` names them all: leaves carry
+    # no server).
+    for node in root.walk_unread():
+        server = node.__class__ is Span and node.tags.get("server")
+        if server and server not in servers.values():
             servers[server] = server
     bursts = [node for node in root.walk_unread() if node.__class__ is not Span]
     live = registration_breakdown_ns(root, servers, runtimes)
-    assert live == registration_breakdown_ns(built, servers, runtimes)
     assert [node for node in root.walk_unread() if node.__class__ is not Span] == bursts
+    # The fold read nothing into spans; the dump builds every OCALL leaf,
+    # and so does its rebuild.
+    built = span_from_dict(root.to_dict())
+    assert live == registration_breakdown_ns(built, servers, runtimes)
+    assert live == registration_breakdown_ns(root, servers, runtimes)
     assert sum(row["requests"] for row in live.values()) > 0
     if isolation is IsolationMode.SGX:
         assert bursts
@@ -161,7 +163,6 @@ def _unread_bursts(store):
 
 def test_digest_is_deterministic_and_ranked_by_duration(monkeypatch):
     store, module_servers, module_runtimes = _traced_store(registrations=3)
-    dump = store_dump(store)
     unread = _unread_bursts(store)
     maps = {"module_servers": module_servers, "module_runtimes": module_runtimes}
 
@@ -181,13 +182,17 @@ def test_digest_is_deterministic_and_ranked_by_duration(monkeypatch):
         assert entry["critical_path"][0]["kind"] == "registration"
         assert entry["critical_path"][0]["ns"] == entry["duration_ns"]
         assert set(entry["modules_ns"]) == set(module_servers)
-    # Pure function of the record set: byte-identical on re-computation
-    # (unpatched, over trees the first call has read).
+    # The critical paths built only the OCALL bursts they descended.
+    assert 0 < _unread_bursts(store) < unread
+    # Pure function of the record set: byte-identical on re-computation,
+    # unpatched, over trees the first call has read and over trees a
+    # dump has read whole.
     again = slowest_traces_digest(store, top=10, **maps)
     assert json.dumps(digest, sort_keys=True) == json.dumps(again, sort_keys=True)
-    # Building the OCALL bursts on a critical path changes no dump.
-    assert 0 < _unread_bursts(store) < unread
-    assert store_dump(store) == dump
+    store_dump(store)
+    assert _unread_bursts(store) == 0
+    again = slowest_traces_digest(store, top=10, **maps)
+    assert json.dumps(digest, sort_keys=True) == json.dumps(again, sort_keys=True)
 
 
 def test_digest_top_limits_entries_but_not_counters():

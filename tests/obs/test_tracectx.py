@@ -71,27 +71,6 @@ def test_seedless_tracer_mints_no_trace_context():
     tracer.end(span)
 
 
-def test_recycled_spans_never_leak_stale_identity():
-    tracer = Tracer(SimClock(), trace_seed=7)
-    first = tracer.start_trace("imsi-001")
-    root = tracer.begin("registration", kind="registration")
-    tracer.end(root)
-    tracer.end_trace()
-    stale_span_id = root.span_id
-    tracer.recycle(root)
-    second = tracer.start_trace("imsi-002")
-    reused = tracer.begin("registration", kind="registration")
-    assert reused.trace_id == second != first
-    assert reused.span_id == span_context_id(second, 0) != stale_span_id
-    tracer.end(reused)
-    tracer.end_trace()
-    # And a recycled span opened with no context is wiped clean.
-    tracer.recycle(reused)
-    bare = tracer.begin("registration", kind="registration")
-    assert bare.trace_id is None and bare.span_id is None
-    tracer.end(bare)
-
-
 def test_to_dict_tags_are_key_sorted():
     """Serialization pin: tag order at the call site must not leak into
     the serialized tree (shard digests are byte-compared)."""

@@ -2,7 +2,8 @@
 
 ``TraceStore`` keeps a finished tree as the tracer built it — OCALL runs
 filed as unread bursts (``Tracer.ocall_burst``), span ids unhashed — and
-derives the JSON-ready form on every read.  By definition a burst is the
+derives the JSON-ready form on every read, building the bursts into spans
+in place on the first.  By definition a burst is the
 per-leaf loop ``begin(name, "sgx.ocall", **tags)`` / advance /
 ``end(span, transition_ns=…)``, and a stored record's root is
 ``Span.to_dict`` of that tree.  For any tree shape, burst placement, tag
@@ -13,11 +14,11 @@ exitless runtime files them), with trace identity or without:
   (``tests/obs/test_trace_freelist._eager_dict``), whose ids are hashed
   from the pre-order index — begin order — rather than read off the
   spans;
-* a second dump is the first, byte for byte, and the kept tree still
-  holds every burst unread;
+* the kept tree holds its bursts unread until that first dump, and none
+  after it; a second dump is the first, byte for byte;
 * ``span_from_dict`` inverts the dump exactly;
-* a live reader that expands the kept tree afterwards (``walk``) sees
-  the same spans.
+* a live reader (``walk``) of the read tree sees the literal tree's
+  spans.
 """
 
 import itertools
@@ -129,16 +130,16 @@ def test_a_kept_tree_reads_as_the_literal_tree(program, trace_seed):
             else:
                 yield from bursts(child)
 
-    unread = list(bursts(kept.span))
+    def filed(items):
+        return sum(1 if item[0] == "burst" else filed(item[4]) for item in items)
+
+    assert len(list(bursts(kept.span))) == filed(nodes)  # unread until dumped
     first = json.dumps(store_dump(store))
+    assert not list(bursts(kept.span))  # the dump built them, in place
     assert json.dumps(store_dump(store)["records"][0]["root"]) == json.dumps(expected)
     assert json.dumps(store_dump(store)) == first
-    assert list(bursts(kept.span)) == unread  # still the tracer's tree
     record = store.get(trace_id)
     assert span_from_dict(record["root"]).to_dict() == record["root"] == expected
-    # Now a live reader expands it, in place: same spans, same dump.
     walked = [_flat(span) for span in kept.span.walk()]
     assert walked == [_flat(span) for span in literal.span.walk()]
     assert all(span.__class__ is Span for span in kept.span.walk())
-    assert not list(bursts(kept.span))
-    assert store.get(trace_id)["root"] == expected
