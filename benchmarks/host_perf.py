@@ -129,8 +129,9 @@ def measure_sharded_capacity(ues: int, shards: int, jobs: int) -> dict:
 # *registration* granularity on two identically seeded testbeds, times
 # each registration of each arm back to back with GC paused, and takes a
 # trimmed mean of the per-pair deltas (the noisiest 10% of pairs by
-# |delta| dropped).  Whole-arm best-of-N was ±10% on the same host; this
-# lands within ±1.5%.
+# |delta| dropped).  Whichever arm runs second in a pair reads ≈10%
+# cheaper whatever is armed, so the order alternates pair by pair and
+# the two halves' estimates are reported beside the whole one.
 OVERHEAD_REGISTRATIONS = 150
 _TRIM_FRACTION = 0.10
 
@@ -160,23 +161,39 @@ def _paired_overhead(arm, registrations: int = OVERHEAD_REGISTRATIONS) -> dict:
     gc.collect()
     gc.disable()
     try:
-        for _ in range(registrations):
-            base = one(control)
+        for pair in range(registrations):
+            # Control first on even pairs, armed first on odd ones.
+            if pair % 2:
+                armed_s = one(armed)
+                base = one(control)
+            else:
+                base = one(control)
+                armed_s = one(armed)
             bases.append(base)
-            deltas.append(one(armed) - base)
+            deltas.append(armed_s - base)
     finally:
         gc.enable()
 
     order = sorted(range(registrations), key=lambda i: abs(deltas[i]))
     keep = order[: registrations - int(registrations * _TRIM_FRACTION)]
-    base_s = sum(bases[i] for i in keep)
-    armed_s = base_s + sum(deltas[i] for i in keep)
+
+    def walls(pairs) -> tuple:
+        base_s = sum(bases[i] for i in pairs)
+        return base_s, base_s + sum(deltas[i] for i in pairs)
+
+    def percent(pairs) -> float:
+        base_s, armed_s = walls(pairs)
+        return round(100.0 * (armed_s / base_s - 1.0), 2)
+
+    base_s, armed_s = walls(keep)
     return {
         "registrations": registrations,
         "trimmed_pairs": registrations - len(keep),
         "base_wall_s": round(base_s, 4),
         "armed_wall_s": round(armed_s, 4),
-        "overhead_percent": round(100.0 * (armed_s / base_s - 1.0), 2),
+        "overhead_percent": percent(keep),
+        "control_first_percent": percent([i for i in keep if i % 2 == 0]),
+        "armed_first_percent": percent([i for i in keep if i % 2]),
     }
 
 

@@ -236,6 +236,7 @@ def _empty_workload_stats(seed: int, window_s: float) -> Dict[str, int]:
     runtime.start()
     # An empty main blocks in pause(): only one thread attracts interrupts.
     enclave.run_idle(window_s, active_threads=1)
+    host.clock.advance_s(window_s)
     return {
         "eenters": enclave.stats.eenters,
         "eexits": enclave.stats.eexits,

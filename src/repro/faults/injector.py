@@ -23,7 +23,6 @@ from typing import Dict, List, Optional
 from repro.faults.plan import FaultKind, FaultPlan, FaultWindow
 from repro.net.http import HttpServer, UnresponsiveError
 from repro.sgx.epc import EpcRegion
-from repro.sim.sched import EventScheduler
 
 
 class FaultInjector:
@@ -36,23 +35,14 @@ class FaultInjector:
         self._last_tick_ns = 0
         self._noise_region: Optional[EpcRegion] = None
         self._gated: List[HttpServer] = []
-        self._link_windows = [
-            w for w in plan.windows
-            if w.kind in (FaultKind.LINK_LOSS, FaultKind.LATENCY_SPIKE)
-        ]
-        self._epc_windows = [
-            w for w in plan.windows if w.kind is FaultKind.EPC_PRESSURE
-        ]
-        self._storm_windows = [
-            w for w in plan.windows if w.kind is FaultKind.AEX_STORM
-        ]
-        # Window-edge scheduler: tick() only runs the EPC / AEX-storm sync
-        # scans while a matching window is (or was just) active; idle
-        # ticks cost one heap-root comparison instead of a plan scan.
-        self._sched: Optional[EventScheduler] = None
-        self._epc_active = 0
-        self._storm_active = 0
-        self._storm_flush = False
+        by_kind = plan.by_kind()
+        # Losses draw and spikes add, so only each kind's own order
+        # matters to a frame's fate.
+        self._link_windows = by_kind.get(FaultKind.LINK_LOSS, []) + by_kind.get(
+            FaultKind.LATENCY_SPIKE, []
+        )
+        self._epc_windows = by_kind.get(FaultKind.EPC_PRESSURE, [])
+        self._storm_windows = by_kind.get(FaultKind.AEX_STORM, [])
         # Accounting surfaced by the availability experiment.
         self.frames_dropped = 0
         self.requests_refused = 0
@@ -84,24 +74,6 @@ class FaultInjector:
         self._last_tick_ns = 0
         if self._link_windows:
             self.testbed.sbi.link_filter = self._link_filter
-        sched = self._sched = EventScheduler()
-        self._epc_active = 0
-        self._storm_active = 0
-        self._storm_flush = False
-        for window in self._epc_windows:
-            # Windows are active on [start, end): the start edge fires on
-            # the first tick at/after start_ns; after the end edge the
-            # lingering noise region keeps _sync_epc running once more to
-            # release it.
-            sched.schedule_at(window.start_ns, self._epc_edge_start)
-            sched.schedule_at(window.end_ns, self._epc_edge_end)
-        for window in self._storm_windows:
-            # The storm books overlap with the *open* interval (from, to],
-            # so the tick that crosses end_ns must still run one final
-            # _book_aex_storms for the tail slice — the end edge sets
-            # _storm_flush to request exactly that.
-            sched.schedule_at(window.start_ns, self._storm_edge_start)
-            sched.schedule_at(window.end_ns, self._storm_edge_end)
         for name, server in self._servers().items():
             gate = self._gate_for(name)
             if gate is not None:
@@ -115,10 +87,6 @@ class FaultInjector:
             server.fault_gate = None
         self._gated.clear()
         self._clear_noise()
-        self._sched = None
-        self._epc_active = 0
-        self._storm_active = 0
-        self._storm_flush = False
         self.base_ns = None
 
     def _servers(self) -> Dict[str, HttpServer]:
@@ -176,45 +144,25 @@ class FaultInjector:
         """Sync window-driven state; call between arrivals in the driving
         loop.  Idempotent at a given simulated time.
 
-        The per-tick scans only run while a matching window is active (or
-        needs a final flush); skipped calls are exact no-ops —
-        ``_sync_epc`` with no active window and no noise region does
-        nothing, and ``_book_aex_storms`` outside every storm window books
-        zero overlap.
+        Both syncs are exact no-ops outside their windows: ``_sync_epc``
+        finds no active window and no noise region to release, and
+        ``_book_aex_storms`` books each storm's overlap with the ticks'
+        interval ``(last, now]``, zero when they miss — so a tick that
+        jumps a whole window still books all of it.
         """
         rel = self._rel_ns()
-        self._sched.run_due(rel)
-        if self._epc_active or self._noise_region is not None:
+        if self._epc_windows:
             self._sync_epc(rel)
-        if self._storm_active or self._storm_flush:
-            self._storm_flush = False
+        if self._storm_windows:
             self._book_aex_storms(self._last_tick_ns, rel)
         self._last_tick_ns = rel
 
-    def _epc_edge_start(self) -> None:
-        self._epc_active += 1
-
-    def _epc_edge_end(self) -> None:
-        self._epc_active -= 1
-
-    def _storm_edge_start(self) -> None:
-        self._storm_active += 1
-
-    def _storm_edge_end(self) -> None:
-        self._storm_active -= 1
-        self._storm_flush = True
-
     def _sync_epc(self, rel_ns: int) -> None:
-        epc = getattr(self.testbed.deployment, "epc_manager", None)
-        if epc is None:
-            return
-        active = [
-            w for w in self.plan.windows
-            if w.kind is FaultKind.EPC_PRESSURE and w.active(rel_ns)
-        ]
+        active = [w for w in self._epc_windows if w.active(rel_ns)]
         if not active:
             self._clear_noise()
             return
+        epc = self.testbed.deployment.epc_manager
         fraction = max(w.magnitude for w in active)
         if self._noise_region is None:
             self._noise_region = epc.create_region(
@@ -240,14 +188,8 @@ class FaultInjector:
         self._noise_region = None
 
     def _book_aex_storms(self, from_ns: int, to_ns: int) -> None:
-        if to_ns <= from_ns:
-            return
-        modules = getattr(self.testbed.paka, "modules", None) if self.testbed.paka else None
-        if not modules:
-            return
-        for window in self.plan.windows:
-            if window.kind is not FaultKind.AEX_STORM:
-                continue
+        modules = self.testbed.paka.modules
+        for window in self._storm_windows:
             module = modules.get(window.target)
             enclave = getattr(module.runtime, "enclave", None) if module else None
             if enclave is None:
@@ -260,5 +202,5 @@ class FaultInjector:
             # already accounts.  Time itself already passed.
             extra_s = (overlap_ns / 1e9) * max(0.0, window.magnitude - 1.0)
             before = enclave.stats.aexs
-            enclave.run_idle(extra_s, advance_clock=False)
+            enclave.run_idle(extra_s)
             self.storm_aexs_booked += enclave.stats.aexs - before

@@ -582,9 +582,7 @@ class GramineEnclaveRuntime(Runtime):
     def idle(self, duration_s: float) -> None:
         # Helper threads keep attracting timer interrupts while the app
         # thread blocks, so the whole TCS population counts.
-        self.enclave.run_idle(
-            duration_s, active_threads=self.manifest.max_threads, advance_clock=False
-        )
+        self.enclave.run_idle(duration_s, active_threads=self.manifest.max_threads)
 
     # The first request's lazy initialization (``_WARMUP_SPECS``) faults
     # the library pages it read into the EPC.  Cached afterwards — the

@@ -110,10 +110,3 @@ class Cpu:
         """Apply pre-rounded increments from :meth:`round_cycle_cost` sums."""
         self._cycles_spent += cycles_int
         self.clock.now_ns += ns
-
-    def cycles_to_ns(self, cycles: float) -> float:
-        """Convert a cycle count to nanoseconds without spending them."""
-        return cycles * 1e9 / self.spec.frequency_hz
-
-    def ns_to_cycles(self, ns: float) -> float:
-        return ns * self.spec.frequency_hz / 1e9

@@ -5,9 +5,9 @@ from the paper's cost taxonomy, free-form tags and children.  The
 :class:`Tracer` maintains the open-span stack; instrumentation points
 (the gNB registration loop, the HTTP client/server, the Gramine OCALL
 path) open spans — through the observation seam on
-:class:`~repro.hw.host.PhysicalHost` — in the same ``with`` statement
-as the ``clock.measure()`` windows they already keep, so span boundaries
-are **bit-identical** to the windows the experiment series record.
+:class:`~repro.hw.host.PhysicalHost` — around the same two clock reads
+that time the windows they already keep, so span boundaries are
+**bit-identical** to the windows the experiment series record.
 
 Span kinds (the taxonomy):
 
@@ -61,9 +61,10 @@ from repro.sim.clock import NS_PER_US, SimClock
 
 
 class SpanNestingError(RuntimeError):
-    """A span was closed out of LIFO order (see
-    :class:`~repro.sim.clock.MeasurementNestingError` for the clock-side
-    twin of this invariant)."""
+    """A span was closed out of LIFO order.
+
+    A real exception, not an ``assert``: under ``python -O`` a
+    misnested close would otherwise corrupt every still-open span."""
 
 
 class Span:

@@ -68,17 +68,18 @@ class SecureVm:
         if self.booted:
             raise RuntimeError(f"VM {self.spec.name!r} already booted")
         cpu = self.host.cpu
-        with self.host.clock.measure() as span:
-            cpu.spend_cycles(self.spec.memory_pages * _PAGE_ACCEPT_CYCLES)
-            cpu.spend_cycles(
-                self.spec.kernel_image_bytes * _IMAGE_MEASURE_CYCLES_PER_BYTE
+        start_ns = self.host.clock.now_ns
+        cpu.spend_cycles(self.spec.memory_pages * _PAGE_ACCEPT_CYCLES)
+        cpu.spend_cycles(
+            self.spec.kernel_image_bytes * _IMAGE_MEASURE_CYCLES_PER_BYTE
+        )
+        cpu.spend_cycles(_FIRMWARE_BOOT_CYCLES)
+        cpu.spend_cycles(
+            self.host.rng.jitter(
+                f"vm.{self.spec.name}.boot", _GUEST_INIT_CYCLES, 0.03
             )
-            cpu.spend_cycles(_FIRMWARE_BOOT_CYCLES)
-            cpu.spend_cycles(
-                self.host.rng.jitter(
-                    f"vm.{self.spec.name}.boot", _GUEST_INIT_CYCLES, 0.03
-                )
-            )
+        )
+        span = TimeSpan(start_ns, self.host.clock.now_ns)
         self.launch_measurement = hashlib.sha256(
             b"td-measurement"
             + self.spec.name.encode()

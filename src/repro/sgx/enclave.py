@@ -158,44 +158,44 @@ class Enclave:
         model = SGX_COSTS
         cpu = self.host.cpu
         builder = MeasurementBuilder()
-        with self.host.clock.measure() as span:
-            # ECREATE
-            builder.ecreate(self.build.enclave_size_bytes)
-            cpu.spend_cycles(model.ecreate_cycles)
+        start_ns = self.host.clock.now_ns
+        # ECREATE
+        builder.ecreate(self.build.enclave_size_bytes)
+        cpu.spend_cycles(model.ecreate_cycles)
 
-            # EADD + EEXTEND the measured pages (aggregate charging).
-            measured_pages = max(1, self.build.measured_bytes // PAGE_SIZE)
-            chunks_per_page = PAGE_SIZE // EEXTEND_CHUNK
-            cpu.spend_cycles(
-                measured_pages
-                * (model.eadd_page_cycles + chunks_per_page * model.eextend_chunk_cycles)
+        # EADD + EEXTEND the measured pages (aggregate charging).
+        measured_pages = max(1, self.build.measured_bytes // PAGE_SIZE)
+        chunks_per_page = PAGE_SIZE // EEXTEND_CHUNK
+        cpu.spend_cycles(
+            measured_pages
+            * (model.eadd_page_cycles + chunks_per_page * model.eextend_chunk_cycles)
+        )
+        builder.eadd(0, flags="rx")
+        builder.eextend(
+            0,
+            hashlib.sha256(
+                self.build.name.encode() + self.build.measured_bytes.to_bytes(8, "big")
+            ).digest()[:32],
+        )
+        self.epc_manager.fault_in(self.epc_region, measured_pages, self.stats)
+
+        # Trusted-file verification: every byte hashed in-enclave, read
+        # from the untrusted host in chunks — one OCALL per chunk.
+        self._verify_trusted_files()
+
+        # EINIT (launch-token checked by aesmd before we get here).
+        cpu.spend_cycles(model.einit_cycles)
+        self.measurement = builder.finalize()
+        self.initialized = True
+
+        if self.build.preheat:
+            heap_pages = self.build.heap_bytes // PAGE_SIZE
+            already = self.epc_region.resident_pages
+            to_fault = max(
+                0, min(heap_pages, self.epc_region.total_pages - already)
             )
-            builder.eadd(0, flags="rx")
-            builder.eextend(
-                0,
-                hashlib.sha256(
-                    self.build.name.encode() + self.build.measured_bytes.to_bytes(8, "big")
-                ).digest()[:32],
-            )
-            self.epc_manager.fault_in(self.epc_region, measured_pages, self.stats)
-
-            # Trusted-file verification: every byte hashed in-enclave, read
-            # from the untrusted host in chunks — one OCALL per chunk.
-            self._verify_trusted_files()
-
-            # EINIT (launch-token checked by aesmd before we get here).
-            cpu.spend_cycles(model.einit_cycles)
-            self.measurement = builder.finalize()
-            self.initialized = True
-
-            if self.build.preheat:
-                heap_pages = self.build.heap_bytes // PAGE_SIZE
-                already = self.epc_region.resident_pages
-                to_fault = max(
-                    0, min(heap_pages, self.epc_region.total_pages - already)
-                )
-                self.epc_manager.fault_in(self.epc_region, to_fault, self.stats)
-
+            self.epc_manager.fault_in(self.epc_region, to_fault, self.stats)
+        span = TimeSpan(start_ns, self.host.clock.now_ns)
         self.load_span = span
         self.host.events.add("sgx.load")
         return span
@@ -280,19 +280,13 @@ class Enclave:
     AEX_PROCESS_RATE_HZ = 194.0
     AEX_THREAD_RATE_HZ = 302.0
 
-    def run_idle(
-        self,
-        duration_s: float,
-        active_threads: Optional[int] = None,
-        advance_clock: bool = True,
-    ) -> None:
+    def run_idle(self, duration_s: float, active_threads: Optional[int] = None) -> None:
         """Account an idle window: the server blocks, interrupts keep firing.
 
-        Books the AEX/ERESUME pairs that occur during the window and, by
-        default, advances the clock by it.  ``advance_clock=False`` lets
-        several enclaves share one concurrent idle window (the caller
-        advances the clock once).  AEX re-entry uses ERESUME, not EENTER,
-        so the EENTER counter is untouched (paper §V-B5).
+        Books the AEX/ERESUME pairs that occur during the window; the
+        caller moves the clock, once for every enclave idling through
+        the same window.  AEX re-entry uses ERESUME, not EENTER, so the
+        EENTER counter is untouched (paper §V-B5).
         """
         if self.destroyed:
             raise EnclaveLostError(f"enclave {self.build.name!r} was destroyed")
@@ -306,8 +300,6 @@ class Enclave:
         aex_count = int(round(jittered))
         self.stats.aexs += aex_count
         self.stats.eresumes += aex_count
-        if advance_clock:
-            self.host.clock.advance_s(duration_s)
 
     # ------------------------------------------------------ confidentiality
 

@@ -118,6 +118,19 @@ def test_epc_pressure_fills_and_clears(sgx_testbed):
     injector.disarm()
     assert "fault.noise" not in epc._regions
 
+    # A window lying wholly between two ticks is never seen active.
+    plan = plan_with(
+        window(FaultKind.EPC_PRESSURE, "epc", 2.0, 4.0, magnitude=1.0)
+    )
+    injector = FaultInjector(testbed, plan).arm()
+    resident_before = epc.resident_pages
+    for at_s in (1.0, 6.0):
+        testbed.idle(at_s - injector._rel_ns() / NS_PER_S)
+        injector.tick()
+        assert injector._noise_region is None
+        assert epc.resident_pages == resident_before
+    assert "fault.noise" not in epc._regions
+
 
 def test_aex_storm_books_extra_interrupts(sgx_testbed):
     testbed = sgx_testbed
@@ -134,6 +147,22 @@ def test_aex_storm_books_extra_interrupts(sgx_testbed):
     assert enclave.stats.aexs > aexs_before
     # Booking interrupts never advances the clock beyond the idle itself.
     assert testbed.host.clock.now_ns == clock_before + 10 * NS_PER_S
+
+
+def test_a_tick_that_jumps_a_storm_window_books_all_of_it(sgx_testbed):
+    testbed = sgx_testbed
+    plan = plan_with(
+        window(FaultKind.AEX_STORM, "eudm", 2.0, 4.0, magnitude=10.0)
+    )
+    injector = FaultInjector(testbed, plan).arm()
+    booked = []
+    for at_s in (1.0, 6.0, 8.0):
+        testbed.idle(at_s - injector._rel_ns() / NS_PER_S)
+        injector.tick()
+        booked.append(injector.storm_aexs_booked)
+    # Nothing before the window, its whole 2 s overlap (×9 surplus
+    # interrupts, one jittered draw) at the tick past it, nothing after.
+    assert booked == [0, 25_253, 25_253]
 
 
 def test_double_arm_rejected(sgx_testbed):

@@ -55,11 +55,6 @@ def test_spend_cycles_rejects_negative():
     assert cpu.clock.now_ns == 0 and cpu.cycles_spent == 0
 
 
-def test_cycles_ns_conversions_are_inverse():
-    cpu = Cpu(XEON_SILVER_4314, SimClock())
-    assert cpu.ns_to_cycles(cpu.cycles_to_ns(12_345)) == pytest.approx(12_345)
-
-
 def test_non_sgx_cpu():
     spec = CpuSpec("old-xeon", 2.0e9, 8, sgx_version=0, max_epc_bytes=0)
     assert not spec.sgx_capable

@@ -1,8 +1,8 @@
 """Bookkeeping ops budget of one warmed registration, pinned as equalities.
 
 The second slice of the ops budget (``test_crypto_ops_budget.py`` is the
-first): what the simulator spends on *booking* a registration — events,
-measurement windows — as exact, host-independent counts.  A warmed SGX
+first): what the simulator spends on *booking* a registration — events
+and random streams — as exact, host-independent counts.  A warmed SGX
 registration books 282 events, 261 of them OCALLs in 9 profile replays.
 The random streams are pinned too: a fresh subscriber's registration seeds
 exactly three (K, OPc, the UE's ECIES ephemerals — the bytes need them)
@@ -27,18 +27,13 @@ from repro.experiments.harness import warmed_testbed
 from repro.obs import trace as trace_module
 from repro.obs.trace import TraceStore, Tracer, _OcallBurst
 from repro.paka.deploy import IsolationMode
-from repro.sim.clock import SimClock
 from repro.sim.rng import RngService
 from tests.obs.test_trace_freelist import store_dump
 
-# Seven SBI hops: 14 frames and 7 sbi.request events; each hop's four
-# windows (client R, server busy, L_T, L_F) are clock reads, so the only
-# measure() window is the gNB's session set-up; on SGX the hops replay
-# compiled syscall profiles 9 times, 261 OCALLs.
+# Seven SBI hops: 14 frames and 7 sbi.request events; on SGX the hops
+# replay compiled syscall profiles 9 times, 261 OCALLs.
 SGX_BUDGET = {
     "events": 282,
-    "measure_windows": 1,
-    "open_measurements_after": 0,
     "rng_streams_seeded": 3,
     "rng_streams_kept": 0,
 }
@@ -73,15 +68,10 @@ def count_ops(
         host.tracer = Tracer(host.clock, trace_seed=7, store=store)
     counts: Counter = Counter()
 
-    real_measure = SimClock.measure
     real_fresh_stream = RngService.fresh_stream
     real_span_context_id = trace_module.span_context_id
     real_expand_under = _OcallBurst.expand_under
     streams_seeded = [0]  # its own tally: provisioning precedes counts.clear()
-
-    def measure(clock):
-        counts["measure_windows"] += 1
-        return real_measure(clock)
 
     def fresh_stream(service, name):
         streams_seeded[0] += 1
@@ -98,7 +88,6 @@ def count_ops(
     results = []
     with ExitStack() as stack:
         for owner, name, wrapper in (
-            (SimClock, "measure", measure),
             (RngService, "fresh_stream", fresh_stream),
             (trace_module, "span_context_id", span_context_id),
             (_OcallBurst, "expand_under", expand_under),
@@ -111,7 +100,6 @@ def count_ops(
             counts.clear()
             assert testbed.register(ue, establish_session=False).success
             counts["events"] = len(host.events) - events_before
-            counts["open_measurements_after"] = len(host.clock._open_measurements)
             counts["rng_streams_seeded"] = streams_seeded[0] - seeded_before
             counts["rng_streams_kept"] = len(host.rng._streams) - kept_before
             if armed:

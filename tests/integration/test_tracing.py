@@ -5,7 +5,7 @@ artifacts:
 
 1. **Bit-identity of values** — span L_F / L_T / R durations are the
    *same floats* the servers' and clients' metric series record (the
-   tracer reads the clock at the same instants ``clock.measure()`` does).
+   tracer reads the clock at the same instants the windows do).
    Trace-derived Fig 9 numbers therefore match the committed results
    exactly, not approximately.
 2. **Table III from spans** — counting ``sgx.ocall`` spans reproduces the

@@ -13,10 +13,9 @@ slow, literal way (per-block encryptions, spec-order rotations, ``json``
 itself, the Montgomery ladder) and comparing exact bytes.
 
 The simulator's own bookkeeping is held to the same rule (last section):
-the cycle→ns lookup table against ``Cpu.round_cycle_cost``, one-draw
-``randbytes`` against per-byte draws, and ``measure()`` windows against
-the LIFO contract.  ``EventLog.add(category, n)`` against ``n`` single
-adds lives in ``tests/sim/test_events.py``.
+the cycle→ns lookup table against ``Cpu.round_cycle_cost`` and one-draw
+``randbytes`` against per-byte draws.  ``EventLog.add(category, n)``
+against ``n`` single adds lives in ``tests/sim/test_events.py``.
 """
 
 import hmac
@@ -44,7 +43,7 @@ from repro.crypto.tls import _hmac_pads, establish_session
 from repro.hw.cpu import XEON_SILVER_4314, Cpu, CpuSpec
 from repro.net.codec import dumps_flat, loads_object
 from repro.sgx.costmodel import SGX_COSTS
-from repro.sim.clock import MeasurementNestingError, SimClock
+from repro.sim.clock import SimClock
 from repro.sim.rng import RngService
 
 key16 = st.binary(min_size=16, max_size=16)
@@ -372,7 +371,7 @@ def test_diffie_hellman_symmetry_through_fixed_base_paths(a, b):
     assert _x25519_comb(a, b_pub) == _x25519_ladder(b, a_pub)
 
 
-# --- simulator bookkeeping: table, randbytes, measure() ------------------
+# --- simulator bookkeeping: table, randbytes ------------------------------
 
 
 def _cpu(frequency_hz):
@@ -416,60 +415,3 @@ def test_randbytes_is_the_per_byte_draw_sequence(seed, n):
     # ... and leaves the stream where the per-byte draws leave it.
     assert fused.stream("keys").getstate() == stream.getstate()
     assert fused.stream("keys") is fused.stream("keys")
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    script=st.lists(
-        st.one_of(st.just("open"), st.just("close"), st.integers(0, 5_000)),
-        max_size=40,
-    ),
-    fail_at=st.none() | st.integers(0, 6),
-)
-def test_measure_windows_nest_and_close_on_exception(script, fail_at):
-    # Drive the clock through a random tree of with-blocks against a
-    # hand-kept stack of (start, expected end) pairs; optionally raise
-    # from inside the ``fail_at``-deep block.
-    clock = SimClock()
-    closed = []
-
-    def run(position, depth):
-        while position < len(script):
-            step = script[position]
-            position += 1
-            if step == "open":
-                start = clock.now_ns
-                with clock.measure() as span:
-                    try:
-                        if depth == fail_at:
-                            raise LookupError("inside a window")
-                        position = run(position, depth + 1)
-                    finally:
-                        closed.append((span, start, clock.now_ns))
-            elif step == "close":
-                if depth:
-                    return position
-            else:
-                clock.advance(step)
-        return position
-
-    try:
-        run(0, 0)
-    except LookupError:
-        assert fail_at is not None
-    assert clock._open_measurements == []
-    for span, start, end in closed:
-        assert (span.start_ns, span.end_ns) == (start, end)
-
-
-def test_measure_still_refuses_an_out_of_order_close():
-    clock = SimClock()
-    outer, _inner = clock.measure(), clock.measure()
-    with pytest.raises(MeasurementNestingError, match="LIFO"):
-        outer.__exit__(None, None, None)
-    # A window closed twice is out of order too, not a silent no-op.
-    clock = SimClock()
-    with clock.measure() as span:
-        pass
-    with pytest.raises(MeasurementNestingError):
-        span.__exit__(None, None, None)

@@ -174,15 +174,10 @@ class TestIdleAex:
         four_threads = enclave.stats.delta(before).aexs
         assert four_threads > 2 * one_thread
 
-    def test_idle_advances_clock_by_window(self, enclave):
-        t0 = enclave.host.clock.now_ns
-        enclave.run_idle(2.5)
-        assert enclave.host.clock.now_ns - t0 == 2_500_000_000
-
     def test_idle_without_clock_advance(self, enclave):
         t0 = enclave.host.clock.now_ns
         before = enclave.stats.snapshot()
-        enclave.run_idle(2.5, advance_clock=False)
+        enclave.run_idle(2.5)
         assert enclave.host.clock.now_ns == t0
         assert enclave.stats.delta(before).aexs > 0
 
