@@ -7,7 +7,9 @@ checks CI still runs beside it:
 
 * ``--gate NAME=PERCENT``   paired host-time overhead of one armed
                             subsystem from ``OVERHEAD_GATES`` on
-                            legitimate registrations (repeatable)
+                            legitimate registrations, the median of
+                            ``GATE_REPEATS`` interleaved estimates
+                            (repeatable)
 * ``--capacity N``          host wall over a full ``N``-UE capacity
                             campaign (the 100k-UE CI smoke arm)
 * ``--sharded-capacity N``  the partitioned campaign serial vs fanned
@@ -177,23 +179,50 @@ def _paired_overhead(arm, registrations: int = OVERHEAD_REGISTRATIONS) -> dict:
     order = sorted(range(registrations), key=lambda i: abs(deltas[i]))
     keep = order[: registrations - int(registrations * _TRIM_FRACTION)]
 
-    def walls(pairs) -> tuple:
-        base_s = sum(bases[i] for i in pairs)
-        return base_s, base_s + sum(deltas[i] for i in pairs)
-
     def percent(pairs) -> float:
-        base_s, armed_s = walls(pairs)
-        return round(100.0 * (armed_s / base_s - 1.0), 2)
+        delta_s = sum(deltas[i] for i in pairs)
+        return round(100.0 * delta_s / sum(bases[i] for i in pairs), 2)
 
-    base_s, armed_s = walls(keep)
     return {
         "registrations": registrations,
         "trimmed_pairs": registrations - len(keep),
-        "base_wall_s": round(base_s, 4),
-        "armed_wall_s": round(armed_s, 4),
         "overhead_percent": percent(keep),
         "control_first_percent": percent([i for i in keep if i % 2 == 0]),
         "armed_first_percent": percent([i for i in keep if i % 2]),
+    }
+
+
+# Estimates behind one --gate verdict: one 150-pair estimate of a
+# quiescent gate spreads about +-2 % around a median under 1 % on 2 vCPUs,
+# so a 2 % budget failed about one run in four on noise.  Each gate judges
+# the median of five, the gates interleaved repeat by repeat so drift in
+# the host hits every gate alike.
+GATE_REPEATS = 5
+
+
+def measure_gates(names) -> dict:
+    """Each named gate's overhead: the median of :data:`GATE_REPEATS`
+    :func:`_paired_overhead` estimates, with every estimate and their
+    spread beside it."""
+    estimates = {name: [] for name in names}
+    for _ in range(GATE_REPEATS):
+        for name, runs in estimates.items():
+            runs.append(_paired_overhead(OVERHEAD_GATES[name]))
+
+    def median(runs, key) -> float:
+        return round(statistics.median(run[key] for run in runs), 2)
+
+    return {
+        name: {
+            "repeats": len(runs),
+            "registrations": runs[0]["registrations"],
+            "trimmed_pairs": runs[0]["trimmed_pairs"],
+            "overhead_percents": [run["overhead_percent"] for run in runs],
+            "overhead_percent": median(runs, "overhead_percent"),
+            "control_first_percent": median(runs, "control_first_percent"),
+            "armed_first_percent": median(runs, "armed_first_percent"),
+        }
+        for name, runs in estimates.items()
     }
 
 
@@ -317,8 +346,8 @@ def main(argv=None) -> int:
         default=[],
         metavar="NAME=PERCENT",
         help="measure the host-time overhead of an armed subsystem on "
-        "legitimate registrations and exit non-zero if it exceeds PERCENT; "
-        "repeatable.  "
+        "legitimate registrations and exit non-zero if the median of "
+        f"{GATE_REPEATS} estimates exceeds PERCENT; repeatable.  "
         + "  ".join(
             f"{name}: {' '.join(arm.__doc__.split())}"
             for name, arm in OVERHEAD_GATES.items()
@@ -335,8 +364,8 @@ def main(argv=None) -> int:
             args.sharded_shards,
             args.sharded_jobs,
         )
-    for name, _ in args.gate:
-        run[f"{name}_overhead"] = _paired_overhead(OVERHEAD_GATES[name])
+    gates = measure_gates(dict(args.gate))
+    run.update((f"{name}_overhead", gate) for name, gate in gates.items())
     print(json.dumps(run, indent=2))
 
     if args.sharded_gate is not None:
@@ -349,16 +378,19 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
+    failed = False
     for name, budget in args.gate:
-        overhead = run[f"{name}_overhead"]["overhead_percent"]
-        if overhead > budget:
-            print(
-                f"FAIL: {name} overhead {overhead}% exceeds the "
-                f"--gate {name}={budget:g} budget",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+        gate = gates[name]
+        overhead, percents = gate["overhead_percent"], gate["overhead_percents"]
+        verdict = "FAIL" if overhead > budget else "pass"
+        failed |= verdict == "FAIL"
+        print(
+            f"{verdict}: {name} overhead {overhead}% (median of {len(percents)}; "
+            f"spread {min(percents)} .. {max(percents)}%), "
+            f"--gate {name}={budget:g} budget",
+            file=sys.stderr,
+        )
+    return int(failed)
 
 
 if __name__ == "__main__":

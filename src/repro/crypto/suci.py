@@ -21,6 +21,11 @@ bases and the reference for everything else, libcrypto included.
 
 The ECIES key of a SUCI is turned into a cipher once, not once per end:
 see :func:`_ecies_cipher`.
+
+A UE's SUCI is concealed when the core first reads it, not when the UE
+builds its request (:class:`DeferredSuci`): the gNB reads it to size the
+uplink, the AMF once it has admitted the registration.  A registration
+the AMF sheds at its front door costs no scalar multiplication.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import hmac
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.crypto.aes import AES128
 
@@ -404,6 +409,47 @@ def conceal_supi(
         home_network_key_id=home_network_key_id,
         scheme_output=scheme_output,
     )
+
+
+class DeferredSuci:
+    """A Profile A SUCI that is concealed when it is first read (UE side).
+
+    The ephemeral key is drawn when the UE builds its request, so the
+    UE's ECIES stream advances whether or not the SUCI is ever read; the
+    wire fields (``mcc``, ``mnc``, ``scheme``, ``keyId``, hex
+    ``schemeOutput``) are :func:`conceal_supi`'s output, computed on the
+    first read and at most once, after which the SUPI and the ephemeral
+    key are dropped.  It reads as the wire SUCI object (a dict) does:
+    ``get`` reads one field, ``copy`` returns them all as a plain dict.
+    """
+
+    __slots__ = ("_supi", "_hn_public_key", "_eph_private_key", "_fields")
+
+    def __init__(self, supi: Supi, hn_public_key: bytes, eph_private_key: bytes) -> None:
+        self._supi: Optional[Supi] = supi
+        self._hn_public_key: Optional[bytes] = hn_public_key
+        self._eph_private_key: Optional[bytes] = eph_private_key
+        self._fields: Optional[Dict[str, object]] = None
+
+    def _wire(self) -> Dict[str, object]:
+        fields = self._fields
+        if fields is None:
+            suci = conceal_supi(self._supi, self._hn_public_key, self._eph_private_key)
+            fields = self._fields = {
+                "mcc": suci.mcc,
+                "mnc": suci.mnc,
+                "scheme": suci.protection_scheme,
+                "keyId": suci.home_network_key_id,
+                "schemeOutput": suci.scheme_output.hex(),
+            }
+            self._supi = self._hn_public_key = self._eph_private_key = None
+        return fields
+
+    def get(self, key: str, default: object = None) -> object:
+        return self._wire().get(key, default)
+
+    def copy(self) -> Dict[str, object]:
+        return dict(self._wire())
 
 
 def deconceal_suci(suci: Suci, hn_private_key: bytes) -> Supi:

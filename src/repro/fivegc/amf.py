@@ -247,7 +247,10 @@ class Amf(NetworkFunction):
             supi = self._guti_to_supi.get(message.guti)
             session.identity = {"supi": supi}
         else:
-            session.identity = {"suci": message.suci}
+            # The SUCI's one reader, after admission: it conceals a UE's
+            # SUCI unless the gNB already has (a shed one never is), and
+            # copies a plain wire dict.
+            session.identity = {"suci": message.suci.copy()}
         # The new session takes the old one's slot (eviction order is
         # insertion order); the old one is released, retiring its GUTI.
         replaced = self._sessions.get(session.ue_id)

@@ -8,7 +8,9 @@ real 128-NIA2 tags once NAS security is activated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
+
+from repro.crypto.suci import DeferredSuci
 
 
 @dataclass(frozen=True)
@@ -28,7 +30,8 @@ class NasMessage:
 class RegistrationRequest(NasMessage):
     """Registration with a concealed identity (SUCI) or a prior 5G-GUTI."""
 
-    suci: Optional[Dict[str, object]] = None  # mcc, mnc, scheme, keyId, schemeOutput
+    # mcc, mnc, scheme, keyId, schemeOutput; a UE's concealed on first read
+    suci: Optional[Union[Dict[str, object], DeferredSuci]] = None
     guti: Optional[str] = None  # re-registration with a temporary identity
     requested_nssai: str = "default"
 

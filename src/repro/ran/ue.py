@@ -1,9 +1,13 @@
 """User Equipment: NAS state machine + commercial-device profile.
 
-A :class:`UserEquipment` conceals its SUPI into a SUCI, answers the AKA
-challenge through its USIM, derives the NAS security context and completes
-registration.  :class:`CommercialUE` layers the paper's OTA realities on
-top (§V-B6): a COTS phone only *detects* the lab gNB when the broadcast
+A :class:`UserEquipment` starts registration under a SUCI, answers the
+AKA challenge through its USIM, derives the NAS security context and
+completes registration.  The SUCI's ephemeral key is drawn when the
+request is built; the SUPI is concealed under it when the core first
+reads the SUCI (the gNB sizing the uplink, or the AMF once it has
+admitted the request), so a request shed at the AMF's front door is
+never concealed.  :class:`CommercialUE` layers the paper's OTA realities
+on top (§V-B6): a COTS phone only *detects* the lab gNB when the broadcast
 PLMN is the test network 00101, and the OnePlus 8 needed one specific
 Oxygen OS build for a successful end-to-end connection.
 """
@@ -16,7 +20,7 @@ from typing import Dict, Optional
 
 from repro.crypto.cmac import nia2_mac
 from repro.crypto.kdf import derive_kamf, derive_nas_keys
-from repro.crypto.suci import Supi, conceal_supi
+from repro.crypto.suci import DeferredSuci
 from repro.fivegc.nas_security import (
     UPLINK,
     NasSecurityError,
@@ -82,20 +86,19 @@ class UserEquipment:
     # ------------------------------------------------------------- uplink
 
     def build_registration_request(self) -> RegistrationRequest:
-        """Conceal the SUPI and start registration."""
+        """Start registration under a fresh SUCI.
+
+        The ephemeral key is drawn here, so this UE's ECIES stream moves
+        on every request; the SUPI is concealed when the core first reads
+        the SUCI (:class:`~repro.crypto.suci.DeferredSuci`): a gNB sizing
+        the uplink, or an AMF that admitted the request.  A request the
+        AMF sheds at its front door is never concealed."""
         self._reset_nas_state()
         if self._ecies_stream is None:
             self._ecies_stream = self.rng.fresh_stream(f"ue.{self.name}.ecies")
         eph = draw_bytes(self._ecies_stream, 32)
-        suci = conceal_supi(self.usim.supi, self.hn_public_key, eph)
         return RegistrationRequest(
-            suci={
-                "mcc": suci.mcc,
-                "mnc": suci.mnc,
-                "scheme": suci.protection_scheme,
-                "keyId": suci.home_network_key_id,
-                "schemeOutput": suci.scheme_output.hex(),
-            }
+            suci=DeferredSuci(self.usim.supi, self.hn_public_key, eph)
         )
 
     def build_guti_registration_request(self) -> RegistrationRequest:

@@ -432,6 +432,11 @@ VICTIM_MSIN = "9000000001"
 BOTNET_MSIN_PREFIX = "8"
 
 _N2_LATENCY_US = 140.0
+#: The N2 jitter stream of each hostile cell, named once.
+_N2_STREAMS = {
+    f"{ATTACK_CELL_PREFIX}{index}": f"atk.{ATTACK_CELL_PREFIX}{index}.n2"
+    for index in range(ATTACK_GNBS)
+}
 
 
 class AttackPlane:
@@ -460,6 +465,12 @@ class AttackPlane:
             testbed.add_subscriber(msin=f"{BOTNET_MSIN_PREFIX}{i:09d}")
             for i in range(BOTNET_POPULATION)
         ]
+        self._handlers = {
+            StormKind.SUCI_REPLAY: self._run_suci_replay,
+            StormKind.AUTS_RESYNC: self._run_auts_resync,
+            StormKind.NAS_FUZZ: self._run_nas_fuzz,
+            StormKind.BOTNET_REGISTER: self._run_botnet_register,
+        }
         self.events_executed = 0
         # outcome in {"pending", "completed", "rejected", "shed", "errored"}
         self.outcomes: Dict[str, Dict[str, int]] = {
@@ -470,7 +481,7 @@ class AttackPlane:
 
     def _n2(self, gnb: str) -> None:
         self.host.clock.advance_us(
-            self.host.rng.jitter(f"atk.{gnb}.n2", _N2_LATENCY_US, 0.05)
+            self.host.rng.jitter(_N2_STREAMS[gnb], _N2_LATENCY_US, 0.05)
         )
 
     def _count(self, kind: StormKind, outcome: str) -> None:
@@ -498,12 +509,7 @@ class AttackPlane:
 
     def execute(self, event: AttackEvent) -> str:
         """Run one storm event; returns the outcome label."""
-        handler = {
-            StormKind.SUCI_REPLAY: self._run_suci_replay,
-            StormKind.AUTS_RESYNC: self._run_auts_resync,
-            StormKind.NAS_FUZZ: self._run_nas_fuzz,
-            StormKind.BOTNET_REGISTER: self._run_botnet_register,
-        }[event.kind]
+        handler = self._handlers[event.kind]
         # Storm events enter at the AMF directly (no gNB registration
         # root), so under an armed campaign tracer their SBI spans would
         # pile up as orphan roots for the whole horizon.  Each event runs

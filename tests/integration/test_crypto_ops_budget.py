@@ -20,12 +20,14 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from unittest import mock
 
 from repro.crypto import aes, cmac, milenage, suci, tls
 from repro.experiments.harness import warmed_testbed
+from repro.fivegc.admission import AdmissionConfig, AdmissionController
+from repro.fivegc.messages import AuthenticationReject, AuthenticationRequest
 from repro.paka.deploy import IsolationMode
 
 # Seven SBI hops, each a request and a response record; the SUCI is
@@ -100,9 +102,9 @@ class _Counting:
         return getattr(self._real, name)
 
 
-def count_ops(registrations: int = 2) -> list:
-    """Per-registration crypto op counts on a warmed SGX testbed."""
-    counts: Counter = Counter()
+@contextmanager
+def counting_crypto(counts: Counter):
+    """Count the crypto ops of everything run inside into ``counts``."""
     open_calls: list = []  # keys of the counted calls now on the stack
 
     def counted(owner, name, key, inside=None):
@@ -164,7 +166,6 @@ def count_ops(registrations: int = 2) -> list:
         rows.append((aes, "_HwCipher", "native_cipher_contexts"))
         memos.append(cmac._hw_cmac)
 
-    results = []
     with ExitStack() as stack:
         for memo in memos:
             memo.cache_clear()
@@ -177,6 +178,14 @@ def count_ops(registrations: int = 2) -> list:
             stack.enter_context(
                 mock.patch.object(suci, "_HwX25519PrivateKey", PrivateKeys)
             )
+        yield
+
+
+def count_ops(registrations: int = 2) -> list:
+    """Per-registration crypto op counts on a warmed SGX testbed."""
+    counts: Counter = Counter()
+    results = []
+    with counting_crypto(counts):
         testbed = warmed_testbed(IsolationMode.SGX, seed=7)
         for _ in range(registrations):
             counts.clear()
@@ -205,6 +214,43 @@ def test_registration_crypto_budget_on_this_backend():
     budget.pop("aes_block_kernel_calls", None)
     for counts in count_ops():
         assert {key: counts.get(key, 0) for key in budget} == budget
+
+
+#: What an initial registration the AMF sheds at its front door costs:
+#: its SUCI is never read, so it is never concealed.
+SHED_BUDGET = {
+    "fixed_base_mults": 0,
+    "comb_mults": 0,
+    "ladder_mults": 0,
+    "x25519_calls": 0,
+    "from_private_bytes": 0,
+    "aes128_objects": 0,
+    "keystreams_computed": 0,
+}
+
+
+def test_a_shed_registration_costs_no_crypto():
+    counts: Counter = Counter()
+    with counting_crypto(counts):
+        testbed = warmed_testbed(IsolationMode.SGX, seed=7)
+        testbed.amf.admission = AdmissionController(
+            AdmissionConfig(bucket_rate_per_s=1.0, bucket_burst=1.0)
+        )
+        admitted, shed = testbed.add_subscriber(), testbed.add_subscriber()
+        counts.clear()
+        reply = testbed.amf.handle_nas(
+            admitted.name, admitted.build_registration_request(), via="gnb-atk-0"
+        )
+        assert isinstance(reply, AuthenticationRequest)
+        # The admitted one is concealed (UE) and deconcealed (UDM).
+        assert counts["fixed_base_mults"] >= 1 and counts["ecies_decrypts"] == 1
+        counts.clear()
+        reply = testbed.amf.handle_nas(
+            shed.name, shed.build_registration_request(), via="gnb-atk-0"
+        )
+    assert isinstance(reply, AuthenticationReject)
+    assert reply.cause.startswith("congestion:")
+    assert {key: counts[key] for key in SHED_BUDGET} == SHED_BUDGET
 
 
 def test_registration_crypto_budget_on_the_pure_backend():

@@ -14,16 +14,16 @@ from repro.ran.ue import CommercialUE, ONEPLUS_8_PROFILE, UeError
 def test_registration_request_conceals_supi(monolithic_testbed):
     ue = monolithic_testbed.add_subscriber()
     request = ue.build_registration_request()
-    assert request.suci["mcc"] == "001"
-    assert request.suci["scheme"] == 1
-    assert ue.usim.supi.msin not in str(request.suci["schemeOutput"])
+    assert request.suci.get("mcc") == "001"
+    assert request.suci.get("scheme") == 1
+    assert ue.usim.supi.msin not in str(request.suci.get("schemeOutput"))
 
 
 def test_fresh_ephemeral_key_per_attempt(monolithic_testbed):
     ue = monolithic_testbed.add_subscriber()
     one = ue.build_registration_request()
     two = ue.build_registration_request()
-    assert one.suci["schemeOutput"] != two.suci["schemeOutput"]
+    assert one.suci.get("schemeOutput") != two.suci.get("schemeOutput")
 
 
 def test_ue_answers_valid_challenge(monolithic_testbed):

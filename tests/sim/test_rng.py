@@ -18,7 +18,7 @@ from unittest import mock
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.ran import ue as ue_module
+from repro.crypto import suci as suci_module
 from repro.sim.rng import RngService, draw_bytes
 from repro.testbed import Testbed, TestbedConfig
 
@@ -129,8 +129,8 @@ def test_ue_owns_its_ecies_stream_across_suci_guti_suci():
         ephemerals.append(eph)
         return real_conceal(supi, hn_public_key, eph)
 
-    real_conceal = ue_module.conceal_supi
-    with mock.patch.object(ue_module, "conceal_supi", conceal):
+    real_conceal = suci_module.conceal_supi
+    with mock.patch.object(suci_module, "conceal_supi", conceal):
         assert testbed.register(ue, establish_session=False).success
         assert testbed.register(bystander, establish_session=False).success
         streams = set(testbed.host.rng._streams)
