@@ -8,12 +8,9 @@ costs through the hardware model, so host speed here only determines how
 fast campaigns regenerate.
 
 One API is exposed: :class:`AES128`, a keyed cipher object that expands
-the key **once**; hot callers (MILENAGE, TLS record protection, CTR modes,
+the key **once**; hot callers (MILENAGE, the ECIES and NEA2 CTR modes,
 and CMAC where there is no libcrypto) hold one per key and amortise the
-schedule over every block.  It also remembers the last CTR keystream it
-produced, so the receiving end of a record (same key, hence same object
-via :func:`aes128_cipher`, the per-key memo) reuses the stream its sender
-just computed.
+schedule over every block.
 
 Side-channel hardening is explicitly a non-goal: this cipher runs inside a
 simulation, never against an adversary with a timer.
@@ -236,7 +233,7 @@ class AES128:
     """
 
     __slots__ = (
-        "_key", "_ek_lazy", "_dk", "_hw_algo", "_hw_ecb_enc", "_hw_ecb_dec", "_memo",
+        "_key", "_ek_lazy", "_dk", "_hw_algo", "_hw_ecb_enc", "_hw_ecb_dec",
     )
 
     def __init__(self, key: bytes) -> None:
@@ -247,8 +244,6 @@ class AES128:
         # Pure-path round keys, expanded and inverted on first use.
         self._ek_lazy: "Tuple[int, ...] | None" = None
         self._dk: "Tuple[int, ...] | None" = None
-        # Last CTR keystream produced: (nonce, nblocks, stream), see _stream_int.
-        self._memo: "Tuple[bytes, int, int] | None" = None
         if HAVE_HW_AES:
             algo = _hw_algorithms.AES(key)
             self._hw_algo: Optional[object] = algo
@@ -371,32 +366,15 @@ class AES128:
 
     def _stream_int(self, nonce: bytes, length: int) -> int:
         """The first ``length`` (> 0) bytes of CTR keystream from counter
-        ``nonce``, as an integer.
-
-        The block-aligned stream is a pure function of (key, nonce, block
-        count), so the last one computed is kept on the cipher object:
-        the peer that decrypts a record shares this object through
-        :func:`aes128_cipher` and asks for exactly the stream its sender
-        just produced.  Nothing else keys the memo, and a hit returns what
-        a recomputation would — callers still authenticate before they
-        decrypt.
-        """
+        ``nonce``, as an integer."""
         nblocks = (length + 15) // 16
-        memo = self._memo
-        if memo is not None and memo[1] == nblocks and memo[0] == nonce:
-            stream = memo[2]
+        hw = self._hw_ecb_enc
+        if hw is not None:
+            # CTR keystream == ECB over the counter blocks; the persistent
+            # ECB context avoids a Cipher+encryptor construction per call.
+            stream = int.from_bytes(hw.update(self._counter_blocks(nonce, nblocks)), "big")
         else:
-            hw = self._hw_ecb_enc
-            if hw is not None:
-                # CTR keystream == ECB over the counter blocks; the
-                # persistent ECB context avoids a Cipher+encryptor
-                # construction per call.
-                stream = int.from_bytes(
-                    hw.update(self._counter_blocks(nonce, nblocks)), "big"
-                )
-            else:
-                stream = self._keystream_int(int.from_bytes(nonce, "big"), nblocks)
-            self._memo = (bytes(nonce), nblocks, stream)
+            stream = self._keystream_int(int.from_bytes(nonce, "big"), nblocks)
         # Truncation keeps the *first* ``length`` bytes, so a non-aligned
         # tail drops the low-order bytes of the last block.
         return stream >> ((nblocks * 16 - length) * 8)
@@ -422,7 +400,7 @@ class AES128:
 def aes128_cipher(key: bytes) -> AES128:
     """The shared :class:`AES128` instance for ``key``.
 
-    USIM keys, NAS keys and TLS record keys recur across a campaign; this
+    USIM keys and NAS keys recur across a campaign; this
     cache makes asking by key as cheap as holding the cipher object
     explicitly.  (Caching on secret bytes is fine here — the
     simulator is the only user of this module.)  A registration brings

@@ -343,11 +343,10 @@ class Suci:
 @lru_cache(maxsize=8)
 def _ecies_cipher(aes_key: bytes) -> AES128:
     """The cipher for one SUCI's ECIES key.  UE and UDM derive the same
-    key back-to-back, so they share one object (and, after the UDM has
-    verified the tag, the keystream it remembers) the way both ends of a
-    TLS direction do.  The key never recurs after that, so this is a memo
-    of its own with a bound a hostile SUCI flood cannot grow — not the
-    campaign-sized ``aes128_cipher`` cache."""
+    key back-to-back, so they share one object: one key set-up, and each
+    end computes its own keystream block.  The key never recurs after
+    that, so this is a memo of its own with a bound a hostile SUCI flood
+    cannot grow — not the campaign-sized ``aes128_cipher`` cache."""
     return AES128(aes_key)
 
 

@@ -4,12 +4,20 @@
 service-based interfaces (TS 33.210), and the paper's P-AKA modules are
 HTTPS (Pistache + OpenSSL) servers.  This module provides:
 
-* real record protection — AES-128-CTR with an HMAC-SHA-256 tag over a
-  per-session key, so tests can assert that an on-path observer of the
-  simulated bridge cannot read AKA parameters, and
+* real record protection — a SHAKE-128 keystream XORed over the payload
+  and an HMAC-SHA-256 tag, both under per-session direction keys, so
+  tests can assert that an on-path observer of the simulated bridge
+  cannot read AKA parameters or alter a record unnoticed, and
 * a cycle cost model — handshake and per-byte record costs that the
   network substrate charges to the endpoint CPUs (encryption is one of
   the paper's explanations for the amplified `L_N` inside SGX).
+
+What a record costs in simulated time is :func:`record_cycles` of its
+length alone, so the host cipher only has to hide and authenticate the
+bytes: it is not the suite a deployment would negotiate, and it is not
+the 5G-AKA crypto (MILENAGE, the KDFs, ECIES, NIA2/NEA2), which stays
+exact.  A record is ``TAG_LENGTH`` bytes longer than its payload, as
+with the modelled suite, so frame sizes do not depend on the cipher.
 """
 
 from __future__ import annotations
@@ -17,8 +25,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-
-from repro.crypto.aes import aes128_cipher
 
 
 class TlsError(Exception):
@@ -38,11 +44,20 @@ def _hmac_pads(key: bytes) -> tuple:
     return hashlib.sha256(block.translate(_IPAD)), hashlib.sha256(block.translate(_OPAD))
 
 
+def _keystream_xor(key: bytes, seq: int, data: bytes) -> bytes:
+    """``data`` XOR the keystream of record ``seq`` under direction key
+    ``key``: ``SHAKE-128(key ‖ seq8)`` squeezed to ``len(data)`` bytes, one
+    hash call per record.  Its own inverse."""
+    n = len(data)
+    stream = hashlib.shake_128(key + seq.to_bytes(8, "big")).digest(n)
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")).to_bytes(n, "big")
+
+
 # Cycle costs of the TLS operations, charged to the endpoint CPUs by
 # :mod:`repro.net.http`.
 HANDSHAKE_CYCLES = 1_200_000  # ECDHE + cert verification, amortised
 RECORD_FIXED_CYCLES = 2_400  # per-record framing + MAC setup
-RECORD_PER_BYTE_CYCLES = 6.0  # AES + HMAC per payload byte
+RECORD_PER_BYTE_CYCLES = 6.0  # cipher + HMAC per payload byte
 
 
 def record_cycles(nbytes: int) -> float:
@@ -55,14 +70,13 @@ class TlsSession:
     """An established mutual-TLS session between two endpoints.
 
     Key material is derived **once** per session and direction: each
-    direction gets its own AES-128 key (held as an expanded cipher
-    object), CTR IV base and MAC key (held as the two HMAC pad blocks
-    already hashed, :func:`_hmac_pads`), and each record's counter block
-    is built from the sequence number.  A record therefore pays only
-    per-record work — its keystream and its HMAC over ``seq ‖ ciphertext``
-    — never a key schedule, a key derivation or an HMAC re-keying, and
-    the two directions have distinct keystreams.  The receiver always
-    recomputes the tag and compares it before it asks for any keystream.
+    direction gets its own keystream key and MAC key (the latter held as
+    the two HMAC pad blocks already hashed, :func:`_hmac_pads`).  A record
+    therefore pays only per-record work — its keystream
+    (:func:`_keystream_xor` of the sequence number) and its HMAC over
+    ``seq ‖ ciphertext`` — never a key derivation or an HMAC re-keying,
+    and the two directions have distinct keystreams.  The receiver
+    recomputes the tag and compares it before it derives any keystream.
     """
 
     client_name: str
@@ -83,22 +97,10 @@ class TlsSession:
             send, send_mac, recv, recv_mac = c2s, c2s_mac, s2c, s2c_mac
         else:
             send, send_mac, recv, recv_mac = s2c, s2c_mac, c2s, c2s_mac
-        self._send_cipher = aes128_cipher(send[:16])
-        self._send_iv = int.from_bytes(send[16:28], "big")
+        self._send_key = send
         self._send_mac = _hmac_pads(send_mac)
-        self._recv_cipher = aes128_cipher(recv[:16])
-        self._recv_iv = int.from_bytes(recv[16:28], "big")
+        self._recv_key = recv
         self._recv_mac = _hmac_pads(recv_mac)
-
-    @staticmethod
-    def _record_icb(iv96: int, seq: int) -> bytes:
-        """Counter block for record ``seq``: (IV ⊕ seq) ‖ 32-bit counter.
-
-        Folding the sequence number into the 96-bit IV gives every record
-        its own counter space; the low 32 bits count blocks within the
-        record, so streams never overlap for records under 64 GiB.
-        """
-        return ((iv96 ^ seq) << 32).to_bytes(16, "big")
 
     def _tag(self, pads: tuple, seq: int, ciphertext: bytes) -> bytes:
         """``HMAC(key, seq8 ‖ ciphertext)[:TAG_LENGTH]`` from ``key``'s
@@ -113,9 +115,7 @@ class TlsSession:
         """Encrypt-and-MAC one record; advances the send sequence."""
         seq = self._send_seq
         self._send_seq = seq + 1
-        ciphertext = self._send_cipher.ctr(
-            self._record_icb(self._send_iv, seq), plaintext
-        )
+        ciphertext = _keystream_xor(self._send_key, seq, plaintext)
         return ciphertext + self._tag(self._send_mac, seq, ciphertext)
 
     def unprotect(self, record: bytes) -> bytes:
@@ -127,7 +127,7 @@ class TlsSession:
         if not hmac.compare_digest(tag, self._tag(self._recv_mac, seq, ciphertext)):
             raise TlsError("record authentication failed")
         self._recv_seq = seq + 1
-        return self._recv_cipher.ctr(self._record_icb(self._recv_iv, seq), ciphertext)
+        return _keystream_xor(self._recv_key, seq, ciphertext)
 
 
 def establish_session(

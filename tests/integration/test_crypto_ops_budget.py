@@ -2,10 +2,11 @@
 
 Host time is judged by ``benchmarks/hostbench``; this is the part of that
 judgement that needs no timer.  The counts below are exact and
-host-independent, so a silent fall-back — a receiver recomputing the
-keystream its sender just produced, a fixed-base scalar multiplication
-back on the ladder, a window table rebuilt per call, a native context
-built per message instead of per key — fails tier-1 on any machine.
+host-independent, so a silent fall-back — a record keystream back on
+AES, a receiver deriving one before it has checked the tag, a fixed-base
+scalar multiplication back on the ladder, a window table rebuilt per
+call, a native context built per message instead of per key — fails
+tier-1 on any machine.
 
 ``python tests/integration/test_crypto_ops_budget.py`` prints the counts
 of the interpreter's own backend as JSON; the pure-python budget is
@@ -38,11 +39,15 @@ BUDGET = {
     "tls_tags": 14 + 14,
     # Both pad blocks of a direction's MAC key were hashed at the handshake.
     "hmac_keyings_in_tls_records": 0,
-    "ctr_calls": 14 + 14 + 2,
-    # One per record and one per SUCI: every receiver — unprotect, and the
-    # UDM's ECIES decrypt — reuses the stream its sender computed.
-    "keystreams_computed": 14 + 1,
-    "keystreams_computed_receiving": 0,
+    # One SHAKE-128 keystream per record and end, each receiver's only
+    # once the record's tag has been computed.
+    "record_keystreams": 14 + 14,
+    "record_keystreams_before_tag": 0,
+    # AES-CTR is the SUCI's alone: the UE's stream and the UDM's, which
+    # computes its own.
+    "ctr_calls": 2,
+    "keystreams_computed": 2,
+    "keystreams_computed_receiving": 1,
     # The UDM's exchange against the ephemeral public key.
     "variable_base_mults": 1,
     "comb_tables_built": 0,
@@ -60,9 +65,8 @@ AES_BUDGET = {
     },
     False: {
         "aes128_objects": 3,  # ... and K_NASint, for the CBC chain
-        # CTR blocks over the 14 records and the one MSIN stream,
-        # MILENAGE, CMAC.
-        "aes_block_kernel_calls": 229,
+        # The MSIN's CTR block at each end, MILENAGE, CMAC.
+        "aes_block_kernel_calls": 34,
     },
 }
 X25519_BUDGET = {
@@ -150,6 +154,7 @@ def counting_crypto(counts: Counter):
         (tls.TlsSession, "protect", "tls_protect"),
         (tls.TlsSession, "unprotect", "tls_unprotect"),
         (tls.TlsSession, "_tag", "tls_tags"),
+        (tls, "_keystream_xor", "record_keystreams"),
     ]
     # The two places a block-aligned keystream is produced.
     for name in ("_keystream_int", "_counter_blocks"):
@@ -178,6 +183,38 @@ def counting_crypto(counts: Counter):
             stack.enter_context(
                 mock.patch.object(suci, "_HwX25519PrivateKey", PrivateKeys)
             )
+        stack.enter_context(keystreams_before_tags(counts))
+        yield
+
+
+@contextmanager
+def keystreams_before_tags(counts: Counter):
+    """Count the record keystreams an ``unprotect`` derives before it has
+    computed the record's tag."""
+    tagged: list = []  # one flag per open unprotect: is its tag computed?
+    unprotect, tag = tls.TlsSession.unprotect, tls.TlsSession._tag
+    keystream_xor = tls._keystream_xor
+
+    def unprotecting(self, record):
+        tagged.append(False)
+        try:
+            return unprotect(self, record)
+        finally:
+            tagged.pop()
+
+    def tagging(self, *args):
+        if tagged:
+            tagged[-1] = True
+        return tag(self, *args)
+
+    def deriving(*args):
+        counts["record_keystreams_before_tag"] += bool(tagged) and not tagged[-1]
+        return keystream_xor(*args)
+
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(tls.TlsSession, "unprotect", unprotecting))
+        stack.enter_context(mock.patch.object(tls.TlsSession, "_tag", tagging))
+        stack.enter_context(mock.patch.object(tls, "_keystream_xor", deriving))
         yield
 
 

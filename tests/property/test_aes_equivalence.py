@@ -238,21 +238,19 @@ def test_pure_bulk_keystream_matches_per_block(key, nonce, n):
     assert stream.to_bytes(nblocks * 16, "big") == expected
 
 
-# --- keystream memo: shared cipher objects under interleaved calls ----
+# --- shared cipher objects under interleaved calls ---------------------
 #
-# ``AES128`` keeps the last CTR keystream it produced, keyed (nonce,
-# block count), and ``aes128_cipher`` hands every user of a key the same
-# object — that is how a record's receiver reuses its sender's stream.
-# Whatever order calls arrive in, each must return what a cipher with no
-# memory would: the per-block reference above on a fresh schedule.
+# ``aes128_cipher`` hands every user of a key the same object.  Whatever
+# order calls arrive in, each must return what a fresh cipher would: the
+# per-block reference above on a fresh schedule.
 
 _WRAP_NONCE = (_MASK128 - 1).to_bytes(16, "big")
 
-memo_calls = st.lists(
+interleaved_calls = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=2),  # which key
-        # Few distinct nonces, so hits, same-nonce/other-length misses and
-        # other-nonce/same-length misses all occur; one wraps at 2^128.
+        # Few distinct nonces, so calls repeat a (nonce, length) or share
+        # one of the two; one nonce wraps at 2^128.
         st.sampled_from([bytes(16), bytes(range(16)), _WRAP_NONCE]),
         st.sampled_from([1, 16, 17, 40, 48, 64, 100]),
         st.sampled_from(["ctr", "keystream", "pure"]),
@@ -264,7 +262,7 @@ memo_calls = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(key_pool=st.lists(keys, min_size=3, max_size=3, unique=True),
-       calls=memo_calls, data=st.data())
+       calls=interleaved_calls, data=st.data())
 def test_interleaved_calls_through_shared_ciphers_match_per_block(
     key_pool, calls, data
 ):
@@ -279,7 +277,7 @@ def test_interleaved_calls_through_shared_ciphers_match_per_block(
             zeros = _per_block_ctr(AES128(key), nonce, bytes(n))
             assert shared.ctr(nonce, bytes(n)) == zeros
         else:
-            # The pure generator under the memo, whatever the backend.
+            # The pure generator, whatever the backend.
             stream = shared._keystream_int(
                 int.from_bytes(nonce, "big"), (n + 15) // 16
             ) >> (-n % 16 * 8)
@@ -288,23 +286,9 @@ def test_interleaved_calls_through_shared_ciphers_match_per_block(
             ) == expected
 
 
-def test_memo_is_keyed_on_nonce_and_block_count_only():
-    cipher = AES128(bytes(range(16)))
-    nonce, other = bytes(16), bytes(15) + b"\x01"
-    first = cipher.ctr(nonce, bytes(40))
-    memo = cipher._memo
-    assert memo[:2] == (nonce, 3)
-    # Same nonce, same block count, other length and data: a hit.
-    assert cipher.ctr(nonce, bytes(33)) == first[:33]
-    assert cipher._memo is memo
-    # Other block count or other nonce: recomputed, slot replaced.
-    assert cipher.ctr(nonce, bytes(49))[:40] == first
-    assert cipher._memo[:2] == (nonce, 4)
-    assert cipher.ctr(other, bytes(64)) == _per_block_ctr(cipher, other, bytes(64))
-    assert cipher._memo[:2] == (other, 4)
-
-
 def test_memo_does_not_alias_a_mutable_nonce():
+    """``ctr`` reads the counter a caller passes at each call, so a caller
+    that reuses one buffer for successive nonces gets each one's stream."""
     cipher = AES128(bytes(range(16)))
     nonce = bytearray(16)
     first = cipher.ctr(nonce, bytes(32))

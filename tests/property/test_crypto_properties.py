@@ -16,7 +16,7 @@ from repro.crypto.suci import (
     x25519,
     x25519_public_key,
 )
-from repro.crypto.tls import establish_session
+from repro.crypto.tls import TlsSession, establish_session
 from repro.ran.usim import Usim, verify_auts
 
 key16 = st.binary(min_size=16, max_size=16)
@@ -138,3 +138,33 @@ def test_tls_stream_roundtrip(payloads):
     client, server = establish_session("c", "s", b"secret")
     for payload in payloads:
         assert server.unprotect(client.protect(payload)) == payload
+
+
+@given(
+    steps=st.lists(
+        st.tuples(st.booleans(), st.binary(max_size=300), st.booleans()),
+        min_size=1,
+        max_size=12,
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_tls_records_keep_their_length_across_interleaved_directions(steps):
+    """A record is its payload plus the tag, whatever the bytes: frame
+    sizes, and so simulated time, never depend on the host cipher.  Records
+    queued in both directions and delivered in bursts still round-trip."""
+    client, server = establish_session("c", "s", b"secret")
+    pending = {True: [], False: []}  # by direction: True is client → server
+    for upstream, payload, deliver in steps:
+        sender = client if upstream else server
+        record = sender.protect(payload)
+        assert len(record) == len(payload) + TlsSession.TAG_LENGTH
+        pending[upstream].append((record, payload))
+        if deliver:
+            receiver = server if upstream else client
+            for queued, sent in pending[upstream]:
+                assert receiver.unprotect(queued) == sent
+            pending[upstream].clear()
+    for upstream, queue in pending.items():
+        receiver = server if upstream else client
+        for queued, sent in queue:
+            assert receiver.unprotect(queued) == sent
