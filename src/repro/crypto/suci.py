@@ -395,9 +395,9 @@ def conceal_supi(
     supi: Supi,
     hn_public_key: bytes,
     eph_private_key: bytes,
-    home_network_key_id: int = 1,
 ) -> Suci:
-    """Conceal a SUPI into a Profile A SUCI (UE side)."""
+    """Conceal a SUPI into a Profile A SUCI (UE side), under home-network
+    key id 1."""
     scheme_output = EciesProfileA.encrypt(
         supi.msin.encode(), hn_public_key, eph_private_key
     )
@@ -405,7 +405,7 @@ def conceal_supi(
         mcc=supi.mcc,
         mnc=supi.mnc,
         protection_scheme=Suci.SCHEME_PROFILE_A,
-        home_network_key_id=home_network_key_id,
+        home_network_key_id=1,
         scheme_output=scheme_output,
     )
 

@@ -22,7 +22,6 @@ from repro.experiments.harness import BandCheck, ExperimentReport, warmed_testbe
 from repro.experiments.stats import percentiles, summarize
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import BASELINE_RATES, FaultPlan
-from repro.net.http import DEFAULT_SBI_RETRY
 from repro.obs.collect import Observation, observe
 from repro.paka.deploy import IsolationMode
 
@@ -69,7 +68,7 @@ def _run_arm(
     testbed = warmed_testbed(IsolationMode.SGX, seed=seed)
     nfs = testbed.core_nfs
     for nf in nfs:
-        nf.retry_policy = DEFAULT_SBI_RETRY
+        nf.retry = True
 
     plan = FaultPlan.generate(seed, horizon_s, BASELINE_RATES.scaled(factor))
     injector = FaultInjector(testbed, plan).arm()

@@ -99,12 +99,12 @@ def build_testbed(
 def warmed_testbed(
     isolation: Optional[IsolationMode],
     seed: int = 0,
-    warmup_registrations: int = 2,
     **config_kwargs,
 ) -> Testbed:
-    """A testbed already past the first-request warmup (stable regime)."""
+    """A testbed already past the first-request warmup (stable regime):
+    two registrations in."""
     testbed = build_testbed(isolation, seed=seed, **config_kwargs)
-    for _ in range(warmup_registrations):
+    for _ in range(2):
         ue = testbed.add_subscriber()
         outcome = testbed.register(ue, establish_session=False)
         if not outcome.success:

@@ -1,6 +1,7 @@
 """Client-side resilience primitives for the SBI plane.
 
-:class:`repro.net.http.RetryPolicy` covers the request path; the :class:`CircuitBreaker` sits one layer up, in
+``HttpClient.request(retry=True)`` (:mod:`repro.net.http`) covers the
+request path; the :class:`CircuitBreaker` sits one layer up, in
 :class:`repro.fivegc.nf_base.NetworkFunction`, so an NF whose peer is
 known-dead fails fast — a 503 in microseconds instead of burning a full
 timeout-and-retry ladder per call while the peer reloads its enclave.

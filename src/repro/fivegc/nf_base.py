@@ -14,7 +14,7 @@ from typing import Any, Dict, Optional
 from repro.container.network import BridgeNetwork, NetworkError
 from repro.faults.resilience import CircuitBreaker
 from repro.hw.host import PhysicalHost
-from repro.net.http import HttpClient, HttpConnection, HttpError, HttpServer, RetryPolicy
+from repro.net.http import HttpClient, HttpConnection, HttpError, HttpServer
 from repro.net.rest import JsonApiError
 from repro.net.sbi import (
     ANSWER,
@@ -55,10 +55,10 @@ class NetworkFunction:
         # Bound peers: the NRF (register_with) and one per discovered NF
         # type; repeated discover() calls are served from here.
         self._peers: Dict[NFType, "NetworkFunction"] = {}
-        # Resilience: optional SBI retry policy (None = single attempt,
-        # the pre-resilience hot path) and a per-peer circuit breaker so
-        # a dead peer fails fast instead of wedging every caller.
-        self.retry_policy: Optional[RetryPolicy] = None
+        # Resilience: SBI retries (off = single attempt, the
+        # pre-resilience hot path) and a per-peer circuit breaker so a
+        # dead peer fails fast instead of wedging every caller.
+        self.retry = False
         self.circuit_breakers: Dict[str, CircuitBreaker] = {}
         self.profile = NFProfile(
             nf_instance_id=f"{name}-0001",
@@ -108,7 +108,7 @@ class NetworkFunction:
                 connection = self.client.connect(server)
                 self._connections[server.name] = connection
             response = self.client.request(
-                connection, exchange.method, endpoint, body=body, retry=self.retry_policy
+                connection, exchange.method, endpoint, body=body, retry=self.retry
             )
         except (HttpError, NetworkError) as exc:
             # The TLS record stream may be desynchronized mid-exchange:
@@ -140,7 +140,6 @@ class NetworkFunction:
         self,
         nf_type: NFType,
         registry: Dict[str, "NetworkFunction"],
-        refresh: bool = False,
     ) -> "NetworkFunction":
         """Discover peers of ``nf_type`` through the NRF and bind one.
 
@@ -148,12 +147,11 @@ class NetworkFunction:
         address resolution; the NRF response supplies the endpoint name).
 
         The bind is **cached**: repeated calls are answered locally
-        with no NRF round-trip unless ``refresh=True``.  It is
-        deterministic: the first profile of the NRF's canonically sorted
-        response.  A refused or malformed answer is a ``JsonApiError``
-        and keeps the bind there was.
+        with no NRF round-trip.  It is deterministic: the first profile
+        of the NRF's canonically sorted response.  A refused or malformed
+        answer is a ``JsonApiError`` and binds nothing.
         """
-        if not refresh and nf_type in self._peers:
+        if nf_type in self._peers:
             return self._peers[nf_type]
 
         nrf = self._peers.get(NFType.NRF)

@@ -23,7 +23,6 @@ that shows it; see docs/ARCHITECTURE.md for what one hop books.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.container.network import BridgeNetwork, FrameLost, NetworkError
@@ -60,38 +59,29 @@ class RequestTimeout(HttpError):
     """The client's per-attempt response deadline expired."""
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """SBI client retry behaviour: per-attempt deadline + capped
-    exponential backoff with multiplicative jitter.
+# SBI client retries (``HttpClient.request(retry=True)``): a per-attempt
+# response deadline and capped exponential backoff with multiplicative
+# jitter between attempts.
+RETRY_MAX_ATTEMPTS = 3
+RETRY_TIMEOUT_US = 2_000_000.0
+RETRY_BASE_BACKOFF_US = 50_000.0
+RETRY_BACKOFF_MULTIPLIER = 2.0
+RETRY_MAX_BACKOFF_US = 1_600_000.0
+RETRY_JITTER = 0.10
 
-    Backoff jitter draws from the client's own ``retry.<name>`` RNG
-    stream, and only when a retry actually happens — fault-free runs
-    never touch the stream, keeping golden clocks bit-identical.
+
+def backoff_us(retry_index: int, rng: RngService, stream: str) -> float:
+    """Backoff before retry number ``retry_index`` (1-based).
+
+    The jitter draws from the client's own ``retry.<name>`` RNG stream,
+    and only when a retry actually happens — fault-free runs never touch
+    the stream, keeping golden clocks bit-identical.
     """
-
-    max_attempts: int = 3
-    timeout_us: float = 2_000_000.0  # per-attempt response deadline
-    base_backoff_us: float = 50_000.0
-    backoff_multiplier: float = 2.0
-    max_backoff_us: float = 1_600_000.0
-    jitter: float = 0.10
-
-    def backoff_us(
-        self, retry_index: int, rng: Optional[RngService] = None, stream: str = ""
-    ) -> float:
-        """Backoff before retry number ``retry_index`` (1-based)."""
-        base = min(
-            self.base_backoff_us * self.backoff_multiplier ** (retry_index - 1),
-            self.max_backoff_us,
-        )
-        if rng is None or self.jitter <= 0:
-            return base
-        return rng.jitter(stream, base, self.jitter)
-
-
-#: Default SBI policy for NF-to-NF calls (attached by NetworkFunction).
-DEFAULT_SBI_RETRY = RetryPolicy()
+    base = min(
+        RETRY_BASE_BACKOFF_US * RETRY_BACKOFF_MULTIPLIER ** (retry_index - 1),
+        RETRY_MAX_BACKOFF_US,
+    )
+    return rng.jitter(stream, base, RETRY_JITTER)
 
 
 # Serialized head-section cache: SBI traffic reuses a handful of
@@ -206,44 +196,10 @@ class ServerSyscallProfile:
     parse_per_byte_cycles: float = 14.0
 
     @staticmethod
-    @lru_cache(maxsize=8)
-    def pistache_like(reactor_chatter: int = 80) -> "ServerSyscallProfile":
-        """The default Pistache-style profile used by the P-AKA modules.
-
-        ``reactor_chatter`` scales the out-of-window reactor noise; the
-        calibrated default lands each request at ≈90 syscalls total, the
-        per-registration transition count the paper reports.  Built once
-        per ``reactor_chatter`` value and process.
-        """
-        return ServerSyscallProfile(
-            in_window_pre=(
-                ("epoll_wait", 0, 0),
-                ("recvmsg", 0, 512),
-                ("recvmsg", 0, 512),
-                ("clock_gettime", 0, 0),
-            ),
-            in_window_post=(
-                ("sendmsg", 512, 0),
-                ("sendmsg", 256, 0),
-                ("epoll_ctl", 0, 0),
-            ),
-            out_of_window=tuple(
-                _REACTOR_ROTATION[i % len(_REACTOR_ROTATION)]
-                for i in range(reactor_chatter)
-            ),
-            connection_setup=(
-                ("accept4", 0, 0),
-                ("setsockopt", 0, 0),
-                ("setsockopt", 0, 0),
-                ("epoll_ctl", 0, 0),
-                # TLS handshake records (hello, cert, kex, finished).
-                ("recvmsg", 0, 512), ("sendmsg", 2048, 0),
-                ("recvmsg", 0, 256), ("sendmsg", 320, 0),
-                ("recvmsg", 0, 128), ("sendmsg", 64, 0),
-                ("getrandom", 0, 64),
-                ("epoll_ctl", 0, 0),
-            ),
-        )
+    def pistache_like() -> "ServerSyscallProfile":
+        """The Pistache-style profile used by the P-AKA modules
+        (see ``_PISTACHE_LIKE``)."""
+        return _PISTACHE_LIKE
 
     @staticmethod
     def userlevel_tcp() -> "ServerSyscallProfile":
@@ -275,8 +231,7 @@ class ServerSyscallProfile:
         return _PISTACHE_STARTUP
 
 
-# What the reactor does around each request, cycled ``reactor_chatter``
-# times by ``ServerSyscallProfile.pistache_like``.
+# What the reactor does around each request, one rotation.
 _REACTOR_ROTATION: Tuple[SyscallSpec, ...] = (
     ("epoll_wait", 0, 0),
     ("clock_gettime", 0, 0),
@@ -286,6 +241,37 @@ _REACTOR_ROTATION: Tuple[SyscallSpec, ...] = (
     ("epoll_ctl", 0, 0),
     ("clock_gettime", 0, 0),
     ("sched_yield", 0, 0),
+)
+
+# The Pistache-style server profile.  Its 80 out-of-window reactor
+# syscalls (ten rotations) are the calibration that lands each request
+# at ≈90 syscalls total, the per-registration transition count the
+# paper reports.
+_PISTACHE_LIKE = ServerSyscallProfile(
+    in_window_pre=(
+        ("epoll_wait", 0, 0),
+        ("recvmsg", 0, 512),
+        ("recvmsg", 0, 512),
+        ("clock_gettime", 0, 0),
+    ),
+    in_window_post=(
+        ("sendmsg", 512, 0),
+        ("sendmsg", 256, 0),
+        ("epoll_ctl", 0, 0),
+    ),
+    out_of_window=_REACTOR_ROTATION * 10,
+    connection_setup=(
+        ("accept4", 0, 0),
+        ("setsockopt", 0, 0),
+        ("setsockopt", 0, 0),
+        ("epoll_ctl", 0, 0),
+        # TLS handshake records (hello, cert, kex, finished).
+        ("recvmsg", 0, 512), ("sendmsg", 2048, 0),
+        ("recvmsg", 0, 256), ("sendmsg", 320, 0),
+        ("recvmsg", 0, 128), ("sendmsg", 64, 0),
+        ("getrandom", 0, 64),
+        ("epoll_ctl", 0, 0),
+    ),
 )
 
 # The "Pistache server inside an enclave costs ~650 EENTER/EEXITs"
@@ -578,25 +564,25 @@ class HttpClient:
         method: str,
         path: str,
         body: bytes = b"",
-        retry: Optional[RetryPolicy] = None,
+        retry: bool = False,
     ) -> HttpResponse:
         """One request/response exchange; records the response time R.
 
-        With ``retry`` set, transport failures (timeouts, lost frames,
-        dead endpoints) are retried with exponential backoff, transparently
+        With ``retry``, transport failures (timeouts, lost frames, dead
+        endpoints) are retried with exponential backoff, transparently
         re-establishing the TLS connection in place.  Protocol errors
         (no route, malformed exchange) are deterministic and never
-        retried, and each attempt waits at most ``retry.timeout_us`` for
+        retried, and each attempt waits at most ``RETRY_TIMEOUT_US`` for
         its answer.  Without ``retry`` the behaviour is exactly the
         pre-resilience hot path.
         """
-        if retry is None:
+        if not retry:
             return self._attempt(connection, method, path, body, None)
         last_error: Optional[Exception] = None
-        for attempt in range(1, retry.max_attempts + 1):
+        for attempt in range(1, RETRY_MAX_ATTEMPTS + 1):
             if attempt > 1:
                 self.retries += 1
-                backoff = retry.backoff_us(
+                backoff = backoff_us(
                     attempt - 1, self.runtime.host.rng, f"retry.{self.name}"
                 )
                 self.runtime.host.clock.advance_us(backoff)
@@ -604,7 +590,7 @@ class HttpClient:
                 if not connection.open:
                     self._reconnect(connection)
                 return self._attempt(
-                    connection, method, path, body, retry.timeout_us
+                    connection, method, path, body, RETRY_TIMEOUT_US
                 )
             except (RequestTimeout, UnresponsiveError, NetworkError) as exc:
                 last_error = exc

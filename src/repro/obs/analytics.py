@@ -36,7 +36,7 @@ DIGEST_SCHEMA = 1
 def registration_breakdown_ns(
     root: Span,
     module_servers: Mapping[str, str],
-    module_runtimes: Optional[Mapping[str, str]] = None,
+    module_runtimes: Mapping[str, str],
 ) -> Dict[str, Dict[str, int]]:
     """Decompose one registration tree into the paper's tables, integer ns.
 
@@ -58,9 +58,7 @@ def registration_breakdown_ns(
     so digests can be byte-compared.
     """
     server_to_module = {server: module for module, server in module_servers.items()}
-    runtime_to_module = {
-        runtime: module for module, runtime in (module_runtimes or {}).items()
-    }
+    runtime_to_module = {runtime: module for module, runtime in module_runtimes.items()}
     breakdown: Dict[str, Dict[str, int]] = {
         module: {
             "lf_ns": 0, "lt_ns": 0, "ln_ns": 0, "r_ns": 0,
@@ -131,7 +129,7 @@ def us_view(row_ns: Mapping[str, int]) -> Dict[str, float]:
 def registration_breakdown(
     root: Span,
     module_servers: Mapping[str, str],
-    module_runtimes: Optional[Mapping[str, str]] = None,
+    module_runtimes: Mapping[str, str],
 ) -> Dict[str, Dict[str, float]]:
     """:func:`registration_breakdown_ns` in float microseconds (``lf_us``
     … ``transition_us``) — what ``repro trace`` prints and the campaign
@@ -172,11 +170,12 @@ def critical_path(root: Span) -> List[Dict[str, Any]]:
 
 def slowest_traces_digest(
     store: TraceStore,
+    module_servers: Mapping[str, str],
+    module_runtimes: Mapping[str, str],
     top: int = 10,
-    module_servers: Optional[Mapping[str, str]] = None,
-    module_runtimes: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, Any]:
-    """Deterministic digest of the slowest traces ``store`` keeps.
+    """Deterministic digest of the slowest traces ``store`` keeps, each
+    with its critical path and its :func:`registration_breakdown_ns`.
 
     Records rank by duration descending with trace-id ascending as the
     tiebreak, so the digest is a pure function of the record *set*; only
@@ -199,11 +198,10 @@ def slowest_traces_digest(
             "sojourn_ns": record["sojourn_ns"],
             "duration_ns": record["duration_ns"],
             "critical_path": critical_path(root),
-        }
-        if module_servers is not None:
-            entry["modules_ns"] = registration_breakdown_ns(
+            "modules_ns": registration_breakdown_ns(
                 root, module_servers, module_runtimes
-            )
+            ),
+        }
         entries.append(entry)
     return {
         "schema": DIGEST_SCHEMA,

@@ -1,10 +1,9 @@
-"""Counters, gauges and bounded histograms behind one registry.
+"""Counters, gauges and histograms behind one registry.
 
 The primitives deliberately reuse :class:`~repro.sim.metrics.RunningStats`
 and :class:`~repro.sim.metrics.BoundedSeries`: histogram aggregates stay
-exact over every observation ever made while the raw window is bounded,
-which is the same retention contract the HTTP servers already use for
-their latency series.  A histogram can also *adopt* a live
+exact over every observation ever made, the same series the HTTP servers
+already use for their latency samples.  A histogram can also *adopt* a live
 ``BoundedSeries`` (``registry.histogram_from_series``), so collection
 from a running testbed is a pull — zero cost on the simulation hot path.
 
@@ -104,7 +103,7 @@ class Gauge:
 
 
 class Histogram:
-    """Distribution metric over a (possibly adopted) bounded window.
+    """Distribution metric over a (possibly adopted) sample series.
 
     ``exemplars`` is an optional adopted mapping of OpenMetrics ``le``
     label strings to ``(value, trace_id, observed_at_ns)`` — the most
@@ -120,12 +119,11 @@ class Histogram:
         self,
         name: str,
         labels: LabelItems,
-        cap: Optional[int] = None,
         series: Optional[BoundedSeries] = None,
     ) -> None:
         self.name = name
         self.labels = labels
-        self.series = series if series is not None else BoundedSeries(cap)
+        self.series = series if series is not None else BoundedSeries()
         self.exemplars: Optional[Dict[str, Tuple[float, str, int]]] = None
 
     def observe(self, value: float) -> None:
@@ -137,8 +135,6 @@ class Histogram:
             )
         self.series.append(value)
 
-    # Aggregates are exact over everything ever observed; quantiles come
-    # from the retained window (all observations when uncapped).
     @property
     def count(self) -> int:
         return self.series.stats.count
@@ -183,13 +179,11 @@ class MetricsRegistry:
             metric = self._gauges[key] = Gauge(name, key[1])
         return metric
 
-    def histogram(
-        self, name: str, cap: Optional[int] = None, **labels: str
-    ) -> Histogram:
+    def histogram(self, name: str, **labels: str) -> Histogram:
         key = (name, _label_key(labels))
         metric = self._histograms.get(key)
         if metric is None:
-            metric = self._histograms[key] = Histogram(name, key[1], cap=cap)
+            metric = self._histograms[key] = Histogram(name, key[1])
         return metric
 
     def histogram_from_series(

@@ -19,7 +19,7 @@ numbers ``repro trace`` prints by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.obs.analytics import registration_breakdown_ns, us_view
 from repro.obs.flame import StackKey, collapsed_text, sanitize_frame
@@ -75,7 +75,7 @@ class RegistrationProfile:
 def fold_registration(
     root: Span,
     module_servers: Mapping[str, str],
-    module_runtimes: Optional[Mapping[str, str]] = None,
+    module_runtimes: Mapping[str, str],
 ) -> RegistrationProfile:
     """Fold one registration span tree into a :class:`RegistrationProfile`.
 
@@ -83,9 +83,7 @@ def fold_registration(
     :func:`~repro.obs.analytics.registration_breakdown_ns` takes (module
     short name → HTTP server name / enclave runtime name).
     """
-    runtime_to_module = {
-        runtime: module for module, runtime in (module_runtimes or {}).items()
-    }
+    runtime_to_module = {runtime: module for module, runtime in module_runtimes.items()}
     profile = RegistrationProfile(root=root)
     stacks = profile.stacks
 

@@ -94,12 +94,16 @@ CONTAINER_BASELINE_LT_US: Dict[str, float] = {
 #: paper accepts for SGX-shielded modules.
 TABLE2_STABLE_FACTOR = 2.9
 
+#: The good/total objective a :class:`RatioSlo` holds: a 1 % error budget.
+RATIO_OBJECTIVE = 0.99
+
 
 class RatioSlo:
-    """Good/total ratio objective (e.g. registration success ≥ 99 %).
+    """Good/total ratio objective (registration success ≥ 99 %).
 
     Burn rate = observed bad fraction over the window divided by the
-    error budget ``1 - objective``; 0.0 when the window saw no traffic.
+    error budget ``1 - RATIO_OBJECTIVE``; 0.0 when the window saw no
+    traffic.
     """
 
     windows = RATIO_WINDOWS
@@ -109,14 +113,10 @@ class RatioSlo:
         name: str,
         good: Tuple[str, Mapping[str, str]],
         total: Tuple[str, Mapping[str, str]],
-        objective: float = 0.99,
     ) -> None:
-        if not 0.0 < objective < 1.0:
-            raise ValueError(f"objective must be in (0, 1), got {objective}")
         self.name = name
         self.good = (good[0], dict(good[1]))
         self.total = (total[0], dict(total[1]))
-        self.objective = objective
 
     def burn_rate(self, tsdb: Tsdb, window_ns: int, at_ns: int) -> float:
         total_name, total_labels = self.total
@@ -126,10 +126,10 @@ class RatioSlo:
         good_name, good_labels = self.good
         good_inc = tsdb.increase(good_name, window_ns, at_ns, **good_labels)
         bad_fraction = max(0.0, 1.0 - good_inc / total_inc)
-        return bad_fraction / (1.0 - self.objective)
+        return bad_fraction / (1.0 - RATIO_OBJECTIVE)
 
     def describe(self) -> str:
-        return f"{self.name}: good/total >= {self.objective:g}"
+        return f"{self.name}: good/total >= {RATIO_OBJECTIVE:g}"
 
 
 class ThresholdSlo:
@@ -356,7 +356,6 @@ def default_slos(
             "registration-success",
             good=("gnb_registrations_succeeded_total", gnb),
             total=("gnb_registrations_attempted_total", gnb),
-            objective=0.99,
         ),
         SojournSlo("registration-sojourn", labels=gnb),
     ]

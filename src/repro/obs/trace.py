@@ -618,7 +618,7 @@ class TraceStore:
 
     def __init__(
         self,
-        cap: Optional[int] = 512,
+        cap: int = 512,
         sample_every: int = 8,
     ) -> None:
         self.cap = cap
@@ -674,9 +674,8 @@ class TraceStore:
             "duration_ns": root.ns,
             "root": root,
         }
-        if self.cap is not None:
-            while len(self.records) > self.cap:
-                self._evict_one()
+        while len(self.records) > self.cap:
+            self._evict_one()
         return True
 
     def _evict_one(self) -> None:

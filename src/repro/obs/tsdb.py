@@ -3,11 +3,10 @@
 The scraper (:mod:`repro.obs.scrape`) periodically snapshots a
 :class:`~repro.obs.metrics.MetricsRegistry` into this store; each metric
 becomes a :class:`TsdbSeries` of ``(sim_ts_ns, value)`` points keyed by
-``(name, labels)``, exactly how the registry keys metrics.  Retention
-follows the :class:`~repro.sim.metrics.BoundedSeries` contract: an
-optional cap ≥ 2, with appends beyond it dropping the oldest half of the
-retained window, so a long campaign's Tsdb stays bounded while recent
-history stays dense.
+``(name, labels)``, exactly how the registry keys metrics.  Retention is
+an optional cap ≥ 2, with appends beyond it dropping the oldest half of
+the retained window, so a long campaign's Tsdb stays bounded while
+recent history stays dense.
 
 Derived values are **recording rules computed at query time**, never
 materialised at ingest:
@@ -73,8 +72,7 @@ class TsdbSeries:
                 f"({self.samples[-1][0]} -> {ts_ns})"
             )
         self.samples.append((int(ts_ns), value))
-        # BoundedSeries retention contract: beyond the cap, drop the
-        # oldest half of the retained window.
+        # Beyond the cap, drop the oldest half of the retained window.
         if self.cap is not None and len(self.samples) > self.cap:
             del self.samples[: len(self.samples) // 2]
 

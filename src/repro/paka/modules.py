@@ -38,8 +38,6 @@ class PakaModule:
     COMPUTE_CYCLES: float
     # Per-request cold EPC pages touched (SGX-specific L_F component).
     COLD_PAGES: int
-    # Out-of-window reactor chatter; total per-request syscalls ≈ 90.
-    REACTOR_CHATTER: int = 80
 
     def __init__(
         self,
@@ -55,8 +53,7 @@ class PakaModule:
             name=name,
             runtime=runtime,
             network=network,
-            profile=profile
-            or ServerSyscallProfile.pistache_like(self.REACTOR_CHATTER),
+            profile=profile,
         )
         self._register_routes()
 

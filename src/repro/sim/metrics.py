@@ -6,8 +6,8 @@ raw samples only matter for percentile plots over bounded windows; the
 aggregate statistics must stay exact over the whole run.  This module
 splits the two concerns: :class:`RunningStats` holds count / total /
 min / max over every sample ever added, while :class:`BoundedSeries` is a
-packed sequence of recent raw samples with an optional retention cap
-that keeps its stats up to date on every append.
+packed sequence of raw samples that keeps its stats up to date on every
+append.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class RunningStats:
 
 
 class BoundedSeries(array):
-    """An ``array('d')`` of samples with running stats and an optional cap.
+    """An ``array('d')`` of samples with running stats.
 
     Samples are packed doubles — 8 bytes each, where a list spent a
     pointer and a boxed float — so a sample must be a real number
@@ -49,28 +49,21 @@ class BoundedSeries(array):
     pickling are a sequence's; a slice is a plain ``array('d')``, which
     compares equal to another array, never to a list.
 
-    With ``cap=None`` (the default everywhere latency windows are sliced
-    by index) nothing is ever dropped.  With a cap, appends beyond it
-    drop the oldest half of the retained samples — the stats stay exact
-    over everything ever appended, only the raw window is trimmed.
+    The series drops nothing on its own: windows are sliced by index.
 
     The series is **append-only**: every mutator that introduces new
     samples (:meth:`extend`, ``+=``) routes through :meth:`append` so the
-    running stats and the retention cap always see them, and mutators
-    that would rewrite or splice samples in place (``insert``, item or
-    slice assignment) are rejected — they would desynchronise
-    :attr:`stats` from the sample window.  Deletion (the cap trim) is
-    allowed because stats intentionally cover everything ever appended,
-    not just the retained window.
+    running stats always see them, and mutators that would rewrite or
+    splice samples in place (``insert``, item or slice assignment) are
+    rejected — they would desynchronise :attr:`stats` from the sample
+    window.  Deletion is allowed because stats intentionally cover
+    everything ever appended, not just the retained window.
     """
 
-    def __new__(cls, cap: Optional[int] = None, iterable: Iterable[float] = ()):
+    def __new__(cls, iterable: Iterable[float] = ()):
         return super().__new__(cls, "d")
 
-    def __init__(self, cap: Optional[int] = None, iterable: Iterable[float] = ()) -> None:
-        if cap is not None and cap < 2:
-            raise ValueError(f"cap must be >= 2, got {cap}")
-        self.cap = cap
+    def __init__(self, iterable: Iterable[float] = ()) -> None:
         self.stats = RunningStats()
         for value in iterable:
             self.append(value)
@@ -84,8 +77,6 @@ class BoundedSeries(array):
             stats.minimum = value
         if stats.maximum is None or value > stats.maximum:
             stats.maximum = value
-        if self.cap is not None and len(self) > self.cap:
-            del self[: len(self) // 2]
 
     def extend(self, iterable: Iterable[float]) -> None:
         for value in iterable:
@@ -98,11 +89,11 @@ class BoundedSeries(array):
     def insert(self, index, value) -> None:
         raise TypeError(
             "BoundedSeries is append-only: insert() would bypass the "
-            "running stats and the retention cap"
+            "running stats"
         )
 
     def __setitem__(self, index, value) -> None:
         raise TypeError(
             "BoundedSeries is append-only: item/slice assignment would "
-            "bypass the running stats and the retention cap"
+            "bypass the running stats"
         )

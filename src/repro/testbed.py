@@ -14,7 +14,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.container.engine import ContainerEngine
@@ -32,7 +32,7 @@ from repro.fivegc.upf import Upf
 from repro.hw.host import PhysicalHost, paper_testbed_host
 from repro.net.sbi import NFType
 from repro.paka.deploy import IsolationMode, PakaDeployment, PakaSlice
-from repro.ran.gnb import AirLinkModel, Gnb
+from repro.ran.gnb import Gnb
 from repro.ran.ue import CommercialUE, UserEquipment
 from repro.ran.usim import Usim
 from repro.sim.rng import draw_bytes
@@ -50,13 +50,12 @@ class TestbedConfig:
     # None = monolithic VNFs (no external modules); CONTAINER / SGX = the
     # paper's two external-module deployments.
     isolation: Optional[IsolationMode] = IsolationMode.SGX
-    enclave_size: str = "512M"
-    # Per-module size overrides, e.g. {"eudm": "8G"} for the Fig 8 sweep.
+    # Per-module size overrides of the 512M enclave, e.g. {"eudm": "8G"}
+    # for the Fig 8 sweep.
     enclave_size_overrides: Optional[Dict[str, str]] = None
     max_threads: int = 4
     preheat: bool = True
     exitless: bool = False
-    airlink: AirLinkModel = field(default_factory=AirLinkModel)
     # Inert: the event log keeps counts, which need no bound.  Only the
     # frozen hostbench still passes it.
     event_log_capacity: Optional[int] = None
@@ -85,8 +84,8 @@ class Testbed:
         self.udm = Udm("udm", host, self.sbi, hn_private_key=self.hn_private_key)
         self.ausf = Ausf("ausf", host, self.sbi)
         self.amf = Amf("amf", host, self.sbi, serving_network_name=self.snn)
-        # One-element lists for benchmarks/hostbench/workloads.py::
-        # _testbed_counters, their only reader (ROADMAP item 5 repoints it).
+        # One-element lists kept for the frozen hostbench, their only
+        # reader (benchmarks/hostbench/workloads.py::_testbed_counters).
         self.udms, self.ausfs, self.amfs = [self.udm], [self.ausf], [self.amf]
         self.smf = Smf("smf", host, self.sbi)
         self.upf = Upf("upf", host, self.sbi)
@@ -109,7 +108,6 @@ class Testbed:
         if config.isolation is not None:
             self.paka = self.deployment.deploy(
                 config.isolation,
-                enclave_size=config.enclave_size,
                 max_threads=config.max_threads,
                 preheat=config.preheat,
                 exitless=config.exitless,
@@ -119,10 +117,7 @@ class Testbed:
             self.ausf.attach_module(self.paka.modules["eausf"])
             self.amf.attach_module(self.paka.modules["eamf"])
 
-        self.gnb = Gnb(
-            "gnb-0", host, self.amf, plmn=config.mcc + config.mnc,
-            airlink=config.airlink,
-        )
+        self.gnb = Gnb("gnb-0", host, self.amf, plmn=config.mcc + config.mnc)
 
     # ------------------------------------------------------------- factory
 

@@ -59,7 +59,7 @@ def test_build_testbed_modes():
 
 
 def test_warmed_testbed_consumed_first_requests():
-    testbed = warmed_testbed(IsolationMode.SGX, seed=5, warmup_registrations=1)
+    testbed = warmed_testbed(IsolationMode.SGX, seed=5)
     for module in testbed.paka.modules.values():
         assert module.runtime._warmed_up
 

@@ -1,7 +1,7 @@
 """Circuit breaker state machine and retry backoff determinism."""
 
 from repro.faults.resilience import CircuitBreaker
-from repro.net.http import DEFAULT_SBI_RETRY, RetryPolicy
+from repro.net.http import RETRY_JITTER, backoff_us
 from repro.sim.rng import RngService
 
 US = 1_000  # ns per us
@@ -80,14 +80,14 @@ def test_success_resets_failure_streak():
 
 
 def test_backoff_grows_exponentially_and_caps():
-    policy = RetryPolicy(
-        base_backoff_us=100.0, backoff_multiplier=2.0,
-        max_backoff_us=350.0, jitter=0.0,
-    )
-    assert policy.backoff_us(1) == 100.0
-    assert policy.backoff_us(2) == 200.0
-    assert policy.backoff_us(3) == 350.0  # capped, not 400
-    assert policy.backoff_us(4) == 350.0
+    """Before jitter: 50 ms, doubling per retry, capped at 1.6 s."""
+    bases = [50_000.0, 100_000.0, 200_000.0, 400_000.0, 800_000.0, 1_600_000.0]
+    bases.append(1_600_000.0)  # capped, not 3.2 s
+    rng, twin = RngService(seed=5), RngService(seed=5)
+    for retry_index, base in enumerate(bases, start=1):
+        assert backoff_us(retry_index, rng, "retry.amf") == twin.jitter(
+            "retry.amf", base, RETRY_JITTER
+        )
 
 
 def test_backoff_schedule_is_deterministic_per_seed():
@@ -95,12 +95,12 @@ def test_backoff_schedule_is_deterministic_per_seed():
     for _ in range(2):
         rng = RngService(seed=77)
         schedules.append(
-            [DEFAULT_SBI_RETRY.backoff_us(i, rng, "retry.amf") for i in (1, 2, 1, 2)]
+            [backoff_us(i, rng, "retry.amf") for i in (1, 2, 1, 2)]
         )
     assert schedules[0] == schedules[1]
     # A different seed jitters differently, around the same base.
     other = [
-        DEFAULT_SBI_RETRY.backoff_us(i, RngService(seed=78), "retry.amf")
+        backoff_us(i, RngService(seed=78), "retry.amf")
         for i in (1, 2, 1, 2)
     ]
     assert other != schedules[0]
@@ -109,5 +109,5 @@ def test_backoff_schedule_is_deterministic_per_seed():
 def test_backoff_jitter_does_not_touch_other_streams():
     rng = RngService(seed=5)
     baseline = RngService(seed=5).stream("sgx.aex").random()
-    DEFAULT_SBI_RETRY.backoff_us(1, rng, "retry.udm")
+    backoff_us(1, rng, "retry.udm")
     assert rng.stream("sgx.aex").random() == baseline

@@ -1,4 +1,4 @@
-"""NRF discovery: the bound peer is cached until a refresh."""
+"""NRF discovery: the bound peer is cached."""
 
 import pytest
 
@@ -31,12 +31,4 @@ def test_second_discover_is_served_from_cache(fabric):
     second = ausf.discover(NFType.UDM, registry)
     assert second is first
     # No second NRF round-trip: the cache answered.
-    assert nrf.server.requests_served == before + 1
-
-
-def test_refresh_forces_a_fresh_nrf_round_trip(fabric):
-    nrf, _, ausf, registry = fabric
-    ausf.discover(NFType.UDM, registry)
-    before = nrf.server.requests_served
-    ausf.discover(NFType.UDM, registry, refresh=True)
     assert nrf.server.requests_served == before + 1

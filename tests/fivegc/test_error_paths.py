@@ -120,7 +120,8 @@ def _read_answer(testbed, endpoint):
         _gateway_error(lambda: testbed.smf.register_with(testbed.nrf))
     elif endpoint == sbi.NRF_DISCOVER:
         registry = {nf.name: nf for nf in (testbed.ausf, testbed.udm, testbed.smf)}
-        _gateway_error(lambda: testbed.amf.discover(NFType.AUSF, registry, refresh=True))
+        # The AMF has no UDM bound, so the discovery reaches the NRF.
+        _gateway_error(lambda: testbed.amf.discover(NFType.UDM, registry))
         assert testbed.amf.peer(NFType.AUSF) is testbed.ausf
     elif endpoint in (sbi.SMF_PDU_SESSION, sbi.UPF_N4_SESSION):
         # A refused PDU session costs the UE its session, not its
@@ -292,7 +293,9 @@ def test_malformed_discovery_answer_is_a_typed_error_and_keeps_the_bind(
     registry = {nf.name: nf for nf in (testbed.ausf, testbed.udm, testbed.smf)}
     with answering(testbed.nrf.server, "GET", sbi.NRF_DISCOVER, b"[1, 2]"):
         with pytest.raises(JsonApiError, match="object") as caught:
-            testbed.amf.discover(NFType.AUSF, registry, refresh=True)
+            testbed.amf.discover(NFType.UDM, registry)
     assert caught.value.status == 502
     assert testbed.amf.peer(NFType.AUSF) is testbed.ausf
+    with pytest.raises(RuntimeError, match="no bound peer"):
+        testbed.amf.peer(NFType.UDM)
     assert testbed.register(testbed.add_subscriber(), establish_session=False).success

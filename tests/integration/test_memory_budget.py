@@ -79,7 +79,7 @@ OBSERVED_BUDGET_BYTES = 12 * 1024
 KEPT_TREE_BUDGET_BYTES = 24 * 1024
 CAMPAIGN_SAMPLE_EVERY = 8
 DECLINE_HEALTHY = 1 << 32  # head-sample 1 in 2**32: the tail rules only
-WARMUP_REGISTRATIONS = 100
+WARMUP_REGISTRATIONS = 98  # on top of warmed_testbed's two: 100 in all
 KEY_MEMO_BOUND = aes128_cipher.cache_info().maxsize  # milenage_for's too
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -88,7 +88,8 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 def observed_testbed(isolation: IsolationMode, sample_every: Optional[int] = None):
     """A warmed testbed; with ``sample_every``, observed as a campaign
     observes it.  Returns it and its trace store."""
-    testbed = warmed_testbed(isolation, seed=SEED, warmup_registrations=WARMUP_REGISTRATIONS)
+    testbed = warmed_testbed(isolation, seed=SEED)
+    register_fresh(testbed, WARMUP_REGISTRATIONS)
     store = None
     if sample_every is not None:
         store = TraceStore(cap=512, sample_every=sample_every)

@@ -26,7 +26,7 @@ import pytest
 
 from repro.experiments.harness import warmed_testbed
 from repro.fivegc.admission import AdmissionConfig, AdmissionController
-from repro.net.http import RetryPolicy, UnresponsiveError
+from repro.net.http import RETRY_MAX_ATTEMPTS, UnresponsiveError
 from repro.net.sbi import EUDM_GENERATE_AV
 from repro.obs.trace import TraceStore, Tracer
 from repro.security.attacks import AttackPlane, StormKind, generate_storm
@@ -71,12 +71,10 @@ def _request_timeout(testbed):
         raise UnresponsiveError(f"{server.name} is down")
 
     testbed.udm.server.fault_gate = gate
-    testbed.ausf.retry_policy = RetryPolicy(
-        max_attempts=2, timeout_us=5_000.0, base_backoff_us=100.0
-    )
+    testbed.ausf.retry = True
     outcome = testbed.register(testbed.add_subscriber())
     assert not outcome.success
-    assert testbed.ausf.client.timeouts == 2
+    assert testbed.ausf.client.timeouts == RETRY_MAX_ATTEMPTS
 
 
 def _frame_lost(testbed):
@@ -84,9 +82,7 @@ def _frame_lost(testbed):
     before the server ever sees them."""
     udr = testbed.udr.server.name
     testbed.sbi.link_filter = lambda src, dst, nbytes: None if dst == udr else 0.0
-    testbed.udm.retry_policy = RetryPolicy(
-        max_attempts=2, timeout_us=5_000.0, base_backoff_us=100.0
-    )
+    testbed.udm.retry = True
     outcome = testbed.register(testbed.add_subscriber())
     assert not outcome.success
     assert testbed.udm.client.timeouts >= 1
@@ -128,12 +124,12 @@ SCENARIOS = {
 PINNED = {
     ("amf_reject", "armed"): "38c3a1017df4c011",
     ("amf_reject", "seeded"): "0c84eba4e0bad98f",
-    ("frame_lost", "armed"): "73b71d130af101f0",
-    ("frame_lost", "seeded"): "fca912bd4075a8d1",
+    ("frame_lost", "armed"): "5c390fa915d9c32e",
+    ("frame_lost", "seeded"): "6897d858c9ab6bb9",
     ("handler_raises", "armed"): "4e52579f3ec40fd4",
     ("handler_raises", "seeded"): "ab97af2dae4c732c",
-    ("request_timeout", "armed"): "0f3e2b2940c5f799",
-    ("request_timeout", "seeded"): "a6a47b8d26cc5fca",
+    ("request_timeout", "armed"): "cfdd73a9a812209b",
+    ("request_timeout", "seeded"): "188d5f032e545679",
     ("storm_events", "armed"): "565bd3ab855d8fca",
     ("storm_events", "seeded"): "b84110d532f41e01",
     ("success", "armed"): "2536379407676794",

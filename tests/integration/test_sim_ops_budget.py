@@ -64,7 +64,7 @@ def count_ops(
     testbed = warmed_testbed(isolation, seed=7)
     host = testbed.host
     if armed:
-        store = TraceStore(cap=None, sample_every=1 if keep else 2**32)
+        store = TraceStore(sample_every=1 if keep else 2**32)
         host.tracer = Tracer(host.clock, trace_seed=7, store=store)
     counts: Counter = Counter()
 

@@ -145,7 +145,7 @@ def test_every_hop_window_is_its_span(isolation):
     tree."""
     testbed = warmed_testbed(isolation, seed=7)
     host = testbed.host
-    store = TraceStore(cap=None, sample_every=1)
+    store = TraceStore(sample_every=1)
     host.tracer = Tracer(host.clock, trace_seed=7, store=store)
     try:
         ue = testbed.add_subscriber()

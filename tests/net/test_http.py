@@ -192,13 +192,13 @@ def test_metrics_unbounded_by_default(server, client):
 
 from repro.container.network import FrameLost, NetworkError  # noqa: E402
 from repro.net.http import (  # noqa: E402
+    RETRY_MAX_ATTEMPTS,
+    RETRY_TIMEOUT_US,
     RequestTimeout,
-    RetryPolicy,
     UnresponsiveError,
+    backoff_us,
 )
-
-FAST_RETRY = RetryPolicy(max_attempts=3, timeout_us=5_000.0, base_backoff_us=100.0)
-ONE_SHOT = RetryPolicy(max_attempts=1, timeout_us=5_000.0)
+from repro.sim.rng import RngService  # noqa: E402
 
 
 def raise_unresponsive(server):
@@ -218,10 +218,11 @@ def test_timeout_charges_the_full_deadline(server, client, host):
     connection = client.connect(server)
     t0 = host.clock.now_ns
     with pytest.raises(RequestTimeout):
-        client.request(connection, "POST", "/echo", body=b"x", retry=ONE_SHOT)
+        client.request(connection, "POST", "/echo", body=b"x", retry=True)
     elapsed_us = (host.clock.now_ns - t0) / 1_000
-    assert elapsed_us >= 5_000.0  # the client blocked until its deadline
-    assert client.timeouts == 1
+    # The client blocked until each attempt's deadline.
+    assert elapsed_us >= RETRY_MAX_ATTEMPTS * RETRY_TIMEOUT_US
+    assert client.timeouts == RETRY_MAX_ATTEMPTS
 
 
 def test_retry_recovers_after_transient_outage(server, client, host):
@@ -235,7 +236,7 @@ def test_retry_recovers_after_transient_outage(server, client, host):
     server.fault_gate = flaky_gate
     connection = client.connect(server)
     response = client.request(
-        connection, "POST", "/echo", body=b"hello", retry=FAST_RETRY
+        connection, "POST", "/echo", body=b"hello", retry=True
     )
     assert response.ok
     assert client.retries == 1
@@ -251,35 +252,38 @@ def test_retry_exhaustion_raises_request_timeout(server, client, host):
     server.fault_gate = raise_unresponsive
     connection = client.connect(server)
     with pytest.raises(RequestTimeout):
-        client.request(connection, "POST", "/echo", body=b"x", retry=FAST_RETRY)
-    assert client.retries == FAST_RETRY.max_attempts - 1
-    assert client.timeouts == FAST_RETRY.max_attempts
+        client.request(connection, "POST", "/echo", body=b"x", retry=True)
+    assert client.retries == RETRY_MAX_ATTEMPTS - 1
+    assert client.timeouts == RETRY_MAX_ATTEMPTS
 
 
 def test_protocol_errors_are_never_retried(server, client):
     connection = client.connect(server)
     with pytest.raises(HttpError, match="no route"):
-        client.request(connection, "GET", "/missing", retry=FAST_RETRY)
+        client.request(connection, "GET", "/missing", retry=True)
     assert client.retries == 0
 
 
 def test_lost_frame_times_out(server, client, host, bridge):
     connection = client.connect(server)
-    bridge.link_filter = lambda src, dst, nbytes: None  # drop everything
-    with pytest.raises(RequestTimeout):
-        client.request(connection, "POST", "/echo", body=b"x", retry=ONE_SHOT)
+    verdicts = iter([None])  # the first frame is lost, the rest arrive
+    bridge.link_filter = lambda src, dst, nbytes: next(verdicts, 0.0)
+    t0 = host.clock.now_ns
+    assert client.request(connection, "POST", "/echo", body=b"x", retry=True).ok
     bridge.link_filter = None
-    assert client.timeouts == 1
+    assert (host.clock.now_ns - t0) / 1_000 >= RETRY_TIMEOUT_US
+    assert client.timeouts == 1 and client.retries == 1
 
 
 def test_late_response_is_discarded(server, client, host, bridge):
     connection = client.connect(server)
-    bridge.link_filter = lambda src, dst, nbytes: 50_000.0  # +50 ms per frame
+    # Each way takes 0.6 deadlines: every response lands past the deadline.
+    bridge.link_filter = lambda src, dst, nbytes: 0.6 * RETRY_TIMEOUT_US
     with pytest.raises(RequestTimeout, match="deadline"):
-        client.request(connection, "POST", "/echo", body=b"x", retry=ONE_SHOT)
+        client.request(connection, "POST", "/echo", body=b"x", retry=True)
     bridge.link_filter = None
-    assert client.timeouts == 1
-    assert len(client.response_times_us) == 0  # the late response is not a sample
+    assert client.timeouts == RETRY_MAX_ATTEMPTS
+    assert len(client.response_times_us) == 0  # a late response is not a sample
 
 
 def test_handler_exception_leaks_no_span_or_sample(server, client, host):
@@ -301,12 +305,14 @@ def test_handler_exception_leaks_no_span_or_sample(server, client, host):
 def test_backoff_advances_the_simulated_clock(server, client, host):
     server.fault_gate = raise_unresponsive
     connection = client.connect(server)
-    policy = RetryPolicy(
-        max_attempts=2, timeout_us=1_000.0, base_backoff_us=40_000.0, jitter=0.0
-    )
+    # The client's backoffs, drawn from a twin of its retry stream.
+    twin = RngService(seed=host.rng.seed)
+    backoffs = [
+        backoff_us(i, twin, f"retry.{client.name}") for i in range(1, RETRY_MAX_ATTEMPTS)
+    ]
     t0 = host.clock.now_ns
     with pytest.raises(RequestTimeout):
-        client.request(connection, "POST", "/echo", body=b"x", retry=policy)
+        client.request(connection, "POST", "/echo", body=b"x", retry=True)
     elapsed_us = (host.clock.now_ns - t0) / 1_000
-    # Two 1 ms deadlines plus one 40 ms backoff (plus transit costs).
-    assert elapsed_us >= 2 * 1_000.0 + 40_000.0
+    # Every deadline plus every backoff (plus transit costs).
+    assert elapsed_us >= RETRY_MAX_ATTEMPTS * RETRY_TIMEOUT_US + sum(backoffs)

@@ -24,14 +24,6 @@ def test_in_window_is_small():
     assert len(profile.out_of_window) > 5 * in_window
 
 
-def test_chatter_parameter_scales_background():
-    small = ServerSyscallProfile.pistache_like(reactor_chatter=10)
-    large = ServerSyscallProfile.pistache_like(reactor_chatter=100)
-    assert len(large.out_of_window) == 100
-    assert len(small.out_of_window) == 10
-    assert small.in_window_pre == large.in_window_pre
-
-
 def test_userlevel_tcp_collapses_syscalls():
     kernel = ServerSyscallProfile.pistache_like()
     mtcp = ServerSyscallProfile.userlevel_tcp()

@@ -79,19 +79,6 @@ def test_label_order_does_not_matter():
     assert a is b
 
 
-def test_histogram_aggregates_exact_beyond_cap():
-    registry = MetricsRegistry()
-    histogram = registry.histogram("latency_us", cap=4, component="eudm")
-    for value in range(10):
-        histogram.observe(float(value))
-    # Aggregates cover everything observed; the window holds the tail.
-    assert histogram.count == 10
-    assert histogram.total == 45.0
-    assert histogram.minimum == 0.0
-    assert histogram.maximum == 9.0
-    assert list(histogram.series) == [6.0, 7.0, 8.0, 9.0]
-
-
 def test_histogram_quantiles_guarded_when_empty():
     histogram = Histogram("empty_us", ())
     assert histogram.quantiles() == [None, None, None]

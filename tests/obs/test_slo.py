@@ -22,7 +22,6 @@ def _ratio_slo():
         "success",
         good=("good_total", {}),
         total=("total_total", {}),
-        objective=0.9,
     )
 
 
@@ -36,13 +35,11 @@ def _feed(tsdb, second, good, total):
 def test_ratio_burn_rate_math():
     tsdb = Tsdb()
     _feed(tsdb, 0, 0.0, 0.0)
-    _feed(tsdb, 1, 8.0, 10.0)  # 20% bad over a 10% budget -> burn 2.0
+    _feed(tsdb, 1, 98.0, 100.0)  # 2% bad over a 1% budget -> burn 2.0
     slo = _ratio_slo()
     assert slo.burn_rate(tsdb, 2 * NS_PER_S, NS_PER_S) == pytest.approx(2.0)
     # No traffic in the window -> burn 0, never a divide-by-zero.
     assert slo.burn_rate(tsdb, NS_PER_S, 30 * NS_PER_S) == 0.0
-    with pytest.raises(ValueError):
-        RatioSlo("bad", good=("g", {}), total=("t", {}), objective=1.0)
 
 
 def test_threshold_burn_rate_math():
@@ -61,14 +58,14 @@ def test_threshold_burn_rate_math():
 
 
 def test_engine_fires_on_both_windows_and_resolves():
-    # Timeline, scraped every 5 s: healthy, then 100% failures (and 20x
+    # Timeline, scraped every 5 s: healthy, then 10% failures (and 20x
     # the latency) for 60 s, then healthy again.
     tsdb = Tsdb()
     good = total = latency_sum = 0.0
     for second in range(0, 301, 5):
         failing = 60 <= second < 120
         total += 10.0
-        good += 0.0 if failing else 10.0
+        good += 9.0 if failing else 10.0
         latency_sum += 10.0 * (1000.0 if failing else 50.0)
         _feed(tsdb, second, good, total)
         ts = second * NS_PER_S
@@ -104,7 +101,7 @@ def test_engine_returns_unresolved_alert_at_end_of_timeline():
     good = total = 0.0
     for second in range(0, 121, 5):
         total += 10.0
-        good += 10.0 if second < 30 else 0.0  # fails and never recovers
+        good += 10.0 if second < 30 else 9.0  # fails and never recovers
         _feed(tsdb, second, good, total)
     alerts = SloEngine([_ratio_slo()]).evaluate(tsdb)
     assert [a.window for a in alerts] == ["slow", "fast"]
@@ -118,9 +115,9 @@ def test_engine_long_window_alone_does_not_keep_firing():
     # alert promptly — that is the point of the two-window recipe.
     tsdb = Tsdb()
     _feed(tsdb, 0, 0.0, 0.0)
-    _feed(tsdb, 15, 0.0, 20.0)   # 100% bad
-    _feed(tsdb, 30, 10.0, 30.0)  # clean again
-    _feed(tsdb, 45, 20.0, 40.0)
+    _feed(tsdb, 15, 18.0, 20.0)  # 10% bad
+    _feed(tsdb, 30, 28.0, 30.0)  # clean again
+    _feed(tsdb, 45, 38.0, 40.0)
     slo = _ratio_slo()
     at = 45 * NS_PER_S
     # At second 45 the fast pair's 60 s window alone would still fire...
@@ -188,7 +185,6 @@ def test_starved_gnb_fires_liveness_alert():
         "registration-success",
         good=("good_total", {}),
         total=("total_total", {}),
-        objective=0.9,
     )
     liveness = LivenessSlo(
         "registration-liveness",

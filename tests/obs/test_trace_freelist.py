@@ -199,7 +199,7 @@ def test_a_store_dump_is_the_eager_snapshot_byte_for_byte(flavour, trace_seed):
     leaves = sum(node.kind == "sgx.ocall" for node in nodes)
     assert leaves == (0 if flavour == "container" else 2 * 261)  # none when shed
 
-    store = TraceStore(cap=None, sample_every=1)
+    store = TraceStore(sample_every=1)
     tracer, successes = _three_registrations(flavour, trace_seed, store)
     if trace_seed is None:
         # No identity, so ``RootTrace.record`` files nothing; offer the

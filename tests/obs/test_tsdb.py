@@ -32,8 +32,8 @@ def test_series_rejects_backwards_time_and_non_finite():
 
 
 def test_series_retention_drops_oldest_half():
-    # The BoundedSeries contract: beyond the cap, shed the oldest half of
-    # the retained window so recent history stays dense.
+    # Beyond the cap, shed the oldest half of the retained window so
+    # recent history stays dense.
     series = TsdbSeries("x", (), cap=4)
     for ts in range(5):
         series.append(ts, float(ts))

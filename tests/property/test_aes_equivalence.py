@@ -286,7 +286,7 @@ def test_interleaved_calls_through_shared_ciphers_match_per_block(
             ) == expected
 
 
-def test_memo_does_not_alias_a_mutable_nonce():
+def test_ctr_reads_a_reused_nonce_buffer_afresh():
     """``ctr`` reads the counter a caller passes at each call, so a caller
     that reuses one buffer for successive nonces gets each one's stream."""
     cipher = AES128(bytes(range(16)))

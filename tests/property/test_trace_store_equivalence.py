@@ -115,7 +115,7 @@ def test_a_kept_tree_reads_as_the_literal_tree(program, trace_seed):
         assert expected["trace_id"] == trace_context_id(trace_seed, "imsi-001", 1)
 
     tracer, kept = _build(root_tags, nodes, trace_seed, lazy=True)
-    store = TraceStore(cap=None, sample_every=1)
+    store = TraceStore(sample_every=1)
     trace_id = kept.trace_id or "0" * 32
     tracer.roots.remove(kept.span)
     assert store.offer(

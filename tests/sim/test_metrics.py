@@ -1,4 +1,4 @@
-"""Bounded metric series: exact running stats over a trimmed raw window."""
+"""Metric series: exact running stats over a packed raw window."""
 
 import pickle
 from array import array
@@ -35,43 +35,31 @@ class TestBoundedSeries:
         assert list(series[10:12]) == [10.0, 11.0]
         assert len(series) == series.stats.count == 100
 
-    def test_cap_trims_oldest_half(self):
-        series = BoundedSeries(cap=10)
-        for i in range(25):
-            series.append(float(i))
-        assert len(series) <= 10
-        # The newest sample always survives.
-        assert series[-1] == 24.0
-        # The retained window is a contiguous suffix of the appends.
-        assert list(series) == [float(i) for i in range(25 - len(series), 25)]
-
     def test_stats_are_exact_despite_trimming(self):
-        series = BoundedSeries(cap=8)
+        series = BoundedSeries()
         values = [float(i * 7 % 13) for i in range(200)]
         for value in values:
             series.append(value)
+            if len(series) > 8:
+                del series[: len(series) // 2]
+        assert len(series) <= 8 and series[-1] == values[-1]
         assert series.stats.count == 200
         assert series.stats.total == pytest.approx(sum(values))
         assert series.stats.minimum == min(values)
         assert series.stats.maximum == max(values)
 
-    def test_tiny_cap_rejected(self):
-        with pytest.raises(ValueError):
-            BoundedSeries(cap=1)
-
     def test_init_iterable_counts_in_stats(self):
-        series = BoundedSeries(cap=None, iterable=[1.0, 2.0])
+        series = BoundedSeries(iterable=[1.0, 2.0])
         assert list(series) == [1.0, 2.0]
         assert series.stats.count == 2
 
     def test_extend_routes_through_append(self):
-        series = BoundedSeries(cap=4)
+        series = BoundedSeries()
         series.extend([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         assert series.stats.count == 6
         assert series.stats.total == 21.0
         assert series.stats.maximum == 6.0
-        assert len(series) <= 4  # the cap applies to extended samples too
-        assert series[-1] == 6.0
+        assert list(series) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_iadd_routes_through_append(self):
         series = BoundedSeries()
@@ -99,8 +87,8 @@ class TestBoundedSeries:
         assert series.stats.count == 2
 
     def test_window_deletion_keeps_stats_exact(self):
-        # Deletion only trims the retained window (like the cap trim);
-        # stats cover everything ever appended by design.
+        # Deletion only trims the retained window; stats cover
+        # everything ever appended by design.
         series = BoundedSeries(iterable=[1.0, 2.0, 3.0])
         del series[:2]
         assert list(series) == [3.0]
@@ -126,7 +114,7 @@ class TestBoundedSeries:
         assert series.stats.count == 2 and series.stats.total == 3.0
 
     def test_a_slice_is_a_plain_array_and_leaves_the_series_alone(self):
-        series = BoundedSeries(cap=8, iterable=[float(i) for i in range(6)])
+        series = BoundedSeries(iterable=[float(i) for i in range(6)])
         window = series[2:]
         assert type(window) is array and window == array("d", [2.0, 3.0, 4.0, 5.0])
         assert window != [2.0, 3.0, 4.0, 5.0]  # never equal to a list
@@ -140,8 +128,8 @@ class TestBoundedSeries:
         assert list(series) == [2.0, 3.0, 5.0, 6.0]
         assert series.stats.count == 10 and series.stats.minimum == 0.0
 
-    def test_pickle_round_trip_keeps_cap_stats_and_window(self):
-        series = BoundedSeries(cap=10)
+    def test_pickle_round_trip_keeps_stats_and_window(self):
+        series = BoundedSeries()
         for i in range(25):
             series.append(i / 4)
         # Protocol 3 on (the default is 4+): an array travels as its raw
@@ -150,15 +138,14 @@ class TestBoundedSeries:
             twin = pickle.loads(pickle.dumps(series, protocol))
             assert type(twin) is BoundedSeries
             assert twin == series and list(twin) == list(series)
-            assert twin.cap == 10
             stats = twin.stats
             assert (stats.count, stats.total, stats.minimum, stats.maximum) == (
                 25, series.stats.total, 0.0, 6.0
             )
-            # The twin is live: the cap and the stats keep working.
+            # The twin is live: the stats keep working.
             for i in range(25, 40):
                 twin.append(i / 4)
-            assert len(twin) <= 10 and twin[-1] == 9.75
+            assert len(twin) == 40 and twin[-1] == 9.75
             assert twin.stats.count == 40
         # A shipped slice (what an arm returns to its parent) is 8 B/sample.
         assert len(pickle.dumps(series[:])) < 8 * len(series) + 80
