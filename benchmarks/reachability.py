@@ -148,7 +148,7 @@ _STORM = ["--legit", "8", "--horizon", "3", "--rates", "0,400"]
 _CLI: Dict[str, List[List[str]]] = {
     "list": [[]],
     "register": [["--count", "2"], ["--isolation", "container"],
-                 ["--isolation", "monolithic"], ["--isolation", "secure-vm"]],
+                 ["--isolation", "secure-vm"]],
     "trace": [[], ["--json"]],
     "metrics": [[], ["--format", "prom"]],
     "monitor": [["--registrations", "30", "--horizon", "45"],

@@ -3,9 +3,9 @@
 This is the cryptographic heart the paper isolates: given the subscriber
 key material and a fresh RAND/SQN, produce the Home Environment
 Authentication Vector (RAND, AUTN, XRES*, K_AUSF) and, downstream, the
-Serving Environment vector (RAND, AUTN, HXRES*) plus K_SEAF.  The same
-functions run inside the eUDM / eAUSF P-AKA enclaves and inside the
-monolithic VNFs — byte-identical results, different isolation.
+Serving Environment vector (RAND, AUTN, HXRES*) plus K_SEAF.  These
+functions run in one place, the eUDM / eAUSF P-AKA modules, whatever
+isolates them (container, SGX enclave or secure VM).
 """
 
 from __future__ import annotations

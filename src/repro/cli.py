@@ -149,10 +149,7 @@ def _print_report(report: ExperimentReport, as_json: bool) -> int:
 
 def _testbed(args: Args, warmup: int) -> Testbed:
     """The ``--isolation`` / ``--seed`` testbed, ``warmup`` registrations in."""
-    isolation = (
-        None if args.isolation == "monolithic" else IsolationMode(args.isolation)
-    )
-    testbed = build_testbed(isolation, seed=args.seed)
+    testbed = build_testbed(IsolationMode(args.isolation), seed=args.seed)
     for _ in range(warmup):
         testbed.register(testbed.add_subscriber())
     return testbed
@@ -540,7 +537,7 @@ def _warmup(what: str) -> Argument:
 
 _ISOLATION = _arg(
     "--isolation",
-    choices=["monolithic", "container", "sgx", "secure-vm"],
+    choices=["container", "sgx", "secure-vm"],
     default="sgx",
 )
 

@@ -86,7 +86,7 @@ class ExperimentReport:
 
 
 def build_testbed(
-    isolation: Optional[IsolationMode],
+    isolation: IsolationMode,
     seed: int = 0,
     **config_kwargs,
 ) -> Testbed:
@@ -97,7 +97,7 @@ def build_testbed(
 
 
 def warmed_testbed(
-    isolation: Optional[IsolationMode],
+    isolation: IsolationMode,
     seed: int = 0,
     **config_kwargs,
 ) -> Testbed:
@@ -138,8 +138,6 @@ def collect_module_latencies(
     Returns ``{module: {"lf_us": [...], "lt_us": [...], "r_us": [...]}}``
     with the first ``skip`` samples dropped.
     """
-    if testbed.paka is None:
-        raise ValueError("experiment requires deployed modules")
     before_r = {
         name: len(samples) + skip
         for name, samples in trusted_path_samples(testbed).items()

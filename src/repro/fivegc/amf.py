@@ -7,8 +7,8 @@ Fig 5, and activates NAS security once K_AMF is derived:
 2. Authentication Request (RAND, AUTN) goes to the UE,
 3. the UE's RES* is checked against HXRES* (SEAF), then confirmed with
    the AUSF, which releases K_SEAF,
-4. K_AMF is derived from K_SEAF — inside the eAMF P-AKA module when
-   offloaded (Fig 5 step 5) — and NAS int/enc keys follow,
+4. K_AMF is derived from K_SEAF inside the eAMF P-AKA module (Fig 5
+   step 5), and NAS int/enc keys follow,
 5. Security Mode Command/Complete (real 128-NIA2 MACs), then
    Registration Accept with a fresh 5G-GUTI.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.crypto.cmac import nia2_mac
-from repro.crypto.kdf import derive_hxres_star, derive_kamf, derive_nas_keys
+from repro.crypto.kdf import derive_hxres_star, derive_nas_keys
 from repro.fivegc.messages import (
     AuthenticationFailure,
     AuthenticationReject,
@@ -57,7 +57,6 @@ from repro.net.rest import JsonApiError
 from repro.net.sbi import NFType
 from repro.paka.modules import EamfPakaModule
 
-_KAMF_LOCAL_CYCLES = EamfPakaModule.COMPUTE_CYCLES
 _NAS_DECODE_CYCLES = 16_000
 _NAS_ENCODE_CYCLES = 14_000
 _HRES_CHECK_CYCLES = 9_500
@@ -118,8 +117,8 @@ class _UeSession:
 class Step(NamedTuple):
     """One NAS step of the procedure.  ``requires`` None opens (or
     replaces) the UE's session; ``exchanges`` are the SBI requests the
-    step issues on an offloaded deployment, in order, as ``(caller role,
-    path)``.  A step rejects when its downlink is an AuthenticationReject."""
+    step issues, in order, as ``(caller role, path)``.  A step rejects
+    when its downlink is an AuthenticationReject."""
 
     handler: Callable[["Amf", _UeSession, NasMessage], NasMessage]
     requires: Optional[str]
@@ -131,10 +130,10 @@ class Step(NamedTuple):
 
 class Amf(NetworkFunction):
     NF_TYPE = NFType.AMF
+    offload_module: EamfPakaModule
 
     def __init__(self, *args, serving_network_name: str, **kwargs) -> None:
         self.snn = serving_network_name
-        self.offload_module: Optional[EamfPakaModule] = None
         self._sessions: Dict[str, _UeSession] = {}
         self._guti_to_supi: Dict[str, str] = {}
         self._guti_counter = 0
@@ -309,15 +308,13 @@ class Amf(NetworkFunction):
         session.auth_ctx_id = ""
         session.rand = session.hxres_star = b""
 
-        # Derive K_AMF — in the eAMF P-AKA module when offloaded.
-        if self.offload_module is not None:
-            try:
-                session.kamf = self._derive_kamf_offloaded(kseaf, session.supi)
-            except JsonApiError as exc:
-                return AuthenticationReject(cause=str(exc))
-        else:
-            self.runtime.compute(_KAMF_LOCAL_CYCLES)
-            session.kamf = derive_kamf(kseaf, session.supi, _ABBA)
+        # Derive K_AMF in the eAMF P-AKA module.
+        try:
+            session.kamf = self.call(self.offload_module, sbi.EAMF_DERIVE_KAMF, {
+                "kseaf": kseaf, "supi": session.supi, "abba": _ABBA,
+            })["kamf"]
+        except JsonApiError as exc:
+            return AuthenticationReject(cause=str(exc))
         k_enc, k_int = derive_nas_keys(session.kamf)
         session.k_nas_enc, session.k_nas_int = k_enc, k_int
 
@@ -338,7 +335,7 @@ class Amf(NetworkFunction):
             and not session.resync_attempted
         ):
             # TS 33.102 §6.3.5: forward AUTS to the home network, which
-            # verifies it (inside the eUDM enclave when offloaded), resets
+            # verifies it (inside the eUDM module), resets
             # the SQN and issues a fresh challenge.
             session.resync_attempted = True
             self.auth_resyncs += 1
@@ -467,10 +464,6 @@ class Amf(NetworkFunction):
         tmsi = self.host.rng.stream(f"{self.name}.guti").getrandbits(32)
         return f"5g-guti-00101-{self._guti_counter:04d}-{tmsi:08x}"
 
-    def _derive_kamf_offloaded(self, kseaf: bytes, supi: str) -> bytes:
-        fields = {"kseaf": kseaf, "supi": supi, "abba": _ABBA}
-        return self.call(self.offload_module, sbi.EAMF_DERIVE_KAMF, fields)["kamf"]
-
     # ------------------------------------------------------------- metrics
 
     def collect_metrics(self, registry) -> None:
@@ -525,11 +518,11 @@ class Amf(NetworkFunction):
 
 
 #: The registration procedure of Fig 5, declared once: each uplink NAS
-#: type's step.  The exchanges are those of a registration on an
-#: offloaded deployment (monolithic AMFs and UDMs make fewer); the
-#: AuthenticationFailure row's are a granted resync (SYNCH_FAILURE with
-#: AUTS).  A ciphered reject of the PDU row is still a ProtectedNasPdu:
-#: both its edges stay REGISTERED.
+#: type's step.  The exchanges are those of a registration on every
+#: testbed, whatever isolates its modules; the AuthenticationFailure
+#: row's are a granted resync (SYNCH_FAILURE with AUTS).  A ciphered
+#: reject of the PDU row is still a ProtectedNasPdu: both its edges stay
+#: REGISTERED.
 PROCEDURE: Dict[type, Step] = {
     RegistrationRequest: Step(
         Amf._on_registration_request, None,

@@ -1,8 +1,8 @@
 """AUSF — Authentication Server Function (home network).
 
 Handles Nausf_UEAuthentication: verifies the serving network is
-authorised, obtains the HE AV from the UDM, derives the SE AV (HXRES* +
-K_SEAF — in the eAUSF P-AKA module when offloaded, Fig 5 step 3), stores
+authorised, obtains the HE AV from the UDM, has the eAUSF P-AKA module
+derive the SE AV (HXRES* + K_SEAF, Fig 5 step 3), stores
 the authentication context, and on confirmation compares the UE's RES*
 against XRES* before releasing K_SEAF to the SEAF/AMF.  A context
 answers one confirmation; one that is never confirmed (a replayed SUCI,
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.aka import HomeAuthVector, derive_se_av
 from repro.fivegc.nf_base import NetworkFunction
 from repro.net.rest import JsonApiError
 from repro.net.sbi import (
@@ -28,7 +27,6 @@ from repro.net.sbi import (
 )
 from repro.paka.modules import EausfPakaModule
 
-_SE_AV_LOCAL_CYCLES = EausfPakaModule.COMPUTE_CYCLES
 _SN_AUTHZ_CYCLES = 14_000  # serving-network authorisation check
 _CONFIRM_CYCLES = 12_000  # XRES* comparison + context update
 # How long a challenge may go unanswered, on the simulated clock.  Well
@@ -51,9 +49,9 @@ class _AuthContext:
 
 class Ausf(NetworkFunction):
     NF_TYPE = NFType.AUSF
+    offload_module: EausfPakaModule
 
     def __init__(self, *args, allowed_snns: Optional[set] = None, **kwargs) -> None:
-        self.offload_module: Optional[EausfPakaModule] = None
         self.allowed_snns = allowed_snns  # None = allow any (lab PLMN)
         self._contexts: Dict[str, _AuthContext] = {}
         self._next_ctx = 0
@@ -77,16 +75,11 @@ class Ausf(NetworkFunction):
         # Forward to the UDM: the request holds only its declared fields,
         # so the identity and any resync token go on untouched.
         he = self.call(self.peer(NFType.UDM), UDM_UE_AUTH_GET, data)
-        he_av = HomeAuthVector(
-            rand=he["rand"], autn=he["autn"], xres_star=he["xresStar"], kausf=he["kausf"]
-        )
-
-        if self.offload_module is not None:
-            hxres_star, kseaf = self._derive_offloaded(he_av, snn)
-        else:
-            context.runtime.compute(_SE_AV_LOCAL_CYCLES)
-            se_av, kseaf = derive_se_av(he_av, snn.encode())
-            hxres_star = se_av.hxres_star
+        # Fig 5 step 3: HXRES* and K_SEAF are derived in the eAUSF module.
+        se_av = self.call(self.offload_module, EAUSF_DERIVE_SE_AV, {
+            "rand": he["rand"], "autn": he["autn"], "xresStar": he["xresStar"],
+            "kausf": he["kausf"], "snn": snn,
+        })
 
         # Contexts sit in issue order, so the expired ones are in front.
         now_ns = self.host.clock.now_ns
@@ -98,11 +91,11 @@ class Ausf(NetworkFunction):
         self._next_ctx += 1
         ctx_id = f"authctx-{self._next_ctx}"
         self._contexts[ctx_id] = _AuthContext(
-            supi=he["supi"], rand=he_av.rand,
-            xres_star=he_av.xres_star, kseaf=kseaf, snn=snn, issued_ns=now_ns,
+            supi=he["supi"], rand=he["rand"],
+            xres_star=he["xresStar"], kseaf=se_av["kseaf"], snn=snn, issued_ns=now_ns,
         )
-        return {"authCtxId": ctx_id, "rand": he_av.rand, "autn": he_av.autn,
-                "hxresStar": hxres_star}
+        return {"authCtxId": ctx_id, "rand": he["rand"], "autn": he["autn"],
+                "hxresStar": se_av["hxresStar"]}
 
     def _handle_confirm(self, data, context):
         ctx_id, res_star = data["authCtxId"], data["resStar"]
@@ -120,12 +113,3 @@ class Ausf(NetworkFunction):
         return {"result": "AUTHENTICATION_SUCCESS", "supi": auth_context.supi,
                 "kseaf": auth_context.kseaf}
 
-    # ------------------------------------------------------------ internals
-
-    def _derive_offloaded(self, he_av: HomeAuthVector, snn: str) -> "tuple[bytes, bytes]":
-        """Fig 5: HXRES* calculation + K_SEAF derivation in eAUSF P-AKA."""
-        body = self.call(self.offload_module, EAUSF_DERIVE_SE_AV, {
-            "rand": he_av.rand, "autn": he_av.autn, "xresStar": he_av.xres_star,
-            "kausf": he_av.kausf, "snn": snn,
-        })
-        return body["hxresStar"], body["kseaf"]

@@ -34,7 +34,7 @@ from repro.crypto.tls import (
 )
 from repro.runtime.base import Runtime
 from repro.sim.clock import NS_PER_US
-from repro.sim.metrics import BoundedSeries
+from repro.sim.metrics import SampleSeries
 from repro.sim.rng import RngService
 
 Handler = Callable[["HttpRequest", "HandlerContext"], "HttpResponse"]
@@ -325,13 +325,13 @@ class HttpServer:
         # Per-request latency records, in microseconds of simulated time,
         # aggregate and per path (so AKA-endpoint metrics are not diluted
         # by auxiliary requests).
-        self.lf_us: BoundedSeries = BoundedSeries()
-        self.lt_us: BoundedSeries = BoundedSeries()
-        self.lf_us_by_path: Dict[str, BoundedSeries] = {}
-        self.lt_us_by_path: Dict[str, BoundedSeries] = {}
+        self.lf_us: SampleSeries = SampleSeries()
+        self.lt_us: SampleSeries = SampleSeries()
+        self.lf_us_by_path: Dict[str, SampleSeries] = {}
+        self.lt_us_by_path: Dict[str, SampleSeries] = {}
         # Full server occupancy per request (L_T window + reactor chatter):
         # the serial-capacity denominator for horizontal-scaling estimates.
-        self.busy_us: BoundedSeries = BoundedSeries()
+        self.busy_us: SampleSeries = SampleSeries()
         self.requests_served = 0
         # HandlerContext carries only (server, runtime), both fixed for the
         # server's lifetime: one instance serves every request.
@@ -441,8 +441,8 @@ class HttpServer:
         self.lt_us.append(lt_us)
         lf_series = self.lf_us_by_path.get(request.path)
         if lf_series is None:
-            lf_series = self.lf_us_by_path[request.path] = BoundedSeries()
-            self.lt_us_by_path[request.path] = BoundedSeries()
+            lf_series = self.lf_us_by_path[request.path] = SampleSeries()
+            self.lt_us_by_path[request.path] = SampleSeries()
         lf_series.append(lf_us)
         self.lt_us_by_path[request.path].append(lt_us)
         self.requests_served += 1
@@ -453,7 +453,7 @@ class HttpServer:
     def collect_metrics(self, registry, component: Optional[str] = None) -> None:
         """Snapshot this server into a ``repro.obs`` registry (pull).
 
-        Latency histograms *adopt* the live BoundedSeries — no copying,
+        Latency histograms *adopt* the live SampleSeries — no copying,
         and the registry sees every later request for free.  ``component``
         adds a label for P-AKA modules (eamf/eausf/eudm).
         """
@@ -527,12 +527,12 @@ class HttpClient:
         # Per-request / per-connect syscall profiles, precompiled once.
         self._request_profile = runtime.compile_syscalls(self._CLIENT_REQUEST_SYSCALLS)
         self._connect_profile = runtime.compile_syscalls(self._CLIENT_CONNECT_SYSCALLS)
-        # BoundedSeries (uncapped: nothing is dropped) rather than plain lists
+        # SampleSeries (nothing is dropped) rather than plain lists
         # so metric collection adopts them instead of re-observing every
         # sample into fresh histograms on each scrape — the difference
         # between O(total samples) and O(1) per armed-scraper pull.
-        self.response_times_us: BoundedSeries = BoundedSeries()
-        self.response_times_by_server: Dict[str, BoundedSeries] = {}
+        self.response_times_us: SampleSeries = SampleSeries()
+        self.response_times_by_server: Dict[str, SampleSeries] = {}
         # Resilience accounting (only moves when faults/retries happen).
         self.retries = 0
         self.timeouts = 0
@@ -667,7 +667,7 @@ class HttpClient:
         self.response_times_us.append(r_us)
         by_server = self.response_times_by_server.get(dst)
         if by_server is None:
-            by_server = self.response_times_by_server[dst] = BoundedSeries()
+            by_server = self.response_times_by_server[dst] = SampleSeries()
         by_server.append(r_us)
         req_span.tag(r_us=r_us)
         return HttpResponse.from_wire(response_raw)
@@ -696,7 +696,7 @@ class HttpClient:
     def collect_metrics(self, registry) -> None:
         """Snapshot this client into a ``repro.obs`` registry (pull).
 
-        Response-time histograms *adopt* the live BoundedSeries — no
+        Response-time histograms *adopt* the live SampleSeries — no
         copying and no re-observation, so a scrape costs O(1) per series
         no matter how many requests the campaign has issued.
         """

@@ -52,12 +52,11 @@ def collect_testbed_metrics(
     for nf in testbed.core_nfs:
         nf.collect_metrics(registry)
 
-    if testbed.paka is not None:
-        for name, module in testbed.paka.modules.items():
-            module.server.collect_metrics(registry, component=name)
-            stats = module.runtime.sgx_stats
-            if stats is not None:
-                collect_sgx_stats(registry, stats, component=name)
+    for name, module in testbed.paka.modules.items():
+        module.server.collect_metrics(registry, component=name)
+        stats = module.runtime.sgx_stats
+        if stats is not None:
+            collect_sgx_stats(registry, stats, component=name)
 
     gnb = testbed.gnb
     registry.counter("gnb_registrations_attempted_total", gnb=gnb.name).set(
@@ -93,8 +92,8 @@ def collect_testbed_metrics(
 def module_maps(testbed: Any) -> Tuple[Dict[str, str], Dict[str, str]]:
     """``(module_servers, module_runtimes)``: each P-AKA module's HTTP
     server and enclave runtime name, the keys the analytics fold reads
-    span tags by (both empty on a module-less testbed)."""
-    modules = testbed.paka.modules if testbed.paka is not None else {}
+    span tags by."""
+    modules = testbed.paka.modules
     return (
         {name: module.server.name for name, module in modules.items()},
         {name: module.runtime.name for name, module in modules.items()},
@@ -208,7 +207,7 @@ def trace_registration(
         raise RuntimeError("a tracer is already installed on this host")
 
     ue = testbed.add_subscriber()
-    modules = testbed.paka.modules if testbed.paka is not None else {}
+    modules = testbed.paka.modules
     before = {
         name: module.runtime.sgx_stats.snapshot()
         for name, module in modules.items()

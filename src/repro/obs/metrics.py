@@ -1,10 +1,10 @@
 """Counters, gauges and histograms behind one registry.
 
 The primitives deliberately reuse :class:`~repro.sim.metrics.RunningStats`
-and :class:`~repro.sim.metrics.BoundedSeries`: histogram aggregates stay
+and :class:`~repro.sim.metrics.SampleSeries`: histogram aggregates stay
 exact over every observation ever made, the same series the HTTP servers
 already use for their latency samples.  A histogram can also *adopt* a live
-``BoundedSeries`` (``registry.histogram_from_series``), so collection
+``SampleSeries`` (``registry.histogram_from_series``), so collection
 from a running testbed is a pull — zero cost on the simulation hot path.
 
 Metrics are identified by ``(name, labels)``; ``registry.counter(...)``
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.sim.metrics import BoundedSeries
+from repro.sim.metrics import SampleSeries
 from repro.sim.summary import percentiles
 
 LabelItems = Tuple[Tuple[str, str], ...]
@@ -119,11 +119,11 @@ class Histogram:
         self,
         name: str,
         labels: LabelItems,
-        series: Optional[BoundedSeries] = None,
+        series: Optional[SampleSeries] = None,
     ) -> None:
         self.name = name
         self.labels = labels
-        self.series = series if series is not None else BoundedSeries()
+        self.series = series if series is not None else SampleSeries()
         self.exemplars: Optional[Dict[str, Tuple[float, str, int]]] = None
 
     def observe(self, value: float) -> None:
@@ -187,7 +187,7 @@ class MetricsRegistry:
         return metric
 
     def histogram_from_series(
-        self, name: str, series: BoundedSeries, **labels: str
+        self, name: str, series: SampleSeries, **labels: str
     ) -> Histogram:
         """Adopt a live series (pull collection; no copy, no hot-path cost).
 

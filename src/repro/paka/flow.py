@@ -81,10 +81,9 @@ def _role_of(endpoint: str, testbed: Testbed) -> Optional[str]:
     }
     if endpoint in servers:
         return servers[endpoint]
-    if testbed.paka is not None:
-        for name, module in testbed.paka.modules.items():
-            if module.server.name == endpoint:
-                return name.split("#")[0]
+    for name, module in testbed.paka.modules.items():
+        if module.server.name == endpoint:
+            return name.split("#")[0]
     return None
 
 

@@ -22,7 +22,7 @@ from repro.fivegc.messages import (
 from repro.hw.host import PhysicalHost
 from repro.ran.ue import CommercialUE, UserEquipment
 from repro.sim.clock import NS_PER_MS
-from repro.sim.metrics import BoundedSeries
+from repro.sim.metrics import SampleSeries
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class Gnb:
         # included, so the scraped histogram carries exactly the deadline
         # accounting the survivability campaign reports (ROADMAP item 4:
         # a pure-queueing collapse must be visible to the SLO engine).
-        self.sojourn_ms = BoundedSeries()
+        self.sojourn_ms = SampleSeries()
         # Per-bucket sojourn exemplars: le label -> (value_ms, trace_id,
         # observed_at_ns).  Populated only while a trace-context-armed
         # tracer is installed; the collector attaches this dict to the

@@ -72,7 +72,7 @@ class GnbSim:
         registrations (the servers block in epoll, accumulating AEXs).
         """
         report = MassRegistrationReport()
-        modules = self.testbed.paka.modules if self.testbed.paka else {}
+        modules = self.testbed.paka.modules
         for name in modules:
             report.per_registration_stats[name] = []
 

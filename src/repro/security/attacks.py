@@ -55,8 +55,6 @@ class MemoryIntrospectionAttack:
     name = "memory-introspection"
 
     def run(self, attacker: Attacker, testbed: Testbed) -> AttackResult:
-        if testbed.paka is None:
-            raise ValueError("attack requires deployed P-AKA/AKA modules")
         harvested: Dict[str, str] = {}
         for module_name, container in testbed.paka.containers.items():
             memory = attacker.introspect_container(container.name)
@@ -85,8 +83,7 @@ class VirtualKeyStoreAttack:
 
     def run(self, attacker: Attacker, testbed: Testbed) -> AttackResult:
         attacker.require(AttackerCapability.ENGINE_PRIVILEGES)
-        shielded = testbed.paka is not None and testbed.paka.shielded
-        if not shielded:
+        if not testbed.paka.shielded:
             # Nothing stops the substitution: the NF cannot distinguish
             # the fake store, and deposits arrive in attacker memory.
             return AttackResult(
@@ -169,7 +166,7 @@ class FunctionTamperAttack:
 
     def run(self, attacker: Attacker, testbed: Testbed) -> AttackResult:
         attacker.require(AttackerCapability.HOST_ROOT)
-        if testbed.paka is None or not testbed.paka.shielded:
+        if not testbed.paka.shielded:
             return AttackResult(
                 attack=self.name,
                 succeeded=True,
@@ -214,7 +211,7 @@ class AttestationSpoofAttack:
 
     def run(self, attacker: Attacker, testbed: Testbed) -> AttackResult:
         service = AttestationService()
-        if testbed.paka is not None and testbed.paka.shielded:
+        if testbed.paka.shielded:
             # Register the genuine platform so honest quotes verify.
             QuotingEnclave("platform-0", service)
         try:
@@ -222,7 +219,7 @@ class AttestationSpoofAttack:
             spoofed = True
         except AttestationError:
             spoofed = False
-        if testbed.paka is None or not testbed.paka.shielded:
+        if not testbed.paka.shielded:
             # Without HMEE there is no attestation to spoof — the VNO has
             # no way to check the host at all, so the rogue host wins by
             # default.
@@ -251,8 +248,6 @@ class GuestKernelExploitAttack:
     name = "guest-kernel-exploit"
 
     def run(self, attacker: Attacker, testbed: Testbed) -> AttackResult:
-        if testbed.paka is None:
-            raise ValueError("attack requires deployed modules")
         from repro.securevm.runtime import GUEST_KERNEL_ACTOR
 
         harvested: Dict[str, str] = {}

@@ -142,7 +142,7 @@ def _run_attack(name: str, attacker: Attacker, testbed: Testbed) -> AttackResult
     if name == "attestation-spoof":
         return AttestationSpoofAttack().run(attacker, testbed)
     if name == "image-secret-extraction":
-        sealed = testbed.paka is not None and testbed.paka.shielded
+        sealed = testbed.paka.shielded
         return ImageSecretExtractionAttack().run_against_image(
             _credential_image(sealed=sealed), sealed=sealed
         )

@@ -1,11 +1,11 @@
-"""Bounded metric series with exact running summary statistics.
+"""Metric sample series with exact running summary statistics.
 
 Long campaigns (the 10k-UE capacity benchmark) push hundreds of thousands
 of per-request latency samples into the HTTP servers' metric lists.  The
 raw samples only matter for percentile plots over bounded windows; the
 aggregate statistics must stay exact over the whole run.  This module
 splits the two concerns: :class:`RunningStats` holds count / total /
-min / max over every sample ever added, while :class:`BoundedSeries` is a
+min / max over every sample ever added, while :class:`SampleSeries` is a
 packed sequence of raw samples that keeps its stats up to date on every
 append.
 """
@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 
 class RunningStats:
     """Exact streaming count/total/min/max/mean over all samples added
-    (by :meth:`BoundedSeries.append`, the only writer)."""
+    (by :meth:`SampleSeries.append`, the only writer)."""
 
     __slots__ = ("count", "total", "minimum", "maximum")
 
@@ -39,7 +39,7 @@ class RunningStats:
         )
 
 
-class BoundedSeries(array):
+class SampleSeries(array):
     """An ``array('d')`` of samples with running stats.
 
     Samples are packed doubles — 8 bytes each, where a list spent a
@@ -60,13 +60,11 @@ class BoundedSeries(array):
     everything ever appended, not just the retained window.
     """
 
-    def __new__(cls, iterable: Iterable[float] = ()):
+    def __new__(cls):
         return super().__new__(cls, "d")
 
-    def __init__(self, iterable: Iterable[float] = ()) -> None:
+    def __init__(self) -> None:
         self.stats = RunningStats()
-        for value in iterable:
-            self.append(value)
 
     def append(self, value: float) -> None:
         array.append(self, value)
@@ -82,18 +80,18 @@ class BoundedSeries(array):
         for value in iterable:
             self.append(value)
 
-    def __iadd__(self, iterable: Iterable[float]) -> "BoundedSeries":
+    def __iadd__(self, iterable: Iterable[float]) -> "SampleSeries":
         self.extend(iterable)
         return self
 
     def insert(self, index, value) -> None:
         raise TypeError(
-            "BoundedSeries is append-only: insert() would bypass the "
+            "SampleSeries is append-only: insert() would bypass the "
             "running stats"
         )
 
     def __setitem__(self, index, value) -> None:
         raise TypeError(
-            "BoundedSeries is append-only: item/slice assignment would "
+            "SampleSeries is append-only: item/slice assignment would "
             "bypass the running stats"
         )

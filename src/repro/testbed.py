@@ -47,9 +47,10 @@ class TestbedConfig:
     seed: int = 0
     mcc: str = "001"
     mnc: str = "01"
-    # None = monolithic VNFs (no external modules); CONTAINER / SGX = the
-    # paper's two external-module deployments.
-    isolation: Optional[IsolationMode] = IsolationMode.SGX
+    # What isolates the P-AKA modules every testbed deploys: CONTAINER
+    # (the paper's R^C, and its stand-in for the monolithic core), SGX
+    # (R^S) or SECURE_VM.
+    isolation: IsolationMode = IsolationMode.SGX
     # Per-module size overrides of the 512M enclave, e.g. {"eudm": "8G"}
     # for the Fig 8 sweep.
     enclave_size_overrides: Optional[Dict[str, str]] = None
@@ -104,18 +105,16 @@ class Testbed:
 
         # P-AKA slice.
         self.deployment = PakaDeployment(host, self.engine, self.sbi)
-        self.paka: Optional[PakaSlice] = None
-        if config.isolation is not None:
-            self.paka = self.deployment.deploy(
-                config.isolation,
-                max_threads=config.max_threads,
-                preheat=config.preheat,
-                exitless=config.exitless,
-                size_overrides=config.enclave_size_overrides,
-            )
-            self.udm.attach_module(self.paka.modules["eudm"])
-            self.ausf.attach_module(self.paka.modules["eausf"])
-            self.amf.attach_module(self.paka.modules["eamf"])
+        self.paka: PakaSlice = self.deployment.deploy(
+            config.isolation,
+            max_threads=config.max_threads,
+            preheat=config.preheat,
+            exitless=config.exitless,
+            size_overrides=config.enclave_size_overrides,
+        )
+        self.udm.attach_module(self.paka.modules["eudm"])
+        self.ausf.attach_module(self.paka.modules["eausf"])
+        self.amf.attach_module(self.paka.modules["eamf"])
 
         self.gnb = Gnb("gnb-0", host, self.amf, plmn=config.mcc + config.mnc)
 
@@ -145,8 +144,7 @@ class Testbed:
         k = draw_bytes(self.host.rng.fresh_stream(f"sub.{msin}.k"), 16)
         opc = draw_bytes(self.host.rng.fresh_stream(f"sub.{msin}.opc"), 16)
         self.udr.provision(AuthSubscription(supi=str(supi), k=k, opc=opc))
-        if self.udm.offload_module is not None:
-            self.udm.provision_module_key(str(supi), k)
+        self.paka.modules["eudm"].provision_direct(str(supi), k)
         usim = Usim(supi=supi, k=k, opc=opc)
         ue_name = f"ue-{msin}"
         if commercial:
@@ -163,8 +161,6 @@ class Testbed:
 
     def module_servers(self) -> Dict[str, object]:
         """The module HTTP servers (for metric collection)."""
-        if self.paka is None:
-            return {}
         return {name: module.server for name, module in self.paka.modules.items()}
 
     def collect_metrics(self, registry=None, fault_injector=None):
@@ -183,15 +179,13 @@ class Testbed:
 
     def idle(self, duration_s: float) -> None:
         """Let the slice sit idle concurrently (drives Table III's AEXs)."""
-        if self.paka is not None:
-            for module in self.paka.modules.values():
-                module.runtime.idle(duration_s)
+        for module in self.paka.modules.values():
+            module.runtime.idle(duration_s)
         self.host.clock.advance_s(duration_s)
         self.host.tick()
 
     def teardown(self) -> None:
-        if self.paka is not None:
-            self.paka.teardown(self.engine)
+        self.paka.teardown(self.engine)
         for nf in (
             self.upf, self.smf, self.amf, self.ausf, self.udm, self.udr, self.nrf,
         ):

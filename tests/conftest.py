@@ -34,12 +34,6 @@ def sgx_testbed():
     return Testbed.build(TestbedConfig(isolation=IsolationMode.SGX, seed=12))
 
 
-@pytest.fixture
-def monolithic_testbed():
-    """A testbed with no external modules (the OAI baseline)."""
-    return Testbed.build(TestbedConfig(isolation=None, seed=13))
-
-
 @pytest.fixture(scope="session")
 def shared_sgx_testbed():
     """A warmed SGX testbed shared by read-only tests."""

@@ -94,10 +94,10 @@ def test_global_bucket_caps_total_admissions():
     assert controller.admitted == 2 and controller.shed_bucket == 2
 
 
-def test_armed_amf_sheds_before_any_session_state(monolithic_testbed):
+def test_armed_amf_sheds_before_any_session_state(container_testbed):
     """A denied registration costs one cheap reject: no _UeSession, no
     SBI call, no enclave work."""
-    testbed = monolithic_testbed
+    testbed = container_testbed
     testbed.amf.admission = AdmissionController(
         AdmissionConfig(bucket_rate_per_s=1.0, bucket_burst=1.0)
     )
@@ -116,9 +116,9 @@ def test_armed_amf_sheds_before_any_session_state(monolithic_testbed):
     assert testbed.amf.admission.shed_total == 1
 
 
-def test_returning_guti_arrival_classified_as_returning(monolithic_testbed):
+def test_returning_guti_arrival_classified_as_returning(container_testbed):
     """GUTI re-registrations pass an open breaker (TS 24.501 shape)."""
-    testbed = monolithic_testbed
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     assert testbed.register(ue, establish_session=False).success
 
@@ -140,8 +140,8 @@ def test_returning_guti_arrival_classified_as_returning(monolithic_testbed):
     assert controller.shed_breaker >= 1  # the storm was shed
 
 
-def test_pending_session_cap_evicts_oldest(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_pending_session_cap_evicts_oldest(container_testbed):
+    testbed = container_testbed
     testbed.amf.max_pending_sessions = 2
     ues = [testbed.add_subscriber() for _ in range(3)]
     for ue in ues:

@@ -69,31 +69,31 @@ def test_registration_request_yields_challenge(testbed):
     assert testbed.amf.session_state(ue.name) == "wait-auth-response"
 
 
-def test_full_nas_exchange_registers_ue(monolithic_testbed):
-    ue, uplink = _drive(monolithic_testbed, REGISTERED)
+def test_full_nas_exchange_registers_ue(container_testbed):
+    ue, uplink = _drive(container_testbed, REGISTERED)
     assert ue.registered and uplink is None
     assert ue.guti and ue.guti.startswith("5g-guti-00101-")
-    assert monolithic_testbed.amf.registered_count() == 1
+    assert container_testbed.amf.registered_count() == 1
 
 
-def test_wrong_res_star_rejected(monolithic_testbed):
-    ue, _ = _drive(monolithic_testbed, WAIT_AUTH_RESPONSE)
-    downlink = monolithic_testbed.amf.handle_nas(ue.name, _FORGED[AuthenticationResponse])
+def test_wrong_res_star_rejected(container_testbed):
+    ue, _ = _drive(container_testbed, WAIT_AUTH_RESPONSE)
+    downlink = container_testbed.amf.handle_nas(ue.name, _FORGED[AuthenticationResponse])
     assert "HRES*" in downlink.cause
     # Failed sessions release their context immediately (no _UeSession
     # leak); a retry starts from a clean RegistrationRequest.
-    assert monolithic_testbed.amf.session_state(ue.name) == "none"
+    assert container_testbed.amf.session_state(ue.name) == "none"
 
 
-def test_bad_smc_complete_mac_rejected(monolithic_testbed):
-    ue, _ = _drive(monolithic_testbed, WAIT_SMC_COMPLETE)
-    downlink = monolithic_testbed.amf.handle_nas(ue.name, _FORGED[SecurityModeComplete])
+def test_bad_smc_complete_mac_rejected(container_testbed):
+    ue, _ = _drive(container_testbed, WAIT_SMC_COMPLETE)
+    downlink = container_testbed.amf.handle_nas(ue.name, _FORGED[SecurityModeComplete])
     assert downlink.cause == "SMC Complete MAC invalid"
 
 
-def test_bad_registration_complete_mac_rejected(monolithic_testbed):
-    ue, _ = _drive(monolithic_testbed, WAIT_REG_COMPLETE)
-    reject = monolithic_testbed.amf.handle_nas(ue.name, _FORGED[RegistrationComplete])
+def test_bad_registration_complete_mac_rejected(container_testbed):
+    ue, _ = _drive(container_testbed, WAIT_REG_COMPLETE)
+    reject = container_testbed.amf.handle_nas(ue.name, _FORGED[RegistrationComplete])
     assert reject.cause == "Registration Complete MAC invalid"
 
 
@@ -107,8 +107,8 @@ def test_gutis_are_unique(testbed):
     assert len(gutis) == 3
 
 
-def test_reregistrations_hold_one_guti_and_retire_the_rest(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_reregistrations_hold_one_guti_and_retire_the_rest(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     assert testbed.register(ue, establish_session=False).success
     first = ue.guti
@@ -119,12 +119,12 @@ def test_reregistrations_hold_one_guti_and_retire_the_rest(monolithic_testbed):
     assert stale.cause == f"unknown GUTI {first!r}"
 
 
-def test_evicting_a_session_retires_its_guti(monolithic_testbed):
-    amf = monolithic_testbed.amf
+def test_evicting_a_session_retires_its_guti(container_testbed):
+    amf = container_testbed.amf
     amf.max_pending_sessions = 1
-    ue, _ = _drive(monolithic_testbed, WAIT_REG_COMPLETE)
+    ue, _ = _drive(container_testbed, WAIT_REG_COMPLETE)
     assert len(amf._guti_to_supi) == 1
-    _drive(monolithic_testbed, WAIT_AUTH_RESPONSE)
+    _drive(container_testbed, WAIT_AUTH_RESPONSE)
     assert amf.session_state(ue.name) == RELEASED and amf._guti_to_supi == {}
 
 

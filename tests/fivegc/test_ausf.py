@@ -42,8 +42,8 @@ def _res_star(testbed, ue, body):
     return result.res_star
 
 
-def test_authenticate_returns_se_av(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_authenticate_returns_se_av(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     body = authenticate(testbed, ue)
     assert body["authCtxId"].startswith("authctx-")
@@ -52,8 +52,8 @@ def test_authenticate_returns_se_av(monolithic_testbed):
     assert "xresStar" not in body and "kausf" not in body and "kseaf" not in body
 
 
-def test_confirmation_releases_kseaf(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_confirmation_releases_kseaf(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     body = authenticate(testbed, ue)
     # The genuine UE computes RES* through its USIM.
@@ -63,23 +63,23 @@ def test_confirmation_releases_kseaf(monolithic_testbed):
     assert answer["supi"] == str(ue.usim.supi)
 
 
-def test_wrong_res_star_fails_confirmation(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_wrong_res_star_fails_confirmation(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     answer = confirm(testbed, authenticate(testbed, ue)["authCtxId"], bytes(16))
     assert answer == {"result": "AUTHENTICATION_FAILURE"}
 
 
-def test_failed_context_is_consumed(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_failed_context_is_consumed(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     ctx_id = authenticate(testbed, ue)["authCtxId"]
     confirm(testbed, ctx_id, bytes(16))
     assert refused_with(lambda: confirm(testbed, ctx_id, bytes(16))) == 404
 
 
-def test_confirmed_context_is_consumed_and_kseaf_released_once(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_confirmed_context_is_consumed_and_kseaf_released_once(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     body = authenticate(testbed, ue)
     res_star = _res_star(testbed, ue, body)
@@ -90,8 +90,8 @@ def test_confirmed_context_is_consumed_and_kseaf_released_once(monolithic_testbe
     assert refused_with(lambda: confirm(testbed, body["authCtxId"], res_star)) == 404
 
 
-def test_drained_registrations_leave_no_auth_context(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_drained_registrations_leave_no_auth_context(container_testbed):
+    testbed = container_testbed
     for _ in range(5):
         assert testbed.register(testbed.add_subscriber()).success
     assert len(testbed.ausf._contexts) == 0
@@ -105,8 +105,8 @@ def test_drained_registrations_leave_no_auth_context(monolithic_testbed):
 # confirmation turns up first.
 
 
-def test_unanswered_challenges_are_gone_after_the_ttl(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_unanswered_challenges_are_gone_after_the_ttl(container_testbed):
+    testbed = container_testbed
     clock = testbed.host.clock
     ue = testbed.add_subscriber()
     for _ in range(3):
@@ -129,11 +129,11 @@ def test_expiry_spends_no_simulated_time_and_draws_nothing(monkeypatch):
     """Twins on one seed, one of which never expires anything: the same
     challenges come back at the same simulated nanosecond."""
     from repro.fivegc import ausf
-    from repro.testbed import Testbed, TestbedConfig
+    from repro.testbed import IsolationMode, Testbed, TestbedConfig
 
     def run(ttl_ns):
         monkeypatch.setattr(ausf, "_CONTEXT_TTL_NS", ttl_ns)
-        testbed = Testbed.build(TestbedConfig(isolation=None, seed=13))
+        testbed = Testbed.build(TestbedConfig(isolation=IsolationMode.CONTAINER, seed=13))
         ue = testbed.add_subscriber()
         bodies = [authenticate(testbed, ue) for _ in range(3)]
         testbed.host.clock.advance(40_000_000_000)
@@ -146,8 +146,8 @@ def test_expiry_spends_no_simulated_time_and_draws_nothing(monkeypatch):
     assert (expiring[2], retaining[2]) == (1, 4)
 
 
-def test_a_timely_confirmation_still_succeeds(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_a_timely_confirmation_still_succeeds(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     body = authenticate(testbed, ue)
     issued_ns = testbed.ausf._contexts[body["authCtxId"]].issued_ns
@@ -160,8 +160,8 @@ def test_a_timely_confirmation_still_succeeds(monolithic_testbed):
     assert len(testbed.ausf._contexts) == 0
 
 
-def test_a_late_confirmation_is_404_and_never_yields_kseaf(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_a_late_confirmation_is_404_and_never_yields_kseaf(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     body = authenticate(testbed, ue)
     res_star = _res_star(testbed, ue, body)
@@ -209,8 +209,8 @@ def test_contexts_stay_bounded_under_a_storm(sgx_testbed):
     assert peak < unanswered / 2
 
 
-def test_unknown_context_404(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_unknown_context_404(container_testbed):
+    testbed = container_testbed
     assert refused_with(lambda: confirm(testbed, "authctx-999", bytes(16))) == 404
 
 

@@ -159,8 +159,8 @@ def test_fuzz(testbed, endpoint, side, body):
     assert testbed.register(testbed.add_subscriber(), establish_session=True).success
 
 
-def test_non_json_body_rejected(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_non_json_body_rejected(container_testbed):
+    testbed = container_testbed
     connection = testbed.ausf.client.connect(testbed.udm.server)
     response = testbed.ausf.client.request(
         connection, "POST", sbi.UDM_UE_AUTH_GET, body=b"\xff\xfe not json"
@@ -232,10 +232,10 @@ def test_a_confirmation_without_kseaf_rejects_the_ue(testbed):
     assert testbed.register(testbed.add_subscriber(), establish_session=True).success
 
 
-def test_storm_suci_rejects_keep_their_wire_texts(monolithic_testbed):
+def test_storm_suci_rejects_keep_their_wire_texts(container_testbed):
     """The NAS-fuzz storm's SUCI rejects cross the UDM → AUSF wire, so
     their bytes are part of the simulated cost."""
-    testbed = monolithic_testbed
+    testbed = container_testbed
     suci = {"mcc": "001", "mnc": "01", "scheme": 1, "keyId": 1}
     for sent, status, text in [
         ({"mcc": "001"}, 400, "malformed SUCI: 'mnc'"),
@@ -254,8 +254,8 @@ def test_storm_suci_rejects_keep_their_wire_texts(monolithic_testbed):
 # ------------------------------------------------------ semantic checks
 
 
-def test_udr_resync_validates_sqn_range(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_udr_resync_validates_sqn_range(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     with pytest.raises(JsonApiError, match="UDR resync failed") as caught:
         testbed.udm.call(
@@ -264,10 +264,10 @@ def test_udr_resync_validates_sqn_range(monolithic_testbed):
     assert caught.value.status == 400
 
 
-def test_udr_resync_unknown_subscriber(monolithic_testbed):
+def test_udr_resync_unknown_subscriber(container_testbed):
     with pytest.raises(JsonApiError, match="UDR resync failed") as caught:
-        monolithic_testbed.udm.call(
-            monolithic_testbed.udr, sbi.UDR_AUTH_RESYNC, {"supi": "imsi-nobody", "sqnMs": 5}
+        container_testbed.udm.call(
+            container_testbed.udr, sbi.UDR_AUTH_RESYNC, {"supi": "imsi-nobody", "sqnMs": 5}
         )
     assert caught.value.status == 404
 

@@ -15,10 +15,10 @@ def _challenge(testbed, ue):
     return downlink
 
 
-def test_resync_attempted_caps_retries_at_one_per_session(monolithic_testbed):
+def test_resync_attempted_caps_retries_at_one_per_session(container_testbed):
     """A genuine resync may run once; a second SYNCH_FAILURE on the same
     session fails it instead of looping through the home network again."""
-    testbed = monolithic_testbed
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     ue.usim.sqn_ms = 1 << 35  # force a genuine SQN desynchronisation
     challenge = _challenge(testbed, ue)

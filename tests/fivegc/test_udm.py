@@ -1,4 +1,4 @@
-"""UDM: SIDF de-concealment and HE AV generation (monolithic mode)."""
+"""UDM: SIDF de-concealment and HE AV generation."""
 
 import pytest
 
@@ -8,8 +8,8 @@ from repro.net.sbi import UDM_UE_AUTH_GET
 
 
 @pytest.fixture
-def testbed(monolithic_testbed):
-    return monolithic_testbed
+def testbed(container_testbed):
+    return container_testbed
 
 
 def auth_request_for(testbed, ue):

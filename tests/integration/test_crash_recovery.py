@@ -51,7 +51,7 @@ def test_redeploy_and_reprovision_restores_service(testbed):
     # Enclave memory did not survive: keys must be provisioned again.
     for supi in (str(ue_before.usim.supi),):
         record = testbed.udr.subscriber(supi)
-        testbed.udm.provision_module_key(supi, record.k)
+        testbed.paka.modules["eudm"].provision_direct(supi, record.k)
 
     ue_after = testbed.add_subscriber()
     outcome = testbed.register(ue_after, establish_session=False)

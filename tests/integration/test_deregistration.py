@@ -9,8 +9,8 @@ def deregister(testbed, ue):
     return testbed.amf.handle_nas(ue.name, ue.build_deregistration_request())
 
 
-def test_deregistration_releases_context(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_deregistration_releases_context(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     assert testbed.register(ue, establish_session=False).success
     accept = deregister(testbed, ue)
@@ -21,8 +21,8 @@ def test_deregistration_releases_context(monolithic_testbed):
     assert testbed.amf.session_state(ue.name) == "none"
 
 
-def test_guti_retired_after_deregistration(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_guti_retired_after_deregistration(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     assert testbed.register(ue, establish_session=False).success
     old_guti = ue.guti
@@ -37,17 +37,17 @@ def test_guti_retired_after_deregistration(monolithic_testbed):
     assert testbed.register(ue, establish_session=False).success
 
 
-def test_deregistration_requires_registration(monolithic_testbed):
-    ue = monolithic_testbed.add_subscriber()
+def test_deregistration_requires_registration(container_testbed):
+    ue = container_testbed.add_subscriber()
     with pytest.raises(Exception):
         ue.build_deregistration_request()
 
 
-def test_forged_deregistration_rejected(monolithic_testbed):
+def test_forged_deregistration_rejected(container_testbed):
     """An attacker cannot knock a UE off the network without K_NAS_int."""
     from repro.fivegc.messages import DeregistrationRequest
 
-    testbed = monolithic_testbed
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     assert testbed.register(ue, establish_session=False).success
     reply = testbed.amf.handle_nas(ue.name, DeregistrationRequest(mac=bytes(4)))

@@ -31,8 +31,9 @@ SGX_GOLDEN_MODULE_STATS = {
     "eudm": (1_991, 1_987, 1_987),
 }
 
-NATIVE_GOLDEN_CLOCK_SEED7 = 371_642_684
-NATIVE_GOLDEN_EVENTS_SEED7 = 153
+# The CONTAINER deployment (native runtime), seed 7.
+NATIVE_GOLDEN_CLOCK_SEED7 = 1_501_474_117
+NATIVE_GOLDEN_EVENTS_SEED7 = 231
 
 
 def _run_registrations(isolation, seed):
@@ -64,7 +65,7 @@ def test_sgx_module_transition_counts_match_golden():
 
 
 def test_native_clock_matches_golden():
-    testbed = _run_registrations(None, 7)
+    testbed = _run_registrations(IsolationMode.CONTAINER, 7)
     assert testbed.host.clock.now_ns == NATIVE_GOLDEN_CLOCK_SEED7
     assert len(testbed.host.events) == NATIVE_GOLDEN_EVENTS_SEED7
 

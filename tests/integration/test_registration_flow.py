@@ -2,8 +2,9 @@
 
 These are the headline integration tests: a UE with real credentials
 registers through the full stack (SUCI → SIDF → UDR → MILENAGE → key
-hierarchy → NAS security → GUTI → PDU session), with the AKA functions
-monolithic, containerised, or SGX-shielded.
+hierarchy → NAS security → GUTI → PDU session).  There is one deployment
+shape, the AKA functions in their P-AKA modules; only what isolates the
+modules varies: a container, an SGX enclave or a secure VM.
 """
 
 import pytest
@@ -11,10 +12,10 @@ import pytest
 from repro.paka.deploy import IsolationMode
 from repro.testbed import Testbed, TestbedConfig
 
-ALL_MODES = [None, IsolationMode.CONTAINER, IsolationMode.SGX]
+ALL_MODES = [IsolationMode.CONTAINER, IsolationMode.SGX, IsolationMode.SECURE_VM]
 
 
-@pytest.mark.parametrize("isolation", ALL_MODES, ids=["monolithic", "container", "sgx"])
+@pytest.mark.parametrize("isolation", ALL_MODES, ids=["container", "sgx", "secure-vm"])
 def test_full_registration_succeeds(isolation):
     testbed = Testbed.build(TestbedConfig(isolation=isolation, seed=61))
     ue = testbed.add_subscriber()
@@ -26,7 +27,7 @@ def test_full_registration_succeeds(isolation):
     assert outcome.session_setup_ms > 0
 
 
-@pytest.mark.parametrize("isolation", ALL_MODES, ids=["monolithic", "container", "sgx"])
+@pytest.mark.parametrize("isolation", ALL_MODES, ids=["container", "sgx", "secure-vm"])
 def test_key_hierarchy_agrees_across_stack(isolation):
     """UE, AMF session and module memory must hold identical keys."""
     testbed = Testbed.build(TestbedConfig(isolation=isolation, seed=62))
@@ -36,9 +37,8 @@ def test_key_hierarchy_agrees_across_stack(isolation):
     assert ue.kamf == session.kamf
     assert ue.k_nas_int == session.k_nas_int
     assert ue.k_nas_enc == session.k_nas_enc
-    if isolation is not None:
-        eamf = testbed.paka.module("eamf")
-        assert eamf.runtime.load_secret("last_kamf") == ue.kamf
+    eamf = testbed.paka.module("eamf")
+    assert eamf.runtime.load_secret("last_kamf") == ue.kamf
 
 
 def test_all_modes_produce_identical_crypto():

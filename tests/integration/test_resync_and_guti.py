@@ -5,10 +5,10 @@ import pytest
 from repro.paka.deploy import IsolationMode
 from repro.testbed import Testbed, TestbedConfig
 
-ALL_MODES = [None, IsolationMode.CONTAINER, IsolationMode.SGX]
+ALL_MODES = [IsolationMode.CONTAINER, IsolationMode.SGX, IsolationMode.SECURE_VM]
 
 
-@pytest.mark.parametrize("isolation", ALL_MODES, ids=["monolithic", "container", "sgx"])
+@pytest.mark.parametrize("isolation", ALL_MODES, ids=["container", "sgx", "secure-vm"])
 def test_resync_recovers_in_every_mode(isolation):
     testbed = Testbed.build(TestbedConfig(isolation=isolation, seed=101))
     ue = testbed.add_subscriber()
@@ -53,7 +53,7 @@ def test_forged_auts_rejected(container_testbed):
     assert testbed.udr.subscriber(str(ue.usim.supi)).sqn == 0  # untouched
 
 
-@pytest.mark.parametrize("isolation", ALL_MODES, ids=["monolithic", "container", "sgx"])
+@pytest.mark.parametrize("isolation", ALL_MODES, ids=["container", "sgx", "secure-vm"])
 def test_guti_reregistration(isolation):
     testbed = Testbed.build(TestbedConfig(isolation=isolation, seed=102))
     ue = testbed.add_subscriber()
@@ -69,8 +69,8 @@ def test_guti_reregistration(isolation):
     assert ue.guti != first_guti  # a fresh GUTI is issued
 
 
-def test_guti_reregistration_derives_fresh_keys(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_guti_reregistration_derives_fresh_keys(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     assert testbed.register(ue, establish_session=False).success
     old_kamf = ue.kamf
@@ -82,19 +82,19 @@ def test_guti_reregistration_derives_fresh_keys(monolithic_testbed):
     assert ue.kamf != old_kamf  # fresh RAND → fresh hierarchy
 
 
-def test_unknown_guti_rejected(monolithic_testbed):
+def test_unknown_guti_rejected(container_testbed):
     from repro.fivegc.messages import AuthenticationReject, RegistrationRequest
 
-    reply = monolithic_testbed.amf.handle_nas(
+    reply = container_testbed.amf.handle_nas(
         "stranger", RegistrationRequest(guti="5g-guti-00101-9999-deadbeef")
     )
     assert isinstance(reply, AuthenticationReject)
 
 
-def test_pdu_session_payload_is_ciphered_on_n1(monolithic_testbed):
+def test_pdu_session_payload_is_ciphered_on_n1(container_testbed):
     """The PDU session exchange after SMC is a ProtectedNasPdu whose
     ciphertext hides the DNN."""
-    testbed = monolithic_testbed
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     assert testbed.register(ue, establish_session=False).success
     pdu = ue.build_pdu_session_request()

@@ -8,7 +8,7 @@ from repro.testbed import Testbed, TestbedConfig
 
 
 def test_build_wires_all_nfs():
-    testbed = Testbed.build(TestbedConfig(isolation=None, seed=81))
+    testbed = Testbed.build(TestbedConfig(isolation=IsolationMode.CONTAINER, seed=81))
     from repro.net.sbi import NFType
 
     assert testbed.udm.peer(NFType.UDR) is testbed.udr
@@ -19,7 +19,7 @@ def test_build_wires_all_nfs():
 
 
 def test_subscriber_auto_msin_is_sequential():
-    testbed = Testbed.build(TestbedConfig(isolation=None, seed=82))
+    testbed = Testbed.build(TestbedConfig(isolation=IsolationMode.CONTAINER, seed=82))
     a = testbed.add_subscriber()
     b = testbed.add_subscriber()
     assert a.usim.supi.msin == "0000000001"
@@ -27,7 +27,7 @@ def test_subscriber_auto_msin_is_sequential():
 
 
 def test_subscriber_keys_are_unique_per_msin():
-    testbed = Testbed.build(TestbedConfig(isolation=None, seed=83))
+    testbed = Testbed.build(TestbedConfig(isolation=IsolationMode.CONTAINER, seed=83))
     a = testbed.add_subscriber()
     b = testbed.add_subscriber()
     assert a.usim._k != b.usim._k
@@ -42,7 +42,7 @@ def test_sgx_testbed_provisions_module_keys():
 
 def test_custom_plmn_config():
     testbed = Testbed.build(
-        TestbedConfig(isolation=None, seed=85, mcc="901", mnc="70")
+        TestbedConfig(isolation=IsolationMode.CONTAINER, seed=85, mcc="901", mnc="70")
     )
     assert testbed.snn == "5G:mnc070.mcc901.3gppnetwork.org"
     ue = testbed.add_subscriber()
@@ -66,13 +66,11 @@ def test_idle_books_aex_on_all_modules():
 def test_module_servers_accessor():
     sgx = Testbed.build(TestbedConfig(isolation=IsolationMode.SGX, seed=87))
     assert set(sgx.module_servers()) == {"eudm", "eausf", "eamf"}
-    mono = Testbed.build(TestbedConfig(isolation=None, seed=88))
-    assert mono.module_servers() == {}
 
 
 class TestWorkloads:
     def test_registration_workload(self):
-        testbed = Testbed.build(TestbedConfig(isolation=None, seed=89))
+        testbed = Testbed.build(TestbedConfig(isolation=IsolationMode.CONTAINER, seed=89))
         report = GnbSim(testbed).register_ues(3)
         assert report.successes == 3
 

@@ -84,9 +84,9 @@ def test_breakdown_ns_agrees_exactly_with_the_float_breakdown():
         (IsolationMode.SGX, False),
         (IsolationMode.CONTAINER, False),
         (IsolationMode.SGX, True),
-        (None, False),
+        (IsolationMode.SECURE_VM, False),
     ],
-    ids=["sgx", "container", "exitless", "monolithic"],
+    ids=["sgx", "container", "exitless", "secure-vm"],
 )
 def test_the_live_fold_reads_bursts_unread_and_equals_the_dict_fold(
     isolation, exitless
@@ -94,8 +94,8 @@ def test_the_live_fold_reads_bursts_unread_and_equals_the_dict_fold(
     testbed = warmed_testbed(isolation, seed=7, exitless=exitless)
     root = testbed.trace_registration().root
     servers, runtimes = module_maps(testbed)
-    # Every other server on the tree is a row of its own, so a monolithic
-    # core is folded too (``walk_unread`` names them all: leaves carry
+    # Every other server on the tree is a row of its own, so the core
+    # VNFs are folded too (``walk_unread`` names them all: leaves carry
     # no server).
     for node in root.walk_unread():
         server = node.__class__ is Span and node.tags.get("server")

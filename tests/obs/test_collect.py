@@ -12,7 +12,7 @@ from repro.testbed import IsolationMode, Testbed, TestbedConfig
 
 @pytest.fixture(scope="module")
 def native_testbed():
-    testbed = Testbed.build(TestbedConfig(isolation=None, seed=5))
+    testbed = Testbed.build(TestbedConfig(isolation=IsolationMode.CONTAINER, seed=5))
     testbed.register(testbed.add_subscriber())
     return testbed
 
@@ -60,16 +60,17 @@ def test_collection_does_not_advance_the_clock(native_testbed):
 
 
 def test_trace_registration_native():
-    testbed = Testbed.build(TestbedConfig(isolation=None, seed=6))
+    testbed = Testbed.build(TestbedConfig(isolation=IsolationMode.CONTAINER, seed=6))
     trace = trace_registration(testbed)
     assert trace.outcome.success
     assert trace.root.kind == "registration"
-    assert trace.breakdown == {}  # no P-AKA modules in the monolithic build
+    assert set(trace.breakdown) >= {"eudm", "eausf", "eamf"}
+    assert trace.stats_delta == {}  # a container keeps no SGX counters
     assert testbed.host.tracer is None  # uninstalled afterwards
 
 
 def test_trace_registration_refuses_double_install():
-    testbed = Testbed.build(TestbedConfig(isolation=None, seed=6))
+    testbed = Testbed.build(TestbedConfig(isolation=IsolationMode.CONTAINER, seed=6))
     from repro.obs.trace import Tracer
 
     testbed.host.tracer = Tracer(testbed.host.clock)
@@ -78,7 +79,7 @@ def test_trace_registration_refuses_double_install():
 
 
 def test_observe_uninstalls_on_an_exception():
-    testbed = Testbed.build(TestbedConfig(isolation=None, seed=6))
+    testbed = Testbed.build(TestbedConfig(isolation=IsolationMode.CONTAINER, seed=6))
     with pytest.raises(KeyError), observe(testbed, trace_sample=1) as observation:
         assert testbed.host.tracer.store is observation.store
         assert testbed.host.monitor is observation.scraper

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
-from repro.sim.metrics import BoundedSeries
+from repro.sim.metrics import SampleSeries
 
 
 def test_counter_monotonic():
@@ -88,7 +88,7 @@ def test_histogram_quantiles_guarded_when_empty():
 
 def test_histogram_adopts_live_series_without_copy():
     registry = MetricsRegistry()
-    series = BoundedSeries()
+    series = SampleSeries()
     series.append(1.0)
     histogram = registry.histogram_from_series("lf_us", series, server="udm")
     assert histogram.series is series

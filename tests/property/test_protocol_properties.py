@@ -55,9 +55,9 @@ def test_nas_mac_replay_and_reflection_resistance(key, count, message):
 def test_registration_succeeds_for_any_seed(seed):
     """The end-to-end flow is seed-independent: randomness changes RAND,
     keys and jitter, never the outcome."""
-    from repro.testbed import Testbed, TestbedConfig
+    from repro.testbed import IsolationMode, Testbed, TestbedConfig
 
-    testbed = Testbed.build(TestbedConfig(isolation=None, seed=seed))
+    testbed = Testbed.build(TestbedConfig(isolation=IsolationMode.CONTAINER, seed=seed))
     ue = testbed.add_subscriber()
     outcome = testbed.register(ue, establish_session=False)
     assert outcome.success

@@ -8,8 +8,8 @@ def test_airlink_latency_scales_with_size():
     assert model.message_ms(4096) > model.message_ms(64)
 
 
-def test_registration_succeeds_and_times(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_registration_succeeds_and_times(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     outcome = testbed.gnb.register(ue)
     assert outcome.success
@@ -19,17 +19,17 @@ def test_registration_succeeds_and_times(monolithic_testbed):
     assert outcome.nas_exchanges >= 5
 
 
-def test_registration_without_session_is_faster(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_registration_without_session_is_faster(container_testbed):
+    testbed = container_testbed
     with_session = testbed.gnb.register(testbed.add_subscriber(), establish_session=True)
     without = testbed.gnb.register(testbed.add_subscriber(), establish_session=False)
     assert without.session_setup_ms < with_session.session_setup_ms
     assert without.nas_exchanges < with_session.nas_exchanges
 
 
-def test_wrong_key_ue_is_rejected(monolithic_testbed):
+def test_wrong_key_ue_is_rejected(container_testbed):
     """A UE whose USIM holds the wrong K never registers (MAC failure)."""
-    testbed = monolithic_testbed
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     ue.usim._k = bytes(16)  # corrupt the SIM's key
     ue.usim._milenage = type(ue.usim._milenage)(bytes(16), ue.usim._opc)
@@ -38,8 +38,8 @@ def test_wrong_key_ue_is_rejected(monolithic_testbed):
     assert "MAC_FAILURE" in (outcome.failure_cause or "")
 
 
-def test_gnb_counters(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_gnb_counters(container_testbed):
+    testbed = container_testbed
     testbed.gnb.register(testbed.add_subscriber())
     ue = testbed.add_subscriber()
     ue.usim._k = bytes(16)
@@ -49,7 +49,7 @@ def test_gnb_counters(monolithic_testbed):
     assert testbed.gnb.registrations_succeeded == 1
 
 
-def test_sgx_slice_registration_slower_than_monolithic():
+def test_sgx_slice_registration_slower_than_container():
     from repro.testbed import Testbed, TestbedConfig
     from repro.paka.deploy import IsolationMode
 
@@ -63,4 +63,4 @@ def test_sgx_slice_registration_slower_than_monolithic():
         ]
         return sum(samples) / len(samples)
 
-    assert stable_setup(IsolationMode.SGX) > stable_setup(None)
+    assert stable_setup(IsolationMode.SGX) > stable_setup(IsolationMode.CONTAINER)

@@ -54,12 +54,6 @@ def test_container_campaign_has_no_sgx_stats(container_testbed):
     assert report.final_stats == {}
 
 
-def test_monolithic_campaign(monolithic_testbed):
-    report = GnbSim(monolithic_testbed).register_ues(2, establish_session=False)
-    assert report.successes == 2
-    assert report.per_registration_stats == {}
-
-
 def test_empty_report_mean_raises():
     from repro.ran.gnbsim import MassRegistrationReport
 

@@ -11,23 +11,23 @@ from repro.fivegc.messages import (
 from repro.ran.ue import CommercialUE, ONEPLUS_8_PROFILE, UeError
 
 
-def test_registration_request_conceals_supi(monolithic_testbed):
-    ue = monolithic_testbed.add_subscriber()
+def test_registration_request_conceals_supi(container_testbed):
+    ue = container_testbed.add_subscriber()
     request = ue.build_registration_request()
     assert request.suci.get("mcc") == "001"
     assert request.suci.get("scheme") == 1
     assert ue.usim.supi.msin not in str(request.suci.get("schemeOutput"))
 
 
-def test_fresh_ephemeral_key_per_attempt(monolithic_testbed):
-    ue = monolithic_testbed.add_subscriber()
+def test_fresh_ephemeral_key_per_attempt(container_testbed):
+    ue = container_testbed.add_subscriber()
     one = ue.build_registration_request()
     two = ue.build_registration_request()
     assert one.suci.get("schemeOutput") != two.suci.get("schemeOutput")
 
 
-def test_ue_answers_valid_challenge(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_ue_answers_valid_challenge(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     challenge = testbed.amf.handle_nas(ue.name, ue.build_registration_request())
     response = ue.handle_nas(challenge)
@@ -35,8 +35,8 @@ def test_ue_answers_valid_challenge(monolithic_testbed):
     assert len(response.res_star) == 16
 
 
-def test_ue_rejects_forged_challenge(monolithic_testbed):
-    ue = monolithic_testbed.add_subscriber()
+def test_ue_rejects_forged_challenge(container_testbed):
+    ue = container_testbed.add_subscriber()
     forged = AuthenticationRequest(rand=bytes(16), autn=bytes(16))
     response = ue.handle_nas(forged)
     assert isinstance(response, AuthenticationFailure)
@@ -44,14 +44,14 @@ def test_ue_rejects_forged_challenge(monolithic_testbed):
     assert ue.failure_cause == "MAC_FAILURE"
 
 
-def test_smc_before_authentication_raises(monolithic_testbed):
-    ue = monolithic_testbed.add_subscriber()
+def test_smc_before_authentication_raises(container_testbed):
+    ue = container_testbed.add_subscriber()
     with pytest.raises(UeError, match="SMC before authentication"):
         ue.handle_nas(SecurityModeCommand(mac=bytes(4)))
 
 
-def test_smc_with_bad_mac_rejected(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_smc_with_bad_mac_rejected(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     challenge = testbed.amf.handle_nas(ue.name, ue.build_registration_request())
     ue.handle_nas(challenge)
@@ -59,14 +59,14 @@ def test_smc_with_bad_mac_rejected(monolithic_testbed):
     assert isinstance(response, AuthenticationFailure)
 
 
-def test_pdu_request_requires_registration(monolithic_testbed):
-    ue = monolithic_testbed.add_subscriber()
+def test_pdu_request_requires_registration(container_testbed):
+    ue = container_testbed.add_subscriber()
     with pytest.raises(UeError):
         ue.build_pdu_session_request()
 
 
-def test_ue_and_amf_agree_on_kamf(monolithic_testbed):
-    testbed = monolithic_testbed
+def test_ue_and_amf_agree_on_kamf(container_testbed):
+    testbed = container_testbed
     ue = testbed.add_subscriber()
     outcome = testbed.register(ue, establish_session=False)
     assert outcome.success

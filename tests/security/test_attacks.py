@@ -5,8 +5,6 @@ about HMEE, and one that succeeds everywhere means the mitigation is
 fiction.
 """
 
-import pytest
-
 from repro.security.attacks import (
     AttestationSpoofAttack,
     FunctionTamperAttack,
@@ -54,12 +52,6 @@ class TestMemoryIntrospection:
         result = MemoryIntrospectionAttack().run(armed_attacker(testbed), testbed)
         assert not result.succeeded
         assert result.evidence == {}
-
-    def test_requires_modules(self, monolithic_testbed):
-        with pytest.raises(ValueError):
-            MemoryIntrospectionAttack().run(
-                armed_attacker(monolithic_testbed), monolithic_testbed
-            )
 
 
 class TestVirtualKeyStore:

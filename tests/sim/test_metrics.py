@@ -5,7 +5,13 @@ from array import array
 
 import pytest
 
-from repro.sim.metrics import BoundedSeries, RunningStats
+from repro.sim.metrics import RunningStats, SampleSeries
+
+
+def series_of(values):
+    series = SampleSeries()
+    series.extend(values)
+    return series
 
 
 class TestRunningStats:
@@ -18,7 +24,7 @@ class TestRunningStats:
 
 class TestBoundedSeries:
     def test_stats_accumulate_exactly(self):
-        series = BoundedSeries()
+        series = SampleSeries()
         for value in (3.0, 1.0, 2.0):
             series.append(value)
         stats = series.stats
@@ -28,7 +34,7 @@ class TestBoundedSeries:
         assert (stats.minimum, stats.maximum) == (1.0, 3.0)
 
     def test_uncapped_behaves_like_a_list(self):
-        series = BoundedSeries()
+        series = SampleSeries()
         for i in range(100):
             series.append(float(i))
         assert list(series) == [float(i) for i in range(100)]
@@ -36,7 +42,7 @@ class TestBoundedSeries:
         assert len(series) == series.stats.count == 100
 
     def test_stats_are_exact_despite_trimming(self):
-        series = BoundedSeries()
+        series = SampleSeries()
         values = [float(i * 7 % 13) for i in range(200)]
         for value in values:
             series.append(value)
@@ -48,13 +54,8 @@ class TestBoundedSeries:
         assert series.stats.minimum == min(values)
         assert series.stats.maximum == max(values)
 
-    def test_init_iterable_counts_in_stats(self):
-        series = BoundedSeries(iterable=[1.0, 2.0])
-        assert list(series) == [1.0, 2.0]
-        assert series.stats.count == 2
-
     def test_extend_routes_through_append(self):
-        series = BoundedSeries()
+        series = SampleSeries()
         series.extend([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         assert series.stats.count == 6
         assert series.stats.total == 21.0
@@ -62,23 +63,23 @@ class TestBoundedSeries:
         assert list(series) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_iadd_routes_through_append(self):
-        series = BoundedSeries()
+        series = SampleSeries()
         series += [3.0, 4.0]
         series += (5.0,)
-        assert isinstance(series, BoundedSeries)
+        assert isinstance(series, SampleSeries)
         assert list(series) == [3.0, 4.0, 5.0]
         assert series.stats.count == 3
         assert series.stats.total == 12.0
 
     def test_insert_is_forbidden(self):
-        series = BoundedSeries(iterable=[1.0])
+        series = series_of([1.0])
         with pytest.raises(TypeError, match="append-only"):
             series.insert(0, 99.0)
         assert series.stats.count == 1
         assert list(series) == [1.0]
 
     def test_item_assignment_is_forbidden(self):
-        series = BoundedSeries(iterable=[1.0, 2.0])
+        series = series_of([1.0, 2.0])
         with pytest.raises(TypeError, match="append-only"):
             series[0] = 99.0
         with pytest.raises(TypeError, match="append-only"):
@@ -89,21 +90,21 @@ class TestBoundedSeries:
     def test_window_deletion_keeps_stats_exact(self):
         # Deletion only trims the retained window; stats cover
         # everything ever appended by design.
-        series = BoundedSeries(iterable=[1.0, 2.0, 3.0])
+        series = series_of([1.0, 2.0, 3.0])
         del series[:2]
         assert list(series) == [3.0]
         assert series.stats.count == 3
         assert series.stats.total == 6.0
 
     def test_samples_are_packed_doubles(self):
-        series = BoundedSeries(iterable=[1.5, 2])
+        series = series_of([1.5, 2])
         assert series.typecode == "d" and series.itemsize == 8
         # A real number is stored as a double and reads back as a float.
         assert series[1] == 2.0 and type(series[1]) is float
         assert series.stats.total == 3.5
 
     def test_non_numeric_sample_is_rejected_and_not_counted(self):
-        series = BoundedSeries(iterable=[1.0])
+        series = series_of([1.0])
         for bad in ("2.0", None, [3.0]):
             with pytest.raises(TypeError):
                 series.append(bad)
@@ -114,14 +115,14 @@ class TestBoundedSeries:
         assert series.stats.count == 2 and series.stats.total == 3.0
 
     def test_a_slice_is_a_plain_array_and_leaves_the_series_alone(self):
-        series = BoundedSeries(iterable=[float(i) for i in range(6)])
+        series = series_of([float(i) for i in range(6)])
         window = series[2:]
         assert type(window) is array and window == array("d", [2.0, 3.0, 4.0, 5.0])
         assert window != [2.0, 3.0, 4.0, 5.0]  # never equal to a list
         assert len(series) == 6 and series.stats.count == 6
 
     def test_del_trims_by_index_slice_and_stride(self):
-        series = BoundedSeries(iterable=[float(i) for i in range(10)])
+        series = series_of([float(i) for i in range(10)])
         del series[0]
         del series[-2:]
         del series[::3]
@@ -129,14 +130,14 @@ class TestBoundedSeries:
         assert series.stats.count == 10 and series.stats.minimum == 0.0
 
     def test_pickle_round_trip_keeps_stats_and_window(self):
-        series = BoundedSeries()
+        series = SampleSeries()
         for i in range(25):
             series.append(i / 4)
         # Protocol 3 on (the default is 4+): an array travels as its raw
         # bytes plus the instance dict, never through ``__init__``.
         for protocol in range(3, pickle.HIGHEST_PROTOCOL + 1):
             twin = pickle.loads(pickle.dumps(series, protocol))
-            assert type(twin) is BoundedSeries
+            assert type(twin) is SampleSeries
             assert twin == series and list(twin) == list(series)
             stats = twin.stats
             assert (stats.count, stats.total, stats.minimum, stats.maximum) == (

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.crypto import suci as suci_module
 from repro.sim.rng import RngService, draw_bytes
-from repro.testbed import Testbed, TestbedConfig
+from repro.testbed import IsolationMode, Testbed, TestbedConfig
 
 seeds = st.integers(0, 2**63)
 names = st.text(min_size=1, max_size=24)
@@ -108,7 +108,7 @@ def test_fresh_stream_is_not_kept_and_moves_no_other_stream(seed, name, other, n
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**31), st.from_regex(r"[0-9]{10}", fullmatch=True))
 def test_subscriber_key_is_a_pure_function_of_seed_and_msin(seed, msin):
-    testbed = Testbed.build(TestbedConfig(isolation=None, seed=seed))
+    testbed = Testbed.build(TestbedConfig(isolation=IsolationMode.CONTAINER, seed=seed))
     streams = len(testbed.host.rng._streams)
     twin = RngService(seed)
     k, opc = twin.randbytes(f"sub.{msin}.k", 16), twin.randbytes(f"sub.{msin}.opc", 16)
@@ -121,7 +121,7 @@ def test_subscriber_key_is_a_pure_function_of_seed_and_msin(seed, msin):
 
 
 def test_ue_owns_its_ecies_stream_across_suci_guti_suci():
-    testbed = Testbed.build(TestbedConfig(isolation=None, seed=31))
+    testbed = Testbed.build(TestbedConfig(isolation=IsolationMode.CONTAINER, seed=31))
     ue, bystander = testbed.add_subscriber(), testbed.add_subscriber()
     ephemerals = []
 
