@@ -237,7 +237,7 @@ def measure_gates(names) -> dict:
 def _arm_observed(tb) -> None:
     """What hostbench ``observed`` and ``repro traces`` arm: a
     trace-context ``Tracer`` with a tail-sampling ``TraceStore``
-    plus the 1 s ``Scraper``.  10-30 % while OCALL replays stay fused
+    plus the 1 s ``Scraper``.  10-15 % while OCALL replays stay fused
     under the tracer; 85-100 % if they fall back to one span per OCALL."""
     from repro.obs.trace import TraceStore, Tracer
 

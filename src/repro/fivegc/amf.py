@@ -157,6 +157,9 @@ class Amf(NetworkFunction):
         self.auth_resyncs = 0
         self.nas_protocol_errors = 0
         super().__init__(*args, **kwargs)
+        # Keyed by NF name: two AMFs on one host draw from independent
+        # streams.
+        self._guti_stream = f"{self.name}.guti"
 
     def attach_module(self, module: EamfPakaModule) -> None:
         self.offload_module = module
@@ -458,10 +461,8 @@ class Amf(NetworkFunction):
             self.pending_evictions += 1
 
     def _allocate_guti(self) -> str:
-        # Stream keyed by NF name: two AMFs on one host draw from
-        # independent streams.
         self._guti_counter += 1
-        tmsi = self.host.rng.stream(f"{self.name}.guti").getrandbits(32)
+        tmsi = self.host.rng.stream(self._guti_stream).getrandbits(32)
         return f"5g-guti-00101-{self._guti_counter:04d}-{tmsi:08x}"
 
     # ------------------------------------------------------------- metrics

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from itertools import repeat
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.gramine.manifest import GramineManifest
@@ -127,14 +128,18 @@ class _CompiledProfile:
     """A syscall profile precompiled by ``compile_syscalls``.
 
     Holds the original specs (for the per-call fallback paths) plus every
-    loop-invariant the fused replay needs: per-spec rounded OCALL cost
-    components, aggregate exitless charges, byte totals, per-name stat
-    increments and the per-spec span templates of both flavours.
+    loop-invariant the fused replays need: per-spec rounded OCALL cost
+    components (the armed replay's running offsets) and their sums (the
+    unarmed replay's starting charge), aggregate exitless charges, byte
+    totals, per-name stat increments and the per-spec span templates of
+    both flavours.
     """
 
     __slots__ = (
         "specs",
         "per_spec",
+        "ocall_cycles",
+        "ocall_ns",
         "name_counts",
         "count",
         "exitless_cycles",
@@ -159,6 +164,8 @@ class _CompiledProfile:
     ) -> None:
         self.specs = specs
         self.per_spec = per_spec
+        self.ocall_cycles = sum(cycles for cycles, _ in per_spec)
+        self.ocall_ns = sum(ns for _, ns in per_spec)
         self.name_counts = name_counts
         self.count = len(specs)
         self.exitless_cycles = exitless_cycles
@@ -201,6 +208,13 @@ class GramineEnclaveRuntime(Runtime):
         self._spec_costs = tables.spec_costs
         self._profiles = tables.profiles
         self._transition_stream = host.rng.stream(f"{enclave.build.name}.transition")
+        # The Fig 8 pressure streams are drawn once per OCALL only in the
+        # regimes that need them, so they are named here and created on
+        # first draw.
+        self._contention_stream = f"{name}.contention"
+        self._thrash_stream = f"{name}.thrash"
+        self._pressure_stream = f"{name}.pressure"
+        self._spike_stream = f"{name}.pressure-spike"
         # ns of every cycle count a drawn (EENTER, EEXIT) pair can split
         # into, as Cpu.round_cycle_cost rounds it: one lookup per
         # conversion in the replay loop, shared by all enclaves.
@@ -293,12 +307,12 @@ class GramineEnclaveRuntime(Runtime):
         """Per-syscall pager cost scaled by how the enclave is sized."""
         contended, degraded, oversized = self._pressure_regimes()
         if contended:
-            stream = self.host.rng.stream(f"{self.name}.contention")
+            stream = self.host.rng.stream(self._contention_stream)
             if stream.random() < self._GLOBAL_CONTENTION_THRASH_P:
                 self._charge_reload_pair()
         if degraded:
             # Thrash: some syscalls force an evict + reload pair.
-            stream = self.host.rng.stream(f"{self.name}.thrash")
+            stream = self.host.rng.stream(self._thrash_stream)
             if stream.random() < _THRASH_PROBABILITY:
                 self._charge_reload_pair()
         elif oversized:
@@ -307,12 +321,12 @@ class GramineEnclaveRuntime(Runtime):
             )
             mean = _PRESSURE_CYCLES_PER_LOG2 * excess
             self.host.cpu.spend_cycles(
-                self.host.rng.jitter(f"{self.name}.pressure", mean, 0.80)
+                self.host.rng.jitter(self._pressure_stream, mean, 0.80)
             )
             # Occasional background EWB/ELDU activity interferes with the
             # request — rare but large, which is what fattens the upper
             # quartile of the 8 GB boxes in Fig 8.
-            stream = self.host.rng.stream(f"{self.name}.pressure-spike")
+            stream = self.host.rng.stream(self._spike_stream)
             if stream.random() < 0.011 * excess:
                 model = SGX_COSTS
                 self.host.cpu.spend_cycles(
@@ -440,9 +454,10 @@ class GramineEnclaveRuntime(Runtime):
         The HTTP layer replays the same ~90-spec profiles for every
         request, so everything loop-invariant per spec — the rounded
         cost components, the per-name stat buckets, the byte totals, the
-        span templates — is resolved once here; replay only pays for what
-        genuinely varies per call: the (EENTER, EEXIT) RNG draw and the
-        running end offset.  The result is immutable and depends only on
+        span templates, the fixed OCALL charge — is resolved once here;
+        replay only pays for what genuinely varies per call: the (EENTER,
+        EEXIT) RNG draw, plus the running end offset when a tracer reads
+        it.  The result is immutable and depends only on
         ``specs`` and this runtime's cost key, so it is memoised with the
         shared tables.
         """
@@ -499,11 +514,13 @@ class GramineEnclaveRuntime(Runtime):
         — every RNG draw, event count, stat total and the final clock
         value are bit-identical to the per-call sequence.
 
-        The one loop, armed or not, keeps only the running end offset of
-        each call; under an open span that array goes to the tracer
-        beside the profile's span templates (``Tracer.ocall_burst``),
-        which builds the ``sgx.ocall`` leaves only if somebody reads
-        them.  The event log books the profile's OCALLs as one count.
+        Unarmed, the replay starts from the profile's fixed OCALL charge
+        and loops only over the draws.  Under an open span it also keeps
+        the running end offset of each call; that array goes to the
+        tracer beside the profile's span templates
+        (``Tracer.ocall_burst``), which builds the ``sgx.ocall`` leaves
+        only if somebody reads them.  The event log books the profile's
+        OCALLs as one count.
         The fusion is only valid while ``_epc_pressure`` is inert (see
         :meth:`_pressure_regimes`); under pressure, and for OCALLs
         outside any span (which are trace roots, not leaves), this is
@@ -545,22 +562,32 @@ class GramineEnclaveRuntime(Runtime):
         pair_min = model.transition_pair_min_cycles
         pair_span = model.transition_pair_max_cycles - pair_min
         ns_of = self._transition_ns
-        acc_cycles = 0
-        acc_ns = 0
-        # The tracer keeps the end offsets as leaves it derives on read
-        # (8 bytes an OCALL, where a list would box every offset).
-        ends = array("q")
-        record_end = ends.append
-        for cyc, ns in profile.per_spec:
-            total = pair_min + pair_span * random_()
-            eenter = int(total * 0.55)
-            eexit = int(total * 0.45)
-            acc_cycles += cyc + eenter + eexit
-            acc_ns += ns + ns_of[eenter] + ns_of[eexit]
-            record_end(acc_ns)
-        host.events.add("sgx.ocall", count)
-        if tracer is not None:
+        if tracer is None:
+            # Integer sums: adding the fixed part first is exact.
+            acc_cycles = profile.ocall_cycles
+            acc_ns = profile.ocall_ns
+            for _ in repeat(None, count):
+                total = pair_min + pair_span * random_()
+                eenter = int(total * 0.55)
+                eexit = int(total * 0.45)
+                acc_cycles += eenter + eexit
+                acc_ns += ns_of[eenter] + ns_of[eexit]
+        else:
+            acc_cycles = 0
+            acc_ns = 0
+            # The tracer keeps the end offsets as leaves it derives on
+            # read (8 bytes an OCALL, where a list would box every offset).
+            ends = array("q")
+            record_end = ends.append
+            for cyc, ns in profile.per_spec:
+                total = pair_min + pair_span * random_()
+                eenter = int(total * 0.55)
+                eexit = int(total * 0.45)
+                acc_cycles += cyc + eenter + eexit
+                acc_ns += ns + ns_of[eenter] + ns_of[eexit]
+                record_end(acc_ns)
             tracer.ocall_burst(profile.ocall_spans, ends)
+        host.events.add("sgx.ocall", count)
 
         cpu.spend_preconverted(acc_cycles, acc_ns)
         stats.eexits += count

@@ -134,6 +134,7 @@ class Enclave:
         )
         self._secrets: Dict[str, bytes] = {}
         self._threads_entered = 0
+        self._aex_stream = f"{build.name}.aex"
         # The hardware sealing/memory-encryption root, unique per enclave
         # instance and never observable outside the CPU package.
         self._hw_key = hashlib.sha256(
@@ -296,7 +297,7 @@ class Enclave:
         expected = duration_s * (
             self.AEX_PROCESS_RATE_HZ + self.AEX_THREAD_RATE_HZ * threads
         )
-        jittered = self.host.rng.jitter(f"{self.build.name}.aex", expected, 0.002)
+        jittered = self.host.rng.jitter(self._aex_stream, expected, 0.002)
         aex_count = int(round(jittered))
         self.stats.aexs += aex_count
         self.stats.eresumes += aex_count

@@ -13,7 +13,8 @@ append.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Optional
+from copy import copy
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 
 class RunningStats:
@@ -45,9 +46,10 @@ class SampleSeries(array):
     Samples are packed doubles — 8 bytes each, where a list spent a
     pointer and a boxed float — so a sample must be a real number
     (anything else is a ``TypeError`` and leaves :attr:`stats` untouched)
-    and reads back as a ``float``.  Indexing, ``len``, iteration and
-    pickling are a sequence's; a slice is a plain ``array('d')``, which
-    compares equal to another array, never to a list.
+    and reads back as a ``float``.  Indexing, ``len`` and iteration are a
+    sequence's; a copy or a pickle of any protocol keeps the stats; a
+    slice is a plain ``array('d')``, which compares equal to another
+    array, never to a list.
 
     The series drops nothing on its own: windows are sliced by index.
 
@@ -65,6 +67,30 @@ class SampleSeries(array):
 
     def __init__(self) -> None:
         self.stats = RunningStats()
+
+    # ``array`` copies its samples but drops the instance dict, and below
+    # protocol 3 pickles through ``cls(typecode, list)``, which
+    # ``__new__`` refuses; a slotted ``RunningStats`` does not pickle
+    # below protocol 2.  So every protocol carries the raw samples and
+    # the stats' four numbers, bypassing ``__init__``, and a copy, deep
+    # or not, owns its stats: they are part of the series' value.
+    def __reduce_ex__(self, protocol: int) -> Tuple[Any, ...]:
+        stats = self.stats
+        state = (stats.count, stats.total, stats.minimum, stats.maximum)
+        return array.__new__, (type(self), "d", self.tobytes()), state
+
+    def __setstate__(
+        self, state: Tuple[int, float, Optional[float], Optional[float]]
+    ) -> None:
+        stats = self.stats = RunningStats()
+        stats.count, stats.total, stats.minimum, stats.maximum = state
+
+    def __copy__(self, memo: Optional[Dict[int, Any]] = None) -> "SampleSeries":
+        clone = array.__new__(type(self), "d", self.tobytes())
+        clone.stats = copy(self.stats)
+        return clone
+
+    __deepcopy__ = __copy__
 
     def append(self, value: float) -> None:
         array.append(self, value)

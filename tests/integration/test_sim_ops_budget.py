@@ -4,6 +4,8 @@ The second slice of the ops budget (``test_crypto_ops_budget.py`` is the
 first): what the simulator spends on *booking* a registration — events
 and random streams — as exact, host-independent counts.  A warmed SGX
 registration books 282 events, 261 of them OCALLs in 9 profile replays.
+Only a tracer reads an OCALL's end offset, so an unarmed replay builds
+no array of them, and an armed registration builds one per replay.
 The random streams are pinned too: a fresh subscriber's registration seeds
 exactly three (K, OPc, the UE's ECIES ephemerals — the bytes need them)
 and the RNG service keeps none of them.  And the tracer's deferred
@@ -24,6 +26,7 @@ from contextlib import ExitStack
 from unittest import mock
 
 from repro.experiments.harness import warmed_testbed
+from repro.gramine import libos
 from repro.obs import trace as trace_module
 from repro.obs.trace import TraceStore, Tracer, _OcallBurst
 from repro.paka.deploy import IsolationMode
@@ -34,6 +37,7 @@ from tests.obs.test_trace_freelist import store_dump
 # replay compiled syscall profiles 9 times, 261 OCALLs.
 SGX_BUDGET = {
     "events": 282,
+    "end_offset_arrays": 0,
     "rng_streams_seeded": 3,
     "rng_streams_kept": 0,
 }
@@ -42,6 +46,7 @@ CONTAINER_BUDGET = dict(SGX_BUDGET, events=21)
 
 # What the tracer adds, armed with a store: kept (1 in 1) or declined.
 KEPT_BUDGET = {
+    "end_offset_arrays": 9,
     "span_ids_hashed": 7,
     "spans_built_from_bursts": 0,
     "traces_kept": 1,
@@ -71,6 +76,7 @@ def count_ops(
     real_fresh_stream = RngService.fresh_stream
     real_span_context_id = trace_module.span_context_id
     real_expand_under = _OcallBurst.expand_under
+    real_array = libos.array
     streams_seeded = [0]  # its own tally: provisioning precedes counts.clear()
 
     def fresh_stream(service, name):
@@ -85,9 +91,14 @@ def count_ops(
         counts["spans_built_from_bursts"] += len(burst.templates)
         real_expand_under(burst, parent, out)
 
+    def array(typecode, *initializer):
+        counts["end_offset_arrays"] += 1
+        return real_array(typecode, *initializer)
+
     results = []
     with ExitStack() as stack:
         for owner, name, wrapper in (
+            (libos, "array", array),
             (RngService, "fresh_stream", fresh_stream),
             (trace_module, "span_context_id", span_context_id),
             (_OcallBurst, "expand_under", expand_under),
@@ -100,6 +111,7 @@ def count_ops(
             counts.clear()
             assert testbed.register(ue, establish_session=False).success
             counts["events"] = len(host.events) - events_before
+            counts.update(end_offset_arrays=0)  # report a zero too
             counts["rng_streams_seeded"] = streams_seeded[0] - seeded_before
             counts["rng_streams_kept"] = len(host.rng._streams) - kept_before
             if armed:

@@ -2,16 +2,23 @@
 
 import hashlib
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.gramine import libos
 from repro.hw.host import paper_testbed_host
+from repro.net.http import ServerSyscallProfile
+from repro.obs.trace import Tracer
 from repro.sgx.enclave import Enclave, EnclaveBuildInfo
 from repro.sgx.epc import PAGE_SIZE, EpcManager
 from repro.sgx.measurement import EnclaveMeasurement, MeasurementBuilder, sign_enclave
 from repro.sgx.sealing import seal, unseal
-from tests.gramine.test_libos import make_runtime
+from tests.gramine.test_libos import (
+    _loop,
+    _syscall_fingerprint,
+    _under_root,
+    make_runtime,
+)
 
 
 def build_enclave(seed=0, threads=4):
@@ -85,6 +92,47 @@ def test_transitions_always_balance(ops):
             assert delta.ocalls == issued
             assert delta.eenters == delta.eexits == (0 if exitless else issued)
             assert delta.eresumes == delta.aexs
+
+
+def _fail_fallback(*spec):
+    raise AssertionError("fused replay fell back to per-call OCALLs")
+
+
+@given(
+    specs=st.lists(SYSCALLS, min_size=1, max_size=100),
+    exitless=st.booleans(),
+    arming=st.sampled_from([None, {}, {"trace_seed": 3}]),
+)
+@example(  # the server's reactor chatter, replayed per request
+    specs=list(ServerSyscallProfile.pistache_like().out_of_window),
+    exitless=False, arming=None,
+)
+@example(specs=[("epoll_wait", 0, 0)], exitless=False, arming=None)
+@example(specs=[("recvmsg", 0, 512)], exitless=False, arming={"trace_seed": 3})
+@settings(max_examples=25, deadline=None)
+def test_fused_replay_is_the_per_call_sequence(specs, exitless, arming):
+    """Any profile of 1-100 specs, on either flavour, unarmed or under an
+    open root of an armed tracer: the fused replay leaves the clock,
+    ``cycles_spent``, every ``SgxStats`` counter, the ``sgx.ocall`` event
+    count, the transition stream's next draw and (armed) the span tree
+    exactly where a loop of per-call ``syscall`` leaves them."""
+    fused, looped = (
+        make_runtime(seed=9, exitless=exitless, bulk_mb=1) for _ in range(2)
+    )
+    handle = fused.compile_syscalls(specs)
+    fused.syscall = _fail_fallback
+    if arming is None:
+        fused.syscall_profile(handle)
+        _loop(looped, specs)
+    else:
+        tracers = [Tracer(rt.host.clock, **arming) for rt in (fused, looped)]
+        fused.host.tracer, looped.host.tracer = tracers
+        assert _under_root(
+            tracers[0], lambda: fused.syscall_profile(handle)
+        ) == _under_root(tracers[1], lambda: _loop(looped, specs))
+    assert _syscall_fingerprint(fused) == _syscall_fingerprint(looped)
+    assert fused.enclave.stats == looped.enclave.stats
+    assert fused._transition_stream.random() == looped._transition_stream.random()
 
 
 @given(faults=st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=12))

@@ -1,5 +1,6 @@
 """Metric series: exact running stats over a packed raw window."""
 
+import copy
 import pickle
 from array import array
 
@@ -133,9 +134,9 @@ class TestBoundedSeries:
         series = SampleSeries()
         for i in range(25):
             series.append(i / 4)
-        # Protocol 3 on (the default is 4+): an array travels as its raw
-        # bytes plus the instance dict, never through ``__init__``.
-        for protocol in range(3, pickle.HIGHEST_PROTOCOL + 1):
+        # Every protocol: the samples travel as their raw bytes plus the
+        # instance dict, never through ``__init__``.
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             twin = pickle.loads(pickle.dumps(series, protocol))
             assert type(twin) is SampleSeries
             assert twin == series and list(twin) == list(series)
@@ -148,5 +149,22 @@ class TestBoundedSeries:
                 twin.append(i / 4)
             assert len(twin) == 40 and twin[-1] == 9.75
             assert twin.stats.count == 40
+            assert len(series) == series.stats.count == 25
         # A shipped slice (what an arm returns to its parent) is 8 B/sample.
         assert len(pickle.dumps(series[:])) < 8 * len(series) + 80
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy])
+    def test_a_copy_owns_its_samples_and_stats(self, duplicate):
+        series = series_of([2.0, -1.0, 5.0])
+        twin = duplicate(series)
+        assert type(twin) is SampleSeries and twin == series
+        assert twin.stats is not series.stats
+        twin.append(9.0)
+        del twin[0]
+        assert list(twin) == [-1.0, 5.0, 9.0]
+        assert (twin.stats.count, twin.stats.total, twin.stats.maximum) == (4, 15.0, 9.0)
+        # The original is untouched: samples and stats.
+        assert list(series) == [2.0, -1.0, 5.0]
+        stats = series.stats
+        assert (stats.count, stats.total, stats.minimum, stats.maximum) == (3, 6.0, -1.0, 5.0)
+
