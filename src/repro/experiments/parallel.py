@@ -76,7 +76,7 @@ def default_jobs() -> int:
     the reaped children of a 240-UE, 4-shard campaign; the caller, which
     hosts shards too, reads ≈34.8 MB as hostbench ``sharded-4x2``
     ``peak_rss_mb``), plus ≈1–2 kB per UE it registers
-    (``tests/integration/test_memory_budget.py``).  Platforms without
+    (``tests/integration/test_budgets.py``).  Platforms without
     ``sched_getaffinity`` (macOS, Windows) fall back to the CPU count.
     """
     try:

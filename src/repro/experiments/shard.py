@@ -57,6 +57,7 @@ from repro.experiments.parallel import Arm, run_arms
 from repro.fivegc.routing import shard_labels, supi_ring
 from repro.obs.tsdb import Tsdb
 from repro.paka.deploy import IsolationMode
+from repro.sim import invariants
 
 # warmed_testbed's two warmup registrations consume auto-assigned msins
 # 1 and 2; the campaign population starts where E-CAP's auto counter
@@ -109,16 +110,15 @@ def run_shard(
     warmup, registrations back-to-back, clock read again — the optional
     observation is pull-only and the trace for the span decomposition
     runs *after* the window closes, so neither perturbs the measured
-    clock.  :func:`~repro.experiments.capacity.capacity_campaign` is
-    this arm on one shard.
+    clock.  The closed window is judged by
+    :func:`repro.sim.invariants.enforce`, which reads state only.
+    :func:`~repro.experiments.capacity.capacity_campaign` is this arm on
+    one shard.
     """
     from repro.obs.collect import observe
 
     testbed = warmed_testbed(IsolationMode.SGX, seed=shard_seed(seed, shard_index))
-    eenters_before = {
-        name: testbed.paka.modules[name].runtime.sgx_stats.eenters
-        for name in MODULE_NAMES
-    }
+    since = invariants.baseline(testbed)
     tsdb = None
     with (
         nullcontext() if monitor_cadence_s is None
@@ -134,9 +134,10 @@ def run_shard(
         if observation is not None:
             observation.scraper.scrape()  # closing sample at the campaign edge
             tsdb = observation.scraper.tsdb.to_dict()
+    invariants.enforce(testbed, since)
     eenters = {
         name: testbed.paka.modules[name].runtime.sgx_stats.eenters
-        - eenters_before[name]
+        - since.sgx[name].eenters
         for name in MODULE_NAMES
     }
     # Latency summary before the trace below appends its own sample.

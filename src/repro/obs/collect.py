@@ -22,6 +22,7 @@ from repro.obs.scrape import Scraper
 from repro.obs.slo import Alert, SloEngine, default_slos
 from repro.obs.trace import Span, Tracer, TraceStore
 from repro.sgx.stats import SgxStats
+from repro.sim import invariants
 
 #: Bound on a traced arm's store (the oldest head samples go first).
 _TRACE_STORE_CAP = 2048
@@ -146,7 +147,8 @@ def observe(
     removed on exit, an exception included, and the scraper is detached
     from the testbed.  Scrapes and spans only read the simulated clock,
     so an observed arm spends exactly the nanoseconds of an unobserved
-    one.
+    one.  A block that exits normally leaves a quiescent testbed, which
+    :func:`repro.sim.invariants.enforce` judges over the block's window.
     """
     host = testbed.host
     if trace_sample is not None and host.tracer is not None:
@@ -157,6 +159,7 @@ def observe(
     ).install(host)
     store = None
     sojourn_base = len(testbed.gnb.sojourn_ms)
+    since = invariants.baseline(testbed)
     try:
         if trace_sample is not None:
             store = TraceStore(cap=_TRACE_STORE_CAP, sample_every=trace_sample)
@@ -171,6 +174,7 @@ def observe(
         )
         yield observation
         observation.sojourns_ms = list(testbed.gnb.sojourn_ms[sojourn_base:])
+        invariants.enforce(testbed, since)
     finally:
         scraper.uninstall(host)
         # Keep the Tsdb, drop what reaches the testbed.

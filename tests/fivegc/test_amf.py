@@ -18,6 +18,7 @@ from repro.fivegc.nas_security import ProtectedNasPdu
 from repro.obs.trace import Tracer
 from repro.paka.deploy import IsolationMode
 from repro.paka.flow import _role_of
+from repro.sim import invariants
 from repro.testbed import Testbed, TestbedConfig
 
 # Per uplink type, a message of it that no honest UE sends: each takes
@@ -114,18 +115,9 @@ def test_reregistrations_hold_one_guti_and_retire_the_rest(container_testbed):
     first = ue.guti
     for initial in (False, False, True, True):  # GUTI, then SUCI, re-registrations
         assert testbed.gnb.register(ue, establish_session=False, initial=initial).success
-    assert testbed.amf._guti_to_supi == {ue.guti: str(ue.usim.supi)}
+    assert invariants.check(testbed) == []
     stale = testbed.amf.handle_nas(ue.name, RegistrationRequest(guti=first))
     assert stale.cause == f"unknown GUTI {first!r}"
-
-
-def test_evicting_a_session_retires_its_guti(container_testbed):
-    amf = container_testbed.amf
-    amf.max_pending_sessions = 1
-    ue, _ = _drive(container_testbed, WAIT_REG_COMPLETE)
-    assert len(amf._guti_to_supi) == 1
-    _drive(container_testbed, WAIT_AUTH_RESPONSE)
-    assert amf.session_state(ue.name) == RELEASED and amf._guti_to_supi == {}
 
 
 @pytest.mark.parametrize("edge", ["success", "reject"])

@@ -82,15 +82,6 @@ def test_guti_reregistration_derives_fresh_keys(container_testbed):
     assert ue.kamf != old_kamf  # fresh RAND → fresh hierarchy
 
 
-def test_unknown_guti_rejected(container_testbed):
-    from repro.fivegc.messages import AuthenticationReject, RegistrationRequest
-
-    reply = container_testbed.amf.handle_nas(
-        "stranger", RegistrationRequest(guti="5g-guti-00101-9999-deadbeef")
-    )
-    assert isinstance(reply, AuthenticationReject)
-
-
 def test_pdu_session_payload_is_ciphered_on_n1(container_testbed):
     """The PDU session exchange after SMC is a ProtectedNasPdu whose
     ciphertext hides the DNN."""

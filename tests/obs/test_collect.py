@@ -7,6 +7,7 @@ import pytest
 from repro.experiments.harness import warmed_testbed
 from repro.obs.collect import collect_testbed_metrics, observe, trace_registration
 from repro.obs.metrics import Counter, MetricsRegistry
+from repro.sim.invariants import InvariantViolation
 from repro.testbed import IsolationMode, Testbed, TestbedConfig
 
 
@@ -33,6 +34,14 @@ def test_collect_covers_nfs_gnb_and_clock(native_testbed):
         c for c in registry.counters() if c.name == "http_requests_served_total"
     ]
     assert len(served) >= 7
+
+
+def test_an_observed_window_that_breaks_a_property_raises(native_testbed):
+    amf = native_testbed.amf
+    with pytest.raises(InvariantViolation, match="no session holds it"):
+        with observe(native_testbed):
+            amf._guti_to_supi["5g-guti-00101-9999-deadbeef"] = "imsi-001010000000000"
+    del amf._guti_to_supi["5g-guti-00101-9999-deadbeef"]
 
 
 def test_collect_is_idempotent_in_one_registry(native_testbed):
