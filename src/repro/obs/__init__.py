@@ -26,8 +26,8 @@ arithmetic:
   monitoring: a :class:`Scraper` samples any registry producer on a
   simulated-time cadence into a ring-buffer :class:`Tsdb` with
   query-time recording rules (``rate``/``increase``/quantiles),
-* :mod:`repro.obs.slo` — declarative objectives evaluated as
-  multi-window burn-rate alerts over the Tsdb timeline,
+* :mod:`repro.obs.slo` — declarative objectives judged as multi-window
+  burn-rate alerts as each scrape lands,
 * :mod:`repro.obs.profile` / :mod:`repro.obs.flame` — a
   cycle-attribution profiler folding span trees into collapsed-stack
   flame graphs split by the shield/copy/host/transition components,

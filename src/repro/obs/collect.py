@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.analytics import registration_breakdown
@@ -107,10 +106,11 @@ class Observation:
 
     The scraper and its Tsdb, the trace store (``None`` for an untraced
     arm), the module maps that decompose its trees, the paper-derived
-    SLOs, the armed fault plan (``None`` without an injector) and the
-    gNB sojourns recorded inside the ``with`` block.  Only ``alerts`` is
-    computed, on first read, over the whole Tsdb — read it after the
-    block has closed.  The observation holds data only: it does not keep
+    SLOs and their alerts, the armed fault plan (``None`` without an
+    injector) and the gNB sojourns recorded inside the ``with`` block.
+    ``alerts`` is the list an :class:`SloEngine` subscribed to the
+    scraper fills as each scrape lands, so inside the block it holds the
+    verdicts so far.  The observation holds data only: it does not keep
     its testbed alive.
     """
 
@@ -120,12 +120,9 @@ class Observation:
     module_servers: Dict[str, str]
     module_runtimes: Dict[str, str]
     slos: List[Any]
+    alerts: List[Alert]
     fault_plan: Optional[Any] = None
     sojourns_ms: List[float] = field(default_factory=list)
-
-    @cached_property
-    def alerts(self) -> List[Alert]:
-        return SloEngine(self.slos).evaluate(self.scraper.tsdb)
 
 
 @contextmanager
@@ -140,7 +137,9 @@ def observe(
 ) -> Iterator[Observation]:
     """Watch ``testbed`` for the duration of the ``with`` block.
 
-    Installs :meth:`Scraper.for_testbed` and, when ``trace_sample`` is
+    Installs :meth:`Scraper.for_testbed`, with an :class:`SloEngine`
+    over :func:`default_slos` subscribed before the baseline scrape, and,
+    when ``trace_sample`` is
     given, a trace-context :class:`Tracer` (seeded from the host) whose
     finished trees go to a bounded :class:`TraceStore` keeping every
     failed or late trace plus 1/``trace_sample`` healthy ones.  Both are
@@ -153,10 +152,14 @@ def observe(
     host = testbed.host
     if trace_sample is not None and host.tracer is not None:
         raise RuntimeError("a tracer is already installed on this host")
+    engine = SloEngine(default_slos(
+        testbed,
+        expected_registration_rate_per_s=expected_registration_rate_per_s,
+    ))
     scraper = Scraper.for_testbed(
         testbed, cadence_s=cadence_s, fault_injector=fault_injector,
         series_cap=series_cap, attack_plane=attack_plane,
-    ).install(host)
+    ).subscribe(engine).install(host)
     store = None
     sojourn_base = len(testbed.gnb.sojourn_ms)
     since = invariants.baseline(testbed)
@@ -166,10 +169,7 @@ def observe(
             host.tracer = Tracer(host.clock, trace_seed=host.rng.seed, store=store)
         observation = Observation(
             host.clock.now_ns, scraper, store, *module_maps(testbed),
-            slos=default_slos(
-                testbed,
-                expected_registration_rate_per_s=expected_registration_rate_per_s,
-            ),
+            slos=engine.slos, alerts=engine.alerts,
             fault_plan=fault_injector.plan if fault_injector is not None else None,
         )
         yield observation

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.fivegc.admission import AdmissionConfig, AdmissionController
-from repro.obs.slo import REGISTRATION_SOJOURN_DEADLINE_MS
+from repro.obs.metrics import LabelItems
+from repro.obs.slo import REGISTRATION_SOJOURN_DEADLINE_MS, SloEngine
 from repro.obs.tsdb import NS_PER_S, Tsdb
 from repro.security.attacks import ATTACK_CELL_PREFIX
 
@@ -55,12 +56,18 @@ ATTACK_VERDICTS: Tuple[str, ...] = (
 
 
 #: Lookback per verdict (seconds of scraped history).
-_WINDOW_NS = int(4.0 * NS_PER_S)
+_WINDOW_S = 4.0
+_WINDOW_NS = int(_WINDOW_S * NS_PER_S)
 #: Hostile-cell arrival rate below this is noise, not a storm.
 _MIN_ATTACK_RATE_PER_S = 4.0
 #: A signature (resync / fuzz-error / accept) rate at least this fraction
 #: of the hostile arrival rate names the storm kind.
 _SIGNATURE_FRACTION = 0.3
+
+
+def _hostile(labels: LabelItems) -> bool:
+    """Whether a series' ``gnb`` label names an attacker-run cell."""
+    return dict(labels).get("gnb", "").startswith(ATTACK_CELL_PREFIX)
 
 
 @dataclass(frozen=True)
@@ -97,39 +104,31 @@ class AttackClassifier:
 
     # ------------------------------------------------------------ queries
 
-    def _cell_rate(self, tsdb: Tsdb, name: str, at_ns: int,
-                   hostile: bool) -> float:
-        """Summed per-second rate of ``name`` over (non-)hostile cells."""
+    def _rate(self, tsdb: Tsdb, name: str, at_ns: int,
+              hostile: Optional[bool] = None,
+              seconds: float = _WINDOW_S) -> float:
+        """Summed increase of ``name`` per ``seconds`` (1.0 reads the bare
+        increase) over the window, across hostile cells, the other cells
+        (``hostile=False``) or every series (``None``)."""
         total = 0.0
         for series in tsdb.series_named(name):
-            labels = dict(series.labels)
-            if labels.get("gnb", "").startswith(ATTACK_CELL_PREFIX) is hostile:
-                total += tsdb.rate(name, _WINDOW_NS, at_ns, **labels)
+            if hostile is None or _hostile(series.labels) is hostile:
+                total += series.increase(at_ns - _WINDOW_NS, at_ns) / seconds
         return total
-
-    def _total_rate(self, tsdb: Tsdb, name: str, at_ns: int) -> float:
-        return sum(
-            tsdb.rate(name, _WINDOW_NS, at_ns, **dict(series.labels))
-            for series in tsdb.series_named(name)
-        )
 
     def _legit_sojourn_mean(self, tsdb: Tsdb, at_ns: int) -> Optional[float]:
         """Attempt-weighted mean sojourn across every legitimate cell."""
-        count = total = 0.0
-        for series in tsdb.series_named("gnb_registration_sojourn_ms_count"):
-            labels = dict(series.labels)
-            if labels.get("gnb", "").startswith(ATTACK_CELL_PREFIX):
-                continue
-            count += tsdb.increase(series.name, _WINDOW_NS, at_ns, **labels)
-            total += tsdb.increase(
-                "gnb_registration_sojourn_ms_sum", _WINDOW_NS, at_ns, **labels
-            )
+        count, total = (
+            self._rate(tsdb, "gnb_registration_sojourn_ms_" + part, at_ns,
+                       hostile=False, seconds=1.0)
+            for part in ("count", "sum")
+        )
         return total / count if count > 0 else None
 
     # ------------------------------------------------------------ verdict
 
     def classify_at(self, tsdb: Tsdb, at_ns: int) -> Classification:
-        attack_rate = self._cell_rate(
+        attack_rate = self._rate(
             tsdb, "amf_nas_registration_arrivals_total", at_ns, hostile=True
         )
         sojourn_mean = self._legit_sojourn_mean(tsdb, at_ns)
@@ -140,13 +139,13 @@ class AttackClassifier:
             ),
         }
         if attack_rate >= _MIN_ATTACK_RATE_PER_S:
-            resync_frac = self._total_rate(
+            resync_frac = self._rate(
                 tsdb, "amf_auth_resync_requests_total", at_ns
             ) / attack_rate
-            fuzz_frac = self._total_rate(
+            fuzz_frac = self._rate(
                 tsdb, "amf_nas_protocol_errors_total", at_ns
             ) / attack_rate
-            accept_frac = self._cell_rate(
+            accept_frac = self._rate(
                 tsdb, "amf_nas_registration_accepted_total", at_ns, hostile=True
             ) / attack_rate
             evidence.update(
@@ -180,9 +179,9 @@ class AttackClassifier:
             for labels_items, _timeline in tsdb.exemplars_named(
                 "gnb_registration_sojourn_ms"
             ):
-                labels = dict(labels_items)
-                if labels.get("gnb", "").startswith(ATTACK_CELL_PREFIX):
+                if _hostile(labels_items):
                     continue
+                labels = dict(labels_items)
                 cited.update(
                     tsdb.exemplars_in_window(
                         "gnb_registration_sojourn_ms", _WINDOW_NS, at_ns,
@@ -234,7 +233,8 @@ class AdmissionGovernor:
     """Scraper observer that arms/tunes AMF admission from verdicts.
 
     Subscribe via ``scraper.subscribe(governor)``; each scrape it
-    classifies the fresh window and checks the sojourn SLOs' burn.  The
+    classifies the fresh window and steps its own :class:`SloEngine`
+    over ``slos``: any alert open after the step is burn.  The
     loop is tighten-only while hot: attack verdicts arm the ingress
     defenses (per-source buckets + per-gNB guards + a global cap —
     shedding at the cell serving the storm), sojourn burn without an
@@ -256,9 +256,10 @@ class AdmissionGovernor:
     ) -> None:
         self.amf = amf
         self.classifier = classifier or AttackClassifier()
-        #: Burn-rate objectives (typically the SojournSlo subset) whose
-        #: firing counts as "hot" even without an attack signature.
-        self.slos = list(slos)
+        #: Judges the burn-rate objectives (typically the SojournSlo
+        #: subset) whose firing counts as "hot" even without an attack
+        #: signature.
+        self.burn = SloEngine(slos)
         self._baseline_admission = amf.admission
         self._baseline_max_pending = amf.max_pending_sessions
         self.armed: Tuple[str, ...] = ()
@@ -266,19 +267,6 @@ class AdmissionGovernor:
         self._burn_streak_armed = 0
         self.scrapes_seen = 0
         self.actions: List[Dict[str, Any]] = []
-
-    # ------------------------------------------------------------- burn
-
-    def _burning(self, tsdb: Tsdb, at_ns: int) -> bool:
-        for slo in self.slos:
-            for window in slo.windows:
-                if (
-                    slo.burn_rate(tsdb, window.long_ns, at_ns) >= window.factor
-                    and slo.burn_rate(tsdb, window.short_ns, at_ns)
-                    >= window.factor
-                ):
-                    return True
-        return False
 
     # ---------------------------------------------------------- response
 
@@ -309,7 +297,8 @@ class AdmissionGovernor:
     def on_scrape(self, tsdb: Tsdb, now_ns: int) -> None:
         self.scrapes_seen += 1
         verdict = self.classifier.classify_at(tsdb, now_ns).verdict
-        burning = self._burning(tsdb, now_ns)
+        self.burn.on_scrape(tsdb, now_ns)
+        burning = bool(self.burn.open)
         hot = verdict != "none" or burning
         self.quiet_streak = 0 if hot else self.quiet_streak + 1
         if self.armed and burning:
@@ -355,6 +344,3 @@ class AdmissionGovernor:
                 for a in self.actions
             ],
         }
-
-
-# --------------------------------------------------------------- evaluation

@@ -16,10 +16,13 @@ over **both** a long and a short window — the long window supplies
 confidence, the short one makes the alert resolve quickly once the fault
 clears.  Burn rate 1.0 means "consuming exactly the error budget".
 
-Everything is evaluated over the :class:`~repro.obs.tsdb.Tsdb` scrape
-timeline, replaying the recorded simulated timestamps — the engine is a
-pure function of the Tsdb contents, so a fixed ``(seed, plan, cadence)``
-yields bit-identical alerts, including firing/resolve timestamps.
+A :class:`SloEngine` is a scraper observer: verdicts land as each
+scrape does, judged over the windows that end at that scrape's simulated
+timestamp.  Each step reads only the samples inside its windows, so its
+cost does not grow with history.  The step is a pure function of the
+Tsdb contents up to that scrape, so a fixed ``(seed, plan, cadence)``
+yields bit-identical alerts, including firing/resolve timestamps, and
+:meth:`SloEngine.evaluate` replays the same step over a finished Tsdb.
 """
 
 from __future__ import annotations
@@ -142,32 +145,36 @@ class ThresholdSlo:
     """
 
     windows = LATENCY_WINDOWS
+    #: The histogram's unit, which ``limit`` is in.
+    unit = "us"
 
     def __init__(
         self,
         name: str,
         basename: str,
         labels: Mapping[str, str],
-        limit_us: float,
+        limit: float,
     ) -> None:
-        if limit_us <= 0:
-            raise ValueError(f"limit must be positive, got {limit_us}")
+        if limit <= 0:
+            raise ValueError(f"limit must be positive, got {limit}")
         self.name = name
         self.basename = basename
         self.labels = dict(labels)
-        self.limit_us = limit_us
+        self.limit = limit
 
     def burn_rate(self, tsdb: Tsdb, window_ns: int, at_ns: int) -> float:
         mean = tsdb.windowed_mean(self.basename, window_ns, at_ns, **self.labels)
         if mean is None:
             return 0.0
-        return mean / self.limit_us
+        return mean / self.limit
 
     def describe(self) -> str:
-        return f"{self.name}: mean {self.basename} <= {self.limit_us:g} us"
+        return (
+            f"{self.name}: mean {self.basename} <= {self.limit:g} {self.unit}"
+        )
 
 
-class SojournSlo:
+class SojournSlo(ThresholdSlo):
     """gNB-side registration-sojourn ceiling (attempt → outcome).
 
     The blind spot this closes: a pure-queueing collapse leaves every
@@ -179,23 +186,13 @@ class SojournSlo:
     :class:`ThresholdSlo`).
     """
 
-    basename = "gnb_registration_sojourn_ms"
     windows = SOJOURN_WINDOWS
+    unit = "ms"
 
     def __init__(self, name: str, labels: Mapping[str, str]) -> None:
-        self.name = name
-        self.labels = dict(labels)
-
-    def burn_rate(self, tsdb: Tsdb, window_ns: int, at_ns: int) -> float:
-        mean = tsdb.windowed_mean(self.basename, window_ns, at_ns, **self.labels)
-        if mean is None:
-            return 0.0
-        return mean / REGISTRATION_SOJOURN_DEADLINE_MS
-
-    def describe(self) -> str:
-        return (
-            f"{self.name}: mean {self.basename} <= "
-            f"{REGISTRATION_SOJOURN_DEADLINE_MS:g} ms"
+        super().__init__(
+            name, "gnb_registration_sojourn_ms", labels,
+            REGISTRATION_SOJOURN_DEADLINE_MS,
         )
 
 
@@ -285,57 +282,72 @@ class Alert:
 
 
 class SloEngine:
-    """Replays a Tsdb's scrape timeline against a set of SLOs."""
+    """Judges a set of SLOs scrape by scrape.
+
+    Subscribe it to a scraper (``scraper.subscribe(engine)``): each
+    :meth:`on_scrape` step opens, peaks and resolves alerts in place.
+    ``alerts`` holds every alert in firing order, ``open`` the ones
+    firing at the latest step.
+    """
 
     def __init__(self, slos: Sequence[Any]) -> None:
         self.slos = list(slos)
+        self.alerts: List[Alert] = []
+        self.open: Dict[Tuple[str, str], Alert] = {}
 
-    def evaluate(self, tsdb: Tsdb) -> List[Alert]:
-        """All alerts over the scrape timeline, in firing order.
+    def on_scrape(self, tsdb: Tsdb, at_ns: int) -> None:
+        """Judge every (SLO, window) pair over the windows ending at ``at_ns``.
 
         An alert opens at the first scrape where the burn rate meets the
         window factor on both the long and the short window, and resolves
-        at the first later scrape where either drops below.  Alerts still
-        active at the last scrape are returned unresolved.
+        at the first later scrape where either drops below.
         """
-        alerts: List[Alert] = []
-        open_alerts: Dict[Tuple[str, str], Alert] = {}
+        for slo in self.slos:
+            for window in slo.windows:
+                key = (slo.name, window.name)
+                long_burn = slo.burn_rate(tsdb, window.long_ns, at_ns)
+                firing = long_burn >= window.factor and (
+                    slo.burn_rate(tsdb, window.short_ns, at_ns)
+                    >= window.factor
+                )
+                alert = self.open.get(key)
+                if firing:
+                    if alert is None:
+                        alert = Alert(
+                            slo=slo.name, window=window.name,
+                            fired_at_ns=at_ns, peak_burn=long_burn,
+                        )
+                        self.open[key] = alert
+                        self.alerts.append(alert)
+                    elif long_burn > alert.peak_burn:
+                        alert.peak_burn = long_burn
+                    # Cite the traces behind the burn: exemplars the
+                    # SLO's own histogram recorded inside the long
+                    # window.  SLOs without a histogram basename
+                    # (ratio/liveness) have nothing to cite.
+                    basename = getattr(slo, "basename", None)
+                    if basename is not None:
+                        alert.cite_exemplars(
+                            tsdb.exemplars_in_window(
+                                basename, window.long_ns, at_ns,
+                                **getattr(slo, "labels", {}),
+                            )
+                        )
+                elif alert is not None:
+                    alert.resolved_at_ns = at_ns
+                    del self.open[key]
+
+    def evaluate(self, tsdb: Tsdb) -> List[Alert]:
+        """All alerts over a finished Tsdb's scrape timeline, in firing order.
+
+        A fresh engine steps over ``tsdb.scrape_times``, so this engine's
+        own state is untouched and two calls return equal lists.  Alerts
+        still active at the last scrape are returned unresolved.
+        """
+        replay = SloEngine(self.slos)
         for at_ns in tsdb.scrape_times:
-            for slo in self.slos:
-                for window in slo.windows:
-                    key = (slo.name, window.name)
-                    long_burn = slo.burn_rate(tsdb, window.long_ns, at_ns)
-                    firing = long_burn >= window.factor and (
-                        slo.burn_rate(tsdb, window.short_ns, at_ns)
-                        >= window.factor
-                    )
-                    alert = open_alerts.get(key)
-                    if firing:
-                        if alert is None:
-                            alert = Alert(
-                                slo=slo.name, window=window.name,
-                                fired_at_ns=at_ns, peak_burn=long_burn,
-                            )
-                            open_alerts[key] = alert
-                            alerts.append(alert)
-                        elif long_burn > alert.peak_burn:
-                            alert.peak_burn = long_burn
-                        # Cite the traces behind the burn: exemplars the
-                        # SLO's own histogram recorded inside the long
-                        # window.  SLOs without a histogram basename
-                        # (ratio/liveness) have nothing to cite.
-                        basename = getattr(slo, "basename", None)
-                        if basename is not None:
-                            alert.cite_exemplars(
-                                tsdb.exemplars_in_window(
-                                    basename, window.long_ns, at_ns,
-                                    **getattr(slo, "labels", {}),
-                                )
-                            )
-                    elif alert is not None:
-                        alert.resolved_at_ns = at_ns
-                        del open_alerts[key]
-        return alerts
+            replay.on_scrape(tsdb, at_ns)
+        return replay.alerts
 
 
 def default_slos(
@@ -376,7 +388,7 @@ def default_slos(
                 f"stable-latency-{module}",
                 basename="http_lt_us",
                 labels={"server": server.name, "component": module},
-                limit_us=TABLE2_STABLE_FACTOR * baseline,
+                limit=TABLE2_STABLE_FACTOR * baseline,
             )
         )
     return slos

@@ -16,6 +16,9 @@ materialised at ingest:
   banked and the post-reset value counts from zero),
 * :meth:`Tsdb.rate` — increase per second of window.
 
+A window's edges are two binary searches over the series' samples, so a
+query reads only the samples inside it, however long the history.
+
 Everything here only *reads* simulated time: ingesting or querying a
 Tsdb never advances the clock and never draws from an RNG, which is what
 lets an armed scraper leave golden clocks byte-identical.
@@ -24,6 +27,8 @@ lets an armed scraper leave golden clocks byte-identical.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import LabelItems, MetricKey, MetricsRegistry, _label_key
@@ -80,8 +85,30 @@ class TsdbSeries:
         return self.samples[-1] if self.samples else None
 
     def window(self, start_ns: int, end_ns: int) -> List[SamplePoint]:
-        """Samples with ``start_ns <= ts <= end_ns`` (inclusive bounds)."""
-        return [s for s in self.samples if start_ns <= s[0] <= end_ns]
+        """Samples with ``start_ns <= ts <= end_ns`` (inclusive bounds).
+
+        Timestamps never go backwards, so both edges are binary
+        searches: ``(start_ns,)`` sorts before every sample stamped
+        ``start_ns`` and ``(end_ns, inf)`` after every one stamped
+        ``end_ns``, whatever the values of repeated timestamps.
+        """
+        samples = self.samples
+        return samples[
+            bisect_left(samples, (start_ns,)):
+            bisect_right(samples, (end_ns, math.inf))
+        ]
+
+    def increase(self, start_ns: int, end_ns: int) -> float:
+        """Counter increase over the window (see :meth:`Tsdb.increase`)."""
+        window = self.window(start_ns, end_ns)
+        if len(window) < 2:
+            return 0.0
+        total = 0.0
+        previous = window[0][1]
+        for _, value in window[1:]:
+            total += value - previous if value >= previous else value
+            previous = value
+        return total
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -106,12 +133,17 @@ class Tsdb:
             raise ValueError(f"cap must be an int >= 2, got {cap!r}")
         self.cap = cap
         self._series: Dict[MetricKey, TsdbSeries] = {}
+        # Per-name ``(labels, series)`` index in sorted label order, filed
+        # as series are created so that :meth:`series_named` never sorts.
+        self._named: Dict[str, List[Tuple[LabelItems, TsdbSeries]]] = {}
         # Exemplar timelines keyed like histogram series: (basename,
         # labels) -> [(observed_at_ns, le, value, trace_id), ...] in
         # ingest order.  Populated from histograms that carry an adopted
         # exemplar map; queried by the SLO engine and the detector to
         # cite trace ids in alert/verdict payloads.
         self._exemplars: Dict[MetricKey, List[Tuple[int, str, float, str]]] = {}
+        # The same timelines per basename, in sorted label order.
+        self._exemplars_named: Dict[str, List[Tuple[LabelItems, Any]]] = {}
         # Every ingest timestamp, in order — the SLO engine replays these.
         self.scrape_times: List[int] = []
 
@@ -122,9 +154,7 @@ class Tsdb:
         key = (name, _label_key(labels))
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = TsdbSeries(
-                name, key[1], kind=kind, cap=self.cap
-            )
+            series = self._create(key, kind)
         elif series.kind != kind:
             raise ValueError(
                 f"series {name} already exists with kind {series.kind!r}, "
@@ -146,9 +176,14 @@ class Tsdb:
         label values up front; sorted iteration keeps every consumer
         deterministic.
         """
-        return [
-            self._series[key] for key in sorted(self._series) if key[0] == name
-        ]
+        return [series for _, series in self._named.get(name, ())]
+
+    def _create(self, key: MetricKey, kind: str) -> TsdbSeries:
+        series = self._series[key] = TsdbSeries(
+            key[0], key[1], kind=kind, cap=self.cap
+        )
+        _file(self._named, key, series)
+        return series
 
     def __len__(self) -> int:
         return len(self._series)
@@ -197,10 +232,7 @@ class Tsdb:
         order — ingest stays deterministic no matter how the producer
         populated its dict.
         """
-        key = (basename, labels)
-        timeline = self._exemplars.get(key)
-        if timeline is None:
-            timeline = self._exemplars[key] = []
+        timeline = self._exemplar_timeline((basename, labels))
         latest_by_le: Dict[str, str] = {}
         for observed_at_ns, le, _value, trace_id in timeline:
             latest_by_le[le] = trace_id
@@ -215,12 +247,9 @@ class Tsdb:
     def _ingest_one(
         self, name: str, labels: LabelItems, kind: str, ts_ns: int, value: float
     ) -> None:
-        key = (name, labels)
-        series = self._series.get(key)
+        series = self._series.get((name, labels))
         if series is None:
-            series = self._series[key] = TsdbSeries(
-                name, labels, kind=kind, cap=self.cap
-            )
+            series = self._create((name, labels), kind)
         # Inlined :meth:`TsdbSeries.append` (same checks, one call fewer
         # per sample — a scrape ingests a few hundred of these).
         if not math.isfinite(value):
@@ -253,15 +282,7 @@ class Tsdb:
         series = self.get(name, **labels)
         if series is None:
             return 0.0
-        window = series.window(at_ns - window_ns, at_ns)
-        if len(window) < 2:
-            return 0.0
-        total = 0.0
-        previous = window[0][1]
-        for _, value in window[1:]:
-            total += value - previous if value >= previous else value
-            previous = value
-        return total
+        return series.increase(at_ns - window_ns, at_ns)
 
     def rate(self, name: str, window_ns: int, at_ns: int, **labels: str) -> float:
         """Per-second :meth:`increase` over the window."""
@@ -312,11 +333,17 @@ class Tsdb:
         self, basename: str
     ) -> List[Tuple[LabelItems, List[Tuple[int, str, float, str]]]]:
         """Every exemplar timeline under ``basename``, sorted by labels."""
-        return [
-            (key[1], self._exemplars[key])
-            for key in sorted(self._exemplars)
-            if key[0] == basename
-        ]
+        return list(self._exemplars_named.get(basename, ()))
+
+    def _exemplar_timeline(
+        self, key: MetricKey
+    ) -> List[Tuple[int, str, float, str]]:
+        """Get-or-create the exemplar timeline for ``(basename, labels)``."""
+        timeline = self._exemplars.get(key)
+        if timeline is None:
+            timeline = self._exemplars[key] = []
+            _file(self._exemplars_named, key, timeline)
+        return timeline
 
     # -------------------------------------------------------- merge / load
 
@@ -339,8 +366,9 @@ class Tsdb:
         for raw in data.get("exemplars", []):
             labels = dict(raw["labels"])
             labels.update(extra_labels)
-            key = (raw["name"], _label_key(labels))
-            timeline = self._exemplars.setdefault(key, [])
+            timeline = self._exemplar_timeline(
+                (raw["name"], _label_key(labels))
+            )
             for observed_at_ns, le, value, trace_id in raw["entries"]:
                 timeline.append(
                     (int(observed_at_ns), str(le), float(value), str(trace_id))
@@ -387,3 +415,10 @@ class Tsdb:
                 for key in sorted(self._exemplars)
             ]
         return payload
+
+
+def _file(index: Dict[str, List[Any]], key: MetricKey, item: Any) -> None:
+    """File ``item`` under its name in ``index``, kept in label order."""
+    named = index.setdefault(key[0], [])
+    named.append((key[1], item))
+    named.sort(key=itemgetter(0))

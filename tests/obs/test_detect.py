@@ -111,6 +111,7 @@ class _StubAmf:
 class _Burning:
     """A stand-in SLO that always fires its burn windows."""
 
+    name = "burning"
     windows = (BurnRateWindow("fast", long_s=1.0, short_s=1.0, factor=1.0),)
 
     def burn_rate(self, tsdb, window_ns, at_ns):

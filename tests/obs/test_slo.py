@@ -48,13 +48,13 @@ def test_threshold_burn_rate_math():
     tsdb.series("lt_us_sum", kind="counter").append(0, 0.0)
     tsdb.series("lt_us_count", kind="counter").append(NS_PER_S, 4.0)
     tsdb.series("lt_us_sum", kind="counter").append(NS_PER_S, 800.0)
-    slo = ThresholdSlo("latency", basename="lt_us", labels={}, limit_us=100.0)
+    slo = ThresholdSlo("latency", basename="lt_us", labels={}, limit=100.0)
     # Windowed mean 200 us over a 100 us limit -> burn 2.0.
     assert slo.burn_rate(tsdb, 2 * NS_PER_S, NS_PER_S) == pytest.approx(2.0)
     # An idle producer is a traffic problem, not a latency one.
     assert slo.burn_rate(tsdb, NS_PER_S, 30 * NS_PER_S) == 0.0
     with pytest.raises(ValueError):
-        ThresholdSlo("bad", basename="x", labels={}, limit_us=0.0)
+        ThresholdSlo("bad", basename="x", labels={}, limit=0.0)
 
 
 def test_engine_fires_on_both_windows_and_resolves():
@@ -73,7 +73,7 @@ def test_engine_fires_on_both_windows_and_resolves():
         tsdb.series("lt_us_sum", kind="counter").append(ts, latency_sum)
 
     latency_slo = ThresholdSlo(
-        "latency", basename="lt_us", labels={}, limit_us=100.0
+        "latency", basename="lt_us", labels={}, limit=100.0
     )
     alerts = SloEngine([_ratio_slo(), latency_slo]).evaluate(tsdb)
     # Both kinds of objective page on the stall, on both window pairs,
@@ -211,7 +211,7 @@ def test_default_slos_cover_success_sojourn_and_module_latency():
     # The latency ceilings are the Table II budget: 2.9x the container
     # baseline, comfortably above the measured 1.9-2.2x SGX factors.
     eudm = next(slo for slo in slos if slo.name == "stable-latency-eudm")
-    assert eudm.limit_us == pytest.approx(2.9 * 61.0)
+    assert eudm.limit == pytest.approx(2.9 * 61.0)
     # The liveness floor is opt-in: only workloads that declare their
     # expected arrival rate can distinguish starvation from idleness.
     armed = default_slos(testbed, expected_registration_rate_per_s=2.5)

@@ -51,6 +51,33 @@ def test_tsdb_series_identity_and_kind_conflict():
     assert len(tsdb) == 1
 
 
+def test_series_named_keeps_label_order_whatever_creates_the_series():
+    # Series of one name arrive by ingest, by series() and by absorb, in
+    # no particular label order; every reader sees sorted label order.
+    registry = MetricsRegistry()
+    registry.counter("req_total", nf="smf").set(1)
+    registry.counter("req_total", nf="amf").set(1)
+    tsdb = Tsdb()
+    tsdb.ingest(registry, 1)
+    tsdb.series("req_total", kind="counter", nf="ausf")
+    other = Tsdb()
+    other.series("req_total", kind="counter", nf="udm")
+    other.ingest(_exemplar_registry("a" * 32, 1), 1)
+    tsdb.absorb(other.to_dict(), shard="1")
+    tsdb.ingest(_exemplar_registry("b" * 32, 2), 2)
+    assert [dict(s.labels) for s in tsdb.series_named("req_total")] == [
+        {"nf": "amf"}, {"nf": "ausf"}, {"nf": "smf"},
+        {"nf": "udm", "shard": "1"},
+    ]
+    assert [labels for labels, _ in tsdb.exemplars_named("sojourn_ms")] == [
+        (("gnb", "gnb-0"),), (("gnb", "gnb-0"), ("shard", "1")),
+    ]
+    assert tsdb.series_named("missing") == []
+    assert [(s.name, s.labels) for s in tsdb.all_series()] == sorted(
+        (s.name, s.labels) for s in tsdb.all_series()
+    )
+
+
 def test_ingest_maps_registry_kinds():
     registry = MetricsRegistry()
     registry.counter("served_total", nf="amf").set(3)
